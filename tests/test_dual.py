@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from weakbsde.drivers import make_driver, make_loss
+from weakbsde.drivers import ConjugateDomainError, make_driver, make_loss
 from weakbsde.dual import (DualControls, DualFeasibilityError, dual_bound,
                            dual_objective, dual_value, first_order_residuals)
 from weakbsde.lattice import build_lattice
@@ -130,3 +130,113 @@ def test_first_order_residuals_report_kinked_polars():
                                 0.5)
     assert res["terminal_gradient"] is None
     assert "note" in res
+
+
+# Golden values recorded from the one-candidate-per-trial search that the
+# batched coordinate scan replaced; every value must be reproduced to the bit.
+SMOOTH_PAIR = (("logcosh_z", {"kappa": 0.3, "sign": -1}),
+               ("softplus_z", {"kappa": 0.2}))
+RISK_PAIR = (("neg_abs_z", {"kappa": 0.3}), ("abs_z", {"kappa": 0.2}))
+V4 = [0.10000000000000003] * 4
+Q4 = [0.018750000000000003] * 4
+GOLDEN_DUAL_VALUES = [
+    # (pair, steps, rounds, slope, value, (u, v, p, q))
+    (SMOOTH_PAIR, 4, 2, 0.5, 0.0631289258670423,
+     ([0.0] * 4, V4, [0.0] * 4, [0.0] * 4)),
+    (SMOOTH_PAIR, 4, 2, 1.0, 0.25224495722955736,
+     ([0.0] * 4, V4, [0.0] * 4, Q4)),
+    (SMOOTH_PAIR, 4, 2, 1.5, 0.5671114140912366,
+     ([0.0] * 4, V4, [0.0] * 4, Q4)),
+    (RISK_PAIR, 6, 3, 0.5, 0.0625, ([0.0] * 6,) * 4),
+    (RISK_PAIR, 6, 3, 1.0, 0.25, ([0.0] * 6,) * 4),
+    (RISK_PAIR, 6, 3, 1.5, 0.5625, ([0.0] * 6,) * 4),
+    (SMOOTH_PAIR, 8, 3, 1.0, 0.2521490389057519,
+     ([0.0] * 8, [0.09687500000000003] * 8, [0.0] * 8,
+      [0.014062500000000006] * 8)),
+]
+PROFILE_NAMES = ("value_drift", "value_noise", "threshold_drift",
+                 "threshold_noise")
+
+
+def _pair(spec):
+    (f_name, f_params), (g_name, g_params) = spec
+    return make_driver(f_name, **f_params), make_driver(g_name, **g_params)
+
+
+@pytest.mark.parametrize("spec, steps, rounds, slope, value, profiles",
+                         GOLDEN_DUAL_VALUES)
+def test_dual_value_reproduces_golden_bits(spec, steps, rounds, slope, value,
+                                           profiles):
+    f, g = _pair(spec)
+    res = dual_value(build_lattice(1.0, steps), slope, f, g,
+                     make_loss("power", p=2.0), rounds=rounds)
+    assert res["value"] == value
+    for name, expected in zip(PROFILE_NAMES, profiles):
+        assert getattr(res["controls"], name).tolist() == expected, name
+
+
+# (slope, value_noise, threshold_noise, certificate or the error it raises);
+# drift profiles are zero, the only point of their conjugate domains
+GOLDEN_OBJECTIVES = [
+    (0.8408888317372476,
+     [0.19343777001888773, 0.06793517608488826, 0.051133117108108195,
+      0.0806870157008117],
+     [0.1194211526826845, 0.2689048991399427, 0.249354465646567,
+      0.003874056911713275], 0.2795219625423275),
+    (0.8183700480353711,
+     [0.06020603615696121, 0.09246679764870502, 0.010014443787978555,
+      0.12835570560311405],
+     [-0.13645373895296492, 0.2478039227075604, -0.03563640116304534,
+      -0.28068073379060715], 0.27351891029064546),
+    (0.9117426850872357,
+     [0.09142053692061453, -0.05, 0.005749504109899207,
+      0.031002554147871276],
+     [-0.08852853241270656, -0.19140719143770443, -0.17706912029735283,
+      0.12174846805939388], ConjugateDomainError),
+    (1.9560004548010765,
+     [0.029411582496575273, 0.08474755403558853, 0.01091094240059376,
+      0.09155275058097921],
+     [0.45, 0.025245363196512993, -0.17194036209206545,
+      -0.0569053615482846], ConjugateDomainError),
+    (1.6505034661071951,
+     [0.010167808620430208, 0.16870498757867547, 0.12010881510679952,
+      0.199044120045789, 0.17146043127589003, 0.0929756639735464,
+      0.035148158705108214, 0.0003574000654014142],
+     [0.29135550267070015, 0.29909247848197035, -0.20568116233598432,
+      0.13244894425643072, 0.04235959694552299, -0.28254375640975976,
+      0.04340679232102723, 0.1000780110286778], 0.9175373576980059),
+    (1.0422274112384258,
+     [0.18369916203821912, 0.05709539938640469, 0.03722604583560318,
+      0.14119813533904507, 0.01669982480041803, 0.12898106650458663,
+      0.18657765268754975, 0.07523884230167302],
+     [-0.12978354223582347, -0.055931849065243566, 0.22104961397463957,
+      -0.14754388643889385, -0.08722872712583737, 0.02028735208604504,
+      0.2702832705735156, 0.1190062834429868], 0.36940332800385367),
+    (0.6957343708069998,
+     [0.07789192411424406, -0.05, 0.018988353334212518, 0.04214000831750367,
+      0.05650582250021596, 0.16262265450522984, 0.05427104593812555,
+      0.12672285599231675],
+     [-0.21832903971215423, 0.05017975395608104, 0.16547842283833075,
+      -0.08859845908274683, 0.14432440249531964, 0.02175784171679812,
+      0.2571849401675909, 0.01313814498077015], ConjugateDomainError),
+    (0.8810576464495667,
+     [0.18559237348554727, 0.039362290819122125, 0.13425736300858515,
+      0.002577556095420719, 0.1267541727906862, 0.06352968061094869,
+      0.06747506685410724, 0.08998505683853893],
+     [0.45, 0.2858488201158024, -0.17761997744094155, 0.2315054164240024,
+      0.13760122287350662, 0.08883604332742812, 0.2035051246289345,
+      0.07515701431561517], ConjugateDomainError),
+]
+
+
+@pytest.mark.parametrize("slope, v, q, expected", GOLDEN_OBJECTIVES)
+def test_dual_objective_reproduces_golden_bits(slope, v, q, expected):
+    n = len(v)
+    f, g = _pair(SMOOTH_PAIR)
+    dc = DualControls(slope, np.zeros(n), v, np.zeros(n), q)
+    args = (build_lattice(1.0, n), dc, f, g, make_loss("power", p=2.0))
+    if isinstance(expected, float):
+        assert dual_objective(*args) == expected
+    else:
+        with pytest.raises(expected):
+            dual_objective(*args)
