@@ -20,8 +20,25 @@ tighten a valid lower bound, never break it.  dual_value minimizes the
 certificate over the profiles by coordinate descent (an upper bound on
 the true infimum, which keeps the inequality safe), and dual_bound
 maximizes l m - dual_value(l) over l by golden-section search.
-"""
 
+The coordinate scan is batched.  For one profile entry (i, k), every
+window value is scored in one vectorized pass against the incumbent's
+cached panels: levels up to k are shared, only the moved adjoint is
+recomputed from level k on, and only the step-k conjugate is evaluated.
+The scan moves to the argmin, the first one on ties and never a NaN, and
+only when it is strictly below the incumbent: the same move as trying
+the values in order and keeping each strict improvement.  The incumbent's
+own value is never re-scored; the in-order search did so, to no effect,
+whenever an earlier window value had already beaten it.
+
+Every score is bit-for-bit the dual_objective value of its candidate, so
+the accepted controls, the bounds and the reports do not depend on the
+batching.  Both paths build step factors with one expression
+(_factors), multiply them left to right (no closed-form expectations),
+sum each path's running terms over a contiguous row of length N and
+average the 2^N path totals in one mean; dual_objective is the
+single-candidate case of the same panels and the same scoring kernel.
+"""
 from __future__ import annotations
 
 import math
@@ -37,6 +54,9 @@ from .lattice import MAX_PATH_LEVELS, Lattice, LatticeError, sign_matrix
 from .primal import ValueSurface, attainment_check
 
 POSITIVITY_MARGIN = 1e-6
+# (candidate, path) pairs one pass of the coordinate scan holds at most, so
+# a pass stays near SCAN_PAIRS * N doubles however deep the lattice is
+SCAN_PAIRS = 2**16
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -103,36 +123,6 @@ def _require_factors(lattice: Lattice, dc: DualControls) -> None:
         )
 
 
-def adjoint_forward(lattice: Lattice, dc: DualControls, path) -> tuple:
-    """(A, L) along one sign path; A is homogeneous of degree 1 in the slope."""
-    _require_factors(lattice, dc)
-    signs = np.asarray(path, dtype=float)
-    if signs.size != lattice.steps or not np.all(np.abs(signs) == 1.0):
-        raise LatticeError("path must list +1/-1 signs, one per step")
-    dt, sq = lattice.dt, lattice.sqrt_dt
-    a_fac = 1.0 + dc.threshold_drift * dt + dc.threshold_noise * signs * sq
-    l_fac = 1.0 + dc.value_drift * dt + dc.value_noise * signs * sq
-    a = dc.slope * np.concatenate([[1.0], np.cumprod(a_fac)])
-    l = np.concatenate([[1.0], np.cumprod(l_fac)])
-    return a, l
-
-
-def _adjoint_panels(lattice: Lattice, dc: DualControls) -> tuple:
-    """A and L at every level along every enumerated path: (2^N, N+1)."""
-    n = lattice.steps
-    signs = sign_matrix(n).astype(float)
-    dt, sq = lattice.dt, lattice.sqrt_dt
-    a_fac = 1.0 + dc.threshold_drift[None, :] * dt \
-        + dc.threshold_noise[None, :] * signs * sq
-    l_fac = 1.0 + dc.value_drift[None, :] * dt \
-        + dc.value_noise[None, :] * signs * sq
-    a = np.ones((signs.shape[0], n + 1))
-    l = np.ones((signs.shape[0], n + 1))
-    a[:, 1:] = np.cumprod(a_fac, axis=1)
-    l[:, 1:] = np.cumprod(l_fac, axis=1)
-    return dc.slope * a, l
-
-
 def _conjugate_profiles(lattice: Lattice, dc: DualControls, d_f: Driver,
                         d_g: Driver) -> tuple:
     """Per-step conjugate values (ftil_k, gtil_k); raises if any is infinite."""
@@ -152,29 +142,175 @@ def _conjugate_profiles(lattice: Lattice, dc: DualControls, d_f: Driver,
     return ft, gt
 
 
-def dual_objective(lattice: Lattice, dc: DualControls, d_f: Driver,
-                   d_g: Driver, lp: LossPair) -> float:
-    """Exact certificate value by full path enumeration."""
+def _factors(drift, noise, signs, dt: float, sq: float):
+    """Adjoint step factors 1 + drift dt + noise sign sqrt(dt).
+
+    Every certificate is computed with this one expression order, so a
+    factor built for a batch equals the one built for a single candidate.
+    """
+    return 1.0 + drift * dt + noise * signs * sq
+
+
+def _certificate_terms(terms, l_end, a_end, dt: float, lp: LossPair):
+    """Per-path certificate: running sum over each row of terms, times dt,
+    plus L_N poltil(A_N / L_N).  Leading axes (candidates, paths) are free;
+    the mean over paths is left to the caller."""
+    running = terms.sum(axis=-1) * dt
+    ratio = a_end / l_end
+    polar = np.asarray(lp.polar(ratio.ravel()), dtype=float)
+    return running + l_end * polar.reshape(ratio.shape)
+
+
+class _Incumbent:
+    """One feasible candidate with its adjoint panels over all 2^N paths.
+
+    prefix[0] is L and prefix[1] is A / slope at every level, (2^N, N+1),
+    each a left-to-right product of step factors; terms is the running
+    integrand L_k gtil_k - A_k ftil_k, (2^N, N).  scan scores every value of
+    one profile entry against these panels and move adopts one of them.
+    """
+
+    def __init__(self, lattice: Lattice, signs: np.ndarray, dc: DualControls,
+                 conj: tuple):
+        self.lattice = lattice
+        self.signs = signs
+        self.slope = dc.slope
+        self.profiles = [np.array(p) for p in (dc.value_drift, dc.value_noise,
+                                               dc.threshold_drift,
+                                               dc.threshold_noise)]
+        self.conj = [np.array(c) for c in conj]          # gtil, ftil
+        shape = (signs.shape[0], lattice.steps + 1)
+        self.prefix = [np.ones(shape), np.ones(shape)]
+        for which in (0, 1):
+            self._advance(which, 0)
+        self.terms = np.empty((signs.shape[0], lattice.steps))
+        self._fill_terms(0)
+
+    def _advance(self, which: int, k: int) -> None:
+        """Recompute adjoint `which` at levels k+1..N from level k."""
+        lat = self.lattice
+        drift, noise = self.profiles[2 * which:2 * which + 2]
+        fac = _factors(drift[k:], noise[k:], self.signs[:, k:], lat.dt,
+                       lat.sqrt_dt)
+        panel = self.prefix[which]
+        for j in range(k, lat.steps):
+            np.multiply(panel[:, j], fac[:, j - k], out=panel[:, j + 1])
+
+    def _fill_terms(self, k: int) -> None:
+        l_pan, p_pan = self.prefix
+        gt, ft = self.conj
+        out = self.terms[:, k:]
+        np.multiply(l_pan[:, k:-1], gt[k:], out=out)
+        a_ft = self.slope * p_pan[:, k:-1]
+        a_ft *= ft[k:]
+        out -= a_ft
+
+    def value(self, lp: LossPair) -> float:
+        l_pan, p_pan = self.prefix
+        paths = _certificate_terms(self.terms[None], l_pan[None, :, -1],
+                                   self.slope * p_pan[None, :, -1],
+                                   self.lattice.dt, lp)
+        return float(paths.mean(axis=-1)[0])
+
+    def scan(self, i: int, k: int, vals: np.ndarray, d_f: Driver,
+             d_g: Driver, lp: LossPair) -> tuple:
+        """Certificates of the candidates that set profile i at step k to
+        each of vals, and their step-k conjugates.
+
+        A candidate that fails a feasibility check scores +inf, exactly as
+        its own dual_objective call would raise.  The incumbent passed every
+        check at every other step, so only step k is tested.  Candidates go
+        through in passes of at most SCAN_PAIRS (candidate, path) pairs,
+        whole candidates while 2^N fits and path ranges of one beyond.
+        """
+        lat = self.lattice
+        which = i // 2
+        drift = np.full(vals.size, self.profiles[2 * which][k])
+        noise = np.full(vals.size, self.profiles[2 * which + 1][k])
+        (noise if i % 2 else drift)[:] = vals
+        if which == 0:
+            conj = convex_conjugate(d_g, drift, noise, t=lat.time_at(k))
+        else:
+            conj = concave_conjugate(d_f, drift, noise, t=lat.time_at(k))
+        conj = np.asarray(conj, dtype=float).reshape(vals.shape)
+        low = 1.0 + drift * lat.dt - np.abs(noise) * lat.sqrt_dt
+        feasible = np.flatnonzero(np.isfinite(vals)
+                                  & (low >= POSITIVITY_MARGIN)
+                                  & np.isfinite(conj))
+        scores = np.full(vals.size, math.inf)
+        n_paths = self.signs.shape[0]
+        per_pass = max(1, SCAN_PAIRS // n_paths)
+        rows_per_pass = min(n_paths, SCAN_PAIRS)
+        for start in range(0, feasible.size, per_pass):
+            idx = feasible[start:start + per_pass]
+            paths = np.empty((idx.size, n_paths))
+            for row in range(0, n_paths, rows_per_pass):
+                rows = slice(row, row + rows_per_pass)
+                paths[:, rows] = self._pass(which, k, drift[idx, None],
+                                            noise[idx, None], conj[idx],
+                                            rows, lp)
+            scores[idx] = paths.mean(axis=-1)
+        return scores, conj
+
+    def _pass(self, which, k, drift, noise, conj, rows, lp):
+        """Per-path certificates of candidates (rows of drift, noise, conj)
+        that move adjoint `which` at step k, on the path range rows."""
+        lat = self.lattice
+        n = lat.steps
+        signs = self.signs[rows]
+        slope = self.slope
+        # the moved adjoint from level k on: its shared level-k value, the
+        # candidate factor, then the incumbent's factors, multiplied in the
+        # same left-to-right order as a full panel
+        chain = np.empty((drift.shape[0], signs.shape[0], n - k + 1))
+        chain[..., 0] = self.prefix[which][rows, k]
+        chain[..., 1] = _factors(drift, noise, signs[:, k], lat.dt,
+                                 lat.sqrt_dt)
+        chain[..., 2:] = _factors(self.profiles[2 * which][k + 1:],
+                                  self.profiles[2 * which + 1][k + 1:],
+                                  signs[:, k + 1:], lat.dt, lat.sqrt_dt)
+        np.cumprod(chain, axis=-1, out=chain)
+        moved_conj = np.empty((drift.shape[0], 1, n - k))
+        moved_conj[:, 0, 0] = conj
+        moved_conj[:, 0, 1:] = self.conj[which][k + 1:]
+        l_pan, p_pan = self.prefix
+        gt, ft = self.conj
+        terms = np.empty((drift.shape[0], signs.shape[0], n))
+        terms[..., :k] = self.terms[rows, :k]
+        if which == 0:
+            a_ft = slope * p_pan[rows, k:-1] * ft[k:]
+            terms[..., k:] = chain[..., :-1] * moved_conj - a_ft
+            l_end, a_end = chain[..., -1], slope * p_pan[rows, -1]
+        else:
+            l_gt = l_pan[rows, k:-1] * gt[k:]
+            a = slope * chain
+            terms[..., k:] = l_gt - a[..., :-1] * moved_conj
+            l_end, a_end = l_pan[rows, -1], a[..., -1]
+        return _certificate_terms(terms, l_end, a_end, lat.dt, lp)
+
+    def move(self, i: int, k: int, val: float, conj: float) -> None:
+        """Adopt the scanned candidate that sets profile i at step k to val."""
+        self.profiles[i][k] = val
+        self.conj[i // 2][k] = conj
+        self._advance(i // 2, k)
+        self._fill_terms(k)
+
+
+def _incumbent(lattice: Lattice, dc: DualControls, d_f: Driver,
+               d_g: Driver) -> _Incumbent:
     if lattice.steps > MAX_PATH_LEVELS:
         raise LatticeError(
             f"path enumeration capped at {MAX_PATH_LEVELS} levels"
         )
     _require_factors(lattice, dc)
     ft, gt = _conjugate_profiles(lattice, dc, d_f, d_g)
-    a, l = _adjoint_panels(lattice, dc)
-    dt = lattice.dt
-    running = (l[:, :-1] * gt[None, :] - a[:, :-1] * ft[None, :]).sum(axis=1) * dt
-    terminal = l[:, -1] * np.asarray(lp.polar(a[:, -1] / l[:, -1]), dtype=float)
-    return float(np.mean(running + terminal))
+    return _Incumbent(lattice, sign_matrix(lattice.steps), dc, (gt, ft))
 
 
-def _objective_or_inf(lattice, dc_args, d_f, d_g, lp) -> float:
-    """Same as dual_objective but returns +inf on any infeasibility."""
-    try:
-        dc = DualControls(*dc_args)
-        return dual_objective(lattice, dc, d_f, d_g, lp)
-    except (DualFeasibilityError, ConjugateDomainError):
-        return math.inf
+def dual_objective(lattice: Lattice, dc: DualControls, d_f: Driver,
+                   d_g: Driver, lp: LossPair) -> float:
+    """Exact certificate value by full path enumeration."""
+    return _incumbent(lattice, dc, d_f, d_g).value(lp)
 
 
 def _feasible_start(lattice: Lattice, d: Driver, kind: str) -> tuple:
@@ -199,28 +335,32 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
 
     Starts from the (0,0,0,0) profiles (or the nearest feasible point when
     a conjugate domain misses the origin), scans each coordinate on a
-    shrinking window clipped to the conjugate box, and keeps a move only
-    when it strictly lowers the certificate.  The result is an upper bound
-    on the true infimum, so lower bounds built from it remain valid.
+    shrinking window clipped to the conjugate box, and moves to the best
+    window point only when it strictly lowers the certificate.  The result
+    is an upper bound on the true infimum, so lower bounds built from it
+    remain valid.  n_evaluations counts certificates scored, the start
+    included; n_accepted counts moves.
     """
     n = lattice.steps
     u0, v0 = _feasible_start(lattice, d_g, "convex")
     p0, q0 = _feasible_start(lattice, d_f, "concave")
-    profiles = [np.full(n, u0), np.full(n, v0), np.full(n, p0), np.full(n, q0)]
     g_box = d_g.conjugate_box()
     f_box = d_f.conjugate_box()
     widths = [g_box.half_width_y, g_box.half_width_z,
               f_box.half_width_y, f_box.half_width_z]
     axes = [(i, k) for i, w in enumerate(widths) if w > 0.0 for k in range(n)]
 
-    def pack():
-        return (l, profiles[0].copy(), profiles[1].copy(),
-                profiles[2].copy(), profiles[3].copy())
-
-    best = _objective_or_inf(lattice, pack(), d_f, d_g, lp)
+    try:
+        start = DualControls(l, np.full(n, u0), np.full(n, v0),
+                             np.full(n, p0), np.full(n, q0))
+        inc = _incumbent(lattice, start, d_f, d_g)
+    except (DualFeasibilityError, ConjugateDomainError):
+        inc = None
+    best = math.inf if inc is None else inc.value(lp)
     if not math.isfinite(best):
         raise ConjugateDomainError("certificate infinite at the starting profiles")
     evaluations = 1
+    accepted = 0
     sweep_cost = grid_points * max(1, len(axes))
     if sweep_cost > budget:
         raise DualFeasibilityError(
@@ -229,25 +369,27 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
     for rnd in range(rounds):
         for i, k in axes:
             width = widths[i] / 4.0**rnd
-            center = profiles[i][k]
-            cand = np.clip(np.linspace(center - width, center + width,
-                                       grid_points), -widths[i], widths[i])
-            for val in np.unique(cand):
-                if val == center:
-                    continue
-                if evaluations >= budget:
-                    break
-                profiles[i][k] = val
-                trial = _objective_or_inf(lattice, pack(), d_f, d_g, lp)
-                evaluations += 1
-                if trial < best:
-                    best = trial
-                    center = val
-                profiles[i][k] = center
+            center = inc.profiles[i][k]
+            cand = np.unique(np.clip(np.linspace(center - width, center + width,
+                                                 grid_points),
+                                     -widths[i], widths[i]))
+            cand = cand[cand != center][:max(0, budget - evaluations)]
+            if cand.size == 0:
+                continue
+            scores, conj = inc.scan(i, k, cand, d_f, d_g, lp)
+            evaluations += cand.size
+            # first index on ties, NaN never wins: the same move as trying
+            # the values in order and keeping each strict improvement
+            j = int(np.argmin(np.where(np.isnan(scores), math.inf, scores)))
+            if scores[j] < best:
+                best = float(scores[j])
+                inc.move(i, k, cand[j], conj[j])
+                accepted += 1
     return {
         "value": best,
-        "controls": DualControls(*pack()),
+        "controls": DualControls(l, *inc.profiles),
         "n_evaluations": evaluations,
+        "n_accepted": accepted,
     }
 
 

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from weakbsde.drivers import ConjugateDomainError, make_driver, make_loss
+import weakbsde.dual as dual_mod
+from weakbsde.drivers import (ConjugateDomainError, Driver, make_driver,
+                              make_loss)
 from weakbsde.dual import (DualControls, DualFeasibilityError, dual_bound,
                            dual_objective, dual_value, first_order_residuals)
 from weakbsde.lattice import build_lattice
@@ -240,3 +242,124 @@ def test_dual_objective_reproduces_golden_bits(slope, v, q, expected):
     else:
         with pytest.raises(expected):
             dual_objective(*args)
+
+
+def test_dual_value_counts_moves_and_never_rescores_the_old_incumbent():
+    # the one-candidate-per-trial search spent 401 evaluations here, 8 of
+    # them re-scoring a start point an earlier window value had beaten
+    f, g = _pair(SMOOTH_PAIR)
+    res = dual_value(build_lattice(1.0, 8), 1.0, f, g,
+                     make_loss("power", p=2.0))
+    assert res["n_evaluations"] == 393
+    assert res["n_accepted"] == 32
+
+
+def _box_pair():
+    """Drivers given only by conjugates finite on a whole box, so that the
+    drift profiles u and p are searched too (every catalogue driver pins
+    them to a point).  The g box lets v break the positivity margin."""
+    def g_conj(u, v):
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        out = np.where((np.abs(u) <= 0.5) & (np.abs(v) <= 5.0),
+                       u * u + 0.1 * v * v, np.inf)
+        return out if out.ndim else float(out)
+
+    def f_conj(p, q):
+        p, q = np.asarray(p, float), np.asarray(q, float)
+        out = np.where((np.abs(p) <= 0.4) & (np.abs(q) <= 0.3),
+                       -(p * p + q * q), -np.inf)
+        return out if out.ndim else float(out)
+
+    f = Driver(name="box_f", fn=lambda t, y, z: 0.0 * y, lipschitz_y=0.4,
+               lipschitz_z=0.3, concave_in_yz=True, concave_conjugate_fn=f_conj)
+    g = Driver(name="box_g", fn=lambda t, y, z: 0.0 * y, lipschitz_y=0.5,
+               lipschitz_z=5.0, convex_in_yz=True, convex_conjugate_fn=g_conj)
+    return f, g
+
+
+def _box_controls(steps):
+    k = np.arange(steps)
+    return DualControls(1.1, 0.45 * np.sin(1.0 + k), 0.9 * np.cos(2.0 * k),
+                        0.35 * np.sin(3.0 * k + 0.5), 0.25 * np.cos(k + 0.3))
+
+
+@pytest.mark.parametrize("loss, steps, expected", [
+    ("power", 5, 0.6650100788134492),
+    ("power", 9, 0.594341152550931),
+    ("call_spread", 5, 0.7136548713728035),
+    ("call_spread", 9, 0.645761963161888),
+])
+def test_dual_objective_with_drift_reproduces_golden_bits(loss, steps,
+                                                           expected):
+    f, g = _box_pair()
+    got = dual_objective(build_lattice(1.0, steps), _box_controls(steps),
+                         f, g, make_loss(loss))
+    assert got == expected
+
+
+def _single(lat, dc, i, k, val, f, g, lp):
+    """dual_objective of dc with profile i at step k set to val, or +inf."""
+    profiles = [np.array(getattr(dc, name)) for name in PROFILE_NAMES]
+    profiles[i][k] = val
+    try:
+        return dual_objective(lat, DualControls(dc.slope, *profiles), f, g, lp)
+    except (DualFeasibilityError, ConjugateDomainError):
+        return math.inf
+
+
+@pytest.mark.parametrize("steps, scan_pairs", [
+    (5, dual_mod.SCAN_PAIRS),    # one pass holds every candidate
+    (14, dual_mod.SCAN_PAIRS),   # smallest depth where 8 candidates split
+    (7, 2**5),                   # each candidate split into path ranges
+])
+def test_batched_scan_rows_equal_single_evaluations(steps, scan_pairs,
+                                                    monkeypatch):
+    monkeypatch.setattr(dual_mod, "SCAN_PAIRS", scan_pairs)
+    lat = build_lattice(1.0, steps)
+    f, g = _box_pair()
+    lp = make_loss("power", p=2.0)
+    dc = _box_controls(steps)
+    inc = dual_mod._incumbent(lat, dc, f, g)
+    assert inc.value(lp) == dual_objective(lat, dc, f, g, lp)
+    seen = []
+    for k in sorted({0, steps // 2, steps - 1}):
+        # a v whose adjoint factor stays positive but inside the margin
+        edge = (1.0 + dc.value_drift[k] * lat.dt - 5e-7) / lat.sqrt_dt
+        windows = {
+            0: [-0.45, 0.5, 0.7, 0.01, -0.2, 0.33, -0.6, 0.25],
+            1: [0.0, 0.3, -2.0, edge, 1.7, 0.9, -edge, 2.2],
+            2: [0.05],
+            3: [0.299, -0.3, 0.45, 0.1, -0.2, 0.0, 0.2, -0.05],
+        }
+        for i, vals in windows.items():
+            scores, _ = inc.scan(i, k, np.array(vals), f, g, lp)
+            for val, score in zip(vals, scores):
+                assert score == _single(lat, dc, i, k, val, f, g, lp), \
+                    (i, k, val)
+            seen.extend(scores)
+    assert np.isfinite(seen).any() and np.isinf(seen).any()
+    # the +inf rows have both causes: the positivity margin and a domain
+    profiles = [np.array(getattr(dc, n)) for n in PROFILE_NAMES]
+    profiles[1][0] = (1.0 + dc.value_drift[0] * lat.dt - 5e-7) / lat.sqrt_dt
+    with pytest.raises(DualFeasibilityError, match="margin"):
+        dual_objective(lat, DualControls(1.1, *profiles), f, g, lp)
+    profiles = [np.array(getattr(dc, n)) for n in PROFILE_NAMES]
+    profiles[3][0] = 0.45
+    with pytest.raises(ConjugateDomainError):
+        dual_objective(lat, DualControls(1.1, *profiles), f, g, lp)
+
+
+def test_accepted_move_rebuilds_the_incumbent_exactly():
+    lat = build_lattice(1.0, 6)
+    f, g = _pair(SMOOTH_PAIR)
+    lp = make_loss("power", p=2.0)
+    inc = dual_mod._incumbent(lat, DualControls.zeros(lat, 0.9), f, g)
+    for i, k, val in ((1, 3, 0.15), (3, 0, -0.2), (3, 5, 0.1), (1, 0, 0.05)):
+        scores, conj = inc.scan(i, k, np.array([val]), f, g, lp)
+        inc.move(i, k, val, conj[0])
+        fresh = dual_mod._incumbent(lat, DualControls(0.9, *inc.profiles),
+                                    f, g)
+        assert inc.value(lp) == scores[0] == fresh.value(lp)
+        for mine, theirs in zip(inc.prefix + [inc.terms],
+                                fresh.prefix + [fresh.terms]):
+            assert np.array_equal(mine, theirs)
