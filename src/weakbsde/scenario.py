@@ -174,6 +174,8 @@ def build_scenario(config: dict) -> Scenario:
             or dual_rounds < 1:
         raise ScenarioError("dual.rounds must be a positive integer")
     dual_m_list = tuple(float(m) for m in dual_cfg.get("m_list", m_list))
+    if any(not (0.0 <= m <= 1.0) for m in dual_m_list):
+        raise ScenarioError("dual.m_list entries must lie in [0, 1]")
 
     checks = tuple(config.get("checks", (
         "attainment", "monotonicity", "convexity", "continuity", "dpp",
