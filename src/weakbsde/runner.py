@@ -253,7 +253,7 @@ def _surface_csv(surface) -> str:
                                                  surface.controls)):
         for j in range(k + 1):
             for m, v, a in zip(grids[j], vals[j], ctrls[j]):
-                buf.write(f"{k},{j},{m!r},{v!r},{a!r}\n")
+                buf.write(f"{k},{j},{float(m)!r},{float(v)!r},{float(a)!r}\n")
     return buf.getvalue()
 
 

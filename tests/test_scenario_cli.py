@@ -106,6 +106,18 @@ def test_execute_writes_stable_artifacts(tmp_path):
     assert "time" not in json.dumps(report).lower()
 
 
+def test_surface_csv_cells_are_plain_numbers(tmp_path):
+    execute(build_scenario(_minimal()), out_dir=tmp_path, quiet=True)
+    lines = (tmp_path / "surface.csv").read_text().splitlines()[1:]
+    assert lines
+    for line in lines:
+        level, node, *numbers = line.split(",")
+        assert int(level) >= int(node) >= 0
+        assert len(numbers) == 3
+        for cell in numbers:
+            float(cell)
+
+
 def test_execute_report_curve_includes_dual_gap():
     sc = build_scenario(_minimal())
     report = execute(sc, out_dir=None, quiet=True)
