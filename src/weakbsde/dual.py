@@ -186,24 +186,25 @@ class _Incumbent:
         self.terms = np.empty((signs.shape[0], lattice.steps))
         self._fill_terms(0)
 
+    # both updates run one level at a time, so that no temporary is larger
+    # than a column: the panels themselves are the memory peak
+
     def _advance(self, which: int, k: int) -> None:
         """Recompute adjoint `which` at levels k+1..N from level k."""
         lat = self.lattice
         drift, noise = self.profiles[2 * which:2 * which + 2]
-        fac = _factors(drift[k:], noise[k:], self.signs[:, k:], lat.dt,
-                       lat.sqrt_dt)
         panel = self.prefix[which]
         for j in range(k, lat.steps):
-            np.multiply(panel[:, j], fac[:, j - k], out=panel[:, j + 1])
+            fac = _factors(drift[j], noise[j], self.signs[:, j], lat.dt,
+                           lat.sqrt_dt)
+            np.multiply(panel[:, j], fac, out=panel[:, j + 1])
 
     def _fill_terms(self, k: int) -> None:
         l_pan, p_pan = self.prefix
         gt, ft = self.conj
-        out = self.terms[:, k:]
-        np.multiply(l_pan[:, k:-1], gt[k:], out=out)
-        a_ft = self.slope * p_pan[:, k:-1]
-        a_ft *= ft[k:]
-        out -= a_ft
+        for j in range(k, self.lattice.steps):
+            self.terms[:, j] = l_pan[:, j] * gt[j] \
+                - self.slope * p_pan[:, j] * ft[j]
 
     def value(self, lp: LossPair) -> float:
         l_pan, p_pan = self.prefix
