@@ -105,6 +105,18 @@ def _as_positive_number(value, where: str) -> float:
     return out
 
 
+def _thresholds(values, where: str) -> tuple:
+    """A threshold list: numbers in [0, 1]."""
+    try:
+        out = tuple(float(m) for m in values)
+    except (TypeError, ValueError):
+        raise ScenarioError(f"{where} must be a list of numbers, "
+                            f"got {values!r}") from None
+    if any(not (0.0 <= m <= 1.0) for m in out):
+        raise ScenarioError(f"{where} entries must lie in [0, 1]")
+    return out
+
+
 def build_scenario(config: dict) -> Scenario:
     """Validate a config dict and resolve every name against the catalogues."""
     if not isinstance(config, dict):
@@ -157,12 +169,10 @@ def build_scenario(config: dict) -> Scenario:
     scheme = primal_cfg.get("scheme", "explicit")
     if scheme not in ("explicit", "implicit"):
         raise ScenarioError(f"primal.scheme must be explicit/implicit, got {scheme!r}")
-    m_list = tuple(float(m) for m in primal_cfg.get(
-        "m_list", [round(0.1 * i, 10) for i in range(1, 10)]))
+    m_list = _thresholds(primal_cfg.get(
+        "m_list", [round(0.1 * i, 10) for i in range(1, 10)]), "primal.m_list")
     if not m_list:
         raise ScenarioError("primal.m_list must be nonempty")
-    if any(not (0.0 <= m <= 1.0) for m in m_list):
-        raise ScenarioError("primal.m_list entries must lie in [0, 1]")
     continuity_base = float(primal_cfg.get("continuity_base", 0.3))
 
     dual_cfg = dict(config.get("dual", {}))
@@ -173,9 +183,7 @@ def build_scenario(config: dict) -> Scenario:
     if not isinstance(dual_rounds, int) or isinstance(dual_rounds, bool) \
             or dual_rounds < 1:
         raise ScenarioError("dual.rounds must be a positive integer")
-    dual_m_list = tuple(float(m) for m in dual_cfg.get("m_list", m_list))
-    if any(not (0.0 <= m <= 1.0) for m in dual_m_list):
-        raise ScenarioError("dual.m_list entries must lie in [0, 1]")
+    dual_m_list = _thresholds(dual_cfg.get("m_list", m_list), "dual.m_list")
 
     checks = tuple(config.get("checks", (
         "attainment", "monotonicity", "convexity", "continuity", "dpp",

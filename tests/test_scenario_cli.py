@@ -51,7 +51,9 @@ def test_check_names_and_lists_validated():
         build_scenario(_minimal(checks=["attainment", "smoothness"]))
     with pytest.raises(ScenarioError):
         build_scenario(_minimal(primal={"grid_size": 81, "m_list": [1.5]}))
-    for bad in ([1.5], [0.5, -0.1], [float("nan")]):
+    with pytest.raises(ScenarioError, match=r"primal\.m_list"):
+        build_scenario(_minimal(primal={"grid_size": 81, "m_list": ["a"]}))
+    for bad in ([1.5], [0.5, -0.1], [float("nan")], ["a"], 0.5):
         with pytest.raises(ScenarioError, match=r"dual\.m_list"):
             build_scenario(_minimal(dual={"m_list": bad}))
 
