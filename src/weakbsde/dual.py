@@ -168,17 +168,25 @@ class _Incumbent:
     each a left-to-right product of step factors; terms is the running
     integrand L_k gtil_k - A_k ftil_k, (2^N, N).  scan scores every value of
     one profile entry against these panels and move adopts one of them.
+    Building one runs every check dual_objective makes, and raises the same.
     """
 
-    def __init__(self, lattice: Lattice, signs: np.ndarray, dc: DualControls,
-                 conj: tuple):
+    def __init__(self, lattice: Lattice, dc: DualControls, d_f: Driver,
+                 d_g: Driver):
+        if lattice.steps > MAX_PATH_LEVELS:
+            raise LatticeError(
+                f"path enumeration capped at {MAX_PATH_LEVELS} levels"
+            )
+        _require_factors(lattice, dc)
+        ft, gt = _conjugate_profiles(lattice, dc, d_f, d_g)
         self.lattice = lattice
-        self.signs = signs
+        self.drivers = (d_g, d_f)
+        self.signs = signs = sign_matrix(lattice.steps)
         self.slope = dc.slope
         self.profiles = [np.array(p) for p in (dc.value_drift, dc.value_noise,
                                                dc.threshold_drift,
                                                dc.threshold_noise)]
-        self.conj = [np.array(c) for c in conj]          # gtil, ftil
+        self.conj = [gt, ft]
         shape = (signs.shape[0], lattice.steps + 1)
         self.prefix = [np.ones(shape), np.ones(shape)]
         for which in (0, 1):
@@ -213,8 +221,7 @@ class _Incumbent:
                                    self.lattice.dt, lp)
         return float(paths.mean(axis=-1)[0])
 
-    def scan(self, i: int, k: int, vals: np.ndarray, d_f: Driver,
-             d_g: Driver, lp: LossPair) -> tuple:
+    def scan(self, i: int, k: int, vals: np.ndarray, lp: LossPair) -> tuple:
         """Certificates of the candidates that set profile i at step k to
         each of vals, and their step-k conjugates.
 
@@ -229,11 +236,10 @@ class _Incumbent:
         drift = np.full(vals.size, self.profiles[2 * which][k])
         noise = np.full(vals.size, self.profiles[2 * which + 1][k])
         (noise if i % 2 else drift)[:] = vals
-        if which == 0:
-            conj = convex_conjugate(d_g, drift, noise, t=lat.time_at(k))
-        else:
-            conj = concave_conjugate(d_f, drift, noise, t=lat.time_at(k))
-        conj = np.asarray(conj, dtype=float).reshape(vals.shape)
+        conj_fn = concave_conjugate if which else convex_conjugate
+        conj = np.asarray(conj_fn(self.drivers[which], drift, noise,
+                                  t=lat.time_at(k)),
+                          dtype=float).reshape(vals.shape)
         low = 1.0 + drift * lat.dt - np.abs(noise) * lat.sqrt_dt
         feasible = np.flatnonzero(np.isfinite(vals)
                                   & (low >= POSITIVITY_MARGIN)
@@ -297,21 +303,10 @@ class _Incumbent:
         self._fill_terms(k)
 
 
-def _incumbent(lattice: Lattice, dc: DualControls, d_f: Driver,
-               d_g: Driver) -> _Incumbent:
-    if lattice.steps > MAX_PATH_LEVELS:
-        raise LatticeError(
-            f"path enumeration capped at {MAX_PATH_LEVELS} levels"
-        )
-    _require_factors(lattice, dc)
-    ft, gt = _conjugate_profiles(lattice, dc, d_f, d_g)
-    return _Incumbent(lattice, sign_matrix(lattice.steps), dc, (gt, ft))
-
-
 def dual_objective(lattice: Lattice, dc: DualControls, d_f: Driver,
                    d_g: Driver, lp: LossPair) -> float:
     """Exact certificate value by full path enumeration."""
-    return _incumbent(lattice, dc, d_f, d_g).value(lp)
+    return _Incumbent(lattice, dc, d_f, d_g).value(lp)
 
 
 def _feasible_start(lattice: Lattice, d: Driver, kind: str) -> tuple:
@@ -351,15 +346,16 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
               f_box.half_width_y, f_box.half_width_z]
     axes = [(i, k) for i, w in enumerate(widths) if w > 0.0 for k in range(n)]
 
+    infinite = "certificate infinite at the starting profiles"
     try:
         start = DualControls(l, np.full(n, u0), np.full(n, v0),
                              np.full(n, p0), np.full(n, q0))
-        inc = _incumbent(lattice, start, d_f, d_g)
-    except (DualFeasibilityError, ConjugateDomainError):
-        inc = None
-    best = math.inf if inc is None else inc.value(lp)
+        inc = _Incumbent(lattice, start, d_f, d_g)
+    except (DualFeasibilityError, ConjugateDomainError) as exc:
+        raise ConjugateDomainError(infinite) from exc
+    best = inc.value(lp)
     if not math.isfinite(best):
-        raise ConjugateDomainError("certificate infinite at the starting profiles")
+        raise ConjugateDomainError(infinite)
     evaluations = 1
     accepted = 0
     sweep_cost = grid_points * max(1, len(axes))
@@ -371,13 +367,12 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
         for i, k in axes:
             width = widths[i] / 4.0**rnd
             center = inc.profiles[i][k]
-            cand = np.unique(np.clip(np.linspace(center - width, center + width,
-                                                 grid_points),
-                                     -widths[i], widths[i]))
+            window = np.linspace(center - width, center + width, grid_points)
+            cand = np.unique(np.clip(window, -widths[i], widths[i]))
             cand = cand[cand != center][:max(0, budget - evaluations)]
             if cand.size == 0:
                 continue
-            scores, conj = inc.scan(i, k, cand, d_f, d_g, lp)
+            scores, conj = inc.scan(i, k, cand, lp)
             evaluations += cand.size
             # first index on ties, NaN never wins: the same move as trying
             # the values in order and keeping each strict improvement

@@ -321,7 +321,7 @@ def test_batched_scan_rows_equal_single_evaluations(steps, scan_pairs,
     f, g = _box_pair()
     lp = make_loss("power", p=2.0)
     dc = _box_controls(steps)
-    inc = dual_mod._incumbent(lat, dc, f, g)
+    inc = dual_mod._Incumbent(lat, dc, f, g)
     assert inc.value(lp) == dual_objective(lat, dc, f, g, lp)
     seen = []
     for k in sorted({0, steps // 2, steps - 1}):
@@ -334,7 +334,7 @@ def test_batched_scan_rows_equal_single_evaluations(steps, scan_pairs,
             3: [0.299, -0.3, 0.45, 0.1, -0.2, 0.0, 0.2, -0.05],
         }
         for i, vals in windows.items():
-            scores, _ = inc.scan(i, k, np.array(vals), f, g, lp)
+            scores, _ = inc.scan(i, k, np.array(vals), lp)
             for val, score in zip(vals, scores):
                 assert score == _single(lat, dc, i, k, val, f, g, lp), \
                     (i, k, val)
@@ -355,11 +355,11 @@ def test_accepted_move_rebuilds_the_incumbent_exactly():
     lat = build_lattice(1.0, 6)
     f, g = _pair(SMOOTH_PAIR)
     lp = make_loss("power", p=2.0)
-    inc = dual_mod._incumbent(lat, DualControls.zeros(lat, 0.9), f, g)
+    inc = dual_mod._Incumbent(lat, DualControls.zeros(lat, 0.9), f, g)
     for i, k, val in ((1, 3, 0.15), (3, 0, -0.2), (3, 5, 0.1), (1, 0, 0.05)):
-        scores, conj = inc.scan(i, k, np.array([val]), f, g, lp)
+        scores, conj = inc.scan(i, k, np.array([val]), lp)
         inc.move(i, k, val, conj[0])
-        fresh = dual_mod._incumbent(lat, DualControls(0.9, *inc.profiles),
+        fresh = dual_mod._Incumbent(lat, DualControls(0.9, *inc.profiles),
                                     f, g)
         assert inc.value(lp) == scores[0] == fresh.value(lp)
         for mine, theirs in zip(inc.prefix + [inc.terms],
