@@ -15,7 +15,7 @@ from .lattice import (AdaptedField, Lattice, LatticeError, TimeGrid,
 from .drivers import (DRIVER_BUILDERS, LOSS_BUILDERS, ConjugateDomainError,
                       Driver, LossPair, concave_conjugate, convex_conjugate,
                       fenchel_recover, galois_violations, make_driver,
-                      make_loss, polar_numeric, polar_transform)
+                      make_loss, polar_numeric)
 from .bsde import (BsdeSolution, Corridor, SchemeError, comparison_check,
                    compute_corridor, estimation_gap, exact_scheme_for,
                    f_expectation, monotone_step_ok, solve_bsde,
@@ -44,7 +44,6 @@ __all__ = [
     "DRIVER_BUILDERS", "LOSS_BUILDERS", "ConjugateDomainError", "Driver",
     "LossPair", "concave_conjugate", "convex_conjugate", "fenchel_recover",
     "galois_violations", "make_driver", "make_loss", "polar_numeric",
-    "polar_transform",
     "BsdeSolution", "Corridor", "SchemeError", "comparison_check",
     "compute_corridor", "estimation_gap", "exact_scheme_for", "f_expectation",
     "monotone_step_ok", "solve_bsde", "solve_on_path_tree",

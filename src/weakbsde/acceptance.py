@@ -23,7 +23,7 @@ from .drivers import make_driver
 from .dual import (DualControls, dual_bound, dual_value,
                    first_order_residuals)
 from .lattice import build_lattice
-from .primal import (PrimalScenario, brute_force_policy_value,
+from .primal import (brute_force_policy_value,
                      brute_force_weak_formulation, continuity_modulus,
                      convexity_check, dpp_check, monotonicity_violation,
                      primal_value_dp, two_point_envelope, value_curve)
@@ -56,14 +56,7 @@ class Workspace:
     def primal(self, name, grid_size=None):
         key = (name, grid_size)
         if key not in self._primals:
-            sc = self.scenario(name)
-            prim = PrimalScenario(
-                lattice=sc.lattice, driver_f=sc.driver_f,
-                driver_g=sc.driver_g, loss=sc.loss,
-                grid_size=sc.grid_size if grid_size is None else grid_size,
-                n_a=sc.n_a, scheme=sc.scheme,
-            )
-            self._primals[key] = prim
+            self._primals[key] = self.scenario(name).primal(grid_size)
         return self._primals[key]
 
     def surface(self, name, grid_size=None):

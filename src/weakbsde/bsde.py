@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drivers import Driver, LossPair
-from .lattice import AdaptedField, Lattice, LatticeError, half_sum, leaf_nodes
+from .lattice import AdaptedField, Lattice, LatticeError, half_sum
 
 FIXED_POINT_TOL = 1e-13
 MAX_FIXED_POINT_ITERS = 200

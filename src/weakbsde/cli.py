@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -12,10 +11,10 @@ from .bsde import SchemeError
 from .drivers import ConjugateDomainError
 from .dual import DualFeasibilityError, dual_bound
 from .lattice import LatticeError
-from .primal import PrimalError, PrimalScenario, primal_value_dp, value_curve
+from .primal import PrimalError, primal_value_dp, value_curve
 from .runner import execute, render_report_json
-from .scenario import (DEFAULT_SEED, ScenarioError, build_scenario,
-                       catalogue)
+from .scenario import (DEFAULT_SEED, ScenarioError, build_scenario, catalogue,
+                       load_config)
 
 _USER_ERRORS = (ScenarioError, PrimalError, SchemeError, LatticeError,
                 DualFeasibilityError, ConjugateDomainError, ValueError,
@@ -32,17 +31,7 @@ def _load_config(ref: str) -> dict:
             f"{ref!r} is neither a catalogue scenario nor an existing "
             f"config file; catalogue: {sorted(cfgs)}"
         )
-    with open(ref, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(
-                f"{ref}: invalid JSON at line {exc.lineno}, "
-                f"column {exc.colno}: {exc.msg}"
-            ) from exc
-    if not isinstance(cfg, dict):
-        raise ScenarioError(f"{ref}: top-level JSON value must be an object")
-    return cfg
+    return load_config(ref)
 
 
 def _build(ref: str, seed) -> "Scenario":
@@ -80,11 +69,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_curve(args) -> int:
     sc = _build(args.config, args.seed)
-    prim = PrimalScenario(lattice=sc.lattice, driver_f=sc.driver_f,
-                          driver_g=sc.driver_g, loss=sc.loss,
-                          grid_size=sc.grid_size, n_a=sc.n_a,
-                          scheme=sc.scheme)
-    surface = primal_value_dp(prim)
+    surface = primal_value_dp(sc.primal())
     vals = value_curve(surface, sc.m_list)
     lines = ["m,primal,dual_bound,gap"]
     lines += [f"{m!r},{float(v)!r},," for m, v in zip(sc.m_list, vals)]

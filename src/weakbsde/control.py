@@ -33,6 +33,22 @@ class PolicyError(ValueError):
     pass
 
 
+def _children(lattice: Lattice, f: Driver, k: int, m, a) -> tuple:
+    """Up and down successors m - f(t_k, m, a) dt +/- a sqrt(dt) of states m
+    under controls a (broadcast together)."""
+    base = m - np.asarray(f.fn(lattice.time_at(k), m, a), float) * lattice.dt
+    return base + a * lattice.sqrt_dt, base - a * lattice.sqrt_dt
+
+
+def _interleave(up: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    """Children in prefix order along the last axis: prefix h of level k
+    has its up child at 2h and its down child at 2h + 1 of level k + 1."""
+    out = np.empty(up.shape[:-1] + (2 * up.shape[-1],))
+    out[..., 0::2] = up
+    out[..., 1::2] = dn
+    return out
+
+
 class NodePolicy:
     """Control depending on the lattice node only (one value per (k, j))."""
 
@@ -107,11 +123,7 @@ class TruncatedPolicy:
         latched, base_state = state
         base_a, base_state = self.base.control_array(k, j_idx, m, base_state)
         base_a = np.broadcast_to(np.asarray(base_a, float), m.shape)
-        dt, sq = self.lattice.dt, self.lattice.sqrt_dt
-        drift = np.asarray(self.f.fn(self.lattice.time_at(k), m, base_a), float)
-        mid = m - drift * dt
-        up = mid + base_a * sq
-        dn = mid - base_a * sq
+        up, dn = _children(self.lattice, self.f, k, m, base_a)
         if self.side == "floor":
             edge = self.corridor.floor.at(k)[j_idx]
             track = self.corridor.floor_z.at(k)[j_idx]
@@ -171,7 +183,6 @@ def simulate_controlled(lattice: Lattice, f: Driver, mu0: float, policy,
         raise PolicyError(
             f"initial state {mu0} outside root corridor [{lo[0]}, {hi[0]}]"
         )
-    dt, sq = lattice.dt, lattice.sqrt_dt
     states = np.empty(n + 1)
     controls = np.empty(n)
     states[0] = mu0
@@ -180,10 +191,10 @@ def simulate_controlled(lattice: Lattice, f: Driver, mu0: float, policy,
     for k, sign in enumerate(path):
         m = np.array([states[k]])
         a, state = policy.control_array(k, np.array([j]), m, state)
-        a_k = float(a[0])
-        drift = float(np.asarray(f.fn(lattice.time_at(k), states[k], a_k), float))
-        states[k + 1] = states[k] - drift * dt + a_k * sign * sq
-        controls[k] = a_k
+        a = np.asarray(a, float)
+        up, dn = _children(lattice, f, k, m, a)
+        states[k + 1] = (up if sign > 0 else dn)[0]
+        controls[k] = a[0]
         if sign > 0:
             j += 1
     return ControlledPath(path=tuple(path), states=states, controls=controls)
@@ -198,21 +209,14 @@ def simulate_all_prefixes(lattice: Lattice, f: Driver, mu0: float, policy):
     n = lattice.steps
     if n > MAX_PATH_LEVELS:
         raise LatticeError(f"prefix simulation guarded at N <= {MAX_PATH_LEVELS}")
-    dt, sq = lattice.dt, lattice.sqrt_dt
     states = [np.array([float(mu0)])]
     controls = []
     state = policy.initial_state(1)
     for k in range(n):
         m = states[k]
-        j_idx = prefix_up_counts(k)
-        a, state = policy.control_array(k, j_idx, m, state)
+        a, state = policy.control_array(k, prefix_up_counts(k), m, state)
         a = np.asarray(a, float)
-        drift = np.asarray(f.fn(lattice.time_at(k), m, a), float)
-        base = m - drift * dt
-        nxt = np.empty(2 * m.size)
-        nxt[0::2] = base + a * sq   # up child
-        nxt[1::2] = base - a * sq   # down child
-        states.append(nxt)
+        states.append(_interleave(*_children(lattice, f, k, m, a)))
         controls.append(a)
         state = _split_state(state)
     return states, controls

@@ -28,15 +28,9 @@ import numpy as np
 
 LN2 = math.log(2.0)
 
-# Numeric conjugation defaults: search box scale, grid step and the
-# divergence sentinel used to classify a transform as infinite.
-CONJUGATE_BOX_SCALE = 50.0
-CONJUGATE_GRID_STEP = 1e-2
-DIVERGENCE_THRESHOLD = 1e6
-
 
 class DriverShapeError(ValueError):
-    """Requested a transform that needs a shape flag the driver lacks."""
+    """Requested a conjugate the driver has no closed form for."""
 
 
 class ConjugateDomainError(ValueError):
@@ -53,9 +47,6 @@ class ConjugateBox:
     half_width_y: float
     half_width_z: float
 
-    def contains(self, p: float, q: float, tol: float = 1e-12) -> bool:
-        return abs(p) <= self.half_width_y + tol and abs(q) <= self.half_width_z + tol
-
     def axis_grid(self, axis: int, step: float = 1e-3) -> np.ndarray:
         w = self.half_width_y if axis == 0 else self.half_width_z
         if w <= 0.0:
@@ -69,7 +60,7 @@ class Driver:
     """Lipschitz driver (t, y, z) -> value, vectorized over y and z.
 
     concave_in_yz / convex_in_yz may both be true (zero and linear
-    drivers); transforms require the matching flag or a closed form.
+    drivers); the conjugates are closed forms, one per flagged shape.
     """
 
     name: str
@@ -87,10 +78,6 @@ class Driver:
         return self.fn(t, y, z)
 
     @property
-    def lipschitz(self) -> float:
-        return max(self.lipschitz_y, self.lipschitz_z)
-
-    @property
     def depends_on_y(self) -> bool:
         return self.lipschitz_y > 0.0
 
@@ -98,108 +85,29 @@ class Driver:
         return ConjugateBox(self.lipschitz_y, self.lipschitz_z)
 
 
-def eval_driver(d: Driver, t: float, y, z):
-    """Evaluate a driver and insist on finite output."""
-    out = np.asarray(d.fn(t, y, z), dtype=float)
-    if not np.all(np.isfinite(out)):
-        raise ValueError(f"driver {d.name!r} produced non-finite values")
-    return out if out.ndim else float(out)
-
-
 # ---------------------------------------------------------------------------
 # transforms
 # ---------------------------------------------------------------------------
 
-def concave_conjugate(d: Driver, p, q, t: float = 0.0):
+def concave_conjugate(d: Driver, p, q):
     """inf_(x,pi) (x p + pi q - d); -inf outside the effective domain."""
-    if d.concave_conjugate_fn is not None:
-        return d.concave_conjugate_fn(p, q)
-    if not d.concave_in_yz:
+    if d.concave_conjugate_fn is None:
         raise DriverShapeError(
-            f"driver {d.name!r} is not flagged concave and has no closed form"
+            f"driver {d.name!r} has no closed-form concave conjugate"
         )
-    return grid_concave_conjugate(d, p, q, t=t)
+    return d.concave_conjugate_fn(p, q)
 
 
-def convex_conjugate(d: Driver, u, v, t: float = 0.0):
+def convex_conjugate(d: Driver, u, v):
     """sup_(y,z) (y u + z v - d); +inf outside the effective domain."""
-    if d.convex_conjugate_fn is not None:
-        return d.convex_conjugate_fn(u, v)
-    if not d.convex_in_yz:
+    if d.convex_conjugate_fn is None:
         raise DriverShapeError(
-            f"driver {d.name!r} is not flagged convex and has no closed form"
+            f"driver {d.name!r} has no closed-form convex conjugate"
         )
-    return grid_convex_conjugate(d, u, v, t=t)
+    return d.convex_conjugate_fn(u, v)
 
 
-def _box_extreme(d: Driver, p: float, q: float, t: float, radius: float,
-                 step: float, sign: float) -> float:
-    # sign=+1: minimize x p + pi q - d; sign=-1: maximize (via min of negation).
-    def objective(x, pi):
-        val = x * p + pi * q - d.fn(t, x, pi)
-        return sign * val
-
-    coarse = max(step, radius / 400.0)
-    xs = np.arange(-radius, radius + coarse / 2, coarse)
-    best_val = math.inf
-    best_x = best_pi = 0.0
-    # chunk the x-axis so the (x, pi) sheet stays small
-    for lo in range(0, xs.size, 256):
-        xc = xs[lo:lo + 256][:, None]
-        sheet = objective(xc, xs[None, :])
-        idx = np.unravel_index(np.argmin(sheet), sheet.shape)
-        if sheet[idx] < best_val:
-            best_val = float(sheet[idx])
-            best_x = float(xc[idx[0], 0])
-            best_pi = float(xs[idx[1]])
-    # local refinement at the requested resolution
-    span = 2.0 * coarse
-    fx = np.arange(best_x - span, best_x + span + step / 2, step)[:, None]
-    fpi = np.arange(best_pi - span, best_pi + span + step / 2, step)[None, :]
-    sheet = objective(fx, fpi)
-    best_val = min(best_val, float(sheet.min()))
-    return sign * best_val if sign > 0 else -best_val
-
-
-def grid_concave_conjugate(d: Driver, p, q, t: float = 0.0,
-                           radius: Optional[float] = None,
-                           step: float = CONJUGATE_GRID_STEP):
-    """Grid infimum oracle for the concave conjugate.
-
-    Divergence (value -inf) is detected by the infimum deepening when the
-    search box is doubled, or by crossing the divergence sentinel.
-    """
-    p_arr, q_arr = np.broadcast_arrays(np.asarray(p, float), np.asarray(q, float))
-    if p_arr.ndim:
-        flat = [grid_concave_conjugate(d, pi_, qi_, t, radius, step)
-                for pi_, qi_ in zip(p_arr.ravel(), q_arr.ravel())]
-        return np.array(flat).reshape(p_arr.shape)
-    r = radius if radius is not None else CONJUGATE_BOX_SCALE * (1.0 + d.lipschitz)
-    v1 = _box_extreme(d, float(p), float(q), t, r, step, +1.0)
-    v2 = _box_extreme(d, float(p), float(q), t, 2.0 * r, step, +1.0)
-    if v2 < v1 - max(1.0, 1e-6 * abs(v1)) or v1 < -DIVERGENCE_THRESHOLD:
-        return -math.inf
-    return v1
-
-
-def grid_convex_conjugate(d: Driver, u, v, t: float = 0.0,
-                          radius: Optional[float] = None,
-                          step: float = CONJUGATE_GRID_STEP):
-    """Grid supremum oracle for the convex conjugate (dual of the above)."""
-    u_arr, v_arr = np.broadcast_arrays(np.asarray(u, float), np.asarray(v, float))
-    if u_arr.ndim:
-        flat = [grid_convex_conjugate(d, ui_, vi_, t, radius, step)
-                for ui_, vi_ in zip(u_arr.ravel(), v_arr.ravel())]
-        return np.array(flat).reshape(u_arr.shape)
-    r = radius if radius is not None else CONJUGATE_BOX_SCALE * (1.0 + d.lipschitz)
-    v1 = _box_extreme(d, float(u), float(v), t, r, step, -1.0)
-    v2 = _box_extreme(d, float(u), float(v), t, 2.0 * r, step, -1.0)
-    if v2 > v1 + max(1.0, 1e-6 * abs(v1)) or v1 > DIVERGENCE_THRESHOLD:
-        return math.inf
-    return v1
-
-
-def fenchel_recover(d: Driver, x, pi, step: float = 1e-3, t: float = 0.0):
+def fenchel_recover(d: Driver, x, pi, step: float = 1e-3):
     """Biconjugation: rebuild d(t, x, pi) from its own conjugate.
 
     Concave drivers use min over the box grid of (x p + pi q - conj),
@@ -209,8 +117,11 @@ def fenchel_recover(d: Driver, x, pi, step: float = 1e-3, t: float = 0.0):
     box = d.conjugate_box()
     g1 = box.axis_grid(0, step)[:, None]
     g2 = box.axis_grid(1, step)[None, :]
-    if d.concave_conjugate_fn is not None or d.concave_in_yz:
-        conj = np.asarray(concave_conjugate(d, g1, g2, t=t), dtype=float)
+    for conj_fn, extreme in ((d.concave_conjugate_fn, np.min),
+                             (d.convex_conjugate_fn, np.max)):
+        if conj_fn is None:
+            continue
+        conj = np.asarray(conj_fn(g1, g2), dtype=float)
         finite = np.isfinite(conj)
         if not finite.any():
             raise ConjugateDomainError(f"empty conjugate domain for {d.name!r}")
@@ -218,20 +129,8 @@ def fenchel_recover(d: Driver, x, pi, step: float = 1e-3, t: float = 0.0):
         ps, qs, cs = ps[finite], qs[finite], conj[finite]
         x = np.asarray(x, float)[..., None]
         pi = np.asarray(pi, float)[..., None]
-        vals = x * ps + pi * qs - cs
-        return np.min(vals, axis=-1)
-    if d.convex_conjugate_fn is not None or d.convex_in_yz:
-        conj = np.asarray(convex_conjugate(d, g1, g2, t=t), dtype=float)
-        finite = np.isfinite(conj)
-        if not finite.any():
-            raise ConjugateDomainError(f"empty conjugate domain for {d.name!r}")
-        us, vs = np.broadcast_arrays(g1, g2)
-        us, vs, cs = us[finite], vs[finite], conj[finite]
-        x = np.asarray(x, float)[..., None]
-        pi = np.asarray(pi, float)[..., None]
-        vals = x * us + pi * vs - cs
-        return np.max(vals, axis=-1)
-    raise DriverShapeError(f"driver {d.name!r} carries no usable shape flag")
+        return extreme(x * ps + pi * qs - cs, axis=-1)
+    raise DriverShapeError(f"driver {d.name!r} has no closed-form conjugate")
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +360,6 @@ class LossPair:
 
     def polar(self, l):
         return self.polar_fn(np.asarray(l, float))
-
-
-def polar_transform(lp: LossPair, l):
-    """Exact polar of the loss map: sup_m (m l - phi(m)) over [0,1]."""
-    return lp.polar(l)
 
 
 def polar_numeric(lp: LossPair, l, step: float = 1e-4):

@@ -42,8 +42,7 @@ single-candidate case of the same panels and the same scoring kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,11 +128,10 @@ def _conjugate_profiles(lattice: Lattice, dc: DualControls, d_f: Driver,
     gt = np.empty(lattice.steps)
     ft = np.empty(lattice.steps)
     for k in range(lattice.steps):
-        t = lattice.time_at(k)
         gt[k] = float(convex_conjugate(d_g, dc.value_drift[k],
-                                       dc.value_noise[k], t=t))
+                                       dc.value_noise[k]))
         ft[k] = float(concave_conjugate(d_f, dc.threshold_drift[k],
-                                        dc.threshold_noise[k], t=t))
+                                        dc.threshold_noise[k]))
     if not np.all(np.isfinite(gt)):
         raise ConjugateDomainError("value profile leaves the g-conjugate domain")
     if not np.all(np.isfinite(ft)):
@@ -237,8 +235,7 @@ class _Incumbent:
         noise = np.full(vals.size, self.profiles[2 * which + 1][k])
         (noise if i % 2 else drift)[:] = vals
         conj_fn = concave_conjugate if which else convex_conjugate
-        conj = np.asarray(conj_fn(self.drivers[which], drift, noise,
-                                  t=lat.time_at(k)),
+        conj = np.asarray(conj_fn(self.drivers[which], drift, noise),
                           dtype=float).reshape(vals.shape)
         low = 1.0 + drift * lat.dt - np.abs(noise) * lat.sqrt_dt
         feasible = np.flatnonzero(np.isfinite(vals)
@@ -309,15 +306,15 @@ def dual_objective(lattice: Lattice, dc: DualControls, d_f: Driver,
     return _Incumbent(lattice, dc, d_f, d_g).value(lp)
 
 
-def _feasible_start(lattice: Lattice, d: Driver, kind: str) -> tuple:
+def _feasible_start(d: Driver, kind: str) -> tuple:
     """A point in the conjugate domain (drift, noise), preferring (0, 0)."""
     conj = convex_conjugate if kind == "convex" else concave_conjugate
     box = d.conjugate_box()
-    if np.isfinite(float(conj(d, 0.0, 0.0, t=lattice.time_at(0)))):
+    if np.isfinite(float(conj(d, 0.0, 0.0))):
         return 0.0, 0.0
     for drift in np.linspace(-box.half_width_y, box.half_width_y, 9):
         for noise in np.linspace(-box.half_width_z, box.half_width_z, 9):
-            if np.isfinite(float(conj(d, drift, noise, t=lattice.time_at(0)))):
+            if np.isfinite(float(conj(d, drift, noise))):
                 return float(drift), float(noise)
     raise ConjugateDomainError(
         f"no finite conjugate point found for driver {d.name!r}"
@@ -338,8 +335,8 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
     included; n_accepted counts moves.
     """
     n = lattice.steps
-    u0, v0 = _feasible_start(lattice, d_g, "convex")
-    p0, q0 = _feasible_start(lattice, d_f, "concave")
+    u0, v0 = _feasible_start(d_g, "convex")
+    p0, q0 = _feasible_start(d_f, "concave")
     g_box = d_g.conjugate_box()
     f_box = d_f.conjugate_box()
     widths = [g_box.half_width_y, g_box.half_width_z,
@@ -431,31 +428,6 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
     }
 
 
-def _prefix_adjoints(lattice: Lattice, dc: DualControls) -> tuple:
-    """A and L on the prefix tree: lists of (2^k,) arrays, k = 0..N."""
-    _require_factors(lattice, dc)
-    dt, sq = lattice.dt, lattice.sqrt_dt
-    a_levels = [np.array([dc.slope])]
-    l_levels = [np.array([1.0])]
-    for k in range(lattice.steps):
-        sign = np.empty(2 * a_levels[k].size)
-        sign[0::2] = 1.0
-        sign[1::2] = -1.0
-        a_par = np.repeat(a_levels[k], 2)
-        l_par = np.repeat(l_levels[k], 2)
-        a_levels.append(a_par * (1.0 + dc.threshold_drift[k] * dt
-                                 + dc.threshold_noise[k] * sign * sq))
-        l_levels.append(l_par * (1.0 + dc.value_drift[k] * dt
-                                 + dc.value_noise[k] * sign * sq))
-    return a_levels, l_levels
-
-
-def _polar_gradient(lp: LossPair, x: np.ndarray, step: float = 1e-5):
-    if lp.polar_grad is not None:
-        return np.asarray(lp.polar_grad(x), dtype=float)
-    return None
-
-
 def first_order_residuals(surface: ValueSurface, dc: DualControls,
                           m0: float) -> dict:
     """Max defect of the four optimality equations along the greedy optimum.
@@ -475,7 +447,8 @@ def first_order_residuals(surface: ValueSurface, dc: DualControls,
     y_levels, z_levels = solve_on_path_tree(lat, sc.driver_g,
                                             leaf_cost[None, :],
                                             scheme=sc.scheme, with_slopes=True)
-    a_levels, l_levels = _prefix_adjoints(lat, dc)
+    inc = _Incumbent(lat, dc, sc.driver_f, sc.driver_g)
+    gts, fts = inc.conj
 
     res_f = 0.0
     res_g = 0.0
@@ -483,24 +456,21 @@ def first_order_residuals(surface: ValueSurface, dc: DualControls,
         t = lat.time_at(k)
         m_k = states[k]
         a_k = controls[k]
-        ft = float(concave_conjugate(sc.driver_f, dc.threshold_drift[k],
-                                     dc.threshold_noise[k], t=t))
-        gt = float(convex_conjugate(sc.driver_g, dc.value_drift[k],
-                                    dc.value_noise[k], t=t))
         lhs_f = np.asarray(sc.driver_f.fn(t, m_k, a_k), dtype=float)
-        rhs_f = dc.threshold_drift[k] * m_k + dc.threshold_noise[k] * a_k - ft
+        rhs_f = dc.threshold_drift[k] * m_k + dc.threshold_noise[k] * a_k \
+            - fts[k]
         res_f = max(res_f, float(np.max(np.abs(lhs_f - rhs_f))))
         y_k = np.asarray(y_levels[k][0], dtype=float)
         z_k = np.asarray(z_levels[k][0], dtype=float)
         lhs_g = np.asarray(sc.driver_g.fn(t, y_k, z_k), dtype=float)
-        rhs_g = dc.value_drift[k] * y_k + dc.value_noise[k] * z_k - gt
+        rhs_g = dc.value_drift[k] * y_k + dc.value_noise[k] * z_k - gts[k]
         res_g = max(res_g, float(np.max(np.abs(lhs_g - rhs_g))))
 
-    ratio = a_levels[-1] / l_levels[-1]
+    l_pan, p_pan = inc.prefix
+    ratio = dc.slope * p_pan[:, -1] / l_pan[:, -1]
     m_term = states[-1]
-    grad = _polar_gradient(sc.loss, ratio)
-    res_terminal = None if grad is None \
-        else float(np.max(np.abs(m_term - grad)))
+    res_terminal = None if sc.loss.polar_grad is None else float(np.max(
+        np.abs(m_term - np.asarray(sc.loss.polar_grad(ratio), dtype=float))))
     polar_vals = np.asarray(sc.loss.polar(ratio), dtype=float)
     phi_vals = np.asarray(sc.loss.phi(m_term), dtype=float)
     res_polar = float(np.max(np.abs(phi_vals + polar_vals - m_term * ratio)))

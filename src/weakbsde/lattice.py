@@ -79,17 +79,6 @@ class Lattice:
     def time_at(self, k: int) -> float:
         return (self.grid.step_offset + k) * self.grid.dt
 
-    def node_count(self, k: int) -> int:
-        self._check_level(k)
-        return k + 1
-
-    def increments(self, k: int) -> np.ndarray:
-        """The two equally likely increments out of any level-k node."""
-        self._check_level(k)
-        if k >= self.steps:
-            raise LatticeError(f"no increments out of terminal level {k}")
-        return np.array([self.sqrt_dt, -self.sqrt_dt])
-
     def brownian_values(self, k: int) -> np.ndarray:
         """W at every level-k node: (2j - k) * sqrt(dt), j = 0..k."""
         self._check_level(k)

@@ -23,17 +23,18 @@ cross-checks at tiny depth.
 from __future__ import annotations
 
 import math
+import dataclasses
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .bsde import (Corridor, FIXED_POINT_TOL, MAX_FIXED_POINT_ITERS, SchemeError,
-                   apriori_bound_field, compute_corridor, exact_scheme_for,
-                   solve_on_path_tree, _require_step_condition)
+from .bsde import (Corridor, apriori_bound_field, compute_corridor,
+                   exact_scheme_for, solve_on_path_tree, _one_step,
+                   _require_step_condition)
+from .control import _children, _interleave, simulate_all_prefixes
 from .drivers import Driver, LossPair
-from .lattice import (Lattice, LatticeError, build_lattice, leaf_nodes,
-                      prefix_up_counts)
+from .lattice import Lattice, build_lattice, prefix_up_counts
 
 FEASIBILITY_TOL = 1e-9
 CURVE_TOL = 1e-9
@@ -55,8 +56,6 @@ class PrimalScenario:
     n_a: int = 21           # uniform slope grid size on [-alpha_max, alpha_max]
     alpha_max: Optional[float] = None  # default 1/sqrt(dt)
     scheme: str = "explicit"
-    tol_feas: float = FEASIBILITY_TOL
-    control_grid: Optional[tuple] = None  # explicit override of the slope grid
 
     def __post_init__(self):
         if self.grid_size < 3:
@@ -74,13 +73,6 @@ class PrimalScenario:
             else 1.0 / self.lattice.sqrt_dt
 
     def base_controls(self) -> np.ndarray:
-        if self.control_grid is not None:
-            arr = np.asarray(self.control_grid, dtype=float)
-            if arr.ndim != 1 or arr.size < 1:
-                raise PrimalError("control_grid must be a nonempty 1-d sequence")
-            if np.max(np.abs(arr)) > self.slope_bound + 1e-12:
-                raise PrimalError("control_grid exceeds the slope bound")
-            return arr
         return np.linspace(-self.slope_bound, self.slope_bound, self.n_a)
 
 
@@ -113,11 +105,6 @@ class ValueSurface:
         lo, hi = self.corridor.bounds_at(0)
         return float(lo[0]), float(hi[0])
 
-    def value_at(self, k: int, j: int, m) -> np.ndarray:
-        m = np.asarray(m, dtype=float)
-        out = np.interp(m, self.grids[k][j], self.values[k][j])
-        return out if out.ndim else float(out)
-
 
 def _node_grid(lo: float, hi: float, size: int, knots) -> np.ndarray:
     base = np.linspace(lo, hi, size)
@@ -134,52 +121,36 @@ def _ordered_controls(base: np.ndarray, extra) -> np.ndarray:
     return cand[order]
 
 
-def _step_values(sc: PrimalScenario, t: float, vbar: np.ndarray,
-                 zeta: np.ndarray) -> np.ndarray:
-    g = sc.driver_g
-    dt = sc.lattice.dt
-    if sc.scheme == "explicit":
-        return vbar + np.asarray(g.fn(t, vbar, zeta), float) * dt
-    v = vbar.copy()
-    for _ in range(MAX_FIXED_POINT_ITERS):
-        v_next = vbar + np.asarray(g.fn(t, v, zeta), float) * dt
-        if v.size == 0 or float(np.max(np.abs(v_next - v))) <= FIXED_POINT_TOL:
-            return v_next
-        v = v_next
-    raise SchemeError("implicit DP step did not converge")
+def _backup(sc: PrimalScenario, corridor: Corridor, k: int, j: int,
+            m_grid: np.ndarray, next_grids, next_values) -> tuple:
+    """One-step backup of node (k, j) over the states m_grid.
 
-
-def _backup(sc: PrimalScenario, k: int, m_grid: np.ndarray, controls: np.ndarray,
-            succ_up: tuple, succ_dn: tuple) -> tuple:
-    """One-step backup for a whole node grid.
-
-    succ_* = (grid, values, lo, hi): successor interpolation data and
-    corridor bounds.  Returns (values, best_controls, matrix, feasible,
-    clamp_count); matrix/feasible are kept for greedy re-use.
+    next_grids / next_values hold the level-(k+1) interpolation data, one
+    entry per node.  The slope grid is the base grid plus the node's two
+    corridor-tracking slopes, tried smallest |a| first.  Returns (values,
+    best_controls, clamp_count).
     """
+    lo, hi = corridor.bounds_at(k + 1)
+    lo_u, hi_u, lo_d, hi_d = (float(lo[j + 1]), float(hi[j + 1]),
+                              float(lo[j]), float(hi[j]))
+    controls = _ordered_controls(sc.base_controls(),
+                                 [corridor.floor_z.at(k)[j],
+                                  corridor.ceiling_z.at(k)[j]])
     lat = sc.lattice
-    dt, sq = lat.dt, lat.sqrt_dt
-    t = lat.time_at(k)
-    m = np.asarray(m_grid, float)[:, None]
-    a = controls[None, :]
-    drift = np.asarray(sc.driver_f.fn(t, m, a), float)
-    drift = np.broadcast_to(drift, (m.shape[0], controls.size))
-    base = m - drift * dt
-    m_up = base + a * sq
-    m_dn = base - a * sq
-    gu, vu, lo_u, hi_u = succ_up
-    gd, vd, lo_d, hi_d = succ_dn
-    tol = sc.tol_feas
+    m_up, m_dn = _children(lat, sc.driver_f, k,
+                           np.asarray(m_grid, float)[:, None], controls[None, :])
+    tol = FEASIBILITY_TOL
     feasible = ((m_up >= lo_u - tol) & (m_up <= hi_u + tol)
                 & (m_dn >= lo_d - tol) & (m_dn <= hi_d + tol))
     up_c = np.clip(m_up, lo_u, hi_u)
     dn_c = np.clip(m_dn, lo_d, hi_d)
     clamps = int(np.count_nonzero(feasible & ((m_up != up_c) | (m_dn != dn_c))))
-    v_up = np.interp(up_c.ravel(), gu, vu).reshape(up_c.shape)
-    v_dn = np.interp(dn_c.ravel(), gd, vd).reshape(dn_c.shape)
-    vbar = 0.5 * (v_up + v_dn)
-    zeta = (v_up - v_dn) / (2.0 * sq)
-    vals = _step_values(sc, t, vbar, zeta)
+    v_up = np.interp(up_c.ravel(), next_grids[j + 1],
+                     next_values[j + 1]).reshape(up_c.shape)
+    v_dn = np.interp(dn_c.ravel(), next_grids[j],
+                     next_values[j]).reshape(dn_c.shape)
+    vals, _, _ = _one_step(sc.driver_g, lat.time_at(k), v_up, v_dn,
+                           lat.sqrt_dt, lat.dt, sc.scheme)
     vals = np.where(feasible, vals, np.inf)
     if not np.all(np.any(feasible, axis=1)):
         bad = int(np.argmin(np.any(feasible, axis=1)))
@@ -188,13 +159,7 @@ def _backup(sc: PrimalScenario, k: int, m_grid: np.ndarray, controls: np.ndarray
             "corridor-tracking slopes should prevent this"
         )
     idx = np.argmin(vals, axis=1)  # controls are (|a|, a)-ordered: ties resolve small
-    rows = np.arange(m.shape[0])
-    return vals[rows, idx], controls[idx], vals, feasible, clamps
-
-
-def _successor_pack(surface_grids, surface_values, corridor, k1, j):
-    lo, hi = corridor.bounds_at(k1)
-    return (surface_grids[j], surface_values[j], float(lo[j]), float(hi[j]))
+    return vals[np.arange(vals.shape[0]), idx], controls[idx], clamps
 
 
 def primal_value_dp(sc: PrimalScenario) -> ValueSurface:
@@ -205,7 +170,6 @@ def primal_value_dp(sc: PrimalScenario) -> ValueSurface:
     n = lat.steps
     corridor = compute_corridor(lat, sc.driver_f, scheme=sc.scheme)
     knots = sc.loss.breakpoints
-    base_controls = sc.base_controls()
 
     grids, values, controls = [], [], []
     for k in range(n + 1):
@@ -222,12 +186,9 @@ def primal_value_dp(sc: PrimalScenario) -> ValueSurface:
 
     clamp_total = 0
     for k in range(n - 1, -1, -1):
-        z_lo, z_hi = corridor.floor_z.at(k), corridor.ceiling_z.at(k)
         for j in range(k + 1):
-            cand = _ordered_controls(base_controls, [z_lo[j], z_hi[j]])
-            up = _successor_pack(grids[k + 1], values[k + 1], corridor, k + 1, j + 1)
-            dn = _successor_pack(grids[k + 1], values[k + 1], corridor, k + 1, j)
-            vals, best, _, _, clamps = _backup(sc, k, grids[k][j], cand, up, dn)
+            vals, best, clamps = _backup(sc, corridor, k, j, grids[k][j],
+                                         grids[k + 1], values[k + 1])
             values[k][j] = vals
             controls[k][j] = best
             clamp_total += clamps
@@ -267,17 +228,10 @@ class GreedyPolicy:
     def control_array(self, k: int, j_idx: np.ndarray, m: np.ndarray, state):
         out = np.empty(m.shape, dtype=float)
         sf = self.surface
-        z_lo = sf.corridor.floor_z.at(k)
-        z_hi = sf.corridor.ceiling_z.at(k)
         for j in np.unique(j_idx):
             mask = j_idx == j
-            cand = _ordered_controls(self.sc.base_controls(), [z_lo[j], z_hi[j]])
-            up = _successor_pack(sf.grids[k + 1], sf.values[k + 1], sf.corridor,
-                                 k + 1, j + 1)
-            dn = _successor_pack(sf.grids[k + 1], sf.values[k + 1], sf.corridor,
-                                 k + 1, j)
-            _, best, _, _, _ = _backup(self.sc, k, m[mask], cand, up, dn)
-            out[mask] = best
+            out[mask] = _backup(self.sc, sf.corridor, k, j, m[mask],
+                                sf.grids[k + 1], sf.values[k + 1])[1]
         return out, state
 
     def control(self, k: int, j: int, m: float) -> float:
@@ -285,32 +239,12 @@ class GreedyPolicy:
         return float(a[0])
 
 
-def _simulate_greedy(surface: ValueSurface, m0: float):
-    """Greedy forward run over every path prefix; exact states, no grid."""
-    sc = surface.scenario
-    lat = sc.lattice
-    policy = GreedyPolicy(surface)
-    dt, sq = lat.dt, lat.sqrt_dt
-    states = [np.array([float(m0)])]
-    applied = []
-    for k in range(lat.steps):
-        m = states[k]
-        a, _ = policy.control_array(k, prefix_up_counts(k), m, None)
-        drift = np.asarray(sc.driver_f.fn(lat.time_at(k), m, a), float)
-        base = m - drift * dt
-        nxt = np.empty(2 * m.size)
-        nxt[0::2] = base + a * sq
-        nxt[1::2] = base - a * sq
-        states.append(nxt)
-        applied.append(np.asarray(a, float))
-    return states, applied
-
-
 def attainment_check(surface: ValueSurface, m0: float) -> dict:
     """Simulate the greedy policy and compare realized cost with the surface."""
     sc = surface.scenario
     lat = sc.lattice
-    states, applied = _simulate_greedy(surface, m0)
+    states, applied = simulate_all_prefixes(lat, sc.driver_f, m0,
+                                            GreedyPolicy(surface))
     leaf_cost = np.asarray(sc.loss.phi(states[-1]), dtype=float)
     realized = solve_on_path_tree(lat, sc.driver_g, leaf_cost[None, :],
                                   scheme=sc.scheme)
@@ -405,19 +339,9 @@ def dpp_check(surface: ValueSurface, k1: int, k2: int) -> dict:
 
     cur_grids, cur_vals = grids_k2, vals_k2
     for k in range(k2 - 1, k1 - 1, -1):
-        z_lo = surface.corridor.floor_z.at(k)
-        z_hi = surface.corridor.ceiling_z.at(k)
-        new_grids = list(surface.grids[k])
-        new_vals = []
-        for j in range(k + 1):
-            cand = _ordered_controls(sc.base_controls(), [z_lo[j], z_hi[j]])
-            lo, hi = surface.corridor.bounds_at(k + 1)
-            up = (cur_grids[j + 1], cur_vals[j + 1], float(lo[j + 1]),
-                  float(hi[j + 1]))
-            dn = (cur_grids[j], cur_vals[j], float(lo[j]), float(hi[j]))
-            vals, _, _, _, _ = _backup(sc, k, new_grids[j], cand, up, dn)
-            new_vals.append(vals)
-        cur_grids, cur_vals = new_grids, new_vals
+        cur_vals = [_backup(sc, surface.corridor, k, j, surface.grids[k][j],
+                            cur_grids, cur_vals)[0] for j in range(k + 1)]
+        cur_grids = surface.grids[k]
 
     residual = 0.0
     for j in range(k1 + 1):
@@ -449,13 +373,9 @@ def restriction_check(surface: ValueSurface, k: int, j: int,
         raise PrimalError("root node outside the lattice interior")
     sub_lat = build_lattice(lat.dt * (lat.steps - k), lat.steps - k,
                             step_offset=lat.grid.step_offset + k)
-    sub_sc = PrimalScenario(
-        lattice=sub_lat, driver_f=sc.driver_f, driver_g=sc.driver_g,
-        loss=sc.loss, grid_size=sc.grid_size, n_a=sc.n_a,
-        alpha_max=sc.alpha_max if sc.alpha_max is not None else sc.slope_bound,
-        scheme=sc.scheme, tol_feas=sc.tol_feas, control_grid=sc.control_grid,
-    )
-    sub = primal_value_dp(sub_sc)
+    # the parent's slope bound, not the default 1/sqrt(dt) of the sub-lattice
+    sub = primal_value_dp(dataclasses.replace(sc, lattice=sub_lat,
+                                              alpha_max=sc.slope_bound))
     worst = 0.0
     for i in range(sub_lat.steps + 1):
         for jj in range(i + 1):
@@ -510,23 +430,16 @@ def brute_force_policy_value(sc: PrimalScenario, m0: float,
         )
     corridor = compute_corridor(lat, sc.driver_f, scheme=sc.scheme)
     lo0, hi0 = corridor.bounds_at(0)
-    if not (lo0[0] - sc.tol_feas <= m0 <= hi0[0] + sc.tol_feas):
+    if not (lo0[0] - FEASIBILITY_TOL <= m0 <= hi0[0] + FEASIBILITY_TOL):
         raise PrimalError("threshold outside the root corridor")
 
     assign = np.indices((n_a,) * decisions).reshape(decisions, -1).T  # (P, D)
     slopes = grid[assign]
-    dt, sq = lat.dt, lat.sqrt_dt
     m = np.full((n_pol, 1), float(m0))
     violation = np.zeros(n_pol)
     for k in range(n):
-        cols = slice(2**k - 1, 2**(k + 1) - 1)
-        a = slopes[:, cols]
-        drift = np.asarray(sc.driver_f.fn(lat.time_at(k), m, a), float)
-        base = m - drift * dt
-        nxt = np.empty((n_pol, 2 * m.shape[1]))
-        nxt[:, 0::2] = base + a * sq
-        nxt[:, 1::2] = base - a * sq
-        m = nxt
+        a = slopes[:, 2**k - 1:2**(k + 1) - 1]
+        m = _interleave(*_children(lat, sc.driver_f, k, m, a))
         j_idx = prefix_up_counts(k + 1)
         lo = corridor.floor.at(k + 1)[j_idx]
         hi = corridor.ceiling.at(k + 1)[j_idx]
@@ -536,7 +449,7 @@ def brute_force_policy_value(sc: PrimalScenario, m0: float,
     leaf_cost = np.asarray(sc.loss.phi(m), dtype=float)
     cost = np.asarray(solve_on_path_tree(lat, sc.driver_g, leaf_cost,
                                          scheme=sc.scheme), float)
-    admissible_mask = violation <= sc.tol_feas
+    admissible_mask = violation <= FEASIBILITY_TOL
     if not admissible_mask.any():
         raise PrimalError("no admissible policy in the enumeration grid")
     cost = np.where(admissible_mask, cost, np.inf)

@@ -17,11 +17,11 @@ import os
 import numpy as np
 
 from . import __version__
-from .bsde import comparison_check, compute_corridor
+from .bsde import comparison_check
 from .control import (NodePolicy, admissible, representation_roundtrip,
                       truncate_at_ceiling, truncate_at_floor)
 from .dual import dual_bound
-from .primal import (PrimalScenario, apriori_bound_check, attainment_check,
+from .primal import (apriori_bound_check, attainment_check,
                      brute_force_policy_value, brute_force_weak_formulation,
                      continuity_modulus, convexity_check, dpp_check,
                      monotonicity_violation, primal_value_dp,
@@ -261,10 +261,7 @@ def execute(sc: Scenario, out_dir=None, quiet: bool = False) -> dict:
     """Run the full pipeline for one scenario; returns the report dict."""
     stage = "primal surface"
     try:
-        prim = PrimalScenario(
-            lattice=sc.lattice, driver_f=sc.driver_f, driver_g=sc.driver_g,
-            loss=sc.loss, grid_size=sc.grid_size, n_a=sc.n_a, scheme=sc.scheme,
-        )
+        prim = sc.primal()
         surface = primal_value_dp(prim)
         stage = "value curve"
         curve = np.asarray(value_curve(surface, sc.m_list), dtype=float)

@@ -13,10 +13,9 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .drivers import Driver, LossPair, make_driver, make_loss
 from .lattice import MAX_PATH_LEVELS, Lattice, build_lattice
+from .primal import PrimalScenario
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 90210
@@ -83,6 +82,15 @@ class Scenario:
     def config_sha256(self) -> str:
         return config_sha256(self.config)
 
+    def primal(self, grid_size: int | None = None) -> PrimalScenario:
+        """The primal DP inputs, on another m-grid size when one is given."""
+        return PrimalScenario(
+            lattice=self.lattice, driver_f=self.driver_f,
+            driver_g=self.driver_g, loss=self.loss,
+            grid_size=self.grid_size if grid_size is None else grid_size,
+            n_a=self.n_a, scheme=self.scheme,
+        )
+
 
 def config_sha256(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
@@ -95,23 +103,29 @@ def _require_keys(section: dict, allowed, where: str) -> None:
         raise ScenarioError(f"unknown keys {sorted(unknown)} in {where}")
 
 
-def _as_positive_number(value, where: str) -> float:
+def _as_number(value, where: str) -> float:
     try:
-        out = float(value)
+        return float(value)
     except (TypeError, ValueError):
         raise ScenarioError(f"{where} must be a number, got {value!r}") from None
+
+
+def _as_positive_number(value, where: str) -> float:
+    out = _as_number(value, where)
     if not (math.isfinite(out) and out > 0):
         raise ScenarioError(f"{where} must be positive and finite, got {value!r}")
     return out
 
 
 def _thresholds(values, where: str) -> tuple:
-    """A threshold list: numbers in [0, 1]."""
+    """A nonempty threshold list: numbers in [0, 1]."""
     try:
         out = tuple(float(m) for m in values)
     except (TypeError, ValueError):
         raise ScenarioError(f"{where} must be a list of numbers, "
                             f"got {values!r}") from None
+    if not out:
+        raise ScenarioError(f"{where} must be nonempty")
     if any(not (0.0 <= m <= 1.0) for m in out):
         raise ScenarioError(f"{where} entries must lie in [0, 1]")
     return out
@@ -163,17 +177,19 @@ def build_scenario(config: dict) -> Scenario:
                                "continuity_base"), "primal")
     grid_size = primal_cfg.get("grid_size", 201)
     n_a = primal_cfg.get("n_a", 21)
-    for label, val in (("grid_size", grid_size), ("n_a", n_a)):
-        if not isinstance(val, int) or isinstance(val, bool) or val < 2:
-            raise ScenarioError(f"primal.{label} must be an integer >= 2")
+    for label, val, least in (("grid_size", grid_size, 3), ("n_a", n_a, 2)):
+        if not isinstance(val, int) or isinstance(val, bool) or val < least:
+            raise ScenarioError(f"primal.{label} must be an integer >= {least}")
     scheme = primal_cfg.get("scheme", "explicit")
     if scheme not in ("explicit", "implicit"):
         raise ScenarioError(f"primal.scheme must be explicit/implicit, got {scheme!r}")
     m_list = _thresholds(primal_cfg.get(
         "m_list", [round(0.1 * i, 10) for i in range(1, 10)]), "primal.m_list")
-    if not m_list:
-        raise ScenarioError("primal.m_list must be nonempty")
-    continuity_base = float(primal_cfg.get("continuity_base", 0.3))
+    continuity_base = _as_number(primal_cfg.get("continuity_base", 0.3),
+                                 "primal.continuity_base")
+    if not 0.0 <= continuity_base <= 1.0:
+        raise ScenarioError("primal.continuity_base must lie in [0, 1], "
+                            f"got {continuity_base!r}")
 
     dual_cfg = dict(config.get("dual", {}))
     _require_keys(dual_cfg, ("enabled", "l_max", "rounds", "m_list"), "dual")
@@ -229,8 +245,12 @@ def build_scenario(config: dict) -> Scenario:
     )
 
 
-def parse_scenario(path) -> Scenario:
-    """Load and validate a JSON scenario file."""
+def load_config(path) -> dict:
+    """Read a JSON scenario file into a config dict.
+
+    Invalid JSON is reported with its line and column, and the top-level
+    value must be an object.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             config = json.load(fh)
@@ -239,7 +259,14 @@ def parse_scenario(path) -> Scenario:
                 f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: "
                 f"{exc.msg}"
             ) from None
-    return build_scenario(config)
+    if not isinstance(config, dict):
+        raise ScenarioError(f"{path}: top-level JSON value must be an object")
+    return config
+
+
+def parse_scenario(path) -> Scenario:
+    """Load and validate a JSON scenario file."""
+    return build_scenario(load_config(path))
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,65 @@
+"""Catalogue artifacts are pinned byte for byte.
+
+The sha256 values were recorded from the code before the primal, control
+and dual layers were folded onto shared step kernels; any change to a
+number, its formatting or the report layout shows up here.
+"""
+
+import hashlib
+
+import pytest
+
+from weakbsde.runner import execute
+from weakbsde.scenario import catalogue_scenario
+
+ARTIFACT_SHA256 = {
+    "call_spread": (
+        "83fc68c781136f6924f2ba1e2293f226c5d3c3a516f8937d34607ee233cb1af6",
+        "28ec3c17e48188fdc44f271afeb158946fa2899b98e07e5bc6774bf0992ace94",
+        "25bc6d7f388ee4d3e5483de0796b7cd0f8d6f73ecb3409dff0b05512cee6e7d6",
+    ),
+    "envelope": (
+        "20d7545a39e775dcd1b3447bd48dd8d4857ad7467909bdb9e339c5d77611d986",
+        "379b0f5d39db55ecc57ddae38a15325e5011c97c6a86db02158dfe066f3e11a2",
+        "958e4f9e6e9e06c065abb02041f5f6eccddc008b41931588703c7269f62b5f62",
+    ),
+    "identity": (
+        "8c829eb326c1563534b972adea2ccc51dd52a86a04d3bfb0e87ca59887146eaf",
+        "877d0822f5ca120424929f1166c9cd906d6017ce45d2c2e9539606393d5729b8",
+        "84c5812d14c82d43c28b71daf59740671b197834a93842d83332fdfdc099c288",
+    ),
+    "jensen": (
+        "eda783035e12db01a2099991cae595afec7957d3f8428e4ed5cac6327b4484d0",
+        "d31ef92e2326a4e01f741c1338f5174282bc24767f90ea6da4891dd091d76c6b",
+        "be537ed4ecae0f45e529c551aad4ad86825e2c31f81529ceae61e30451bc9210",
+    ),
+    "risk_pair": (
+        "47ae927613728d228641cb9b0a5c64acf9c0af19c7cce087d45fb124f40ed25a",
+        "d31ef92e2326a4e01f741c1338f5174282bc24767f90ea6da4891dd091d76c6b",
+        "6b0718bbddc69e380036e020d7f1a82d84f4ccc296103336a829a9dcdbf43f78",
+    ),
+    "tiny_identity": (
+        "936aadeefaf8343ad3a2bd8d8c0e25b7a4f337813a66580f0adbd415182ddb89",
+        "5aecea02ec499e0945e120bd620f847de3bc5def560400764379e60c1ce82f19",
+        "850b163c3b86ba6f7e4fcc508392a671ab54f259e5f2d01a9483a78f8172aa75",
+    ),
+    "tiny_power": (
+        "85ab60ec78cd2d2060ee41e351a38908c572d38f4f74ac460393c049dc4fb16a",
+        "1cb02278762710b025aa2f24b2926c3a7e6e33e71e1e62034881e5cba7b39d2f",
+        "7822f046ac81876d9cedde8aedc3f05a6ed605c5c8e1d23a8b275bcf6e5c3e92",
+    ),
+    "tiny_risk": (
+        "85ab60ec78cd2d2060ee41e351a38908c572d38f4f74ac460393c049dc4fb16a",
+        "4ff015a6cc83bf33e02b73d9da2bd239290ad8577ffe6c111ef4e76057ee494c",
+        "a701809072a792cfb1faacc8847c50b0111dd9c2fce8482cf6a70939f863dd6b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
+def test_catalogue_artifacts_are_byte_identical(name, tmp_path):
+    execute(catalogue_scenario(name), out_dir=tmp_path, quiet=True)
+    measured = tuple(
+        hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+        for fname in ("curve.csv", "surface.csv", "report.json"))
+    assert measured == ARTIFACT_SHA256[name]

@@ -137,3 +137,36 @@ def test_risk_adjusted_pair_prices_to_the_square():
 def test_grid_slack_reflects_node_spacing(quadratic_surface):
     # 201 uniform points on [0, 1] -> spacing 1/200
     assert quadratic_surface.grid_slack == pytest.approx(0.005, rel=1e-6)
+
+
+# Golden values recorded before the DP backup shared the backward solver's
+# step kernel; the implicit scheme with a y-dependent cost driver must
+# reproduce them to the bit.
+IMPLICIT_ROOT_GRID = [
+    0.0, 0.11065767400162782, 0.22131534800325564, 0.33197302200488343, 0.4,
+    0.4426306960065113, 0.5532883700081391, 0.6, 0.6639460440097669,
+    0.7746037180113947, 0.8852613920130226, 0.9959190660146504,
+    1.1065767400162783,
+]
+IMPLICIT_ROOT_VALUES = [
+    0.0, 0.030693441578870443, 0.061386883157740886, 0.09208032473661135,
+    0.11094916590572448, 0.12277376631548179, 0.48251884170392867,
+    0.5660404792352692, 0.6196238518734498, 0.7767014434944844,
+    1.1663507799970763, 1.197044221575948, 1.2277376631548185,
+]
+IMPLICIT_ROOT_CONTROLS = [0.0] * 6 + [-0.5] + [0.0] * 6
+
+
+def test_implicit_scheme_golden_values():
+    sc = PrimalScenario(lattice=build_lattice(1.0, 4),
+                        driver_f=make_driver("linear", a=0.1, b=0.05),
+                        driver_g=make_driver("linear", a=0.2, b=0.1),
+                        loss=make_loss("s_shaped"), grid_size=11, n_a=9,
+                        scheme="implicit")
+    surf = primal_value_dp(sc)
+    assert surf.grids[0][0].tolist() == IMPLICIT_ROOT_GRID
+    assert surf.values[0][0].tolist() == IMPLICIT_ROOT_VALUES
+    assert surf.controls[0][0].tolist() == IMPLICIT_ROOT_CONTROLS
+    res = attainment_check(surf, 0.5)
+    assert res["realized"] == 0.3773768233822561
+    assert res["ok"]

@@ -53,9 +53,17 @@ def test_check_names_and_lists_validated():
         build_scenario(_minimal(primal={"grid_size": 81, "m_list": [1.5]}))
     with pytest.raises(ScenarioError, match=r"primal\.m_list"):
         build_scenario(_minimal(primal={"grid_size": 81, "m_list": ["a"]}))
-    for bad in ([1.5], [0.5, -0.1], [float("nan")], ["a"], 0.5):
+    with pytest.raises(ScenarioError, match=r"primal\.m_list"):
+        build_scenario(_minimal(primal={"grid_size": 81, "m_list": []}))
+    for bad in ([1.5], [0.5, -0.1], [float("nan")], ["a"], 0.5, []):
         with pytest.raises(ScenarioError, match=r"dual\.m_list"):
             build_scenario(_minimal(dual={"m_list": bad}))
+    with pytest.raises(ScenarioError, match=r"primal\.grid_size"):
+        build_scenario(_minimal(primal={"grid_size": 2}))
+    for bad in (5.0, -0.1, float("nan"), float("inf"), "x", None):
+        with pytest.raises(ScenarioError, match=r"primal\.continuity_base"):
+            build_scenario(_minimal(primal={"grid_size": 81,
+                                            "continuity_base": bad}))
 
 
 def test_config_hash_ignores_key_order():
