@@ -124,18 +124,14 @@ class TruncatedPolicy:
         base_a, base_state = self.base.control_array(k, j_idx, m, base_state)
         base_a = np.broadcast_to(np.asarray(base_a, float), m.shape)
         up, dn = _children(self.lattice, self.f, k, m, base_a)
-        if self.side == "floor":
-            edge = self.corridor.floor.at(k)[j_idx]
-            track = self.corridor.floor_z.at(k)[j_idx]
-            edge_next = self.corridor.floor.at(k + 1)
-            hit = m <= edge + self.tol_hit
-            crossing = (up < edge_next[j_idx + 1]) | (dn < edge_next[j_idx])
-        else:
-            edge = self.corridor.ceiling.at(k)[j_idx]
-            track = self.corridor.ceiling_z.at(k)[j_idx]
-            edge_next = self.corridor.ceiling.at(k + 1)
-            hit = m >= edge - self.tol_hit
-            crossing = (up > edge_next[j_idx + 1]) | (dn > edge_next[j_idx])
+        # sign +1 keeps states above the floor, -1 below the ceiling
+        sign = 1.0 if self.side == "floor" else -1.0
+        edge = getattr(self.corridor, self.side)
+        track = getattr(self.corridor, self.side + "_z").at(k)[j_idx]
+        edge_next = sign * edge.at(k + 1)
+        hit = sign * m <= sign * edge.at(k)[j_idx] + self.tol_hit
+        crossing = ((sign * up < edge_next[j_idx + 1])
+                    | (sign * dn < edge_next[j_idx]))
         latched = latched | hit | crossing
         return np.where(latched, track, base_a), (latched, base_state)
 

@@ -38,6 +38,8 @@ from .lattice import Lattice, build_lattice, prefix_up_counts
 
 FEASIBILITY_TOL = 1e-9
 CURVE_TOL = 1e-9
+# dyadic offsets h of the continuity fit |V(m + h) - V(m)|
+CONTINUITY_OFFSETS = 2.0 ** -np.arange(3, 10)
 
 
 class PrimalError(ValueError):
@@ -216,35 +218,58 @@ def value_curve(surface: ValueSurface, m_list) -> np.ndarray:
 
 class GreedyPolicy:
     """State-feedback policy: re-optimizes the one-step backup against the
-    stored next-level surface at the exact current state."""
+    stored next-level surface at the exact current state.
+
+    The control is a pure function of (k, j, m), so each batch runs one
+    backup per distinct (node, m) row -- keyed on the exact bits of m, so
+    -0.0/+0.0 and NaN rows stay apart -- and every prefix holding that row
+    gets its control.  The rows of a node keep their first-occurrence
+    order; dropping only exact duplicates leaves the implicit scheme's
+    batch-max stopping rule, and so every result bit, unchanged.
+    n_backups counts the distinct rows backed up so far.
+    """
 
     def __init__(self, surface: ValueSurface):
         self.surface = surface
         self.sc = surface.scenario
+        self.n_backups = 0
 
     def initial_state(self, n_prefixes: int = 1):
         return None
 
     def control_array(self, k: int, j_idx: np.ndarray, m: np.ndarray, state):
-        out = np.empty(m.shape, dtype=float)
         sf = self.surface
-        for j in np.unique(j_idx):
-            mask = j_idx == j
-            out[mask] = _backup(self.sc, sf.corridor, k, j, m[mask],
-                                sf.grids[k + 1], sf.values[k + 1])[1]
-        return out, state
-
-    def control(self, k: int, j: int, m: float) -> float:
-        a, _ = self.control_array(k, np.array([j]), np.array([float(m)]), None)
-        return float(a[0])
+        m = np.ascontiguousarray(m, dtype=float)
+        bits = m.view(np.int64)
+        order = np.lexsort((bits, j_idx))  # by node, then bits; stable
+        j_sorted, bits_sorted = j_idx[order], bits[order]
+        new = np.ones(order.size, dtype=bool)
+        new[1:] = ((j_sorted[1:] != j_sorted[:-1])
+                   | (bits_sorted[1:] != bits_sorted[:-1]))
+        inverse = np.empty(order.size, dtype=np.intp)
+        inverse[order] = np.cumsum(new) - 1
+        first = order[new]  # first prefix of each distinct row, grouped by node
+        starts = np.flatnonzero(np.diff(j_idx[first], prepend=-1, append=-1))
+        best = np.empty(first.size, dtype=float)
+        for lo, hi in zip(starts[:-1], starts[1:]):
+            rows = lo + np.argsort(first[lo:hi])
+            best[rows] = _backup(self.sc, sf.corridor, k, int(j_idx[first[lo]]),
+                                 m[first[rows]], sf.grids[k + 1],
+                                 sf.values[k + 1])[1]
+        self.n_backups += first.size
+        return best[inverse], state
 
 
 def attainment_check(surface: ValueSurface, m0: float) -> dict:
-    """Simulate the greedy policy and compare realized cost with the surface."""
+    """Simulate the greedy policy and compare realized cost with the surface.
+
+    n_backups is the number of distinct (node, m) states the greedy policy
+    re-optimized, out of the 2^N - 1 interior prefixes it steered.
+    """
     sc = surface.scenario
     lat = sc.lattice
-    states, applied = simulate_all_prefixes(lat, sc.driver_f, m0,
-                                            GreedyPolicy(surface))
+    policy = GreedyPolicy(surface)
+    states, applied = simulate_all_prefixes(lat, sc.driver_f, m0, policy)
     leaf_cost = np.asarray(sc.loss.phi(states[-1]), dtype=float)
     realized = solve_on_path_tree(lat, sc.driver_g, leaf_cost[None, :],
                                   scheme=sc.scheme)
@@ -259,6 +284,7 @@ def attainment_check(surface: ValueSurface, m0: float) -> dict:
         "ok": abs(realized - surface_value) <= tol,
         "states": states,
         "controls": applied,
+        "n_backups": policy.n_backups,
     }
 
 
@@ -289,16 +315,20 @@ def convexity_check(surface: ValueSurface, tol: float = 2e-3) -> dict:
     return {"status": "checked", "violation": violation, "ok": violation <= tol}
 
 
-def continuity_modulus(surface: ValueSurface, base_m: float,
-                       offsets=None) -> dict:
+def _continuity_base_fits(lo: float, hi: float, base_m: float) -> bool:
+    """Whether base_m and base_m + the largest continuity offset lie in the
+    root corridor [lo, hi] (the top within CURVE_TOL)."""
+    return lo <= base_m <= hi and \
+        base_m + float(CONTINUITY_OFFSETS.max()) <= hi + CURVE_TOL
+
+
+def continuity_modulus(surface: ValueSurface, base_m: float) -> dict:
     """Fitted growth exponent of |V(m + h) - V(m)| over dyadic offsets."""
     if surface.scenario.loss.phi_lipschitz is None:
         raise PrimalError("continuity check needs a Lipschitz loss map")
-    if offsets is None:
-        offsets = 2.0 ** -np.arange(3, 10)
-    offsets = np.asarray(offsets, dtype=float)
+    offsets = CONTINUITY_OFFSETS
     lo, hi = surface.root_corridor()
-    if not (lo <= base_m <= hi) or base_m + float(np.max(offsets)) > hi + CURVE_TOL:
+    if not _continuity_base_fits(lo, hi, base_m):
         raise PrimalError("base point (plus largest offset) must stay in corridor")
     v0 = float(value_curve(surface, base_m)[0])
     diffs = np.abs(value_curve(surface, base_m + offsets) - v0)

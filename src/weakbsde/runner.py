@@ -257,6 +257,21 @@ def _surface_csv(surface) -> str:
     return buf.getvalue()
 
 
+def _in_stage(stage: str, exc: Exception) -> Exception:
+    """The error to raise (from exc) for a failure inside a pipeline stage.
+
+    It keeps exc's type when that type can be rebuilt from the message
+    alone; otherwise it is a RuntimeError.  Either way the message names
+    the stage.
+    """
+    msg = f"[stage: {stage}] {exc}"
+    try:
+        staged = type(exc)(msg)
+    except Exception:
+        return RuntimeError(msg)
+    return staged if staged.args == (msg,) else RuntimeError(msg)
+
+
 def execute(sc: Scenario, out_dir=None, quiet: bool = False) -> dict:
     """Run the full pipeline for one scenario; returns the report dict."""
     stage = "primal surface"
@@ -273,7 +288,7 @@ def execute(sc: Scenario, out_dir=None, quiet: bool = False) -> dict:
                                       sc.loss, m, l_max=sc.l_max,
                                       rounds=sc.dual_rounds)
     except Exception as exc:
-        raise type(exc)(f"[stage: {stage}] {exc}") from exc
+        raise _in_stage(stage, exc) from exc
 
     ctx = {
         "scenario": sc,
@@ -287,7 +302,7 @@ def execute(sc: Scenario, out_dir=None, quiet: bool = False) -> dict:
         try:
             checks.append(CHECK_HANDLERS[name](ctx))
         except Exception as exc:
-            raise type(exc)(f"[stage: check {name}] {exc}") from exc
+            raise _in_stage(f"check {name}", exc) from exc
 
     all_m = sorted(set(sc.m_list) | set(duals))
     rows = []

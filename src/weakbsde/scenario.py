@@ -13,9 +13,11 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .bsde import compute_corridor
 from .drivers import Driver, LossPair, make_driver, make_loss
 from .lattice import MAX_PATH_LEVELS, Lattice, build_lattice
-from .primal import PrimalScenario
+from .primal import (CONTINUITY_OFFSETS, PrimalScenario,
+                     _continuity_base_fits)
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 90210
@@ -210,6 +212,19 @@ def build_scenario(config: dict) -> Scenario:
             raise ScenarioError(
                 f"unknown check {chk!r}; known: {sorted(KNOWN_CHECKS)}"
             )
+
+    if "continuity" in checks:
+        # the check fits V on [base, base + largest offset]; only the root
+        # corridor knows whether that fits, and it is cheap to solve here
+        floor, ceiling = compute_corridor(lattice, driver_f,
+                                          scheme=scheme).bounds_at(0)
+        lo, hi = float(floor[0]), float(ceiling[0])
+        if not _continuity_base_fits(lo, hi, continuity_base):
+            raise ScenarioError(
+                f"primal.continuity_base = {continuity_base!r}: check "
+                f"continuity needs base and base + "
+                f"{float(CONTINUITY_OFFSETS.max())!r} inside the root "
+                f"corridor [{lo:.6g}, {hi:.6g}]")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     user_tol = dict(config.get("tolerances", {}))

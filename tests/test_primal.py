@@ -1,11 +1,15 @@
 """Value-surface recursion and its structural checks."""
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakbsde.drivers import make_driver, make_loss
-from weakbsde.lattice import build_lattice
-from weakbsde.primal import (PrimalError, PrimalScenario, attainment_check,
+from weakbsde.lattice import build_lattice, prefix_up_counts
+from weakbsde.primal import (GreedyPolicy, PrimalError, PrimalScenario,
+                             _backup, attainment_check,
                              brute_force_policy_value,
                              brute_force_weak_formulation, continuity_modulus,
                              convexity_check, dpp_check,
@@ -170,3 +174,111 @@ def test_implicit_scheme_golden_values():
     res = attainment_check(surf, 0.5)
     assert res["realized"] == 0.3773768233822561
     assert res["ok"]
+
+
+# ---------------------------------------------------------------------------
+# GreedyPolicy backs up each distinct (node, m) row once
+# ---------------------------------------------------------------------------
+
+def _row_by_row_controls(surf, k, j_idx, m):
+    """Reference: one backup per prefix row, each in a batch of its own."""
+    return np.array([
+        _backup(surf.scenario, surf.corridor, k, int(j), m[i:i + 1],
+                surf.grids[k + 1], surf.values[k + 1])[1][0]
+        for i, j in enumerate(j_idx)
+    ])
+
+
+def _assert_same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    assert a.shape == b.shape
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _assert_greedy_replay_is_row_exact(surf, m0):
+    """Replay every prefix batch of the greedy simulation against the
+    row-by-row reference; returns the distinct-row count."""
+    res = attainment_check(surf, m0)
+    for k, (m, applied) in enumerate(zip(res["states"], res["controls"])):
+        j_idx = prefix_up_counts(k)
+        _assert_same_bits(applied, _row_by_row_controls(surf, k, j_idx, m))
+    return res["n_backups"]
+
+
+@pytest.fixture(scope="module")
+def risk_surface():
+    return primal_value_dp(_scenario(f=("neg_abs_z", {"kappa": 0.3}),
+                                     g=("abs_z", {"kappa": 0.2})))
+
+
+def test_greedy_dedup_matches_row_by_row_on_recombining_states(risk_surface):
+    # the risk pair holds the threshold flat: one state per lattice node
+    assert _assert_greedy_replay_is_row_exact(risk_surface, 0.5) == 36
+
+
+def test_greedy_dedup_matches_row_by_row_without_full_recombination():
+    surf = primal_value_dp(PrimalScenario(
+        lattice=build_lattice(1.0, 8), driver_f=make_driver("zero"),
+        driver_g=make_driver("zero"), loss=make_loss("identity"),
+        grid_size=201, n_a=21))
+    counts = [_assert_greedy_replay_is_row_exact(surf, m)
+              for m in (0.1, 0.2, 0.3)]
+    assert counts == [60, 52, 42]
+
+
+def test_greedy_dedup_matches_row_by_row_under_the_implicit_scheme():
+    sc = PrimalScenario(lattice=build_lattice(1.0, 4),
+                        driver_f=make_driver("linear", a=0.1, b=0.05),
+                        driver_g=make_driver("linear", a=0.2, b=0.1),
+                        loss=make_loss("s_shaped"), grid_size=11, n_a=9,
+                        scheme="implicit")
+    _assert_greedy_replay_is_row_exact(primal_value_dp(sc), 0.5)
+
+
+def test_greedy_dedup_keeps_signed_zeros_apart(risk_surface):
+    j_idx = np.array([0, 0, 1, 0, 1, 0])
+    m = np.array([0.0, -0.0, -0.0, 0.0, 0.25, -0.0])
+    policy = GreedyPolicy(risk_surface)
+    got, _ = policy.control_array(1, j_idx, m, None)
+    _assert_same_bits(got, _row_by_row_controls(risk_surface, 1, j_idx, m))
+    assert policy.n_backups == 4  # (0, +0), (0, -0), (1, -0), (1, 0.25)
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(k=st.integers(0, 7), data=st.data())
+def test_greedy_dedup_property_with_injected_duplicates(risk_surface, k, data):
+    m_values = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 0.5])
+    rows = data.draw(st.lists(st.tuples(st.integers(0, k), m_values),
+                              min_size=1, max_size=8))
+    picks = data.draw(st.lists(st.integers(0, len(rows) - 1),
+                               min_size=1, max_size=32))
+    j_idx = np.array([rows[i][0] for i in picks])
+    m = np.array([rows[i][1] for i in picks])
+    policy = GreedyPolicy(risk_surface)
+    got, _ = policy.control_array(k, j_idx, m, None)
+    _assert_same_bits(got, _row_by_row_controls(risk_surface, k, j_idx, m))
+    assert policy.n_backups == len(set(zip(j_idx.tolist(),
+                                           m.view(np.int64).tolist())))
+
+
+# sha256 of the attainment states and controls (all levels, thresholds
+# 0.25 / 0.5 / 0.75 in order) recorded with the per-prefix backup loop
+RISK12_STATES_SHA256 = \
+    "766bcc2d1eeb775641b1170cedead8d26e5fc3183d83e290357523d403ceff77"
+RISK12_CONTROLS_SHA256 = \
+    "a11ba358172138406e6b9f255bcfc6d50b0005c533fe14498004a5607bea1401"
+
+
+def test_attainment_golden_digests_risk_pair_twelve_levels():
+    surf = primal_value_dp(_scenario(steps=12, f=("neg_abs_z", {"kappa": 0.3}),
+                                     g=("abs_z", {"kappa": 0.2})))
+    states, controls = hashlib.sha256(), hashlib.sha256()
+    for m in (0.25, 0.5, 0.75):
+        res = attainment_check(surf, m)
+        for arr in res["states"]:
+            states.update(arr.tobytes())
+        for arr in res["controls"]:
+            controls.update(arr.tobytes())
+        assert res["n_backups"] == 78  # nodes of levels 0..11
+    assert states.hexdigest() == RISK12_STATES_SHA256
+    assert controls.hexdigest() == RISK12_CONTROLS_SHA256

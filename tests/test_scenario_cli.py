@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from weakbsde.cli import main
-from weakbsde.runner import execute
+from weakbsde.runner import CHECK_HANDLERS, execute
 from weakbsde.scenario import (ScenarioError, build_scenario, catalogue,
                                catalogue_scenario, config_sha256,
                                parse_scenario)
@@ -64,6 +64,11 @@ def test_check_names_and_lists_validated():
         with pytest.raises(ScenarioError, match=r"primal\.continuity_base"):
             build_scenario(_minimal(primal={"grid_size": 81,
                                             "continuity_base": bad}))
+    # in [0, 1] but base + 2^-3 leaves the root corridor [0, 1]
+    with pytest.raises(ScenarioError, match=r"primal\.continuity_base"):
+        build_scenario(_minimal(primal={"grid_size": 81,
+                                        "continuity_base": 0.95},
+                                checks=["continuity"]))
 
 
 def test_config_hash_ignores_key_order():
@@ -114,6 +119,33 @@ def test_execute_writes_stable_artifacts(tmp_path):
     assert {c["check"] for c in report["checks"]} == \
         {"attainment", "monotonicity", "weak_duality"}
     assert "time" not in json.dumps(report).lower()
+
+
+class _TwoArgError(Exception):
+    def __init__(self, code, detail):
+        super().__init__(f"code {code}: {detail}")
+
+
+def test_stage_errors_keep_their_cause(monkeypatch):
+    sc = build_scenario(_minimal())
+
+    def broken(ctx):
+        raise _TwoArgError(7, "handler broke")
+
+    monkeypatch.setitem(CHECK_HANDLERS, "monotonicity", broken)
+    with pytest.raises(RuntimeError, match=r"\[stage: check monotonicity\] "
+                       r"code 7: handler broke") as info:
+        execute(sc, quiet=True)
+    assert isinstance(info.value.__cause__, _TwoArgError)
+
+    def value_error(ctx):
+        raise ValueError("bad value")
+
+    monkeypatch.setitem(CHECK_HANDLERS, "monotonicity", value_error)
+    with pytest.raises(ValueError, match=r"\[stage: check monotonicity\] "
+                       r"bad value") as info:
+        execute(sc, quiet=True)
+    assert type(info.value.__cause__) is ValueError
 
 
 def test_surface_csv_cells_are_plain_numbers(tmp_path):
