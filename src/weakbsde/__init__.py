@@ -19,7 +19,7 @@ from .drivers import (DRIVER_BUILDERS, LOSS_BUILDERS, ConjugateDomainError,
 from .bsde import (BsdeSolution, Corridor, SchemeError, comparison_check,
                    compute_corridor, estimation_gap, exact_scheme_for,
                    f_expectation, monotone_step_ok, solve_bsde,
-                   solve_on_path_tree)
+                   solve_on_path_tree, solve_on_product_tree)
 from .control import (NodePolicy, PolicyError, TruncatedPolicy, admissible,
                       representation_roundtrip, simulate_all_prefixes,
                       simulate_controlled, tilt_terminal, truncate_at_ceiling,
@@ -47,6 +47,7 @@ __all__ = [
     "BsdeSolution", "Corridor", "SchemeError", "comparison_check",
     "compute_corridor", "estimation_gap", "exact_scheme_for", "f_expectation",
     "monotone_step_ok", "solve_bsde", "solve_on_path_tree",
+    "solve_on_product_tree",
     "NodePolicy", "PolicyError", "TruncatedPolicy", "admissible",
     "representation_roundtrip", "simulate_all_prefixes", "simulate_controlled",
     "tilt_terminal", "truncate_at_ceiling", "truncate_at_floor",

@@ -268,3 +268,31 @@ def solve_on_path_tree(lattice: Lattice, d: Driver, leaf_values: np.ndarray, *,
     if with_slopes:
         return levels, slopes
     return v[..., 0] if v.ndim > 1 else float(v[0])
+
+
+def solve_on_product_tree(lattice: Lattice, d: Driver, leaf_sets, *,
+                          scheme: str = "explicit") -> np.ndarray:
+    """Root values of the path-tree solve for every leaf vector drawn from
+    per-leaf candidate sets.
+
+    leaf_sets is (2^N, q): row i holds the q candidate values of leaf i.
+    The result has one entry per leaf vector, q^(2^N) in all, in C order of
+    the per-leaf indices (leaf 0 most significant, as np.indices orders
+    them).  A node's values are the outer combination of its children's
+    (up child most significant), so only the root step runs at full size.
+    Each level is one _one_step call over all its nodes: the batch holds
+    exactly the distinct (up, down) pairs that solve_on_path_tree would
+    see on the materialised vectors, so the implicit fixed point stops at
+    the same iteration and every value matches it bit for bit.
+    """
+    _require_step_condition(lattice, d, scheme)
+    n = lattice.steps
+    v = np.asarray(leaf_sets, dtype=float)
+    if v.ndim != 2 or v.shape[0] != 2**n:
+        raise LatticeError(f"expected {2**n} leaf sets, got shape {v.shape}")
+    dt, sq = lattice.dt, lattice.sqrt_dt
+    for k in range(n - 1, -1, -1):
+        v, _, _ = _one_step(d, lattice.time_at(k), v[0::2, :, None],
+                            v[1::2, None, :], sq, dt, scheme)
+        v = v.reshape(2**k, -1)
+    return v[0]

@@ -6,9 +6,10 @@ import argparse
 import os
 import sys
 
-from .acceptance import verify_all
+from .acceptance import CRITERIA, verify_all
 from .bsde import SchemeError
-from .drivers import ConjugateDomainError
+from .control import PolicyError
+from .drivers import ConjugateDomainError, DriverShapeError
 from .dual import DualFeasibilityError, dual_bound
 from .lattice import LatticeError
 from .primal import PrimalError, primal_value_dp, value_curve
@@ -16,9 +17,11 @@ from .runner import execute, render_report_json
 from .scenario import (DEFAULT_SEED, ScenarioError, build_scenario, catalogue,
                        load_config)
 
+# the package's own error types and file errors; any other exception is
+# an internal fault and propagates with its traceback
 _USER_ERRORS = (ScenarioError, PrimalError, SchemeError, LatticeError,
-                DualFeasibilityError, ConjugateDomainError, ValueError,
-                OSError)
+                PolicyError, DualFeasibilityError, ConjugateDomainError,
+                DriverShapeError, OSError)
 
 
 def _load_config(ref: str) -> dict:
@@ -138,7 +141,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run the acceptance battery")
     p_verify.add_argument("--only", type=int, nargs="+", default=None,
-                          metavar="N", help="criterion numbers to run")
+                          choices=[c.number for c in CRITERIA], metavar="N",
+                          help="criterion numbers to run")
     _add_common(p_verify)
     p_verify.set_defaults(handler=_cmd_verify)
 

@@ -40,6 +40,14 @@ def _children(lattice: Lattice, f: Driver, k: int, m, a) -> tuple:
     return base + a * lattice.sqrt_dt, base - a * lattice.sqrt_dt
 
 
+def _excursion(corridor: Corridor, k: int, m: np.ndarray) -> np.ndarray:
+    """Signed distance of level-k states m (prefix order along the last
+    axis) outside [floor, ceiling]; positive means outside."""
+    j_idx = prefix_up_counts(k)
+    return np.maximum(corridor.floor.at(k)[j_idx] - m,
+                      m - corridor.ceiling.at(k)[j_idx])
+
+
 def _interleave(up: np.ndarray, dn: np.ndarray) -> np.ndarray:
     """Children in prefix order along the last axis: prefix h of level k
     has its up child at 2h and its down child at 2h + 1 of level k + 1."""
@@ -238,11 +246,7 @@ def admissible(lattice: Lattice, f: Driver, corridor: Corridor, mu0: float,
     states, _ = simulate_all_prefixes(lattice, f, mu0, policy)
     worst = 0.0
     for k, m in enumerate(states):
-        j_idx = prefix_up_counts(k)
-        lo = corridor.floor.at(k)[j_idx]
-        hi = corridor.ceiling.at(k)[j_idx]
-        excursion = np.maximum(lo - m, m - hi)
-        worst = max(worst, float(np.max(excursion)))
+        worst = max(worst, float(np.max(_excursion(corridor, k, m))))
     return {"ok": worst <= tol, "worst_violation": worst}
 
 

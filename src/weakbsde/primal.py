@@ -30,11 +30,12 @@ from typing import Optional
 import numpy as np
 
 from .bsde import (Corridor, apriori_bound_field, compute_corridor,
-                   exact_scheme_for, solve_on_path_tree, _one_step,
-                   _require_step_condition)
-from .control import _children, _interleave, simulate_all_prefixes
+                   exact_scheme_for, solve_on_path_tree,
+                   solve_on_product_tree, _one_step, _require_step_condition)
+from .control import (_children, _excursion, _interleave,
+                      simulate_all_prefixes)
 from .drivers import Driver, LossPair
-from .lattice import Lattice, build_lattice, prefix_up_counts
+from .lattice import Lattice, build_lattice
 
 FEASIBILITY_TOL = 1e-9
 CURVE_TOL = 1e-9
@@ -447,6 +448,13 @@ def brute_force_policy_value(sc: PrimalScenario, m0: float,
     the 2^N - 1 interior history nodes; admissibility is enforced exactly
     along every path, and the cost of a policy is the nonlinear expectation
     of the terminal loss over the full path tree.
+
+    The enumeration runs level by level.  The corridor excursion at level
+    k + 1 depends only on the decisions at levels <= k, so only the
+    prefixes that are still admissible are extended, each by every
+    assignment of the next level in C order.  The rows stay in the
+    lexicographic order of the full enumeration (root digit most
+    significant), so the first-index tie rule picks the same policy.
     """
     lat = sc.lattice
     n = lat.steps
@@ -463,31 +471,27 @@ def brute_force_policy_value(sc: PrimalScenario, m0: float,
     if not (lo0[0] - FEASIBILITY_TOL <= m0 <= hi0[0] + FEASIBILITY_TOL):
         raise PrimalError("threshold outside the root corridor")
 
-    assign = np.indices((n_a,) * decisions).reshape(decisions, -1).T  # (P, D)
-    slopes = grid[assign]
-    m = np.full((n_pol, 1), float(m0))
-    violation = np.zeros(n_pol)
+    assign = np.zeros((1, 0), dtype=np.intp)  # admissible prefixes (P, 2^k - 1)
+    m = np.full((1, 1), float(m0))
     for k in range(n):
-        a = slopes[:, 2**k - 1:2**(k + 1) - 1]
-        m = _interleave(*_children(lat, sc.driver_f, k, m, a))
-        j_idx = prefix_up_counts(k + 1)
-        lo = corridor.floor.at(k + 1)[j_idx]
-        hi = corridor.ceiling.at(k + 1)[j_idx]
-        excursion = np.maximum(lo[None, :] - m, m - hi[None, :])
-        violation = np.maximum(violation, excursion.max(axis=1))
+        options = np.indices((n_a,) * 2**k).reshape(2**k, -1).T
+        rows = np.repeat(np.arange(assign.shape[0]), options.shape[0])
+        nxt = np.tile(options, (assign.shape[0], 1))
+        assign = np.concatenate([assign[rows], nxt], axis=1)
+        m = _interleave(*_children(lat, sc.driver_f, k, m[rows], grid[nxt]))
+        keep = _excursion(corridor, k + 1, m).max(axis=1) <= FEASIBILITY_TOL
+        assign, m = assign[keep], m[keep]
 
     leaf_cost = np.asarray(sc.loss.phi(m), dtype=float)
     cost = np.asarray(solve_on_path_tree(lat, sc.driver_g, leaf_cost,
                                          scheme=sc.scheme), float)
-    admissible_mask = violation <= FEASIBILITY_TOL
-    if not admissible_mask.any():
+    if not assign.shape[0]:
         raise PrimalError("no admissible policy in the enumeration grid")
-    cost = np.where(admissible_mask, cost, np.inf)
     best = int(np.argmin(cost))
     return {
         "value": float(cost[best]),
         "n_policies": int(n_pol),
-        "n_admissible": int(np.count_nonzero(admissible_mask)),
+        "n_admissible": int(assign.shape[0]),
         "best_assignment": grid[assign[best]],
     }
 
@@ -500,7 +504,9 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
     Minimizes the nonlinear g-expectation of a path-indexed terminal vector
     subject to the nonlinear f-expectation of psi(terminal) clearing the
     threshold.  A coarse product grid over [0,1]^leaves is refined by
-    halving per-leaf windows around the incumbent.
+    halving per-leaf windows around the incumbent.  Every candidate of the
+    product grid is scored, through solve_on_product_tree on the per-leaf
+    grids; the vectors themselves are never built.
     """
     lat = sc.lattice
     n = lat.steps
@@ -509,31 +515,25 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
         raise PrimalError(f"{q}^{leaves} candidates exceed the {budget} budget")
     scheme_f = exact_scheme_for(sc.driver_f)
 
-    def evaluate(y_mat: np.ndarray):
-        psi_vals = np.asarray(sc.loss.psi(y_mat), dtype=float)
-        level = np.asarray(solve_on_path_tree(lat, sc.driver_f, psi_vals,
-                                              scheme=scheme_f), float)
-        cost = np.asarray(solve_on_path_tree(lat, sc.driver_g, y_mat,
-                                             scheme=sc.scheme), float)
-        return level, cost
-
-    idx = np.indices((q,) * leaves).reshape(leaves, -1).T  # (C, leaves)
     grids = np.tile(np.linspace(0.0, 1.0, q), (leaves, 1))
     best_y = None
     best_cost = math.inf
     evaluated = 0
     half_width = 0.5
     for _ in range(rounds + 1):
-        y_mat = grids[np.arange(leaves)[None, :], idx]
-        level, cost = evaluate(y_mat)
-        evaluated += y_mat.shape[0]
+        level = solve_on_product_tree(
+            lat, sc.driver_f, np.asarray(sc.loss.psi(grids), dtype=float),
+            scheme=scheme_f)
+        cost = solve_on_product_tree(lat, sc.driver_g, grids, scheme=sc.scheme)
+        evaluated += cost.size
         feasible = level >= m0 - 1e-12
         if feasible.any():
             cand = np.where(feasible, cost, np.inf)
             b = int(np.argmin(cand))
             if cand[b] < best_cost:
                 best_cost = float(cand[b])
-                best_y = y_mat[b].copy()
+                digits = np.unravel_index(b, (q,) * leaves)
+                best_y = grids[np.arange(leaves), np.asarray(digits)]
         if best_y is None:
             # widen nothing; the shared [0,1] grid must contain a feasible
             # point (the all-ones vector) whenever the threshold is sane

@@ -105,6 +105,14 @@ def _require_keys(section: dict, allowed, where: str) -> None:
         raise ScenarioError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _section(config: dict, key: str, default: dict) -> dict:
+    """A copy of the JSON object config[key] (default when absent)."""
+    block = config.get(key, default)
+    if not isinstance(block, dict):
+        raise ScenarioError(f"{key} must be a JSON object, got {block!r}")
+    return dict(block)
+
+
 def _as_number(value, where: str) -> float:
     try:
         return float(value)
@@ -147,7 +155,7 @@ def build_scenario(config: dict) -> Scenario:
     if not isinstance(name, str) or not name:
         raise ScenarioError("name must be a nonempty string")
 
-    lat_cfg = dict(config.get("lattice", {}))
+    lat_cfg = _section(config, "lattice", {})
     _require_keys(lat_cfg, ("horizon", "steps"), "lattice")
     horizon = _as_positive_number(lat_cfg.get("horizon", 1.0), "lattice.horizon")
     steps = lat_cfg.get("steps", 8)
@@ -160,21 +168,20 @@ def build_scenario(config: dict) -> Scenario:
         )
     lattice = build_lattice(horizon, steps)
 
-    def resolve_driver(key: str) -> Driver:
-        block = dict(config.get(key, {"name": "zero"}))
+    def resolve(key: str, make, default: str):
+        block = _section(config, key, {"name": default})
         _require_keys(block, ("name", "params"), key)
-        params = dict(block.get("params", {}))
-        return make_driver(block.get("name", "zero"), **params)
+        try:
+            return make(block.get("name", default),
+                        **dict(block.get("params", {})))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"{key}: {exc}") from exc
 
-    driver_f = resolve_driver("driver_f")
-    driver_g = resolve_driver("driver_g")
+    driver_f = resolve("driver_f", make_driver, "zero")
+    driver_g = resolve("driver_g", make_driver, "zero")
+    loss = resolve("loss", make_loss, "identity")
 
-    loss_block = dict(config.get("loss", {"name": "identity"}))
-    _require_keys(loss_block, ("name", "params"), "loss")
-    loss = make_loss(loss_block.get("name", "identity"),
-                     **dict(loss_block.get("params", {})))
-
-    primal_cfg = dict(config.get("primal", {}))
+    primal_cfg = _section(config, "primal", {})
     _require_keys(primal_cfg, ("grid_size", "n_a", "m_list", "scheme",
                                "continuity_base"), "primal")
     grid_size = primal_cfg.get("grid_size", 201)
@@ -193,7 +200,7 @@ def build_scenario(config: dict) -> Scenario:
         raise ScenarioError("primal.continuity_base must lie in [0, 1], "
                             f"got {continuity_base!r}")
 
-    dual_cfg = dict(config.get("dual", {}))
+    dual_cfg = _section(config, "dual", {})
     _require_keys(dual_cfg, ("enabled", "l_max", "rounds", "m_list"), "dual")
     dual_enabled = bool(dual_cfg.get("enabled", True))
     l_max = _as_positive_number(dual_cfg.get("l_max", 4.0), "dual.l_max")
@@ -227,7 +234,7 @@ def build_scenario(config: dict) -> Scenario:
                 f"corridor [{lo:.6g}, {hi:.6g}]")
 
     tolerances = dict(DEFAULT_TOLERANCES)
-    user_tol = dict(config.get("tolerances", {}))
+    user_tol = _section(config, "tolerances", {})
     _require_keys(user_tol, DEFAULT_TOLERANCES, "tolerances")
     for key, val in user_tol.items():
         tolerances[key] = _as_positive_number(val, f"tolerances.{key}")

@@ -1,0 +1,241 @@
+"""Exhaustive small-tree oracles: goldens, a full-enumeration reference and
+the budget guards."""
+
+import hashlib
+import math
+
+import numpy as np
+import pytest
+
+from weakbsde.bsde import (compute_corridor, exact_scheme_for,
+                           solve_on_path_tree, solve_on_product_tree)
+from weakbsde.control import _children, _interleave
+from weakbsde.drivers import make_driver, make_loss
+from weakbsde.lattice import LatticeError, build_lattice, prefix_up_counts
+from weakbsde.primal import (FEASIBILITY_TOL, PrimalError, PrimalScenario,
+                             brute_force_policy_value,
+                             brute_force_weak_formulation)
+from weakbsde.scenario import catalogue_scenario
+
+
+def _sha(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
+
+
+def _scenario(f, g, loss, steps=3, n_a=7, scheme="explicit", alpha_max=None):
+    return PrimalScenario(lattice=build_lattice(1.0, steps),
+                          driver_f=make_driver(f[0], **f[1]),
+                          driver_g=make_driver(g[0], **g[1]),
+                          loss=make_loss(loss[0], **loss[1]),
+                          grid_size=161, n_a=n_a, alpha_max=alpha_max,
+                          scheme=scheme)
+
+
+def _implicit_linear():
+    """Implicit scheme with y-dependent drivers on both sides."""
+    return _scenario(("linear", {"a": 0.1, "b": 0.05}),
+                     ("linear", {"a": 0.2, "b": 0.1}), ("s_shaped", {}),
+                     scheme="implicit")
+
+
+# Recorded from the oracles as they were before they were factored over the
+# tree, when every policy and every product-grid candidate was built in
+# full.  Per (scenario, m): policy value, n_admissible, sha256 of
+# best_assignment, then weak value and sha256 of leaf_values.  Every case
+# has n_policies = 7**7, n_evaluated = 13 * 5**8 and final_step = 2**-15.
+ORACLE_GOLDENS = {
+    ("tiny_identity", 0.3): (
+        0.3, 1, "e6bbaf65b3fca08b51ac0575d8440cea69f4f0088f12d226929cbda40d582d78",
+        0.3000030517578125, "1c725ee2e7b826adba749a7ea328716b1c212ff37f676203fad10a76c44d5ffb"),
+    ("tiny_identity", 0.5): (
+        0.5, 123, "bc8420279fc9a3f5c98cd973e78c1b0153a85ff2da73e578aa647bc5cfeb808a",
+        0.5, "72edf4598b69dd663a025540ac35dd8ae28c24460f2a1650ed8b922f0b1470f9"),
+    ("tiny_identity", 0.77): (
+        0.77, 1, "e6bbaf65b3fca08b51ac0575d8440cea69f4f0088f12d226929cbda40d582d78",
+        0.7700042724609375, "20c25cfa3e2f6622739f0f5e68f3a1c4fe0486322f2cb9b3b93fceb0939043b9"),
+    ("tiny_power", 0.3): (
+        0.09, 1, "e6bbaf65b3fca08b51ac0575d8440cea69f4f0088f12d226929cbda40d582d78",
+        0.09063720703125, "fec727f14a65d307e4838c1cb68f48ca5896a36c37df8ed9e9a4a958ce39303b"),
+    ("tiny_power", 0.5): (
+        0.25, 123, "e6bbaf65b3fca08b51ac0575d8440cea69f4f0088f12d226929cbda40d582d78",
+        0.25, "d2ea885216dc17a8083447edea720c6a4b930a7aea91ab917c6fda0f5e320fa9"),
+    ("tiny_power", 0.77): (
+        0.5929, 1, "e6bbaf65b3fca08b51ac0575d8440cea69f4f0088f12d226929cbda40d582d78",
+        0.59710693359375, "d0a44093ba17a4f38018c9b1a51bfc47b03dafe61ebe48bfad622caec7f05646"),
+    ("tiny_risk", 0.3): (
+        0.09000000000000004, 123, "e6bbaf65b3fca08b51ac0575d8440cea69f4f0088f12d226929cbda40d582d78",
+        0.09001491709555576, "b8d5f0c407834899d2c36e4063911006bbf2000f3654d36480647e942b24e457"),
+    ("tiny_risk", 0.5): (
+        0.25, 123, "e6bbaf65b3fca08b51ac0575d8440cea69f4f0088f12d226929cbda40d582d78",
+        0.25, "d2ea885216dc17a8083447edea720c6a4b930a7aea91ab917c6fda0f5e320fa9"),
+    ("tiny_risk", 0.77): (
+        0.5929, 1, "e6bbaf65b3fca08b51ac0575d8440cea69f4f0088f12d226929cbda40d582d78",
+        0.5929144939184724, "dd64b859aabb48fae162f370589cb686d5d97715167bb6677e53399631829b4a"),
+    ("implicit_linear", 0.3): (
+        0.08332612062682203, 1, "e6bbaf65b3fca08b51ac0575d8440cea69f4f0088f12d226929cbda40d582d78",
+        0.08205713008990528, "8f1d7466dd4a43ab1bb58b6d1aa99dafef9ce5120bd8c6682269c60225539d8b"),
+    ("implicit_linear", 0.5): (
+        0.37709548104956214, 123, "e6bbaf65b3fca08b51ac0575d8440cea69f4f0088f12d226929cbda40d582d78",
+        0.2331858639595294, "80f788fb518b9ce19a0221209d9398a23cc62fc98292e993e3cd4aa3b2d238ff"),
+    ("implicit_linear", 0.77): (
+        0.7044981593751378, 12, "607360cddeb13377f79941268cfaf11b2f7d5fc0d30bccee8962a1a158719876",
+        0.6718313019452278, "3827d96ef9052ccad704bad46635b01206413b2f6ca938615d3a48ef75245f17"),
+}
+
+
+def _last_bit_may_move(sc):
+    """The policy oracle's one inexact case: with an implicit scheme and a
+    y-dependent pricing driver, the path-tree fixed point runs on the
+    admissible rows only, and its batch-max stop may end on another
+    iteration than over all policies."""
+    return sc.scheme == "implicit" and sc.driver_g.depends_on_y
+
+
+def _golden_scenario(name):
+    if name == "implicit_linear":
+        return _implicit_linear()
+    return catalogue_scenario(name).primal()
+
+
+@pytest.mark.parametrize("name,m", sorted(ORACLE_GOLDENS))
+def test_oracle_outputs_match_goldens(name, m):
+    pol_value, n_adm, best_sha, weak_value, leaf_sha = ORACLE_GOLDENS[name, m]
+    sc = _golden_scenario(name)
+    pol = brute_force_policy_value(sc, m)
+    weak = brute_force_weak_formulation(sc, m)
+    assert weak["value"] == weak_value
+    assert _sha(weak["leaf_values"]) == leaf_sha
+    assert weak["n_evaluated"] == 13 * 5**8
+    assert weak["final_step"] == 2.0**-15
+    assert pol["n_policies"] == 7**7
+    assert pol["n_admissible"] == n_adm
+    if _last_bit_may_move(sc):
+        assert pol["value"] == pytest.approx(pol_value, abs=1e-12)
+    else:
+        assert pol["value"] == pol_value
+        assert _sha(pol["best_assignment"]) == best_sha
+
+
+# -- reference: the full enumerations, every policy / candidate built -------
+
+def _policy_reference(sc, m0):
+    lat = sc.lattice
+    n = lat.steps
+    grid = sc.base_controls()
+    decisions = 2**n - 1
+    corridor = compute_corridor(lat, sc.driver_f, scheme=sc.scheme)
+    assign = np.indices((grid.size,) * decisions).reshape(decisions, -1).T
+    slopes = grid[assign]
+    m = np.full((assign.shape[0], 1), float(m0))
+    violation = np.zeros(assign.shape[0])
+    for k in range(n):
+        a = slopes[:, 2**k - 1:2**(k + 1) - 1]
+        m = _interleave(*_children(lat, sc.driver_f, k, m, a))
+        j_idx = prefix_up_counts(k + 1)
+        lo = corridor.floor.at(k + 1)[j_idx]
+        hi = corridor.ceiling.at(k + 1)[j_idx]
+        violation = np.maximum(violation,
+                               np.maximum(lo - m, m - hi).max(axis=1))
+    cost = np.asarray(solve_on_path_tree(
+        lat, sc.driver_g, np.asarray(sc.loss.phi(m), float),
+        scheme=sc.scheme), float)
+    ok = violation <= FEASIBILITY_TOL
+    cost = np.where(ok, cost, np.inf)
+    best = int(np.argmin(cost))
+    return {"value": float(cost[best]), "n_policies": grid.size**decisions,
+            "n_admissible": int(np.count_nonzero(ok)),
+            "best_assignment": grid[assign[best]]}
+
+
+def _weak_reference(sc, m0, q, rounds):
+    lat = sc.lattice
+    leaves = 2**lat.steps
+    idx = np.indices((q,) * leaves).reshape(leaves, -1).T
+    grids = np.tile(np.linspace(0.0, 1.0, q), (leaves, 1))
+    best_y, best_cost, evaluated, half_width = None, math.inf, 0, 0.5
+    for _ in range(rounds + 1):
+        y_mat = grids[np.arange(leaves)[None, :], idx]
+        level = solve_on_path_tree(lat, sc.driver_f,
+                                   np.asarray(sc.loss.psi(y_mat), float),
+                                   scheme=exact_scheme_for(sc.driver_f))
+        cost = solve_on_path_tree(lat, sc.driver_g, y_mat, scheme=sc.scheme)
+        evaluated += y_mat.shape[0]
+        cand = np.where(level >= m0 - 1e-12, cost, np.inf)
+        b = int(np.argmin(cand))
+        if cand[b] < best_cost:
+            best_cost, best_y = float(cand[b]), y_mat[b].copy()
+        half_width *= 0.5
+        grids = np.clip(best_y[:, None]
+                        + np.linspace(-half_width, half_width, q)[None, :],
+                        0.0, 1.0)
+    return {"value": best_cost, "leaf_values": best_y,
+            "n_evaluated": evaluated,
+            "final_step": 2.0 * half_width / (q - 1)}
+
+
+REFERENCE_CASES = {
+    "zero_power_n1": (("zero", {}), ("zero", {}), ("power", {"p": 2.0}), 1,
+                      "explicit"),
+    "risk_power_n2": (("neg_abs_z", {"kappa": 0.3}), ("abs_z", {"kappa": 0.2}),
+                      ("power", {"p": 2.0}), 2, "explicit"),
+    "linear_f_s_n3": (("linear", {"a": 0.2, "b": 0.1}), ("abs_z", {"kappa": 0.2}),
+                      ("s_shaped", {}), 3, "explicit"),
+    "implicit_f_n3": (("linear", {"a": 0.2, "b": 0.0}), ("abs_z", {"kappa": 0.2}),
+                      ("identity", {}), 3, "implicit"),
+    "implicit_fg_n3": (("linear", {"a": -0.3, "b": 0.2}),
+                       ("linear", {"a": 0.4, "b": -0.1}),
+                       ("call_spread", {"lo": 0.3, "hi": 0.7}), 3, "implicit"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFERENCE_CASES))
+@pytest.mark.parametrize("m", [0.3, 0.55])
+def test_oracles_equal_the_full_enumeration(case, m):
+    f, g, loss, steps, scheme = REFERENCE_CASES[case]
+    sc = _scenario(f, g, loss, steps=steps, n_a=5, scheme=scheme,
+                   alpha_max=0.6)
+    ref = _weak_reference(sc, m, q=3, rounds=3)
+    weak = brute_force_weak_formulation(sc, m, q=3, rounds=3)
+    assert weak["value"] == ref["value"]
+    assert weak["leaf_values"].tobytes() == ref["leaf_values"].tobytes()
+    assert (weak["n_evaluated"], weak["final_step"]) == \
+        (ref["n_evaluated"], ref["final_step"])
+
+    ref = _policy_reference(sc, m)
+    pol = brute_force_policy_value(sc, m)
+    assert 1 <= pol["n_admissible"] == ref["n_admissible"]
+    assert pol["n_policies"] == ref["n_policies"]
+    if _last_bit_may_move(sc):
+        assert pol["value"] == pytest.approx(ref["value"], abs=1e-12)
+    else:
+        assert pol["value"] == ref["value"]
+        assert pol["best_assignment"].tobytes() == \
+            ref["best_assignment"].tobytes()
+
+
+def test_product_tree_solve_equals_the_path_tree_solve():
+    lat = build_lattice(1.0, 2)
+    d = make_driver("linear", a=0.3, b=0.2)
+    sets = np.array([[0.0, 0.4], [0.1, 0.9], [0.25, 0.5], [1.0, 0.7]])
+    idx = np.indices((2,) * 4).reshape(4, -1).T
+    leaves = sets[np.arange(4)[None, :], idx]
+    for scheme in ("explicit", "implicit"):
+        got = solve_on_product_tree(lat, d, sets, scheme=scheme)
+        want = solve_on_path_tree(lat, d, leaves, scheme=scheme)
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(LatticeError, match="leaf"):
+        solve_on_product_tree(lat, d, sets[:3])
+
+
+def test_policy_budget_guard_raises_before_enumerating():
+    sc = _scenario(("zero", {}), ("zero", {}), ("identity", {}), steps=4)
+    with pytest.raises(PrimalError, match="budget"):
+        brute_force_policy_value(sc, 0.5)  # 7^15 policies
+
+
+def test_weak_budget_guard_raises_before_enumerating():
+    sc = _scenario(("zero", {}), ("zero", {}), ("identity", {}))
+    with pytest.raises(PrimalError, match="budget"):
+        brute_force_weak_formulation(sc, 0.5, q=6)  # 6^8 > 10^6
+    with pytest.raises(PrimalError, match="budget"):
+        brute_force_weak_formulation(sc, 0.5, budget=5**8 - 1)

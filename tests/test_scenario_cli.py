@@ -183,6 +183,51 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert "neither a catalogue scenario" in err
 
 
+@pytest.mark.parametrize("key,block,needle", [
+    ("driver_f", {"name": "bogus"}, "unknown driver 'bogus'"),
+    ("driver_g", {"name": "abs_z", "params": {"kappa": -1}}, "kappa"),
+    ("driver_g", {"name": "abs_z", "params": {"kappa": "wide"}}, "kappa|float"),
+    ("loss", {"name": "power", "params": {"q": 2}}, "unknown parameters"),
+    ("loss", "power", "JSON object"),
+])
+def test_driver_and_loss_errors_name_the_key(key, block, needle):
+    with pytest.raises(ScenarioError, match=f"^{key}") as info:
+        build_scenario(_minimal(**{key: block}))
+    assert info.match(needle)
+
+
+def test_cli_maps_config_errors_to_exit_2(tmp_path, capsys):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(_minimal(loss={"name": "power",
+                                              "params": {"q": 2}})))
+    assert main(["run", str(path), "--quiet"]) == 2
+    assert "error: loss:" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--only", "99"])
+    assert info.value.code == 2
+
+
+def test_cli_lets_internal_faults_propagate(monkeypatch):
+    import weakbsde.cli as cli
+
+    def fault(args):
+        raise ValueError("internal numeric fault")
+
+    monkeypatch.setattr(cli, "_cmd_curve", fault)
+    with pytest.raises(ValueError, match="internal numeric fault"):
+        main(["curve", "tiny_power", "--quiet"])
+
+
+def test_readme_config_example_builds():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    blocks = text.split("```json\n")[1:]
+    assert len(blocks) == 1
+    sc = build_scenario(json.loads(blocks[0].split("```")[0]))
+    assert sc.tolerances["attainment_extra"] == 0.02
+
+
 def test_cli_env_var_sets_output_directory(tmp_path, monkeypatch):
     monkeypatch.setenv("WEAKBSDE_OUT", str(tmp_path / "envdir"))
     monkeypatch.chdir(tmp_path)
