@@ -15,9 +15,18 @@ exactly on the per-node m-grid.
 The per-node control grid always contains 0 and the corridor-tracking
 slopes, so a feasible control exists at every state; ties are broken
 toward the smallest |a| (then the smallest a) to keep results
-deterministic.  Two brute-force oracles (exhaustive policy enumeration and
-a leaf-value grid search on the weak formulation) provide independent
-cross-checks at tiny depth.
+deterministic.
+
+The node backup (_backup) lays its work out as (control, state) arrays:
+each control row interpolates an ascending run of children, which
+np.interp's guessed search walks instead of bisecting the child grid, and
+every reduction runs along the control axis.  No value depends on the
+layout, so the results equal those of a (state, control) layout bit for
+bit.
+
+Two brute-force oracles (exhaustive policy enumeration and a leaf-value
+grid search on the weak formulation) provide independent cross-checks at
+tiny depth.
 """
 
 from __future__ import annotations
@@ -25,6 +34,7 @@ from __future__ import annotations
 import math
 import dataclasses
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -94,9 +104,9 @@ class ValueSurface:
     def lattice(self) -> Lattice:
         return self.scenario.lattice
 
-    @property
+    @cached_property
     def grid_slack(self) -> float:
-        """Largest m-grid spacing anywhere on the surface."""
+        """Largest m-grid spacing anywhere on the surface (computed once)."""
         worst = 0.0
         for level in self.grids:
             for g in level:
@@ -132,6 +142,17 @@ def _backup(sc: PrimalScenario, corridor: Corridor, k: int, j: int,
     entry per node.  The slope grid is the base grid plus the node's two
     corridor-tracking slopes, tried smallest |a| first.  Returns (values,
     best_controls, clamp_count).
+
+    The work is laid out control-major, (control, state): for a fixed a
+    the children are monotone in m under the step condition, so each
+    control row feeds np.interp an ascending run when m_grid ascends, and
+    its guessed search walks a few knots instead of bisecting the child
+    grid per query.  The layout changes no bit: every interpolated value
+    is independent of query order, the implicit fixed point stops on a
+    batch max, and the feasibility test, clamp count, first-index argmin
+    over the (|a|, a)-ordered controls and the error row are taken along
+    the control axis exactly as they were along the rows of the
+    state-major layout.
     """
     lo, hi = corridor.bounds_at(k + 1)
     lo_u, hi_u, lo_d, hi_d = (float(lo[j + 1]), float(hi[j + 1]),
@@ -141,7 +162,7 @@ def _backup(sc: PrimalScenario, corridor: Corridor, k: int, j: int,
                                   corridor.ceiling_z.at(k)[j]])
     lat = sc.lattice
     m_up, m_dn = _children(lat, sc.driver_f, k,
-                           np.asarray(m_grid, float)[:, None], controls[None, :])
+                           np.asarray(m_grid, float)[None, :], controls[:, None])
     tol = FEASIBILITY_TOL
     feasible = ((m_up >= lo_u - tol) & (m_up <= hi_u + tol)
                 & (m_dn >= lo_d - tol) & (m_dn <= hi_d + tol))
@@ -155,14 +176,15 @@ def _backup(sc: PrimalScenario, corridor: Corridor, k: int, j: int,
     vals, _, _ = _one_step(sc.driver_g, lat.time_at(k), v_up, v_dn,
                            lat.sqrt_dt, lat.dt, sc.scheme)
     vals = np.where(feasible, vals, np.inf)
-    if not np.all(np.any(feasible, axis=1)):
-        bad = int(np.argmin(np.any(feasible, axis=1)))
+    any_feasible = np.any(feasible, axis=0)
+    if not np.all(any_feasible):
+        bad = int(np.argmin(any_feasible))
         raise PrimalError(
             f"no feasible control at level {k}, m = {m_grid[bad]!r}; "
             "corridor-tracking slopes should prevent this"
         )
-    idx = np.argmin(vals, axis=1)  # controls are (|a|, a)-ordered: ties resolve small
-    return vals[np.arange(vals.shape[0]), idx], controls[idx], clamps
+    idx = np.argmin(vals, axis=0)  # controls are (|a|, a)-ordered: ties resolve small
+    return vals[idx, np.arange(vals.shape[1])], controls[idx], clamps
 
 
 def primal_value_dp(sc: PrimalScenario) -> ValueSurface:

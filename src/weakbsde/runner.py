@@ -68,11 +68,10 @@ def _verdict(ok: bool) -> str:
 def _check_attainment(ctx):
     sc, surface = ctx["scenario"], ctx["surface"]
     worst = 0.0
-    tol = 0.0
+    tol = 2.0 * surface.grid_slack + sc.tolerances["attainment_extra"]
     for m in sc.m_list:
         res = attainment_check(surface, m)
         worst = max(worst, res["gap"])
-        tol = 2.0 * surface.grid_slack + sc.tolerances["attainment_extra"]
     return _result("attainment", _verdict(worst <= tol), worst, tol)
 
 

@@ -202,7 +202,10 @@ def build_scenario(config: dict) -> Scenario:
 
     dual_cfg = _section(config, "dual", {})
     _require_keys(dual_cfg, ("enabled", "l_max", "rounds", "m_list"), "dual")
-    dual_enabled = bool(dual_cfg.get("enabled", True))
+    dual_enabled = dual_cfg.get("enabled", True)
+    if not isinstance(dual_enabled, bool):
+        raise ScenarioError(f"dual.enabled must be true or false, "
+                            f"got {dual_enabled!r}")
     l_max = _as_positive_number(dual_cfg.get("l_max", 4.0), "dual.l_max")
     dual_rounds = dual_cfg.get("rounds", 3)
     if not isinstance(dual_rounds, int) or isinstance(dual_rounds, bool) \
@@ -210,10 +213,15 @@ def build_scenario(config: dict) -> Scenario:
         raise ScenarioError("dual.rounds must be a positive integer")
     dual_m_list = _thresholds(dual_cfg.get("m_list", m_list), "dual.m_list")
 
-    checks = tuple(config.get("checks", (
+    checks = config.get("checks", (
         "attainment", "monotonicity", "convexity", "continuity", "dpp",
         "weak_duality", "value_envelope",
-    )))
+    ))
+    if not isinstance(checks, (list, tuple)) \
+            or not all(isinstance(chk, str) for chk in checks):
+        raise ScenarioError(f"checks must be a JSON array of strings, "
+                            f"got {checks!r}")
+    checks = tuple(checks)
     for chk in checks:
         if chk not in KNOWN_CHECKS:
             raise ScenarioError(

@@ -10,7 +10,7 @@ import hashlib
 import pytest
 
 from weakbsde.runner import execute
-from weakbsde.scenario import catalogue_scenario
+from weakbsde.scenario import build_scenario, catalogue_scenario
 
 ARTIFACT_SHA256 = {
     "call_spread": (
@@ -63,3 +63,36 @@ def test_catalogue_artifacts_are_byte_identical(name, tmp_path):
         hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
         for fname in ("curve.csv", "surface.csv", "report.json"))
     assert measured == ARTIFACT_SHA256[name]
+
+
+# A risk pair deeper and with more controls than any catalogue scenario,
+# run with every non-dual check; sha256 of surface.csv and report.json
+# recorded with the state-major node backup.
+MIDSIZE_CONFIG = {
+    "name": "midsize_risk",
+    "lattice": {"horizon": 1.0, "steps": 10},
+    "driver_f": {"name": "neg_abs_z", "params": {"kappa": 0.3}},
+    "driver_g": {"name": "abs_z", "params": {"kappa": 0.2}},
+    "loss": {"name": "power", "params": {"p": 2.0}},
+    "primal": {"grid_size": 201, "n_a": 41,
+               "m_list": [0.1, 0.25, 0.4, 0.5, 0.65, 0.8, 0.95]},
+    "dual": {"enabled": False},
+    "checks": ["attainment", "monotonicity", "convexity", "continuity",
+               "dpp", "value_envelope", "restriction", "comparison",
+               "roundtrip", "admissibility"],
+    "seed": 24,
+}
+MIDSIZE_SHA256 = (
+    "e35b85088efaf8856372ef460684db0fcec572dbef91c47f2dff9fe78aaa2ec7",
+    "972c6b1b25f38558af6e0aaaf8ee358c406f027231fec1b80341ab60130d47dc",
+)
+
+
+def test_midsize_risk_pair_artifacts_are_byte_identical(tmp_path):
+    report = execute(build_scenario(MIDSIZE_CONFIG), out_dir=tmp_path,
+                     quiet=True)
+    assert report["status"] == "PASS"
+    measured = tuple(
+        hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+        for fname in ("surface.csv", "report.json"))
+    assert measured == MIDSIZE_SHA256

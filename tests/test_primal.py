@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weakbsde.bsde import _one_step
+from weakbsde.control import _children
 from weakbsde.drivers import make_driver, make_loss
 from weakbsde.lattice import build_lattice, prefix_up_counts
-from weakbsde.primal import (GreedyPolicy, PrimalError, PrimalScenario,
-                             _backup, attainment_check,
+from weakbsde.primal import (FEASIBILITY_TOL, GreedyPolicy, PrimalError,
+                             PrimalScenario, _backup, _ordered_controls,
+                             attainment_check,
                              brute_force_policy_value,
                              brute_force_weak_formulation, continuity_modulus,
                              convexity_check, dpp_check,
@@ -141,6 +144,15 @@ def test_risk_adjusted_pair_prices_to_the_square():
 def test_grid_slack_reflects_node_spacing(quadratic_surface):
     # 201 uniform points on [0, 1] -> spacing 1/200
     assert quadratic_surface.grid_slack == pytest.approx(0.005, rel=1e-6)
+
+
+def test_grid_slack_is_the_widest_spacing_and_is_computed_once():
+    surf = primal_value_dp(_scenario(loss_name="s_shaped", steps=3, grid=41,
+                                     n_a=5))
+    widest = max(float(np.max(np.diff(g))) for level in surf.grids
+                 for g in level)
+    assert surf.grid_slack == widest
+    assert surf.__dict__["grid_slack"] == widest  # cached on first read
 
 
 # Golden values recorded before the DP backup shared the backward solver's
@@ -282,3 +294,150 @@ def test_attainment_golden_digests_risk_pair_twelve_levels():
         assert res["n_backups"] == 78  # nodes of levels 0..11
     assert states.hexdigest() == RISK12_STATES_SHA256
     assert controls.hexdigest() == RISK12_CONTROLS_SHA256
+
+
+# ---------------------------------------------------------------------------
+# the control-major backup kernel reproduces the state-major one bit for bit
+# ---------------------------------------------------------------------------
+
+def _state_major_backup(sc, corridor, k, j, m_grid, next_grids, next_values):
+    """Reference: the (state, control) backup the control-major kernel
+    replaced, kept verbatim."""
+    lo, hi = corridor.bounds_at(k + 1)
+    lo_u, hi_u, lo_d, hi_d = (float(lo[j + 1]), float(hi[j + 1]),
+                              float(lo[j]), float(hi[j]))
+    controls = _ordered_controls(sc.base_controls(),
+                                 [corridor.floor_z.at(k)[j],
+                                  corridor.ceiling_z.at(k)[j]])
+    lat = sc.lattice
+    m_up, m_dn = _children(lat, sc.driver_f, k,
+                           np.asarray(m_grid, float)[:, None], controls[None, :])
+    tol = FEASIBILITY_TOL
+    feasible = ((m_up >= lo_u - tol) & (m_up <= hi_u + tol)
+                & (m_dn >= lo_d - tol) & (m_dn <= hi_d + tol))
+    up_c = np.clip(m_up, lo_u, hi_u)
+    dn_c = np.clip(m_dn, lo_d, hi_d)
+    clamps = int(np.count_nonzero(feasible & ((m_up != up_c) | (m_dn != dn_c))))
+    v_up = np.interp(up_c.ravel(), next_grids[j + 1],
+                     next_values[j + 1]).reshape(up_c.shape)
+    v_dn = np.interp(dn_c.ravel(), next_grids[j],
+                     next_values[j]).reshape(dn_c.shape)
+    vals, _, _ = _one_step(sc.driver_g, lat.time_at(k), v_up, v_dn,
+                           lat.sqrt_dt, lat.dt, sc.scheme)
+    vals = np.where(feasible, vals, np.inf)
+    if not np.all(np.any(feasible, axis=1)):
+        bad = int(np.argmin(np.any(feasible, axis=1)))
+        raise PrimalError(
+            f"no feasible control at level {k}, m = {m_grid[bad]!r}; "
+            "corridor-tracking slopes should prevent this"
+        )
+    idx = np.argmin(vals, axis=1)
+    return vals[np.arange(vals.shape[0]), idx], controls[idx], clamps
+
+
+def _assert_backup_matches_reference(surf, k, j, m):
+    """Both kernels on node (k, j) of surf over the rows m: equal bits, or
+    the same PrimalError message."""
+    args = (surf.scenario, surf.corridor, k, j, m, surf.grids[k + 1],
+            surf.values[k + 1])
+    try:
+        ref = _state_major_backup(*args)
+    except PrimalError as exc:
+        with pytest.raises(PrimalError) as got:
+            _backup(*args)
+        assert str(got.value) == str(exc)
+        return None
+    vals, best, clamps = _backup(*args)
+    _assert_same_bits(vals, ref[0])
+    _assert_same_bits(best, ref[1])
+    assert clamps == ref[2]
+    return clamps
+
+
+def _assert_every_node_matches(surf):
+    clamps = 0
+    for k in range(surf.lattice.steps):
+        for j in range(k + 1):
+            clamps += _assert_backup_matches_reference(surf, k, j,
+                                                       surf.grids[k][j])
+    assert clamps == surf.clamp_events
+
+
+def test_control_major_backup_matches_on_the_recombining_risk_pair(
+        risk_surface):
+    _assert_every_node_matches(risk_surface)
+
+
+def test_control_major_backup_matches_at_surface_size():
+    surf = primal_value_dp(_scenario(steps=16, grid=601, n_a=41,
+                                     f=("neg_abs_z", {"kappa": 0.3}),
+                                     g=("abs_z", {"kappa": 0.2})))
+    assert surf.clamp_events > 0  # the sample includes clamping nodes
+    clamps = 0
+    for k in (0, 3, 8, 15):
+        for j in sorted({0, k // 2, k}):
+            clamps += _assert_backup_matches_reference(surf, k, j,
+                                                       surf.grids[k][j])
+    assert clamps > 0
+
+
+def test_control_major_backup_matches_under_the_implicit_scheme():
+    sc = PrimalScenario(lattice=build_lattice(1.0, 4),
+                        driver_f=make_driver("linear", a=0.1, b=0.05),
+                        driver_g=make_driver("linear", a=0.2, b=0.1),
+                        loss=make_loss("s_shaped"), grid_size=11, n_a=9,
+                        scheme="implicit")
+    _assert_every_node_matches(primal_value_dp(sc))
+
+
+def test_control_major_backup_matches_where_controls_tie():
+    # a linear loss under zero drivers makes many controls equally good:
+    # the first index in (|a|, a) order must win in both layouts
+    surf = primal_value_dp(_scenario(loss_name="identity", steps=6, grid=81,
+                                     n_a=9))
+    _assert_every_node_matches(surf)
+
+
+def test_control_major_backup_matches_on_smooth_drivers():
+    # transcendental drivers in both the forward step and the pricing step
+    _assert_every_node_matches(primal_value_dp(_scenario(
+        steps=6, grid=81, n_a=9,
+        f=("logcosh_z", {"kappa": 0.3, "sign": -1}),
+        g=("softplus_z", {"kappa": 0.2}))))
+
+
+def test_control_major_backup_matches_on_an_unsorted_greedy_batch(
+        risk_surface):
+    # rows as GreedyPolicy hands them over: first-occurrence order, not
+    # sorted, signed zeros kept apart, and here exact duplicates too
+    m = np.array([0.7, 0.0, 0.25, -0.0, 0.7, 1.0, 0.1 + 0.2, 0.3, -0.0,
+                  0.999999, 1e-300, 0.5])
+    for k in (0, 4, 7):
+        for j in (0, k):
+            _assert_backup_matches_reference(risk_surface, k, j, m)
+
+
+def test_backup_names_the_first_infeasible_state(risk_surface):
+    m = np.array([0.5, 0.2, -0.25, 0.75, 1.5, -0.5])
+    args = (risk_surface.scenario, risk_surface.corridor, 3, 1, m,
+            risk_surface.grids[4], risk_surface.values[4])
+    with pytest.raises(PrimalError) as ref:
+        _state_major_backup(*args)
+    # the repr of a numpy scalar is np.float64(-0.25) under numpy >= 2
+    with pytest.raises(PrimalError, match=r"level 3, m = \S*-0\.25\b") as got:
+        _backup(*args)
+    assert str(got.value) == str(ref.value)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(k=st.integers(0, 7), data=st.data())
+def test_control_major_backup_property(risk_surface, k, data):
+    j = data.draw(st.integers(0, k))
+    # the corridor is [0, 1]: rows at an edge, or outside it by less than
+    # the feasibility tolerance, reach the clamp; farther out none is feasible
+    edges = st.sampled_from([0.0, -0.0, 1.0, -5e-10, 1.0 + 5e-10, -1e-8])
+    m = np.array(data.draw(st.lists(st.floats(0.0, 1.0) | edges,
+                                    min_size=1, max_size=24)))
+    if data.draw(st.booleans()):
+        m = np.sort(m)
+    _assert_backup_matches_reference(risk_surface, k, j, m)

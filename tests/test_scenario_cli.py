@@ -69,6 +69,12 @@ def test_check_names_and_lists_validated():
         build_scenario(_minimal(primal={"grid_size": 81,
                                         "continuity_base": 0.95},
                                 checks=["continuity"]))
+    for bad in ("no", "false", 0, 1, None, []):
+        with pytest.raises(ScenarioError, match=r"dual\.enabled"):
+            build_scenario(_minimal(dual={"enabled": bad}))
+    for bad in (5, "dpp", {"dpp": 1}, ["dpp", 5], None):
+        with pytest.raises(ScenarioError, match="checks must be"):
+            build_scenario(_minimal(checks=bad))
 
 
 def test_config_hash_ignores_key_order():
