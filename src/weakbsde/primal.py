@@ -15,14 +15,21 @@ exactly on the per-node m-grid.
 The per-node control grid always contains 0 and the corridor-tracking
 slopes, so a feasible control exists at every state; ties are broken
 toward the smallest |a| (then the smallest a) to keep results
-deterministic.
+deterministic.  The DP builds each node's (|a|, a)-ordered control set
+once and keeps the table on the surface (ValueSurface.control_sets), where
+the DPP check and the greedy policy read it; the restriction check's
+sub-tree DP builds its own.
 
-The node backup (_backup) lays its work out as (control, state) arrays:
-each control row interpolates an ascending run of children, which
-np.interp's guessed search walks instead of bisecting the child grid, and
-every reduction runs along the control axis.  No value depends on the
-layout, so the results equal those of a (state, control) layout bit for
-bit.
+The node backup (_backup) lays its work out as (control, state) arrays
+and does only the work whose result it keeps: it tests every pair for
+feasibility, then clips, interpolates and prices only the feasible pairs.
+Compacting the control-major mask keeps each control row's feasible
+states one ascending run, which np.interp's guessed search walks instead
+of bisecting the child grid.  Every value is elementwise in its own pair,
+so the results equal those of a full (state, control) batch bit for bit,
+with one exception: the implicit scheme's fixed point stops on the max
+over its batch, so under a y-dependent driver_g a value may move in the
+last bits (the tests allow 1e-12 there, with the same argmin controls).
 
 Two brute-force oracles (exhaustive policy enumeration and a leaf-value
 grid search on the weak formulation) provide independent cross-checks at
@@ -98,6 +105,8 @@ class ValueSurface:
     grids: tuple = field(repr=False)     # grids[k][j]: ascending m-points
     values: tuple = field(repr=False)    # values[k][j]: V on that grid
     controls: tuple = field(repr=False)  # controls[k][j]: argmin slopes
+    # control_sets[k][j], k < N: the (|a|, a)-ordered slopes node (k, j) tries
+    control_sets: tuple = field(repr=False)
     clamp_events: int = 0
 
     @property
@@ -134,55 +143,69 @@ def _ordered_controls(base: np.ndarray, extra) -> np.ndarray:
     return cand[order]
 
 
+def _control_sets(sc: PrimalScenario, corridor: Corridor) -> tuple:
+    """Per interior node (k, j): the base slope grid plus the node's two
+    corridor-tracking slopes, (|a|, a)-ordered."""
+    base = sc.base_controls()
+    table = []
+    for k in range(sc.lattice.steps):
+        floor_z, ceiling_z = corridor.floor_z.at(k), corridor.ceiling_z.at(k)
+        table.append(tuple(_ordered_controls(base, [floor_z[j], ceiling_z[j]])
+                           for j in range(k + 1)))
+    return tuple(table)
+
+
 def _backup(sc: PrimalScenario, corridor: Corridor, k: int, j: int,
-            m_grid: np.ndarray, next_grids, next_values) -> tuple:
+            m_grid: np.ndarray, controls: np.ndarray, next_grids,
+            next_values) -> tuple:
     """One-step backup of node (k, j) over the states m_grid.
 
+    controls is the node's (|a|, a)-ordered slope set (_control_sets);
     next_grids / next_values hold the level-(k+1) interpolation data, one
-    entry per node.  The slope grid is the base grid plus the node's two
-    corridor-tracking slopes, tried smallest |a| first.  Returns (values,
-    best_controls, clamp_count).
+    entry per node.  Returns (values, best_controls, clamp_count).
 
-    The work is laid out control-major, (control, state): for a fixed a
-    the children are monotone in m under the step condition, so each
-    control row feeds np.interp an ascending run when m_grid ascends, and
-    its guessed search walks a few knots instead of bisecting the child
-    grid per query.  The layout changes no bit: every interpolated value
-    is independent of query order, the implicit fixed point stops on a
-    batch max, and the feasibility test, clamp count, first-index argmin
-    over the (|a|, a)-ordered controls and the error row are taken along
-    the control axis exactly as they were along the rows of the
-    state-major layout.
+    The work is laid out control-major, (control, state).  Every pair is
+    tested for feasibility, and a state with no feasible control raises
+    at once; only the feasible pairs are then clipped, clamp-counted,
+    interpolated and priced.  np.flatnonzero on the control-major mask
+    keeps them in row order, so for a fixed a the children (monotone in m
+    under the step condition) reach np.interp as one ascending run when
+    m_grid ascends, and its guessed search walks a few knots instead of
+    bisecting the child grid.  The prices are scattered into a +inf array
+    and the first-index argmin is taken along the control axis.
+
+    Against a full (state, control) batch no bit changes: each clipped,
+    interpolated and priced value depends on its own pair only, and an
+    infeasible pair scored +inf there too.  The exception is the implicit
+    scheme, whose fixed point stops on the max over its batch.
     """
     lo, hi = corridor.bounds_at(k + 1)
     lo_u, hi_u, lo_d, hi_d = (float(lo[j + 1]), float(hi[j + 1]),
                               float(lo[j]), float(hi[j]))
-    controls = _ordered_controls(sc.base_controls(),
-                                 [corridor.floor_z.at(k)[j],
-                                  corridor.ceiling_z.at(k)[j]])
     lat = sc.lattice
     m_up, m_dn = _children(lat, sc.driver_f, k,
                            np.asarray(m_grid, float)[None, :], controls[:, None])
     tol = FEASIBILITY_TOL
     feasible = ((m_up >= lo_u - tol) & (m_up <= hi_u + tol)
                 & (m_dn >= lo_d - tol) & (m_dn <= hi_d + tol))
-    up_c = np.clip(m_up, lo_u, hi_u)
-    dn_c = np.clip(m_dn, lo_d, hi_d)
-    clamps = int(np.count_nonzero(feasible & ((m_up != up_c) | (m_dn != dn_c))))
-    v_up = np.interp(up_c.ravel(), next_grids[j + 1],
-                     next_values[j + 1]).reshape(up_c.shape)
-    v_dn = np.interp(dn_c.ravel(), next_grids[j],
-                     next_values[j]).reshape(dn_c.shape)
-    vals, _, _ = _one_step(sc.driver_g, lat.time_at(k), v_up, v_dn,
-                           lat.sqrt_dt, lat.dt, sc.scheme)
-    vals = np.where(feasible, vals, np.inf)
     any_feasible = np.any(feasible, axis=0)
     if not np.all(any_feasible):
         bad = int(np.argmin(any_feasible))
         raise PrimalError(
-            f"no feasible control at level {k}, m = {m_grid[bad]!r}; "
+            f"no feasible control at level {k}, m = {float(m_grid[bad])!r}; "
             "corridor-tracking slopes should prevent this"
         )
+    kept = np.flatnonzero(feasible)
+    m_up, m_dn = m_up.take(kept), m_dn.take(kept)  # the feasible pairs only
+    up_c = np.clip(m_up, lo_u, hi_u)
+    dn_c = np.clip(m_dn, lo_d, hi_d)
+    clamps = int(np.count_nonzero((m_up != up_c) | (m_dn != dn_c)))
+    v_up = np.interp(up_c, next_grids[j + 1], next_values[j + 1])
+    v_dn = np.interp(dn_c, next_grids[j], next_values[j])
+    priced, _, _ = _one_step(sc.driver_g, lat.time_at(k), v_up, v_dn,
+                             lat.sqrt_dt, lat.dt, sc.scheme)
+    vals = np.full(feasible.shape, np.inf)
+    vals.put(kept, priced)
     idx = np.argmin(vals, axis=0)  # controls are (|a|, a)-ordered: ties resolve small
     return vals[idx, np.arange(vals.shape[1])], controls[idx], clamps
 
@@ -195,6 +218,7 @@ def primal_value_dp(sc: PrimalScenario) -> ValueSurface:
     n = lat.steps
     corridor = compute_corridor(lat, sc.driver_f, scheme=sc.scheme)
     knots = sc.loss.breakpoints
+    control_sets = _control_sets(sc, corridor)
 
     grids, values, controls = [], [], []
     for k in range(n + 1):
@@ -213,7 +237,8 @@ def primal_value_dp(sc: PrimalScenario) -> ValueSurface:
     for k in range(n - 1, -1, -1):
         for j in range(k + 1):
             vals, best, clamps = _backup(sc, corridor, k, j, grids[k][j],
-                                         grids[k + 1], values[k + 1])
+                                         control_sets[k][j], grids[k + 1],
+                                         values[k + 1])
             values[k][j] = vals
             controls[k][j] = best
             clamp_total += clamps
@@ -224,6 +249,7 @@ def primal_value_dp(sc: PrimalScenario) -> ValueSurface:
         grids=tuple(tuple(level) for level in grids),
         values=tuple(tuple(level) for level in values),
         controls=tuple(tuple(level) for level in controls),
+        control_sets=control_sets,
         clamp_events=clamp_total,
     )
 
@@ -276,8 +302,9 @@ class GreedyPolicy:
         best = np.empty(first.size, dtype=float)
         for lo, hi in zip(starts[:-1], starts[1:]):
             rows = lo + np.argsort(first[lo:hi])
-            best[rows] = _backup(self.sc, sf.corridor, k, int(j_idx[first[lo]]),
-                                 m[first[rows]], sf.grids[k + 1],
+            j = int(j_idx[first[lo]])
+            best[rows] = _backup(self.sc, sf.corridor, k, j, m[first[rows]],
+                                 sf.control_sets[k][j], sf.grids[k + 1],
                                  sf.values[k + 1])[1]
         self.n_backups += first.size
         return best[inverse], state
@@ -393,7 +420,8 @@ def dpp_check(surface: ValueSurface, k1: int, k2: int) -> dict:
     cur_grids, cur_vals = grids_k2, vals_k2
     for k in range(k2 - 1, k1 - 1, -1):
         cur_vals = [_backup(sc, surface.corridor, k, j, surface.grids[k][j],
-                            cur_grids, cur_vals)[0] for j in range(k + 1)]
+                            surface.control_sets[k][j], cur_grids,
+                            cur_vals)[0] for j in range(k + 1)]
         cur_grids = surface.grids[k]
 
     residual = 0.0

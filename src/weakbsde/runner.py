@@ -5,6 +5,9 @@ dual bounds -> the scenario's named checks, then writes curve.csv,
 surface.csv and report.json into the output directory.  Nothing in the
 default pipeline reads the clock or draws unseeded randomness, so a rerun
 with the same config produces byte-identical files.
+
+Every float in the CSV files is its repr.  surface.csv is written a level
+at a time, with one repr per distinct float of the level (_surface_csv).
 """
 
 from __future__ import annotations
@@ -246,14 +249,41 @@ def _curve_csv(rows) -> str:
 
 
 def _surface_csv(surface) -> str:
-    buf = io.StringIO()
-    buf.write("level,node,m,value,control\n")
-    for k, (grids, vals, ctrls) in enumerate(zip(surface.grids, surface.values,
-                                                 surface.controls)):
-        for j in range(k + 1):
-            for m, v, a in zip(grids[j], vals[j], ctrls[j]):
-                buf.write(f"{k},{j},{float(m)!r},{float(v)!r},{float(a)!r}\n")
-    return buf.getvalue()
+    """One row k,j,m,V,a per (level, node, m) state, each float its repr.
+
+    A level is written at once: its m, V and a cells are reduced to their
+    distinct int64 bit patterns (so -0.0 and 0.0 stay apart), repr runs once
+    per pattern not already written at the level above, and the rows are
+    joined from the resulting texts.  Node grids and values repeat within
+    and across levels (a z-only corridor is [0, 1] at every node), so most
+    cells reuse a text.  The bytes equal a per-row repr of every cell.
+    """
+    parts = ["level,node,m,value,control\n"]
+    # the texts written at the level above, by ascending bits; seeded with
+    # +0.0 so that the lookup never meets an empty table
+    prev_bits, prev_text = np.zeros(1, np.int64), np.array(["0.0"], object)
+    for k, level in enumerate(zip(surface.grids, surface.values,
+                                  surface.controls)):
+        sizes = [g.size for g in level[0]]
+        n = sum(sizes)
+        cells = np.concatenate([arr for column in level for arr in column])
+        bits, inverse = np.unique(cells.view(np.int64), return_inverse=True)
+        above = np.searchsorted(prev_bits, bits).clip(max=prev_bits.size - 1)
+        seen = prev_bits[above] == bits
+        text = np.empty(bits.size, dtype=object)
+        text[seen] = prev_text[above[seen]]
+        fresh = ~seen
+        text[fresh] = list(map(repr, bits[fresh].view(np.float64).tolist()))
+        prev_bits, prev_text = bits, text
+        m, v, a = text[inverse].reshape(3, n)
+        rows = np.empty((n, 7), dtype=object)
+        rows[:, 0] = np.repeat(np.array([f"{k},{j}," for j in range(k + 1)],
+                                        dtype=object), sizes)
+        rows[:, 1], rows[:, 3], rows[:, 5] = m, v, a
+        rows[:, 2] = rows[:, 4] = ","
+        rows[:, 6] = "\n"
+        parts.append("".join(rows.ravel().tolist()))
+    return "".join(parts)
 
 
 def _in_stage(stage: str, exc: Exception) -> Exception:

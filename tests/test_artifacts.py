@@ -6,10 +6,14 @@ number, its formatting or the report layout shows up here.
 """
 
 import hashlib
+import io
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
-from weakbsde.runner import execute
+from weakbsde.primal import primal_value_dp
+from weakbsde.runner import _surface_csv, execute
 from weakbsde.scenario import build_scenario, catalogue_scenario
 
 ARTIFACT_SHA256 = {
@@ -96,3 +100,107 @@ def test_midsize_risk_pair_artifacts_are_byte_identical(tmp_path):
         hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
         for fname in ("surface.csv", "report.json"))
     assert measured == MIDSIZE_SHA256
+
+
+# A linear constraint driver: the corridor ceiling E^f[1] grows level by
+# level, so each level has its own m-grid and the texts carried from the
+# level above miss on the whole grid column.  sha256 of surface.csv and
+# report.json recorded with the per-row surface.csv writer and the
+# full-batch node backup.
+LINEAR_CONFIG = {
+    "name": "linear_drift",
+    "lattice": {"horizon": 1.0, "steps": 8},
+    "driver_f": {"name": "linear", "params": {"a": 0.2, "b": 0.1}},
+    "driver_g": {"name": "abs_z", "params": {"kappa": 0.2}},
+    "loss": {"name": "power", "params": {"p": 2.0}},
+    "primal": {"grid_size": 201, "n_a": 21,
+               "m_list": [0.1, 0.25, 0.4, 0.5, 0.65, 0.8, 0.95]},
+    "dual": {"enabled": False},
+    "checks": ["attainment", "monotonicity", "convexity", "continuity",
+               "dpp", "value_envelope", "restriction", "comparison",
+               "roundtrip", "admissibility"],
+    "seed": 24,
+}
+LINEAR_SHA256 = (
+    "3f3c55d9520fa3504d41dad80ef0da584b6702fc85552306ef795726f31c3785",
+    "ce1f8d8250834580cc3d168583fe194427e81213b57e8ab952104e3dc3bdf668",
+)
+
+
+def test_linear_constraint_artifacts_are_byte_identical(tmp_path):
+    report = execute(build_scenario(LINEAR_CONFIG), out_dir=tmp_path,
+                     quiet=True)
+    assert report["status"] == "PASS"
+    assert report["corridor_root"] == [0.0, 1.2184028975099184]
+    measured = tuple(
+        hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+        for fname in ("surface.csv", "report.json"))
+    assert measured == LINEAR_SHA256
+
+
+# ---------------------------------------------------------------------------
+# surface.csv: the level-at-a-time writer against the per-row one
+# ---------------------------------------------------------------------------
+
+def _per_row_surface_csv(surface) -> str:
+    """Reference: the per-row writer the level-at-a-time one replaced,
+    kept verbatim."""
+    buf = io.StringIO()
+    buf.write("level,node,m,value,control\n")
+    for k, (grids, vals, ctrls) in enumerate(zip(surface.grids, surface.values,
+                                                 surface.controls)):
+        for j in range(k + 1):
+            for m, v, a in zip(grids[j], vals[j], ctrls[j]):
+                buf.write(f"{k},{j},{float(m)!r},{float(v)!r},{float(a)!r}\n")
+    return buf.getvalue()
+
+
+def _fake_surface(draw, levels=7, seed=0):
+    """grids / values / controls of a lattice-shaped surface; draw(rng, n)
+    fills one node.  Node sizes vary, as with loss knots."""
+    rng = np.random.default_rng(seed)
+    sizes = [[int(rng.integers(1, 12)) for _ in range(k + 1)]
+             for k in range(levels)]
+    return SimpleNamespace(**{
+        name: tuple(tuple(draw(rng, n) for n in level) for level in sizes)
+        for name in ("grids", "values", "controls")})
+
+
+def _assert_writers_agree(surface):
+    assert _surface_csv(surface) == _per_row_surface_csv(surface)
+
+
+def test_surface_csv_matches_the_per_row_writer_on_the_risk_pair():
+    _assert_writers_agree(primal_value_dp(catalogue_scenario("risk_pair")
+                                          .primal()))
+
+
+def test_surface_csv_matches_the_per_row_writer_on_distinct_floats():
+    surface = _fake_surface(
+        lambda rng, n: rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n))
+    cells = np.concatenate([arr for column in (surface.grids, surface.values,
+                                               surface.controls)
+                            for level in column for arr in level])
+    assert np.unique(cells).size == cells.size
+    _assert_writers_agree(surface)
+
+
+def test_surface_csv_keeps_signed_zeros_apart():
+    # a small pool, so cells repeat within a level and across levels, with
+    # -0.0 at one level and 0.0 at the next
+    pool = np.array([0.0, -0.0, 0.5, -0.5, 1.0 / 3.0, 0.1 + 0.2, 0.3])
+    surface = _fake_surface(lambda rng, n: rng.choice(pool, n), seed=1)
+    text = _surface_csv(surface)
+    assert ",-0.0," in text and ",0.0," in text
+    _assert_writers_agree(surface)
+
+
+def test_surface_csv_writes_extreme_magnitudes():
+    pool = np.array([1e-05, -1e-05, 0.0001, 1e+16, 9999999999999998.0,
+                     5e-324, -5e-324, 1.7976931348623157e+308, np.inf,
+                     -np.inf, np.nan, 2.2250738585072014e-308])
+    surface = _fake_surface(lambda rng, n: rng.choice(pool, n), seed=2)
+    text = _surface_csv(surface)
+    for cell in ("1e-05", "1e+16", "5e-324", "9999999999999998.0"):
+        assert cell in text
+    _assert_writers_agree(surface)

@@ -1,6 +1,7 @@
 """Value-surface recursion and its structural checks."""
 
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -196,7 +197,8 @@ def _row_by_row_controls(surf, k, j_idx, m):
     """Reference: one backup per prefix row, each in a batch of its own."""
     return np.array([
         _backup(surf.scenario, surf.corridor, k, int(j), m[i:i + 1],
-                surf.grids[k + 1], surf.values[k + 1])[1][0]
+                surf.control_sets[k][j], surf.grids[k + 1],
+                surf.values[k + 1])[1][0]
         for i, j in enumerate(j_idx)
     ])
 
@@ -328,7 +330,7 @@ def _state_major_backup(sc, corridor, k, j, m_grid, next_grids, next_values):
     if not np.all(np.any(feasible, axis=1)):
         bad = int(np.argmin(np.any(feasible, axis=1)))
         raise PrimalError(
-            f"no feasible control at level {k}, m = {m_grid[bad]!r}; "
+            f"no feasible control at level {k}, m = {float(m_grid[bad])!r}; "
             "corridor-tracking slopes should prevent this"
         )
     idx = np.argmin(vals, axis=1)
@@ -338,16 +340,17 @@ def _state_major_backup(sc, corridor, k, j, m_grid, next_grids, next_values):
 def _assert_backup_matches_reference(surf, k, j, m):
     """Both kernels on node (k, j) of surf over the rows m: equal bits, or
     the same PrimalError message."""
-    args = (surf.scenario, surf.corridor, k, j, m, surf.grids[k + 1],
-            surf.values[k + 1])
+    args = (surf.scenario, surf.corridor, k, j, m)
+    data = (surf.grids[k + 1], surf.values[k + 1])
+    controls = surf.control_sets[k][j]
     try:
-        ref = _state_major_backup(*args)
+        ref = _state_major_backup(*args, *data)
     except PrimalError as exc:
         with pytest.raises(PrimalError) as got:
-            _backup(*args)
+            _backup(*args, controls, *data)
         assert str(got.value) == str(exc)
         return None
-    vals, best, clamps = _backup(*args)
+    vals, best, clamps = _backup(*args, controls, *data)
     _assert_same_bits(vals, ref[0])
     _assert_same_bits(best, ref[1])
     assert clamps == ref[2]
@@ -419,13 +422,13 @@ def test_control_major_backup_matches_on_an_unsorted_greedy_batch(
 
 def test_backup_names_the_first_infeasible_state(risk_surface):
     m = np.array([0.5, 0.2, -0.25, 0.75, 1.5, -0.5])
-    args = (risk_surface.scenario, risk_surface.corridor, 3, 1, m,
-            risk_surface.grids[4], risk_surface.values[4])
+    args = (risk_surface.scenario, risk_surface.corridor, 3, 1, m)
+    data = (risk_surface.grids[4], risk_surface.values[4])
     with pytest.raises(PrimalError) as ref:
-        _state_major_backup(*args)
-    # the repr of a numpy scalar is np.float64(-0.25) under numpy >= 2
-    with pytest.raises(PrimalError, match=r"level 3, m = \S*-0\.25\b") as got:
-        _backup(*args)
+        _state_major_backup(*args, *data)
+    # a plain float, not the numpy scalar repr np.float64(-0.25)
+    with pytest.raises(PrimalError, match=r"level 3, m = -0\.25; ") as got:
+        _backup(*args, risk_surface.control_sets[3][1], *data)
     assert str(got.value) == str(ref.value)
 
 
@@ -441,3 +444,72 @@ def test_control_major_backup_property(risk_surface, k, data):
     if data.draw(st.booleans()):
         m = np.sort(m)
     _assert_backup_matches_reference(risk_surface, k, j, m)
+
+
+# ---------------------------------------------------------------------------
+# the feasible-only DP against a DP of full-batch backups
+# ---------------------------------------------------------------------------
+
+def _full_batch_dp(sc, surf):
+    """Reference: the DP sweep over surf's grids with every node backed up
+    by the full-batch state-major kernel; returns (values, controls,
+    clamp_events)."""
+    values = [list(level) for level in surf.values]
+    controls = [list(level) for level in surf.controls]
+    clamps = 0
+    for k in range(sc.lattice.steps - 1, -1, -1):
+        for j in range(k + 1):
+            values[k][j], controls[k][j], c = _state_major_backup(
+                sc, surf.corridor, k, j, surf.grids[k][j], surf.grids[k + 1],
+                values[k + 1])
+            clamps += c
+    return values, controls, clamps
+
+
+# (driver_f, driver_g): y-dependent f and g; y-dependent f only; y-dependent
+# g only
+SWEEP_DRIVERS = (
+    (("linear", {"a": 0.1, "b": 0.05}), ("linear", {"a": 0.2, "b": 0.1})),
+    (("linear", {"a": -0.3, "b": 0.1}), ("linear", {"a": 0.0, "b": -0.2})),
+    (("linear", {"a": 0.0, "b": 0.1}), ("linear", {"a": -0.25, "b": 0.15})),
+)
+SWEEP_LOSSES = (("s_shaped", {}), ("power", {"p": 2.0}), ("identity", {}))
+
+
+@pytest.mark.parametrize("steps", [3, 4, 6, 8])
+def test_feasible_only_dp_matches_full_batch_backups(steps):
+    # The implicit fixed point stops on a max over its batch, which now
+    # holds only the feasible pairs.  Under a y-dependent driver_g that may
+    # move a value in the last bits, so there values are compared to 1e-12;
+    # every argmin control, and everything else, must keep its bits.
+    for scheme, grid, (loss, params), (f, g) in itertools.product(
+            ("explicit", "implicit"), (11, 41, 101), SWEEP_LOSSES,
+            SWEEP_DRIVERS):
+        sc = PrimalScenario(lattice=build_lattice(1.0, steps),
+                            driver_f=make_driver(f[0], **f[1]),
+                            driver_g=make_driver(g[0], **g[1]),
+                            loss=make_loss(loss, **params), grid_size=grid,
+                            n_a=9, scheme=scheme)
+        surf = primal_value_dp(sc)
+        values, controls, clamps = _full_batch_dp(sc, surf)
+        assert clamps == surf.clamp_events
+        exact = scheme == "explicit" or not sc.driver_g.depends_on_y
+        for k in range(steps):
+            for j in range(k + 1):
+                _assert_same_bits(surf.controls[k][j], controls[k][j])
+                if exact:
+                    _assert_same_bits(surf.values[k][j], values[k][j])
+                else:
+                    assert np.max(np.abs(surf.values[k][j]
+                                         - values[k][j])) <= 1e-12
+
+
+def test_control_sets_hold_each_nodes_ordered_controls(risk_surface):
+    sc, corridor = risk_surface.scenario, risk_surface.corridor
+    assert len(risk_surface.control_sets) == sc.lattice.steps
+    for k, level in enumerate(risk_surface.control_sets):
+        assert len(level) == k + 1
+        for j, controls in enumerate(level):
+            _assert_same_bits(controls, _ordered_controls(
+                sc.base_controls(),
+                [corridor.floor_z.at(k)[j], corridor.ceiling_z.at(k)[j]]))
