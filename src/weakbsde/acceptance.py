@@ -38,7 +38,7 @@ class Workspace:
 
     Surfaces and dual bounds are expensive relative to everything else, and
     several criteria look at the same catalogue scenario, so each is built
-    once per verify run.
+    once per verify run, and each slope's certificate once per scenario.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED):
@@ -47,6 +47,7 @@ class Workspace:
         self._primals = {}
         self._surfaces = {}
         self._duals = {}
+        self._certificates = {}   # name -> {slope: certificate}
 
     def scenario(self, name):
         if name not in self._scenarios:
@@ -72,10 +73,10 @@ class Workspace:
         key = (name, m)
         if key not in self._duals:
             sc = self.scenario(name)
-            self._duals[key] = dual_bound(sc.lattice, sc.driver_f,
-                                          sc.driver_g, sc.loss, m,
-                                          l_max=sc.l_max,
-                                          rounds=sc.dual_rounds)
+            self._duals[key] = dual_bound(
+                sc.lattice, sc.driver_f, sc.driver_g, sc.loss, m,
+                l_max=sc.l_max, rounds=sc.dual_rounds,
+                certificates=self._certificates.setdefault(name, {}))
         return self._duals[key]
 
 

@@ -95,9 +95,11 @@ def _cmd_dual(args) -> int:
             "the config (dual.enabled) to use this command"
         )
     results = {}
+    certificates = {}   # slope -> certificate, shared by the m_list
     for m in sc.dual_m_list:
         res = dual_bound(sc.lattice, sc.driver_f, sc.driver_g, sc.loss, m,
-                         l_max=sc.l_max, rounds=sc.dual_rounds)
+                         l_max=sc.l_max, rounds=sc.dual_rounds,
+                         certificates=certificates)
         results[str(m)] = {k: res[k] for k in
                            ("l_star", "bound", "certificate",
                             "n_slope_evaluations")}

@@ -25,6 +25,11 @@ The coordinate scan is batched.  For one profile entry (i, k), every
 window value is scored in one vectorized pass against the incumbent's
 cached panels: levels up to k are shared, only the moved adjoint is
 recomputed from level k on, and only the step-k conjugate is evaluated.
+The pass works on the path-prefix tree: sign_matrix keeps step 0 in the
+top bit, so a level-j quantity depends only on a path's first j signs and
+is constant on each run of 2^(N-j) rows.  The moved adjoint and its
+running term are built on those 2^j prefixes, level by level, and each
+level is spread into the per-path terms panel by one broadcast.
 The scan moves to the argmin, the first one on ties and never a NaN, and
 only when it is strictly below the incumbent: the same move as trying
 the values in order and keeping each strict improvement.  The incumbent's
@@ -38,6 +43,11 @@ batching.  Both paths build step factors with one expression
 sum each path's running terms over a contiguous row of length N and
 average the 2^N path totals in one mean; dual_objective is the
 single-candidate case of the same panels and the same scoring kernel.
+
+A slope's certificate does not depend on the threshold m, so dual_bound
+takes a slope -> certificate dict that the searches for several
+thresholds of one scenario share: each distinct slope is priced once, and
+every trace and bound equals that of an independent search.
 """
 from __future__ import annotations
 
@@ -56,6 +66,8 @@ POSITIVITY_MARGIN = 1e-6
 # (candidate, path) pairs one pass of the coordinate scan holds at most, so
 # a pass stays near SCAN_PAIRS * N doubles however deep the lattice is
 SCAN_PAIRS = 2**16
+# step signs in sign_matrix bit order: 0 is an up step, 1 a down step
+UP_DOWN = np.array([1, -1], dtype=np.int8)
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -258,38 +270,57 @@ class _Incumbent:
 
     def _pass(self, which, k, drift, noise, conj, rows, lp):
         """Per-path certificates of candidates (rows of drift, noise, conj)
-        that move adjoint `which` at step k, on the path range rows."""
+        that move adjoint `which` at step k, on the path range rows.
+
+        rows is an aligned power-of-two range, and sign_matrix keeps step 0
+        in the top bit, so at level j the range holds the prefixes of length
+        j as runs of `stride` rows.  The moved adjoint and its running term
+        are built once per prefix, level by level, and each level's terms
+        are spread over their runs by one broadcast.
+        """
         lat = self.lattice
         n = lat.steps
-        signs = self.signs[rows]
+        c = drift.shape[0]
+        size = rows.stop - rows.start
         slope = self.slope
-        # the moved adjoint from level k on: its shared level-k value, the
-        # candidate factor, then the incumbent's factors, multiplied in the
-        # same left-to-right order as a full panel
-        chain = np.empty((drift.shape[0], signs.shape[0], n - k + 1))
-        chain[..., 0] = self.prefix[which][rows, k]
-        chain[..., 1] = _factors(drift, noise, signs[:, k], lat.dt,
-                                 lat.sqrt_dt)
-        chain[..., 2:] = _factors(self.profiles[2 * which][k + 1:],
-                                  self.profiles[2 * which + 1][k + 1:],
-                                  signs[:, k + 1:], lat.dt, lat.sqrt_dt)
-        np.cumprod(chain, axis=-1, out=chain)
-        moved_conj = np.empty((drift.shape[0], 1, n - k))
-        moved_conj[:, 0, 0] = conj
-        moved_conj[:, 0, 1:] = self.conj[which][k + 1:]
         l_pan, p_pan = self.prefix
         gt, ft = self.conj
-        terms = np.empty((drift.shape[0], signs.shape[0], n))
+        terms = np.empty((c, size, n))
         terms[..., :k] = self.terms[rows, :k]
+        # per step from k on, the moved adjoint's conjugate and its factor
+        # for each sign: the candidates' at step k, (c, 1) and (c, 1, 2),
+        # then the incumbent's, a scalar and (2,)
+        conjs = [conj[:, None], *self.conj[which][k + 1:]]
+        facs = [_factors(drift[..., None], noise[..., None], UP_DOWN,
+                         lat.dt, lat.sqrt_dt),
+                *_factors(self.profiles[2 * which][k + 1:, None],
+                          self.profiles[2 * which + 1][k + 1:, None],
+                          UP_DOWN, lat.dt, lat.sqrt_dt)]
+        # the moved adjoint at level k is shared by every candidate; from
+        # there it takes the candidate factor, then the incumbent's, in the
+        # left-to-right order of a full panel
+        stride = min(2**(n - k), size)
+        moved = self.prefix[which][rows.start:rows.stop:stride, k]
+        for j, step_conj, fac in zip(range(k, n), conjs, facs):
+            level = slice(rows.start, rows.stop, stride)
+            if which == 0:
+                term = moved * step_conj - slope * p_pan[level, j] * ft[j]
+            else:
+                term = l_pan[level, j] * gt[j] - slope * moved * step_conj
+            terms.reshape(c, size // stride, stride, n)[..., j] = \
+                term[..., None]
+            if stride <= 2**(n - j - 1):
+                # the range lies inside one level-(j+1) subtree: its sign
+                # at step j is the range's bit for that step
+                bit = (rows.start >> (n - 1 - j)) & 1
+                fac = fac[..., bit:bit + 1]
+            else:
+                stride //= 2
+            moved = (moved[..., None] * fac).reshape(c, -1)
         if which == 0:
-            a_ft = slope * p_pan[rows, k:-1] * ft[k:]
-            terms[..., k:] = chain[..., :-1] * moved_conj - a_ft
-            l_end, a_end = chain[..., -1], slope * p_pan[rows, -1]
+            l_end, a_end = moved, slope * p_pan[rows, -1]
         else:
-            l_gt = l_pan[rows, k:-1] * gt[k:]
-            a = slope * chain
-            terms[..., k:] = l_gt - a[..., :-1] * moved_conj
-            l_end, a_end = l_pan[rows, -1], a[..., -1]
+            l_end, a_end = l_pan[rows, -1], slope * moved
         return _certificate_terms(terms, l_end, a_end, lat.dt, lp)
 
     def move(self, i: int, k: int, val: float, conj: float) -> None:
@@ -388,21 +419,33 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
 
 def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
                m: float, l_max: float = 4.0, tol: float = 1e-6,
-               rounds: int = 3, budget: int = 200_000) -> dict:
+               rounds: int = 3, budget: int = 200_000,
+               certificates: dict | None = None) -> dict:
     """Golden-section maximization of l*m - certificate(l) over l in (0, l_max].
 
     The trace records every (l, certificate) pair the search evaluated;
     each one is a standalone valid lower bound, so the reported bound is
     the best value ever seen, not just the final bracket midpoint.
+
+    certificates, when given, maps slope -> certificate and is read and
+    filled here.  The certificate does not depend on m, so the searches for
+    several thresholds can share one dict; share it only between calls on
+    the same lattice, drivers, loss, rounds and budget.
     """
     if not (0.0 < l_max and np.isfinite(l_max)):
         raise DualFeasibilityError("l_max must be positive and finite")
+    if certificates is None:
+        certificates = {}
     trace = []
 
     def height(l: float) -> float:
-        res = dual_value(lattice, l, d_f, d_g, lp, rounds=rounds, budget=budget)
-        trace.append((float(l), float(res["value"])))
-        return l * m - res["value"]
+        l = float(l)
+        if l not in certificates:
+            certificates[l] = float(dual_value(lattice, l, d_f, d_g, lp,
+                                               rounds=rounds,
+                                               budget=budget)["value"])
+        trace.append((l, certificates[l]))
+        return l * m - certificates[l]
 
     lo, hi = 1e-8, float(l_max)
     x1 = hi - GOLDEN * (hi - lo)

@@ -312,10 +312,12 @@ def execute(sc: Scenario, out_dir=None, quiet: bool = False) -> dict:
         stage = "dual bound"
         duals = {}
         if sc.dual_enabled:
+            certificates = {}   # slope -> certificate, shared by the m_list
             for m in sc.dual_m_list:
                 duals[m] = dual_bound(sc.lattice, sc.driver_f, sc.driver_g,
                                       sc.loss, m, l_max=sc.l_max,
-                                      rounds=sc.dual_rounds)
+                                      rounds=sc.dual_rounds,
+                                      certificates=certificates)
     except Exception as exc:
         raise _in_stage(stage, exc) from exc
 

@@ -1,17 +1,21 @@
 """Dual certificates: adjoint panels, candidate search, duality gaps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import weakbsde.dual as dual_mod
+import weakbsde.runner as runner_mod
+from weakbsde.acceptance import Workspace
 from weakbsde.drivers import (ConjugateDomainError, Driver, make_driver,
                               make_loss)
 from weakbsde.dual import (DualControls, DualFeasibilityError, dual_bound,
                            dual_objective, dual_value, first_order_residuals)
 from weakbsde.lattice import build_lattice
 from weakbsde.primal import PrimalScenario, primal_value_dp, value_curve
+from weakbsde.scenario import build_scenario
 
 
 def test_dual_controls_validation():
@@ -365,3 +369,174 @@ def test_accepted_move_rebuilds_the_incumbent_exactly():
         for mine, theirs in zip(inc.prefix + [inc.terms],
                                 fresh.prefix + [fresh.terms]):
             assert np.array_equal(mine, theirs)
+
+
+def _chain_pass(inc, which, k, drift, noise, conj, rows, lp):
+    """The per-path kernel _pass replaced, kept as its reference: every
+    path carries the moved adjoint from level k as one cumprod chain."""
+    lat = inc.lattice
+    n = lat.steps
+    signs = inc.signs[rows]
+    slope = inc.slope
+    chain = np.empty((drift.shape[0], signs.shape[0], n - k + 1))
+    chain[..., 0] = inc.prefix[which][rows, k]
+    chain[..., 1] = dual_mod._factors(drift, noise, signs[:, k], lat.dt,
+                                      lat.sqrt_dt)
+    chain[..., 2:] = dual_mod._factors(inc.profiles[2 * which][k + 1:],
+                                       inc.profiles[2 * which + 1][k + 1:],
+                                       signs[:, k + 1:], lat.dt, lat.sqrt_dt)
+    np.cumprod(chain, axis=-1, out=chain)
+    moved_conj = np.empty((drift.shape[0], 1, n - k))
+    moved_conj[:, 0, 0] = conj
+    moved_conj[:, 0, 1:] = inc.conj[which][k + 1:]
+    l_pan, p_pan = inc.prefix
+    gt, ft = inc.conj
+    terms = np.empty((drift.shape[0], signs.shape[0], n))
+    terms[..., :k] = inc.terms[rows, :k]
+    if which == 0:
+        a_ft = slope * p_pan[rows, k:-1] * ft[k:]
+        terms[..., k:] = chain[..., :-1] * moved_conj - a_ft
+        l_end, a_end = chain[..., -1], slope * p_pan[rows, -1]
+    else:
+        l_gt = l_pan[rows, k:-1] * gt[k:]
+        a = slope * chain
+        terms[..., k:] = l_gt - a[..., :-1] * moved_conj
+        l_end, a_end = l_pan[rows, -1], a[..., -1]
+    return dual_mod._certificate_terms(terms, l_end, a_end, lat.dt, lp)
+
+
+def _moved_smooth_incumbent(steps):
+    """Smooth-pair incumbent after several accepted moves on both adjoints."""
+    lat = build_lattice(1.0, steps)
+    f, g = _pair(SMOOTH_PAIR)
+    inc = dual_mod._Incumbent(lat, DualControls.zeros(lat, 0.9), f, g)
+    moves = ((1, steps - 1, 0.15), (3, 0, -0.2), (3, steps // 2, 0.1),
+             (1, 0, 0.05), (1, steps // 2, 0.12))
+    for i, k, val in moves:
+        scores, conj = inc.scan(i, k, np.array([val]), make_loss("identity"))
+        assert np.isfinite(scores[0])
+        inc.move(i, k, val, conj[0])
+    return inc
+
+
+@pytest.mark.parametrize("scan_pairs", [dual_mod.SCAN_PAIRS, 2**3])
+@pytest.mark.parametrize("loss", ["power", "s_shaped"])
+def test_prefix_tree_pass_matches_the_chain_reference_bits(scan_pairs, loss,
+                                                           monkeypatch):
+    # with 2**3 the row blocks are narrower than a level-k subtree for
+    # every k < N - 3, so a block may hold a single prefix for many levels
+    monkeypatch.setattr(dual_mod, "SCAN_PAIRS", scan_pairs)
+    lp = make_loss(loss)
+    windows = {1: np.array([0.0, 0.04, 0.1, 0.13, 0.2]),
+               3: np.array([-0.29, -0.1, 0.0, 0.07, 0.25])}
+    for steps in range(1, 11):
+        inc = _moved_smooth_incumbent(steps)
+        n_paths = 2**steps
+        block = min(n_paths, dual_mod.SCAN_PAIRS)
+        for i, vals in windows.items():
+            which = i // 2
+            conj_fn = (dual_mod.concave_conjugate if which
+                       else dual_mod.convex_conjugate)
+            for k in range(steps):
+                drift = np.full(vals.size, inc.profiles[2 * which][k])
+                noise = vals.copy()
+                conj = np.asarray(conj_fn(inc.drivers[which], drift, noise),
+                                  dtype=float)
+                assert np.all(np.isfinite(conj))
+                for row in range(0, n_paths, block):
+                    rows = slice(row, row + block)
+                    args = (which, k, drift[:, None], noise[:, None], conj,
+                            rows, lp)
+                    got = inc._pass(*args)
+                    want = _chain_pass(inc, *args)
+                    assert got.shape == want.shape == (vals.size, block)
+                    assert got.tobytes() == want.tobytes(), (steps, i, k, row)
+
+
+def test_one_scan_stays_under_its_memory_bound():
+    # the per-path chain kernel peaked at 791 KB here, the prefix tree at 292
+    steps = 8
+    lat = build_lattice(1.0, steps)
+    f, g = _pair(SMOOTH_PAIR)
+    lp = make_loss("power", p=2.0)
+    inc = dual_mod._Incumbent(lat, DualControls.zeros(lat, 1.0), f, g)
+    vals = {1: np.linspace(0.0, 0.2, 8), 3: np.linspace(-0.25, 0.25, 8)}
+    peak = 0
+    for i, k in ((1, 0), (3, 0), (1, steps // 2), (3, steps - 1)):
+        inc.scan(i, k, vals[i], lp)   # warm any lazily built tables
+        tracemalloc.start()
+        try:
+            scores, _ = inc.scan(i, k, vals[i], lp)
+            peak = max(peak, tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert np.all(np.isfinite(scores))
+    assert peak <= 400_000, peak
+
+
+def _counting_dual_value(monkeypatch):
+    calls = []
+    original = dual_mod.dual_value
+
+    def counted(lattice, l, *args, **kwargs):
+        calls.append(l)
+        return original(lattice, l, *args, **kwargs)
+
+    monkeypatch.setattr(dual_mod, "dual_value", counted)
+    return calls
+
+
+def test_shared_certificates_price_each_slope_once(monkeypatch):
+    lat = build_lattice(1.0, 4)
+    f, g = _pair(SMOOTH_PAIR)
+    lp = make_loss("power", p=2.0)
+    thresholds = (0.25, 0.5, 0.75)
+    alone = [dual_bound(lat, f, g, lp, m, rounds=1) for m in thresholds]
+    calls = _counting_dual_value(monkeypatch)
+    certificates = {}
+    shared = [dual_bound(lat, f, g, lp, m, rounds=1,
+                         certificates=certificates) for m in thresholds]
+    assert shared == alone
+    slopes = {l for res in alone for l, _ in res["trace"]}
+    assert len(calls) == len(set(calls)) == len(slopes) == len(certificates)
+    assert len(calls) < sum(res["n_slope_evaluations"] for res in alone)
+    assert certificates == {l: c for res in alone for l, c in res["trace"]}
+
+
+def test_each_execute_starts_a_fresh_certificate_dict(monkeypatch):
+    seen = []
+    original = runner_mod.dual_bound
+
+    def spy(*args, certificates=None, **kwargs):
+        seen.append((id(certificates), len(certificates)))
+        return original(*args, certificates=certificates, **kwargs)
+
+    monkeypatch.setattr(runner_mod, "dual_bound", spy)
+    f_spec, g_spec = SMOOTH_PAIR
+    sc = build_scenario({
+        "name": "memo",
+        "lattice": {"horizon": 1.0, "steps": 3},
+        "driver_f": {"name": f_spec[0], "params": f_spec[1]},
+        "driver_g": {"name": g_spec[0], "params": g_spec[1]},
+        "loss": {"name": "power", "params": {"p": 2.0}},
+        "primal": {"grid_size": 41, "n_a": 7, "m_list": [0.5]},
+        "dual": {"enabled": True, "rounds": 1, "m_list": [0.25, 0.5]},
+        "checks": ["weak_duality"],
+    })
+    first = runner_mod.execute(sc, quiet=True)
+    second = runner_mod.execute(sc, quiet=True)
+    assert first == second
+    (id_a, len_a), (id_b, len_b), (id_c, len_c), (id_d, len_d) = seen
+    assert id_a == id_b and id_c == id_d
+    assert len_a == len_c == 0 and len_b == len_d > 0
+
+
+def test_workspace_shares_certificates_within_a_scenario_only(monkeypatch):
+    calls = _counting_dual_value(monkeypatch)
+    ws = Workspace()
+    traces = [ws.dual("tiny_risk", m)["trace"] for m in (0.25, 0.5, 0.75)]
+    slopes = {l for trace in traces for l, _ in trace}
+    assert len(calls) == len(slopes) < sum(len(t) for t in traces)
+    before = len(calls)
+    other = ws.dual("tiny_power", 0.5)["trace"]
+    assert len(calls) - before == len({l for l, _ in other})
