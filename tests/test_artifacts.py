@@ -14,7 +14,7 @@ import pytest
 
 from weakbsde.primal import primal_value_dp
 from weakbsde.runner import _surface_csv, execute
-from weakbsde.scenario import build_scenario, catalogue_scenario
+from weakbsde.scenario import build_scenario, catalogue, catalogue_scenario
 
 ARTIFACT_SHA256 = {
     "call_spread": (
@@ -136,6 +136,69 @@ def test_linear_constraint_artifacts_are_byte_identical(tmp_path):
         hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
         for fname in ("surface.csv", "report.json"))
     assert measured == LINEAR_SHA256
+
+
+# ---------------------------------------------------------------------------
+# check entries on the branches no catalogue scenario reaches: FAIL,
+# SKIPPED and a vacuous PASS; recorded with the verdicts still taken in
+# the measuring layers
+# ---------------------------------------------------------------------------
+
+BRANCH_CONFIG = {
+    "name": "branches",
+    "lattice": {"horizon": 1.0, "steps": 4},
+    "driver_f": {"name": "zero"},
+    "driver_g": {"name": "zero"},
+    "loss": {"name": "power", "params": {"p": 2.0}},
+    "primal": {"grid_size": 81, "n_a": 9, "m_list": [0.25, 0.5]},
+    "dual": {"enabled": False},
+    "checks": ["weak_duality", "equivalence", "continuity", "dpp"],
+    "tolerances": {"continuity_exponent": 5.0, "dpp_multi_factor": 1e-300},
+}
+
+
+def _checks(config):
+    return execute(build_scenario(config), quiet=True)["checks"]
+
+
+def test_skipped_and_failed_check_entries_are_pinned():
+    assert _checks(BRANCH_CONFIG) == [
+        {"check": "weak_duality", "status": "SKIPPED", "measured": None,
+         "threshold": 1e-09,
+         "detail": {"reason": "dual search disabled for this scenario"}},
+        {"check": "equivalence", "status": "SKIPPED", "measured": None,
+         "threshold": 0.01,
+         "detail": {"reason": "exhaustive oracles capped at 3 levels"}},
+        {"check": "continuity", "status": "FAIL",
+         "measured": 1.0358067967723164, "threshold": 5.0,
+         "detail": {"direction": "at_or_above"}},
+        {"check": "dpp", "status": "FAIL", "measured": 7.812500000003997e-05,
+         "threshold": 1.2500000000000068e-302,
+         "detail": {"one_step_residual": 0.0}},
+    ]
+
+
+def test_restriction_entry_is_skipped_on_one_level():
+    config = dict(BRANCH_CONFIG, lattice={"horizon": 1.0, "steps": 1},
+                  checks=["restriction"], tolerances={})
+    assert _checks(config) == [
+        {"check": "restriction", "status": "SKIPPED", "measured": None,
+         "threshold": 1e-12,
+         "detail": {"reason": "needs at least two levels"}},
+    ]
+
+
+def test_continuity_entry_is_a_vacuous_pass_on_a_flat_stretch():
+    # call_spread's value is 0 on [0, 0.3], so no offset from m = 0 moves it
+    config = catalogue()["call_spread"]
+    config["primal"]["continuity_base"] = 0.0
+    config["dual"] = {"enabled": False}
+    config["checks"] = ["continuity"]
+    assert _checks(config) == [
+        {"check": "continuity", "status": "PASS", "measured": None,
+         "threshold": 0.2,
+         "detail": {"note": "value differences below noise floor"}},
+    ]
 
 
 # ---------------------------------------------------------------------------
