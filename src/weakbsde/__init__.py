@@ -10,20 +10,17 @@ answer through Fenchel-type bounds.
 __version__ = "0.1.0"
 
 from .lattice import (AdaptedField, Lattice, LatticeError, TimeGrid,
-                      build_lattice, cond_expect, enumerate_paths, half_sum,
-                      leaf_nodes, path_expectation)
+                      build_lattice, half_sum)
 from .drivers import (DRIVER_BUILDERS, LOSS_BUILDERS, ConjugateDomainError,
                       Driver, LossPair, concave_conjugate, convex_conjugate,
-                      fenchel_recover, galois_violations, make_driver,
-                      make_loss, polar_numeric)
+                      make_driver, make_loss)
 from .bsde import (BsdeSolution, Corridor, SchemeError, comparison_check,
                    compute_corridor, estimation_gap, exact_scheme_for,
                    f_expectation, monotone_step_ok, solve_bsde,
                    solve_on_path_tree, solve_on_product_tree)
 from .control import (NodePolicy, PolicyError, TruncatedPolicy, admissible,
                       representation_roundtrip, simulate_all_prefixes,
-                      simulate_controlled, tilt_terminal, truncate_at_ceiling,
-                      truncate_at_floor)
+                      truncate_at_ceiling, truncate_at_floor)
 from .primal import (GreedyPolicy, PrimalError, PrimalScenario, ValueSurface,
                      attainment_check, brute_force_policy_value,
                      brute_force_weak_formulation, continuity_modulus,
@@ -33,24 +30,23 @@ from .primal import (GreedyPolicy, PrimalError, PrimalScenario, ValueSurface,
 from .dual import (DualControls, DualFeasibilityError, dual_bound,
                    dual_objective, dual_value, first_order_residuals)
 from .scenario import (Scenario, ScenarioError, build_scenario, catalogue,
-                       catalogue_scenario, parse_scenario)
+                       catalogue_scenario)
 from .runner import execute
 from .acceptance import CRITERIA, verify_all
 
 __all__ = [
     "AdaptedField", "Lattice", "LatticeError", "TimeGrid", "build_lattice",
-    "cond_expect", "enumerate_paths", "half_sum", "leaf_nodes",
-    "path_expectation",
+    "half_sum",
     "DRIVER_BUILDERS", "LOSS_BUILDERS", "ConjugateDomainError", "Driver",
-    "LossPair", "concave_conjugate", "convex_conjugate", "fenchel_recover",
-    "galois_violations", "make_driver", "make_loss", "polar_numeric",
+    "LossPair", "concave_conjugate", "convex_conjugate", "make_driver",
+    "make_loss",
     "BsdeSolution", "Corridor", "SchemeError", "comparison_check",
     "compute_corridor", "estimation_gap", "exact_scheme_for", "f_expectation",
     "monotone_step_ok", "solve_bsde", "solve_on_path_tree",
     "solve_on_product_tree",
     "NodePolicy", "PolicyError", "TruncatedPolicy", "admissible",
-    "representation_roundtrip", "simulate_all_prefixes", "simulate_controlled",
-    "tilt_terminal", "truncate_at_ceiling", "truncate_at_floor",
+    "representation_roundtrip", "simulate_all_prefixes",
+    "truncate_at_ceiling", "truncate_at_floor",
     "GreedyPolicy", "PrimalError", "PrimalScenario", "ValueSurface",
     "attainment_check", "brute_force_policy_value",
     "brute_force_weak_formulation", "continuity_modulus", "convexity_check",
@@ -59,7 +55,7 @@ __all__ = [
     "DualControls", "DualFeasibilityError", "dual_bound", "dual_objective",
     "dual_value", "first_order_residuals",
     "Scenario", "ScenarioError", "build_scenario", "catalogue",
-    "catalogue_scenario", "parse_scenario",
+    "catalogue_scenario",
     "execute",
     "CRITERIA", "verify_all",
     "__version__",

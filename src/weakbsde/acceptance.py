@@ -220,7 +220,7 @@ def _c11_curve_convexity(ws):
     worst = 0.0
     checked = []
     for name in ("jensen", "identity", "risk_pair"):
-        res = convexity_check(ws.surface(name), tol=2e-3)
+        res = convexity_check(ws.surface(name))
         if res["status"] != "checked":
             return False, None, 2e-3, {"error": f"{name} was not flagged "
                                                 "convex but should be"}

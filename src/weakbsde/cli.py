@@ -10,10 +10,10 @@ from .acceptance import CRITERIA, verify_all
 from .bsde import SchemeError
 from .control import PolicyError
 from .drivers import ConjugateDomainError, DriverShapeError
-from .dual import DualFeasibilityError, dual_bound
+from .dual import DualFeasibilityError
 from .lattice import LatticeError
 from .primal import PrimalError, primal_value_dp, value_curve
-from .runner import execute, render_report_json
+from .runner import dual_bounds, execute, render_report_json
 from .scenario import (DEFAULT_SEED, ScenarioError, build_scenario, catalogue,
                        load_config)
 
@@ -95,11 +95,7 @@ def _cmd_dual(args) -> int:
             "the config (dual.enabled) to use this command"
         )
     results = {}
-    certificates = {}   # slope -> certificate, shared by the m_list
-    for m in sc.dual_m_list:
-        res = dual_bound(sc.lattice, sc.driver_f, sc.driver_g, sc.loss, m,
-                         l_max=sc.l_max, rounds=sc.dual_rounds,
-                         certificates=certificates)
+    for m, res in dual_bounds(sc):
         results[str(m)] = {k: res[k] for k in
                            ("l_star", "bound", "certificate",
                             "n_slope_evaluations")}

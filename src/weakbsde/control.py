@@ -9,24 +9,21 @@ Admissibility means the state stays inside the corridor spanned by the
 nonlinear expectations of the terminal fields 0 and 1.
 
 Policies expose a small vectorized protocol (initial_state / control_array)
-so that the same code simulates a single path or every path prefix at
-once; truncated policies are the only stateful ones (they latch once the
+so that simulate_all_prefixes steps every path prefix of a level at once;
+truncated policies are the only stateful ones (they latch once the
 corridor edge is hit).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .bsde import Corridor, compute_corridor, exact_scheme_for, solve_bsde
+from .bsde import Corridor, exact_scheme_for, solve_bsde
 from .drivers import Driver
 from .lattice import (AdaptedField, Lattice, LatticeError, MAX_PATH_LEVELS,
-                      PathId, prefix_up_counts)
+                      prefix_up_counts)
 
 HIT_TOL = 1e-9
-ADMISSIBLE_TOL = 1e-9
 
 
 class PolicyError(ValueError):
@@ -97,15 +94,12 @@ class NodePolicy:
     def control_array(self, k: int, j_idx: np.ndarray, m: np.ndarray, state):
         return self.values[k][j_idx], state
 
-    def control(self, k: int, j: int, m: float) -> float:
-        return float(self.values[k][j])
-
 
 class TruncatedPolicy:
     """Base policy until the corridor edge is first reached, then the
     corridor-tracking slope forever after (per path).
 
-    Hitting is detected two ways: the state sits within tol_hit of the
+    Hitting is detected two ways: the state sits within HIT_TOL of the
     edge, or the base policy's proposed step would land strictly beyond
     the next-level edge.  The second (predictive) trigger is the discrete
     stand-in for continuous paths touching the boundary before crossing:
@@ -114,7 +108,7 @@ class TruncatedPolicy:
     """
 
     def __init__(self, lattice: Lattice, f: Driver, corridor: Corridor,
-                 base, side: str, tol_hit: float = HIT_TOL):
+                 base, side: str):
         if side not in ("floor", "ceiling"):
             raise PolicyError(f"side must be 'floor' or 'ceiling', got {side!r}")
         self.lattice = lattice
@@ -122,7 +116,6 @@ class TruncatedPolicy:
         self.base = base
         self.corridor = corridor
         self.side = side
-        self.tol_hit = float(tol_hit)
 
     def initial_state(self, n_prefixes: int = 1):
         return (np.zeros(n_prefixes, dtype=bool), self.base.initial_state(n_prefixes))
@@ -137,71 +130,19 @@ class TruncatedPolicy:
         edge = getattr(self.corridor, self.side)
         track = getattr(self.corridor, self.side + "_z").at(k)[j_idx]
         edge_next = sign * edge.at(k + 1)
-        hit = sign * m <= sign * edge.at(k)[j_idx] + self.tol_hit
+        hit = sign * m <= sign * edge.at(k)[j_idx] + HIT_TOL
         crossing = ((sign * up < edge_next[j_idx + 1])
                     | (sign * dn < edge_next[j_idx]))
         latched = latched | hit | crossing
         return np.where(latched, track, base_a), (latched, base_state)
 
 
-def truncate_at_floor(lattice: Lattice, f: Driver, corridor: Corridor, policy,
-                      tol_hit: float = HIT_TOL):
-    return TruncatedPolicy(lattice, f, corridor, policy, "floor", tol_hit)
+def truncate_at_floor(lattice: Lattice, f: Driver, corridor: Corridor, policy):
+    return TruncatedPolicy(lattice, f, corridor, policy, "floor")
 
 
-def truncate_at_ceiling(lattice: Lattice, f: Driver, corridor: Corridor, policy,
-                        tol_hit: float = HIT_TOL):
-    return TruncatedPolicy(lattice, f, corridor, policy, "ceiling", tol_hit)
-
-
-def tilt_terminal(k: int, m_terminal):
-    """Shift terminal mass toward the ceiling: 1/k + m*(1 - 1/k), k >= 1."""
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise PolicyError(f"tilt index must be an integer >= 1, got {k!r}")
-    m = np.asarray(m_terminal, dtype=float)
-    if np.any((m < 0.0) | (m > 1.0)):
-        raise PolicyError("terminal values must lie in [0, 1]")
-    out = 1.0 / k + m * (1.0 - 1.0 / k)
-    return out if out.ndim else float(out)
-
-
-@dataclass(frozen=True)
-class ControlledPath:
-    """One forward trajectory: states at levels 0..N and applied controls."""
-
-    path: PathId
-    states: np.ndarray
-    controls: np.ndarray
-
-
-def simulate_controlled(lattice: Lattice, f: Driver, mu0: float, policy,
-                        path: PathId, corridor: Corridor | None = None) -> ControlledPath:
-    """Exact forward recursion along a single path."""
-    n = lattice.steps
-    if len(path) != n:
-        raise PolicyError(f"path has {len(path)} steps, lattice has {n}")
-    if corridor is None:
-        corridor = compute_corridor(lattice, f)
-    lo, hi = corridor.bounds_at(0)
-    if not (lo[0] - ADMISSIBLE_TOL <= mu0 <= hi[0] + ADMISSIBLE_TOL):
-        raise PolicyError(
-            f"initial state {mu0} outside root corridor [{lo[0]}, {hi[0]}]"
-        )
-    states = np.empty(n + 1)
-    controls = np.empty(n)
-    states[0] = mu0
-    state = policy.initial_state(1)
-    j = 0
-    for k, sign in enumerate(path):
-        m = np.array([states[k]])
-        a, state = policy.control_array(k, np.array([j]), m, state)
-        a = np.asarray(a, float)
-        up, dn = _children(lattice, f, k, m, a)
-        states[k + 1] = (up if sign > 0 else dn)[0]
-        controls[k] = a[0]
-        if sign > 0:
-            j += 1
-    return ControlledPath(path=tuple(path), states=states, controls=controls)
+def truncate_at_ceiling(lattice: Lattice, f: Driver, corridor: Corridor, policy):
+    return TruncatedPolicy(lattice, f, corridor, policy, "ceiling")
 
 
 def simulate_all_prefixes(lattice: Lattice, f: Driver, mu0: float, policy):
@@ -237,17 +178,17 @@ def _split_state(state):
 
 
 def admissible(lattice: Lattice, f: Driver, corridor: Corridor, mu0: float,
-               policy, tol: float = ADMISSIBLE_TOL) -> dict:
-    """Check the corridor constraint along every path.
+               policy) -> dict:
+    """Measure the corridor constraint along every path.
 
-    Returns the worst signed excursion outside [floor, ceiling]; the policy
-    is admissible when that excursion is within tol.
+    Returns the worst signed excursion outside [floor, ceiling] (0 when
+    every state stays inside); the caller judges it against a tolerance.
     """
     states, _ = simulate_all_prefixes(lattice, f, mu0, policy)
     worst = 0.0
     for k, m in enumerate(states):
         worst = max(worst, float(np.max(_excursion(corridor, k, m))))
-    return {"ok": worst <= tol, "worst_violation": worst}
+    return {"worst_violation": worst}
 
 
 def representation_roundtrip(lattice: Lattice, f: Driver, terminal, *,

@@ -47,13 +47,6 @@ class ConjugateBox:
     half_width_y: float
     half_width_z: float
 
-    def axis_grid(self, axis: int, step: float = 1e-3) -> np.ndarray:
-        w = self.half_width_y if axis == 0 else self.half_width_z
-        if w <= 0.0:
-            return np.zeros(1)
-        n = max(1, int(math.ceil(w / step)))
-        return np.linspace(-w, w, 2 * n + 1)
-
 
 @dataclass(frozen=True)
 class Driver:
@@ -69,13 +62,9 @@ class Driver:
     lipschitz_z: float
     concave_in_yz: bool = False
     convex_in_yz: bool = False
-    smooth: bool = False
     concave_conjugate_fn: Optional[Callable] = field(default=None, repr=False)
     convex_conjugate_fn: Optional[Callable] = field(default=None, repr=False)
     params: dict = field(default_factory=dict)
-
-    def __call__(self, t, y, z):
-        return self.fn(t, y, z)
 
     @property
     def depends_on_y(self) -> bool:
@@ -105,32 +94,6 @@ def convex_conjugate(d: Driver, u, v):
             f"driver {d.name!r} has no closed-form convex conjugate"
         )
     return d.convex_conjugate_fn(u, v)
-
-
-def fenchel_recover(d: Driver, x, pi, step: float = 1e-3):
-    """Biconjugation: rebuild d(t, x, pi) from its own conjugate.
-
-    Concave drivers use min over the box grid of (x p + pi q - conj),
-    convex drivers the max of (x u + pi v - conj); agreement with a direct
-    evaluation is the catalogue's duality sanity check.
-    """
-    box = d.conjugate_box()
-    g1 = box.axis_grid(0, step)[:, None]
-    g2 = box.axis_grid(1, step)[None, :]
-    for conj_fn, extreme in ((d.concave_conjugate_fn, np.min),
-                             (d.convex_conjugate_fn, np.max)):
-        if conj_fn is None:
-            continue
-        conj = np.asarray(conj_fn(g1, g2), dtype=float)
-        finite = np.isfinite(conj)
-        if not finite.any():
-            raise ConjugateDomainError(f"empty conjugate domain for {d.name!r}")
-        ps, qs = np.broadcast_arrays(g1, g2)
-        ps, qs, cs = ps[finite], qs[finite], conj[finite]
-        x = np.asarray(x, float)[..., None]
-        pi = np.asarray(pi, float)[..., None]
-        return extreme(x * ps + pi * qs - cs, axis=-1)
-    raise DriverShapeError(f"driver {d.name!r} has no closed-form conjugate")
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +130,6 @@ def make_zero() -> Driver:
         lipschitz_z=0.0,
         concave_in_yz=True,
         convex_in_yz=True,
-        smooth=True,
         concave_conjugate_fn=_point_domain(0.0, 0.0, -math.inf),
         convex_conjugate_fn=_point_domain(0.0, 0.0, math.inf),
     )
@@ -182,7 +144,6 @@ def make_linear(a: float, b: float) -> Driver:
         lipschitz_z=abs(b),
         concave_in_yz=True,
         convex_in_yz=True,
-        smooth=True,
         concave_conjugate_fn=_point_domain(a, b, -math.inf),
         convex_conjugate_fn=_point_domain(a, b, math.inf),
         params={"a": a, "b": b},
@@ -266,7 +227,6 @@ def make_logcosh_z(kappa: float, sign: int = 1) -> Driver:
         lipschitz_z=kappa,
         concave_in_yz=(sign == -1),
         convex_in_yz=(sign == 1),
-        smooth=True,
         concave_conjugate_fn=concave_conj if sign == -1 else None,
         convex_conjugate_fn=convex_conj if sign == 1 else None,
         params={"kappa": kappa, "sign": sign},
@@ -299,7 +259,6 @@ def make_softplus_z(kappa: float) -> Driver:
         lipschitz_y=0.0,
         lipschitz_z=kappa,
         convex_in_yz=True,
-        smooth=True,
         convex_conjugate_fn=convex_conj,
         params={"kappa": kappa},
     )
@@ -345,7 +304,6 @@ class LossPair:
     phi_fn: Callable = field(repr=False)
     psi_fn: Callable = field(repr=False)
     polar_fn: Callable = field(repr=False)
-    phi_continuous: bool
     phi_lipschitz: Optional[float]
     phi_convex: bool
     polar_grad: Optional[Callable] = field(default=None, repr=False)
@@ -360,15 +318,6 @@ class LossPair:
 
     def polar(self, l):
         return self.polar_fn(np.asarray(l, float))
-
-
-def polar_numeric(lp: LossPair, l, step: float = 1e-4):
-    """Grid oracle for the polar transform."""
-    m = np.arange(0.0, 1.0 + step / 2, step)
-    vals = np.asarray(lp.phi(m), float)
-    l = np.asarray(l, float)
-    out = np.max(l[..., None] * m - vals, axis=-1)
-    return out if out.ndim else float(out)
 
 
 def _sup_inverse(knots_m: np.ndarray, knots_v: np.ndarray, y):
@@ -423,7 +372,6 @@ def make_piecewise_loss(name: str, knots, convex: bool) -> LossPair:
         phi_fn=phi,
         psi_fn=psi,
         polar_fn=polar,
-        phi_continuous=True,
         phi_lipschitz=lip,
         phi_convex=convex,
         polar_grad=None,  # piecewise-linear polar is kinked
@@ -497,7 +445,6 @@ def make_power_loss(p: float = 2.0) -> LossPair:
         phi_fn=phi,
         psi_fn=psi,
         polar_fn=polar,
-        phi_continuous=True,
         phi_lipschitz=p,
         phi_convex=True,
         polar_grad=polar_grad if p > 1.0 else None,
@@ -523,18 +470,3 @@ def make_loss(name: str, **params) -> LossPair:
         raise ValueError(f"loss {name!r} got unknown parameters {sorted(extra)}")
     return builder(**params)
 
-
-def galois_violations(lp: LossPair, m_grid=None, y_grid=None) -> float:
-    """Largest violation of psi(phi(m)) >= m and phi(psi(y)) <= y."""
-    if m_grid is None:
-        m_grid = np.linspace(0.0, 1.0, 401)
-    if y_grid is None:
-        y_grid = np.linspace(0.0, 1.0, 401)
-    worst = 0.0
-    lhs = np.asarray(lp.psi(lp.phi(m_grid)), float)
-    worst = max(worst, float(np.max(m_grid - lhs)))
-    psi_y = np.asarray(lp.psi(y_grid), float)
-    ok = psi_y > -np.inf
-    if ok.any():
-        worst = max(worst, float(np.max(lp.phi(psi_y[ok]) - y_grid[ok])))
-    return worst

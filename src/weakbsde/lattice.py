@@ -10,7 +10,6 @@ half-sums, so there is no sampling error anywhere in the package.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -21,8 +20,6 @@ import numpy as np
 # enumerates the 2^N paths explicitly is guarded much earlier.
 MAX_LEVELS = 64
 MAX_PATH_LEVELS = 20
-
-PathId = tuple  # sign sequence of length N, entries +1 / -1
 
 
 class LatticeError(ValueError):
@@ -44,10 +41,6 @@ class TimeGrid:
     @property
     def sqrt_dt(self) -> float:
         return math.sqrt(self.dt)
-
-    @property
-    def times(self) -> np.ndarray:
-        return (self.step_offset + np.arange(self.steps + 1)) * self.dt
 
 
 @dataclass(frozen=True)
@@ -71,10 +64,6 @@ class Lattice:
     @property
     def sqrt_dt(self) -> float:
         return self.grid.sqrt_dt
-
-    @property
-    def times(self) -> np.ndarray:
-        return self.grid.times
 
     def time_at(self, k: int) -> float:
         return (self.grid.step_offset + k) * self.grid.dt
@@ -151,29 +140,9 @@ class AdaptedField:
             )
         return self.slabs[k - self.level_lo]
 
-    def __getitem__(self, node) -> float:
-        k, j = node
-        values = self.at(k)
-        if not (0 <= j <= k):
-            raise LatticeError(f"node ({k}, {j}) does not exist")
-        return float(values[j])
-
     @classmethod
     def single(cls, lattice: Lattice, k: int, values) -> "AdaptedField":
         return cls(lattice, k, (np.asarray(values, dtype=float),))
-
-    @classmethod
-    def terminal(cls, lattice: Lattice, values) -> "AdaptedField":
-        return cls.single(lattice, lattice.steps, values)
-
-    @classmethod
-    def constant(cls, lattice: Lattice, k: int, value: float) -> "AdaptedField":
-        return cls.single(lattice, k, np.full(k + 1, float(value)))
-
-    @classmethod
-    def from_node_function(cls, lattice: Lattice, k: int, fn) -> "AdaptedField":
-        """Field at level k from a vectorized function of the Brownian value."""
-        return cls.single(lattice, k, fn(lattice.brownian_values(k)))
 
 
 def half_sum(next_values: np.ndarray) -> np.ndarray:
@@ -182,37 +151,13 @@ def half_sum(next_values: np.ndarray) -> np.ndarray:
     return 0.5 * (next_values[1:] + next_values[:-1])
 
 
-def cond_expect(lattice: Lattice, field_next: AdaptedField) -> AdaptedField:
-    """Exact conditional expectation of a single-level field one level down."""
-    if not field_next.is_single_level:
-        raise LatticeError("cond_expect expects a single-level field")
-    k = field_next.level_lo
-    if k < 1:
-        raise LatticeError("cannot condition a root-level field further down")
-    return AdaptedField.single(lattice, k - 1, half_sum(field_next.at(k)))
-
-
-def enumerate_paths(lattice: Lattice):
-    """All 2^N sign sequences, up-move first; each has probability 2^-N."""
-    n = lattice.steps
-    if n > MAX_PATH_LEVELS:
-        raise LatticeError(
-            f"path enumeration guarded at N <= {MAX_PATH_LEVELS}, got N = {n}"
-        )
-    return itertools.product((1, -1), repeat=n)
-
-
-def path_node(path: PathId, k: int) -> int:
-    """Up-count j of the node this path occupies at level k."""
-    return sum(1 for s in path[:k] if s > 0)
-
-
 @lru_cache(maxsize=32)
 def sign_matrix(n: int) -> np.ndarray:
-    """(2^n, n) matrix of path signs, row p = path p in enumeration order.
+    """(2^n, n) matrix of path signs, one row per path p = 0..2^n - 1.
 
-    Bit (n-1-k) of p encodes step k: 0 -> +1, 1 -> -1, so row 0 is the
-    all-up path and rows appear exactly as enumerate_paths yields them.
+    Bit (n-1-k) of p encodes step k: 0 -> +1 (up), 1 -> -1 (down).  Step 0
+    is the top bit, so row 0 is the all-up path, row 2^n - 1 the all-down
+    one, and the length-k prefix of path p is p >> (n - k).
     """
     if n > MAX_PATH_LEVELS:
         raise LatticeError(f"sign_matrix guarded at n <= {MAX_PATH_LEVELS}")
@@ -234,16 +179,3 @@ def prefix_up_counts(k: int) -> np.ndarray:
     counts.flags.writeable = False
     return counts
 
-
-def leaf_nodes(n: int) -> np.ndarray:
-    """Terminal node index j for every full path."""
-    return prefix_up_counts(n)
-
-
-def path_expectation(lattice: Lattice, terminal: AdaptedField) -> float:
-    """Mean of a terminal field over all 2^N equally likely paths."""
-    n = lattice.steps
-    if terminal.level_lo != n or not terminal.is_single_level:
-        raise LatticeError("path_expectation expects a terminal-level field")
-    values = terminal.at(n)
-    return float(values[leaf_nodes(n)].mean())

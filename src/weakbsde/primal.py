@@ -311,7 +311,8 @@ class GreedyPolicy:
 
 
 def attainment_check(surface: ValueSurface, m0: float) -> dict:
-    """Simulate the greedy policy and compare realized cost with the surface.
+    """Simulate the greedy policy and measure the gap between its realized
+    cost and the surface value.
 
     n_backups is the number of distinct (node, m) states the greedy policy
     re-optimized, out of the 2^N - 1 interior prefixes it steered.
@@ -325,13 +326,10 @@ def attainment_check(surface: ValueSurface, m0: float) -> dict:
                                   scheme=sc.scheme)
     realized = float(np.asarray(realized)[0])
     surface_value = float(value_curve(surface, m0)[0])
-    tol = 2.0 * surface.grid_slack + 1e-9
     return {
         "realized": realized,
         "surface_value": surface_value,
         "gap": abs(realized - surface_value),
-        "tol": tol,
-        "ok": abs(realized - surface_value) <= tol,
         "states": states,
         "controls": applied,
         "n_backups": policy.n_backups,
@@ -348,8 +346,9 @@ def monotonicity_violation(surface: ValueSurface) -> float:
     return worst
 
 
-def convexity_check(surface: ValueSurface, tol: float = 2e-3) -> dict:
-    """Midpoint convexity of the root slice (needs the shape flags)."""
+def convexity_check(surface: ValueSurface) -> dict:
+    """Worst midpoint-convexity violation of the root slice (needs the shape
+    flags)."""
     sc = surface.scenario
     if not (sc.driver_f.concave_in_yz and sc.driver_g.convex_in_yz
             and sc.loss.phi_convex):
@@ -362,7 +361,7 @@ def convexity_check(surface: ValueSurface, tol: float = 2e-3) -> dict:
     mid = 0.5 * (m1 + m2)
     v_mid = np.interp(mid.ravel(), g0, v0).reshape(mid.shape)
     violation = float(np.max(v_mid - 0.5 * (v0[:, None] + v0[None, :])))
-    return {"status": "checked", "violation": violation, "ok": violation <= tol}
+    return {"status": "checked", "violation": violation}
 
 
 def _continuity_base_fits(lo: float, hi: float, base_m: float) -> bool:
@@ -431,8 +430,8 @@ def dpp_check(surface: ValueSurface, k1: int, k2: int) -> dict:
     return {"residual": residual, "mode": mode}
 
 
-def apriori_bound_check(surface: ValueSurface, tol: float = 1e-9) -> dict:
-    """|V| must stay inside the a-priori envelope at every node."""
+def apriori_bound_check(surface: ValueSurface) -> dict:
+    """Largest excess of |V| over the a-priori envelope at any node."""
     sc = surface.scenario
     eta = apriori_bound_field(sc.lattice, sc.driver_g, sc.loss, scheme=sc.scheme)
     worst = -math.inf
@@ -441,13 +440,12 @@ def apriori_bound_check(surface: ValueSurface, tol: float = 1e-9) -> dict:
         for j in range(k + 1):
             worst = max(worst, float(np.max(np.abs(surface.values[k][j]))
                                      - bound[j]))
-    return {"excess": worst, "ok": worst <= tol}
+    return {"excess": worst}
 
 
-def restriction_check(surface: ValueSurface, k: int, j: int,
-                      tol: float = 1e-12) -> dict:
-    """Sub-tree consistency: solving the problem on the lattice rooted at
-    (k, j) reproduces the restriction of the global surface."""
+def restriction_check(surface: ValueSurface, k: int, j: int) -> dict:
+    """Sub-tree consistency: the largest gap between the problem solved on
+    the lattice rooted at (k, j) and the restriction of the global surface."""
     sc = surface.scenario
     lat = sc.lattice
     if not (0 <= k < lat.steps and 0 <= j <= k):
@@ -465,7 +463,7 @@ def restriction_check(surface: ValueSurface, k: int, j: int,
             v_glob = np.interp(g_sub, surface.grids[k + i][j + jj],
                                surface.values[k + i][j + jj])
             worst = max(worst, float(np.max(np.abs(v_sub - v_glob))))
-    return {"max_diff": worst, "ok": worst <= tol}
+    return {"max_diff": worst}
 
 
 # ---------------------------------------------------------------------------

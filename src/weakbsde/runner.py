@@ -2,7 +2,9 @@
 
 execute() drives one scenario end to end: primal surface -> value curve ->
 dual bounds -> the scenario's named checks, then writes curve.csv,
-surface.csv and report.json into the output directory.  Nothing in the
+surface.csv and report.json into the output directory.  The functions a
+check handler calls return measurements; the handler alone turns them
+into the check's verdict, against the scenario's tolerances.  Nothing in the
 default pipeline reads the clock or draws unseeded randomness, so a rerun
 with the same config produces byte-identical files.
 
@@ -68,35 +70,40 @@ def _verdict(ok: bool) -> str:
     return "PASS" if ok else "FAIL"
 
 
+def _at_most(name, measured, threshold, **detail):
+    """The entry of a check that passes when measured <= threshold."""
+    return _result(name, _verdict(measured <= threshold), measured, threshold,
+                   **detail)
+
+
+def _skipped(name, threshold, reason):
+    return _result(name, "SKIPPED", None, threshold, reason=reason)
+
+
 def _check_attainment(ctx):
     sc, surface = ctx["scenario"], ctx["surface"]
-    worst = 0.0
     tol = 2.0 * surface.grid_slack + sc.tolerances["attainment_extra"]
+    worst = 0.0
     for m in sc.m_list:
-        res = attainment_check(surface, m)
-        worst = max(worst, res["gap"])
-    return _result("attainment", _verdict(worst <= tol), worst, tol)
+        worst = max(worst, attainment_check(surface, m)["gap"])
+    return _at_most("attainment", worst, tol)
 
 
 def _check_monotonicity(ctx):
     sc, surface = ctx["scenario"], ctx["surface"]
-    tol = sc.tolerances["monotonicity"]
     worst = monotonicity_violation(surface)
-    curve = ctx["curve"]
-    order = np.argsort(sc.m_list)
-    sorted_vals = np.asarray(curve)[order]
+    sorted_vals = np.asarray(ctx["curve"])[np.argsort(sc.m_list)]
     if sorted_vals.size > 1:
         worst = max(worst, float(np.max(sorted_vals[:-1] - sorted_vals[1:])))
-    return _result("monotonicity", _verdict(worst <= tol), worst, tol)
+    return _at_most("monotonicity", worst, sc.tolerances["monotonicity"])
 
 
 def _check_convexity(ctx):
-    sc, surface = ctx["scenario"], ctx["surface"]
-    tol = sc.tolerances["convexity"]
-    res = convexity_check(surface, tol=tol)
+    tol = ctx["scenario"].tolerances["convexity"]
+    res = convexity_check(ctx["surface"])
     if res["status"] == "skipped":
-        return _result("convexity", "SKIPPED", None, tol, reason=res["reason"])
-    return _result("convexity", _verdict(res["ok"]), res["violation"], tol)
+        return _skipped("convexity", tol, res["reason"])
+    return _at_most("convexity", res["violation"], tol)
 
 
 def _check_continuity(ctx):
@@ -120,42 +127,37 @@ def _check_dpp(ctx):
 
 
 def _check_weak_duality(ctx):
-    sc, curve = ctx["scenario"], ctx["curve"]
+    sc, surface = ctx["scenario"], ctx["surface"]
     tol = sc.tolerances["weak_duality"]
-    duals = ctx["duals"]
-    if not duals:
-        return _result("weak_duality", "SKIPPED", None, tol,
-                       reason="dual search disabled for this scenario")
-    surface = ctx["surface"]
+    if not ctx["duals"]:
+        return _skipped("weak_duality", tol,
+                        "dual search disabled for this scenario")
     worst = -math.inf
-    for m, res in duals.items():
+    for m, res in ctx["duals"].items():
         primal = float(value_curve(surface, m)[0])
         for l, cert in res["trace"]:
             worst = max(worst, l * m - cert - primal)
-    return _result("weak_duality", _verdict(worst <= tol), worst, tol,
-                   meaning="max over trace of bound minus primal")
+    return _at_most("weak_duality", worst, tol,
+                    meaning="max over trace of bound minus primal")
 
 
 def _check_value_envelope(ctx):
-    sc, surface = ctx["scenario"], ctx["surface"]
-    tol = sc.tolerances["value_envelope"]
-    res = apriori_bound_check(surface, tol=tol)
-    return _result("value_envelope", _verdict(res["ok"]), res["excess"], tol)
+    return _at_most("value_envelope",
+                    apriori_bound_check(ctx["surface"])["excess"],
+                    ctx["scenario"].tolerances["value_envelope"])
 
 
 def _check_restriction(ctx):
-    sc, surface = ctx["scenario"], ctx["surface"]
+    sc = ctx["scenario"]
     tol = sc.tolerances["restriction"]
     if sc.lattice.steps < 2:
-        return _result("restriction", "SKIPPED", None, tol,
-                       reason="needs at least two levels")
-    res = restriction_check(surface, 1, 1, tol=tol)
-    return _result("restriction", _verdict(res["ok"]), res["max_diff"], tol)
+        return _skipped("restriction", tol, "needs at least two levels")
+    return _at_most("restriction",
+                    restriction_check(ctx["surface"], 1, 1)["max_diff"], tol)
 
 
 def _check_comparison(ctx):
     sc = ctx["scenario"]
-    tol = sc.tolerances["comparison"]
     rng = np.random.default_rng(sc.seed)
     n = sc.lattice.steps
     worst = -math.inf
@@ -166,12 +168,11 @@ def _check_comparison(ctx):
             res = comparison_check(sc.lattice, d, np.minimum(a, b),
                                    np.maximum(a, b), scheme=sc.scheme)
             worst = max(worst, res["max_violation"])
-    return _result("comparison", _verdict(worst <= tol), worst, tol)
+    return _at_most("comparison", worst, sc.tolerances["comparison"])
 
 
 def _check_roundtrip(ctx):
     sc = ctx["scenario"]
-    tol = sc.tolerances["roundtrip"]
     rng = np.random.default_rng(sc.seed + 1)
     n = sc.lattice.steps
     worst = 0.0
@@ -180,12 +181,11 @@ def _check_roundtrip(ctx):
             xi = rng.uniform(0.0, 1.0, n + 1)
             res = representation_roundtrip(sc.lattice, d, xi)
             worst = max(worst, res["max_error"])
-    return _result("roundtrip", _verdict(worst <= tol), worst, tol)
+    return _at_most("roundtrip", worst, sc.tolerances["roundtrip"])
 
 
 def _check_admissibility(ctx):
     sc, surface = ctx["scenario"], ctx["surface"]
-    tol = sc.tolerances["admissibility"]
     rng = np.random.default_rng(sc.seed + 2)
     lat = sc.lattice
     corridor = surface.corridor
@@ -201,16 +201,16 @@ def _check_admissibility(ctx):
             truncate_at_floor(lat, sc.driver_f, corridor, raw))
         res = admissible(lat, sc.driver_f, corridor, mu0, policy)
         worst = max(worst, res["worst_violation"])
-    return _result("admissibility", _verdict(worst <= tol), worst, tol,
-                   note="random policies truncated at both corridor edges")
+    return _at_most("admissibility", worst, sc.tolerances["admissibility"],
+                    note="random policies truncated at both corridor edges")
 
 
 def _check_equivalence(ctx):
     sc, surface = ctx["scenario"], ctx["surface"]
     tol = sc.tolerances["equivalence"]
     if sc.lattice.steps > 3:
-        return _result("equivalence", "SKIPPED", None, tol,
-                       reason="exhaustive oracles capped at 3 levels")
+        return _skipped("equivalence", tol,
+                        "exhaustive oracles capped at 3 levels")
     prim = ctx["primal_scenario"]
     worst = 0.0
     for m in sc.m_list:
@@ -218,8 +218,8 @@ def _check_equivalence(ctx):
         pol = brute_force_policy_value(prim, m)["value"]
         weak = brute_force_weak_formulation(prim, m)["value"]
         worst = max(worst, abs(dp - pol), abs(dp - weak), abs(pol - weak))
-    return _result("equivalence", _verdict(worst <= tol), worst, tol,
-                   meaning="max pairwise gap dp/policy-enum/leaf-search")
+    return _at_most("equivalence", worst, tol,
+                    meaning="max pairwise gap dp/policy-enum/leaf-search")
 
 
 CHECK_HANDLERS = {
@@ -301,6 +301,20 @@ def _in_stage(stage: str, exc: Exception) -> Exception:
     return staged if staged.args == (msg,) else RuntimeError(msg)
 
 
+def dual_bounds(sc: Scenario) -> list:
+    """(m, dual_bound result) for each threshold of sc.dual_m_list, in order.
+
+    The searches share one slope -> certificate dict, which lives only as
+    long as this call: a certificate does not depend on the threshold, but
+    it does on the lattice, drivers, loss and rounds of the scenario.
+    """
+    certificates = {}
+    return [(m, dual_bound(sc.lattice, sc.driver_f, sc.driver_g, sc.loss, m,
+                           l_max=sc.l_max, rounds=sc.dual_rounds,
+                           certificates=certificates))
+            for m in sc.dual_m_list]
+
+
 def execute(sc: Scenario, out_dir=None, quiet: bool = False) -> dict:
     """Run the full pipeline for one scenario; returns the report dict."""
     stage = "primal surface"
@@ -310,14 +324,7 @@ def execute(sc: Scenario, out_dir=None, quiet: bool = False) -> dict:
         stage = "value curve"
         curve = np.asarray(value_curve(surface, sc.m_list), dtype=float)
         stage = "dual bound"
-        duals = {}
-        if sc.dual_enabled:
-            certificates = {}   # slope -> certificate, shared by the m_list
-            for m in sc.dual_m_list:
-                duals[m] = dual_bound(sc.lattice, sc.driver_f, sc.driver_g,
-                                      sc.loss, m, l_max=sc.l_max,
-                                      rounds=sc.dual_rounds,
-                                      certificates=certificates)
+        duals = dict(dual_bounds(sc)) if sc.dual_enabled else {}
     except Exception as exc:
         raise _in_stage(stage, exc) from exc
 

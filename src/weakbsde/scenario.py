@@ -114,6 +114,9 @@ def _section(config: dict, key: str, default: dict) -> dict:
 
 
 def _as_number(value, where: str) -> float:
+    # float(True) is 1.0, but a JSON boolean is not a number
+    if isinstance(value, bool):
+        raise ScenarioError(f"{where} must be a number, got {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError):
@@ -130,6 +133,8 @@ def _as_positive_number(value, where: str) -> float:
 def _thresholds(values, where: str) -> tuple:
     """A nonempty threshold list: numbers in [0, 1]."""
     try:
+        if any(isinstance(m, bool) for m in values):
+            raise TypeError
         out = tuple(float(m) for m in values)
     except (TypeError, ValueError):
         raise ScenarioError(f"{where} must be a list of numbers, "
@@ -159,8 +164,9 @@ def build_scenario(config: dict) -> Scenario:
     _require_keys(lat_cfg, ("horizon", "steps"), "lattice")
     horizon = _as_positive_number(lat_cfg.get("horizon", 1.0), "lattice.horizon")
     steps = lat_cfg.get("steps", 8)
-    if not isinstance(steps, int) or isinstance(steps, bool):
-        raise ScenarioError(f"lattice.steps must be an integer, got {steps!r}")
+    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
+        raise ScenarioError(f"lattice.steps must be a positive integer, "
+                            f"got {steps!r}")
     if steps > MAX_PATH_LEVELS:
         raise ScenarioError(
             f"lattice.steps = {steps} exceeds the path enumeration guard "
@@ -292,11 +298,6 @@ def load_config(path) -> dict:
     if not isinstance(config, dict):
         raise ScenarioError(f"{path}: top-level JSON value must be an object")
     return config
-
-
-def parse_scenario(path) -> Scenario:
-    """Load and validate a JSON scenario file."""
-    return build_scenario(load_config(path))
 
 
 # ---------------------------------------------------------------------------

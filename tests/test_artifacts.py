@@ -152,8 +152,10 @@ BRANCH_CONFIG = {
     "loss": {"name": "power", "params": {"p": 2.0}},
     "primal": {"grid_size": 81, "n_a": 9, "m_list": [0.25, 0.5]},
     "dual": {"enabled": False},
-    "checks": ["weak_duality", "equivalence", "continuity", "dpp"],
-    "tolerances": {"continuity_exponent": 5.0, "dpp_multi_factor": 1e-300},
+    "checks": ["weak_duality", "equivalence", "continuity", "dpp",
+               "convexity"],
+    "tolerances": {"continuity_exponent": 5.0, "dpp_multi_factor": 1e-300,
+                   "convexity": 1e-300},
 }
 
 
@@ -175,6 +177,8 @@ def test_skipped_and_failed_check_entries_are_pinned():
         {"check": "dpp", "status": "FAIL", "measured": 7.812500000003997e-05,
          "threshold": 1.2500000000000068e-302,
          "detail": {"one_step_residual": 0.0}},
+        {"check": "convexity", "status": "FAIL",
+         "measured": 1.1102230246251565e-16, "threshold": 1e-300},
     ]
 
 

@@ -1,22 +1,28 @@
-"""Grid, adapted-field, and path-enumeration plumbing."""
+"""Grid, adapted-field, and path-prefix plumbing."""
 
 import numpy as np
 import pytest
 
-from weakbsde.lattice import (MAX_LEVELS, AdaptedField, LatticeError, TimeGrid,
-                              build_lattice, cond_expect, enumerate_paths,
-                              half_sum, leaf_nodes, path_expectation, path_node,
+from weakbsde.bsde import solve_bsde
+from weakbsde.drivers import make_driver
+from weakbsde.lattice import (MAX_LEVELS, AdaptedField, Lattice, LatticeError,
+                              TimeGrid, build_lattice, half_sum,
                               prefix_up_counts, sign_matrix)
+
+
+def _times(grid):
+    lat = Lattice(grid)
+    return [lat.time_at(k) for k in range(grid.steps + 1)]
 
 
 def test_time_grid_times_and_offset():
     grid = TimeGrid(1.0, 4)
     assert grid.dt == 0.25
-    np.testing.assert_allclose(grid.times, [0.0, 0.25, 0.5, 0.75, 1.0])
+    np.testing.assert_allclose(_times(grid), [0.0, 0.25, 0.5, 0.75, 1.0])
 
     shifted = TimeGrid(0.5, 4, step_offset=2)
     assert shifted.dt == 0.125
-    np.testing.assert_allclose(shifted.times,
+    np.testing.assert_allclose(_times(shifted),
                                [0.25, 0.375, 0.5, 0.625, 0.75])
 
 
@@ -45,13 +51,13 @@ def test_brownian_values_are_centered_multiples_of_sqrt_dt():
 
 
 def test_half_sum_matches_cond_expect_field():
+    # under the zero driver the solver's level-4 value is the conditional
+    # expectation of the terminal field
     lat = build_lattice(1.0, 5)
     rng = np.random.default_rng(7)
     vals = rng.normal(size=6)
-    field = AdaptedField.single(lat, 5, vals)
-    down = cond_expect(lat, field)
-    assert down.level_lo == 4
-    np.testing.assert_allclose(down.at(4), half_sum(vals))
+    sol = solve_bsde(lat, make_driver("zero"), vals)
+    np.testing.assert_allclose(sol.y.at(4), half_sum(vals))
     np.testing.assert_allclose(half_sum(vals), 0.5 * (vals[1:] + vals[:-1]))
 
 
@@ -64,16 +70,12 @@ def test_adapted_field_shape_and_level_errors():
         field.at(1)  # below the stored range
     with pytest.raises(LatticeError):
         field.at(3)
-    const = AdaptedField.constant(lat, 2, 0.5)
+    const = AdaptedField.single(lat, 2, np.full(3, 0.5))
     np.testing.assert_allclose(const.at(2), [0.5, 0.5, 0.5])
-    term = AdaptedField.terminal(lat, np.arange(4.0))
+    term = AdaptedField.single(lat, 3, np.arange(4.0))
     assert term.level_lo == 3 and term.is_single_level
-
-
-def test_from_node_function_evaluates_brownian_state():
-    lat = build_lattice(1.0, 4)
-    field = AdaptedField.from_node_function(lat, 4, np.tanh)
-    np.testing.assert_allclose(field.at(4), np.tanh(lat.brownian_values(4)))
+    with pytest.raises(LatticeError):
+        AdaptedField.single(lat, 4, np.zeros(5))  # deeper than the lattice
 
 
 def test_sign_matrix_frozen_for_three_levels():
@@ -87,7 +89,7 @@ def test_sign_matrix_frozen_for_three_levels():
 
 
 def test_leaf_nodes_count_up_moves():
-    leaves = leaf_nodes(3)
+    leaves = prefix_up_counts(3)  # the terminal node of every full path
     np.testing.assert_array_equal(leaves, [3, 2, 2, 1, 2, 1, 1, 0])
     mat = sign_matrix(3)
     np.testing.assert_array_equal(leaves, (mat > 0).sum(axis=1))
@@ -100,13 +102,13 @@ def test_prefix_up_counts_matches_sign_matrix():
 
 
 def test_path_node_walks_the_recombining_indices():
-    lat = build_lattice(1.0, 3)
-    paths = list(enumerate_paths(lat))
+    # walking each path's signs visits the node its length-k prefix names
+    paths = sign_matrix(3)
     assert len(paths) == 8
-    for path in paths:
+    for p, path in enumerate(paths):
         j = 0
         for k in range(4):
-            assert path_node(path, k) == j
+            assert prefix_up_counts(k)[p >> (3 - k)] == j
             if k < 3:
                 j += 1 if path[k] > 0 else 0
 
@@ -116,8 +118,9 @@ def test_path_expectation_equals_binomial_mean():
     rng = np.random.default_rng(42)
     for _ in range(20):
         vals = rng.normal(size=7)
-        field = AdaptedField.single(lat, 6, vals)
         expected = vals
         for _ in range(6):
             expected = half_sum(expected)
-        assert abs(path_expectation(lat, field) - expected[0]) < 1e-12
+        # every one of the 2^6 paths is equally likely
+        path_mean = vals[prefix_up_counts(lat.steps)].mean()
+        assert abs(path_mean - expected[0]) < 1e-12

@@ -9,8 +9,7 @@ import pytest
 from weakbsde.cli import main
 from weakbsde.runner import CHECK_HANDLERS, execute
 from weakbsde.scenario import (ScenarioError, build_scenario, catalogue,
-                               catalogue_scenario, config_sha256,
-                               parse_scenario)
+                               catalogue_scenario, config_sha256, load_config)
 
 
 def _minimal(**overrides):
@@ -75,6 +74,21 @@ def test_check_names_and_lists_validated():
     for bad in (5, "dpp", {"dpp": 1}, ["dpp", 5], None):
         with pytest.raises(ScenarioError, match="checks must be"):
             build_scenario(_minimal(checks=bad))
+    for bad in (0, -3, True, 4.0):
+        with pytest.raises(ScenarioError, match=r"lattice\.steps"):
+            build_scenario(_minimal(lattice={"horizon": 1.0, "steps": bad}))
+    # JSON booleans are not numbers, though float(True) == 1.0
+    with pytest.raises(ScenarioError, match=r"lattice\.horizon"):
+        build_scenario(_minimal(lattice={"horizon": True, "steps": 4}))
+    with pytest.raises(ScenarioError, match=r"primal\.m_list"):
+        build_scenario(_minimal(primal={"grid_size": 81, "m_list": [True]}))
+    with pytest.raises(ScenarioError, match=r"dual\.m_list"):
+        build_scenario(_minimal(dual={"m_list": [0.5, False]}))
+    with pytest.raises(ScenarioError, match=r"primal\.continuity_base"):
+        build_scenario(_minimal(primal={"grid_size": 81,
+                                        "continuity_base": False}))
+    with pytest.raises(ScenarioError, match=r"tolerances\.monotonicity"):
+        build_scenario(_minimal(tolerances={"monotonicity": True}))
 
 
 def test_config_hash_ignores_key_order():
@@ -97,11 +111,11 @@ def test_catalogue_is_stable_and_buildable():
         catalogue_scenario("nope")
 
 
-def test_parse_scenario_reports_json_position(tmp_path):
+def test_load_config_reports_json_position(tmp_path):
     bad = tmp_path / "broken.json"
     bad.write_text('{"name": "x",\n  "oops }')
     with pytest.raises(ScenarioError, match="line 2"):
-        parse_scenario(bad)
+        load_config(bad)
 
 
 def test_execute_writes_stable_artifacts(tmp_path):
