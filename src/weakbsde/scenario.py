@@ -133,12 +133,13 @@ def _as_positive_number(value, where: str) -> float:
 def _thresholds(values, where: str) -> tuple:
     """A nonempty threshold list: numbers in [0, 1]."""
     try:
-        if any(isinstance(m, bool) for m in values):
-            raise TypeError
         out = tuple(float(m) for m in values)
     except (TypeError, ValueError):
+        out = None
+    # float(True) is 1.0, but a JSON boolean is not a number
+    if out is None or any(isinstance(m, bool) for m in values):
         raise ScenarioError(f"{where} must be a list of numbers, "
-                            f"got {values!r}") from None
+                            f"got {values!r}")
     if not out:
         raise ScenarioError(f"{where} must be nonempty")
     if any(not (0.0 <= m <= 1.0) for m in out):
