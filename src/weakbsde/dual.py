@@ -21,33 +21,48 @@ certificate over the profiles by coordinate descent (an upper bound on
 the true infimum, which keeps the inequality safe), and dual_bound
 maximizes l m - dual_value(l) over l by golden-section search.
 
-The coordinate scan is batched.  For one profile entry (i, k), every
-window value is scored in one vectorized pass against the incumbent's
-cached panels: levels up to k are shared, only the moved adjoint is
-recomputed from level k on, and only the step-k conjugate is evaluated.
-The pass works on the path-prefix tree: sign_matrix keeps step 0 in the
+Slopes are priced in batches.  The incumbent (_Incumbent) holds one
+candidate per slope, on a leading slope axis of every array, and
+dual_values runs the coordinate descents of all of them at once:
+dual_value is its one-slope case.  A step of the descent builds every
+slope's window together (clipped, deduplicated, without the centre and cut
+to the slope's remaining budget, so the windows are ragged), concatenates
+the windows with an owner index, scores them in one scan, and moves each
+slope to its own argmin, the first one on ties and never a NaN, only when
+it is strictly below that slope's incumbent.  Each slope keeps its own
+evaluation count, move count and budget, so a batch returns, slope for
+slope, what dual_value returns alone.  The incumbent's own value is never
+re-scored.
+
+A slope's certificate does not depend on the threshold m, so the
+golden-section search is written once, as a routine that yields the next
+slope it wants priced.  dual_bound drives one such search for one m,
+reading and filling a slope -> certificate dict; lockstep_certificates
+drives one search per threshold of a scenario in lockstep and prices the
+distinct new slopes of each step in one dual_values call.  A batch holds
+at most SCAN_PAIRS // 2^N slopes (one from N = 16 on), so a batch's
+slopes x paths stay within one scan pass.
+
+Everything works on the path-prefix tree: sign_matrix keeps step 0 in the
 top bit, so a level-j quantity depends only on a path's first j signs and
-is constant on each run of 2^(N-j) rows.  The moved adjoint and its
-running term are built on those 2^j prefixes, level by level, and each
-level is spread into the per-path terms panel by one broadcast.
-The scan moves to the argmin, the first one on ties and never a NaN, and
-only when it is strictly below the incumbent: the same move as trying
-the values in order and keeping each strict improvement.  The incumbent's
-own value is never re-scored; the in-order search did so, to no effect,
-whenever an earlier window value had already beaten it.
+is held once per length-j prefix, 2^j values.  The incumbent keeps each
+adjoint and running term that way, one array per level; an accepted move
+rebuilds the moved adjoint from level k and the running terms, in one call
+for every slope that moved at that coordinate.  A scan builds the moved
+adjoint and its running terms level by level on the prefixes, and forms
+each path's running sum on the prefixes too (_path_sums), so no (candidate,
+path, step) panel exists: a scan's largest arrays are (candidate, path),
+about 50 KB at 24 candidates on 256 paths, below glibc's 128 KB mmap
+threshold.
 
 Every score is bit-for-bit the dual_objective value of its candidate, so
 the accepted controls, the bounds and the reports do not depend on the
-batching.  Both paths build step factors with one expression
-(_factors), multiply them left to right (no closed-form expectations),
-sum each path's running terms over a contiguous row of length N and
-average the 2^N path totals in one mean; dual_objective is the
-single-candidate case of the same panels and the same scoring kernel.
-
-A slope's certificate does not depend on the threshold m, so dual_bound
-takes a slope -> certificate dict that the searches for several
-thresholds of one scenario share: each distinct slope is priced once, and
-every trace and bound equals that of an independent search.
+batching.  Every path multiplies its step factors, built with one
+expression (_factors), left to right (no closed-form expectations), sums
+its running terms in the order ndarray.sum takes over a contiguous row of
+N (numpy's pairwise sum, which _path_sums reproduces) and the 2^N path
+totals are averaged in one mean; dual_objective is the single-candidate
+case of the same levels and the same scoring kernel.
 """
 from __future__ import annotations
 
@@ -64,10 +79,11 @@ from .primal import ValueSurface, attainment_check
 
 POSITIVITY_MARGIN = 1e-6
 # (candidate, path) pairs one pass of the coordinate scan holds at most, so
-# a pass stays near SCAN_PAIRS * N doubles however deep the lattice is
+# a pass's arrays stay at SCAN_PAIRS doubles however deep the lattice is; a
+# batch of slopes holds at most SCAN_PAIRS paths over all its slopes
 SCAN_PAIRS = 2**16
-# step signs in sign_matrix bit order: 0 is an up step, 1 a down step
-UP_DOWN = np.array([1, -1], dtype=np.int8)
+# the two step signs in sign_matrix order: an up step, then a down step
+UP_DOWN = sign_matrix(1)[:, 0]
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -161,90 +177,151 @@ def _factors(drift, noise, signs, dt: float, sq: float):
     return 1.0 + drift * dt + noise * signs * sq
 
 
-def _certificate_terms(terms, l_end, a_end, dt: float, lp: LossPair):
-    """Per-path certificate: running sum over each row of terms, times dt,
-    plus L_N poltil(A_N / L_N).  Leading axes (candidates, paths) are free;
-    the mean over paths is left to the caller."""
-    running = terms.sum(axis=-1) * dt
+def _add(x, y):
+    """x + y for two quantities on the prefix tree, (rows, prefixes) each:
+    the one on fewer prefixes is spread over the other's.  Both operand
+    orders give the same bits, since floating-point addition commutes."""
+    if x.shape[-1] > y.shape[-1]:
+        x, y = y, x
+    rows, width = x.shape
+    return (x[..., None] + y.reshape(rows, width, -1)).reshape(rows, -1)
+
+
+def _children(x, fac):
+    """x on the two children of each prefix, up then down: x * fac[:, 0]
+    and x * fac[:, 1], interleaved; x is (rows, prefixes), fac (rows, 2)."""
+    out = np.empty(x.shape + (2,))
+    np.multiply(x, fac[:, :1], out=out[..., 0])
+    np.multiply(x, fac[:, 1:], out=out[..., 1])
+    return out.reshape(x.shape[0], -1)
+
+
+def _path_sums(cols):
+    """Each path's sum of its running terms; cols[j] is step j's term on
+    the level-j prefixes, and the sums live on the prefixes of the last.
+
+    The sums are bit for bit those of ndarray.sum over a path's contiguous
+    row of terms, which numpy computes as 0.0 plus its pairwise sum:
+    sequential below eight terms, else eight interleaved partial sums
+    combined as a tree, then the rest in order.  On the prefix tree every
+    partial sum is formed once per prefix it depends on.
+    """
+    n = len(cols)
+    if n < 8:
+        total = cols[0]
+        for col in cols[1:]:
+            total = _add(total, col)
+    else:
+        part = list(cols[:8])
+        rest = n - n % 8
+        for i in range(8, rest, 8):
+            part = [_add(a, col) for a, col in zip(part, cols[i:i + 8])]
+        total = _add(_add(_add(part[0], part[1]), _add(part[2], part[3])),
+                     _add(_add(part[4], part[5]), _add(part[6], part[7])))
+        for col in cols[rest:]:
+            total = _add(total, col)
+    return 0.0 + total
+
+
+def _certificate_terms(cols, l_end, a_end, dt: float, lp: LossPair):
+    """Per-path certificate: the path's running sum (_path_sums of cols)
+    times dt, plus L_N poltil(A_N / L_N); l_end and a_end are (rows,
+    paths), and the mean over paths is left to the caller."""
     ratio = a_end / l_end
     polar = np.asarray(lp.polar(ratio.ravel()), dtype=float)
-    return running + l_end * polar.reshape(ratio.shape)
+    return _add(_path_sums(cols) * dt, l_end * polar.reshape(ratio.shape))
 
 
 class _Incumbent:
-    """One feasible candidate with its adjoint panels over all 2^N paths.
+    """One feasible candidate per slope, with its adjoints and running terms
+    on the path-prefix tree; the leading axis of every array is the slope.
 
-    prefix[0] is L and prefix[1] is A / slope at every level, (2^N, N+1),
-    each a left-to-right product of step factors; terms is the running
-    integrand L_k gtil_k - A_k ftil_k, (2^N, N).  scan scores every value of
-    one profile entry against these panels and move adopts one of them.
+    A level-j quantity depends only on a path's first j signs, so it is
+    held once per length-j prefix, in sign_matrix order (prefix p has
+    children 2p, up, and 2p + 1, down).  adjoints[0][j] is L and
+    adjoints[1][j] is A / slope at level j, (S, 2^j), each a left-to-right
+    product of step factors; terms[j] is the running integrand
+    L_j gtil_j - A_j ftil_j, (S, 2^j); profiles and conj hold each slope's
+    four step profiles and two conjugate profiles, (S, N).  scan scores
+    candidate values of one profile entry, each against its own slope's
+    levels, and move adopts one candidate for each of several slopes.
     Building one runs every check dual_objective makes, and raises the same.
     """
 
-    def __init__(self, lattice: Lattice, dc: DualControls, d_f: Driver,
-                 d_g: Driver):
+    def __init__(self, lattice: Lattice, controls, d_f: Driver, d_g: Driver):
         if lattice.steps > MAX_PATH_LEVELS:
             raise LatticeError(
                 f"path enumeration capped at {MAX_PATH_LEVELS} levels"
             )
-        _require_factors(lattice, dc)
-        ft, gt = _conjugate_profiles(lattice, dc, d_f, d_g)
+        conj = []
+        for dc in controls:
+            _require_factors(lattice, dc)
+            conj.append(_conjugate_profiles(lattice, dc, d_f, d_g))
+        n = lattice.steps
         self.lattice = lattice
         self.drivers = (d_g, d_f)
-        self.signs = signs = sign_matrix(lattice.steps)
-        self.slope = dc.slope
-        self.profiles = [np.array(p) for p in (dc.value_drift, dc.value_noise,
-                                               dc.threshold_drift,
-                                               dc.threshold_noise)]
-        self.conj = [gt, ft]
-        shape = (signs.shape[0], lattice.steps + 1)
-        self.prefix = [np.ones(shape), np.ones(shape)]
-        for which in (0, 1):
-            self._advance(which, 0)
-        self.terms = np.empty((signs.shape[0], lattice.steps))
-        self._fill_terms(0)
+        self.slopes = np.array([dc.slope for dc in controls], dtype=float)
+        self.profiles = [np.array([getattr(dc, name) for dc in controls])
+                         for name in ("value_drift", "value_noise",
+                                      "threshold_drift", "threshold_noise")]
+        self.conj = [np.array([gt for _, gt in conj]),
+                     np.array([ft for ft, _ in conj])]
+        s = len(controls)
+        self.adjoints = [[np.ones((s, 2**j)) for j in range(n + 1)]
+                         for _ in (0, 1)]
+        self.terms = [np.empty((s, 2**j)) for j in range(n)]
+        # A first (its running terms are provisional while L is all ones),
+        # then L, which rebuilds the running terms from both
+        every = np.arange(s)
+        for which in (1, 0):
+            self._rebuild(which, 0, every)
 
-    # both updates run one level at a time, so that no temporary is larger
-    # than a column: the panels themselves are the memory peak
-
-    def _advance(self, which: int, k: int) -> None:
-        """Recompute adjoint `which` at levels k+1..N from level k."""
+    def _rebuild(self, which: int, k: int, slopes: np.ndarray) -> None:
+        """Rebuild, for the given slopes, adjoint `which` at levels k+1..N
+        from level k, and the running terms from level k, one level at a
+        time."""
         lat = self.lattice
-        drift, noise = self.profiles[2 * which:2 * which + 2]
-        panel = self.prefix[which]
+        levels, other = self.adjoints[which], self.adjoints[1 - which]
+        drift, noise = (p[slopes, k:, None]
+                        for p in self.profiles[2 * which:2 * which + 2])
+        facs = _factors(drift, noise, UP_DOWN, lat.dt, lat.sqrt_dt)
+        gt, ft = (c[slopes, k:, None] for c in self.conj)
+        slope = self.slopes[slopes, None]
+        level = levels[k][slopes]
         for j in range(k, lat.steps):
-            fac = _factors(drift[j], noise[j], self.signs[:, j], lat.dt,
-                           lat.sqrt_dt)
-            np.multiply(panel[:, j], fac, out=panel[:, j + 1])
+            at = j - k
+            if which == 0:
+                term = level * gt[:, at] - slope * other[j][slopes] * ft[:, at]
+            else:
+                term = other[j][slopes] * gt[:, at] - slope * level * ft[:, at]
+            self.terms[j][slopes] = term
+            level = _children(level, facs[:, at])
+            levels[j + 1][slopes] = level
 
-    def _fill_terms(self, k: int) -> None:
-        l_pan, p_pan = self.prefix
-        gt, ft = self.conj
-        for j in range(k, self.lattice.steps):
-            self.terms[:, j] = l_pan[:, j] * gt[j] \
-                - self.slope * p_pan[:, j] * ft[j]
-
-    def value(self, lp: LossPair) -> float:
-        l_pan, p_pan = self.prefix
-        paths = _certificate_terms(self.terms[None], l_pan[None, :, -1],
-                                   self.slope * p_pan[None, :, -1],
+    def value(self, lp: LossPair) -> np.ndarray:
+        """Each slope's certificate, (S,)."""
+        l_end, p_end = (levels[-1] for levels in self.adjoints)
+        paths = _certificate_terms(self.terms, l_end,
+                                   self.slopes[:, None] * p_end,
                                    self.lattice.dt, lp)
-        return float(paths.mean(axis=-1)[0])
+        return paths.mean(axis=-1)
 
-    def scan(self, i: int, k: int, vals: np.ndarray, lp: LossPair) -> tuple:
-        """Certificates of the candidates that set profile i at step k to
-        each of vals, and their step-k conjugates.
+    def scan(self, i: int, k: int, vals: np.ndarray, owner: np.ndarray,
+             lp: LossPair) -> tuple:
+        """Certificates of the candidates that set profile i at step k of
+        slope owner[c] to vals[c], and their step-k conjugates.
 
         A candidate that fails a feasibility check scores +inf, exactly as
-        its own dual_objective call would raise.  The incumbent passed every
-        check at every other step, so only step k is tested.  Candidates go
-        through in passes of at most SCAN_PAIRS (candidate, path) pairs,
-        whole candidates while 2^N fits and path ranges of one beyond.
+        its own dual_objective call would raise.  The incumbent passed
+        every check at every other step, so only step k is tested.
+        Candidates go through in passes of at most SCAN_PAIRS (candidate,
+        path) pairs, whole candidates while 2^N fits and path ranges of one
+        beyond.
         """
         lat = self.lattice
         which = i // 2
-        drift = np.full(vals.size, self.profiles[2 * which][k])
-        noise = np.full(vals.size, self.profiles[2 * which + 1][k])
+        drift = self.profiles[2 * which][owner, k]
+        noise = self.profiles[2 * which + 1][owner, k]
         (noise if i % 2 else drift)[:] = vals
         conj_fn = concave_conjugate if which else convex_conjugate
         conj = np.asarray(conj_fn(self.drivers[which], drift, noise),
@@ -254,7 +331,7 @@ class _Incumbent:
                                   & (low >= POSITIVITY_MARGIN)
                                   & np.isfinite(conj))
         scores = np.full(vals.size, math.inf)
-        n_paths = self.signs.shape[0]
+        n_paths = 2**lat.steps
         per_pass = max(1, SCAN_PAIRS // n_paths)
         rows_per_pass = min(n_paths, SCAN_PAIRS)
         for start in range(0, feasible.size, per_pass):
@@ -262,79 +339,82 @@ class _Incumbent:
             paths = np.empty((idx.size, n_paths))
             for row in range(0, n_paths, rows_per_pass):
                 rows = slice(row, row + rows_per_pass)
-                paths[:, rows] = self._pass(which, k, drift[idx, None],
-                                            noise[idx, None], conj[idx],
-                                            rows, lp)
+                paths[:, rows] = self._pass(which, k, owner[idx], drift[idx],
+                                            noise[idx], conj[idx], rows, lp)
             scores[idx] = paths.mean(axis=-1)
         return scores, conj
 
-    def _pass(self, which, k, drift, noise, conj, rows, lp):
-        """Per-path certificates of candidates (rows of drift, noise, conj)
-        that move adjoint `which` at step k, on the path range rows.
+    def _pass(self, which, k, owner, drift, noise, conj, rows, lp):
+        """Per-path certificates of candidates (entries of drift, noise,
+        conj, each of slope owner[c]) that move adjoint `which` at step k,
+        on the path range rows.
 
-        rows is an aligned power-of-two range, and sign_matrix keeps step 0
-        in the top bit, so at level j the range holds the prefixes of length
-        j as runs of `stride` rows.  The moved adjoint and its running term
-        are built once per prefix, level by level, and each level's terms
-        are spread over their runs by one broadcast.
+        rows is an aligned power-of-two range, so at level j it holds a run
+        of max(1, R / 2^(N-j)) consecutive prefixes.  Every level-j quantity
+        is formed once per prefix: the incumbent's running terms before step
+        k; from step k on the moved adjoint, level by level, and its running
+        term; and the partial sums of _path_sums over them.
         """
         lat = self.lattice
         n = lat.steps
-        c = drift.shape[0]
         size = rows.stop - rows.start
-        slope = self.slope
-        l_pan, p_pan = self.prefix
-        gt, ft = self.conj
-        terms = np.empty((c, size, n))
-        terms[..., :k] = self.terms[rows, :k]
-        # per step from k on, the moved adjoint's conjugate and its factor
-        # for each sign: the candidates' at step k, (c, 1) and (c, 1, 2),
-        # then the incumbent's, a scalar and (2,)
-        conjs = [conj[:, None], *self.conj[which][k + 1:]]
-        facs = [_factors(drift[..., None], noise[..., None], UP_DOWN,
-                         lat.dt, lat.sqrt_dt),
-                *_factors(self.profiles[2 * which][k + 1:, None],
-                          self.profiles[2 * which + 1][k + 1:, None],
-                          UP_DOWN, lat.dt, lat.sqrt_dt)]
-        # the moved adjoint at level k is shared by every candidate; from
-        # there it takes the candidate factor, then the incumbent's, in the
-        # left-to-right order of a full panel
-        stride = min(2**(n - k), size)
-        moved = self.prefix[which][rows.start:rows.stop:stride, k]
-        for j, step_conj, fac in zip(range(k, n), conjs, facs):
-            level = slice(rows.start, rows.stop, stride)
+        # the range's prefixes at each level
+        span = [slice(rows.start >> (n - j),
+                      (rows.start >> (n - j)) + max(1, size >> (n - j)))
+                for j in range(n + 1)]
+        slope = self.slopes[owner, None]
+        cols = [self.terms[j][owner, span[j]] for j in range(k)]
+        # from step k on: both conjugate profiles, and the moved adjoint's
+        # step profiles, each with the candidate's values at step k, and
+        # from them the moved adjoint's factor for each sign
+        gt, ft = (x[owner, k:, None] for x in self.conj)
+        moved_conj = (gt, ft)[which]      # a gathered copy, free to edit
+        moved_conj[:, 0, 0] = conj
+        profiles = [p[owner, k:, None]
+                    for p in self.profiles[2 * which:2 * which + 2]]
+        profiles[0][:, 0, 0] = drift
+        profiles[1][:, 0, 0] = noise
+        facs = _factors(profiles[0], profiles[1], UP_DOWN, lat.dt, lat.sqrt_dt)
+        # the moved adjoint at level k is shared by every candidate of a
+        # slope; from there it takes the candidate factor, then the
+        # incumbent's, in the left-to-right order of the incumbent's levels
+        moved = self.adjoints[which][k][owner, span[k]]
+        other = self.adjoints[1 - which]
+        for j in range(k, n):
+            at = j - k
             if which == 0:
-                term = moved * step_conj - slope * p_pan[level, j] * ft[j]
+                cols.append(moved * moved_conj[:, at]
+                            - slope * other[j][owner, span[j]] * ft[:, at])
             else:
-                term = l_pan[level, j] * gt[j] - slope * moved * step_conj
-            terms.reshape(c, size // stride, stride, n)[..., j] = \
-                term[..., None]
-            if stride <= 2**(n - j - 1):
+                cols.append(other[j][owner, span[j]] * gt[:, at]
+                            - slope * moved * moved_conj[:, at])
+            if size <= 2**(n - j - 1):
                 # the range lies inside one level-(j+1) subtree: its sign
                 # at step j is the range's bit for that step
                 bit = (rows.start >> (n - 1 - j)) & 1
-                fac = fac[..., bit:bit + 1]
+                moved = moved * facs[:, at, bit:bit + 1]
             else:
-                stride //= 2
-            moved = (moved[..., None] * fac).reshape(c, -1)
+                moved = _children(moved, facs[:, at])
         if which == 0:
-            l_end, a_end = moved, slope * p_pan[rows, -1]
+            l_end, a_end = moved, slope * other[n][owner, rows]
         else:
-            l_end, a_end = l_pan[rows, -1], slope * moved
-        return _certificate_terms(terms, l_end, a_end, lat.dt, lp)
+            l_end, a_end = other[n][owner, rows], slope * moved
+        return _certificate_terms(cols, l_end, a_end, lat.dt, lp)
 
-    def move(self, i: int, k: int, val: float, conj: float) -> None:
-        """Adopt the scanned candidate that sets profile i at step k to val."""
-        self.profiles[i][k] = val
-        self.conj[i // 2][k] = conj
-        self._advance(i // 2, k)
-        self._fill_terms(k)
+    def move(self, i: int, k: int, slopes: np.ndarray, vals: np.ndarray,
+             conj: np.ndarray) -> None:
+        """Adopt, for each of the given slopes in turn, the scanned
+        candidate that sets its profile i at step k to the next entry of
+        vals, whose conjugate is the next entry of conj."""
+        self.profiles[i][slopes, k] = vals
+        self.conj[i // 2][slopes, k] = conj
+        self._rebuild(i // 2, k, slopes)
 
 
 def dual_objective(lattice: Lattice, dc: DualControls, d_f: Driver,
                    d_g: Driver, lp: LossPair) -> float:
     """Exact certificate value by full path enumeration."""
-    return _Incumbent(lattice, dc, d_f, d_g).value(lp)
+    return float(_Incumbent(lattice, [dc], d_f, d_g).value(lp)[0])
 
 
 def _feasible_start(d: Driver, kind: str) -> tuple:
@@ -352,19 +432,42 @@ def _feasible_start(d: Driver, kind: str) -> tuple:
     )
 
 
-def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
-               lp: LossPair, rounds: int = 3, grid_points: int = 9,
-               budget: int = 200_000) -> dict:
-    """Coordinate descent on the four step profiles at fixed slope.
+def _windows(centers: np.ndarray, width: float, bound: float, points: int,
+             remaining: np.ndarray) -> tuple:
+    """Every slope's scan window, concatenated: (values, owner, counts).
 
-    Starts from the (0,0,0,0) profiles (or the nearest feasible point when
-    a conjugate domain misses the origin), scans each coordinate on a
-    shrinking window clipped to the conjugate box, and moves to the best
-    window point only when it strictly lowers the certificate.  The result
-    is an upper bound on the true infimum, so lower bounds built from it
-    remain valid.  n_evaluations counts certificates scored, the start
-    included; n_accepted counts moves.
+    Row s holds np.unique(np.clip(np.linspace(c - width, c + width,
+    points), -bound, bound)) for c = centers[s], to the bit and in its
+    order, without c and cut to its first remaining[s] values.  The rows
+    are built together: linspace's arithmetic (its zero-step fallback
+    included), one sort, and a mask of the values that differ from their
+    predecessor.
     """
+    start, stop = centers - width, centers + width
+    delta = (stop - start)[:, None]
+    grid = np.arange(points, dtype=float)
+    if points > 1:
+        step = delta / (points - 1)
+        win = grid * step
+        if not step.all():
+            win = np.where(step == 0, grid / (points - 1) * delta, win)
+    else:
+        win = grid * delta
+    win += start[:, None]
+    if points > 1:
+        win[:, -1] = stop
+    # np.clip, for the finite values a window holds
+    win = np.sort(np.minimum(np.maximum(win, -bound), bound), axis=-1)
+    keep = win != centers[:, None]
+    keep[:, 1:] &= win[:, 1:] != win[:, :-1]
+    keep &= np.cumsum(keep, axis=-1) <= remaining[:, None]
+    return win[keep], np.nonzero(keep)[0], keep.sum(axis=-1)
+
+
+def _descend(lattice: Lattice, slopes, d_f: Driver, d_g: Driver,
+             lp: LossPair, rounds: int, grid_points: int,
+             budget: int) -> list:
+    """Coordinate descent of a batch of slopes, in lockstep (dual_values)."""
     n = lattice.steps
     u0, v0 = _feasible_start(d_g, "convex")
     p0, q0 = _feasible_start(d_f, "concave")
@@ -376,16 +479,16 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
 
     infinite = "certificate infinite at the starting profiles"
     try:
-        start = DualControls(l, np.full(n, u0), np.full(n, v0),
-                             np.full(n, p0), np.full(n, q0))
-        inc = _Incumbent(lattice, start, d_f, d_g)
+        starts = [DualControls(l, np.full(n, u0), np.full(n, v0),
+                               np.full(n, p0), np.full(n, q0)) for l in slopes]
+        inc = _Incumbent(lattice, starts, d_f, d_g)
     except (DualFeasibilityError, ConjugateDomainError) as exc:
         raise ConjugateDomainError(infinite) from exc
     best = inc.value(lp)
-    if not math.isfinite(best):
+    if not np.all(np.isfinite(best)):
         raise ConjugateDomainError(infinite)
-    evaluations = 1
-    accepted = 0
+    evaluations = np.ones(len(slopes), dtype=np.int64)
+    accepted = np.zeros(len(slopes), dtype=np.int64)
     sweep_cost = grid_points * max(1, len(axes))
     if sweep_cost > budget:
         raise DualFeasibilityError(
@@ -393,28 +496,102 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
         )
     for rnd in range(rounds):
         for i, k in axes:
-            width = widths[i] / 4.0**rnd
-            center = inc.profiles[i][k]
-            window = np.linspace(center - width, center + width, grid_points)
-            cand = np.unique(np.clip(window, -widths[i], widths[i]))
-            cand = cand[cand != center][:max(0, budget - evaluations)]
+            cand, owner, counts = _windows(inc.profiles[i][:, k],
+                                           widths[i] / 4.0**rnd, widths[i],
+                                           grid_points, budget - evaluations)
             if cand.size == 0:
                 continue
-            scores, conj = inc.scan(i, k, cand, lp)
-            evaluations += cand.size
-            # first index on ties, NaN never wins: the same move as trying
-            # the values in order and keeping each strict improvement
-            j = int(np.argmin(np.where(np.isnan(scores), math.inf, scores)))
-            if scores[j] < best:
-                best = float(scores[j])
-                inc.move(i, k, cand[j], conj[j])
-                accepted += 1
-    return {
-        "value": best,
-        "controls": DualControls(l, *inc.profiles),
-        "n_evaluations": evaluations,
-        "n_accepted": accepted,
-    }
+            scores, conj = inc.scan(i, k, cand, owner, lp)
+            evaluations += counts
+            # per slope: first index on ties, NaN never wins, and only a
+            # strict improvement moves; the same move as trying the values
+            # in order and keeping each strict improvement
+            ranked = np.where(np.isnan(scores), math.inf, scores)
+            stops = np.cumsum(counts).tolist()
+            won = []
+            for s, (a, b) in enumerate(zip([0, *stops], stops)):
+                if a < b:
+                    j = a + int(np.argmin(ranked[a:b]))
+                    if scores[j] < best[s]:
+                        won.append(j)
+            won = np.array(won, dtype=np.intp)
+            if won.size:
+                movers = owner[won]
+                best[movers] = scores[won]
+                accepted[movers] += 1
+                inc.move(i, k, movers, cand[won], conj[won])
+    return [{
+        "value": float(best[s]),
+        "controls": DualControls(l, *(p[s] for p in inc.profiles)),
+        "n_evaluations": int(evaluations[s]),
+        "n_accepted": int(accepted[s]),
+    } for s, l in enumerate(slopes)]
+
+
+def dual_values(lattice: Lattice, slopes, d_f: Driver, d_g: Driver,
+                lp: LossPair, rounds: int = 3, grid_points: int = 9,
+                budget: int = 200_000) -> list:
+    """dual_value of each slope, in order, priced in batches.
+
+    A batch holds at most SCAN_PAIRS // 2^N slopes (at least one) and runs
+    their coordinate descents in lockstep on one incumbent; each result
+    equals, bit for bit and count for count, that of dual_value alone.
+    """
+    slopes = list(slopes)
+    per_batch = max(1, SCAN_PAIRS // 2**lattice.steps)
+    out = []
+    for start in range(0, len(slopes), per_batch):
+        out.extend(_descend(lattice, slopes[start:start + per_batch], d_f,
+                            d_g, lp, rounds, grid_points, budget))
+    return out
+
+
+def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
+               lp: LossPair, rounds: int = 3, grid_points: int = 9,
+               budget: int = 200_000) -> dict:
+    """Coordinate descent on the four step profiles at fixed slope.
+
+    Starts from the (0,0,0,0) profiles (or the nearest feasible point when
+    a conjugate domain misses the origin), scans each coordinate on a
+    shrinking window clipped to the conjugate box, and moves to the best
+    window point only when it strictly lowers the certificate.  The result
+    is an upper bound on the true infimum, so lower bounds built from it
+    remain valid.  n_evaluations counts certificates scored, the start
+    included; n_accepted counts moves.  The one-slope case of dual_values.
+    """
+    return dual_values(lattice, [l], d_f, d_g, lp, rounds=rounds,
+                       grid_points=grid_points, budget=budget)[0]
+
+
+def _golden_section(m: float, l_max: float, tol: float):
+    """Golden-section maximization of l*m - certificate(l) over (0, l_max],
+    as a stepping routine: it yields each slope it evaluates and is sent
+    that slope's certificate back."""
+    if not (0.0 < l_max and np.isfinite(l_max)):
+        raise DualFeasibilityError("l_max must be positive and finite")
+    lo, hi = 1e-8, float(l_max)
+    x1 = hi - GOLDEN * (hi - lo)
+    x2 = lo + GOLDEN * (hi - lo)
+    f1 = x1 * m - (yield x1)
+    f2 = x2 * m - (yield x2)
+    while hi - lo > tol:
+        if f1 < f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + GOLDEN * (hi - lo)
+            f2 = x2 * m - (yield x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - GOLDEN * (hi - lo)
+            f1 = x1 * m - (yield x1)
+
+
+def _step(search, certificate):
+    """Send a search the certificate of its last slope (None to start it):
+    the next slope it wants, or None once it has finished."""
+    try:
+        return search.send(certificate)
+    except StopIteration:
+        return None
 
 
 def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
@@ -432,34 +609,18 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
     several thresholds can share one dict; share it only between calls on
     the same lattice, drivers, loss, rounds and budget.
     """
-    if not (0.0 < l_max and np.isfinite(l_max)):
-        raise DualFeasibilityError("l_max must be positive and finite")
     if certificates is None:
         certificates = {}
+    search = _golden_section(m, l_max, tol)
     trace = []
-
-    def height(l: float) -> float:
-        l = float(l)
+    l = _step(search, None)
+    while l is not None:
         if l not in certificates:
             certificates[l] = float(dual_value(lattice, l, d_f, d_g, lp,
                                                rounds=rounds,
                                                budget=budget)["value"])
         trace.append((l, certificates[l]))
-        return l * m - certificates[l]
-
-    lo, hi = 1e-8, float(l_max)
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = height(x1), height(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = height(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = height(x1)
+        l = _step(search, certificates[l])
     best_idx = max(range(len(trace)), key=lambda i: trace[i][0] * m - trace[i][1])
     l_star, cert = trace[best_idx]
     return {
@@ -469,6 +630,36 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
         "trace": trace,
         "n_slope_evaluations": len(trace),
     }
+
+
+def lockstep_certificates(lattice: Lattice, d_f: Driver, d_g: Driver,
+                          lp: LossPair, thresholds, l_max: float = 4.0,
+                          tol: float = 1e-6, rounds: int = 3,
+                          budget: int = 200_000,
+                          certificates: dict | None = None) -> dict:
+    """The slope -> certificate dict of the dual_bound searches for every
+    threshold, priced in lockstep.
+
+    Each step advances every unfinished search by one slope and prices the
+    step's distinct new slopes in one dual_values call, so dual_bound on
+    the returned dict, for any of the thresholds, only reads it and returns
+    what it returns on its own.  certificates, when given, is read and
+    filled, as in dual_bound.
+    """
+    if certificates is None:
+        certificates = {}
+    searches = [_golden_section(m, l_max, tol) for m in thresholds]
+    wanted = [_step(search, None) for search in searches]
+    while searches:
+        new = [l for l in dict.fromkeys(wanted) if l not in certificates]
+        for l, res in zip(new, dual_values(lattice, new, d_f, d_g, lp,
+                                           rounds=rounds, budget=budget)):
+            certificates[l] = float(res["value"])
+        stepped = [(search, _step(search, certificates[l]))
+                   for search, l in zip(searches, wanted)]
+        searches = [search for search, l in stepped if l is not None]
+        wanted = [l for _, l in stepped if l is not None]
+    return certificates
 
 
 def first_order_residuals(surface: ValueSurface, dc: DualControls,
@@ -490,8 +681,8 @@ def first_order_residuals(surface: ValueSurface, dc: DualControls,
     y_levels, z_levels = solve_on_path_tree(lat, sc.driver_g,
                                             leaf_cost[None, :],
                                             scheme=sc.scheme, with_slopes=True)
-    inc = _Incumbent(lat, dc, sc.driver_f, sc.driver_g)
-    gts, fts = inc.conj
+    inc = _Incumbent(lat, [dc], sc.driver_f, sc.driver_g)
+    gts, fts = (conj[0] for conj in inc.conj)
 
     res_f = 0.0
     res_g = 0.0
@@ -509,8 +700,8 @@ def first_order_residuals(surface: ValueSurface, dc: DualControls,
         rhs_g = dc.value_drift[k] * y_k + dc.value_noise[k] * z_k - gts[k]
         res_g = max(res_g, float(np.max(np.abs(lhs_g - rhs_g))))
 
-    l_pan, p_pan = inc.prefix
-    ratio = dc.slope * p_pan[:, -1] / l_pan[:, -1]
+    l_end, p_end = (levels[-1][0] for levels in inc.adjoints)
+    ratio = dc.slope * p_end / l_end
     m_term = states[-1]
     res_terminal = None if sc.loss.polar_grad is None else float(np.max(
         np.abs(m_term - np.asarray(sc.loss.polar_grad(ratio), dtype=float))))

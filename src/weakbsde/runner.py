@@ -25,7 +25,7 @@ from . import __version__
 from .bsde import comparison_check
 from .control import (NodePolicy, admissible, representation_roundtrip,
                       truncate_at_ceiling, truncate_at_floor)
-from .dual import dual_bound
+from .dual import dual_bound, lockstep_certificates
 from .primal import (apriori_bound_check, attainment_check,
                      brute_force_policy_value, brute_force_weak_formulation,
                      continuity_modulus, convexity_check, dpp_check,
@@ -306,11 +306,14 @@ def dual_bounds(sc: Scenario) -> list:
 
     The searches share one slope -> certificate dict, which lives only as
     long as this call: a certificate does not depend on the threshold, but
-    it does on the lattice, drivers, loss and rounds of the scenario.
+    it does on the lattice, drivers, loss and rounds of the scenario.  The
+    searches run in lockstep first, pricing each step's new slopes
+    together; each dual_bound call then only reads the dict.
     """
-    certificates = {}
-    return [(m, dual_bound(sc.lattice, sc.driver_f, sc.driver_g, sc.loss, m,
-                           l_max=sc.l_max, rounds=sc.dual_rounds,
+    args = (sc.lattice, sc.driver_f, sc.driver_g, sc.loss)
+    certificates = lockstep_certificates(*args, sc.dual_m_list,
+                                         l_max=sc.l_max, rounds=sc.dual_rounds)
+    return [(m, dual_bound(*args, m, l_max=sc.l_max, rounds=sc.dual_rounds,
                            certificates=certificates))
             for m in sc.dual_m_list]
 

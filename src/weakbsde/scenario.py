@@ -131,7 +131,7 @@ def _as_positive_number(value, where: str) -> float:
 
 
 def _thresholds(values, where: str) -> tuple:
-    """A nonempty threshold list: numbers in [0, 1]."""
+    """A nonempty threshold list: distinct numbers in [0, 1]."""
     try:
         out = tuple(float(m) for m in values)
     except (TypeError, ValueError):
@@ -144,6 +144,10 @@ def _thresholds(values, where: str) -> tuple:
         raise ScenarioError(f"{where} must be nonempty")
     if any(not (0.0 <= m <= 1.0) for m in out):
         raise ScenarioError(f"{where} entries must lie in [0, 1]")
+    # the outputs are keyed by threshold, so a repeat would be reported once
+    # in some of them and twice in others
+    if len(set(out)) != len(out):
+        raise ScenarioError(f"{where} repeats a threshold: {values!r}")
     return out
 
 

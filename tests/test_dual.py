@@ -1,6 +1,8 @@
 """Dual certificates: adjoint panels, candidate search, duality gaps."""
 
+import dataclasses
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,8 +14,9 @@ from weakbsde.acceptance import Workspace
 from weakbsde.drivers import (ConjugateDomainError, Driver, make_driver,
                               make_loss)
 from weakbsde.dual import (DualControls, DualFeasibilityError, dual_bound,
-                           dual_objective, dual_value, first_order_residuals)
-from weakbsde.lattice import build_lattice
+                           dual_objective, dual_value, dual_values,
+                           first_order_residuals)
+from weakbsde.lattice import build_lattice, sign_matrix
 from weakbsde.primal import PrimalScenario, primal_value_dp, value_curve
 from weakbsde.scenario import build_scenario
 
@@ -313,6 +316,11 @@ def _single(lat, dc, i, k, val, f, g, lp):
         return math.inf
 
 
+def _one_owner(vals):
+    """The owner index of candidates that all belong to slope 0."""
+    return np.zeros(len(vals), dtype=np.intp)
+
+
 @pytest.mark.parametrize("steps, scan_pairs", [
     (5, dual_mod.SCAN_PAIRS),    # one pass holds every candidate
     (14, dual_mod.SCAN_PAIRS),   # smallest depth where 8 candidates split
@@ -325,8 +333,8 @@ def test_batched_scan_rows_equal_single_evaluations(steps, scan_pairs,
     f, g = _box_pair()
     lp = make_loss("power", p=2.0)
     dc = _box_controls(steps)
-    inc = dual_mod._Incumbent(lat, dc, f, g)
-    assert inc.value(lp) == dual_objective(lat, dc, f, g, lp)
+    inc = dual_mod._Incumbent(lat, [dc], f, g)
+    assert inc.value(lp)[0] == dual_objective(lat, dc, f, g, lp)
     seen = []
     for k in sorted({0, steps // 2, steps - 1}):
         # a v whose adjoint factor stays positive but inside the margin
@@ -338,7 +346,8 @@ def test_batched_scan_rows_equal_single_evaluations(steps, scan_pairs,
             3: [0.299, -0.3, 0.45, 0.1, -0.2, 0.0, 0.2, -0.05],
         }
         for i, vals in windows.items():
-            scores, _ = inc.scan(i, k, np.array(vals), lp)
+            scores, _ = inc.scan(i, k, np.array(vals), _one_owner(vals),
+                                 lp)
             for val, score in zip(vals, scores):
                 assert score == _single(lat, dc, i, k, val, f, g, lp), \
                     (i, k, val)
@@ -355,67 +364,129 @@ def test_batched_scan_rows_equal_single_evaluations(steps, scan_pairs,
         dual_objective(lat, DualControls(1.1, *profiles), f, g, lp)
 
 
+def _per_path_panels(lat, dc, f, g):
+    """The per-path construction the prefix-tree rebuild replaced, kept as
+    its reference: every column of both adjoint panels over all 2^N rows,
+    a left-to-right product of the step factors, then the running terms."""
+    n = lat.steps
+    signs = sign_matrix(n)
+    ft, gt = dual_mod._conjugate_profiles(lat, dc, f, g)
+    panels = []
+    for drift, noise in ((dc.value_drift, dc.value_noise),
+                         (dc.threshold_drift, dc.threshold_noise)):
+        panel = np.ones((2**n, n + 1))
+        for j in range(n):
+            fac = dual_mod._factors(drift[j], noise[j], signs[:, j], lat.dt,
+                                    lat.sqrt_dt)
+            np.multiply(panel[:, j], fac, out=panel[:, j + 1])
+        panels.append(panel)
+    terms = np.empty((2**n, n))
+    for j in range(n):
+        terms[:, j] = panels[0][:, j] * gt[j] \
+            - dc.slope * panels[1][:, j] * ft[j]
+    return panels + [terms]
+
+
+def _spread(inc):
+    """The incumbent's levels spread to per-path panels, slope-major: L and
+    A / slope, (S, 2^N, N+1), then the running terms, (S, 2^N, N)."""
+    n = inc.lattice.steps
+
+    def panel(levels):
+        return np.stack([np.repeat(level, 2**n // level.shape[-1], axis=-1)
+                         for level in levels], axis=-1)
+
+    return [panel(levels) for levels in inc.adjoints] + [panel(inc.terms)]
+
+
 def test_accepted_move_rebuilds_the_incumbent_exactly():
     lat = build_lattice(1.0, 6)
     f, g = _pair(SMOOTH_PAIR)
     lp = make_loss("power", p=2.0)
-    inc = dual_mod._Incumbent(lat, DualControls.zeros(lat, 0.9), f, g)
-    for i, k, val in ((1, 3, 0.15), (3, 0, -0.2), (3, 5, 0.1), (1, 0, 0.05)):
-        scores, conj = inc.scan(i, k, np.array([val]), lp)
-        inc.move(i, k, val, conj[0])
-        fresh = dual_mod._Incumbent(lat, DualControls(0.9, *inc.profiles),
-                                    f, g)
-        assert inc.value(lp) == scores[0] == fresh.value(lp)
-        for mine, theirs in zip(inc.prefix + [inc.terms],
-                                fresh.prefix + [fresh.terms]):
-            assert np.array_equal(mine, theirs)
+    slopes = (0.9, 0.6, 1.3)
+    inc = dual_mod._Incumbent(lat, [DualControls.zeros(lat, l)
+                                    for l in slopes], f, g)
+    # slope 0 alone first, then batched moves: several slopes at one (i, k),
+    # each to its own value, and slopes that do not move in between
+    moves = ((1, 3, [0], [0.15]), (3, 0, [0], [-0.2]), (3, 5, [0], [0.1]),
+             (1, 0, [0], [0.05]), (3, 2, [0, 1, 2], [0.1, -0.25, 0.2]),
+             (1, 4, [1, 2], [0.17, 0.03]), (3, 0, [2], [-0.1]),
+             (1, 0, [0, 2], [0.12, 0.08]))
+    for i, k, movers, vals in moves:
+        movers, vals = np.array(movers), np.array(vals)
+        scores, conj = inc.scan(i, k, vals, movers, lp)
+        inc.move(i, k, movers, vals, conj)
+        values = inc.value(lp)
+        assert values[movers].tolist() == scores.tolist()
+        for s, l in enumerate(slopes):
+            dc = DualControls(l, *(p[s] for p in inc.profiles))
+            fresh = dual_mod._Incumbent(lat, [dc], f, g)
+            assert values[s] == fresh.value(lp)[0] == dual_objective(
+                lat, dc, f, g, lp)
+            for mine, theirs in zip(inc.adjoints + [inc.terms],
+                                    fresh.adjoints + [fresh.terms]):
+                for level, again in zip(mine, theirs):
+                    assert level[s].tobytes() == again[0].tobytes()
+            reference = _per_path_panels(lat, dc, f, g)
+            for mine, want in zip(_spread(inc), reference):
+                assert mine[s].tobytes() == want.tobytes()
 
 
-def _chain_pass(inc, which, k, drift, noise, conj, rows, lp):
+def _chain_pass(inc, panels, which, k, owner, drift, noise, conj, rows, lp):
     """The per-path kernel _pass replaced, kept as its reference: every
-    path carries the moved adjoint from level k as one cumprod chain."""
+    path carries the moved adjoint from level k as one cumprod chain, the
+    running terms fill a (candidate, path, step) panel, and each path's
+    row of that panel is summed by ndarray.sum.  panels is _spread(inc)."""
     lat = inc.lattice
     n = lat.steps
-    signs = inc.signs[rows]
-    slope = inc.slope
-    chain = np.empty((drift.shape[0], signs.shape[0], n - k + 1))
-    chain[..., 0] = inc.prefix[which][rows, k]
-    chain[..., 1] = dual_mod._factors(drift, noise, signs[:, k], lat.dt,
-                                      lat.sqrt_dt)
-    chain[..., 2:] = dual_mod._factors(inc.profiles[2 * which][k + 1:],
-                                       inc.profiles[2 * which + 1][k + 1:],
-                                       signs[:, k + 1:], lat.dt, lat.sqrt_dt)
+    signs = sign_matrix(n)[rows]
+    slope = inc.slopes[owner, None]
+    chain = np.empty((owner.size, signs.shape[0], n - k + 1))
+    chain[..., 0] = panels[which][:, rows, k][owner]
+    chain[..., 1] = dual_mod._factors(drift[:, None], noise[:, None],
+                                      signs[:, k], lat.dt, lat.sqrt_dt)
+    chain[..., 2:] = dual_mod._factors(
+        inc.profiles[2 * which][owner, None, k + 1:],
+        inc.profiles[2 * which + 1][owner, None, k + 1:],
+        signs[:, k + 1:], lat.dt, lat.sqrt_dt)
     np.cumprod(chain, axis=-1, out=chain)
-    moved_conj = np.empty((drift.shape[0], 1, n - k))
+    moved_conj = np.empty((owner.size, 1, n - k))
     moved_conj[:, 0, 0] = conj
-    moved_conj[:, 0, 1:] = inc.conj[which][k + 1:]
-    l_pan, p_pan = inc.prefix
-    gt, ft = inc.conj
-    terms = np.empty((drift.shape[0], signs.shape[0], n))
-    terms[..., :k] = inc.terms[rows, :k]
+    moved_conj[:, 0, 1:] = inc.conj[which][owner, k + 1:]
+    l_pan, p_pan = (panel[:, rows][owner] for panel in panels[:2])
+    gt, ft = (c[owner, None, :] for c in inc.conj)
+    terms = np.empty((owner.size, signs.shape[0], n))
+    terms[..., :k] = panels[2][:, rows, :k][owner]
     if which == 0:
-        a_ft = slope * p_pan[rows, k:-1] * ft[k:]
+        a_ft = slope[..., None] * p_pan[..., k:-1] * ft[..., k:]
         terms[..., k:] = chain[..., :-1] * moved_conj - a_ft
-        l_end, a_end = chain[..., -1], slope * p_pan[rows, -1]
+        l_end, a_end = chain[..., -1], slope * p_pan[..., -1]
     else:
-        l_gt = l_pan[rows, k:-1] * gt[k:]
-        a = slope * chain
+        l_gt = l_pan[..., k:-1] * gt[..., k:]
+        a = slope[..., None] * chain
         terms[..., k:] = l_gt - a[..., :-1] * moved_conj
-        l_end, a_end = l_pan[rows, -1], a[..., -1]
-    return dual_mod._certificate_terms(terms, l_end, a_end, lat.dt, lp)
+        l_end, a_end = l_pan[..., -1], a[..., -1]
+    ratio = a_end / l_end
+    polar = np.asarray(lp.polar(ratio.ravel()), dtype=float)
+    return terms.sum(axis=-1) * lat.dt + l_end * polar.reshape(ratio.shape)
 
 
 def _moved_smooth_incumbent(steps):
-    """Smooth-pair incumbent after several accepted moves on both adjoints."""
+    """Two-slope smooth-pair incumbent after several accepted moves on both
+    adjoints, each slope to its own values."""
     lat = build_lattice(1.0, steps)
     f, g = _pair(SMOOTH_PAIR)
-    inc = dual_mod._Incumbent(lat, DualControls.zeros(lat, 0.9), f, g)
-    moves = ((1, steps - 1, 0.15), (3, 0, -0.2), (3, steps // 2, 0.1),
-             (1, 0, 0.05), (1, steps // 2, 0.12))
-    for i, k, val in moves:
-        scores, conj = inc.scan(i, k, np.array([val]), make_loss("identity"))
-        assert np.isfinite(scores[0])
-        inc.move(i, k, val, conj[0])
+    inc = dual_mod._Incumbent(lat, [DualControls.zeros(lat, 0.9),
+                                    DualControls.zeros(lat, 1.4)], f, g)
+    both = np.array([0, 1])
+    moves = ((1, steps - 1, [0.15, 0.1]), (3, 0, [-0.2, 0.05]),
+             (3, steps // 2, [0.1, -0.15]), (1, 0, [0.05, 0.18]),
+             (1, steps // 2, [0.12, 0.02]))
+    for i, k, vals in moves:
+        scores, conj = inc.scan(i, k, np.array(vals), both,
+                                make_loss("identity"))
+        assert np.all(np.isfinite(scores))
+        inc.move(i, k, both, np.array(vals), conj)
     return inc
 
 
@@ -431,42 +502,68 @@ def test_prefix_tree_pass_matches_the_chain_reference_bits(scan_pairs, loss,
                3: np.array([-0.29, -0.1, 0.0, 0.07, 0.25])}
     for steps in range(1, 11):
         inc = _moved_smooth_incumbent(steps)
+        panels = _spread(inc)
         n_paths = 2**steps
         block = min(n_paths, dual_mod.SCAN_PAIRS)
         for i, vals in windows.items():
             which = i // 2
             conj_fn = (dual_mod.concave_conjugate if which
                        else dual_mod.convex_conjugate)
+            owner = np.repeat([0, 1], vals.size)
             for k in range(steps):
-                drift = np.full(vals.size, inc.profiles[2 * which][k])
-                noise = vals.copy()
+                drift = inc.profiles[2 * which][owner, k]
+                noise = np.tile(vals, 2)
                 conj = np.asarray(conj_fn(inc.drivers[which], drift, noise),
                                   dtype=float)
                 assert np.all(np.isfinite(conj))
                 for row in range(0, n_paths, block):
                     rows = slice(row, row + block)
-                    args = (which, k, drift[:, None], noise[:, None], conj,
-                            rows, lp)
+                    args = (which, k, owner, drift, noise, conj, rows, lp)
                     got = inc._pass(*args)
-                    want = _chain_pass(inc, *args)
-                    assert got.shape == want.shape == (vals.size, block)
+                    want = _chain_pass(inc, panels, *args)
+                    assert got.shape == want.shape == (owner.size, block)
                     assert got.tobytes() == want.tobytes(), (steps, i, k, row)
 
 
+@pytest.mark.parametrize("steps", range(1, 21))
+def test_path_sums_follow_numpy_row_sums(steps):
+    # numpy sums a contiguous row as 0.0 plus its pairwise sum; the prefix
+    # tree must reproduce that order for every depth a lattice may have
+    rng = np.random.default_rng(steps)
+    rows = rng.standard_normal((300, steps)) \
+        * 10.0 ** rng.integers(-8, 9, (300, steps))
+    rows[:3] = -0.0                 # signed zeros: numpy's sum gives +0.0
+    rows[3, 0] = -0.0
+    cols = [rows[:, j:j + 1] for j in range(steps)]
+    got = dual_mod._path_sums(cols)
+    assert got.shape == (300, 1)
+    assert got[:, 0].tobytes() == rows.sum(axis=-1).tobytes()
+    if steps <= 10:
+        # columns on their prefixes, spread to a per-path panel by hand
+        levels = [rng.standard_normal((4, 2**j)) for j in range(steps)]
+        panel = np.stack([np.repeat(col, 2**(steps - j), axis=-1)
+                          for j, col in enumerate(levels)], axis=-1)
+        got = dual_mod._path_sums(levels)
+        per_path = np.repeat(got, 2**steps // got.shape[-1], axis=-1)
+        assert per_path.tobytes() == panel.sum(axis=-1).tobytes()
+
+
 def test_one_scan_stays_under_its_memory_bound():
-    # the per-path chain kernel peaked at 791 KB here, the prefix tree at 292
+    # the per-path chain kernel peaked at 791 KB here, the prefix-tree pass
+    # with its terms panel at 292, and the prefix-tree path sums at 183
     steps = 8
     lat = build_lattice(1.0, steps)
     f, g = _pair(SMOOTH_PAIR)
     lp = make_loss("power", p=2.0)
-    inc = dual_mod._Incumbent(lat, DualControls.zeros(lat, 1.0), f, g)
+    inc = dual_mod._Incumbent(lat, [DualControls.zeros(lat, 1.0)], f, g)
     vals = {1: np.linspace(0.0, 0.2, 8), 3: np.linspace(-0.25, 0.25, 8)}
     peak = 0
     for i, k in ((1, 0), (3, 0), (1, steps // 2), (3, steps - 1)):
-        inc.scan(i, k, vals[i], lp)   # warm any lazily built tables
+        owner = _one_owner(vals[i])
+        inc.scan(i, k, vals[i], owner, lp)   # warm any lazily built tables
         tracemalloc.start()
         try:
-            scores, _ = inc.scan(i, k, vals[i], lp)
+            scores, _ = inc.scan(i, k, vals[i], owner, lp)
             peak = max(peak, tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -474,15 +571,268 @@ def test_one_scan_stays_under_its_memory_bound():
     assert peak <= 400_000, peak
 
 
-def _counting_dual_value(monkeypatch):
+def _largest_block(fn):
+    """The largest rise of traced memory within one bytecode instruction
+    while fn runs: at least the size of any block allocated by a single
+    instruction, a C call with its internals included."""
+    worst = [0]
+    base = [0]
+
+    def tracer(frame, event, arg):
+        frame.f_trace_opcodes = True
+        current, peak = tracemalloc.get_traced_memory()
+        worst[0] = max(worst[0], peak - base[0])
+        tracemalloc.reset_peak()
+        base[0] = current
+        return tracer
+
+    tracemalloc.start()
+    base[0] = tracemalloc.get_traced_memory()[0]
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        fn()
+    finally:
+        sys.settrace(previous)
+        worst[0] = max(worst[0], tracemalloc.get_traced_memory()[1] - base[0])
+        tracemalloc.stop()
+    return worst[0]
+
+
+MMAP_THRESHOLD = 128 * 1024   # glibc's default: larger blocks are mmapped
+
+
+def test_batched_scan_allocates_nothing_above_the_mmap_threshold():
+    # three slopes of 8 candidates on 256 paths: a (candidate, path, step)
+    # terms panel would be 393 KB, the block the per-path kernel allocated
+    assert _largest_block(lambda: np.empty((24, 256, 8)).fill(0.0)) \
+        >= 24 * 256 * 8 * 8
+    lat = build_lattice(1.0, 8)
+    f, g = _pair(SMOOTH_PAIR)
+    lp = make_loss("power", p=2.0)
+    inc = dual_mod._Incumbent(lat, [DualControls.zeros(lat, l)
+                                    for l in (0.8, 1.0, 1.2)], f, g)
+    owner = np.repeat(np.arange(3), 8)
+    # every candidate feasible, so that all 24 are scored
+    vals = {1: np.tile(np.linspace(0.0, 0.2, 8), 3),
+            3: np.tile(np.linspace(-0.25, 0.25, 8), 3)}
+    inc.scan(1, 0, vals[1], owner, lp)
+    for i, k in ((1, 0), (3, 0), (1, 4), (3, 7)):
+        scores = []
+        largest = _largest_block(
+            lambda: scores.extend(inc.scan(i, k, vals[i], owner, lp)[0]))
+        assert np.all(np.isfinite(scores)) and len(scores) == 24
+        assert largest < MMAP_THRESHOLD, (i, k, largest)
+
+
+def test_window_rows_equal_numpy_unique_per_slope():
+    rng = np.random.default_rng(5)
+    for points in (1, 2, 9, 12):
+        for width, bound in ((0.3, 0.3), (0.075, 0.3), (0.01, 5.0)):
+            centers = rng.choice([-0.3, -0.27, 0.0, 0.05, 0.29, 0.3], 6)
+            centers[0] = 1e17           # a zero step: linspace's fallback
+            remaining = np.array([0, 3, 20, 9, 1, 5])
+            vals, owner, counts = dual_mod._windows(centers, width, bound,
+                                                    points, remaining)
+            assert np.array_equal(counts, np.bincount(owner, minlength=6))
+            assert np.all(np.diff(owner) >= 0)
+            for s, c in enumerate(centers):
+                want = np.unique(np.clip(np.linspace(c - width, c + width,
+                                                     points), -bound, bound))
+                want = want[want != c][:remaining[s]]
+                assert vals[owner == s].tobytes() == want.tobytes(), \
+                    (points, width, s)
+
+
+BOX = "box"
+
+
+def _drivers(spec):
+    return _box_pair() if spec == BOX else _pair(spec)
+
+
+def _watch_batches(monkeypatch):
+    """Per scan, the candidate count of every slope of the incumbent; per
+    move, that count vector and the number of slopes that moved."""
+    seen = {"scans": [], "moves": []}
+    scan, move = dual_mod._Incumbent.scan, dual_mod._Incumbent.move
+
+    def watched_scan(self, i, k, vals, owner, lp):
+        seen["scans"].append(np.bincount(owner, minlength=self.slopes.size))
+        return scan(self, i, k, vals, owner, lp)
+
+    def watched_move(self, i, k, slopes, vals, conj):
+        seen["moves"].append((seen["scans"][-1], slopes.size))
+        return move(self, i, k, slopes, vals, conj)
+
+    monkeypatch.setattr(dual_mod._Incumbent, "scan", watched_scan)
+    monkeypatch.setattr(dual_mod._Incumbent, "move", watched_move)
+    return seen
+
+
+SLOPES = (0.45, 1.1, 1.7)
+EDGE_SLOPES = (0.2, 1.1, 3.5)   # at 3.5 the box pair's windows hit its edge
+
+
+@pytest.mark.parametrize("spec, steps, slopes, budget, scan_pairs, shows", [
+    # ragged windows (clipped at the box edge), drift axes, infeasible
+    # candidates, and slopes that move while another does not
+    (BOX, 3, EDGE_SLOPES, 200_000, None, ("ragged", "split")),
+    (BOX, 5, SLOPES, 200_000, None, ("split",)),
+    # the budget runs out part way through a batch: one slope stops
+    # scanning while the others go on
+    (BOX, 3, EDGE_SLOPES, 240, None, ("ragged", "budget")),
+    (SMOOTH_PAIR, 4, SLOPES, 200_000, None, ()),
+    (SMOOTH_PAIR, 8, SLOPES, 200_000, None, ()),
+    (RISK_PAIR, 6, SLOPES, 200_000, None, ()),
+    # slopes x 2^N crosses SCAN_PAIRS: batches of two, then one
+    (SMOOTH_PAIR, 6, SLOPES, 200_000, 2**7, ("batches",)),
+])
+def test_batched_descent_equals_each_slope_alone(spec, steps, slopes, budget,
+                                                 scan_pairs, shows,
+                                                 monkeypatch):
+    if scan_pairs is not None:
+        monkeypatch.setattr(dual_mod, "SCAN_PAIRS", scan_pairs)
+    lat = build_lattice(1.0, steps)
+    f, g = _drivers(spec)
+    lp = make_loss("power", p=2.0)
+    rounds = 3
+    seen = _watch_batches(monkeypatch)
+    batched = dual_values(lat, slopes, f, g, lp, rounds=rounds, budget=budget)
+    scans = seen["scans"]
+    if "ragged" in shows:
+        assert any(len(set(c[c > 0].tolist())) > 1 for c in scans)
+    if "split" in shows:
+        assert any(0 < moved < np.count_nonzero(c)
+                   for c, moved in seen["moves"])
+    if "budget" in shows:
+        assert any(0 < np.count_nonzero(c) < c.size for c in scans)
+        assert all(res["n_evaluations"] == budget for res in batched)
+    if "batches" in shows:
+        assert sorted({c.size for c in scans}) == [1, 2]
+    assert len(batched) == len(slopes)
+    for l, res in zip(slopes, batched):
+        alone = dual_value(lat, l, f, g, lp, rounds=rounds, budget=budget)
+        assert res["value"] == alone["value"]
+        assert res["n_evaluations"] == alone["n_evaluations"]
+        assert res["n_accepted"] == alone["n_accepted"]
+        assert res["controls"].slope == l
+        for name in PROFILE_NAMES:
+            assert getattr(res["controls"], name).tobytes() == \
+                getattr(alone["controls"], name).tobytes(), name
+
+
+def _in_order_descent(lat, l, f, g, lp, rounds, grid_points=9,
+                      budget=200_000):
+    """The one-candidate-per-trial coordinate descent the batched scan
+    replaced, kept as its reference: each window value in order, scored by
+    its own dual_objective call, and every strict improvement kept;
+    n_accepted counts the coordinates that moved.  Both conjugate domains
+    hold the origin here, so the start is all zeros."""
+    n = lat.steps
+    widths = [g.conjugate_box().half_width_y, g.conjugate_box().half_width_z,
+              f.conjugate_box().half_width_y, f.conjugate_box().half_width_z]
+    dc = DualControls.zeros(lat, l)
+    best = dual_objective(lat, dc, f, g, lp)
+    evaluations, accepted = 1, 0
+    for rnd in range(rounds):
+        for i, k in [(i, k) for i, w in enumerate(widths) if w > 0.0
+                     for k in range(n)]:
+            center = getattr(dc, PROFILE_NAMES[i])[k]
+            cand = np.unique(np.clip(np.linspace(
+                center - widths[i] / 4.0**rnd, center + widths[i] / 4.0**rnd,
+                grid_points), -widths[i], widths[i]))
+            start = dc
+            for val in cand[cand != center][:max(0, budget - evaluations)]:
+                score = _single(lat, dc, i, k, val, f, g, lp)
+                evaluations += 1
+                if score < best:
+                    best = score
+                    profiles = [np.array(getattr(dc, name))
+                                for name in PROFILE_NAMES]
+                    profiles[i][k] = val
+                    dc = DualControls(l, *profiles)
+            accepted += dc is not start
+    return {"value": best, "controls": dc, "n_evaluations": evaluations,
+            "n_accepted": accepted}
+
+
+def _flat_pair():
+    """z-only drivers whose conjugates are 0 on their whole segment: with
+    the identity loss and a small slope every candidate's certificate is
+    exactly 0, so every window value ties with the incumbent."""
+    def g_conj(u, v):
+        u, v = np.asarray(u, float), np.asarray(v, float)
+        out = np.where((u == 0.0) & (np.abs(v) <= 0.5), 0.0, np.inf)
+        return out if out.ndim else float(out)
+
+    def f_conj(p, q):
+        p, q = np.asarray(p, float), np.asarray(q, float)
+        out = np.where((p == 0.0) & (np.abs(q) <= 0.3), 0.0, -np.inf)
+        return out if out.ndim else float(out)
+
+    f = Driver(name="flat_f", fn=lambda t, y, z: 0.0 * y, lipschitz_y=0.0,
+               lipschitz_z=0.3, concave_in_yz=True,
+               concave_conjugate_fn=f_conj)
+    g = Driver(name="flat_g", fn=lambda t, y, z: 0.0 * y, lipschitz_y=0.0,
+               lipschitz_z=0.5, convex_in_yz=True,
+               convex_conjugate_fn=g_conj)
+    return f, g
+
+
+def _nan_edged_power():
+    """The power-2 loss with a polar that is NaN wherever A_N / L_N leaves
+    [0.9, 1.1]: the window ends of a scan score NaN, and an interior value
+    still improves on the incumbent."""
+    base = make_loss("power", p=2.0)
+
+    def polar(r):
+        return np.where((r < 0.9) | (r > 1.1), np.nan, base.polar_fn(r))
+
+    return dataclasses.replace(base, polar_fn=polar)
+
+
+@pytest.mark.parametrize("case", ["ties", "nans", "smooth"])
+def test_descent_keeps_the_in_order_strict_improvements(case):
+    lat = build_lattice(1.0, 4)
+    if case == "ties":
+        (f, g), lp, slopes = _flat_pair(), make_loss("identity"), (0.1, 0.15)
+    elif case == "nans":
+        (f, g), lp, slopes = _pair(SMOOTH_PAIR), _nan_edged_power(), (1.0,)
+    else:
+        (f, g), lp, slopes = _pair(SMOOTH_PAIR), make_loss("power"), SLOPES
+    batched = dual_values(lat, slopes, f, g, lp, rounds=2)
+    for l, res in zip(slopes, batched):
+        want = _in_order_descent(lat, l, f, g, lp, rounds=2)
+        assert res["value"] == want["value"]
+        assert res["n_evaluations"] == want["n_evaluations"]
+        assert res["n_accepted"] == want["n_accepted"]
+        for name in PROFILE_NAMES:
+            assert getattr(res["controls"], name).tobytes() == \
+                getattr(want["controls"], name).tobytes(), name
+    if case == "ties":
+        assert all(res["value"] == 0.0 and res["n_accepted"] == 0
+                   for res in batched)
+    if case == "nans":
+        inc = dual_mod._Incumbent(lat, [DualControls.zeros(lat, 1.0)], f, g)
+        vals = np.linspace(-0.3, 0.3, 9)
+        scores, _ = inc.scan(3, 0, vals, _one_owner(vals), lp)
+        assert np.isnan(scores[0]) and batched[0]["n_accepted"] > 0
+
+
+def _count_priced_slopes(monkeypatch):
+    """Every slope priced, wherever it is priced: dual_value prices its one
+    slope through dual_values, and the lockstep searches price theirs there
+    in batches."""
     calls = []
-    original = dual_mod.dual_value
+    original = dual_mod.dual_values
 
-    def counted(lattice, l, *args, **kwargs):
-        calls.append(l)
-        return original(lattice, l, *args, **kwargs)
+    def counted(lattice, slopes, *args, **kwargs):
+        slopes = list(slopes)
+        calls.extend(slopes)
+        return original(lattice, slopes, *args, **kwargs)
 
-    monkeypatch.setattr(dual_mod, "dual_value", counted)
+    monkeypatch.setattr(dual_mod, "dual_values", counted)
     return calls
 
 
@@ -492,7 +842,7 @@ def test_shared_certificates_price_each_slope_once(monkeypatch):
     lp = make_loss("power", p=2.0)
     thresholds = (0.25, 0.5, 0.75)
     alone = [dual_bound(lat, f, g, lp, m, rounds=1) for m in thresholds]
-    calls = _counting_dual_value(monkeypatch)
+    calls = _count_priced_slopes(monkeypatch)
     certificates = {}
     shared = [dual_bound(lat, f, g, lp, m, rounds=1,
                          certificates=certificates) for m in thresholds]
@@ -503,36 +853,68 @@ def test_shared_certificates_price_each_slope_once(monkeypatch):
     assert certificates == {l: c for res in alone for l, c in res["trace"]}
 
 
-def test_each_execute_starts_a_fresh_certificate_dict(monkeypatch):
-    seen = []
-    original = runner_mod.dual_bound
-
-    def spy(*args, certificates=None, **kwargs):
-        seen.append((id(certificates), len(certificates)))
-        return original(*args, certificates=certificates, **kwargs)
-
-    monkeypatch.setattr(runner_mod, "dual_bound", spy)
+def _scenario_config(name, steps, rounds, dual_m_list):
     f_spec, g_spec = SMOOTH_PAIR
-    sc = build_scenario({
-        "name": "memo",
-        "lattice": {"horizon": 1.0, "steps": 3},
+    return {
+        "name": name,
+        "lattice": {"horizon": 1.0, "steps": steps},
         "driver_f": {"name": f_spec[0], "params": f_spec[1]},
         "driver_g": {"name": g_spec[0], "params": g_spec[1]},
         "loss": {"name": "power", "params": {"p": 2.0}},
         "primal": {"grid_size": 41, "n_a": 7, "m_list": [0.5]},
-        "dual": {"enabled": True, "rounds": 1, "m_list": [0.25, 0.5]},
+        "dual": {"enabled": True, "rounds": rounds, "m_list": dual_m_list},
         "checks": ["weak_duality"],
-    })
+    }
+
+
+def test_runner_dual_bounds_equal_independent_searches(monkeypatch):
+    sc = build_scenario(_scenario_config("lockstep", 4, 2,
+                                         [0.25, 0.5, 0.6, 0.75]))
+    alone = [(m, dual_bound(sc.lattice, sc.driver_f, sc.driver_g, sc.loss, m,
+                            l_max=sc.l_max, rounds=sc.dual_rounds))
+             for m in sc.dual_m_list]
+    batches = []
+    original = dual_mod.dual_values
+
+    def spy(lattice, slopes, *args, **kwargs):
+        batches.append(list(slopes))
+        return original(lattice, slopes, *args, **kwargs)
+
+    monkeypatch.setattr(dual_mod, "dual_values", spy)
+    assert runner_mod.dual_bounds(sc) == alone
+    # the lockstep driver priced every distinct slope once, in batches of
+    # the new slopes of one step, and the dual_bound calls priced none
+    priced = [l for batch in batches for l in batch]
+    slopes = {l for _, res in alone for l, _ in res["trace"]}
+    assert sorted(priced) == sorted(slopes)
+    assert max(len(batch) for batch in batches) > 1
+    assert len(batches) == max(res["n_slope_evaluations"] for _, res in alone)
+
+
+def test_each_execute_starts_a_fresh_certificate_dict(monkeypatch):
+    traces = []
+    original = runner_mod.dual_bound
+
+    def spy(*args, **kwargs):
+        out = original(*args, **kwargs)
+        traces.append(out["trace"])
+        return out
+
+    monkeypatch.setattr(runner_mod, "dual_bound", spy)
+    calls = _count_priced_slopes(monkeypatch)
+    sc = build_scenario(_scenario_config("memo", 3, 1, [0.25, 0.5]))
     first = runner_mod.execute(sc, quiet=True)
+    priced = list(calls)
+    # each execute prices every distinct slope of its searches exactly once
+    assert sorted(priced) == sorted({l for t in traces for l, _ in t})
     second = runner_mod.execute(sc, quiet=True)
     assert first == second
-    (id_a, len_a), (id_b, len_b), (id_c, len_c), (id_d, len_d) = seen
-    assert id_a == id_b and id_c == id_d
-    assert len_a == len_c == 0 and len_b == len_d > 0
+    # and nothing carries over: the second prices them all again
+    assert calls[len(priced):] == priced
 
 
 def test_workspace_shares_certificates_within_a_scenario_only(monkeypatch):
-    calls = _counting_dual_value(monkeypatch)
+    calls = _count_priced_slopes(monkeypatch)
     ws = Workspace()
     traces = [ws.dual("tiny_risk", m)["trace"] for m in (0.25, 0.5, 0.75)]
     slopes = {l for trace in traces for l, _ in trace}
@@ -540,3 +922,16 @@ def test_workspace_shares_certificates_within_a_scenario_only(monkeypatch):
     before = len(calls)
     other = ws.dual("tiny_power", 0.5)["trace"]
     assert len(calls) - before == len({l for l, _ in other})
+
+
+def test_workspace_prices_a_scenario_dual_list_in_lockstep(monkeypatch):
+    ws = Workspace()
+    sc = ws.scenario("risk_pair")
+    want = dict(runner_mod.dual_bounds(sc))
+    calls = _count_priced_slopes(monkeypatch)
+    assert ws.dual("risk_pair", 0.5) == want[0.5]
+    priced = len(calls)
+    assert priced == len({l for res in want.values() for l, _ in res["trace"]})
+    assert [ws.dual("risk_pair", m) for m in sc.dual_m_list] == \
+        list(want.values())
+    assert len(calls) == priced       # the rest of the list is cached

@@ -89,6 +89,12 @@ def test_check_names_and_lists_validated():
                                         "continuity_base": False}))
     with pytest.raises(ScenarioError, match=r"tolerances\.monotonicity"):
         build_scenario(_minimal(tolerances={"monotonicity": True}))
+    # a repeated threshold, also one written twice in different forms
+    for bad in ([0.5, 0.5], [0.25, 0.5, 0.25], [0, 0.0], [0.0, -0.0]):
+        with pytest.raises(ScenarioError, match=r"primal\.m_list repeats"):
+            build_scenario(_minimal(primal={"grid_size": 81, "m_list": bad}))
+        with pytest.raises(ScenarioError, match=r"dual\.m_list repeats"):
+            build_scenario(_minimal(dual={"m_list": bad}))
 
 
 def test_config_hash_ignores_key_order():
