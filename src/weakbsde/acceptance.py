@@ -21,13 +21,13 @@ from .bsde import comparison_check, estimation_gap, solve_bsde
 from .control import representation_roundtrip
 from .drivers import make_driver
 from .dual import (DualControls, dual_bound, dual_value,
-                   first_order_residuals)
+                   first_order_residuals, lockstep_certificates)
 from .lattice import build_lattice
 from .primal import (brute_force_policy_value,
                      brute_force_weak_formulation, continuity_modulus,
                      convexity_check, dpp_check, monotonicity_violation,
                      primal_value_dp, two_point_envelope, value_curve)
-from .runner import dual_bounds, render_report_json
+from .runner import render_report_json
 from .scenario import DEFAULT_SEED, catalogue_scenario
 
 _DECIMALS = tuple(round(0.1 * i, 10) for i in range(1, 10))
@@ -39,9 +39,9 @@ class Workspace:
     Surfaces and dual bounds are expensive relative to everything else, and
     several criteria look at the same catalogue scenario, so each is built
     once per verify run, and each slope's certificate once per scenario.
-    A scenario's first dual request prices its whole dual_m_list through
-    runner.dual_bounds, in lockstep; any other threshold reuses the
-    scenario's certificates.
+    A scenario's first dual request prices the searches of its whole
+    dual_m_list in lockstep, as runner.dual_bounds does; every threshold
+    then reads, and any other threshold fills, the scenario's certificates.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED):
@@ -75,11 +75,9 @@ class Workspace:
     def dual(self, name, m):
         sc = self.scenario(name)
         if name not in self._certificates:
-            priced = dual_bounds(sc)
-            self._duals.update(((name, mm), res) for mm, res in priced)
-            # every slope priced lies on the trace of the search that asked
-            self._certificates[name] = {l: cert for _, res in priced
-                                        for l, cert in res["trace"]}
+            self._certificates[name] = lockstep_certificates(
+                sc.lattice, sc.driver_f, sc.driver_g, sc.loss, sc.dual_m_list,
+                l_max=sc.l_max, rounds=sc.dual_rounds)
         key = (name, m)
         if key not in self._duals:
             self._duals[key] = dual_bound(

@@ -24,10 +24,10 @@ maximizes l m - dual_value(l) over l by golden-section search.
 Slopes are priced in batches.  The incumbent (_Incumbent) holds one
 candidate per slope, on a leading slope axis of every array, and
 dual_values runs the coordinate descents of all of them at once:
-dual_value is its one-slope case.  A step of the descent builds every
-slope's window together (clipped, deduplicated, without the centre and cut
-to the slope's remaining budget, so the windows are ragged), concatenates
-the windows with an owner index, scores them in one scan, and moves each
+dual_value is its one-slope case.  A step of the descent builds each
+slope's window (clipped, deduplicated, without the centre and cut to the
+slope's remaining budget, so the windows are ragged), concatenates the
+windows with an owner index, scores them in one scan, and moves each
 slope to its own argmin, the first one on ties and never a NaN, only when
 it is strictly below that slope's incumbent.  Each slope keeps its own
 evaluation count, move count and budget, so a batch returns, slope for
@@ -40,8 +40,11 @@ slope it wants priced.  dual_bound drives one such search for one m,
 reading and filling a slope -> certificate dict; lockstep_certificates
 drives one search per threshold of a scenario in lockstep and prices the
 distinct new slopes of each step in one dual_values call.  A batch holds
-at most SCAN_PAIRS // 2^N slopes (one from N = 16 on), so a batch's
-slopes x paths stay within one scan pass.
+at most SCAN_PAIRS // 2^N slopes (32 at N = 8, one from N = 13 on), and a
+scan scores its candidates in passes of at most SCAN_PAIRS (candidate,
+path) pairs, so every per-scan array stays at 64 KB, below glibc's 128 KB
+mmap threshold, however many thresholds a scenario prices; the path
+totals a scan averages go into a buffer the incumbent keeps across scans.
 
 Everything works on the path-prefix tree: sign_matrix keeps step 0 in the
 top bit, so a level-j quantity depends only on a path's first j signs and
@@ -51,9 +54,9 @@ rebuilds the moved adjoint from level k and the running terms, in one call
 for every slope that moved at that coordinate.  A scan builds the moved
 adjoint and its running terms level by level on the prefixes, and forms
 each path's running sum on the prefixes too (_path_sums), so no (candidate,
-path, step) panel exists: a scan's largest arrays are (candidate, path),
-about 50 KB at 24 candidates on 256 paths, below glibc's 128 KB mmap
-threshold.
+path, step) panel exists: a pass's largest arrays are (candidate, path).
+From N = 14 on a single slope's top levels exceed the mmap threshold, so
+there an accepted move still allocates above it.
 
 Every score is bit-for-bit the dual_objective value of its candidate, so
 the accepted controls, the bounds and the reports do not depend on the
@@ -78,10 +81,11 @@ from .lattice import MAX_PATH_LEVELS, Lattice, LatticeError, sign_matrix
 from .primal import ValueSurface, attainment_check
 
 POSITIVITY_MARGIN = 1e-6
-# (candidate, path) pairs one pass of the coordinate scan holds at most, so
-# a pass's arrays stay at SCAN_PAIRS doubles however deep the lattice is; a
-# batch of slopes holds at most SCAN_PAIRS paths over all its slopes
-SCAN_PAIRS = 2**16
+# (candidate, path) pairs one pass of the coordinate scan holds at most, and
+# (slope, path) pairs one batch of slopes holds at most: 2^13 doubles, 64 KB,
+# half glibc's 128 KB mmap threshold, so a pass's arrays and the batch's
+# levels stay below it however many slopes or thresholds a scenario has
+SCAN_PAIRS = 2**13
 # the two step signs in sign_matrix order: an up step, then a down step
 UP_DOWN = sign_matrix(1)[:, 0]
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -270,6 +274,10 @@ class _Incumbent:
         self.adjoints = [[np.ones((s, 2**j)) for j in range(n + 1)]
                          for _ in (0, 1)]
         self.terms = [np.empty((s, 2**j)) for j in range(n)]
+        # the path totals of one scan pass, (candidate, path), kept across
+        # scans: from N = 14 on one candidate's row exceeds the mmap threshold
+        self.per_pass = max(1, SCAN_PAIRS // 2**n)
+        self.paths = np.empty(self.per_pass * 2**n)
         # A first (its running terms are provisional while L is all ones),
         # then L, which rebuilds the running terms from both
         every = np.arange(s)
@@ -332,11 +340,10 @@ class _Incumbent:
                                   & np.isfinite(conj))
         scores = np.full(vals.size, math.inf)
         n_paths = 2**lat.steps
-        per_pass = max(1, SCAN_PAIRS // n_paths)
         rows_per_pass = min(n_paths, SCAN_PAIRS)
-        for start in range(0, feasible.size, per_pass):
-            idx = feasible[start:start + per_pass]
-            paths = np.empty((idx.size, n_paths))
+        for start in range(0, feasible.size, self.per_pass):
+            idx = feasible[start:start + self.per_pass]
+            paths = self.paths[:idx.size * n_paths].reshape(idx.size, n_paths)
             for row in range(0, n_paths, rows_per_pass):
                 rows = slice(row, row + rows_per_pass)
                 paths[:, rows] = self._pass(which, k, owner[idx], drift[idx],
@@ -432,38 +439,6 @@ def _feasible_start(d: Driver, kind: str) -> tuple:
     )
 
 
-def _windows(centers: np.ndarray, width: float, bound: float, points: int,
-             remaining: np.ndarray) -> tuple:
-    """Every slope's scan window, concatenated: (values, owner, counts).
-
-    Row s holds np.unique(np.clip(np.linspace(c - width, c + width,
-    points), -bound, bound)) for c = centers[s], to the bit and in its
-    order, without c and cut to its first remaining[s] values.  The rows
-    are built together: linspace's arithmetic (its zero-step fallback
-    included), one sort, and a mask of the values that differ from their
-    predecessor.
-    """
-    start, stop = centers - width, centers + width
-    delta = (stop - start)[:, None]
-    grid = np.arange(points, dtype=float)
-    if points > 1:
-        step = delta / (points - 1)
-        win = grid * step
-        if not step.all():
-            win = np.where(step == 0, grid / (points - 1) * delta, win)
-    else:
-        win = grid * delta
-    win += start[:, None]
-    if points > 1:
-        win[:, -1] = stop
-    # np.clip, for the finite values a window holds
-    win = np.sort(np.minimum(np.maximum(win, -bound), bound), axis=-1)
-    keep = win != centers[:, None]
-    keep[:, 1:] &= win[:, 1:] != win[:, :-1]
-    keep &= np.cumsum(keep, axis=-1) <= remaining[:, None]
-    return win[keep], np.nonzero(keep)[0], keep.sum(axis=-1)
-
-
 def _descend(lattice: Lattice, slopes, d_f: Driver, d_g: Driver,
              lp: LossPair, rounds: int, grid_points: int,
              budget: int) -> list:
@@ -496,11 +471,18 @@ def _descend(lattice: Lattice, slopes, d_f: Driver, d_g: Driver,
         )
     for rnd in range(rounds):
         for i, k in axes:
-            cand, owner, counts = _windows(inc.profiles[i][:, k],
-                                           widths[i] / 4.0**rnd, widths[i],
-                                           grid_points, budget - evaluations)
-            if cand.size == 0:
+            width = widths[i] / 4.0**rnd
+            wins = []
+            for c, left in zip(inc.profiles[i][:, k], budget - evaluations):
+                win = np.unique(np.clip(np.linspace(c - width, c + width,
+                                                    grid_points),
+                                        -widths[i], widths[i]))
+                wins.append(win[win != c][:left])
+            counts = np.array([win.size for win in wins])
+            if not counts.any():
                 continue
+            cand = np.concatenate(wins)
+            owner = np.repeat(np.arange(counts.size), counts)
             scores, conj = inc.scan(i, k, cand, owner, lp)
             evaluations += counts
             # per slope: first index on ties, NaN never wins, and only a
@@ -635,19 +617,16 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
 def lockstep_certificates(lattice: Lattice, d_f: Driver, d_g: Driver,
                           lp: LossPair, thresholds, l_max: float = 4.0,
                           tol: float = 1e-6, rounds: int = 3,
-                          budget: int = 200_000,
-                          certificates: dict | None = None) -> dict:
+                          budget: int = 200_000) -> dict:
     """The slope -> certificate dict of the dual_bound searches for every
     threshold, priced in lockstep.
 
     Each step advances every unfinished search by one slope and prices the
     step's distinct new slopes in one dual_values call, so dual_bound on
     the returned dict, for any of the thresholds, only reads it and returns
-    what it returns on its own.  certificates, when given, is read and
-    filled, as in dual_bound.
+    what it returns on its own.
     """
-    if certificates is None:
-        certificates = {}
+    certificates = {}
     searches = [_golden_section(m, l_max, tol) for m in thresholds]
     wanted = [_step(search, None) for search in searches]
     while searches:

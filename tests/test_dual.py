@@ -322,8 +322,10 @@ def _one_owner(vals):
 
 
 @pytest.mark.parametrize("steps, scan_pairs", [
-    (5, dual_mod.SCAN_PAIRS),    # one pass holds every candidate
-    (14, dual_mod.SCAN_PAIRS),   # smallest depth where 8 candidates split
+    (5, 2**16),                  # one pass holds every candidate
+    (14, 2**16),                 # smallest depth where 8 candidates split
+    (11, dual_mod.SCAN_PAIRS),   # the same at the shipped pass size
+    (14, dual_mod.SCAN_PAIRS),   # one candidate split into path ranges
     (7, 2**5),                   # each candidate split into path ranges
 ])
 def test_batched_scan_rows_equal_single_evaluations(steps, scan_pairs,
@@ -490,12 +492,13 @@ def _moved_smooth_incumbent(steps):
     return inc
 
 
-@pytest.mark.parametrize("scan_pairs", [dual_mod.SCAN_PAIRS, 2**3])
+@pytest.mark.parametrize("scan_pairs", [2**16, 2**3])
 @pytest.mark.parametrize("loss", ["power", "s_shaped"])
 def test_prefix_tree_pass_matches_the_chain_reference_bits(scan_pairs, loss,
                                                            monkeypatch):
-    # with 2**3 the row blocks are narrower than a level-k subtree for
-    # every k < N - 3, so a block may hold a single prefix for many levels
+    # with 2**16 (or the shipped 2**13) one block holds every path; with
+    # 2**3 the row blocks are narrower than a level-k subtree for every
+    # k < N - 3, so a block may hold a single prefix for many levels
     monkeypatch.setattr(dual_mod, "SCAN_PAIRS", scan_pairs)
     lp = make_loss(loss)
     windows = {1: np.array([0.0, 0.04, 0.1, 0.13, 0.2]),
@@ -574,7 +577,12 @@ def test_one_scan_stays_under_its_memory_bound():
 def _largest_block(fn):
     """The largest rise of traced memory within one bytecode instruction
     while fn runs: at least the size of any block allocated by a single
-    instruction, a C call with its internals included."""
+    instruction, a C call with its internals included.
+
+    A broadcasting ufunc allocates numpy's iterator buffer, at most
+    np.getbufsize() doubles (64 KB by default, itself below the mmap
+    threshold), in the instruction that allocates its output; fn runs with
+    a 16 KB buffer, so that the rise measures the arrays themselves."""
     worst = [0]
     base = [0]
 
@@ -586,6 +594,7 @@ def _largest_block(fn):
         base[0] = current
         return tracer
 
+    bufsize = np.setbufsize(2048)
     tracemalloc.start()
     base[0] = tracemalloc.get_traced_memory()[0]
     previous = sys.gettrace()
@@ -596,6 +605,7 @@ def _largest_block(fn):
         sys.settrace(previous)
         worst[0] = max(worst[0], tracemalloc.get_traced_memory()[1] - base[0])
         tracemalloc.stop()
+        np.setbufsize(bufsize)
     return worst[0]
 
 
@@ -625,23 +635,41 @@ def test_batched_scan_allocates_nothing_above_the_mmap_threshold():
         assert largest < MMAP_THRESHOLD, (i, k, largest)
 
 
-def test_window_rows_equal_numpy_unique_per_slope():
-    rng = np.random.default_rng(5)
-    for points in (1, 2, 9, 12):
-        for width, bound in ((0.3, 0.3), (0.075, 0.3), (0.01, 5.0)):
-            centers = rng.choice([-0.3, -0.27, 0.0, 0.05, 0.29, 0.3], 6)
-            centers[0] = 1e17           # a zero step: linspace's fallback
-            remaining = np.array([0, 3, 20, 9, 1, 5])
-            vals, owner, counts = dual_mod._windows(centers, width, bound,
-                                                    points, remaining)
-            assert np.array_equal(counts, np.bincount(owner, minlength=6))
-            assert np.all(np.diff(owner) >= 0)
-            for s, c in enumerate(centers):
-                want = np.unique(np.clip(np.linspace(c - width, c + width,
-                                                     points), -bound, bound))
-                want = want[want != c][:remaining[s]]
-                assert vals[owner == s].tobytes() == want.tobytes(), \
-                    (points, width, s)
+@pytest.mark.parametrize("steps, n_slopes", [
+    (8, 12),     # 96 candidates: 192 KB of (candidate, path) pairs
+    (14, 1),     # one candidate's path totals alone are 128 KB
+])
+def test_large_scans_and_moves_allocate_nothing_above_the_threshold(
+        steps, n_slopes):
+    lat = build_lattice(1.0, steps)
+    f, g = _pair(SMOOTH_PAIR)
+    lp = make_loss("power", p=2.0)
+    slopes = np.linspace(0.6, 1.5, n_slopes)
+    inc = dual_mod._Incumbent(lat, [DualControls.zeros(lat, l)
+                                    for l in slopes], f, g)
+    owner = np.repeat(np.arange(n_slopes), 8)
+    vals = np.tile(np.linspace(0.0, 0.2, 8), n_slopes)
+    assert vals.size * 2**steps * 8 >= MMAP_THRESHOLD
+    inc.scan(1, 0, vals, owner, lp)
+    for k in (0, steps // 2, steps - 1):
+        out = []
+        largest = _largest_block(
+            lambda: out.append(inc.scan(1, k, vals, owner, lp)))
+        scores, conj = out[0]
+        assert np.all(np.isfinite(scores)) and len(scores) == vals.size
+        assert largest < MMAP_THRESHOLD, (k, largest)
+        # every slope moves to its own best candidate
+        won = np.argmin(scores.reshape(n_slopes, 8), axis=-1) \
+            + 8 * np.arange(n_slopes)
+        movers = np.arange(n_slopes)
+        if steps < 14:
+            # from N = 14 on a slope's top levels are 128 KB themselves
+            largest = _largest_block(
+                lambda: inc.move(1, k, movers, vals[won], conj[won]))
+            assert largest < MMAP_THRESHOLD, (k, largest)
+        else:
+            inc.move(1, k, movers, vals[won], conj[won])
+        assert inc.value(lp).tolist() == scores[won].tolist()
 
 
 BOX = "box"
