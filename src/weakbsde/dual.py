@@ -19,7 +19,13 @@ l m - certificate <= primal value: the certificate search can only ever
 tighten a valid lower bound, never break it.  dual_value minimizes the
 certificate over the profiles by coordinate descent (an upper bound on
 the true infimum, which keeps the inequality safe), and dual_bound
-maximizes l m - dual_value(l) over l by golden-section search.
+maximizes l m - dual_value(l) over l.  Where the loss polar is smooth
+(LossPair.polar_grad is set) the certificate is smooth in l, and Brent's
+bounded method (_brent) reaches a bound at least as high as golden
+section's in 7-10 pricings instead of 34.  Where the polar is piecewise
+linear the certificate is kinked and Brent's bound can come out up to
+about 1e-7 lower, so golden-section search (_golden_section) stays there;
+_slope_search picks one of the two.
 
 Slopes are priced in batches.  The incumbent (_Incumbent) holds one
 candidate per slope, on a leading slope axis of every array, and
@@ -34,17 +40,18 @@ evaluation count, move count and budget, so a batch returns, slope for
 slope, what dual_value returns alone.  The incumbent's own value is never
 re-scored.
 
-A slope's certificate does not depend on the threshold m, so the
-golden-section search is written once, as a routine that yields the next
-slope it wants priced.  dual_bound drives one such search for one m,
-reading and filling a slope -> certificate dict; lockstep_certificates
-drives one search per threshold of a scenario in lockstep and prices the
-distinct new slopes of each step in one dual_values call.  A batch holds
-at most SCAN_PAIRS // 2^N slopes (32 at N = 8, one from N = 13 on), and a
-scan scores its candidates in passes of at most SCAN_PAIRS (candidate,
-path) pairs, so every per-scan array stays at 64 KB, below glibc's 128 KB
-mmap threshold, however many thresholds a scenario prices; the path
-totals a scan averages go into a buffer the incumbent keeps across scans.
+A slope's certificate does not depend on the threshold m, so each slope
+search is written once, as a routine that yields the next slope it wants
+priced and is sent its certificate.  dual_bound drives one such search
+for one m, reading and filling a slope -> certificate dict;
+lockstep_certificates drives one search per threshold of a scenario in
+lockstep and prices the distinct new slopes of each step in one
+dual_values call.  A batch holds at most SCAN_PAIRS // 2^N slopes (32 at
+N = 8, one from N = 13 on), and a scan scores its candidates in passes
+of at most SCAN_PAIRS (candidate, path) pairs, so every per-scan array
+stays at 64 KB, below glibc's 128 KB mmap threshold, however many
+thresholds a scenario prices; the path totals a scan averages go into a
+buffer the incumbent keeps across scans.
 
 Everything works on the path-prefix tree: sign_matrix keeps step 0 in the
 top bit, so a level-j quantity depends only on a path's first j signs and
@@ -89,6 +96,12 @@ SCAN_PAIRS = 2**13
 # the two step signs in sign_matrix order: an up step, then a down step
 UP_DOWN = sign_matrix(1)[:, 0]
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# 1 - GOLDEN, the fraction of the bracket a golden step of _brent takes
+GOLDEN_STEP = 0.5 * (3.0 - math.sqrt(5.0))
+# the relative part of _brent's step tolerance
+SQRT_EPS = math.sqrt(np.finfo(float).eps)
+# the smallest slope a search prices: the dual maximizes over l > 0
+SLOPE_FLOOR = 1e-8
 
 
 class DualFeasibilityError(ValueError):
@@ -545,13 +558,10 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
                        grid_points=grid_points, budget=budget)[0]
 
 
-def _golden_section(m: float, l_max: float, tol: float):
-    """Golden-section maximization of l*m - certificate(l) over (0, l_max],
+def _golden_section(m: float, lo: float, hi: float, tol: float):
+    """Golden-section maximization of l*m - certificate(l) over [lo, hi],
     as a stepping routine: it yields each slope it evaluates and is sent
     that slope's certificate back."""
-    if not (0.0 < l_max and np.isfinite(l_max)):
-        raise DualFeasibilityError("l_max must be positive and finite")
-    lo, hi = 1e-8, float(l_max)
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1 = x1 * m - (yield x1)
@@ -567,6 +577,78 @@ def _golden_section(m: float, l_max: float, tol: float):
             f1 = x1 * m - (yield x1)
 
 
+def _brent(m: float, a: float, b: float, tol: float):
+    """Brent's bounded minimization of certificate(l) - l*m over [a, b]
+    (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5), a stepping routine like _golden_section.
+
+    x is the best slope so far, w the second best and v the one before w.
+    A step goes to the vertex of the parabola through the three when it
+    lies inside the bracket and moves less than half the step before last,
+    else it takes a golden-section step into the larger side of the
+    bracket; no step is shorter than tol1 = SQRT_EPS |x| + tol / 3.  The
+    search stops once the bracket lies within 2 tol1 of x.
+    """
+    x = w = v = a + GOLDEN_STEP * (b - a)
+    fx = fw = fv = (yield x) - x * m
+    d = e = 0.0
+    while True:
+        mid = 0.5 * (a + b)
+        tol1 = SQRT_EPS * abs(x) + tol / 3.0
+        tol2 = 2.0 * tol1
+        if abs(x - mid) <= tol2 - 0.5 * (b - a):
+            return
+        golden = True
+        if abs(e) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, e = e, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                golden = False
+                d = p / q
+                u = x + d
+                if u - a < tol2 or b - u < tol2:
+                    d = tol1 if x <= mid else -tol1
+        if golden:
+            e = (a if x >= mid else b) - x
+            d = GOLDEN_STEP * e
+        u = x - max(-d, tol1) if d < 0.0 else x + max(d, tol1)
+        fu = (yield u) - u * m
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+
+
+def _slope_search(m: float, l_max: float, tol: float, lp: LossPair):
+    """The stepping routine that maximizes l*m - certificate(l) over
+    [SLOPE_FLOOR, l_max]: Brent's method where the loss polar is smooth
+    (lp.polar_grad is set), golden section where it is piecewise linear;
+    the module docstring says why both stay.
+    """
+    if not SLOPE_FLOOR < l_max < math.inf:
+        raise DualFeasibilityError(
+            f"l_max must be finite and above {SLOPE_FLOOR}, got {l_max!r}")
+    search = _golden_section if lp.polar_grad is None else _brent
+    return search(m, SLOPE_FLOOR, float(l_max), tol)
+
+
 def _step(search, certificate):
     """Send a search the certificate of its last slope (None to start it):
     the next slope it wants, or None once it has finished."""
@@ -580,7 +662,9 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
                m: float, l_max: float = 4.0, tol: float = 1e-6,
                rounds: int = 3, budget: int = 200_000,
                certificates: dict | None = None) -> dict:
-    """Golden-section maximization of l*m - certificate(l) over l in (0, l_max].
+    """Maximization of l*m - certificate(l) over l in (0, l_max]: Brent's
+    method where the loss polar is smooth, golden section where it is
+    piecewise linear (_slope_search).
 
     The trace records every (l, certificate) pair the search evaluated;
     each one is a standalone valid lower bound, so the reported bound is
@@ -593,7 +677,7 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
     """
     if certificates is None:
         certificates = {}
-    search = _golden_section(m, l_max, tol)
+    search = _slope_search(m, l_max, tol, lp)
     trace = []
     l = _step(search, None)
     while l is not None:
@@ -627,7 +711,7 @@ def lockstep_certificates(lattice: Lattice, d_f: Driver, d_g: Driver,
     what it returns on its own.
     """
     certificates = {}
-    searches = [_golden_section(m, l_max, tol) for m in thresholds]
+    searches = [_slope_search(m, l_max, tol, lp) for m in thresholds]
     wanted = [_step(search, None) for search in searches]
     while searches:
         new = [l for l in dict.fromkeys(wanted) if l not in certificates]

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 from .bsde import compute_corridor
 from .drivers import Driver, LossPair, make_driver, make_loss
+from .dual import SLOPE_FLOOR
 from .lattice import MAX_PATH_LEVELS, Lattice, build_lattice
 from .primal import (CONTINUITY_OFFSETS, PrimalScenario,
                      _continuity_base_fits)
@@ -218,6 +219,9 @@ def build_scenario(config: dict) -> Scenario:
         raise ScenarioError(f"dual.enabled must be true or false, "
                             f"got {dual_enabled!r}")
     l_max = _as_positive_number(dual_cfg.get("l_max", 4.0), "dual.l_max")
+    if not l_max > SLOPE_FLOOR:
+        raise ScenarioError(f"dual.l_max must exceed the smallest slope "
+                            f"searched, {SLOPE_FLOOR}, got {l_max!r}")
     dual_rounds = dual_cfg.get("rounds", 3)
     if not isinstance(dual_rounds, int) or isinstance(dual_rounds, bool) \
             or dual_rounds < 1:

@@ -18,7 +18,7 @@ from weakbsde.dual import (DualControls, DualFeasibilityError, dual_bound,
                            first_order_residuals)
 from weakbsde.lattice import build_lattice, sign_matrix
 from weakbsde.primal import PrimalScenario, primal_value_dp, value_curve
-from weakbsde.scenario import build_scenario
+from weakbsde.scenario import build_scenario, catalogue_scenario
 
 
 def test_dual_controls_validation():
@@ -963,3 +963,141 @@ def test_workspace_prices_a_scenario_dual_list_in_lockstep(monkeypatch):
     assert [ws.dual("risk_pair", m) for m in sc.dual_m_list] == \
         list(want.values())
     assert len(calls) == priced       # the rest of the list is cached
+
+
+# ---------------------------------------------------------------------------
+# the slope search: Brent's method where the polar is smooth, golden
+# section where it is piecewise linear
+# ---------------------------------------------------------------------------
+
+def _drive(search, certificate):
+    """Run a slope search on an analytic certificate; the slopes it priced,
+    in order."""
+    slopes = []
+    l = dual_mod._step(search, None)
+    while l is not None:
+        slopes.append(l)
+        l = dual_mod._step(search, certificate(l))
+    return slopes
+
+
+def _brent(m, l_max=4.0):
+    return dual_mod._brent(m, dual_mod.SLOPE_FLOOR, l_max, 1e-6)
+
+
+def _quadratic(l):
+    # the power-2 polar, whose supremum of l m - l^2 / 4 is m^2 at l = 2m
+    return l * l / 4.0
+
+
+@pytest.mark.parametrize("m", [0.1, 0.25, 0.5, 0.7, 0.75, 0.9])
+def test_brent_finds_the_quadratic_supremum_in_few_steps(m):
+    slopes = _drive(_brent(m), _quadratic)
+    assert len(slopes) <= 12
+    assert max(l * m - _quadratic(l) for l in slopes) == \
+        pytest.approx(m * m, abs=1e-12)
+
+
+# (m, l_max, certificate): interior maxima, maxima on either end of the
+# bracket, and kinked certificates
+BRENT_CASES = [
+    (0.5, 4.0, _quadratic),
+    (2.5, 4.0, _quadratic),            # l* = 5 beyond l_max
+    (0.75, 1.0, _quadratic),           # l* = 1.5 beyond l_max
+    (0.0, 4.0, _quadratic),            # l* = 0, below the floor
+    (-0.2, 4.0, _quadratic),
+    (0.3, 4.0, lambda l: abs(l - 1.3) + 0.1 * l),
+    (0.5, 4.0, lambda l: max(l - 1.0, 0.0)),
+    (0.4, 2.0, math.cosh),
+]
+
+
+@pytest.mark.parametrize("m, l_max, certificate", BRENT_CASES)
+def test_brent_stays_in_the_bracket_and_never_repeats_a_slope(m, l_max,
+                                                              certificate):
+    slopes = _drive(_brent(m, l_max), certificate)
+    assert all(dual_mod.SLOPE_FLOOR <= l <= l_max for l in slopes)
+    assert all(a != b for a, b in zip(slopes, slopes[1:]))
+
+
+@pytest.mark.parametrize("m, l_max", [(2.5, 4.0), (0.75, 1.0)])
+def test_brent_finishes_on_the_upper_end(m, l_max):
+    slopes = _drive(_brent(m, l_max), _quadratic)
+    best = max(slopes, key=lambda l: l * m - _quadratic(l))
+    assert best == pytest.approx(l_max, abs=1e-6)
+    assert best * m - _quadratic(best) == \
+        pytest.approx(l_max * m - _quadratic(l_max), abs=1e-6)
+
+
+@pytest.mark.parametrize("name, params, routine", [
+    ("power", {"p": 2.0}, "_brent"),
+    ("power", {"p": 3.0}, "_brent"),
+    ("power", {"p": 1.0}, "_golden_section"),
+    ("identity", {}, "_golden_section"),
+    ("s_shaped", {}, "_golden_section"),
+    ("call_spread", {}, "_golden_section"),
+])
+def test_slope_search_follows_the_polar(name, params, routine):
+    search = dual_mod._slope_search(0.5, 4.0, 1e-6, make_loss(name, **params))
+    assert search.__name__ == routine
+
+
+@pytest.mark.parametrize("l_max", [0.0, -1.0, 1e-9, math.inf, math.nan])
+def test_slope_search_rejects_a_bad_l_max_before_pricing(l_max, monkeypatch):
+    calls = _count_priced_slopes(monkeypatch)
+    lat = build_lattice(1.0, 3)
+    zero = make_driver("zero")
+    for lp in (make_loss("power"), make_loss("identity")):
+        with pytest.raises(DualFeasibilityError, match="l_max"):
+            dual_mod.lockstep_certificates(lat, zero, zero, lp, [0.5],
+                                           l_max=l_max)
+        with pytest.raises(DualFeasibilityError, match="l_max"):
+            dual_bound(lat, zero, zero, lp, 0.5, l_max=l_max)
+    assert calls == []
+
+
+@pytest.mark.parametrize("loss, most, least", [
+    ({"name": "power", "params": {"p": 2.0}}, 12, 1),
+    ({"name": "identity"}, 34, 34),
+])
+def test_lockstep_pricing_counts_per_polar(loss, most, least, monkeypatch):
+    """A smooth polar takes Brent's method, at most 12 pricing steps; a
+    piecewise-linear one still takes golden section's 34."""
+    config = _scenario_config("guard", 4, 1, [0.25, 0.5, 0.75])
+    sc = build_scenario(dict(config, loss=loss))
+    batches = []
+    original = dual_mod.dual_values
+
+    def spy(lattice, slopes, *args, **kwargs):
+        batches.append(list(slopes))
+        return original(lattice, slopes, *args, **kwargs)
+
+    monkeypatch.setattr(dual_mod, "dual_values", spy)
+    results = runner_mod.dual_bounds(sc)
+    assert least <= len(batches) <= most
+    assert all(least <= res["n_slope_evaluations"] <= most
+               for _, res in results)
+
+
+# the bounds of the golden-section search over every slope, recorded before
+# the smooth polars took Brent's method; a search may find a higher bound,
+# never a lower one beyond rounding
+GOLDEN_SECTION_BOUNDS = {
+    "risk_pair": {0.25: 0.0625, 0.5: 0.24999999999999994,
+                  0.75: 0.5624999999999996},
+    "jensen": {0.1: 0.009999999999999187, 0.2: 0.039999999999997995,
+               0.3: 0.08999999999999848, 0.4: 0.15999999999999884,
+               0.5: 0.24999999999999994, 0.6: 0.3599999999999947,
+               0.7: 0.48999999999999994, 0.8: 0.6399999999999996,
+               0.9: 0.8099999999999977},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SECTION_BOUNDS))
+def test_brent_bounds_hold_the_golden_section_floor(name):
+    results = runner_mod.dual_bounds(catalogue_scenario(name))
+    floor = GOLDEN_SECTION_BOUNDS[name]
+    assert [m for m, _ in results] == list(floor)
+    for m, res in results:
+        assert res["bound"] >= floor[m] - 1e-12, m
+        assert res["n_slope_evaluations"] <= 12, m

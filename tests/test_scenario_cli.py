@@ -68,6 +68,10 @@ def test_check_names_and_lists_validated():
         build_scenario(_minimal(primal={"grid_size": 81,
                                         "continuity_base": 0.95},
                                 checks=["continuity"]))
+    # the slope searches start at 1e-8, so a smaller l_max leaves no bracket
+    for bad in (0.0, -1.0, 1e-9, 1e-8, float("inf"), "x"):
+        with pytest.raises(ScenarioError, match=r"dual\.l_max"):
+            build_scenario(_minimal(dual={"l_max": bad}))
     for bad in ("no", "false", 0, 1, None, []):
         with pytest.raises(ScenarioError, match=r"dual\.enabled"):
             build_scenario(_minimal(dual={"enabled": bad}))
