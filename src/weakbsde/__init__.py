@@ -21,12 +21,12 @@ from .bsde import (BsdeSolution, Corridor, SchemeError, comparison_check,
 from .control import (NodePolicy, PolicyError, TruncatedPolicy, admissible,
                       representation_roundtrip, simulate_all_prefixes,
                       truncate_at_ceiling, truncate_at_floor)
-from .primal import (GreedyPolicy, PrimalError, PrimalScenario, ValueSurface,
+from .primal import (GreedyPlan, PrimalError, PrimalScenario, ValueSurface,
                      attainment_check, brute_force_policy_value,
                      brute_force_weak_formulation, continuity_modulus,
-                     convexity_check, dpp_check, monotonicity_violation,
-                     primal_value_dp, restriction_check, two_point_envelope,
-                     value_curve)
+                     convexity_check, dpp_check, greedy_plan,
+                     monotonicity_violation, primal_value_dp,
+                     restriction_check, two_point_envelope, value_curve)
 from .dual import (DualControls, DualFeasibilityError, dual_bound,
                    dual_objective, dual_value, first_order_residuals)
 from .scenario import (Scenario, ScenarioError, build_scenario, catalogue,
@@ -47,10 +47,10 @@ __all__ = [
     "NodePolicy", "PolicyError", "TruncatedPolicy", "admissible",
     "representation_roundtrip", "simulate_all_prefixes",
     "truncate_at_ceiling", "truncate_at_floor",
-    "GreedyPolicy", "PrimalError", "PrimalScenario", "ValueSurface",
+    "GreedyPlan", "PrimalError", "PrimalScenario", "ValueSurface",
     "attainment_check", "brute_force_policy_value",
     "brute_force_weak_formulation", "continuity_modulus", "convexity_check",
-    "dpp_check", "monotonicity_violation", "primal_value_dp",
+    "dpp_check", "greedy_plan", "monotonicity_violation", "primal_value_dp",
     "restriction_check", "two_point_envelope", "value_curve",
     "DualControls", "DualFeasibilityError", "dual_bound", "dual_objective",
     "dual_value", "first_order_residuals",

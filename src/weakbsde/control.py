@@ -11,7 +11,11 @@ nonlinear expectations of the terminal fields 0 and 1.
 Policies expose a small vectorized protocol (initial_state / control_array)
 so that simulate_all_prefixes steps every path prefix of a level at once;
 truncated policies are the only stateful ones (they latch once the
-corridor edge is hit).
+corridor edge is hit).  _children is the one forward step: the
+simulation here and the primal backup, greedy plan and policy oracle all
+call it.  The greedy attainment policy is not simulated here: its
+control depends on the state alone, so primal.greedy_plan steps the
+distinct (node, m) states instead of the 2^k prefixes.
 """
 
 from __future__ import annotations

@@ -170,12 +170,19 @@ def sign_matrix(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def prefix_up_counts(k: int) -> np.ndarray:
-    """Up-move count j for every length-k path prefix (indexed like sign_matrix)."""
-    if k == 0:
-        return np.zeros(1, dtype=np.int64)
+    """Up-move count j for every length-k path prefix (indexed like sign_matrix).
+
+    Built from level k - 1: prefix h has its up child at 2h (count + 1)
+    and its down child at 2h + 1 (same count).
+    """
     if k > MAX_PATH_LEVELS:
         raise LatticeError(f"prefix tables guarded at k <= {MAX_PATH_LEVELS}")
-    counts = np.array([k - bin(h).count("1") for h in range(2**k)], dtype=np.int64)
+    if k == 0:
+        counts = np.zeros(1, dtype=np.int64)
+    else:
+        parent = prefix_up_counts(k - 1)
+        counts = np.empty(2 * parent.size, dtype=np.int64)
+        counts[0::2] = parent + 1
+        counts[1::2] = parent
     counts.flags.writeable = False
     return counts
-

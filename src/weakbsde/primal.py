@@ -17,8 +17,17 @@ slopes, so a feasible control exists at every state; ties are broken
 toward the smallest |a| (then the smallest a) to keep results
 deterministic.  The DP builds each node's (|a|, a)-ordered control set
 once and keeps the table on the surface (ValueSurface.control_sets), where
-the DPP check and the greedy policy read it; the restriction check's
+the DPP check and the greedy plan read it; the restriction check's
 sub-tree DP builds its own.
+
+The attainment check steers the greedy feedback policy (re-optimize the
+backup at the exact current state) over all 2^N path prefixes.  Its
+control is a pure function of (k, j, m), so greedy_plan works on the
+distinct (node, m) states that a scenario's thresholds reach instead:
+one _backup per lattice node and level, over every threshold's rows at
+that node, and one forward step per row.  attainment_check then reads a
+threshold's prefix states and controls from the plan by index gathers,
+one threshold at a time.
 
 The node backup (_backup) lays its work out as (control, state) arrays
 and does only the work whose result it keeps: it tests every pair for
@@ -49,10 +58,9 @@ import numpy as np
 from .bsde import (Corridor, apriori_bound_field, compute_corridor,
                    exact_scheme_for, solve_on_path_tree,
                    solve_on_product_tree, _one_step, _require_step_condition)
-from .control import (_children, _excursion, _interleave,
-                      simulate_all_prefixes)
+from .control import _children, _excursion, _interleave
 from .drivers import Driver, LossPair
-from .lattice import Lattice, build_lattice
+from .lattice import Lattice, LatticeError, MAX_PATH_LEVELS, build_lattice
 
 FEASIBILITY_TOL = 1e-9
 CURVE_TOL = 1e-9
@@ -265,62 +273,138 @@ def value_curve(surface: ValueSurface, m_list) -> np.ndarray:
     return np.interp(np.clip(m, lo, hi), surface.grids[0][0], surface.values[0][0])
 
 
-class GreedyPolicy:
-    """State-feedback policy: re-optimizes the one-step backup against the
-    stored next-level surface at the exact current state.
+def _distinct_rows(j_idx: np.ndarray, m: np.ndarray) -> tuple:
+    """The distinct (node, m) rows among the pairs (j_idx[i], m[i]).
 
-    The control is a pure function of (k, j, m), so each batch runs one
-    backup per distinct (node, m) row -- keyed on the exact bits of m, so
-    -0.0/+0.0 and NaN rows stay apart -- and every prefix holding that row
-    gets its control.  The rows of a node keep their first-occurrence
-    order; dropping only exact duplicates leaves the implicit scheme's
-    batch-max stopping rule, and so every result bit, unchanged.
-    n_backups counts the distinct rows backed up so far.
+    Rows are keyed on the exact bits of m, so -0.0/+0.0 and NaN rows stay
+    apart, and ordered by node, then by bits (ascending m where m >= 0, so
+    a node's batch reaches _backup as one ascending run).  Returns
+    (first, inverse): first[r] is the first pair holding row r, and
+    inverse[i] the row of pair i.
+    """
+    bits = np.ascontiguousarray(m, dtype=float).view(np.int64)
+    order = np.lexsort((bits, j_idx))  # by node, then bits; stable
+    j_sorted, bits_sorted = j_idx[order], bits[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = ((j_sorted[1:] != j_sorted[:-1])
+               | (bits_sorted[1:] != bits_sorted[:-1]))
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    return order[new], inverse
+
+
+def _node_controls(surface: ValueSurface, k: int, j_rows: np.ndarray,
+                   m_rows: np.ndarray) -> np.ndarray:
+    """Greedy controls of level-k rows grouped by node (_distinct_rows
+    order): one _backup per node, over all of that node's rows."""
+    sc = surface.scenario
+    starts = np.flatnonzero(np.diff(j_rows, prepend=-1, append=-1))
+    best = np.empty(m_rows.size, dtype=float)
+    for lo, hi in zip(starts[:-1], starts[1:]):
+        j = int(j_rows[lo])
+        best[lo:hi] = _backup(sc, surface.corridor, k, j, m_rows[lo:hi],
+                              surface.control_sets[k][j], surface.grids[k + 1],
+                              surface.values[k + 1])[1]
+    return best
+
+
+@dataclass(frozen=True)
+class GreedyPlan:
+    """The greedy feedback policy over the distinct (node, m) states that a
+    set of thresholds reaches, level by level (greedy_plan).
+
+    states[k] holds the m of each level-k row; controls[k] (k < N) its
+    greedy control and children[k] the (up, down) level-(k+1) rows it
+    steps to, one (R_k, 2) index array.  roots[i] is the level-0 row of
+    thresholds[i].
     """
 
-    def __init__(self, surface: ValueSurface):
-        self.surface = surface
-        self.sc = surface.scenario
-        self.n_backups = 0
+    thresholds: np.ndarray = field(repr=False)
+    roots: np.ndarray = field(repr=False)
+    states: tuple = field(repr=False)
+    controls: tuple = field(repr=False)
+    children: tuple = field(repr=False)
 
-    def initial_state(self, n_prefixes: int = 1):
-        return None
+    @property
+    def n_backups(self) -> int:
+        """Distinct interior (node, m) rows the plan backed up."""
+        return sum(a.size for a in self.controls)
 
-    def control_array(self, k: int, j_idx: np.ndarray, m: np.ndarray, state):
-        sf = self.surface
-        m = np.ascontiguousarray(m, dtype=float)
-        bits = m.view(np.int64)
-        order = np.lexsort((bits, j_idx))  # by node, then bits; stable
-        j_sorted, bits_sorted = j_idx[order], bits[order]
-        new = np.ones(order.size, dtype=bool)
-        new[1:] = ((j_sorted[1:] != j_sorted[:-1])
-                   | (bits_sorted[1:] != bits_sorted[:-1]))
-        inverse = np.empty(order.size, dtype=np.intp)
-        inverse[order] = np.cumsum(new) - 1
-        first = order[new]  # first prefix of each distinct row, grouped by node
-        starts = np.flatnonzero(np.diff(j_idx[first], prepend=-1, append=-1))
-        best = np.empty(first.size, dtype=float)
-        for lo, hi in zip(starts[:-1], starts[1:]):
-            rows = lo + np.argsort(first[lo:hi])
-            j = int(j_idx[first[lo]])
-            best[rows] = _backup(self.sc, sf.corridor, k, j, m[first[rows]],
-                                 sf.control_sets[k][j], sf.grids[k + 1],
-                                 sf.values[k + 1])[1]
-        self.n_backups += first.size
-        return best[inverse], state
+    def expand(self, m0: float) -> tuple:
+        """(states, controls) of threshold m0 over every path prefix, in
+        sign-matrix prefix order (as simulate_all_prefixes returns them),
+        gathered from the rows one level at a time."""
+        hit = np.flatnonzero(self.thresholds.view(np.int64)
+                             == np.float64(m0).view(np.int64))
+        if not hit.size:
+            raise PrimalError(f"threshold {float(m0)!r} is not in the plan")
+        rows = self.roots[hit[:1]]
+        states, controls = [], []
+        for m, a, children in zip(self.states, self.controls, self.children):
+            states.append(m[rows])
+            controls.append(a[rows])
+            rows = children[rows].ravel()  # up child at 2h, down at 2h + 1
+        states.append(self.states[-1][rows])
+        return states, controls
 
 
-def attainment_check(surface: ValueSurface, m0: float) -> dict:
-    """Simulate the greedy policy and measure the gap between its realized
-    cost and the surface value.
+def greedy_plan(surface: ValueSurface, m_list) -> GreedyPlan:
+    """Plan the greedy state-feedback policy for every threshold of m_list.
 
-    n_backups is the number of distinct (node, m) states the greedy policy
-    re-optimized, out of the 2^N - 1 interior prefixes it steered.
+    The greedy control re-optimizes the one-step backup against the stored
+    next-level surface at the exact current state, so it is a pure
+    function of (k, j, m).  The plan walks the levels forward over the
+    distinct (node, m) rows that any threshold reaches: one _backup per
+    lattice node and level, over all of that node's rows, then one forward
+    step (_children) per row, whose children are deduplicated again into
+    the next level's rows.  On a recombining pair that holds the threshold
+    flat a level has one row per node and threshold, not one per prefix.
+
+    Dropping exact duplicates leaves every control and child bit equal to
+    a per-prefix simulation.  Under the implicit scheme a node's batch
+    mixes the thresholds' rows and the fixed point stops on the batch
+    maximum, so a value may move in the last bits (see the module
+    docstring); a one-threshold plan backs up the same batches as before.
     """
     sc = surface.scenario
     lat = sc.lattice
-    policy = GreedyPolicy(surface)
-    states, applied = simulate_all_prefixes(lat, sc.driver_f, m0, policy)
+    if lat.steps > MAX_PATH_LEVELS:
+        raise LatticeError(f"greedy plan guarded at N <= {MAX_PATH_LEVELS}")
+    thresholds = np.atleast_1d(np.asarray(m_list, dtype=float))
+    j = np.zeros(thresholds.size, dtype=np.intp)
+    first, roots = _distinct_rows(j, thresholds)
+    j, m = j[first], thresholds[first]
+    states, controls, children = [m], [], []
+    for k in range(lat.steps):
+        a = _node_controls(surface, k, j, m)
+        # the two children of row r sit at 2r (up) and 2r + 1 (down)
+        j_next = np.stack([j + 1, j], axis=1).ravel()
+        m_next = _interleave(*_children(lat, sc.driver_f, k, m, a))
+        first, inverse = _distinct_rows(j_next, m_next)
+        j, m = j_next[first], m_next[first]
+        controls.append(a)
+        children.append(inverse.reshape(-1, 2))
+        states.append(m)
+    return GreedyPlan(thresholds=thresholds, roots=roots, states=tuple(states),
+                      controls=tuple(controls), children=tuple(children))
+
+
+def attainment_check(surface: ValueSurface, m0: float,
+                     plan: Optional[GreedyPlan] = None) -> dict:
+    """Steer the greedy policy from m0 over every path prefix and measure
+    the gap between its realized cost and the surface value.
+
+    plan is a greedy_plan holding m0 (built for m0 alone when omitted);
+    the prefix states and controls are read from it (GreedyPlan.expand),
+    and the leaf losses are priced on the path tree.  n_backups is the
+    plan's count of distinct (node, m) rows backed up, out of the
+    2^N - 1 interior prefixes of each of its thresholds.
+    """
+    sc = surface.scenario
+    lat = sc.lattice
+    if plan is None:
+        plan = greedy_plan(surface, [m0])
+    states, applied = plan.expand(m0)
     leaf_cost = np.asarray(sc.loss.phi(states[-1]), dtype=float)
     realized = solve_on_path_tree(lat, sc.driver_g, leaf_cost[None, :],
                                   scheme=sc.scheme)
@@ -332,7 +416,7 @@ def attainment_check(surface: ValueSurface, m0: float) -> dict:
         "gap": abs(realized - surface_value),
         "states": states,
         "controls": applied,
-        "n_backups": policy.n_backups,
+        "n_backups": plan.n_backups,
     }
 
 

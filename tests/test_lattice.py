@@ -101,6 +101,17 @@ def test_prefix_up_counts_matches_sign_matrix():
     np.testing.assert_array_equal(counts, (sign_matrix(2) > 0).sum(axis=1))
 
 
+def test_prefix_up_counts_matches_the_popcount_formula():
+    for k in range(13):
+        counts = prefix_up_counts(k)
+        expected = np.array([k - bin(h).count("1") for h in range(2**k)],
+                            dtype=np.int64)
+        assert counts.dtype == expected.dtype
+        np.testing.assert_array_equal(counts, expected)
+        assert not counts.flags.writeable
+        assert prefix_up_counts(k) is counts  # cached
+
+
 def test_path_node_walks_the_recombining_indices():
     # walking each path's signs visits the node its length-k prefix names
     paths = sign_matrix(3)

@@ -2,21 +2,25 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import weakbsde.primal as primal_mod
 from weakbsde.bsde import _one_step
 from weakbsde.control import _children
 from weakbsde.drivers import make_driver, make_loss
-from weakbsde.lattice import build_lattice, prefix_up_counts
-from weakbsde.primal import (FEASIBILITY_TOL, GreedyPolicy, PrimalError,
-                             PrimalScenario, _backup, _ordered_controls,
-                             attainment_check,
+from weakbsde.lattice import LatticeError, build_lattice, prefix_up_counts
+from weakbsde.runner import _check_attainment
+from weakbsde.scenario import build_scenario
+from weakbsde.primal import (FEASIBILITY_TOL, PrimalError, PrimalScenario,
+                             _backup, _distinct_rows, _node_controls,
+                             _ordered_controls, attainment_check,
                              brute_force_policy_value,
                              brute_force_weak_formulation, continuity_modulus,
-                             convexity_check, dpp_check,
+                             convexity_check, dpp_check, greedy_plan,
                              monotonicity_violation, primal_value_dp,
                              restriction_check, two_point_envelope,
                              value_curve)
@@ -189,7 +193,7 @@ def test_implicit_scheme_golden_values():
 
 
 # ---------------------------------------------------------------------------
-# GreedyPolicy backs up each distinct (node, m) row once
+# the greedy plan backs up each distinct (node, m) row once
 # ---------------------------------------------------------------------------
 
 def _row_by_row_controls(surf, k, j_idx, m):
@@ -208,14 +212,25 @@ def _assert_same_bits(a, b):
     assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _assert_greedy_replay_is_row_exact(surf, m0):
-    """Replay every prefix batch of the greedy simulation against the
-    row-by-row reference; returns the distinct-row count."""
-    res = attainment_check(surf, m0)
-    for k, (m, applied) in enumerate(zip(res["states"], res["controls"])):
-        j_idx = prefix_up_counts(k)
-        _assert_same_bits(applied, _row_by_row_controls(surf, k, j_idx, m))
-    return res["n_backups"]
+def _assert_greedy_replay_is_row_exact(surf, m_list):
+    """Expand every threshold of one shared plan and replay each prefix
+    batch against the row-by-row reference; returns the plan's results
+    and its distinct-row count."""
+    plan = greedy_plan(surf, m_list)
+    results = [attainment_check(surf, m0, plan=plan) for m0 in m_list]
+    for res in results:
+        for k, (m, applied) in enumerate(zip(res["states"], res["controls"])):
+            j_idx = prefix_up_counts(k)
+            _assert_same_bits(applied, _row_by_row_controls(surf, k, j_idx, m))
+        assert res["n_backups"] == plan.n_backups
+    return results, plan.n_backups
+
+
+def _deduped_controls(surf, k, j_idx, m):
+    """The plan's dedup and node backups on arbitrary level-k rows:
+    (control of each row, distinct-row count)."""
+    first, inverse = _distinct_rows(j_idx, m)
+    return _node_controls(surf, k, j_idx[first], m[first])[inverse], first.size
 
 
 @pytest.fixture(scope="module")
@@ -226,7 +241,7 @@ def risk_surface():
 
 def test_greedy_dedup_matches_row_by_row_on_recombining_states(risk_surface):
     # the risk pair holds the threshold flat: one state per lattice node
-    assert _assert_greedy_replay_is_row_exact(risk_surface, 0.5) == 36
+    assert _assert_greedy_replay_is_row_exact(risk_surface, [0.5])[1] == 36
 
 
 def test_greedy_dedup_matches_row_by_row_without_full_recombination():
@@ -234,27 +249,32 @@ def test_greedy_dedup_matches_row_by_row_without_full_recombination():
         lattice=build_lattice(1.0, 8), driver_f=make_driver("zero"),
         driver_g=make_driver("zero"), loss=make_loss("identity"),
         grid_size=201, n_a=21))
-    counts = [_assert_greedy_replay_is_row_exact(surf, m)
+    counts = [_assert_greedy_replay_is_row_exact(surf, [m])[1]
               for m in (0.1, 0.2, 0.3)]
     assert counts == [60, 52, 42]
+    # planned together the thresholds share no row
+    assert _assert_greedy_replay_is_row_exact(surf, [0.1, 0.2, 0.3])[1] == 154
 
 
 def test_greedy_dedup_matches_row_by_row_under_the_implicit_scheme():
+    # a node's batch mixes the three thresholds' rows here, and the fixed
+    # point stops on the batch maximum; the controls must not move
     sc = PrimalScenario(lattice=build_lattice(1.0, 4),
                         driver_f=make_driver("linear", a=0.1, b=0.05),
                         driver_g=make_driver("linear", a=0.2, b=0.1),
                         loss=make_loss("s_shaped"), grid_size=11, n_a=9,
                         scheme="implicit")
-    _assert_greedy_replay_is_row_exact(primal_value_dp(sc), 0.5)
+    results, _ = _assert_greedy_replay_is_row_exact(primal_value_dp(sc),
+                                                    [0.25, 0.5, 0.75])
+    assert results[1]["realized"] == 0.3773768233822561
 
 
 def test_greedy_dedup_keeps_signed_zeros_apart(risk_surface):
     j_idx = np.array([0, 0, 1, 0, 1, 0])
     m = np.array([0.0, -0.0, -0.0, 0.0, 0.25, -0.0])
-    policy = GreedyPolicy(risk_surface)
-    got, _ = policy.control_array(1, j_idx, m, None)
+    got, n_rows = _deduped_controls(risk_surface, 1, j_idx, m)
     _assert_same_bits(got, _row_by_row_controls(risk_surface, 1, j_idx, m))
-    assert policy.n_backups == 4  # (0, +0), (0, -0), (1, -0), (1, 0.25)
+    assert n_rows == 4  # (0, +0), (0, -0), (1, -0), (1, 0.25)
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
@@ -267,11 +287,45 @@ def test_greedy_dedup_property_with_injected_duplicates(risk_surface, k, data):
                                min_size=1, max_size=32))
     j_idx = np.array([rows[i][0] for i in picks])
     m = np.array([rows[i][1] for i in picks])
-    policy = GreedyPolicy(risk_surface)
-    got, _ = policy.control_array(k, j_idx, m, None)
+    got, n_rows = _deduped_controls(risk_surface, k, j_idx, m)
     _assert_same_bits(got, _row_by_row_controls(risk_surface, k, j_idx, m))
-    assert policy.n_backups == len(set(zip(j_idx.tolist(),
-                                           m.view(np.int64).tolist())))
+    assert n_rows == len(set(zip(j_idx.tolist(), m.view(np.int64).tolist())))
+
+
+def test_greedy_plan_rejects_an_unplanned_threshold(risk_surface):
+    plan = greedy_plan(risk_surface, [0.25, 0.5])
+    with pytest.raises(PrimalError, match="not in the plan"):
+        attainment_check(risk_surface, 0.75, plan=plan)
+    with pytest.raises(PrimalError, match="not in the plan"):
+        attainment_check(risk_surface, -0.0, plan=greedy_plan(risk_surface,
+                                                              [0.0]))
+
+
+def test_greedy_plan_is_guarded_at_the_path_level_limit():
+    surf = primal_value_dp(_scenario(steps=21, grid=3, n_a=2))
+    with pytest.raises(LatticeError, match="N <= 20"):
+        attainment_check(surf, 0.5)
+
+
+def test_shared_plan_matches_one_threshold_plans_on_the_smooth_pair():
+    # the certify pair at its default-seed thresholds: logcosh_z drives the
+    # threshold, softplus_z prices the loss
+    surf = primal_value_dp(_scenario(
+        loss_name="power", loss_params={"p": 2.0},
+        f=("logcosh_z", {"kappa": 0.3, "sign": -1}),
+        g=("softplus_z", {"kappa": 0.2})))
+    m_list = (0.25, 0.5, 0.75)
+    plan = greedy_plan(surf, m_list)
+    for m0 in m_list:
+        shared = attainment_check(surf, m0, plan=plan)
+        alone = attainment_check(surf, m0)
+        for key in ("states", "controls"):
+            assert len(shared[key]) == len(alone[key])
+            for a, b in zip(shared[key], alone[key]):
+                _assert_same_bits(a, b)
+        for key in ("realized", "gap"):
+            _assert_same_bits(shared[key], alone[key])
+        assert alone["n_backups"] == 36
 
 
 # sha256 of the attainment states and controls (all levels, thresholds
@@ -280,21 +334,87 @@ RISK12_STATES_SHA256 = \
     "766bcc2d1eeb775641b1170cedead8d26e5fc3183d83e290357523d403ceff77"
 RISK12_CONTROLS_SHA256 = \
     "a11ba358172138406e6b9f255bcfc6d50b0005c533fe14498004a5607bea1401"
+RISK12_CONFIG = {
+    "name": "risk12", "lattice": {"horizon": 1.0, "steps": 12},
+    "driver_f": {"name": "neg_abs_z", "params": {"kappa": 0.3}},
+    "driver_g": {"name": "abs_z", "params": {"kappa": 0.2}},
+    "loss": {"name": "power", "params": {"p": 2.0}},
+    "primal": {"grid_size": 201, "n_a": 21},
+    "dual": {"enabled": False}, "checks": ["attainment"]}
 
 
-def test_attainment_golden_digests_risk_pair_twelve_levels():
-    surf = primal_value_dp(_scenario(steps=12, f=("neg_abs_z", {"kappa": 0.3}),
-                                     g=("abs_z", {"kappa": 0.2})))
+def _risk12_scenario(m_list):
+    return build_scenario(dict(RISK12_CONFIG, primal=dict(
+        RISK12_CONFIG["primal"], m_list=list(m_list))))
+
+
+@pytest.fixture(scope="module")
+def risk12_surface():
+    return primal_value_dp(_risk12_scenario([0.5]).primal())
+
+
+def test_attainment_golden_digests_risk_pair_twelve_levels(risk12_surface):
+    surf = risk12_surface
     states, controls = hashlib.sha256(), hashlib.sha256()
-    for m in (0.25, 0.5, 0.75):
-        res = attainment_check(surf, m)
+    m_list = (0.25, 0.5, 0.75)
+    plan = greedy_plan(surf, m_list)
+    for m in m_list:
+        res = attainment_check(surf, m, plan=plan)
         for arr in res["states"]:
             states.update(arr.tobytes())
         for arr in res["controls"]:
             controls.update(arr.tobytes())
-        assert res["n_backups"] == 78  # nodes of levels 0..11
+        assert res["n_backups"] == 3 * 78  # one row per node and threshold
     assert states.hexdigest() == RISK12_STATES_SHA256
     assert controls.hexdigest() == RISK12_CONTROLS_SHA256
+    assert attainment_check(surf, 0.5)["n_backups"] == 78  # nodes of 0..11
+
+
+def _risk12_context(surface, m_list):
+    """The runner's check context for the twelve-level risk pair."""
+    return {"scenario": _risk12_scenario(m_list), "surface": surface}
+
+
+NINE_THRESHOLDS = [round(0.1 * i, 10) for i in range(1, 10)]
+
+
+def test_attainment_check_backs_up_each_node_once(risk12_surface,
+                                                  monkeypatch):
+    # one _backup per interior node, N(N+1)/2 = 78, whatever the number of
+    # thresholds; backing up per threshold would make it 9 * 78 = 702
+    calls = []
+    original = primal_mod._backup
+
+    def counting(*args):
+        calls.append(args[2:4])
+        return original(*args)
+
+    monkeypatch.setattr(primal_mod, "_backup", counting)
+    entry = _check_attainment(_risk12_context(risk12_surface,
+                                              NINE_THRESHOLDS))
+    assert entry["status"] == "PASS"
+    assert len(calls) == 78
+    assert sorted(calls) == [(k, j) for k in range(12) for j in range(k + 1)]
+
+
+def _traced_peak(fn):
+    fn()  # warm the lazily built tables
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_attainment_check_memory_does_not_grow_with_thresholds(
+        risk12_surface):
+    # each threshold's 2^N prefix arrays are read from the shared plan and
+    # dropped before the next; holding all nine at once would be ~9x
+    one = _risk12_context(risk12_surface, [0.5])
+    nine = _risk12_context(risk12_surface, NINE_THRESHOLDS)
+    assert _traced_peak(lambda: _check_attainment(nine)) <= \
+        2 * _traced_peak(lambda: _check_attainment(one))
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +530,8 @@ def test_control_major_backup_matches_on_smooth_drivers():
 
 def test_control_major_backup_matches_on_an_unsorted_greedy_batch(
         risk_surface):
-    # rows as GreedyPolicy hands them over: first-occurrence order, not
-    # sorted, signed zeros kept apart, and here exact duplicates too
+    # rows in no particular order, signed zeros kept apart, and exact
+    # duplicates too: the kernel must not lean on the plan's sorted rows
     m = np.array([0.7, 0.0, 0.25, -0.0, 0.7, 1.0, 0.1 + 0.2, 0.3, -0.0,
                   0.999999, 1e-300, 0.5])
     for k in (0, 4, 7):
