@@ -271,28 +271,34 @@ def solve_on_path_tree(lattice: Lattice, d: Driver, leaf_values: np.ndarray, *,
 
 
 def solve_on_product_tree(lattice: Lattice, d: Driver, leaf_sets, *,
-                          scheme: str = "explicit") -> np.ndarray:
-    """Root values of the path-tree solve for every leaf vector drawn from
-    per-leaf candidate sets.
+                          scheme: str = "explicit",
+                          stop_level: int = 0) -> np.ndarray:
+    """Values at stop_level of the path-tree solve for every leaf vector
+    drawn from per-leaf candidate sets.
 
     leaf_sets is (2^N, q): row i holds the q candidate values of leaf i.
-    The result has one entry per leaf vector, q^(2^N) in all, in C order of
-    the per-leaf indices (leaf 0 most significant, as np.indices orders
-    them).  A node's values are the outer combination of its children's
-    (up child most significant), so only the root step runs at full size.
-    Each level is one _one_step call over all its nodes: the batch holds
-    exactly the distinct (up, down) pairs that solve_on_path_tree would
-    see on the materialised vectors, so the implicit fixed point stops at
-    the same iteration and every value matches it bit for bit.
+    A node's values are the outer combination of its children's (up child
+    most significant), one entry per assignment of the leaves below it, in
+    C order of their per-leaf indices (leftmost leaf most significant, as
+    np.indices orders them).  At stop_level 0 the result is the root's
+    q^(2^N) values; above the root it is (2^stop_level, w), row j holding
+    the values of prefix node j (up first), so a caller can run the
+    remaining full-size steps itself, a block at a time.  Each level is one
+    _one_step call over all its nodes: the batch holds exactly the distinct
+    (up, down) pairs that solve_on_path_tree would see on the materialised
+    vectors, so the implicit fixed point stops at the same iteration and
+    every value matches it bit for bit.
     """
     _require_step_condition(lattice, d, scheme)
     n = lattice.steps
     v = np.asarray(leaf_sets, dtype=float)
     if v.ndim != 2 or v.shape[0] != 2**n:
         raise LatticeError(f"expected {2**n} leaf sets, got shape {v.shape}")
+    if not 0 <= stop_level <= n:
+        raise LatticeError(f"need 0 <= stop_level <= {n}, got {stop_level}")
     dt, sq = lattice.dt, lattice.sqrt_dt
-    for k in range(n - 1, -1, -1):
+    for k in range(n - 1, stop_level - 1, -1):
         v, _, _ = _one_step(d, lattice.time_at(k), v[0::2, :, None],
                             v[1::2, None, :], sq, dt, scheme)
         v = v.reshape(2**k, -1)
-    return v[0]
+    return v[0] if stop_level == 0 else v

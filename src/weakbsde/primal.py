@@ -66,6 +66,8 @@ FEASIBILITY_TOL = 1e-9
 CURVE_TOL = 1e-9
 # dyadic offsets h of the continuity fit |V(m + h) - V(m)|
 CONTINUITY_OFFSETS = 2.0 ** -np.arange(3, 10)
+# most candidates an oracle scores in one batch: 128 KB per temporary
+ORACLE_BLOCK = 2**14
 
 
 class PrimalError(ValueError):
@@ -555,21 +557,38 @@ def restriction_check(surface: ValueSurface, k: int, j: int) -> dict:
 # ---------------------------------------------------------------------------
 
 def two_point_envelope(lp: LossPair, m: float, step: float = 1e-3) -> float:
-    """Convex envelope of phi at m via two-point-law grid search."""
+    """Convex envelope of phi at m via two-point-law grid search.
+
+    Every pair (l, r) of grid points with l <= m <= r is scored as the
+    two-point law on {l, r} with mean m.  The pairs are scored a block of
+    left points at a time, at most ORACLE_BLOCK of them per block, so no
+    temporary outgrows the cache; the minimum over blocks is exact.
+    """
     if not (0.0 <= m <= 1.0):
         raise PrimalError("envelope oracle expects m in [0, 1]")
+    if not (math.isfinite(step) and step > 0.0):
+        raise PrimalError(f"envelope oracle needs a finite step > 0, "
+                          f"got step = {step!r}")
     grid = np.arange(0.0, 1.0 + step / 2, step)
     left = grid[grid <= m]
     right = grid[grid >= m]
-    phi_l = np.asarray(lp.phi(left), float)[:, None]
+    if not right.size:
+        raise PrimalError(f"envelope grid with step = {step!r} has no point "
+                          f"at or above m = {m!r}")
+    phi_l = np.asarray(lp.phi(left), float)
     phi_r = np.asarray(lp.phi(right), float)[None, :]
-    l_col = left[:, None]
     r_row = right[None, :]
-    denom = r_row - l_col
-    with np.errstate(invalid="ignore", divide="ignore"):
-        lam = np.where(denom > 0, (r_row - m) / np.where(denom > 0, denom, 1.0), 1.0)
-    vals = lam * phi_l + (1.0 - lam) * phi_r
-    return float(np.min(vals))
+    rows = max(1, ORACLE_BLOCK // right.size)
+    block_min = []
+    for i in range(0, left.size, rows):
+        l_col = left[i:i + rows, None]
+        denom = r_row - l_col
+        with np.errstate(invalid="ignore", divide="ignore"):
+            lam = np.where(denom > 0,
+                           (r_row - m) / np.where(denom > 0, denom, 1.0), 1.0)
+        vals = lam * phi_l[i:i + rows, None] + (1.0 - lam) * phi_r
+        block_min.append(np.min(vals))
+    return float(np.min(block_min))
 
 
 def brute_force_policy_value(sc: PrimalScenario, m0: float,
@@ -628,6 +647,13 @@ def brute_force_policy_value(sc: PrimalScenario, m0: float,
     }
 
 
+def _require_count(name: str, value, least: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
+        raise PrimalError(f"{name} must be an integer >= {least}, "
+                          f"got {name} = {value!r}")
+
+
 def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
                                  rounds: int = 12,
                                  budget: int = 1_000_000) -> dict:
@@ -635,17 +661,33 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
 
     Minimizes the nonlinear g-expectation of a path-indexed terminal vector
     subject to the nonlinear f-expectation of psi(terminal) clearing the
-    threshold.  A coarse product grid over [0,1]^leaves is refined by
-    halving per-leaf windows around the incumbent.  Every candidate of the
-    product grid is scored, through solve_on_product_tree on the per-leaf
-    grids; the vectors themselves are never built.
+    threshold.  A coarse product grid of q points per leaf over [0,1] is
+    refined, for the given number of rounds, by halving per-leaf windows
+    around the incumbent.  Every candidate of the product grid is scored;
+    the vectors themselves are never built.
+
+    solve_on_product_tree gives the level-1 values for f (of psi) and for
+    g, one row per root child; the root step then runs here, one block of
+    up-child values at a time (at most ORACLE_BLOCK candidates), each with
+    the feasibility mask and argmin of its block.  A block's minimum
+    replaces the incumbent only if strictly lower, so the first index still
+    wins every tie and the result equals one argmin over all candidates.
+    If either side takes the implicit scheme, its fixed point stops on the
+    maximum over its batch, so a smaller batch could stop one iteration
+    earlier and move the last bits: the root step is then one block.
     """
+    _require_count("q", q, 2)
+    _require_count("rounds", rounds, 0)
     lat = sc.lattice
     n = lat.steps
     leaves = 2**n
-    if q**leaves > budget:
+    if int(q)**leaves > budget:
         raise PrimalError(f"{q}^{leaves} candidates exceed the {budget} budget")
     scheme_f = exact_scheme_for(sc.driver_f)
+    t0, sq, dt = lat.time_at(0), lat.sqrt_dt, lat.dt
+    width = q**(leaves // 2)   # candidates below each root child
+    rows = width if "implicit" in (scheme_f, sc.scheme) \
+        else max(1, ORACLE_BLOCK // width)
 
     grids = np.tile(np.linspace(0.0, 1.0, q), (leaves, 1))
     best_y = None
@@ -655,16 +697,21 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
     for _ in range(rounds + 1):
         level = solve_on_product_tree(
             lat, sc.driver_f, np.asarray(sc.loss.psi(grids), dtype=float),
-            scheme=scheme_f)
-        cost = solve_on_product_tree(lat, sc.driver_g, grids, scheme=sc.scheme)
-        evaluated += cost.size
-        feasible = level >= m0 - 1e-12
-        if feasible.any():
-            cand = np.where(feasible, cost, np.inf)
+            scheme=scheme_f, stop_level=1)
+        cost = solve_on_product_tree(lat, sc.driver_g, grids,
+                                     scheme=sc.scheme, stop_level=1)
+        evaluated += width * width
+        for i in range(0, width, rows):
+            up = slice(i, i + rows)
+            level_b, _, _ = _one_step(sc.driver_f, t0, level[0, up, None],
+                                      level[1, None, :], sq, dt, scheme_f)
+            cost_b, _, _ = _one_step(sc.driver_g, t0, cost[0, up, None],
+                                     cost[1, None, :], sq, dt, sc.scheme)
+            cand = np.where(level_b >= m0 - 1e-12, cost_b, np.inf)
             b = int(np.argmin(cand))
-            if cand[b] < best_cost:
-                best_cost = float(cand[b])
-                digits = np.unravel_index(b, (q,) * leaves)
+            if cand.flat[b] < best_cost:
+                best_cost = float(cand.flat[b])
+                digits = np.unravel_index(i * width + b, (q,) * leaves)
                 best_y = grids[np.arange(leaves), np.asarray(digits)]
         if best_y is None:
             # widen nothing; the shared [0,1] grid must contain a feasible

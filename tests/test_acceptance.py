@@ -12,7 +12,7 @@ import time
 
 import pytest
 
-from weakbsde.acceptance import CRITERIA, Workspace, run_criterion
+from weakbsde.acceptance import CRITERIA, Workspace, run_criterion, verify_all
 
 _BY_NUMBER = {c.number: c for c in CRITERIA}
 
@@ -68,6 +68,25 @@ def test_criterion_06_two_point_envelope(workspace):
 
 def test_criterion_07_small_tree_equivalence(workspace):
     _run(7, workspace)
+
+
+def test_oracle_criteria_entries_are_pinned():
+    """The entries the exhaustive oracles feed into report.json, recorded
+    before the oracles were scored in blocks; a moved oracle bit shows
+    here, not only in a hash of the whole report."""
+    entries = verify_all(only=[6, 7], quiet=True)["criteria"]
+    assert [(e["number"], e["status"], e["measured"], e["detail"])
+            for e in entries] == [
+        (6, "PASS", 0.0019531250000000555,
+         {"scenarios": ["envelope", "call_spread"]}),
+        (7, "PASS", 0.0, {
+            "tiny_identity": {"dp": 0.5, "policy_enum": 0.5,
+                              "leaf_search": 0.5},
+            "tiny_power": {"dp": 0.25, "policy_enum": 0.25,
+                           "leaf_search": 0.25},
+            "tiny_risk": {"dp": 0.25, "policy_enum": 0.25,
+                          "leaf_search": 0.25}}),
+    ]
 
 
 def test_criterion_08_dynamic_programming_consistency(workspace):

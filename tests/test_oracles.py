@@ -7,14 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from weakbsde.bsde import (compute_corridor, exact_scheme_for,
+import weakbsde.primal as primal_mod
+from weakbsde.bsde import (_one_step, compute_corridor, exact_scheme_for,
                            solve_on_path_tree, solve_on_product_tree)
 from weakbsde.control import _children, _interleave
 from weakbsde.drivers import make_driver, make_loss
 from weakbsde.lattice import LatticeError, build_lattice, prefix_up_counts
 from weakbsde.primal import (FEASIBILITY_TOL, PrimalError, PrimalScenario,
                              brute_force_policy_value,
-                             brute_force_weak_formulation)
+                             brute_force_weak_formulation, two_point_envelope)
 from weakbsde.scenario import catalogue_scenario
 
 
@@ -225,6 +226,79 @@ def test_product_tree_solve_equals_the_path_tree_solve():
         assert got.tobytes() == want.tobytes()
     with pytest.raises(LatticeError, match="leaf"):
         solve_on_product_tree(lat, d, sets[:3])
+
+
+def test_product_tree_solve_stops_above_the_root():
+    lat = build_lattice(1.0, 2)
+    d = make_driver("linear", a=0.3, b=0.2)
+    sets = np.array([[0.0, 0.4], [0.1, 0.9], [0.25, 0.5], [1.0, 0.7]])
+    root = solve_on_product_tree(lat, d, sets)
+    children = solve_on_product_tree(lat, d, sets, stop_level=1)
+    assert children.shape == (2, 4)
+    y, _, _ = _one_step(d, lat.time_at(0), children[0, :, None],
+                        children[1, None, :], lat.sqrt_dt, lat.dt, "explicit")
+    assert y.ravel().tobytes() == root.tobytes()
+    assert solve_on_product_tree(lat, d, sets, stop_level=2).tobytes() == \
+        sets.tobytes()
+    for bad in (-1, 3):
+        with pytest.raises(LatticeError, match="stop_level"):
+            solve_on_product_tree(lat, d, sets, stop_level=bad)
+
+
+def _envelope_reference(lp, m, step=1e-3):
+    """Every (left, right) pair of the envelope oracle in one matrix."""
+    grid = np.arange(0.0, 1.0 + step / 2, step)
+    left, right = grid[grid <= m], grid[grid >= m]
+    phi_l = np.asarray(lp.phi(left), float)[:, None]
+    phi_r = np.asarray(lp.phi(right), float)[None, :]
+    denom = right[None, :] - left[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        lam = np.where(denom > 0, (right[None, :] - m)
+                       / np.where(denom > 0, denom, 1.0), 1.0)
+    return float(np.min(lam * phi_l + (1.0 - lam) * phi_r))
+
+
+@pytest.mark.parametrize("block", [1, None])
+def test_blocked_oracles_equal_the_full_references(monkeypatch, block):
+    """Scored one row per block, both oracles still equal their full
+    references bit for bit.  At q = 3 and N = 3 the root step is 81 x 81
+    candidates, one default block, so only block = 1 crosses a boundary
+    there.  tiny_identity at 0.5 has many tied minimisers, spread over
+    many blocks, and the first index must still win."""
+    if block is not None:
+        monkeypatch.setattr(primal_mod, "ORACLE_BLOCK", block)
+    cases = [(_scenario(f, g, loss, steps=steps, n_a=5, scheme=scheme,
+                        alpha_max=0.6), m)
+             for f, g, loss, steps, scheme in REFERENCE_CASES.values()
+             for m in (0.3, 0.55)]
+    cases.append((catalogue_scenario("tiny_identity").primal(), 0.5))
+    for sc, m in cases:
+        ref = _weak_reference(sc, m, q=3, rounds=3)
+        weak = brute_force_weak_formulation(sc, m, q=3, rounds=3)
+        assert weak["value"] == ref["value"]
+        assert weak["leaf_values"].tobytes() == ref["leaf_values"].tobytes()
+        assert (weak["n_evaluated"], weak["final_step"]) == \
+            (ref["n_evaluated"], ref["final_step"])
+    for name in ("envelope", "call_spread"):
+        lp = catalogue_scenario(name).loss
+        for m in (0.0, 0.001, 0.5, 0.999, 1.0):
+            assert two_point_envelope(lp, m) == _envelope_reference(lp, m)
+
+
+def test_oracles_reject_bad_arguments():
+    sc = catalogue_scenario("tiny_power").primal()
+    for kwargs, name in (({"q": 1}, "q"), ({"q": 2.5}, "q"),
+                         ({"q": True}, "q"), ({"rounds": -1}, "rounds"),
+                         ({"rounds": 1.0}, "rounds")):
+        with pytest.raises(PrimalError, match=f"{name} must be an integer"):
+            brute_force_weak_formulation(sc, 0.5, **kwargs)
+    lp = sc.loss
+    for step in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(PrimalError, match="step"):
+            two_point_envelope(lp, 0.5, step)
+    # 0.3 does not divide [0, 1]: the grid ends at 0.9, below m
+    with pytest.raises(PrimalError, match="no point at or above m"):
+        two_point_envelope(lp, 0.95, 0.3)
 
 
 def test_policy_budget_guard_raises_before_enumerating():
