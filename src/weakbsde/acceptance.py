@@ -20,14 +20,13 @@ from . import __version__
 from .bsde import comparison_check, estimation_gap, solve_bsde
 from .control import representation_roundtrip
 from .drivers import make_driver
-from .dual import (DualControls, dual_bound, dual_value,
-                   first_order_residuals, lockstep_certificates)
+from .dual import DualControls, dual_value, first_order_residuals
 from .lattice import build_lattice
 from .primal import (brute_force_policy_value,
                      brute_force_weak_formulation, continuity_modulus,
                      convexity_check, dpp_check, monotonicity_violation,
                      primal_value_dp, two_point_envelope, value_curve)
-from .runner import render_report_json
+from .runner import dual_bounds, render_report_json
 from .scenario import DEFAULT_SEED, catalogue_scenario
 
 _DECIMALS = tuple(round(0.1 * i, 10) for i in range(1, 10))
@@ -38,19 +37,20 @@ class Workspace:
 
     Surfaces and dual bounds are expensive relative to everything else, and
     several criteria look at the same catalogue scenario, so each is built
-    once per verify run, and each slope's certificate once per scenario.
-    A scenario's first dual request prices the searches of its whole
-    dual_m_list in lockstep, as runner.dual_bounds does; every threshold
-    then reads, and any other threshold fills, the scenario's certificates.
+    once per verify run.  A scenario's first dual request runs
+    runner.dual_bounds on it, which prices each slope of its dual_m_list's
+    searches once; a dual request names one of those thresholds.
     """
 
     def __init__(self, seed: int = DEFAULT_SEED):
+        if seed < 0:
+            raise ValueError(f"seed must be a nonnegative integer, "
+                             f"got {seed!r}")
         self.seed = int(seed)
         self._scenarios = {}
         self._primals = {}
         self._surfaces = {}
-        self._duals = {}
-        self._certificates = {}   # name -> {slope: certificate}
+        self._duals = {}          # name -> {m: dual_bound result}
 
     def scenario(self, name):
         if name not in self._scenarios:
@@ -73,18 +73,9 @@ class Workspace:
         return float(value_curve(self.surface(name, grid_size), [m])[0])
 
     def dual(self, name, m):
-        sc = self.scenario(name)
-        if name not in self._certificates:
-            self._certificates[name] = lockstep_certificates(
-                sc.lattice, sc.driver_f, sc.driver_g, sc.loss, sc.dual_m_list,
-                l_max=sc.l_max, rounds=sc.dual_rounds)
-        key = (name, m)
-        if key not in self._duals:
-            self._duals[key] = dual_bound(
-                sc.lattice, sc.driver_f, sc.driver_g, sc.loss, m,
-                l_max=sc.l_max, rounds=sc.dual_rounds,
-                certificates=self._certificates[name])
-        return self._duals[key]
+        if name not in self._duals:
+            self._duals[name] = dict(dual_bounds(self.scenario(name)))
+        return self._duals[name][m]
 
 
 # each criterion returns (passed, measured, threshold, detail)

@@ -12,8 +12,9 @@ from .control import PolicyError
 from .drivers import ConjugateDomainError, DriverShapeError
 from .dual import DualFeasibilityError
 from .lattice import LatticeError
-from .primal import PrimalError, primal_value_dp, value_curve
-from .runner import dual_bounds, execute, render_report_json
+from .primal import PrimalError, primal_value_dp
+from .runner import (curve_csv, curve_rows, dual_bounds, dual_entry, execute,
+                     render_report_json, write_artifact)
 from .scenario import (DEFAULT_SEED, ScenarioError, build_scenario, catalogue,
                        load_config)
 
@@ -72,18 +73,11 @@ def _cmd_verify(args) -> int:
 
 def _cmd_curve(args) -> int:
     sc = _build(args.config, args.seed)
-    surface = primal_value_dp(sc.primal())
-    vals = value_curve(surface, sc.m_list)
-    lines = ["m,primal,dual_bound,gap"]
-    lines += [f"{m!r},{float(v)!r},," for m, v in zip(sc.m_list, vals)]
-    text = "\n".join(lines) + "\n"
+    text = curve_csv(curve_rows(primal_value_dp(sc.primal()), sc.m_list, {}))
     print(text, end="")
     out = _out_dir(args, None)
     if out is not None:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "curve.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(text)
+        write_artifact(out, "curve.csv", text)
     return 0
 
 
@@ -96,18 +90,14 @@ def _cmd_dual(args) -> int:
         )
     results = {}
     for m, res in dual_bounds(sc):
-        results[str(m)] = {k: res[k] for k in
-                           ("l_star", "bound", "certificate",
-                            "n_slope_evaluations")}
+        results[str(m)] = dual_entry(res)
         if not args.quiet:
             print(f"m={m!r}: bound={res['bound']!r} at l={res['l_star']!r} "
                   f"({res['n_slope_evaluations']} slope evaluations)")
     out = _out_dir(args, None)
     if out is not None:
-        os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "dual.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(render_report_json({"name": sc.name, "dual": results}))
+        write_artifact(out, "dual.json",
+                       render_report_json({"name": sc.name, "dual": results}))
     return 0
 
 
@@ -160,6 +150,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        print(f"error: --seed must be a nonnegative integer, got {args.seed}",
+              file=sys.stderr)
+        return 2
     if args.command == "verify" and args.seed is None:
         args.seed = DEFAULT_SEED
     try:

@@ -42,12 +42,11 @@ re-scored.
 
 A slope's certificate does not depend on the threshold m, so each slope
 search is written once, as a routine that yields the next slope it wants
-priced and is sent its certificate.  dual_bound drives one such search
-for one m, reading and filling a slope -> certificate dict;
-lockstep_certificates drives one search per threshold of a scenario in
-lockstep and prices the distinct new slopes of each step in one
-dual_values call.  A batch holds at most SCAN_PAIRS // 2^N slopes (32 at
-N = 8, one from N = 13 on), and a scan scores its candidates in passes
+priced and is sent its certificate.  lockstep_certificates, the one
+pricing path, drives one search per threshold in lockstep and prices the
+distinct new slopes of each step in one dual_values call; dual_bound
+replays one search on the slope -> certificate dict it returns.  A batch
+holds at most SCAN_PAIRS // 2^N slopes (32 at N = 8, one from N = 13 on), and a scan scores its candidates in passes
 of at most SCAN_PAIRS (candidate, path) pairs, so every per-scan array
 stays at 64 KB, below glibc's 128 KB mmap threshold, however many
 thresholds a scenario prices; the path totals a scan averages go into a
@@ -56,14 +55,16 @@ buffer the incumbent keeps across scans.
 Everything works on the path-prefix tree: sign_matrix keeps step 0 in the
 top bit, so a level-j quantity depends only on a path's first j signs and
 is held once per length-j prefix, 2^j values.  The incumbent keeps each
-adjoint and running term that way, one array per level; an accepted move
-rebuilds the moved adjoint from level k and the running terms, in one call
-for every slope that moved at that coordinate.  A scan builds the moved
-adjoint and its running terms level by level on the prefixes, and forms
-each path's running sum on the prefixes too (_path_sums), so no (candidate,
-path, step) panel exists: a pass's largest arrays are (candidate, path).
-From N = 14 on a single slope's top levels exceed the mmap threshold, so
-there an accepted move still allocates above it.
+adjoint and running term that way, one array per level.  One builder,
+_Incumbent._climb, steps a moved adjoint up from level k on a path range
+and yields each level's running term and next adjoint level.  An accepted
+move climbs the whole range, for every slope that moved at that
+coordinate, and stores what it yields; a scan pass climbs its range with
+the candidates' step-k values and sums each path's terms on the prefixes
+(_path_sums), so no (candidate, path, step) panel exists: a pass's largest
+arrays are (candidate, path).  From N = 14 on a single slope's top levels
+exceed the mmap threshold, so there an accepted move still allocates above
+it.
 
 Every score is bit-for-bit the dual_objective value of its candidate, so
 the accepted controls, the bounds and the reports do not depend on the
@@ -146,25 +147,17 @@ class DualControls:
         z = np.zeros(lattice.steps)
         return cls(slope, z, z.copy(), z.copy(), z.copy())
 
-    def factors_ok(self, lattice: Lattice, margin: float = POSITIVITY_MARGIN) -> bool:
-        dt, sq = lattice.dt, lattice.sqrt_dt
-        for drift, noise in ((self.value_drift, self.value_noise),
-                             (self.threshold_drift, self.threshold_noise)):
-            lo = 1.0 + drift * dt - np.abs(noise) * sq
-            if np.min(lo) < margin:
-                return False
-        return True
+    def factors_ok(self, lattice: Lattice) -> bool:
+        return not any(
+            np.min(_lowest_factor(lattice, drift, noise)) < POSITIVITY_MARGIN
+            for drift, noise in ((self.value_drift, self.value_noise),
+                                 (self.threshold_drift, self.threshold_noise)))
 
 
-def _require_factors(lattice: Lattice, dc: DualControls) -> None:
-    if dc.steps != lattice.steps:
-        raise DualFeasibilityError(
-            f"profiles have {dc.steps} steps, lattice has {lattice.steps}"
-        )
-    if not dc.factors_ok(lattice):
-        raise DualFeasibilityError(
-            f"an adjoint factor drops below the {POSITIVITY_MARGIN} margin"
-        )
+def _lowest_factor(lattice: Lattice, drift, noise):
+    """The smaller of an adjoint's two step factors, 1 + drift dt -
+    |noise| sqrt(dt); the adjoint stays positive while it is positive."""
+    return 1.0 + drift * lattice.dt - np.abs(noise) * lattice.sqrt_dt
 
 
 def _conjugate_profiles(lattice: Lattice, dc: DualControls, d_f: Driver,
@@ -211,6 +204,19 @@ def _children(x, fac):
     np.multiply(x, fac[:, :1], out=out[..., 0])
     np.multiply(x, fac[:, 1:], out=out[..., 1])
     return out.reshape(x.shape[0], -1)
+
+
+def _spans(rows: slice, n: int) -> list:
+    """The prefixes of the aligned power-of-two path range rows at each
+    level 0..n, one slice per level."""
+    size = rows.stop - rows.start
+    return [slice(rows.start >> s, (rows.start >> s) + max(1, size >> s))
+            for s in range(n, -1, -1)]
+
+
+def _ordered(which: int, moved, other):
+    """(L, A / slope), given adjoint `which` and the other one."""
+    return ((moved, other), (other, moved))[which]
 
 
 def _path_sums(cols):
@@ -272,7 +278,12 @@ class _Incumbent:
             )
         conj = []
         for dc in controls:
-            _require_factors(lattice, dc)
+            if dc.steps != lattice.steps:
+                raise DualFeasibilityError(f"profiles have {dc.steps} steps, "
+                                           f"lattice has {lattice.steps}")
+            if not dc.factors_ok(lattice):
+                raise DualFeasibilityError(f"an adjoint factor drops below "
+                                           f"the {POSITIVITY_MARGIN} margin")
             conj.append(_conjugate_profiles(lattice, dc, d_f, d_g))
         n = lattice.steps
         self.lattice = lattice
@@ -287,6 +298,7 @@ class _Incumbent:
         self.adjoints = [[np.ones((s, 2**j)) for j in range(n + 1)]
                          for _ in (0, 1)]
         self.terms = [np.empty((s, 2**j)) for j in range(n)]
+        self.whole = _spans(slice(0, 2**n), n)   # every prefix of each level
         # the path totals of one scan pass, (candidate, path), kept across
         # scans: from N = 14 on one candidate's row exceeds the mmap threshold
         self.per_pass = max(1, SCAN_PAIRS // 2**n)
@@ -299,25 +311,46 @@ class _Incumbent:
 
     def _rebuild(self, which: int, k: int, slopes: np.ndarray) -> None:
         """Rebuild, for the given slopes, adjoint `which` at levels k+1..N
-        from level k, and the running terms from level k, one level at a
-        time."""
-        lat = self.lattice
-        levels, other = self.adjoints[which], self.adjoints[1 - which]
-        drift, noise = (p[slopes, k:, None]
-                        for p in self.profiles[2 * which:2 * which + 2])
-        facs = _factors(drift, noise, UP_DOWN, lat.dt, lat.sqrt_dt)
-        gt, ft = (c[slopes, k:, None] for c in self.conj)
-        slope = self.slopes[slopes, None]
-        level = levels[k][slopes]
-        for j in range(k, lat.steps):
-            at = j - k
-            if which == 0:
-                term = level * gt[:, at] - slope * other[j][slopes] * ft[:, at]
-            else:
-                term = other[j][slopes] * gt[:, at] - slope * level * ft[:, at]
+        from level k, and the running terms from level k."""
+        levels = self.adjoints[which]
+        climb = self._climb(which, k, slopes, self.whole)
+        for j, (term, level) in enumerate(climb, k):
             self.terms[j][slopes] = term
-            level = _children(level, facs[:, at])
             levels[j + 1][slopes] = level
+
+    def _climb(self, which: int, k: int, owner: np.ndarray, span: list,
+               step: tuple | None = None):
+        """Adjoint `which` of slope owner[r] for each row r, stepped up from
+        level k on the path range whose prefixes at each level are span
+        (_spans): yields, for j = k..N-1, the running term at level j and
+        the adjoint at level j+1, each on the range's prefixes.  Every level
+        is the one below times a step factor, left to right as the
+        incumbent's are.  step, when given, holds each row's (drift, noise,
+        conjugate) at step k in place of its slope's."""
+        lat = self.lattice
+        n = lat.steps
+        drift, noise = (p[owner, k:, None]
+                        for p in self.profiles[2 * which:2 * which + 2])
+        conj = [c[owner, k:, None] for c in self.conj]   # gathered copies
+        if step is not None:
+            drift[:, 0, 0], noise[:, 0, 0], conj[which][:, 0, 0] = step
+        gt, ft = conj
+        facs = _factors(drift, noise, UP_DOWN, lat.dt, lat.sqrt_dt)
+        slope = self.slopes[owner, None]
+        other = self.adjoints[1 - which]
+        level = self.adjoints[which][k][owner, span[k]]
+        for j in range(k, n):
+            at = j - k
+            l, a = _ordered(which, level, other[j][owner, span[j]])
+            term = l * gt[:, at] - slope * a * ft[:, at]
+            if span[j + 1].stop - span[j + 1].start == 1:
+                # the range lies inside one level-(j+1) subtree, whose sign
+                # at step j is the last bit of its prefix
+                bit = span[j + 1].start & 1
+                level = level * facs[:, at, bit:bit + 1]
+            else:
+                level = _children(level, facs[:, at])
+            yield term, level
 
     def value(self, lp: LossPair) -> np.ndarray:
         """Each slope's certificate, (S,)."""
@@ -347,9 +380,9 @@ class _Incumbent:
         conj_fn = concave_conjugate if which else convex_conjugate
         conj = np.asarray(conj_fn(self.drivers[which], drift, noise),
                           dtype=float).reshape(vals.shape)
-        low = 1.0 + drift * lat.dt - np.abs(noise) * lat.sqrt_dt
         feasible = np.flatnonzero(np.isfinite(vals)
-                                  & (low >= POSITIVITY_MARGIN)
+                                  & (_lowest_factor(lat, drift, noise)
+                                     >= POSITIVITY_MARGIN)
                                   & np.isfinite(conj))
         scores = np.full(vals.size, math.inf)
         n_paths = 2**lat.steps
@@ -369,57 +402,21 @@ class _Incumbent:
         conj, each of slope owner[c]) that move adjoint `which` at step k,
         on the path range rows.
 
-        rows is an aligned power-of-two range, so at level j it holds a run
-        of max(1, R / 2^(N-j)) consecutive prefixes.  Every level-j quantity
-        is formed once per prefix: the incumbent's running terms before step
-        k; from step k on the moved adjoint, level by level, and its running
-        term; and the partial sums of _path_sums over them.
+        Every level-j quantity is formed once per prefix of the range: the
+        incumbent's running terms before step k, the moved adjoint and its
+        running terms from step k on (_climb), and the partial sums of
+        _path_sums over them.
         """
-        lat = self.lattice
-        n = lat.steps
-        size = rows.stop - rows.start
-        # the range's prefixes at each level
-        span = [slice(rows.start >> (n - j),
-                      (rows.start >> (n - j)) + max(1, size >> (n - j)))
-                for j in range(n + 1)]
-        slope = self.slopes[owner, None]
+        n = self.lattice.steps
+        span = _spans(rows, n)
         cols = [self.terms[j][owner, span[j]] for j in range(k)]
-        # from step k on: both conjugate profiles, and the moved adjoint's
-        # step profiles, each with the candidate's values at step k, and
-        # from them the moved adjoint's factor for each sign
-        gt, ft = (x[owner, k:, None] for x in self.conj)
-        moved_conj = (gt, ft)[which]      # a gathered copy, free to edit
-        moved_conj[:, 0, 0] = conj
-        profiles = [p[owner, k:, None]
-                    for p in self.profiles[2 * which:2 * which + 2]]
-        profiles[0][:, 0, 0] = drift
-        profiles[1][:, 0, 0] = noise
-        facs = _factors(profiles[0], profiles[1], UP_DOWN, lat.dt, lat.sqrt_dt)
-        # the moved adjoint at level k is shared by every candidate of a
-        # slope; from there it takes the candidate factor, then the
-        # incumbent's, in the left-to-right order of the incumbent's levels
-        moved = self.adjoints[which][k][owner, span[k]]
-        other = self.adjoints[1 - which]
-        for j in range(k, n):
-            at = j - k
-            if which == 0:
-                cols.append(moved * moved_conj[:, at]
-                            - slope * other[j][owner, span[j]] * ft[:, at])
-            else:
-                cols.append(other[j][owner, span[j]] * gt[:, at]
-                            - slope * moved * moved_conj[:, at])
-            if size <= 2**(n - j - 1):
-                # the range lies inside one level-(j+1) subtree: its sign
-                # at step j is the range's bit for that step
-                bit = (rows.start >> (n - 1 - j)) & 1
-                moved = moved * facs[:, at, bit:bit + 1]
-            else:
-                moved = _children(moved, facs[:, at])
-        if which == 0:
-            l_end, a_end = moved, slope * other[n][owner, rows]
-        else:
-            l_end, a_end = other[n][owner, rows], slope * moved
-        return _certificate_terms(cols, l_end, a_end, lat.dt, lp)
+        for term, moved in self._climb(which, k, owner, span,
+                                       (drift, noise, conj)):
+            cols.append(term)
+        l_end, a_end = _ordered(which, moved,
+                                self.adjoints[1 - which][n][owner, rows])
+        return _certificate_terms(cols, l_end, self.slopes[owner, None] * a_end,
+                                  self.lattice.dt, lp)
 
     def move(self, i: int, k: int, slopes: np.ndarray, vals: np.ndarray,
              conj: np.ndarray) -> None:
@@ -670,21 +667,18 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
     each one is a standalone valid lower bound, so the reported bound is
     the best value ever seen, not just the final bracket midpoint.
 
-    certificates, when given, maps slope -> certificate and is read and
-    filled here.  The certificate does not depend on m, so the searches for
-    several thresholds can share one dict; share it only between calls on
-    the same lattice, drivers, loss, rounds and budget.
+    certificates is the lockstep_certificates dict of thresholds that
+    include m, on the same lattice, drivers, loss, rounds and budget, and is
+    only read; without it m is priced alone, a lockstep of one threshold.
     """
     if certificates is None:
-        certificates = {}
+        certificates = lockstep_certificates(lattice, d_f, d_g, lp, [m],
+                                             l_max=l_max, tol=tol,
+                                             rounds=rounds, budget=budget)
     search = _slope_search(m, l_max, tol, lp)
     trace = []
     l = _step(search, None)
     while l is not None:
-        if l not in certificates:
-            certificates[l] = float(dual_value(lattice, l, d_f, d_g, lp,
-                                               rounds=rounds,
-                                               budget=budget)["value"])
         trace.append((l, certificates[l]))
         l = _step(search, certificates[l])
     best_idx = max(range(len(trace)), key=lambda i: trace[i][0] * m - trace[i][1])

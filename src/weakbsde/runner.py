@@ -242,7 +242,20 @@ CHECK_HANDLERS = {
 }
 
 
-def _curve_csv(rows) -> str:
+def curve_rows(surface, thresholds, duals: dict) -> list:
+    """One curve row per threshold, in order: its primal value, and its
+    dual bound and gap where duals holds its dual_bound result."""
+    rows = []
+    for m, primal in zip(thresholds, value_curve(surface, thresholds).tolist()):
+        bound = duals[m]["bound"] if m in duals else None
+        rows.append({"m": m, "primal": primal, "dual_bound": bound,
+                     "gap": None if bound is None else primal - bound})
+    return rows
+
+
+def curve_csv(rows) -> str:
+    """curve.csv: one m,primal,dual_bound,gap line per row, each float its
+    repr and a missing bound or gap empty."""
     buf = io.StringIO()
     buf.write("m,primal,dual_bound,gap\n")
     for row in rows:
@@ -290,6 +303,13 @@ def _surface_csv(surface) -> str:
     return "".join(parts)
 
 
+def write_artifact(out_dir, name: str, text: str) -> None:
+    """Write text to out_dir/name as UTF-8, creating out_dir if needed."""
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _in_stage(stage: str, exc: Exception) -> Exception:
     """The error to raise (from exc) for a failure inside a pipeline stage.
 
@@ -322,6 +342,12 @@ def dual_bounds(sc: Scenario) -> list:
             for m in sc.dual_m_list]
 
 
+def dual_entry(res: dict) -> dict:
+    """What a report keeps of one dual_bound result: all but the trace."""
+    return {key: res[key] for key in ("l_star", "bound", "certificate",
+                                      "n_slope_evaluations")}
+
+
 def execute(sc: Scenario, out_dir=None, quiet: bool = False) -> dict:
     """Run the full pipeline for one scenario; returns the report dict."""
     stage = "primal surface"
@@ -349,18 +375,7 @@ def execute(sc: Scenario, out_dir=None, quiet: bool = False) -> dict:
         except Exception as exc:
             raise _in_stage(f"check {name}", exc) from exc
 
-    all_m = sorted(set(sc.m_list) | set(duals))
-    rows = []
-    for m in all_m:
-        primal = float(value_curve(surface, m)[0])
-        if m in duals:
-            bound = duals[m]["bound"]
-            rows.append({"m": m, "primal": primal, "dual_bound": bound,
-                         "gap": primal - bound})
-        else:
-            rows.append({"m": m, "primal": primal, "dual_bound": None,
-                         "gap": None})
-
+    rows = curve_rows(surface, sorted(set(sc.m_list) | set(duals)), duals)
     lo, hi = surface.root_corridor()
     failed = [c["check"] for c in checks if c["status"] == "FAIL"]
     report = {
@@ -374,27 +389,15 @@ def execute(sc: Scenario, out_dir=None, quiet: bool = False) -> dict:
         "corridor_root": [lo, hi],
         "clamp_events": surface.clamp_events,
         "curve": rows,
-        "dual": {
-            str(m): {"l_star": res["l_star"], "bound": res["bound"],
-                     "certificate": res["certificate"],
-                     "n_slope_evaluations": res["n_slope_evaluations"]}
-            for m, res in duals.items()
-        },
+        "dual": {str(m): dual_entry(res) for m, res in duals.items()},
         "checks": checks,
         "status": "FAIL" if failed else "PASS",
     }
 
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "curve.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(_curve_csv(rows))
-        with open(os.path.join(out_dir, "surface.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(_surface_csv(surface))
-        with open(os.path.join(out_dir, "report.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(render_report_json(report))
+        write_artifact(out_dir, "curve.csv", curve_csv(rows))
+        write_artifact(out_dir, "surface.csv", _surface_csv(surface))
+        write_artifact(out_dir, "report.json", render_report_json(report))
 
     if not quiet:
         for chk in checks:

@@ -242,6 +242,9 @@ def build_scenario(config: dict) -> Scenario:
             raise ScenarioError(
                 f"unknown check {chk!r}; known: {sorted(KNOWN_CHECKS)}"
             )
+    # a check runs, and is reported, once per time it is named
+    if len(set(checks)) != len(checks):
+        raise ScenarioError(f"checks repeats a check: {list(checks)!r}")
 
     if "continuity" in checks:
         # the check fits V on [base, base + largest offset]; only the root

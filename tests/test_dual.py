@@ -869,16 +869,42 @@ def test_shared_certificates_price_each_slope_once(monkeypatch):
     f, g = _pair(SMOOTH_PAIR)
     lp = make_loss("power", p=2.0)
     thresholds = (0.25, 0.5, 0.75)
+    locksteps, batches = [], []
+    lockstep, values = dual_mod.lockstep_certificates, dual_mod.dual_values
+
+    def lockstep_spy(*args, **kwargs):
+        out = lockstep(*args, **kwargs)
+        locksteps.append((list(args[4]), dict(out)))
+        return out
+
+    def values_spy(lattice, slopes, *args, **kwargs):
+        batches.append(list(slopes))
+        return values(lattice, slopes, *args, **kwargs)
+
+    monkeypatch.setattr(dual_mod, "lockstep_certificates", lockstep_spy)
+    monkeypatch.setattr(dual_mod, "dual_values", values_spy)
     alone = [dual_bound(lat, f, g, lp, m, rounds=1) for m in thresholds]
-    calls = _count_priced_slopes(monkeypatch)
-    certificates = {}
-    shared = [dual_bound(lat, f, g, lp, m, rounds=1,
-                         certificates=certificates) for m in thresholds]
-    assert shared == alone
-    slopes = {l for res in alone for l, _ in res["trace"]}
-    assert len(calls) == len(set(calls)) == len(slopes) == len(certificates)
-    assert len(calls) < sum(res["n_slope_evaluations"] for res in alone)
+    # each call priced its own m alone, one slope per batch, and read its
+    # trace from that dict
+    assert [ms for ms, _ in locksteps] == [[m] for m in thresholds]
+    assert all(len(batch) == 1 for batch in batches)
+    for res, (_, certificates) in zip(alone, locksteps):
+        assert dict(res["trace"]) == certificates
+    # a priced slope has the bits of dual_value on its own
+    for l, cert in alone[1]["trace"][:3]:
+        assert cert == dual_value(lat, l, f, g, lp, rounds=1)["value"]
+    # the searches of several thresholds share one dict, which prices each
+    # of their slopes once, and dual_bound on it returns what it returns alone
+    batches.clear()
+    certificates = lockstep(lat, f, g, lp, thresholds, rounds=1)
+    priced = [l for batch in batches for l in batch]
+    assert len(priced) == len(set(priced)) == len(certificates)
     assert certificates == {l: c for res in alone for l, c in res["trace"]}
+    assert len(priced) < sum(res["n_slope_evaluations"] for res in alone)
+    batches.clear()
+    assert [dual_bound(lat, f, g, lp, m, rounds=1, certificates=certificates)
+            for m in thresholds] == alone
+    assert batches == []
 
 
 def _scenario_config(name, steps, rounds, dual_m_list):
@@ -942,14 +968,24 @@ def test_each_execute_starts_a_fresh_certificate_dict(monkeypatch):
 
 
 def test_workspace_shares_certificates_within_a_scenario_only(monkeypatch):
+    import weakbsde.acceptance as acceptance_mod
+
+    small = {name: build_scenario(_scenario_config(name, 3, 1, dual_m_list))
+             for name, dual_m_list in (("first", [0.25, 0.5, 0.75]),
+                                       ("second", [0.5]))}
+    monkeypatch.setattr(acceptance_mod, "catalogue_scenario", small.get)
     calls = _count_priced_slopes(monkeypatch)
     ws = Workspace()
-    traces = [ws.dual("tiny_risk", m)["trace"] for m in (0.25, 0.5, 0.75)]
+    traces = [ws.dual("first", m)["trace"] for m in (0.25, 0.5, 0.75)]
     slopes = {l for trace in traces for l, _ in trace}
-    assert len(calls) == len(slopes) < sum(len(t) for t in traces)
+    assert sorted(calls) == sorted(slopes)
+    assert len(slopes) < sum(len(t) for t in traces)
+    # only the thresholds of the dual_m_list are priced
+    with pytest.raises(KeyError):
+        ws.dual("first", 0.6)
     before = len(calls)
-    other = ws.dual("tiny_power", 0.5)["trace"]
-    assert len(calls) - before == len({l for l, _ in other})
+    other = ws.dual("second", 0.5)["trace"]
+    assert sorted(calls[before:]) == sorted({l for l, _ in other})
 
 
 def test_workspace_prices_a_scenario_dual_list_in_lockstep(monkeypatch):

@@ -78,6 +78,10 @@ def test_check_names_and_lists_validated():
     for bad in (5, "dpp", {"dpp": 1}, ["dpp", 5], None):
         with pytest.raises(ScenarioError, match="checks must be"):
             build_scenario(_minimal(checks=bad))
+    for bad in (["monotonicity", "monotonicity"],
+                ["dpp", "attainment", "dpp"]):
+        with pytest.raises(ScenarioError, match="checks repeats"):
+            build_scenario(_minimal(checks=bad))
     for bad in (0, -3, True, 4.0):
         with pytest.raises(ScenarioError, match=r"lattice\.steps"):
             build_scenario(_minimal(lattice={"horizon": 1.0, "steps": bad}))
@@ -297,6 +301,35 @@ def test_verify_empty_selection_is_skipped(capsys):
     assert "SKIPPED" in capsys.readouterr().out
     with pytest.raises(ValueError, match="unknown criteria"):
         verify_all(only=[99], quiet=True)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--only", "3"], ["run", "tiny_power"],
+    ["curve", "tiny_power"], ["dual", "risk_pair"],
+])
+def test_cli_rejects_a_negative_seed_before_any_work(argv, tmp_path, capsys,
+                                                     monkeypatch):
+    import weakbsde.cli as cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a command ran with a negative seed")
+
+    for name in ("verify_all", "execute", "primal_value_dp", "dual_bounds"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert main(argv + ["--seed", "-1", "--out", str(tmp_path / "o")]) == 2
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_verify_all_rejects_a_negative_seed_before_any_criterion(monkeypatch):
+    import weakbsde.acceptance as acceptance
+
+    def no_criterion(*args, **kwargs):
+        raise AssertionError("a criterion ran with a negative seed")
+
+    monkeypatch.setattr(acceptance, "run_criterion", no_criterion)
+    with pytest.raises(ValueError, match="seed"):
+        acceptance.verify_all(only=[3], seed=-1, quiet=True)
 
 
 def test_seed_flows_into_the_report(tmp_path):
