@@ -46,11 +46,12 @@ priced and is sent its certificate.  lockstep_certificates, the one
 pricing path, drives one search per threshold in lockstep and prices the
 distinct new slopes of each step in one dual_values call; dual_bound
 replays one search on the slope -> certificate dict it returns.  A batch
-holds at most SCAN_PAIRS // 2^N slopes (32 at N = 8, one from N = 13 on), and a scan scores its candidates in passes
-of at most SCAN_PAIRS (candidate, path) pairs, so every per-scan array
-stays at 64 KB, below glibc's 128 KB mmap threshold, however many
-thresholds a scenario prices; the path totals a scan averages go into a
-buffer the incumbent keeps across scans.
+holds at most SCAN_PAIRS // 2^N slopes (32 at N = 8, one from N = 13 on),
+and a scan scores its candidates in passes of at most SCAN_PAIRS
+(candidate, path) pairs, so every per-scan array stays at 64 KB, below
+glibc's 128 KB mmap threshold, however many thresholds a scenario prices;
+the path totals a scan averages go into a buffer the incumbent keeps
+across scans.
 
 Everything works on the path-prefix tree: sign_matrix keeps step 0 in the
 top bit, so a level-j quantity depends only on a path's first j signs and
@@ -415,7 +416,8 @@ class _Incumbent:
             cols.append(term)
         l_end, a_end = _ordered(which, moved,
                                 self.adjoints[1 - which][n][owner, rows])
-        return _certificate_terms(cols, l_end, self.slopes[owner, None] * a_end,
+        return _certificate_terms(cols, l_end,
+                                  self.slopes[owner, None] * a_end,
                                   self.lattice.dt, lp)
 
     def move(self, i: int, k: int, slopes: np.ndarray, vals: np.ndarray,

@@ -246,7 +246,8 @@ def curve_rows(surface, thresholds, duals: dict) -> list:
     """One curve row per threshold, in order: its primal value, and its
     dual bound and gap where duals holds its dual_bound result."""
     rows = []
-    for m, primal in zip(thresholds, value_curve(surface, thresholds).tolist()):
+    primals = value_curve(surface, thresholds).tolist()
+    for m, primal in zip(thresholds, primals):
         bound = duals[m]["bound"] if m in duals else None
         rows.append({"m": m, "primal": primal, "dual_bound": bound,
                      "gap": None if bound is None else primal - bound})
