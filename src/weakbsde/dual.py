@@ -299,7 +299,6 @@ class _Incumbent:
         self.adjoints = [[np.ones((s, 2**j)) for j in range(n + 1)]
                          for _ in (0, 1)]
         self.terms = [np.empty((s, 2**j)) for j in range(n)]
-        self.whole = _spans(slice(0, 2**n), n)   # every prefix of each level
         # the path totals of one scan pass, (candidate, path), kept across
         # scans: from N = 14 on one candidate's row exceeds the mmap threshold
         self.per_pass = max(1, SCAN_PAIRS // 2**n)
@@ -314,7 +313,8 @@ class _Incumbent:
         """Rebuild, for the given slopes, adjoint `which` at levels k+1..N
         from level k, and the running terms from level k."""
         levels = self.adjoints[which]
-        climb = self._climb(which, k, slopes, self.whole)
+        n = self.lattice.steps
+        climb = self._climb(which, k, slopes, _spans(slice(0, 2**n), n))
         for j, (term, level) in enumerate(climb, k):
             self.terms[j][slopes] = term
             levels[j + 1][slopes] = level
@@ -672,6 +672,7 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
     certificates is the lockstep_certificates dict of thresholds that
     include m, on the same lattice, drivers, loss, rounds and budget, and is
     only read; without it m is priced alone, a lockstep of one threshold.
+    A slope the search wants and the dict lacks raises DualFeasibilityError.
     """
     if certificates is None:
         certificates = lockstep_certificates(lattice, d_f, d_g, lp, [m],
@@ -681,6 +682,11 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
     trace = []
     l = _step(search, None)
     while l is not None:
+        if l not in certificates:
+            raise DualFeasibilityError(
+                f"certificates has no entry for slope {l!r}: pass the "
+                f"lockstep_certificates dict of thresholds that include "
+                f"m = {m!r}, with the same l_max, tol, rounds and budget")
         trace.append((l, certificates[l]))
         l = _step(search, certificates[l])
     best_idx = max(range(len(trace)), key=lambda i: trace[i][0] * m - trace[i][1])

@@ -905,6 +905,12 @@ def test_shared_certificates_price_each_slope_once(monkeypatch):
     assert [dual_bound(lat, f, g, lp, m, rounds=1, certificates=certificates)
             for m in thresholds] == alone
     assert batches == []
+    # a dict that lacks a slope of the search, empty or priced for another
+    # l_max, is named as the fault instead of raising a bare KeyError
+    for stale, l_max in (({}, 4.0), (certificates, 2.0)):
+        with pytest.raises(DualFeasibilityError, match="no entry for slope"):
+            dual_bound(lat, f, g, lp, thresholds[0], l_max=l_max, rounds=1,
+                       certificates=stale)
 
 
 def _scenario_config(name, steps, rounds, dual_m_list):
