@@ -9,8 +9,8 @@ answer through Fenchel-type bounds.
 
 __version__ = "0.1.0"
 
-from .lattice import (AdaptedField, Lattice, LatticeError, TimeGrid,
-                      build_lattice, half_sum)
+from .lattice import (AdaptedField, Lattice, LatticeError, build_lattice,
+                      half_sum)
 from .drivers import (DRIVER_BUILDERS, LOSS_BUILDERS, ConjugateDomainError,
                       Driver, LossPair, concave_conjugate, convex_conjugate,
                       make_driver, make_loss)
@@ -18,9 +18,8 @@ from .bsde import (BsdeSolution, Corridor, SchemeError, comparison_check,
                    compute_corridor, estimation_gap, exact_scheme_for,
                    f_expectation, monotone_step_ok, solve_bsde,
                    solve_on_path_tree, solve_on_product_tree)
-from .control import (NodePolicy, PolicyError, TruncatedPolicy, admissible,
-                      representation_roundtrip, simulate_all_prefixes,
-                      truncate_at_ceiling, truncate_at_floor)
+from .control import (PolicyError, admissible, representation_roundtrip,
+                      simulate_all_prefixes)
 from .primal import (GreedyPlan, PrimalError, PrimalScenario, ValueSurface,
                      attainment_check, brute_force_policy_value,
                      brute_force_weak_formulation, continuity_modulus,
@@ -35,8 +34,7 @@ from .runner import execute
 from .acceptance import CRITERIA, verify_all
 
 __all__ = [
-    "AdaptedField", "Lattice", "LatticeError", "TimeGrid", "build_lattice",
-    "half_sum",
+    "AdaptedField", "Lattice", "LatticeError", "build_lattice", "half_sum",
     "DRIVER_BUILDERS", "LOSS_BUILDERS", "ConjugateDomainError", "Driver",
     "LossPair", "concave_conjugate", "convex_conjugate", "make_driver",
     "make_loss",
@@ -44,9 +42,8 @@ __all__ = [
     "compute_corridor", "estimation_gap", "exact_scheme_for", "f_expectation",
     "monotone_step_ok", "solve_bsde", "solve_on_path_tree",
     "solve_on_product_tree",
-    "NodePolicy", "PolicyError", "TruncatedPolicy", "admissible",
-    "representation_roundtrip", "simulate_all_prefixes",
-    "truncate_at_ceiling", "truncate_at_floor",
+    "PolicyError", "admissible", "representation_roundtrip",
+    "simulate_all_prefixes",
     "GreedyPlan", "PrimalError", "PrimalScenario", "ValueSurface",
     "attainment_check", "brute_force_policy_value",
     "brute_force_weak_formulation", "continuity_modulus", "convexity_check",

@@ -52,19 +52,26 @@ class ConjugateBox:
 class Driver:
     """Lipschitz driver (t, y, z) -> value, vectorized over y and z.
 
-    concave_in_yz / convex_in_yz may both be true (zero and linear
-    drivers); the conjugates are closed forms, one per flagged shape.
+    The conjugates are closed forms, one per shape the driver has: a
+    driver is concave (convex) in (y, z) exactly when it carries a concave
+    (convex) conjugate, and the zero and linear drivers carry both.
     """
 
     name: str
     fn: Callable = field(repr=False)
     lipschitz_y: float
     lipschitz_z: float
-    concave_in_yz: bool = False
-    convex_in_yz: bool = False
     concave_conjugate_fn: Optional[Callable] = field(default=None, repr=False)
     convex_conjugate_fn: Optional[Callable] = field(default=None, repr=False)
     params: dict = field(default_factory=dict)
+
+    @property
+    def concave_in_yz(self) -> bool:
+        return self.concave_conjugate_fn is not None
+
+    @property
+    def convex_in_yz(self) -> bool:
+        return self.convex_conjugate_fn is not None
 
     @property
     def depends_on_y(self) -> bool:
@@ -128,8 +135,6 @@ def make_zero() -> Driver:
         fn=lambda t, y, z: 0.0 * (np.asarray(y, float) + np.asarray(z, float)),
         lipschitz_y=0.0,
         lipschitz_z=0.0,
-        concave_in_yz=True,
-        convex_in_yz=True,
         concave_conjugate_fn=_point_domain(0.0, 0.0, -math.inf),
         convex_conjugate_fn=_point_domain(0.0, 0.0, math.inf),
     )
@@ -142,8 +147,6 @@ def make_linear(a: float, b: float) -> Driver:
         fn=lambda t, y, z: a * np.asarray(y, float) + b * np.asarray(z, float),
         lipschitz_y=abs(a),
         lipschitz_z=abs(b),
-        concave_in_yz=True,
-        convex_in_yz=True,
         concave_conjugate_fn=_point_domain(a, b, -math.inf),
         convex_conjugate_fn=_point_domain(a, b, math.inf),
         params={"a": a, "b": b},
@@ -160,7 +163,6 @@ def make_abs_z(kappa: float) -> Driver:
         fn=lambda t, y, z: kappa * np.abs(np.asarray(z, float)),
         lipschitz_y=0.0,
         lipschitz_z=kappa,
-        convex_in_yz=True,
         convex_conjugate_fn=_segment_domain(kappa, math.inf),
         params={"kappa": kappa},
     )
@@ -176,7 +178,6 @@ def make_neg_abs_z(kappa: float) -> Driver:
         fn=lambda t, y, z: -kappa * np.abs(np.asarray(z, float)),
         lipschitz_y=0.0,
         lipschitz_z=kappa,
-        concave_in_yz=True,
         concave_conjugate_fn=_segment_domain(kappa, -math.inf),
         params={"kappa": kappa},
     )
@@ -225,8 +226,6 @@ def make_logcosh_z(kappa: float, sign: int = 1) -> Driver:
         fn=fn,
         lipschitz_y=0.0,
         lipschitz_z=kappa,
-        concave_in_yz=(sign == -1),
-        convex_in_yz=(sign == 1),
         concave_conjugate_fn=concave_conj if sign == -1 else None,
         convex_conjugate_fn=convex_conj if sign == 1 else None,
         params={"kappa": kappa, "sign": sign},
@@ -258,7 +257,6 @@ def make_softplus_z(kappa: float) -> Driver:
         fn=fn,
         lipschitz_y=0.0,
         lipschitz_z=kappa,
-        convex_in_yz=True,
         convex_conjugate_fn=convex_conj,
         params={"kappa": kappa},
     )

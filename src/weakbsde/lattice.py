@@ -27,8 +27,12 @@ class LatticeError(ValueError):
 
 
 @dataclass(frozen=True)
-class TimeGrid:
-    """Uniform time grid t_k = (offset + k) * dt, k = 0..N."""
+class Lattice:
+    """Recombining binomial tree on the time grid t_k = (offset + k) * dt.
+
+    Node (k, j) is the level-k node reached by j up-moves; its successors
+    are (k+1, j+1) on an up-move and (k+1, j) on a down-move.
+    """
 
     horizon: float
     steps: int
@@ -42,31 +46,8 @@ class TimeGrid:
     def sqrt_dt(self) -> float:
         return math.sqrt(self.dt)
 
-
-@dataclass(frozen=True)
-class Lattice:
-    """Recombining binomial tree over a TimeGrid.
-
-    Node (k, j) is the level-k node reached by j up-moves; its successors
-    are (k+1, j+1) on an up-move and (k+1, j) on a down-move.
-    """
-
-    grid: TimeGrid
-
-    @property
-    def steps(self) -> int:
-        return self.grid.steps
-
-    @property
-    def dt(self) -> float:
-        return self.grid.dt
-
-    @property
-    def sqrt_dt(self) -> float:
-        return self.grid.sqrt_dt
-
     def time_at(self, k: int) -> float:
-        return (self.grid.step_offset + k) * self.grid.dt
+        return (self.step_offset + k) * self.dt
 
     def brownian_values(self, k: int) -> np.ndarray:
         """W at every level-k node: (2j - k) * sqrt(dt), j = 0..k."""
@@ -86,7 +67,7 @@ def build_lattice(horizon: float, steps: int, step_offset: int = 0) -> Lattice:
         raise LatticeError(f"steps must be within 1..{MAX_LEVELS}, got {steps}")
     if not (np.isfinite(horizon) and horizon > 0):
         raise LatticeError(f"horizon must be finite and positive, got {horizon!r}")
-    return Lattice(TimeGrid(float(horizon), int(steps), int(step_offset)))
+    return Lattice(float(horizon), int(steps), int(step_offset))
 
 
 @dataclass(frozen=True)

@@ -537,7 +537,7 @@ def restriction_check(surface: ValueSurface, k: int, j: int) -> dict:
     if not (0 <= k < lat.steps and 0 <= j <= k):
         raise PrimalError("root node outside the lattice interior")
     sub_lat = build_lattice(lat.dt * (lat.steps - k), lat.steps - k,
-                            step_offset=lat.grid.step_offset + k)
+                            step_offset=lat.step_offset + k)
     # the parent's slope bound, not the default 1/sqrt(dt) of the sub-lattice
     sub = primal_value_dp(dataclasses.replace(sc, lattice=sub_lat,
                                               alpha_max=sc.slope_bound))

@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .bsde import comparison_check
-from .control import (NodePolicy, admissible, representation_roundtrip,
-                      truncate_at_ceiling, truncate_at_floor)
+from .control import (admissible, representation_roundtrip,
+                      simulate_all_prefixes)
 from .dual import dual_bound, lockstep_certificates
 from .primal import (apriori_bound_check, attainment_check,
                      brute_force_policy_value, brute_force_weak_formulation,
@@ -198,13 +198,10 @@ def _check_admissibility(ctx):
     mu0 = 0.5 * (lo + hi)
     worst = 0.0
     for _ in range(10):
-        raw = NodePolicy(lat, [rng.uniform(-bound, bound, k + 1)
-                               for k in range(lat.steps)])
-        policy = truncate_at_ceiling(
-            lat, sc.driver_f, corridor,
-            truncate_at_floor(lat, sc.driver_f, corridor, raw))
-        res = admissible(lat, sc.driver_f, corridor, mu0, policy)
-        worst = max(worst, res["worst_violation"])
+        controls = [rng.uniform(-bound, bound, k + 1) for k in range(lat.steps)]
+        states = simulate_all_prefixes(lat, sc.driver_f, mu0, controls,
+                                       corridor)
+        worst = max(worst, admissible(corridor, states)["worst_violation"])
     return _at_most("admissibility", worst, sc.tolerances["admissibility"],
                     note="random policies truncated at both corridor edges")
 

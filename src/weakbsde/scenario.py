@@ -11,13 +11,14 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .bsde import compute_corridor
 from .drivers import Driver, LossPair, make_driver, make_loss
 from .dual import SLOPE_FLOOR
 from .lattice import MAX_PATH_LEVELS, Lattice, build_lattice
-from .primal import (CONTINUITY_OFFSETS, PrimalScenario,
+from .primal import (CONTINUITY_OFFSETS, CURVE_TOL, PrimalScenario,
                      _continuity_base_fits)
 
 SCHEMA_VERSION = 1
@@ -183,9 +184,21 @@ def build_scenario(config: dict) -> Scenario:
     def resolve(key: str, make, default: str):
         block = _section(config, key, {"name": default})
         _require_keys(block, ("name", "params"), key)
+        params = block.get("params", {})
+        if not isinstance(params, dict):
+            raise ScenarioError(f"{key}.params must be a JSON object, "
+                                f"got {params!r}")
+        for param, value in params.items():
+            # a JSON boolean is an int to Python, and a string may parse as
+            # a float; neither is a JSON number.  NaN fails the comparison,
+            # and so does an int too large for a float.  Values pass
+            # unchanged, so an int stays an int in the hashed config
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not abs(value) <= sys.float_info.max:
+                raise ScenarioError(f"{key}.params.{param} must be a finite "
+                                    f"number, got {value!r}")
         try:
-            return make(block.get("name", default),
-                        **dict(block.get("params", {})))
+            return make(block.get("name", default), **params)
         except (TypeError, ValueError) as exc:
             raise ScenarioError(f"{key}: {exc}") from exc
 
@@ -246,18 +259,27 @@ def build_scenario(config: dict) -> Scenario:
     if len(set(checks)) != len(checks):
         raise ScenarioError(f"checks repeats a check: {list(checks)!r}")
 
-    if "continuity" in checks:
-        # the check fits V on [base, base + largest offset]; only the root
-        # corridor knows whether that fits, and it is cheap to solve here
-        floor, ceiling = compute_corridor(lattice, driver_f,
-                                          scheme=scheme).bounds_at(0)
-        lo, hi = float(floor[0]), float(ceiling[0])
-        if not _continuity_base_fits(lo, hi, continuity_base):
+    # every threshold must lie in the root corridor (within the CURVE_TOL of
+    # value_curve), and the continuity check fits V on [base, base + largest
+    # offset]; only the corridor knows, and it is cheap to solve here
+    floor, ceiling = compute_corridor(lattice, driver_f,
+                                      scheme=scheme).bounds_at(0)
+    lo, hi = float(floor[0]), float(ceiling[0])
+    for where, values in (("primal.m_list", m_list),
+                          ("dual.m_list", dual_m_list)):
+        outside = [m for m in values
+                   if m < lo - CURVE_TOL or m > hi + CURVE_TOL]
+        if outside:
             raise ScenarioError(
-                f"primal.continuity_base = {continuity_base!r}: check "
-                f"continuity needs base and base + "
-                f"{float(CONTINUITY_OFFSETS.max())!r} inside the root "
-                f"corridor [{lo:.6g}, {hi:.6g}]")
+                f"{where} entries {outside!r} lie outside the root corridor "
+                f"[{lo:.6g}, {hi:.6g}]")
+    if "continuity" in checks \
+            and not _continuity_base_fits(lo, hi, continuity_base):
+        raise ScenarioError(
+            f"primal.continuity_base = {continuity_base!r}: check "
+            f"continuity needs base and base + "
+            f"{float(CONTINUITY_OFFSETS.max())!r} inside the root "
+            f"corridor [{lo:.6g}, {hi:.6g}]")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     user_tol = _section(config, "tolerances", {})

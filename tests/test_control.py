@@ -1,76 +1,134 @@
-"""Forward threshold dynamics: policies, truncation, admissibility."""
+"""Forward threshold dynamics: node controls, truncation, admissibility."""
 
 import numpy as np
 import pytest
 
 from weakbsde.bsde import compute_corridor
-from weakbsde.control import (NodePolicy, PolicyError, _children, admissible,
-                              representation_roundtrip, simulate_all_prefixes,
-                              truncate_at_ceiling, truncate_at_floor)
+from weakbsde.control import (HIT_TOL, PolicyError, admissible,
+                              representation_roundtrip, simulate_all_prefixes)
 from weakbsde.drivers import make_driver
 from weakbsde.lattice import build_lattice, prefix_up_counts, sign_matrix
 
 ADMISSIBLE_TOL = 1e-9
 
 
-def simulate_controlled(lat, f, mu0, policy, path):
+def _step(lat, f, k, m, a):
+    """Up and down successors of one scalar state under one slope."""
+    base = m - float(f.fn(lat.time_at(k), m, a)) * lat.dt
+    return base + a * lat.sqrt_dt, base - a * lat.sqrt_dt
+
+
+def simulate_controlled(lat, f, mu0, controls, path, corridor=None):
     """Reference: the forward recursion along one path (signs +1 / -1),
-    one state at a time; returns (states, controls)."""
-    states, controls = [float(mu0)], []
-    state, j = policy.initial_state(1), 0
+    one scalar state at a time; returns (states, applied controls).
+
+    With a corridor, the two-edge truncation rule is written out: at each
+    level the slope is checked against the floor and then the ceiling.
+    An edge latches once the state is within HIT_TOL of it or the
+    proposed step lands strictly beyond the next-level edge, and a latched
+    edge's tracking slope replaces the slope from then on.
+    """
+    m, j = float(mu0), 0
+    latched = {"floor": False, "ceiling": False}
+    states, applied = [m], []
     for k, sign in enumerate(path):
-        m = np.array([states[-1]])
-        a, state = policy.control_array(k, np.array([j]), m, state)
-        up, dn = _children(lat, f, k, m, np.asarray(a, float))
-        states.append(float((up if sign > 0 else dn)[0]))
-        controls.append(float(np.asarray(a)[0]))
+        a = float(controls[k][j])
+        if corridor is not None:
+            for side, s in (("floor", 1.0), ("ceiling", -1.0)):
+                edge = getattr(corridor, side)
+                up, dn = _step(lat, f, k, m, a)
+                hit = s * m <= s * edge.at(k)[j] + HIT_TOL
+                crossing = (s * up < s * edge.at(k + 1)[j + 1]
+                            or s * dn < s * edge.at(k + 1)[j])
+                latched[side] = latched[side] or hit or crossing
+                if latched[side]:
+                    a = float(getattr(corridor, side + "_z").at(k)[j])
+        up, dn = _step(lat, f, k, m, a)
+        m = up if sign > 0 else dn
         j += sign > 0
-    return np.array(states), np.array(controls)
+        states.append(m)
+        applied.append(a)
+    return np.array(states), np.array(applied)
 
 
-def _control(pol, k, j, m):
-    a, _ = pol.control_array(k, np.array([j]), np.array([m]), None)
-    return float(a[0])
+def _constant(lat, a):
+    return [np.full(k + 1, float(a)) for k in range(lat.steps)]
 
 
-def test_node_policy_lookup_and_validation():
+def _walked(states, p, n):
+    """The states along path id p: its length-k prefix is its leading bits."""
+    return np.array([states[k][p >> (n - k)] for k in range(n + 1)])
+
+
+def test_node_controls_are_validated_per_level():
     lat = build_lattice(1.0, 3)
-    pol = NodePolicy(lat, [np.array([1.0]), np.array([2.0, 3.0]),
-                           np.array([4.0, 5.0, 6.0])])
-    assert _control(pol, 0, 0, 0.5) == 1.0
-    assert _control(pol, 1, 1, 0.5) == 3.0
-    assert _control(pol, 2, 0, 0.5) == 4.0
-    with pytest.raises(PolicyError):
-        NodePolicy(lat, [np.array([1.0, 2.0])])  # level 0 has one node
-    const = NodePolicy.constant(lat, 0.25)
-    assert _control(const, 2, 1, 0.9) == 0.25
+    d = make_driver("zero")
+    controls = [np.array([1.0]), np.array([2.0, 3.0]),
+                np.array([4.0, 5.0, 6.0])]
+    states = simulate_all_prefixes(lat, d, 0.5, controls)
+    # under the zero driver the up child moves by a * sqrt(dt), with a the
+    # slope of the parent's node
+    for k in range(3):
+        np.testing.assert_allclose(
+            (states[k + 1][0::2] - states[k]) / lat.sqrt_dt,
+            controls[k][prefix_up_counts(k)])
+    with pytest.raises(PolicyError, match=r"level 1 controls have shape \(3,\)"):
+        simulate_all_prefixes(lat, d, 0.5, [controls[0], controls[2],
+                                            controls[2]])
+    with pytest.raises(PolicyError, match=r"levels 0\.\.2, got 1"):
+        simulate_all_prefixes(lat, d, 0.5, controls[:1])  # one level of three
 
 
 def test_simulate_controlled_frozen_path():
     # neg_abs_z drift is -f dt = +kappa*|a| dt, here 0.3 * 0.5 * 0.25
     lat = build_lattice(1.0, 4)
     d = make_driver("neg_abs_z", kappa=0.3)
-    pol = NodePolicy.constant(lat, 0.5)
+    controls = _constant(lat, 0.5)
     path = sign_matrix(4)[3]  # up, up, down, down
-    states, controls = simulate_controlled(lat, d, 0.5, pol, path)
+    states, applied = simulate_controlled(lat, d, 0.5, controls, path)
     np.testing.assert_allclose(states, [0.5, 0.7875, 1.075, 0.8625, 0.65])
-    np.testing.assert_allclose(controls, [0.5, 0.5, 0.5, 0.5])
-    every, _ = simulate_all_prefixes(lat, d, 0.5, pol)
-    np.testing.assert_allclose([every[k][3 >> (4 - k)] for k in range(5)],
-                               states)
+    np.testing.assert_allclose(applied, [0.5, 0.5, 0.5, 0.5])
+    every = simulate_all_prefixes(lat, d, 0.5, controls)
+    np.testing.assert_allclose(_walked(every, 3, 4), states)
 
 
 def test_simulate_all_prefixes_agrees_with_single_paths():
     lat = build_lattice(1.0, 5)
     d = make_driver("abs_z", kappa=0.2)
     rng = np.random.default_rng(9)
-    pol = NodePolicy(lat, [rng.normal(size=k + 1) for k in range(5)])
-    states, _ = simulate_all_prefixes(lat, d, 0.4, pol)
+    controls = [rng.normal(size=k + 1) for k in range(5)]
+    states = simulate_all_prefixes(lat, d, 0.4, controls)
     for p, path in enumerate(sign_matrix(5)):
-        single, _ = simulate_controlled(lat, d, 0.4, pol, path)
-        # the length-k prefix of path id p is its leading bit block
-        walked = [states[k][p >> (5 - k)] for k in range(6)]
-        np.testing.assert_allclose(walked, single, atol=1e-15)
+        single, _ = simulate_controlled(lat, d, 0.4, controls, path)
+        np.testing.assert_allclose(_walked(states, p, 5), single, atol=1e-15)
+
+
+@pytest.mark.parametrize("driver", [
+    make_driver("zero"),
+    make_driver("neg_abs_z", kappa=0.3),
+    make_driver("linear", a=0.5, b=0.3),
+], ids=lambda d: d.name)
+def test_truncated_simulation_equals_the_scalar_rule_on_every_path(driver):
+    lat = build_lattice(1.0, 5)
+    cor = compute_corridor(lat, driver)
+    bound = 1.0 / lat.sqrt_dt
+    lo, hi = (float(edge[0]) for edge in cor.bounds_at(0))
+    rng = np.random.default_rng(17)
+    draws = [(rng.uniform(lo, hi), [rng.uniform(-2 * bound, 2 * bound, k + 1)
+                                    for k in range(5)]) for _ in range(20)]
+    # starts within HIT_TOL of an edge, with slopes too small to cross it
+    draws += [(mu0, [rng.uniform(-HIT_TOL, HIT_TOL, k + 1) for k in range(5)])
+              for mu0 in (lo + 0.5 * HIT_TOL, hi - 0.5 * HIT_TOL)]
+    truncated = 0
+    for mu0, controls in draws:
+        states = simulate_all_prefixes(lat, driver, mu0, controls, cor)
+        free = simulate_all_prefixes(lat, driver, mu0, controls)
+        for p, path in enumerate(sign_matrix(5)):
+            single, _ = simulate_controlled(lat, driver, mu0, controls, path,
+                                            cor)
+            np.testing.assert_array_equal(_walked(states, p, 5), single)
+        truncated += not np.array_equal(states[5], free[5])
+    assert truncated > 0  # the rule acted on some draw
 
 
 def test_roundtrip_reproduces_random_terminals():
@@ -91,12 +149,12 @@ def test_admissibility_flags_a_corridor_excursion():
     lat = build_lattice(1.0, 6)
     d = make_driver("zero")
     cor = compute_corridor(lat, d)
-    wild = NodePolicy.constant(lat, 1.0 / lat.sqrt_dt)  # one step overshoots
-    res = admissible(lat, d, cor, 0.5, wild)
+    wild = _constant(lat, 1.0 / lat.sqrt_dt)  # one step overshoots
+    res = admissible(cor, simulate_all_prefixes(lat, d, 0.5, wild))
     assert not res["worst_violation"] <= ADMISSIBLE_TOL
     assert res["worst_violation"] > 0.4
-    calm = NodePolicy.zeros(lat)
-    res_ok = admissible(lat, d, cor, 0.5, calm)
+    calm = _constant(lat, 0.0)
+    res_ok = admissible(cor, simulate_all_prefixes(lat, d, 0.5, calm))
     assert res_ok["worst_violation"] <= ADMISSIBLE_TOL
     assert res_ok["worst_violation"] == 0.0
 
@@ -110,11 +168,8 @@ def test_truncation_repairs_aggressive_policies():
     alpha_max = 1.0 / lat.sqrt_dt
     rng = np.random.default_rng(101)
     for _ in range(100):
-        raw = NodePolicy(lat, [rng.uniform(-alpha_max, alpha_max, k + 1)
-                               for k in range(6)])
-        safe = truncate_at_ceiling(lat, d, cor,
-                                   truncate_at_floor(lat, d, cor, raw))
-        res = admissible(lat, d, cor, 0.5, safe)
+        raw = [rng.uniform(-alpha_max, alpha_max, k + 1) for k in range(6)]
+        res = admissible(cor, simulate_all_prefixes(lat, d, 0.5, raw, cor))
         assert res["worst_violation"] <= ADMISSIBLE_TOL, res
 
 
@@ -124,21 +179,23 @@ def test_floor_truncation_latches_and_tracks():
     lat = build_lattice(1.0, 6)
     d = make_driver("zero")
     cor = compute_corridor(lat, d)
-    dive = NodePolicy.constant(lat, -2.0)  # dives through the floor fast
-    safe = truncate_at_floor(lat, d, cor, dive)
-    states, _ = simulate_all_prefixes(lat, d, 0.25, safe)
+    dive = _constant(lat, -2.0)  # dives through the floor fast
+    states = simulate_all_prefixes(lat, d, 0.25, dive, cor)
     floor_terminal = cor.floor.at(6)[prefix_up_counts(6)]
     assert np.min(states[6] - floor_terminal) >= -1e-12
+    _, applied = simulate_controlled(lat, d, 0.25, dive, sign_matrix(6)[-1],
+                                     cor)
+    np.testing.assert_array_equal(applied, [cor.floor_z.at(k)[0]
+                                            for k in range(6)])
 
 
 def test_truncated_policy_is_inert_inside_the_corridor():
     lat = build_lattice(1.0, 4)
     d = make_driver("zero")
     cor = compute_corridor(lat, d)
-    mild = NodePolicy.constant(lat, 0.05)
-    safe = truncate_at_floor(lat, d, cor, mild)
-    raw_states, _ = simulate_all_prefixes(lat, d, 0.5, mild)
-    safe_states, _ = simulate_all_prefixes(lat, d, 0.5, safe)
+    mild = _constant(lat, 0.05)
+    raw_states = simulate_all_prefixes(lat, d, 0.5, mild)
+    safe_states = simulate_all_prefixes(lat, d, 0.5, mild, cor)
     for raw, kept in zip(raw_states, safe_states):
         np.testing.assert_array_equal(raw, kept)
 

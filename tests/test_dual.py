@@ -278,11 +278,9 @@ def _box_pair():
         return out if out.ndim else float(out)
 
     f = Driver(name="box_f", fn=lambda t, y, z: 0.0 * y, lipschitz_y=0.4,
-               lipschitz_z=0.3, concave_in_yz=True,
-               concave_conjugate_fn=f_conj)
+               lipschitz_z=0.3, concave_conjugate_fn=f_conj)
     g = Driver(name="box_g", fn=lambda t, y, z: 0.0 * y, lipschitz_y=0.5,
-               lipschitz_z=5.0, convex_in_yz=True,
-               convex_conjugate_fn=g_conj)
+               lipschitz_z=5.0, convex_conjugate_fn=g_conj)
     return f, g
 
 
@@ -800,11 +798,9 @@ def _flat_pair():
         return out if out.ndim else float(out)
 
     f = Driver(name="flat_f", fn=lambda t, y, z: 0.0 * y, lipschitz_y=0.0,
-               lipschitz_z=0.3, concave_in_yz=True,
-               concave_conjugate_fn=f_conj)
+               lipschitz_z=0.3, concave_conjugate_fn=f_conj)
     g = Driver(name="flat_g", fn=lambda t, y, z: 0.0 * y, lipschitz_y=0.0,
-               lipschitz_z=0.5, convex_in_yz=True,
-               convex_conjugate_fn=g_conj)
+               lipschitz_z=0.5, convex_conjugate_fn=g_conj)
     return f, g
 
 

@@ -7,11 +7,14 @@ re-exports, and a re-export alone does not keep a definition alive.
 
 import ast
 import pathlib
+import re
 
+import weakbsde
 from weakbsde.runner import CHECK_HANDLERS
 from weakbsde.scenario import KNOWN_CHECKS
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "weakbsde"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "weakbsde"
 # public definitions that no pipeline path calls, kept on purpose
 ENTRY_POINTS = {
     # the single-candidate certificate; the batched dual scan is held to
@@ -99,3 +102,13 @@ def test_package_defines_nothing_it_never_names():
 
 def test_known_checks_are_the_runner_handlers():
     assert KNOWN_CHECKS == tuple(CHECK_HANDLERS)
+
+
+def test_readme_api_table_lists_the_exports():
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    table = text.split("### Python API\n", 1)[1].split("\n## ", 1)[0]
+    rows = [line.split("|")[2] for line in table.splitlines()
+            if line.startswith("| `")]
+    listed = [name for row in rows for name in re.findall(r"`([^`]+)`", row)]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(weakbsde.__all__) - {"__version__"}

@@ -6,21 +6,20 @@ import pytest
 from weakbsde.bsde import solve_bsde
 from weakbsde.drivers import make_driver
 from weakbsde.lattice import (MAX_LEVELS, AdaptedField, Lattice, LatticeError,
-                              TimeGrid, build_lattice, half_sum,
-                              prefix_up_counts, sign_matrix)
+                              build_lattice, half_sum, prefix_up_counts,
+                              sign_matrix)
 
 
-def _times(grid):
-    lat = Lattice(grid)
-    return [lat.time_at(k) for k in range(grid.steps + 1)]
+def _times(lat):
+    return [lat.time_at(k) for k in range(lat.steps + 1)]
 
 
 def test_time_grid_times_and_offset():
-    grid = TimeGrid(1.0, 4)
-    assert grid.dt == 0.25
-    np.testing.assert_allclose(_times(grid), [0.0, 0.25, 0.5, 0.75, 1.0])
+    lat = Lattice(1.0, 4)
+    assert lat.dt == 0.25
+    np.testing.assert_allclose(_times(lat), [0.0, 0.25, 0.5, 0.75, 1.0])
 
-    shifted = TimeGrid(0.5, 4, step_offset=2)
+    shifted = Lattice(0.5, 4, step_offset=2)
     assert shifted.dt == 0.125
     np.testing.assert_allclose(_times(shifted),
                                [0.25, 0.375, 0.5, 0.625, 0.75])

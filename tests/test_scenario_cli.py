@@ -6,10 +6,16 @@ import os
 import numpy as np
 import pytest
 
+from weakbsde.bsde import compute_corridor
 from weakbsde.cli import main
+from weakbsde.drivers import make_driver
+from weakbsde.lattice import build_lattice
+from weakbsde.primal import CURVE_TOL
 from weakbsde.runner import CHECK_HANDLERS, execute
 from weakbsde.scenario import (ScenarioError, build_scenario, catalogue,
                                catalogue_scenario, config_sha256, load_config)
+
+_NOT_A_NUMBER = r"params\.\w+ must be a finite number"
 
 
 def _minimal(**overrides):
@@ -223,11 +229,58 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     ("driver_g", {"name": "abs_z", "params": {"kappa": "wide"}}, "kappa|float"),
     ("loss", {"name": "power", "params": {"q": 2}}, "unknown parameters"),
     ("loss", "power", "JSON object"),
+    # a param is a finite JSON number: no boolean, string, NaN, infinity or
+    # int beyond the float range
+    ("loss", {"name": "power", "params": {"p": True}}, _NOT_A_NUMBER),
+    ("loss", {"name": "power", "params": {"p": float("nan")}}, _NOT_A_NUMBER),
+    ("loss", {"name": "power", "params": {"p": float("inf")}}, _NOT_A_NUMBER),
+    ("driver_g", {"name": "abs_z", "params": {"kappa": True}}, _NOT_A_NUMBER),
+    ("driver_g", {"name": "abs_z", "params": {"kappa": "0.3"}},
+     _NOT_A_NUMBER),
+    ("driver_f", {"name": "abs_z", "params": {"kappa": float("nan")}},
+     _NOT_A_NUMBER),
+    ("driver_f", {"name": "abs_z", "params": {"kappa": 10**400}},
+     _NOT_A_NUMBER),
+    ("driver_f", {"name": "logcosh_z", "params": {"kappa": 0.3, "sign": True}},
+     _NOT_A_NUMBER),
+    ("driver_g", {"name": "abs_z", "params": [["kappa", 0.3]]},
+     r"^driver_g\.params must be a JSON object"),
 ])
 def test_driver_and_loss_errors_name_the_key(key, block, needle):
     with pytest.raises(ScenarioError, match=f"^{key}") as info:
         build_scenario(_minimal(**{key: block}))
     assert info.match(needle)
+
+
+def test_driver_params_pass_through_unchanged():
+    # an int param stays an int in the hashed config
+    sc = build_scenario(_minimal(
+        driver_f={"name": "logcosh_z", "params": {"kappa": 0.3, "sign": -1}},
+        checks=["monotonicity"]))
+    assert type(sc.config["driver_f"]["params"]["sign"]) is int
+
+
+def test_thresholds_outside_the_root_corridor_fail_at_build():
+    # f = -y/2 on four steps: the root corridor is [0, E^f[1]] = [0, 0.586]
+    shrink = {"name": "linear", "params": {"a": -0.5, "b": 0}}
+    top = float(compute_corridor(build_lattice(1.0, 4),
+                                 make_driver("linear", a=-0.5, b=0))
+                .ceiling.at(0)[0])
+    assert 0.586 < top < 0.587
+    with pytest.raises(ScenarioError,
+                       match=r"^primal\.m_list .* \[0, 0\.586182\]"):
+        build_scenario(_minimal(driver_f=shrink, primal={"grid_size": 81}))
+    with pytest.raises(ScenarioError,
+                       match=r"^dual\.m_list .* \[0, 0\.586182\]"):
+        build_scenario(_minimal(driver_f=shrink,
+                                primal={"grid_size": 81, "m_list": [0.5]},
+                                dual={"m_list": [0.9]}))
+    # the curve's own tolerance: CURVE_TOL past the edge is still inside
+    build_scenario(_minimal(driver_f=shrink, primal={
+        "grid_size": 81, "m_list": [0.5, top + 0.5 * CURVE_TOL]}))
+    with pytest.raises(ScenarioError, match=r"^primal\.m_list"):
+        build_scenario(_minimal(driver_f=shrink, primal={
+            "grid_size": 81, "m_list": [0.5, top + 2.0 * CURVE_TOL]}))
 
 
 def test_cli_maps_config_errors_to_exit_2(tmp_path, capsys):
