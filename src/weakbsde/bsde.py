@@ -161,16 +161,20 @@ def f_expectation(lattice: Lattice, d: Driver, terminal, k: int = 0, *,
 
 @dataclass(frozen=True)
 class Corridor:
-    """Admissibility band: nonlinear expectations of the terminal 0 and 1
-    fields under the constraint driver, with their tracking slopes."""
+    """Admissibility band: the nonlinear expectations of the terminal 0 and
+    1 fields under the constraint driver, one value per level.
 
-    floor: AdaptedField
-    floor_z: AdaptedField
-    ceiling: AdaptedField
-    ceiling_z: AdaptedField
+    A driver reads (t, y, z) only, so every node of a level steps the same
+    constant (up = down) through the same arithmetic: the solve is the same
+    at each node, bit for bit, and its slope is exactly 0.  floor[k] and
+    ceiling[k] are node 0 of the two solves.
+    """
+
+    floor: np.ndarray    # (N + 1,)
+    ceiling: np.ndarray  # (N + 1,)
 
     def bounds_at(self, k: int) -> tuple:
-        return self.floor.at(k), self.ceiling.at(k)
+        return float(self.floor[k]), float(self.ceiling[k])
 
 
 def compute_corridor(lattice: Lattice, d: Driver, *,
@@ -178,7 +182,8 @@ def compute_corridor(lattice: Lattice, d: Driver, *,
     n = lattice.steps
     lo = solve_bsde(lattice, d, np.zeros(n + 1), scheme=scheme)
     hi = solve_bsde(lattice, d, np.ones(n + 1), scheme=scheme)
-    return Corridor(floor=lo.y, floor_z=lo.z, ceiling=hi.y, ceiling_z=hi.z)
+    return Corridor(floor=np.array([y[0] for y in lo.y.slabs]),
+                    ceiling=np.array([y[0] for y in hi.y.slabs]))
 
 
 def comparison_check(lattice: Lattice, d: Driver, terminal_low, terminal_high, *,

@@ -10,7 +10,7 @@ nonlinear expectations of the terminal fields 0 and 1.
 
 simulate_all_prefixes takes one slope per lattice node and steps every
 path prefix of a level at once; given the corridor, it truncates each
-path's slopes at the floor and then at the ceiling.  admissible measures
+path's slopes to 0 once the path reaches an edge.  admissible measures
 the worst corridor excursion of prefix states.  _children is the one
 forward step: the simulation here and the primal backup, greedy plan and
 policy oracle all call it.  The greedy attainment policy is not simulated
@@ -28,9 +28,6 @@ from .lattice import (AdaptedField, Lattice, LatticeError, MAX_PATH_LEVELS,
                       prefix_up_counts)
 
 HIT_TOL = 1e-9
-# the corridor edges a truncated path is held at, in the order they apply;
-# sign +1 keeps states above the floor, -1 below the ceiling
-_EDGES = (("floor", 1.0), ("ceiling", -1.0))
 
 
 class PolicyError(ValueError):
@@ -45,11 +42,10 @@ def _children(lattice: Lattice, f: Driver, k: int, m, a) -> tuple:
 
 
 def _excursion(corridor: Corridor, k: int, m: np.ndarray) -> np.ndarray:
-    """Signed distance of level-k states m (prefix order along the last
-    axis) outside [floor, ceiling]; positive means outside."""
-    j_idx = prefix_up_counts(k)
-    return np.maximum(corridor.floor.at(k)[j_idx] - m,
-                      m - corridor.ceiling.at(k)[j_idx])
+    """Signed distance of level-k states m outside [floor, ceiling];
+    positive means outside."""
+    lo, hi = corridor.bounds_at(k)
+    return np.maximum(lo - m, m - hi)
 
 
 def _interleave(up: np.ndarray, dn: np.ndarray) -> np.ndarray:
@@ -62,31 +58,26 @@ def _interleave(up: np.ndarray, dn: np.ndarray) -> np.ndarray:
 
 
 def _truncate(lattice: Lattice, f: Driver, corridor: Corridor, k: int,
-              j_idx: np.ndarray, m: np.ndarray, a: np.ndarray,
-              latched: np.ndarray) -> np.ndarray:
-    """The level-k slopes a of prefix states m, truncated at each edge.
+              m: np.ndarray, a: np.ndarray, latched: np.ndarray) -> np.ndarray:
+    """The level-k slopes a of prefix states m, truncated at the corridor.
 
-    A path keeps its slope until it first reaches the edge, and takes the
-    edge's tracking slope from then on: latched[i] holds, per prefix,
-    whether edge i has been reached, and is updated in place.  Reaching
-    is detected two ways: the state sits within HIT_TOL of the edge, or
-    the proposed step would land strictly beyond the next-level edge.
-    The second (predictive) trigger is the discrete stand-in for
-    continuous paths touching the boundary before crossing: without it a
-    large control could jump straight across the corridor and no
-    truncation could repair the excursion after the fact.
+    A path keeps its slope until it first reaches an edge, and takes slope
+    0 from then on, the edges' own slope (a constant terminal has Z = 0):
+    latched holds, per prefix, whether an edge has been reached, and is
+    updated in place.  Reaching is detected two ways: the state sits within
+    HIT_TOL of an edge, or the proposed step would land strictly beyond a
+    next-level edge.  The second (predictive) trigger is the discrete
+    stand-in for continuous paths touching the boundary before crossing:
+    without it a large control could jump straight across the corridor and
+    no truncation could repair the excursion after the fact.
     """
-    for i, (side, sign) in enumerate(_EDGES):
-        up, dn = _children(lattice, f, k, m, a)
-        edge = getattr(corridor, side)
-        track = getattr(corridor, side + "_z").at(k)[j_idx]
-        edge_next = sign * edge.at(k + 1)
-        hit = sign * m <= sign * edge.at(k)[j_idx] + HIT_TOL
-        crossing = ((sign * up < edge_next[j_idx + 1])
-                    | (sign * dn < edge_next[j_idx]))
-        latched[i] |= hit | crossing
-        a = np.where(latched[i], track, a)
-    return a
+    up, dn = _children(lattice, f, k, m, a)
+    lo, hi = corridor.bounds_at(k)
+    lo_next, hi_next = corridor.bounds_at(k + 1)
+    latched |= ((m <= lo + HIT_TOL) | (m >= hi - HIT_TOL)
+                | (up < lo_next) | (dn < lo_next)
+                | (up > hi_next) | (dn > hi_next))
+    return np.where(latched, 0.0, a)
 
 
 def simulate_all_prefixes(lattice: Lattice, f: Driver, mu0: float, controls,
@@ -94,9 +85,9 @@ def simulate_all_prefixes(lattice: Lattice, f: Driver, mu0: float, controls,
     """Forward recursion over every path prefix at once.
 
     controls[k] is the (k + 1,) array of level-k node slopes, k < N.  With
-    a corridor, every path's slopes are truncated at its floor and then
-    at its ceiling (_truncate).  Returns the states: states[k] has shape
-    (2^k,) in sign-matrix prefix order.
+    a corridor, every path's slopes are truncated at its edges (_truncate).
+    Returns the states: states[k] has shape (2^k,) in sign-matrix prefix
+    order.
     """
     n = lattice.steps
     if n > MAX_PATH_LEVELS:
@@ -105,18 +96,17 @@ def simulate_all_prefixes(lattice: Lattice, f: Driver, mu0: float, controls,
         raise PolicyError(f"need controls for levels 0..{n - 1}, "
                           f"got {len(controls)}")
     states = [np.array([float(mu0)])]
-    latched = np.zeros((len(_EDGES), 1), dtype=bool)
+    latched = np.zeros(1, dtype=bool)
     for k in range(n):
         level = np.asarray(controls[k], dtype=float)
         if level.shape != (k + 1,):
             raise PolicyError(f"level {k} controls have shape {level.shape}, "
                               f"expected ({k + 1},)")
-        m, j_idx = states[k], prefix_up_counts(k)
-        a = level[j_idx]
+        m, a = states[k], level[prefix_up_counts(k)]
         if corridor is not None:
-            a = _truncate(lattice, f, corridor, k, j_idx, m, a, latched)
-            # both children inherit their parent's latches
-            latched = np.repeat(latched, 2, axis=1)
+            a = _truncate(lattice, f, corridor, k, m, a, latched)
+            # both children inherit their parent's latch
+            latched = np.repeat(latched, 2)
         states.append(_interleave(*_children(lattice, f, k, m, a)))
     return states
 

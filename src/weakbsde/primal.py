@@ -1,24 +1,29 @@
 """Exact dynamic programming for the minimal-cost threshold problem.
 
-State is (level, node, m) where m is the running threshold the controller
-still has to honour.  One backup step minimizes, over a finite slope grid,
-the one-step nonlinear expectation of the interpolated next-level surface:
+State is (level, m) where m is the running threshold the controller still
+has to honour.  One backup step minimizes, over a finite slope grid, the
+one-step nonlinear expectation of the interpolated next-level slice:
 
-    V(k, j, m) = min_a  E_g-step( V(k+1, j+1, m_up), V(k+1, j, m_down) )
+    V(k, m)    = min_a  E_g-step( V(k+1, m_up), V(k+1, m_down) )
     m_up/down  = m - f(t_k, m, a) dt +/- a sqrt(dt)
 
 subject to both successor states staying inside the admissibility corridor
 (the nonlinear expectations of terminal 0 and 1 under the constraint
 driver f).  At the terminal level V is the loss map phi itself, evaluated
-exactly on the per-node m-grid.
+exactly on the level's m-grid.
 
-The per-node control grid always contains 0 and the corridor-tracking
-slopes, so a feasible control exists at every state; ties are broken
-toward the smallest |a| (then the smallest a) to keep results
-deterministic.  The DP builds each node's (|a|, a)-ordered control set
-once and keeps the table on the surface (ValueSurface.control_sets), where
-the DPP check and the greedy plan read it; the restriction check's
-sub-tree DP builds its own.
+There is no lattice-node axis.  The drivers read (t, y, z) only and phi,
+psi read only the threshold, so the corridor is the same at every node of
+a level (bsde.Corridor), and so are the m-grid, the control set and both
+children's data: V(k, j, m) = V(k, m) by induction from the terminal
+level.  A node-dependent loss Psi(X_T, y) would bring the axis back.
+
+The control grid always contains 0, the slope of the corridor edges, so a
+feasible control exists at every state; ties are broken toward the
+smallest |a| (then the smallest a) to keep results deterministic.  The DP
+builds each level's (|a|, a)-ordered control set once and keeps the table
+on the surface (ValueSurface.control_sets), where the DPP check and the
+greedy plan read it; the restriction check's sub-tree DP builds its own.
 
 The attainment check steers the greedy feedback policy (re-optimize the
 backup at the exact current state) over all 2^N path prefixes.  Its
@@ -29,16 +34,16 @@ that node, and one forward step per row.  attainment_check then reads a
 threshold's prefix states and controls from the plan by index gathers,
 one threshold at a time.
 
-The node backup (_backup) lays its work out as (control, state) arrays
-and does only the work whose result it keeps: it tests every pair for
-feasibility, then clips, interpolates and prices only the feasible pairs.
-Compacting the control-major mask keeps each control row's feasible
-states one ascending run, which np.interp's guessed search walks instead
-of bisecting the child grid.  Every value is elementwise in its own pair,
-so the results equal those of a full (state, control) batch bit for bit,
-with one exception: the implicit scheme's fixed point stops on the max
-over its batch, so under a y-dependent driver_g a value may move in the
-last bits (the tests allow 1e-12 there, with the same argmin controls).
+The backup (_backup) lays its work out as (control, state) arrays and does
+only the work whose result it keeps: it tests every pair for feasibility,
+then clips, interpolates and prices only the feasible pairs.  Compacting
+the control-major mask keeps each control row's feasible states one
+ascending run, which np.interp's guessed search walks instead of bisecting
+the child grid.  Every value is elementwise in its own pair, so the
+results equal those of a full (state, control) batch bit for bit, with one
+exception: the implicit scheme's fixed point stops on the max over its
+batch, so under a y-dependent driver_g a value may move in the last bits
+(the tests allow 1e-12 there, with the same argmin controls).
 
 Two brute-force oracles (exhaustive policy enumeration and a leaf-value
 grid search on the weak formulation) provide independent cross-checks at
@@ -82,7 +87,7 @@ class PrimalScenario:
     driver_f: Driver        # shapes the corridor and the forward threshold
     driver_g: Driver        # prices the terminal loss
     loss: LossPair
-    grid_size: int = 201    # m-points per node (loss breakpoints are added)
+    grid_size: int = 201    # m-points per level (loss breakpoints are added)
     n_a: int = 21           # uniform slope grid size on [-alpha_max, alpha_max]
     alpha_max: Optional[float] = None  # default 1/sqrt(dt)
     scheme: str = "explicit"
@@ -108,14 +113,19 @@ class PrimalScenario:
 
 @dataclass(frozen=True)
 class ValueSurface:
-    """DP output: per-node m-grids, values, argmin controls, corridor."""
+    """DP output: per-level m-grids, values, argmin controls, corridor.
+
+    clamp_events counts the clamped (node, m) states of the node lattice,
+    where level k has k + 1 nodes: the sum over k of (k + 1) times the
+    level's clamps.
+    """
 
     scenario: PrimalScenario
     corridor: Corridor
-    grids: tuple = field(repr=False)     # grids[k][j]: ascending m-points
-    values: tuple = field(repr=False)    # values[k][j]: V on that grid
-    controls: tuple = field(repr=False)  # controls[k][j]: argmin slopes
-    # control_sets[k][j], k < N: the (|a|, a)-ordered slopes node (k, j) tries
+    grids: tuple = field(repr=False)     # grids[k]: ascending m-points
+    values: tuple = field(repr=False)    # values[k]: V on that grid
+    controls: tuple = field(repr=False)  # controls[k]: argmin slopes
+    # control_sets[k], k < N: the (|a|, a)-ordered slopes level k tries
     control_sets: tuple = field(repr=False)
     clamp_events: int = 0
 
@@ -126,19 +136,14 @@ class ValueSurface:
     @cached_property
     def grid_slack(self) -> float:
         """Largest m-grid spacing anywhere on the surface (computed once)."""
-        worst = 0.0
-        for level in self.grids:
-            for g in level:
-                if g.size > 1:
-                    worst = max(worst, float(np.max(np.diff(g))))
-        return worst
+        return max([0.0] + [float(np.max(np.diff(g))) for g in self.grids
+                            if g.size > 1])
 
     def root_corridor(self) -> tuple:
-        lo, hi = self.corridor.bounds_at(0)
-        return float(lo[0]), float(hi[0])
+        return self.corridor.bounds_at(0)
 
 
-def _node_grid(lo: float, hi: float, size: int, knots) -> np.ndarray:
+def _level_grid(lo: float, hi: float, size: int, knots) -> np.ndarray:
     base = np.linspace(lo, hi, size)
     if knots:
         extra = np.asarray([x for x in knots if lo < x < hi], dtype=float)
@@ -153,26 +158,21 @@ def _ordered_controls(base: np.ndarray, extra) -> np.ndarray:
     return cand[order]
 
 
-def _control_sets(sc: PrimalScenario, corridor: Corridor) -> tuple:
-    """Per interior node (k, j): the base slope grid plus the node's two
-    corridor-tracking slopes, (|a|, a)-ordered."""
-    base = sc.base_controls()
-    table = []
-    for k in range(sc.lattice.steps):
-        floor_z, ceiling_z = corridor.floor_z.at(k), corridor.ceiling_z.at(k)
-        table.append(tuple(_ordered_controls(base, [floor_z[j], ceiling_z[j]])
-                           for j in range(k + 1)))
-    return tuple(table)
+def _control_sets(sc: PrimalScenario) -> tuple:
+    """Per interior level k: the base slope grid plus 0, the slope of the
+    corridor edges, (|a|, a)-ordered; 0 keeps a feasible control in the
+    set when n_a is even."""
+    return (_ordered_controls(sc.base_controls(), [0.0]),) * sc.lattice.steps
 
 
-def _backup(sc: PrimalScenario, corridor: Corridor, k: int, j: int,
-            m_grid: np.ndarray, controls: np.ndarray, next_grids,
-            next_values) -> tuple:
-    """One-step backup of node (k, j) over the states m_grid.
+def _backup(sc: PrimalScenario, corridor: Corridor, k: int,
+            m_grid: np.ndarray, controls: np.ndarray, next_grid: np.ndarray,
+            next_values: np.ndarray) -> tuple:
+    """One-step backup of level k over the states m_grid.
 
-    controls is the node's (|a|, a)-ordered slope set (_control_sets);
-    next_grids / next_values hold the level-(k+1) interpolation data, one
-    entry per node.  Returns (values, best_controls, clamp_count).
+    controls is the level's (|a|, a)-ordered slope set (_control_sets);
+    next_grid / next_values are the level-(k+1) slice both children are
+    interpolated on.  Returns (values, best_controls, clamp_count).
 
     The work is laid out control-major, (control, state).  Every pair is
     tested for feasibility, and a state with no feasible control raises
@@ -190,28 +190,26 @@ def _backup(sc: PrimalScenario, corridor: Corridor, k: int, j: int,
     scheme, whose fixed point stops on the max over its batch.
     """
     lo, hi = corridor.bounds_at(k + 1)
-    lo_u, hi_u, lo_d, hi_d = (float(lo[j + 1]), float(hi[j + 1]),
-                              float(lo[j]), float(hi[j]))
     lat = sc.lattice
     m_up, m_dn = _children(lat, sc.driver_f, k,
                            np.asarray(m_grid, float)[None, :], controls[:, None])
     tol = FEASIBILITY_TOL
-    feasible = ((m_up >= lo_u - tol) & (m_up <= hi_u + tol)
-                & (m_dn >= lo_d - tol) & (m_dn <= hi_d + tol))
+    feasible = ((m_up >= lo - tol) & (m_up <= hi + tol)
+                & (m_dn >= lo - tol) & (m_dn <= hi + tol))
     any_feasible = np.any(feasible, axis=0)
     if not np.all(any_feasible):
         bad = int(np.argmin(any_feasible))
         raise PrimalError(
             f"no feasible control at level {k}, m = {float(m_grid[bad])!r}; "
-            "corridor-tracking slopes should prevent this"
+            "the zero control should prevent this"
         )
     kept = np.flatnonzero(feasible)
     m_up, m_dn = m_up.take(kept), m_dn.take(kept)  # the feasible pairs only
-    up_c = np.clip(m_up, lo_u, hi_u)
-    dn_c = np.clip(m_dn, lo_d, hi_d)
+    up_c = np.clip(m_up, lo, hi)
+    dn_c = np.clip(m_dn, lo, hi)
     clamps = int(np.count_nonzero((m_up != up_c) | (m_dn != dn_c)))
-    v_up = np.interp(up_c, next_grids[j + 1], next_values[j + 1])
-    v_dn = np.interp(dn_c, next_grids[j], next_values[j])
+    v_up = np.interp(up_c, next_grid, next_values)
+    v_dn = np.interp(dn_c, next_grid, next_values)
     priced, _, _ = _one_step(sc.driver_g, lat.time_at(k), v_up, v_dn,
                              lat.sqrt_dt, lat.dt, sc.scheme)
     vals = np.full(feasible.shape, np.inf)
@@ -221,47 +219,26 @@ def _backup(sc: PrimalScenario, corridor: Corridor, k: int, j: int,
 
 
 def primal_value_dp(sc: PrimalScenario) -> ValueSurface:
-    """Backward sweep over all (node, m) states."""
+    """Backward sweep over the (level, m) states: one _backup per level."""
     lat = sc.lattice
     _require_step_condition(lat, sc.driver_f, sc.scheme)
     _require_step_condition(lat, sc.driver_g, sc.scheme)
     n = lat.steps
     corridor = compute_corridor(lat, sc.driver_f, scheme=sc.scheme)
-    knots = sc.loss.breakpoints
-    control_sets = _control_sets(sc, corridor)
-
-    grids, values, controls = [], [], []
-    for k in range(n + 1):
-        lo, hi = corridor.bounds_at(k)
-        grids.append([_node_grid(float(lo[j]), float(hi[j]), sc.grid_size, knots)
-                      for j in range(k + 1)])
-        values.append([None] * (k + 1))
-        controls.append([None] * (k + 1))
-
-    for j in range(n + 1):
-        g = grids[n][j]
-        values[n][j] = np.asarray(sc.loss.phi(g), dtype=float)
-        controls[n][j] = np.zeros_like(g)
-
+    control_sets = _control_sets(sc)
+    grids = [_level_grid(*corridor.bounds_at(k), sc.grid_size,
+                         sc.loss.breakpoints) for k in range(n + 1)]
+    values = [None] * n + [np.asarray(sc.loss.phi(grids[n]), dtype=float)]
+    controls = [None] * n + [np.zeros_like(grids[n])]
     clamp_total = 0
     for k in range(n - 1, -1, -1):
-        for j in range(k + 1):
-            vals, best, clamps = _backup(sc, corridor, k, j, grids[k][j],
-                                         control_sets[k][j], grids[k + 1],
-                                         values[k + 1])
-            values[k][j] = vals
-            controls[k][j] = best
-            clamp_total += clamps
-
-    return ValueSurface(
-        scenario=sc,
-        corridor=corridor,
-        grids=tuple(tuple(level) for level in grids),
-        values=tuple(tuple(level) for level in values),
-        controls=tuple(tuple(level) for level in controls),
-        control_sets=control_sets,
-        clamp_events=clamp_total,
-    )
+        values[k], controls[k], clamps = _backup(
+            sc, corridor, k, grids[k], control_sets[k], grids[k + 1],
+            values[k + 1])
+        clamp_total += (k + 1) * clamps  # one count per node of the level
+    return ValueSurface(scenario=sc, corridor=corridor, grids=tuple(grids),
+                        values=tuple(values), controls=tuple(controls),
+                        control_sets=control_sets, clamp_events=clamp_total)
 
 
 def value_curve(surface: ValueSurface, m_list) -> np.ndarray:
@@ -272,7 +249,7 @@ def value_curve(surface: ValueSurface, m_list) -> np.ndarray:
         raise PrimalError(
             f"threshold outside the root corridor [{lo:.6g}, {hi:.6g}]"
         )
-    return np.interp(np.clip(m, lo, hi), surface.grids[0][0], surface.values[0][0])
+    return np.interp(np.clip(m, lo, hi), surface.grids[0], surface.values[0])
 
 
 def _distinct_rows(j_idx: np.ndarray, m: np.ndarray) -> tuple:
@@ -298,15 +275,16 @@ def _distinct_rows(j_idx: np.ndarray, m: np.ndarray) -> tuple:
 def _node_controls(surface: ValueSurface, k: int, j_rows: np.ndarray,
                    m_rows: np.ndarray) -> np.ndarray:
     """Greedy controls of level-k rows grouped by node (_distinct_rows
-    order): one _backup per node, over all of that node's rows."""
-    sc = surface.scenario
+    order): one _backup per node, over all of that node's rows.  Every
+    node backs up on the level's slice; the batches stay per node so that
+    an implicit fixed point stops on the same batch maximum."""
+    args = (surface.scenario, surface.corridor, k)
+    data = (surface.control_sets[k], surface.grids[k + 1],
+            surface.values[k + 1])
     starts = np.flatnonzero(np.diff(j_rows, prepend=-1, append=-1))
     best = np.empty(m_rows.size, dtype=float)
     for lo, hi in zip(starts[:-1], starts[1:]):
-        j = int(j_rows[lo])
-        best[lo:hi] = _backup(sc, surface.corridor, k, j, m_rows[lo:hi],
-                              surface.control_sets[k][j], surface.grids[k + 1],
-                              surface.values[k + 1])[1]
+        best[lo:hi] = _backup(*args, m_rows[lo:hi], *data)[1]
     return best
 
 
@@ -423,13 +401,9 @@ def attainment_check(surface: ValueSurface, m0: float,
 
 
 def monotonicity_violation(surface: ValueSurface) -> float:
-    """Worst decrease of V along increasing m, over every node."""
-    worst = 0.0
-    for level in surface.values:
-        for vals in level:
-            if vals.size > 1:
-                worst = max(worst, float(np.max(vals[:-1] - vals[1:])))
-    return worst
+    """Worst decrease of V along increasing m, over every level."""
+    return max([0.0] + [float(np.max(v[:-1] - v[1:])) for v in surface.values
+                        if v.size > 1])
 
 
 def convexity_check(surface: ValueSurface) -> dict:
@@ -440,8 +414,8 @@ def convexity_check(surface: ValueSurface) -> dict:
             and sc.loss.phi_convex):
         return {"status": "skipped",
                 "reason": "needs concave f, convex g and convex phi"}
-    g0 = surface.grids[0][0]
-    v0 = surface.values[0][0]
+    g0 = surface.grids[0]
+    v0 = surface.values[0]
     m1 = g0[:, None]
     m2 = g0[None, :]
     mid = 0.5 * (m1 + m2)
@@ -489,66 +463,53 @@ def dpp_check(surface: ValueSurface, k1: int, k2: int) -> dict:
     n = sc.lattice.steps
     if not (0 <= k1 < k2 <= n):
         raise PrimalError(f"need 0 <= k1 < k2 <= {n}")
+    g, v = surface.grids[k2], surface.values[k2]
     if k2 == k1 + 1:
-        grids_k2 = list(surface.grids[k2])
-        vals_k2 = [np.asarray(v) for v in surface.values[k2]]
         mode = "one_step"
     else:
-        grids_k2, vals_k2 = [], []
-        for g, v in zip(surface.grids[k2], surface.values[k2]):
-            mids = 0.5 * (g[:-1] + g[1:])
-            ng = np.unique(np.concatenate([g[:1], mids, g[-1:]]))
-            grids_k2.append(ng)
-            vals_k2.append(np.interp(ng, g, v))
+        mids = 0.5 * (g[:-1] + g[1:])
+        g = np.unique(np.concatenate([g[:1], mids, g[-1:]]))
+        v = np.interp(g, surface.grids[k2], v)
         mode = "multi_step"
 
-    cur_grids, cur_vals = grids_k2, vals_k2
     for k in range(k2 - 1, k1 - 1, -1):
-        cur_vals = [_backup(sc, surface.corridor, k, j, surface.grids[k][j],
-                            surface.control_sets[k][j], cur_grids,
-                            cur_vals)[0] for j in range(k + 1)]
-        cur_grids = surface.grids[k]
+        v = _backup(sc, surface.corridor, k, surface.grids[k],
+                    surface.control_sets[k], g, v)[0]
+        g = surface.grids[k]
 
-    residual = 0.0
-    for j in range(k1 + 1):
-        residual = max(residual, float(np.max(np.abs(cur_vals[j]
-                                                     - surface.values[k1][j]))))
-    return {"residual": residual, "mode": mode}
+    return {"residual": float(np.max(np.abs(v - surface.values[k1]))),
+            "mode": mode}
 
 
 def apriori_bound_check(surface: ValueSurface) -> dict:
-    """Largest excess of |V| over the a-priori envelope at any node."""
+    """Largest excess of |V| over the a-priori envelope at any level.
+
+    The envelope solves constant terminals, so like the corridor it is the
+    same at every node of a level: node 0 stands for the level.
+    """
     sc = surface.scenario
     eta = apriori_bound_field(sc.lattice, sc.driver_g, sc.loss, scheme=sc.scheme)
-    worst = -math.inf
-    for k in range(sc.lattice.steps + 1):
-        bound = eta.at(k)
-        for j in range(k + 1):
-            worst = max(worst, float(np.max(np.abs(surface.values[k][j]))
-                                     - bound[j]))
-    return {"excess": worst}
+    return {"excess": max(float(np.max(np.abs(v))) - eta.at(k)[0]
+                          for k, v in enumerate(surface.values))}
 
 
-def restriction_check(surface: ValueSurface, k: int, j: int) -> dict:
+def restriction_check(surface: ValueSurface, k: int) -> dict:
     """Sub-tree consistency: the largest gap between the problem solved on
-    the lattice rooted at (k, j) and the restriction of the global surface."""
+    the lattice rooted at level k and the restriction of the global
+    surface."""
     sc = surface.scenario
     lat = sc.lattice
-    if not (0 <= k < lat.steps and 0 <= j <= k):
-        raise PrimalError("root node outside the lattice interior")
+    if not 0 <= k < lat.steps:
+        raise PrimalError("root level outside the lattice interior")
     sub_lat = build_lattice(lat.dt * (lat.steps - k), lat.steps - k,
                             step_offset=lat.step_offset + k)
     # the parent's slope bound, not the default 1/sqrt(dt) of the sub-lattice
     sub = primal_value_dp(dataclasses.replace(sc, lattice=sub_lat,
                                               alpha_max=sc.slope_bound))
     worst = 0.0
-    for i in range(sub_lat.steps + 1):
-        for jj in range(i + 1):
-            g_sub = sub.grids[i][jj]
-            v_sub = sub.values[i][jj]
-            v_glob = np.interp(g_sub, surface.grids[k + i][j + jj],
-                               surface.values[k + i][j + jj])
-            worst = max(worst, float(np.max(np.abs(v_sub - v_glob))))
+    for i, (g_sub, v_sub) in enumerate(zip(sub.grids, sub.values)):
+        v_glob = np.interp(g_sub, surface.grids[k + i], surface.values[k + i])
+        worst = max(worst, float(np.max(np.abs(v_sub - v_glob))))
     return {"max_diff": worst}
 
 
@@ -619,7 +580,7 @@ def brute_force_policy_value(sc: PrimalScenario, m0: float,
         )
     corridor = compute_corridor(lat, sc.driver_f, scheme=sc.scheme)
     lo0, hi0 = corridor.bounds_at(0)
-    if not (lo0[0] - FEASIBILITY_TOL <= m0 <= hi0[0] + FEASIBILITY_TOL):
+    if not (lo0 - FEASIBILITY_TOL <= m0 <= hi0 + FEASIBILITY_TOL):
         raise PrimalError("threshold outside the root corridor")
 
     assign = np.zeros((1, 0), dtype=np.intp)  # admissible prefixes (P, 2^k - 1)

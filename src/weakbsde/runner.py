@@ -8,8 +8,9 @@ into the check's verdict, against the scenario's tolerances.  Nothing in the
 default pipeline reads the clock or draws unseeded randomness, so a rerun
 with the same config produces byte-identical files.
 
-Every float in the CSV files is its repr.  surface.csv is written a level
-at a time, with one repr per distinct float of the level (_surface_csv).
+Every float in the CSV files is its repr.  surface.csv renders each
+level's slice once and repeats it for every node of the level
+(_surface_csv).
 """
 
 from __future__ import annotations
@@ -157,7 +158,7 @@ def _check_restriction(ctx):
     if sc.lattice.steps < 2:
         return _skipped("restriction", tol, "needs at least two levels")
     return _at_most("restriction",
-                    restriction_check(ctx["surface"], 1, 1)["max_diff"], tol)
+                    restriction_check(ctx["surface"], 1)["max_diff"], tol)
 
 
 def _check_comparison(ctx):
@@ -266,38 +267,16 @@ def curve_csv(rows) -> str:
 def _surface_csv(surface) -> str:
     """One row k,j,m,V,a per (level, node, m) state, each float its repr.
 
-    A level is written at once: its m, V and a cells are reduced to their
-    distinct int64 bit patterns (so -0.0 and 0.0 stay apart), repr runs once
-    per pattern not already written at the level above, and the rows are
-    joined from the resulting texts.  Node grids and values repeat within
-    and across levels (a z-only corridor is [0, 1] at every node), so most
-    cells reuse a text.  The bytes equal a per-row repr of every cell.
+    The surface holds one slice per level, the same at every node, so each
+    level's m,V,a lines are rendered once and joined under every node's
+    k,j, prefix.  The bytes equal a per-row repr of every cell.
     """
     parts = ["level,node,m,value,control\n"]
-    # the texts written at the level above, by ascending bits; seeded with
-    # +0.0 so that the lookup never meets an empty table
-    prev_bits, prev_text = np.zeros(1, np.int64), np.array(["0.0"], object)
-    for k, level in enumerate(zip(surface.grids, surface.values,
-                                  surface.controls)):
-        sizes = [g.size for g in level[0]]
-        n = sum(sizes)
-        cells = np.concatenate([arr for column in level for arr in column])
-        bits, inverse = np.unique(cells.view(np.int64), return_inverse=True)
-        above = np.searchsorted(prev_bits, bits).clip(max=prev_bits.size - 1)
-        seen = prev_bits[above] == bits
-        text = np.empty(bits.size, dtype=object)
-        text[seen] = prev_text[above[seen]]
-        fresh = ~seen
-        text[fresh] = list(map(repr, bits[fresh].view(np.float64).tolist()))
-        prev_bits, prev_text = bits, text
-        m, v, a = text[inverse].reshape(3, n)
-        rows = np.empty((n, 7), dtype=object)
-        rows[:, 0] = np.repeat(np.array([f"{k},{j}," for j in range(k + 1)],
-                                        dtype=object), sizes)
-        rows[:, 1], rows[:, 3], rows[:, 5] = m, v, a
-        rows[:, 2] = rows[:, 4] = ","
-        rows[:, 6] = "\n"
-        parts.append("".join(rows.ravel().tolist()))
+    for k, (g, v, a) in enumerate(zip(surface.grids, surface.values,
+                                      surface.controls)):
+        lines = [f"{m!r},{x!r},{c!r}\n"
+                 for m, x, c in zip(g.tolist(), v.tolist(), a.tolist())]
+        parts.extend(f"{k},{j},".join(["", *lines]) for j in range(k + 1))
     return "".join(parts)
 
 

@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .bsde import compute_corridor
+from .bsde import compute_corridor, monotone_step_ok
 from .drivers import Driver, LossPair, make_driver, make_loss
 from .dual import SLOPE_FLOOR
 from .lattice import MAX_PATH_LEVELS, Lattice, build_lattice
@@ -259,12 +259,27 @@ def build_scenario(config: dict) -> Scenario:
     if len(set(checks)) != len(checks):
         raise ScenarioError(f"checks repeats a check: {list(checks)!r}")
 
+    # the backward steps raise where a driver breaks the step condition under
+    # the explicit scheme, or the implicit fixed point's contraction
+    for key, d in (("driver_f", driver_f), ("driver_g", driver_g)):
+        implicit_ok = d.lipschitz_y * lattice.dt < 1.0
+        if scheme == "explicit" and not monotone_step_ok(lattice, d):
+            bound = d.lipschitz_z * lattice.sqrt_dt + d.lipschitz_y * lattice.dt
+            raise ScenarioError(
+                f"{key}: driver {d.name!r} breaks the monotone step condition "
+                f"Cz*sqrt(dt) + Cy*dt = {bound:.3g} > 1 under the explicit "
+                "scheme; " + ("primal.scheme \"implicit\" would pass"
+                              if implicit_ok else "refine lattice.steps"))
+        if scheme == "implicit" and not implicit_ok:
+            raise ScenarioError(
+                f"{key}: driver {d.name!r} needs lipschitz_y * dt < 1 under "
+                f"the implicit scheme, got {d.lipschitz_y * lattice.dt:.3g}; "
+                "refine lattice.steps")
+
     # every threshold must lie in the root corridor (within the CURVE_TOL of
     # value_curve), and the continuity check fits V on [base, base + largest
     # offset]; only the corridor knows, and it is cheap to solve here
-    floor, ceiling = compute_corridor(lattice, driver_f,
-                                      scheme=scheme).bounds_at(0)
-    lo, hi = float(floor[0]), float(ceiling[0])
+    lo, hi = compute_corridor(lattice, driver_f, scheme=scheme).bounds_at(0)
     for where, values in (("primal.m_list", m_list),
                           ("dual.m_list", dual_m_list)):
         outside = [m for m in values

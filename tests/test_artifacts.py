@@ -105,6 +105,42 @@ def test_midsize_risk_pair_artifacts_are_byte_identical(tmp_path):
     assert measured == MIDSIZE_SHA256
 
 
+# The risk pair at sixteen levels on a 601-point grid, where the lattice has
+# the most nodes per level of any run here (the benchmark's surface size,
+# with its seed-24 thresholds); sha256 of surface.csv and report.json
+# recorded with the per-node DP.
+DEEP_CONFIG = {
+    "name": "bench_surface",
+    "lattice": {"horizon": 1.0, "steps": 16},
+    "driver_f": {"name": "neg_abs_z", "params": {"kappa": 0.3}},
+    "driver_g": {"name": "abs_z", "params": {"kappa": 0.2}},
+    "loss": {"name": "power", "params": {"p": 2.0}},
+    "primal": {"grid_size": 601, "n_a": 41,
+               "m_list": [0.1, 0.175, 0.2, 0.3, 0.4, 0.475, 0.625, 0.75,
+                          0.775]},
+    "dual": {"enabled": False},
+    "checks": ["attainment", "monotonicity", "convexity", "continuity",
+               "dpp", "value_envelope", "restriction", "comparison",
+               "roundtrip", "admissibility"],
+    "seed": 24,
+}
+DEEP_SHA256 = (
+    "b9fde3b244ca7236fca0d436f3527998316d977be07fc297bff025d2909b423b",
+    "963a2e0aeb24d778a06679fdb2d3488ef1752e765f85b2f6def640c47e3e61aa",
+)
+
+
+def test_deep_risk_pair_artifacts_are_byte_identical(tmp_path):
+    report = execute(build_scenario(DEEP_CONFIG), out_dir=tmp_path,
+                     quiet=True)
+    assert report["status"] == "PASS"
+    assert report["clamp_events"] == 544
+    measured = tuple(
+        hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
+        for fname in ("surface.csv", "report.json"))
+    assert measured == DEEP_SHA256
+
+
 # A linear constraint driver: the corridor ceiling E^f[1] grows level by
 # level, so each level has its own m-grid and the texts carried from the
 # level above miss on the whole grid column.  sha256 of surface.csv and
@@ -213,26 +249,25 @@ def test_continuity_entry_is_skipped_on_a_flat_stretch():
 # ---------------------------------------------------------------------------
 
 def _per_row_surface_csv(surface) -> str:
-    """Reference: the per-row writer the level-at-a-time one replaced,
-    kept verbatim."""
+    """Reference: the per-row writer the level-at-a-time one replaced, with
+    each level's slice written out for every node of the level."""
     buf = io.StringIO()
     buf.write("level,node,m,value,control\n")
-    for k, (grids, vals, ctrls) in enumerate(zip(surface.grids, surface.values,
-                                                 surface.controls)):
+    for k, (grid, vals, ctrls) in enumerate(zip(surface.grids, surface.values,
+                                                surface.controls)):
         for j in range(k + 1):
-            for m, v, a in zip(grids[j], vals[j], ctrls[j]):
+            for m, v, a in zip(grid, vals, ctrls):
                 buf.write(f"{k},{j},{float(m)!r},{float(v)!r},{float(a)!r}\n")
     return buf.getvalue()
 
 
 def _fake_surface(draw, levels=7, seed=0):
-    """grids / values / controls of a lattice-shaped surface; draw(rng, n)
-    fills one node.  Node sizes vary, as with loss knots."""
+    """grids / values / controls of a level-shaped surface; draw(rng, n)
+    fills one level.  Level sizes vary, as with loss knots."""
     rng = np.random.default_rng(seed)
-    sizes = [[int(rng.integers(1, 12)) for _ in range(k + 1)]
-             for k in range(levels)]
+    sizes = [int(rng.integers(1, 12)) for _ in range(levels)]
     return SimpleNamespace(**{
-        name: tuple(tuple(draw(rng, n) for n in level) for level in sizes)
+        name: tuple(draw(rng, n) for n in sizes)
         for name in ("grids", "values", "controls")})
 
 
@@ -250,7 +285,7 @@ def test_surface_csv_matches_the_per_row_writer_on_distinct_floats():
         lambda rng, n: rng.standard_normal(n) * 10.0 ** rng.integers(-30, 30, n))
     cells = np.concatenate([arr for column in (surface.grids, surface.values,
                                                surface.controls)
-                            for level in column for arr in level])
+                            for arr in column])
     assert np.unique(cells).size == cells.size
     _assert_writers_agree(surface)
 

@@ -99,21 +99,20 @@ def test_comparison_ordered_pairs_seeded():
 def test_corridor_is_trivial_for_zero_driver():
     lat = build_lattice(1.0, 5)
     cor = compute_corridor(lat, make_driver("zero"))
-    for k in range(6):
-        np.testing.assert_array_equal(cor.floor.at(k), np.zeros(k + 1))
-        np.testing.assert_array_equal(cor.ceiling.at(k), np.ones(k + 1))
-    lo, hi = cor.bounds_at(3)
-    np.testing.assert_array_equal(lo, np.zeros(4))
-    np.testing.assert_array_equal(hi, np.ones(4))
+    np.testing.assert_array_equal(cor.floor, np.zeros(6))
+    np.testing.assert_array_equal(cor.ceiling, np.ones(6))
+    assert cor.bounds_at(3) == (0.0, 1.0)
 
 
 def test_corridor_constants_survive_z_only_drivers():
     # E^f of a constant is that constant whenever f(t, y, 0) = 0
     lat = build_lattice(1.0, 5)
     cor = compute_corridor(lat, make_driver("neg_abs_z", kappa=0.3))
-    np.testing.assert_allclose(cor.floor.at(0), [0.0], atol=1e-15)
-    np.testing.assert_allclose(cor.ceiling.at(0), [1.0], atol=1e-15)
-    np.testing.assert_allclose(cor.floor_z.at(2), np.zeros(3), atol=1e-15)
+    np.testing.assert_allclose(cor.bounds_at(0), [0.0, 1.0], atol=1e-15)
+    # the floor solve's slope is 0 at every node, so Corridor stores none
+    floor_z = solve_bsde(lat, make_driver("neg_abs_z", kappa=0.3),
+                         np.zeros(6)).z
+    np.testing.assert_allclose(floor_z.at(2), np.zeros(3), atol=1e-15)
 
 
 def test_f_expectation_is_single_level():

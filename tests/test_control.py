@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from weakbsde.bsde import compute_corridor
+from weakbsde.bsde import compute_corridor, solve_bsde
 from weakbsde.control import (HIT_TOL, PolicyError, admissible,
                               representation_roundtrip, simulate_all_prefixes)
 from weakbsde.drivers import make_driver
@@ -18,31 +18,41 @@ def _step(lat, f, k, m, a):
     return base + a * lat.sqrt_dt, base - a * lat.sqrt_dt
 
 
+def _node_edges(lat, f):
+    """The corridor edges node by node: the solves (y and slope z) of the
+    constant terminals 0 (floor) and 1 (ceiling)."""
+    return {side: solve_bsde(lat, f, np.full(lat.steps + 1, value))
+            for side, value in (("floor", 0.0), ("ceiling", 1.0))}
+
+
 def simulate_controlled(lat, f, mu0, controls, path, corridor=None):
     """Reference: the forward recursion along one path (signs +1 / -1),
     one scalar state at a time; returns (states, applied controls).
 
-    With a corridor, the two-edge truncation rule is written out: at each
-    level the slope is checked against the floor and then the ceiling.
-    An edge latches once the state is within HIT_TOL of it or the
-    proposed step lands strictly beyond the next-level edge, and a latched
-    edge's tracking slope replaces the slope from then on.
+    With a corridor, the two-edge truncation rule is written out on the
+    node-by-node edges (_node_edges): at each level the slope is checked
+    against the floor and then the ceiling.  An edge latches once the
+    state is within HIT_TOL of it or the proposed step lands strictly
+    beyond the next-level edge, and a latched edge's tracking slope (its
+    solve's z at the node) replaces the slope from then on.
     """
     m, j = float(mu0), 0
     latched = {"floor": False, "ceiling": False}
+    edges = None if corridor is None else _node_edges(lat, f)
     states, applied = [m], []
     for k, sign in enumerate(path):
         a = float(controls[k][j])
         if corridor is not None:
             for side, s in (("floor", 1.0), ("ceiling", -1.0)):
-                edge = getattr(corridor, side)
+                edge = edges[side].y
+                assert edge.at(k)[j] == getattr(corridor, side)[k]
                 up, dn = _step(lat, f, k, m, a)
                 hit = s * m <= s * edge.at(k)[j] + HIT_TOL
                 crossing = (s * up < s * edge.at(k + 1)[j + 1]
                             or s * dn < s * edge.at(k + 1)[j])
                 latched[side] = latched[side] or hit or crossing
                 if latched[side]:
-                    a = float(getattr(corridor, side + "_z").at(k)[j])
+                    a = float(edges[side].z.at(k)[j])
         up, dn = _step(lat, f, k, m, a)
         m = up if sign > 0 else dn
         j += sign > 0
@@ -112,7 +122,7 @@ def test_truncated_simulation_equals_the_scalar_rule_on_every_path(driver):
     lat = build_lattice(1.0, 5)
     cor = compute_corridor(lat, driver)
     bound = 1.0 / lat.sqrt_dt
-    lo, hi = (float(edge[0]) for edge in cor.bounds_at(0))
+    lo, hi = cor.bounds_at(0)
     rng = np.random.default_rng(17)
     draws = [(rng.uniform(lo, hi), [rng.uniform(-2 * bound, 2 * bound, k + 1)
                                     for k in range(5)]) for _ in range(20)]
@@ -181,11 +191,11 @@ def test_floor_truncation_latches_and_tracks():
     cor = compute_corridor(lat, d)
     dive = _constant(lat, -2.0)  # dives through the floor fast
     states = simulate_all_prefixes(lat, d, 0.25, dive, cor)
-    floor_terminal = cor.floor.at(6)[prefix_up_counts(6)]
-    assert np.min(states[6] - floor_terminal) >= -1e-12
+    assert np.min(states[6] - cor.floor[6]) >= -1e-12
     _, applied = simulate_controlled(lat, d, 0.25, dive, sign_matrix(6)[-1],
                                      cor)
-    np.testing.assert_array_equal(applied, [cor.floor_z.at(k)[0]
+    floor_z = _node_edges(lat, d)["floor"].z
+    np.testing.assert_array_equal(applied, [floor_z.at(k)[0]
                                             for k in range(6)])
 
 

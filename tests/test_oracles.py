@@ -12,7 +12,7 @@ from weakbsde.bsde import (_one_step, compute_corridor, exact_scheme_for,
                            solve_on_path_tree, solve_on_product_tree)
 from weakbsde.control import _children, _interleave
 from weakbsde.drivers import make_driver, make_loss
-from weakbsde.lattice import LatticeError, build_lattice, prefix_up_counts
+from weakbsde.lattice import LatticeError, build_lattice
 from weakbsde.primal import (FEASIBILITY_TOL, PrimalError, PrimalScenario,
                              brute_force_policy_value,
                              brute_force_weak_formulation, two_point_envelope)
@@ -132,9 +132,7 @@ def _policy_reference(sc, m0):
     for k in range(n):
         a = slopes[:, 2**k - 1:2**(k + 1) - 1]
         m = _interleave(*_children(lat, sc.driver_f, k, m, a))
-        j_idx = prefix_up_counts(k + 1)
-        lo = corridor.floor.at(k + 1)[j_idx]
-        hi = corridor.ceiling.at(k + 1)[j_idx]
+        lo, hi = corridor.bounds_at(k + 1)
         violation = np.maximum(violation,
                                np.maximum(lo - m, m - hi).max(axis=1))
     cost = np.asarray(solve_on_path_tree(

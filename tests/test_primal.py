@@ -1,23 +1,25 @@
 """Value-surface recursion and its structural checks."""
 
+import dataclasses
 import hashlib
 import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import weakbsde.primal as primal_mod
-from weakbsde.bsde import _one_step
+from weakbsde.bsde import _one_step, monotone_step_ok, solve_bsde
 from weakbsde.control import _children
 from weakbsde.drivers import make_driver, make_loss
-from weakbsde.lattice import LatticeError, build_lattice, prefix_up_counts
+from weakbsde.lattice import LatticeError, build_lattice
 from weakbsde.runner import _check_attainment
 from weakbsde.scenario import build_scenario
 from weakbsde.primal import (FEASIBILITY_TOL, PrimalError, PrimalScenario,
-                             _backup, _distinct_rows, _node_controls,
-                             _ordered_controls, attainment_check,
+                             _backup, _control_sets, _distinct_rows,
+                             _level_grid, _node_controls, _ordered_controls,
+                             attainment_check,
                              brute_force_policy_value,
                              brute_force_weak_formulation, continuity_modulus,
                              convexity_check, dpp_check, greedy_plan,
@@ -49,10 +51,8 @@ def test_quadratic_curve_is_exact_on_grid_points(quadratic_surface):
 
 
 def test_terminal_level_stores_the_raw_loss(quadratic_surface):
-    grids = quadratic_surface.grids[-1]
-    values = quadratic_surface.values[-1]
-    for g, v in zip(grids, values):
-        np.testing.assert_allclose(v, g**2, atol=1e-15)
+    g = quadratic_surface.grids[-1]
+    np.testing.assert_allclose(quadratic_surface.values[-1], g**2, atol=1e-15)
 
 
 def test_curve_rejects_thresholds_outside_corridor(quadratic_surface):
@@ -99,9 +99,9 @@ def test_dpp_one_step_is_exact_and_multi_step_shrinks():
 
 
 def test_restriction_to_a_subtree_matches(quadratic_surface):
-    res = restriction_check(quadratic_surface, 1, 1)
+    res = restriction_check(quadratic_surface, 1)
     assert res["max_diff"] <= 1e-12, res
-    res2 = restriction_check(quadratic_surface, 2, 0)
+    res2 = restriction_check(quadratic_surface, 2)
     assert res2["max_diff"] <= 1e-12
 
 
@@ -146,15 +146,14 @@ def test_risk_adjusted_pair_prices_to_the_square():
 
 
 def test_grid_slack_reflects_node_spacing(quadratic_surface):
-    # 201 uniform points on [0, 1] -> spacing 1/200
+    # 201 uniform points per level on [0, 1] -> spacing 1/200
     assert quadratic_surface.grid_slack == pytest.approx(0.005, rel=1e-6)
 
 
 def test_grid_slack_is_the_widest_spacing_and_is_computed_once():
     surf = primal_value_dp(_scenario(loss_name="s_shaped", steps=3, grid=41,
                                      n_a=5))
-    widest = max(float(np.max(np.diff(g))) for level in surf.grids
-                 for g in level)
+    widest = max(float(np.max(np.diff(g))) for g in surf.grids)
     assert surf.grid_slack == widest
     assert surf.__dict__["grid_slack"] == widest  # cached on first read
 
@@ -184,9 +183,9 @@ def test_implicit_scheme_golden_values():
                         loss=make_loss("s_shaped"), grid_size=11, n_a=9,
                         scheme="implicit")
     surf = primal_value_dp(sc)
-    assert surf.grids[0][0].tolist() == IMPLICIT_ROOT_GRID
-    assert surf.values[0][0].tolist() == IMPLICIT_ROOT_VALUES
-    assert surf.controls[0][0].tolist() == IMPLICIT_ROOT_CONTROLS
+    assert surf.grids[0].tolist() == IMPLICIT_ROOT_GRID
+    assert surf.values[0].tolist() == IMPLICIT_ROOT_VALUES
+    assert surf.controls[0].tolist() == IMPLICIT_ROOT_CONTROLS
     res = attainment_check(surf, 0.5)
     assert res["realized"] == 0.3773768233822561
     assert res["gap"] <= 2.0 * surf.grid_slack + 1e-9
@@ -196,13 +195,13 @@ def test_implicit_scheme_golden_values():
 # the greedy plan backs up each distinct (node, m) row once
 # ---------------------------------------------------------------------------
 
-def _row_by_row_controls(surf, k, j_idx, m):
+def _row_by_row_controls(surf, k, m):
     """Reference: one backup per prefix row, each in a batch of its own."""
     return np.array([
-        _backup(surf.scenario, surf.corridor, k, int(j), m[i:i + 1],
-                surf.control_sets[k][j], surf.grids[k + 1],
+        _backup(surf.scenario, surf.corridor, k, m[i:i + 1],
+                surf.control_sets[k], surf.grids[k + 1],
                 surf.values[k + 1])[1][0]
-        for i, j in enumerate(j_idx)
+        for i in range(m.size)
     ])
 
 
@@ -220,8 +219,7 @@ def _assert_greedy_replay_is_row_exact(surf, m_list):
     results = [attainment_check(surf, m0, plan=plan) for m0 in m_list]
     for res in results:
         for k, (m, applied) in enumerate(zip(res["states"], res["controls"])):
-            j_idx = prefix_up_counts(k)
-            _assert_same_bits(applied, _row_by_row_controls(surf, k, j_idx, m))
+            _assert_same_bits(applied, _row_by_row_controls(surf, k, m))
         assert res["n_backups"] == plan.n_backups
     return results, plan.n_backups
 
@@ -273,7 +271,7 @@ def test_greedy_dedup_keeps_signed_zeros_apart(risk_surface):
     j_idx = np.array([0, 0, 1, 0, 1, 0])
     m = np.array([0.0, -0.0, -0.0, 0.0, 0.25, -0.0])
     got, n_rows = _deduped_controls(risk_surface, 1, j_idx, m)
-    _assert_same_bits(got, _row_by_row_controls(risk_surface, 1, j_idx, m))
+    _assert_same_bits(got, _row_by_row_controls(risk_surface, 1, m))
     assert n_rows == 4  # (0, +0), (0, -0), (1, -0), (1, 0.25)
 
 
@@ -288,7 +286,7 @@ def test_greedy_dedup_property_with_injected_duplicates(risk_surface, k, data):
     j_idx = np.array([rows[i][0] for i in picks])
     m = np.array([rows[i][1] for i in picks])
     got, n_rows = _deduped_controls(risk_surface, k, j_idx, m)
-    _assert_same_bits(got, _row_by_row_controls(risk_surface, k, j_idx, m))
+    _assert_same_bits(got, _row_by_row_controls(risk_surface, k, m))
     assert n_rows == len(set(zip(j_idx.tolist(), m.view(np.int64).tolist())))
 
 
@@ -386,7 +384,7 @@ def test_attainment_check_backs_up_each_node_once(risk12_surface,
     original = primal_mod._backup
 
     def counting(*args):
-        calls.append(args[2:4])
+        calls.append(args[2])  # the level; one batch per node of it
         return original(*args)
 
     monkeypatch.setattr(primal_mod, "_backup", counting)
@@ -394,7 +392,7 @@ def test_attainment_check_backs_up_each_node_once(risk12_surface,
                                               NINE_THRESHOLDS))
     assert entry["status"] == "PASS"
     assert len(calls) == 78
-    assert sorted(calls) == [(k, j) for k in range(12) for j in range(k + 1)]
+    assert sorted(calls) == [k for k in range(12) for _ in range(k + 1)]
 
 
 def _traced_peak(fn):
@@ -421,15 +419,11 @@ def test_attainment_check_memory_does_not_grow_with_thresholds(
 # the control-major backup kernel reproduces the state-major one bit for bit
 # ---------------------------------------------------------------------------
 
-def _state_major_backup(sc, corridor, k, j, m_grid, next_grids, next_values):
+def _state_major_backup(sc, corridor, k, m_grid, next_grid, next_values):
     """Reference: the (state, control) backup the control-major kernel
-    replaced, kept verbatim."""
-    lo, hi = corridor.bounds_at(k + 1)
-    lo_u, hi_u, lo_d, hi_d = (float(lo[j + 1]), float(hi[j + 1]),
-                              float(lo[j]), float(hi[j]))
-    controls = _ordered_controls(sc.base_controls(),
-                                 [corridor.floor_z.at(k)[j],
-                                  corridor.ceiling_z.at(k)[j]])
+    replaced, on a level's slice."""
+    lo_u, hi_u = lo_d, hi_d = corridor.bounds_at(k + 1)
+    controls = _ordered_controls(sc.base_controls(), [0.0])
     lat = sc.lattice
     m_up, m_dn = _children(lat, sc.driver_f, k,
                            np.asarray(m_grid, float)[:, None], controls[None, :])
@@ -439,10 +433,8 @@ def _state_major_backup(sc, corridor, k, j, m_grid, next_grids, next_values):
     up_c = np.clip(m_up, lo_u, hi_u)
     dn_c = np.clip(m_dn, lo_d, hi_d)
     clamps = int(np.count_nonzero(feasible & ((m_up != up_c) | (m_dn != dn_c))))
-    v_up = np.interp(up_c.ravel(), next_grids[j + 1],
-                     next_values[j + 1]).reshape(up_c.shape)
-    v_dn = np.interp(dn_c.ravel(), next_grids[j],
-                     next_values[j]).reshape(dn_c.shape)
+    v_up = np.interp(up_c.ravel(), next_grid, next_values).reshape(up_c.shape)
+    v_dn = np.interp(dn_c.ravel(), next_grid, next_values).reshape(dn_c.shape)
     vals, _, _ = _one_step(sc.driver_g, lat.time_at(k), v_up, v_dn,
                            lat.sqrt_dt, lat.dt, sc.scheme)
     vals = np.where(feasible, vals, np.inf)
@@ -450,18 +442,18 @@ def _state_major_backup(sc, corridor, k, j, m_grid, next_grids, next_values):
         bad = int(np.argmin(np.any(feasible, axis=1)))
         raise PrimalError(
             f"no feasible control at level {k}, m = {float(m_grid[bad])!r}; "
-            "corridor-tracking slopes should prevent this"
+            "the zero control should prevent this"
         )
     idx = np.argmin(vals, axis=1)
     return vals[np.arange(vals.shape[0]), idx], controls[idx], clamps
 
 
-def _assert_backup_matches_reference(surf, k, j, m):
-    """Both kernels on node (k, j) of surf over the rows m: equal bits, or
-    the same PrimalError message."""
-    args = (surf.scenario, surf.corridor, k, j, m)
+def _assert_backup_matches_reference(surf, k, m):
+    """Both kernels on level k of surf over the rows m: equal bits, or the
+    same PrimalError message."""
+    args = (surf.scenario, surf.corridor, k, m)
     data = (surf.grids[k + 1], surf.values[k + 1])
-    controls = surf.control_sets[k][j]
+    controls = surf.control_sets[k]
     try:
         ref = _state_major_backup(*args, *data)
     except PrimalError as exc:
@@ -476,18 +468,18 @@ def _assert_backup_matches_reference(surf, k, j, m):
     return clamps
 
 
-def _assert_every_node_matches(surf):
+def _assert_every_level_matches(surf):
     clamps = 0
     for k in range(surf.lattice.steps):
-        for j in range(k + 1):
-            clamps += _assert_backup_matches_reference(surf, k, j,
-                                                       surf.grids[k][j])
+        # a level's clamps count once per node of the level
+        clamps += (k + 1) * _assert_backup_matches_reference(surf, k,
+                                                             surf.grids[k])
     assert clamps == surf.clamp_events
 
 
 def test_control_major_backup_matches_on_the_recombining_risk_pair(
         risk_surface):
-    _assert_every_node_matches(risk_surface)
+    _assert_every_level_matches(risk_surface)
 
 
 def test_control_major_backup_matches_at_surface_size():
@@ -497,9 +489,7 @@ def test_control_major_backup_matches_at_surface_size():
     assert surf.clamp_events > 0  # the sample includes clamping nodes
     clamps = 0
     for k in (0, 3, 8, 15):
-        for j in sorted({0, k // 2, k}):
-            clamps += _assert_backup_matches_reference(surf, k, j,
-                                                       surf.grids[k][j])
+        clamps += _assert_backup_matches_reference(surf, k, surf.grids[k])
     assert clamps > 0
 
 
@@ -509,7 +499,7 @@ def test_control_major_backup_matches_under_the_implicit_scheme():
                         driver_g=make_driver("linear", a=0.2, b=0.1),
                         loss=make_loss("s_shaped"), grid_size=11, n_a=9,
                         scheme="implicit")
-    _assert_every_node_matches(primal_value_dp(sc))
+    _assert_every_level_matches(primal_value_dp(sc))
 
 
 def test_control_major_backup_matches_where_controls_tie():
@@ -517,12 +507,12 @@ def test_control_major_backup_matches_where_controls_tie():
     # the first index in (|a|, a) order must win in both layouts
     surf = primal_value_dp(_scenario(loss_name="identity", steps=6, grid=81,
                                      n_a=9))
-    _assert_every_node_matches(surf)
+    _assert_every_level_matches(surf)
 
 
 def test_control_major_backup_matches_on_smooth_drivers():
     # transcendental drivers in both the forward step and the pricing step
-    _assert_every_node_matches(primal_value_dp(_scenario(
+    _assert_every_level_matches(primal_value_dp(_scenario(
         steps=6, grid=81, n_a=9,
         f=("logcosh_z", {"kappa": 0.3, "sign": -1}),
         g=("softplus_z", {"kappa": 0.2}))))
@@ -535,26 +525,24 @@ def test_control_major_backup_matches_on_an_unsorted_greedy_batch(
     m = np.array([0.7, 0.0, 0.25, -0.0, 0.7, 1.0, 0.1 + 0.2, 0.3, -0.0,
                   0.999999, 1e-300, 0.5])
     for k in (0, 4, 7):
-        for j in (0, k):
-            _assert_backup_matches_reference(risk_surface, k, j, m)
+        _assert_backup_matches_reference(risk_surface, k, m)
 
 
 def test_backup_names_the_first_infeasible_state(risk_surface):
     m = np.array([0.5, 0.2, -0.25, 0.75, 1.5, -0.5])
-    args = (risk_surface.scenario, risk_surface.corridor, 3, 1, m)
+    args = (risk_surface.scenario, risk_surface.corridor, 3, m)
     data = (risk_surface.grids[4], risk_surface.values[4])
     with pytest.raises(PrimalError) as ref:
         _state_major_backup(*args, *data)
     # a plain float, not the numpy scalar repr np.float64(-0.25)
     with pytest.raises(PrimalError, match=r"level 3, m = -0\.25; ") as got:
-        _backup(*args, risk_surface.control_sets[3][1], *data)
+        _backup(*args, risk_surface.control_sets[3], *data)
     assert str(got.value) == str(ref.value)
 
 
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(k=st.integers(0, 7), data=st.data())
 def test_control_major_backup_property(risk_surface, k, data):
-    j = data.draw(st.integers(0, k))
     # the corridor is [0, 1]: rows at an edge, or outside it by less than
     # the feasibility tolerance, reach the clamp; farther out none is feasible
     edges = st.sampled_from([0.0, -0.0, 1.0, -5e-10, 1.0 + 5e-10, -1e-8])
@@ -562,7 +550,7 @@ def test_control_major_backup_property(risk_surface, k, data):
                                     min_size=1, max_size=24)))
     if data.draw(st.booleans()):
         m = np.sort(m)
-    _assert_backup_matches_reference(risk_surface, k, j, m)
+    _assert_backup_matches_reference(risk_surface, k, m)
 
 
 # ---------------------------------------------------------------------------
@@ -570,18 +558,16 @@ def test_control_major_backup_property(risk_surface, k, data):
 # ---------------------------------------------------------------------------
 
 def _full_batch_dp(sc, surf):
-    """Reference: the DP sweep over surf's grids with every node backed up
+    """Reference: the DP sweep over surf's grids with every level backed up
     by the full-batch state-major kernel; returns (values, controls,
     clamp_events)."""
-    values = [list(level) for level in surf.values]
-    controls = [list(level) for level in surf.controls]
+    values, controls = list(surf.values), list(surf.controls)
     clamps = 0
     for k in range(sc.lattice.steps - 1, -1, -1):
-        for j in range(k + 1):
-            values[k][j], controls[k][j], c = _state_major_backup(
-                sc, surf.corridor, k, j, surf.grids[k][j], surf.grids[k + 1],
-                values[k + 1])
-            clamps += c
+        values[k], controls[k], c = _state_major_backup(
+            sc, surf.corridor, k, surf.grids[k], surf.grids[k + 1],
+            values[k + 1])
+        clamps += (k + 1) * c
     return values, controls, clamps
 
 
@@ -614,21 +600,149 @@ def test_feasible_only_dp_matches_full_batch_backups(steps):
         assert clamps == surf.clamp_events
         exact = scheme == "explicit" or not sc.driver_g.depends_on_y
         for k in range(steps):
-            for j in range(k + 1):
-                _assert_same_bits(surf.controls[k][j], controls[k][j])
-                if exact:
-                    _assert_same_bits(surf.values[k][j], values[k][j])
-                else:
-                    assert np.max(np.abs(surf.values[k][j]
-                                         - values[k][j])) <= 1e-12
+            _assert_same_bits(surf.controls[k], controls[k])
+            if exact:
+                _assert_same_bits(surf.values[k], values[k])
+            else:
+                assert np.max(np.abs(surf.values[k] - values[k])) <= 1e-12
 
 
 def test_control_sets_hold_each_nodes_ordered_controls(risk_surface):
-    sc, corridor = risk_surface.scenario, risk_surface.corridor
+    # each node's set, built from its own corridor-tracking slopes by the
+    # per-node reference, is its level's set
+    sc = risk_surface.scenario
+    node_sets = _per_node_dp(sc)[4]
     assert len(risk_surface.control_sets) == sc.lattice.steps
-    for k, level in enumerate(risk_surface.control_sets):
-        assert len(level) == k + 1
-        for j, controls in enumerate(level):
-            _assert_same_bits(controls, _ordered_controls(
-                sc.base_controls(),
-                [corridor.floor_z.at(k)[j], corridor.ceiling_z.at(k)[j]]))
+    for k, controls in enumerate(risk_surface.control_sets):
+        assert len(node_sets[k]) == k + 1
+        for node_controls in node_sets[k]:
+            _assert_same_bits(controls, node_controls)
+    # with an even n_a the base grid misses 0; the set keeps it
+    even = dataclasses.replace(sc, n_a=4)
+    assert 0.0 not in even.base_controls()
+    assert all(0.0 in controls for controls in _control_sets(even))
+
+
+# ---------------------------------------------------------------------------
+# the level-only DP against the per-node DP it replaced
+# ---------------------------------------------------------------------------
+
+def _node_backup(sc, floor, ceiling, k, j, m_grid, controls, next_grids,
+                 next_values):
+    """Reference: the backup of node (k, j), with the level-(k+1) corridor
+    (floor, ceiling) and interpolation data given per node."""
+    lo_u, hi_u, lo_d, hi_d = (float(floor[j + 1]), float(ceiling[j + 1]),
+                              float(floor[j]), float(ceiling[j]))
+    lat = sc.lattice
+    m_up, m_dn = _children(lat, sc.driver_f, k,
+                           np.asarray(m_grid, float)[None, :], controls[:, None])
+    tol = FEASIBILITY_TOL
+    feasible = ((m_up >= lo_u - tol) & (m_up <= hi_u + tol)
+                & (m_dn >= lo_d - tol) & (m_dn <= hi_d + tol))
+    assert np.all(np.any(feasible, axis=0))
+    kept = np.flatnonzero(feasible)
+    m_up, m_dn = m_up.take(kept), m_dn.take(kept)
+    up_c = np.clip(m_up, lo_u, hi_u)
+    dn_c = np.clip(m_dn, lo_d, hi_d)
+    clamps = int(np.count_nonzero((m_up != up_c) | (m_dn != dn_c)))
+    v_up = np.interp(up_c, next_grids[j + 1], next_values[j + 1])
+    v_dn = np.interp(dn_c, next_grids[j], next_values[j])
+    priced, _, _ = _one_step(sc.driver_g, lat.time_at(k), v_up, v_dn,
+                             lat.sqrt_dt, lat.dt, sc.scheme)
+    vals = np.full(feasible.shape, np.inf)
+    vals.put(kept, priced)
+    idx = np.argmin(vals, axis=0)
+    return vals[idx, np.arange(vals.shape[1])], controls[idx], clamps
+
+
+def _per_node_dp(sc):
+    """Reference: the DP over every (node, m) state, each node with its own
+    corridor bounds, m-grid, control set (the base grid plus the floor and
+    ceiling solves' slopes at the node) and children.  Returns (floor,
+    ceiling, grids, values, control_sets, controls, clamp_events), the
+    per-node entries indexed [k][j] and floor, ceiling the two solves."""
+    lat, n = sc.lattice, sc.lattice.steps
+    floor, ceiling = (solve_bsde(lat, sc.driver_f, np.full(n + 1, edge),
+                                 scheme=sc.scheme) for edge in (0.0, 1.0))
+    base = sc.base_controls()
+    control_sets = [[_ordered_controls(base, [floor.z.at(k)[j],
+                                              ceiling.z.at(k)[j]])
+                     for j in range(k + 1)] for k in range(n)]
+    grids = [[_level_grid(float(floor.y.at(k)[j]), float(ceiling.y.at(k)[j]),
+                          sc.grid_size, sc.loss.breakpoints)
+              for j in range(k + 1)] for k in range(n + 1)]
+    values = [None] * n + [[np.asarray(sc.loss.phi(g), float)
+                            for g in grids[n]]]
+    controls = [None] * n + [[np.zeros_like(g) for g in grids[n]]]
+    clamps = 0
+    for k in range(n - 1, -1, -1):
+        values[k], controls[k] = [None] * (k + 1), [None] * (k + 1)
+        for j in range(k + 1):
+            values[k][j], controls[k][j], c = _node_backup(
+                sc, floor.y.at(k + 1), ceiling.y.at(k + 1), k, j,
+                grids[k][j], control_sets[k][j], grids[k + 1], values[k + 1])
+            clamps += c
+    return floor, ceiling, grids, values, control_sets, controls, clamps
+
+
+def _assert_level_dp_matches_the_per_node_dp(sc):
+    """Every (k, j) of the per-node DP equals level k of primal_value_dp
+    bit for bit; the corridor is node-constant with zero slopes; the
+    surface's clamp count is the per-node total."""
+    surf = primal_value_dp(sc)
+    floor, ceiling, grids, values, sets, controls, clamps = _per_node_dp(sc)
+    for k in range(sc.lattice.steps + 1):
+        for edge, level_edge in ((floor, surf.corridor.floor),
+                                 (ceiling, surf.corridor.ceiling)):
+            _assert_same_bits(edge.y.at(k), np.full(k + 1, level_edge[k]))
+            if k < sc.lattice.steps:
+                assert not np.any(edge.z.at(k))
+        for j in range(k + 1):
+            _assert_same_bits(grids[k][j], surf.grids[k])
+            _assert_same_bits(values[k][j], surf.values[k])
+            _assert_same_bits(controls[k][j], surf.controls[k])
+            if k < sc.lattice.steps:
+                _assert_same_bits(sets[k][j], surf.control_sets[k])
+    assert surf.clamp_events == clamps
+
+
+# every driver and loss of the package's catalogues, with params in range
+DRIVER_CHOICES = (
+    ("zero", {}), ("abs_z", {"kappa": 0.2}), ("neg_abs_z", {"kappa": 0.3}),
+    ("logcosh_z", {"kappa": 0.3, "sign": -1}), ("softplus_z", {"kappa": 0.2}),
+    ("linear", {"a": 0.4, "b": 0.3}), ("linear", {"a": -0.5, "b": 0.2}),
+)
+LOSS_CHOICES = (("identity", {}), ("power", {"p": 2.0}), ("s_shaped", {}),
+                ("call_spread", {"lo": 0.3, "hi": 0.7}))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(steps=st.integers(1, 8), f=st.sampled_from(DRIVER_CHOICES),
+       g=st.sampled_from(DRIVER_CHOICES), loss=st.sampled_from(LOSS_CHOICES),
+       grid=st.integers(3, 41), n_a=st.integers(2, 9),
+       scheme=st.sampled_from(("explicit", "implicit")))
+def test_level_dp_matches_the_per_node_dp_property(steps, f, g, loss, grid,
+                                                   n_a, scheme):
+    lat = build_lattice(1.0, steps)
+    drivers = (make_driver(f[0], **f[1]), make_driver(g[0], **g[1]))
+    for d in drivers:  # the schemes' own preconditions
+        assume(monotone_step_ok(lat, d) if scheme == "explicit"
+               else d.lipschitz_y * lat.dt < 1.0)
+    _assert_level_dp_matches_the_per_node_dp(PrimalScenario(
+        lattice=lat, driver_f=drivers[0], driver_g=drivers[1],
+        loss=make_loss(loss[0], **loss[1]), grid_size=grid, n_a=n_a,
+        scheme=scheme))
+
+
+def test_level_dp_matches_the_per_node_dp_at_surface_size():
+    # the benchmark surface pair, where the node axis is widest and clamps
+    # occur, and an implicit pair with y-dependent f and g
+    _assert_level_dp_matches_the_per_node_dp(_scenario(
+        steps=16, grid=601, n_a=41, f=("neg_abs_z", {"kappa": 0.3}),
+        g=("abs_z", {"kappa": 0.2})))
+    _assert_level_dp_matches_the_per_node_dp(PrimalScenario(
+        lattice=build_lattice(1.0, 12),
+        driver_f=make_driver("linear", a=0.4, b=0.3),
+        driver_g=make_driver("linear", a=-0.5, b=0.2),
+        loss=make_loss("s_shaped"), grid_size=201, n_a=21,
+        scheme="implicit"))

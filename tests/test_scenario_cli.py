@@ -245,11 +245,38 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
      _NOT_A_NUMBER),
     ("driver_g", {"name": "abs_z", "params": [["kappa", 0.3]]},
      r"^driver_g\.params must be a JSON object"),
+    # kappa * sqrt(dt) = 1.5 > 1 at N = 4 breaks the explicit step
+    # condition; the implicit scheme only warns there
+    ("driver_f", {"name": "abs_z", "params": {"kappa": 3}},
+     r"step condition .* = 1\.5 > 1 .*implicit\" would pass"),
+    ("driver_g", {"name": "abs_z", "params": {"kappa": 3}},
+     r"step condition .* = 1\.5 > 1 .*implicit\" would pass"),
 ])
 def test_driver_and_loss_errors_name_the_key(key, block, needle):
     with pytest.raises(ScenarioError, match=f"^{key}") as info:
         build_scenario(_minimal(**{key: block}))
     assert info.match(needle)
+
+
+def test_step_condition_errors_say_when_no_scheme_passes():
+    # linear a = 5 at N = 4: Cy * dt = 1.25 breaks both the explicit step
+    # condition and the implicit fixed point's contraction
+    steep = {"name": "linear", "params": {"a": 5, "b": 0}}
+    for key in ("driver_f", "driver_g"):
+        with pytest.raises(ScenarioError,
+                           match=rf"^{key}: .* = 1\.25 > 1 .*refine lattice"):
+            build_scenario(_minimal(**{key: steep}))
+        with pytest.raises(ScenarioError,
+                           match=rf"^{key}: .* lipschitz_y \* dt < 1 under "
+                                 r"the implicit scheme, got 1\.25"):
+            build_scenario(_minimal(**{key: steep}, primal={
+                "grid_size": 81, "scheme": "implicit"}))
+    # under the implicit scheme a broken step condition only warns
+    with pytest.warns(RuntimeWarning, match="monotone step condition"):
+        build_scenario(_minimal(driver_f={"name": "abs_z",
+                                          "params": {"kappa": 3}},
+                                primal={"grid_size": 81,
+                                        "scheme": "implicit"}))
 
 
 def test_driver_params_pass_through_unchanged():
@@ -265,7 +292,7 @@ def test_thresholds_outside_the_root_corridor_fail_at_build():
     shrink = {"name": "linear", "params": {"a": -0.5, "b": 0}}
     top = float(compute_corridor(build_lattice(1.0, 4),
                                  make_driver("linear", a=-0.5, b=0))
-                .ceiling.at(0)[0])
+                .bounds_at(0)[1])
     assert 0.586 < top < 0.587
     with pytest.raises(ScenarioError,
                        match=r"^primal\.m_list .* \[0, 0\.586182\]"):
