@@ -15,7 +15,7 @@ the worst corridor excursion of prefix states.  _children is the one
 forward step: the simulation here and the primal backup, greedy plan and
 policy oracle all call it.  The greedy attainment policy is not simulated
 here: its control depends on the state alone, so primal.greedy_plan steps
-the distinct (node, m) states instead of the 2^k prefixes.
+the distinct (level, m) states instead of the 2^k prefixes.
 """
 
 from __future__ import annotations

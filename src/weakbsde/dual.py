@@ -83,11 +83,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import solve_on_path_tree
 from .drivers import (ConjugateDomainError, Driver, LossPair,
                       concave_conjugate, convex_conjugate)
 from .lattice import MAX_PATH_LEVELS, Lattice, LatticeError, sign_matrix
-from .primal import ValueSurface, attainment_check
+from .primal import ValueSurface, _row_costs, greedy_plan
 
 POSITIVITY_MARGIN = 1e-6
 # (candidate, path) pairs one pass of the coordinate scan holds at most, and
@@ -736,16 +735,17 @@ def first_order_residuals(surface: ValueSurface, dc: DualControls,
     adjoint ratio, (3) Fenchel equality of the cost driver on the value
     pair, (4) exact polar equality at the terminal.  The second residual is
     reported as None when the polar has no usable gradient.
+
+    The greedy optimum is m0's greedy_plan: its state, control, value and
+    slope at a level are functions of the level's row, so (1) and (3) are
+    maxima over the distinct rows, equal to the maxima over the path
+    prefixes.  The adjoint ratio at the terminal depends on the path, so
+    (2) and (4) pair each path with the terminal row it reaches.
     """
     sc = surface.scenario
     lat = sc.lattice
-    attained = attainment_check(surface, m0)
-    states = attained["states"]          # prefix arrays, level 0..N
-    controls = attained["controls"]      # prefix arrays, level 0..N-1
-    leaf_cost = np.asarray(sc.loss.phi(states[-1]), dtype=float)
-    y_levels, z_levels = solve_on_path_tree(lat, sc.driver_g,
-                                            leaf_cost[None, :],
-                                            scheme=sc.scheme, with_slopes=True)
+    plan = greedy_plan(surface, [m0])
+    y_levels, z_levels = _row_costs(surface, plan)
     inc = _Incumbent(lat, [dc], sc.driver_f, sc.driver_g)
     gts, fts = (conj[0] for conj in inc.conj)
 
@@ -753,21 +753,24 @@ def first_order_residuals(surface: ValueSurface, dc: DualControls,
     res_g = 0.0
     for k in range(lat.steps):
         t = lat.time_at(k)
-        m_k = states[k]
-        a_k = controls[k]
+        m_k = plan.states[k]
+        a_k = plan.controls[k]
         lhs_f = np.asarray(sc.driver_f.fn(t, m_k, a_k), dtype=float)
         rhs_f = dc.threshold_drift[k] * m_k + dc.threshold_noise[k] * a_k \
             - fts[k]
         res_f = max(res_f, float(np.max(np.abs(lhs_f - rhs_f))))
-        y_k = np.asarray(y_levels[k][0], dtype=float)
-        z_k = np.asarray(z_levels[k][0], dtype=float)
+        y_k, z_k = y_levels[k], z_levels[k]
         lhs_g = np.asarray(sc.driver_g.fn(t, y_k, z_k), dtype=float)
         rhs_g = dc.value_drift[k] * y_k + dc.value_noise[k] * z_k - gts[k]
         res_g = max(res_g, float(np.max(np.abs(lhs_g - rhs_g))))
 
     l_end, p_end = (levels[-1][0] for levels in inc.adjoints)
     ratio = dc.slope * p_end / l_end
-    m_term = states[-1]
+    # the terminal row of each path, in sign_matrix order (up child first)
+    leaf = plan.roots
+    for children in plan.children:
+        leaf = children[leaf].ravel()
+    m_term = plan.states[-1][leaf]
     res_terminal = None if sc.loss.polar_grad is None else float(np.max(
         np.abs(m_term - np.asarray(sc.loss.polar_grad(ratio), dtype=float))))
     polar_vals = np.asarray(sc.loss.polar(ratio), dtype=float)

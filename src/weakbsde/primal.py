@@ -26,13 +26,14 @@ on the surface (ValueSurface.control_sets), where the DPP check and the
 greedy plan read it; the restriction check's sub-tree DP builds its own.
 
 The attainment check steers the greedy feedback policy (re-optimize the
-backup at the exact current state) over all 2^N path prefixes.  Its
-control is a pure function of (k, j, m), so greedy_plan works on the
-distinct (node, m) states that a scenario's thresholds reach instead:
-one _backup per lattice node and level, over every threshold's rows at
-that node, and one forward step per row.  attainment_check then reads a
-threshold's prefix states and controls from the plan by index gathers,
-one threshold at a time.
+backup at the exact current state) from a threshold and prices its
+terminal loss.  Its control is a pure function of (k, m), so greedy_plan
+works on the distinct (level, m) rows that a scenario's thresholds reach:
+one _backup per level, over all of that level's rows, and one forward
+step per row.  g reads (t, y, z) only, so two path prefixes that reach
+the same row have the same subtree and the same realized cost, bit for
+bit: attainment_check prices a threshold's rows backward, one _one_step
+per level, instead of its 2^N path prefixes.
 
 The backup (_backup) lays its work out as (control, state) arrays and does
 only the work whose result it keeps: it tests every pair for feasibility,
@@ -65,7 +66,7 @@ from .bsde import (Corridor, apriori_bound_field, compute_corridor,
                    solve_on_product_tree, _one_step, _require_step_condition)
 from .control import _children, _excursion, _interleave
 from .drivers import Driver, LossPair
-from .lattice import Lattice, LatticeError, MAX_PATH_LEVELS, build_lattice
+from .lattice import Lattice, build_lattice
 
 FEASIBILITY_TOL = 1e-9
 CURVE_TOL = 1e-9
@@ -73,6 +74,8 @@ CURVE_TOL = 1e-9
 CONTINUITY_OFFSETS = 2.0 ** -np.arange(3, 10)
 # most candidates an oracle scores in one batch: 128 KB per temporary
 ORACLE_BLOCK = 2**14
+# most rows one level of a greedy plan may hold: 8 MB of states
+MAX_PLAN_ROWS = 2**20
 
 
 class PrimalError(ValueError):
@@ -252,45 +255,24 @@ def value_curve(surface: ValueSurface, m_list) -> np.ndarray:
     return np.interp(np.clip(m, lo, hi), surface.grids[0], surface.values[0])
 
 
-def _distinct_rows(j_idx: np.ndarray, m: np.ndarray) -> tuple:
-    """The distinct (node, m) rows among the pairs (j_idx[i], m[i]).
+def _distinct_rows(m: np.ndarray) -> tuple:
+    """The distinct rows among the states m.
 
     Rows are keyed on the exact bits of m, so -0.0/+0.0 and NaN rows stay
-    apart, and ordered by node, then by bits (ascending m where m >= 0, so
-    a node's batch reaches _backup as one ascending run).  Returns
-    (first, inverse): first[r] is the first pair holding row r, and
-    inverse[i] the row of pair i.
+    apart, and ordered by bits (ascending m where m >= 0, so a level's
+    batch reaches _backup as one ascending run).  Returns (first,
+    inverse): first[r] is the first state holding row r, and inverse[i]
+    the row of state i.
     """
     bits = np.ascontiguousarray(m, dtype=float).view(np.int64)
-    order = np.lexsort((bits, j_idx))  # by node, then bits; stable
-    j_sorted, bits_sorted = j_idx[order], bits[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = ((j_sorted[1:] != j_sorted[:-1])
-               | (bits_sorted[1:] != bits_sorted[:-1]))
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.cumsum(new) - 1
-    return order[new], inverse
-
-
-def _node_controls(surface: ValueSurface, k: int, j_rows: np.ndarray,
-                   m_rows: np.ndarray) -> np.ndarray:
-    """Greedy controls of level-k rows grouped by node (_distinct_rows
-    order): one _backup per node, over all of that node's rows.  Every
-    node backs up on the level's slice; the batches stay per node so that
-    an implicit fixed point stops on the same batch maximum."""
-    args = (surface.scenario, surface.corridor, k)
-    data = (surface.control_sets[k], surface.grids[k + 1],
-            surface.values[k + 1])
-    starts = np.flatnonzero(np.diff(j_rows, prepend=-1, append=-1))
-    best = np.empty(m_rows.size, dtype=float)
-    for lo, hi in zip(starts[:-1], starts[1:]):
-        best[lo:hi] = _backup(*args, m_rows[lo:hi], *data)[1]
-    return best
+    _, first, inverse = np.unique(bits, return_index=True,
+                                  return_inverse=True)
+    return first, inverse
 
 
 @dataclass(frozen=True)
 class GreedyPlan:
-    """The greedy feedback policy over the distinct (node, m) states that a
+    """The greedy feedback policy over the distinct (level, m) states that a
     set of thresholds reaches, level by level (greedy_plan).
 
     states[k] holds the m of each level-k row; controls[k] (k < N) its
@@ -307,61 +289,68 @@ class GreedyPlan:
 
     @property
     def n_backups(self) -> int:
-        """Distinct interior (node, m) rows the plan backed up."""
+        """Distinct interior (level, m) rows the plan backed up."""
         return sum(a.size for a in self.controls)
 
-    def expand(self, m0: float) -> tuple:
-        """(states, controls) of threshold m0 over every path prefix, in
-        sign-matrix prefix order (as simulate_all_prefixes returns them),
-        gathered from the rows one level at a time."""
+    def restrict(self, m0: float) -> "GreedyPlan":
+        """The plan of threshold m0 alone: the rows it reaches, kept in
+        their order, with each row's children indexed among them."""
         hit = np.flatnonzero(self.thresholds.view(np.int64)
                              == np.float64(m0).view(np.int64))
         if not hit.size:
             raise PrimalError(f"threshold {float(m0)!r} is not in the plan")
         rows = self.roots[hit[:1]]
-        states, controls = [], []
-        for m, a, children in zip(self.states, self.controls, self.children):
-            states.append(m[rows])
+        states, controls, children = [self.states[0][rows]], [], []
+        for m, a, links in zip(self.states[1:], self.controls, self.children):
             controls.append(a[rows])
-            rows = children[rows].ravel()  # up child at 2h, down at 2h + 1
-        states.append(self.states[-1][rows])
-        return states, controls
+            links = links[rows]
+            reached = np.zeros(m.size, dtype=bool)
+            reached[links] = True
+            children.append((np.cumsum(reached) - 1)[links])
+            rows = np.flatnonzero(reached)
+            states.append(m[rows])
+        return GreedyPlan(thresholds=self.thresholds[hit[:1]],
+                          roots=np.zeros(1, dtype=np.intp),
+                          states=tuple(states), controls=tuple(controls),
+                          children=tuple(children))
 
 
 def greedy_plan(surface: ValueSurface, m_list) -> GreedyPlan:
     """Plan the greedy state-feedback policy for every threshold of m_list.
 
     The greedy control re-optimizes the one-step backup against the stored
-    next-level surface at the exact current state, so it is a pure
-    function of (k, j, m).  The plan walks the levels forward over the
-    distinct (node, m) rows that any threshold reaches: one _backup per
-    lattice node and level, over all of that node's rows, then one forward
-    step (_children) per row, whose children are deduplicated again into
-    the next level's rows.  On a recombining pair that holds the threshold
-    flat a level has one row per node and threshold, not one per prefix.
+    next-level slice at the exact current state, so it is a pure function
+    of (k, m).  The plan walks the levels forward over the distinct
+    (level, m) rows that any threshold reaches: one _backup per level, over
+    all of that level's rows, then one forward step (_children) per row,
+    whose children are deduplicated again into the next level's rows.  On
+    a pair that holds the threshold flat a level has one row per
+    threshold, not one per prefix.  A level of more than MAX_PLAN_ROWS
+    rows raises a PrimalError.
 
     Dropping exact duplicates leaves every control and child bit equal to
-    a per-prefix simulation.  Under the implicit scheme a node's batch
+    a per-prefix simulation.  Under the implicit scheme a level's batch
     mixes the thresholds' rows and the fixed point stops on the batch
     maximum, so a value may move in the last bits (see the module
-    docstring); a one-threshold plan backs up the same batches as before.
+    docstring).
     """
     sc = surface.scenario
     lat = sc.lattice
-    if lat.steps > MAX_PATH_LEVELS:
-        raise LatticeError(f"greedy plan guarded at N <= {MAX_PATH_LEVELS}")
     thresholds = np.atleast_1d(np.asarray(m_list, dtype=float))
-    j = np.zeros(thresholds.size, dtype=np.intp)
-    first, roots = _distinct_rows(j, thresholds)
-    j, m = j[first], thresholds[first]
+    first, roots = _distinct_rows(thresholds)
+    m = thresholds[first]
     states, controls, children = [m], [], []
     for k in range(lat.steps):
-        a = _node_controls(surface, k, j, m)
+        a = _backup(sc, surface.corridor, k, m, surface.control_sets[k],
+                    surface.grids[k + 1], surface.values[k + 1])[1]
         # the two children of row r sit at 2r (up) and 2r + 1 (down)
-        j_next = np.stack([j + 1, j], axis=1).ravel()
         m_next = _interleave(*_children(lat, sc.driver_f, k, m, a))
-        first, inverse = _distinct_rows(j_next, m_next)
-        j, m = j_next[first], m_next[first]
+        first, inverse = _distinct_rows(m_next)
+        if first.size > MAX_PLAN_ROWS:
+            raise PrimalError(
+                f"greedy plan reaches {first.size} rows at level {k + 1}, "
+                f"over its budget of MAX_PLAN_ROWS = {MAX_PLAN_ROWS}")
+        m = m_next[first]
         controls.append(a)
         children.append(inverse.reshape(-1, 2))
         states.append(m)
@@ -369,33 +358,53 @@ def greedy_plan(surface: ValueSurface, m_list) -> GreedyPlan:
                       controls=tuple(controls), children=tuple(children))
 
 
-def attainment_check(surface: ValueSurface, m0: float,
-                     plan: Optional[GreedyPlan] = None) -> dict:
-    """Steer the greedy policy from m0 over every path prefix and measure
-    the gap between its realized cost and the surface value.
+def _row_costs(surface: ValueSurface, plan: GreedyPlan) -> tuple:
+    """(y, z): the greedy policy's realized cost y[k] and slope z[k] (k < N)
+    on every level-k row of the plan, priced backward from phi at level N
+    with one _one_step per level over the level's rows.
 
-    plan is a greedy_plan holding m0 (built for m0 alone when omitted);
-    the prefix states and controls are read from it (GreedyPlan.expand),
-    and the leaf losses are priced on the path tree.  n_backups is the
-    plan's count of distinct (node, m) rows backed up, out of the
-    2^N - 1 interior prefixes of each of its thresholds.
+    The level-k batch holds the rows' (up, down) pairs.  On a plan of one
+    threshold (GreedyPlan.restrict) those are the distinct pairs that a
+    path-tree solve over its 2^N prefixes sees, so even the implicit fixed
+    point stops where the path tree's does, and every value is its bit for
+    bit.
     """
     sc = surface.scenario
     lat = sc.lattice
+    y = np.asarray(sc.loss.phi(plan.states[-1]), dtype=float)
+    ys, zs = [y], []
+    for k in range(lat.steps - 1, -1, -1):
+        up, down = plan.children[k].T
+        y, z, _ = _one_step(sc.driver_g, lat.time_at(k), y[up], y[down],
+                            lat.sqrt_dt, lat.dt, sc.scheme)
+        ys.insert(0, y)
+        zs.insert(0, z)
+    return ys, zs
+
+
+def attainment_check(surface: ValueSurface, m0: float,
+                     plan: Optional[GreedyPlan] = None) -> dict:
+    """Steer the greedy policy from m0 and measure the gap between its
+    realized cost and the surface value.
+
+    plan is a greedy_plan holding m0 (built for m0 alone when omitted).
+    The realized cost is priced backward over the rows m0 reaches
+    (GreedyPlan.restrict, _row_costs), which equals pricing its 2^N path
+    prefixes on the path tree bit for bit.  states[k] and controls[k] hold
+    those level-k rows and their greedy controls; n_backups is the plan's
+    count of distinct interior (level, m) rows backed up.
+    """
     if plan is None:
         plan = greedy_plan(surface, [m0])
-    states, applied = plan.expand(m0)
-    leaf_cost = np.asarray(sc.loss.phi(states[-1]), dtype=float)
-    realized = solve_on_path_tree(lat, sc.driver_g, leaf_cost[None, :],
-                                  scheme=sc.scheme)
-    realized = float(np.asarray(realized)[0])
+    own = plan.restrict(m0)
+    realized = float(_row_costs(surface, own)[0][0][0])
     surface_value = float(value_curve(surface, m0)[0])
     return {
         "realized": realized,
         "surface_value": surface_value,
         "gap": abs(realized - surface_value),
-        "states": states,
-        "controls": applied,
+        "states": list(own.states),
+        "controls": list(own.controls),
         "n_backups": plan.n_backups,
     }
 
@@ -496,7 +505,12 @@ def apriori_bound_check(surface: ValueSurface) -> dict:
 def restriction_check(surface: ValueSurface, k: int) -> dict:
     """Sub-tree consistency: the largest gap between the problem solved on
     the lattice rooted at level k and the restriction of the global
-    surface."""
+    surface.
+
+    The sub-lattice keeps the parent's time offset, slope bound and
+    corridor, so its DP repeats the global DP's arithmetic on the same
+    grids and max_diff is 0 by construction: the check can only catch
+    nondeterminism or a wrong step_offset."""
     sc = surface.scenario
     lat = sc.lattice
     if not 0 <= k < lat.steps:

@@ -84,8 +84,8 @@ def _skipped(name, threshold, reason):
 def _check_attainment(ctx):
     sc, surface = ctx["scenario"], ctx["surface"]
     tol = 2.0 * surface.grid_slack + sc.tolerances["attainment_extra"]
-    # one plan backs up every threshold's states; each threshold's prefix
-    # arrays are then read from it, and dropped, one threshold at a time
+    # one plan backs up every threshold's rows; each threshold's own rows
+    # are then priced from it, one threshold at a time
     plan = greedy_plan(surface, sc.m_list)
     worst = 0.0
     for m in sc.m_list:

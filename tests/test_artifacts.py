@@ -108,7 +108,8 @@ def test_midsize_risk_pair_artifacts_are_byte_identical(tmp_path):
 # The risk pair at sixteen levels on a 601-point grid, where the lattice has
 # the most nodes per level of any run here (the benchmark's surface size,
 # with its seed-24 thresholds); sha256 of surface.csv and report.json
-# recorded with the per-node DP.
+# recorded with the per-node DP.  The seed-733 thresholds (and seed) were
+# recorded with the per-prefix attainment pricing.
 DEEP_CONFIG = {
     "name": "bench_surface",
     "lattice": {"horizon": 1.0, "steps": 16},
@@ -128,17 +129,26 @@ DEEP_SHA256 = (
     "b9fde3b244ca7236fca0d436f3527998316d977be07fc297bff025d2909b423b",
     "963a2e0aeb24d778a06679fdb2d3488ef1752e765f85b2f6def640c47e3e61aa",
 )
+DEEP_733_M_LIST = [0.05, 0.075, 0.275, 0.475, 0.5, 0.525, 0.75, 0.9, 0.925]
+DEEP_733_SHA256 = (
+    "b9fde3b244ca7236fca0d436f3527998316d977be07fc297bff025d2909b423b",
+    "62a727dd78077024e54024344ffa4b76a6d577f1a6b14837c88a1c67aeb6fcc9",
+)
 
 
 def test_deep_risk_pair_artifacts_are_byte_identical(tmp_path):
-    report = execute(build_scenario(DEEP_CONFIG), out_dir=tmp_path,
-                     quiet=True)
-    assert report["status"] == "PASS"
-    assert report["clamp_events"] == 544
-    measured = tuple(
-        hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
-        for fname in ("surface.csv", "report.json"))
-    assert measured == DEEP_SHA256
+    seed_733 = dict(DEEP_CONFIG, seed=733, primal=dict(
+        DEEP_CONFIG["primal"], m_list=DEEP_733_M_LIST))
+    for config, golden in ((DEEP_CONFIG, DEEP_SHA256),
+                           (seed_733, DEEP_733_SHA256)):
+        out = tmp_path / str(config["seed"])
+        report = execute(build_scenario(config), out_dir=out, quiet=True)
+        assert report["status"] == "PASS"
+        assert report["clamp_events"] == 544
+        measured = tuple(
+            hashlib.sha256((out / fname).read_bytes()).hexdigest()
+            for fname in ("surface.csv", "report.json"))
+        assert measured == golden
 
 
 # A linear constraint driver: the corridor ceiling E^f[1] grows level by

@@ -9,8 +9,11 @@ import numpy as np
 import pytest
 
 import weakbsde.dual as dual_mod
+import weakbsde.primal as primal_mod
 import weakbsde.runner as runner_mod
 from weakbsde.acceptance import Workspace
+from weakbsde.bsde import solve_on_path_tree
+from weakbsde.control import _children, _interleave
 from weakbsde.drivers import (ConjugateDomainError, Driver, make_driver,
                               make_loss)
 from weakbsde.dual import (DualControls, DualFeasibilityError, dual_bound,
@@ -139,6 +142,78 @@ def test_first_order_residuals_report_kinked_polars():
                                 0.5)
     assert res["terminal_gradient"] is None
     assert "note" in res
+
+
+def _prefix_residuals(surf, dc, m0):
+    """Reference: the four residuals over every path prefix, with the greedy
+    policy stepped prefix by prefix (one backup per prefix) and its cost
+    priced on the path tree."""
+    sc = surf.scenario
+    lat = sc.lattice
+    states, controls = [np.array([m0])], []
+    for k in range(lat.steps):
+        m = states[-1]
+        a = np.array([primal_mod._backup(sc, surf.corridor, k, m[i:i + 1],
+                                         surf.control_sets[k],
+                                         surf.grids[k + 1],
+                                         surf.values[k + 1])[1][0]
+                      for i in range(m.size)])
+        controls.append(a)
+        states.append(_interleave(*_children(lat, sc.driver_f, k, m, a)))
+    leaf_cost = np.asarray(sc.loss.phi(states[-1]), dtype=float)
+    y_levels, z_levels = solve_on_path_tree(lat, sc.driver_g,
+                                            leaf_cost[None, :],
+                                            scheme=sc.scheme, with_slopes=True)
+    inc = dual_mod._Incumbent(lat, [dc], sc.driver_f, sc.driver_g)
+    gts, fts = (conj[0] for conj in inc.conj)
+    res_f = res_g = 0.0
+    for k in range(lat.steps):
+        t = lat.time_at(k)
+        lhs_f = sc.driver_f.fn(t, states[k], controls[k])
+        rhs_f = dc.threshold_drift[k] * states[k] \
+            + dc.threshold_noise[k] * controls[k] - fts[k]
+        res_f = max(res_f, float(np.max(np.abs(lhs_f - rhs_f))))
+        y_k, z_k = y_levels[k][0], z_levels[k][0]
+        lhs_g = sc.driver_g.fn(t, y_k, z_k)
+        rhs_g = dc.value_drift[k] * y_k + dc.value_noise[k] * z_k - gts[k]
+        res_g = max(res_g, float(np.max(np.abs(lhs_g - rhs_g))))
+    l_end, p_end = (levels[-1][0] for levels in inc.adjoints)
+    ratio = dc.slope * p_end / l_end
+    m_term = states[-1]
+    out = {
+        "constraint_fenchel": res_f,
+        "terminal_gradient": None if sc.loss.polar_grad is None else float(
+            np.max(np.abs(m_term - sc.loss.polar_grad(ratio)))),
+        "cost_fenchel": res_g,
+        "terminal_polar": float(np.max(np.abs(
+            sc.loss.phi(m_term) + sc.loss.polar(ratio) - m_term * ratio))),
+    }
+    return out, m_term
+
+
+@pytest.mark.parametrize("scheme", ["explicit", "implicit"])
+@pytest.mark.parametrize("loss", [("power", {"p": 2.0}), ("s_shaped", {})])
+def test_first_order_residuals_match_the_prefix_reference(scheme, loss):
+    # step-varying noise profiles make the terminal adjoint ratio differ
+    # from path to path, so the terminal residuals pair paths with rows;
+    # under the s_shaped loss the terminal states differ too
+    sc = PrimalScenario(lattice=build_lattice(1.0, 8),
+                        driver_f=make_driver("neg_abs_z", kappa=0.3),
+                        driver_g=make_driver("abs_z", kappa=0.2),
+                        loss=make_loss(loss[0], **loss[1]), grid_size=201,
+                        n_a=21, scheme=scheme)
+    surf = primal_value_dp(sc)
+    k = np.arange(8)
+    dc = DualControls(0.9, np.zeros(8), 0.15 * np.sin(1.0 + k),
+                      np.zeros(8), 0.25 * np.cos(2.0 * k))
+    spread = []
+    for m0 in (0.3, 0.5):
+        ref, m_term = _prefix_residuals(surf, dc, m0)
+        got = first_order_residuals(surf, dc, m0)
+        got.pop("note", None)
+        assert got == ref
+        spread.append(np.unique(m_term).size)
+    assert (max(spread) > 1) == (loss[0] == "s_shaped")
 
 
 # Golden values recorded from the one-candidate-per-trial search that the

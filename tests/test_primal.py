@@ -10,15 +10,16 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import weakbsde.primal as primal_mod
-from weakbsde.bsde import _one_step, monotone_step_ok, solve_bsde
+from weakbsde.bsde import (_one_step, monotone_step_ok, solve_bsde,
+                           solve_on_path_tree)
 from weakbsde.control import _children
 from weakbsde.drivers import make_driver, make_loss
-from weakbsde.lattice import LatticeError, build_lattice
+from weakbsde.lattice import build_lattice
 from weakbsde.runner import _check_attainment
 from weakbsde.scenario import build_scenario
 from weakbsde.primal import (FEASIBILITY_TOL, PrimalError, PrimalScenario,
                              _backup, _control_sets, _distinct_rows,
-                             _level_grid, _node_controls, _ordered_controls,
+                             _level_grid, _ordered_controls,
                              attainment_check,
                              brute_force_policy_value,
                              brute_force_weak_formulation, continuity_modulus,
@@ -192,7 +193,7 @@ def test_implicit_scheme_golden_values():
 
 
 # ---------------------------------------------------------------------------
-# the greedy plan backs up each distinct (node, m) row once
+# the greedy plan backs up each distinct (level, m) row once
 # ---------------------------------------------------------------------------
 
 def _row_by_row_controls(surf, k, m):
@@ -212,9 +213,9 @@ def _assert_same_bits(a, b):
 
 
 def _assert_greedy_replay_is_row_exact(surf, m_list):
-    """Expand every threshold of one shared plan and replay each prefix
-    batch against the row-by-row reference; returns the plan's results
-    and its distinct-row count."""
+    """Run attainment for every threshold of one shared plan and replay
+    each threshold's level rows against the row-by-row reference; returns
+    the plan's results and its distinct-row count."""
     plan = greedy_plan(surf, m_list)
     results = [attainment_check(surf, m0, plan=plan) for m0 in m_list]
     for res in results:
@@ -224,11 +225,39 @@ def _assert_greedy_replay_is_row_exact(surf, m_list):
     return results, plan.n_backups
 
 
-def _deduped_controls(surf, k, j_idx, m):
-    """The plan's dedup and node backups on arbitrary level-k rows:
+def _deduped_controls(surf, k, m):
+    """The plan's dedup and level backup on arbitrary level-k rows:
     (control of each row, distinct-row count)."""
-    first, inverse = _distinct_rows(j_idx, m)
-    return _node_controls(surf, k, j_idx[first], m[first])[inverse], first.size
+    first, inverse = _distinct_rows(m)
+    best = _backup(surf.scenario, surf.corridor, k, m[first],
+                   surf.control_sets[k], surf.grids[k + 1],
+                   surf.values[k + 1])[1]
+    return best[inverse], first.size
+
+
+def _prefix_arrays(plan, m0):
+    """(states, controls) of threshold m0 over every path prefix, in
+    sign-matrix prefix order (as simulate_all_prefixes returns them),
+    expanded from the plan's rows one level at a time."""
+    own = plan.restrict(m0)
+    rows = own.roots
+    states, controls = [], []
+    for m, a, children in zip(own.states, own.controls, own.children):
+        states.append(m[rows])
+        controls.append(a[rows])
+        rows = children[rows].ravel()  # up child at 2h, down at 2h + 1
+    states.append(own.states[-1][rows])
+    return states, controls
+
+
+def _path_tree_realized(surf, plan, m0):
+    """Reference: m0's terminal loss priced on the path tree over its 2^N
+    prefixes."""
+    sc = surf.scenario
+    leaf_cost = np.asarray(sc.loss.phi(_prefix_arrays(plan, m0)[0][-1]),
+                           dtype=float)
+    return float(solve_on_path_tree(sc.lattice, sc.driver_g,
+                                    leaf_cost[None, :], scheme=sc.scheme)[0])
 
 
 @pytest.fixture(scope="module")
@@ -237,9 +266,28 @@ def risk_surface():
                                      g=("abs_z", {"kappa": 0.2})))
 
 
+def _smooth_surface():
+    # the certify pair: logcosh_z drives the threshold, softplus_z prices
+    # the loss
+    return primal_value_dp(_scenario(
+        loss_name="power", loss_params={"p": 2.0},
+        f=("logcosh_z", {"kappa": 0.3, "sign": -1}),
+        g=("softplus_z", {"kappa": 0.2})))
+
+
+def _implicit_surface(steps, grid):
+    # y-dependent f and g: the implicit fixed point stops on a batch max
+    return primal_value_dp(PrimalScenario(
+        lattice=build_lattice(1.0, steps),
+        driver_f=make_driver("linear", a=0.1, b=0.05),
+        driver_g=make_driver("linear", a=0.2, b=0.1),
+        loss=make_loss("s_shaped"), grid_size=grid, n_a=9,
+        scheme="implicit"))
+
+
 def test_greedy_dedup_matches_row_by_row_on_recombining_states(risk_surface):
-    # the risk pair holds the threshold flat: one state per lattice node
-    assert _assert_greedy_replay_is_row_exact(risk_surface, [0.5])[1] == 36
+    # the risk pair holds the threshold flat: one state per level
+    assert _assert_greedy_replay_is_row_exact(risk_surface, [0.5])[1] == 8
 
 
 def test_greedy_dedup_matches_row_by_row_without_full_recombination():
@@ -249,45 +297,38 @@ def test_greedy_dedup_matches_row_by_row_without_full_recombination():
         grid_size=201, n_a=21))
     counts = [_assert_greedy_replay_is_row_exact(surf, [m])[1]
               for m in (0.1, 0.2, 0.3)]
-    assert counts == [60, 52, 42]
+    # the distinct prefix states of each level, summed over levels 0..7
+    assert counts == [13, 11, 9]
     # planned together the thresholds share no row
-    assert _assert_greedy_replay_is_row_exact(surf, [0.1, 0.2, 0.3])[1] == 154
+    assert _assert_greedy_replay_is_row_exact(surf, [0.1, 0.2, 0.3])[1] == 33
 
 
 def test_greedy_dedup_matches_row_by_row_under_the_implicit_scheme():
-    # a node's batch mixes the three thresholds' rows here, and the fixed
+    # a level's batch mixes the three thresholds' rows here, and the fixed
     # point stops on the batch maximum; the controls must not move
-    sc = PrimalScenario(lattice=build_lattice(1.0, 4),
-                        driver_f=make_driver("linear", a=0.1, b=0.05),
-                        driver_g=make_driver("linear", a=0.2, b=0.1),
-                        loss=make_loss("s_shaped"), grid_size=11, n_a=9,
-                        scheme="implicit")
-    results, _ = _assert_greedy_replay_is_row_exact(primal_value_dp(sc),
+    results, _ = _assert_greedy_replay_is_row_exact(_implicit_surface(4, 11),
                                                     [0.25, 0.5, 0.75])
     assert results[1]["realized"] == 0.3773768233822561
 
 
 def test_greedy_dedup_keeps_signed_zeros_apart(risk_surface):
-    j_idx = np.array([0, 0, 1, 0, 1, 0])
     m = np.array([0.0, -0.0, -0.0, 0.0, 0.25, -0.0])
-    got, n_rows = _deduped_controls(risk_surface, 1, j_idx, m)
+    got, n_rows = _deduped_controls(risk_surface, 1, m)
     _assert_same_bits(got, _row_by_row_controls(risk_surface, 1, m))
-    assert n_rows == 4  # (0, +0), (0, -0), (1, -0), (1, 0.25)
+    assert n_rows == 3  # +0, -0, 0.25
 
 
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(k=st.integers(0, 7), data=st.data())
 def test_greedy_dedup_property_with_injected_duplicates(risk_surface, k, data):
     m_values = st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 0.5])
-    rows = data.draw(st.lists(st.tuples(st.integers(0, k), m_values),
-                              min_size=1, max_size=8))
+    rows = data.draw(st.lists(m_values, min_size=1, max_size=8))
     picks = data.draw(st.lists(st.integers(0, len(rows) - 1),
                                min_size=1, max_size=32))
-    j_idx = np.array([rows[i][0] for i in picks])
-    m = np.array([rows[i][1] for i in picks])
-    got, n_rows = _deduped_controls(risk_surface, k, j_idx, m)
+    m = np.array([rows[i] for i in picks])
+    got, n_rows = _deduped_controls(risk_surface, k, m)
     _assert_same_bits(got, _row_by_row_controls(risk_surface, k, m))
-    assert n_rows == len(set(zip(j_idx.tolist(), m.view(np.int64).tolist())))
+    assert n_rows == len(set(m.view(np.int64).tolist()))
 
 
 def test_greedy_plan_rejects_an_unplanned_threshold(risk_surface):
@@ -299,35 +340,72 @@ def test_greedy_plan_rejects_an_unplanned_threshold(risk_surface):
                                                               [0.0]))
 
 
-def test_greedy_plan_is_guarded_at_the_path_level_limit():
+def test_greedy_plan_is_guarded_by_a_row_budget(monkeypatch):
+    # past the 20-level path limit the plan still runs: it holds rows, not
+    # prefixes
     surf = primal_value_dp(_scenario(steps=21, grid=3, n_a=2))
-    with pytest.raises(LatticeError, match="N <= 20"):
-        attainment_check(surf, 0.5)
+    assert attainment_check(surf, 0.5)["gap"] <= 2.0 * surf.grid_slack + 1e-9
+    # five thresholds held flat make five rows at every level
+    monkeypatch.setattr(primal_mod, "MAX_PLAN_ROWS", 4)
+    with pytest.raises(PrimalError,
+                       match=r"5 rows at level 1, over its budget of "
+                             r"MAX_PLAN_ROWS = 4"):
+        greedy_plan(surf, [0.1, 0.3, 0.5, 0.7, 0.9])
+    assert greedy_plan(surf, [0.1, 0.3, 0.5, 0.7]).n_backups == 4 * 21
+
+
+def test_attainment_runs_on_the_risk_pair_at_thirty_two_levels():
+    # built directly: build_scenario keeps its 20-level guard.  The plan
+    # holds one row per level and threshold, against 2^32 path prefixes
+    surf = primal_value_dp(_scenario(steps=32, f=("neg_abs_z", {"kappa": 0.3}),
+                                     g=("abs_z", {"kappa": 0.2})))
+    plan = greedy_plan(surf, NINE_THRESHOLDS)
+    assert plan.n_backups == 9 * 32
+    for m0 in NINE_THRESHOLDS:
+        res = attainment_check(surf, m0, plan=plan)
+        assert res["gap"] <= 2.0 * surf.grid_slack + 1e-9, (m0, res["gap"])
 
 
 def test_shared_plan_matches_one_threshold_plans_on_the_smooth_pair():
-    # the certify pair at its default-seed thresholds: logcosh_z drives the
-    # threshold, softplus_z prices the loss
-    surf = primal_value_dp(_scenario(
-        loss_name="power", loss_params={"p": 2.0},
-        f=("logcosh_z", {"kappa": 0.3, "sign": -1}),
-        g=("softplus_z", {"kappa": 0.2})))
+    # the certify pair at its default-seed thresholds: a threshold's part
+    # of the shared plan is the plan of that threshold alone
+    surf = _smooth_surface()
     m_list = (0.25, 0.5, 0.75)
     plan = greedy_plan(surf, m_list)
     for m0 in m_list:
+        own, alone = plan.restrict(m0), greedy_plan(surf, [m0])
+        for key in ("states", "controls", "children"):
+            assert len(getattr(own, key)) == len(getattr(alone, key))
+            for a, b in zip(getattr(own, key), getattr(alone, key)):
+                assert np.array_equal(a, b)
+                if a.dtype == float:
+                    _assert_same_bits(a, b)
         shared = attainment_check(surf, m0, plan=plan)
-        alone = attainment_check(surf, m0)
-        for key in ("states", "controls"):
-            assert len(shared[key]) == len(alone[key])
-            for a, b in zip(shared[key], alone[key]):
-                _assert_same_bits(a, b)
+        single = attainment_check(surf, m0)
         for key in ("realized", "gap"):
-            _assert_same_bits(shared[key], alone[key])
-        assert alone["n_backups"] == 36
+            _assert_same_bits(shared[key], single[key])
+        assert single["n_backups"] == 8  # one row per level
+
+
+def test_attainment_matches_the_path_tree_reference(risk12_surface):
+    # the row-wise backward pass against pricing every prefix on the path
+    # tree: bit for bit under both schemes, since a one-threshold batch
+    # holds the path tree's distinct (up, down) pairs
+    cases = ((risk12_surface, NINE_THRESHOLDS),
+             (_smooth_surface(), NINE_THRESHOLDS),
+             (_implicit_surface(4, 11), (0.25, 0.5, 0.75)),
+             (_implicit_surface(8, 101), NINE_THRESHOLDS))
+    for surf, m_list in cases:
+        plan = greedy_plan(surf, m_list)
+        for m0 in m_list:
+            res = attainment_check(surf, m0, plan=plan)
+            _assert_same_bits(res["realized"],
+                              _path_tree_realized(surf, plan, m0))
 
 
 # sha256 of the attainment states and controls (all levels, thresholds
-# 0.25 / 0.5 / 0.75 in order) recorded with the per-prefix backup loop
+# 0.25 / 0.5 / 0.75 in order, sign-matrix prefix order) recorded with the
+# per-prefix backup loop
 RISK12_STATES_SHA256 = \
     "766bcc2d1eeb775641b1170cedead8d26e5fc3183d83e290357523d403ceff77"
 RISK12_CONTROLS_SHA256 = \
@@ -357,15 +435,17 @@ def test_attainment_golden_digests_risk_pair_twelve_levels(risk12_surface):
     m_list = (0.25, 0.5, 0.75)
     plan = greedy_plan(surf, m_list)
     for m in m_list:
-        res = attainment_check(surf, m, plan=plan)
-        for arr in res["states"]:
+        prefix_states, prefix_controls = _prefix_arrays(plan, m)
+        for arr in prefix_states:
             states.update(arr.tobytes())
-        for arr in res["controls"]:
+        for arr in prefix_controls:
             controls.update(arr.tobytes())
-        assert res["n_backups"] == 3 * 78  # one row per node and threshold
+        res = attainment_check(surf, m, plan=plan)
+        assert res["n_backups"] == 3 * 12  # one row per level and threshold
+        assert [a.size for a in res["controls"]] == [1] * 12
     assert states.hexdigest() == RISK12_STATES_SHA256
     assert controls.hexdigest() == RISK12_CONTROLS_SHA256
-    assert attainment_check(surf, 0.5)["n_backups"] == 78  # nodes of 0..11
+    assert attainment_check(surf, 0.5)["n_backups"] == 12  # levels 0..11
 
 
 def _risk12_context(surface, m_list):
@@ -376,23 +456,23 @@ def _risk12_context(surface, m_list):
 NINE_THRESHOLDS = [round(0.1 * i, 10) for i in range(1, 10)]
 
 
-def test_attainment_check_backs_up_each_node_once(risk12_surface,
-                                                  monkeypatch):
-    # one _backup per interior node, N(N+1)/2 = 78, whatever the number of
-    # thresholds; backing up per threshold would make it 9 * 78 = 702
+def test_attainment_check_backs_up_each_level_once(risk12_surface,
+                                                   monkeypatch):
+    # one _backup per interior level, N = 12, whatever the number of
+    # thresholds; backing up per node would make it N(N+1)/2 = 78, and per
+    # threshold 9 * 12 = 108
     calls = []
     original = primal_mod._backup
 
     def counting(*args):
-        calls.append(args[2])  # the level; one batch per node of it
+        calls.append(args[2])  # the level; one batch of all its rows
         return original(*args)
 
     monkeypatch.setattr(primal_mod, "_backup", counting)
     entry = _check_attainment(_risk12_context(risk12_surface,
                                               NINE_THRESHOLDS))
     assert entry["status"] == "PASS"
-    assert len(calls) == 78
-    assert sorted(calls) == [k for k in range(12) for _ in range(k + 1)]
+    assert sorted(calls) == list(range(12))
 
 
 def _traced_peak(fn):
@@ -407,7 +487,7 @@ def _traced_peak(fn):
 
 def test_attainment_check_memory_does_not_grow_with_thresholds(
         risk12_surface):
-    # each threshold's 2^N prefix arrays are read from the shared plan and
+    # each threshold's rows are restricted from the shared plan, priced and
     # dropped before the next; holding all nine at once would be ~9x
     one = _risk12_context(risk12_surface, [0.5])
     nine = _risk12_context(risk12_surface, NINE_THRESHOLDS)
