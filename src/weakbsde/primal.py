@@ -48,7 +48,10 @@ batch, so under a y-dependent driver_g a value may move in the last bits
 
 Two brute-force oracles (exhaustive policy enumeration and a leaf-value
 grid search on the weak formulation) provide independent cross-checks at
-tiny depth.
+tiny depth.  The leaf search covers every candidate of its product grid
+but prices a root pair from the (f, g) bits of its two children alone, so
+it collapses each child's candidates onto their distinct (f, g) classes
+and prices only the class pairs, with the same result bit for bit.
 """
 
 from __future__ import annotations
@@ -256,18 +259,26 @@ def value_curve(surface: ValueSurface, m_list) -> np.ndarray:
 
 
 def _distinct_rows(m: np.ndarray) -> tuple:
-    """The distinct rows among the states m.
+    """The distinct rows among the states m, one float per state (shape
+    (n,)) or one row of floats per state (shape (n, c)).
 
-    Rows are keyed on the exact bits of m, so -0.0/+0.0 and NaN rows stay
-    apart, and ordered by bits (ascending m where m >= 0, so a level's
-    batch reaches _backup as one ascending run).  Returns (first,
-    inverse): first[r] is the first state holding row r, and inverse[i]
-    the row of state i.
+    Rows are keyed on the exact bits of every column, so -0.0/+0.0 and NaN
+    rows stay apart, and ordered by bits, the first column most
+    significant (ascending m where m >= 0, so a level's batch reaches
+    _backup as one ascending run).  Returns (first, inverse): first[r] is
+    the first state holding row r, and inverse[i] the row of state i.
     """
     bits = np.ascontiguousarray(m, dtype=float).view(np.int64)
-    _, first, inverse = np.unique(bits, return_index=True,
-                                  return_inverse=True)
-    return first, inverse
+    if bits.ndim == 1:
+        bits = bits[:, None]
+    order = np.lexsort(bits.T[::-1])  # stable: first states lead each row
+    ranked = bits[order]
+    starts = np.empty(order.size, dtype=bool)
+    starts[:1] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(starts) - 1
+    return order[starts], inverse
 
 
 @dataclass(frozen=True)
@@ -638,18 +649,27 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
     subject to the nonlinear f-expectation of psi(terminal) clearing the
     threshold.  A coarse product grid of q points per leaf over [0,1] is
     refined, for the given number of rounds, by halving per-leaf windows
-    around the incumbent.  Every candidate of the product grid is scored;
+    around the incumbent.  Every candidate of the product grid is covered;
     the vectors themselves are never built.
 
     solve_on_product_tree gives the level-1 values for f (of psi) and for
-    g, one row per root child; the root step then runs here, one block of
-    up-child values at a time (at most ORACLE_BLOCK candidates), each with
-    the feasibility mask and argmin of its block.  A block's minimum
-    replaces the incumbent only if strictly lower, so the first index still
-    wins every tie and the result equals one argmin over all candidates.
-    If either side takes the implicit scheme, its fixed point stops on the
-    maximum over its batch, so a smaller batch could stop one iteration
-    earlier and move the last bits: the root step is then one block.
+    g, one row per root child.  A root pair (i, j) is priced from the bits
+    of (f, g) at up-candidate i and down-candidate j alone, so each child's
+    candidates collapse onto their distinct (f, g) classes (_distinct_rows),
+    each stood for by its first candidate, and the root step prices only
+    the class pairs: a block of up classes at a time (at most ORACLE_BLOCK
+    pairs), each with the feasibility mask and argmin of its block.  The
+    classes run in the order of their first candidates and a block's
+    minimum replaces the incumbent only if strictly lower, so the first
+    flat index i * width + j still wins every tie and the result equals one
+    argmin over all candidates.  If either side takes the implicit scheme,
+    its fixed point stops on the maximum over its batch, so a smaller batch
+    could stop one iteration earlier and move the last bits: the root step
+    is then one block, whose distinct pairs hold every value of the full
+    batch and so stop on the same iteration.
+
+    n_evaluated counts the candidates covered, width**2 per round;
+    n_scored the root pairs priced.
     """
     _require_count("q", q, 2)
     _require_count("rounds", rounds, 0)
@@ -661,13 +681,12 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
     scheme_f = exact_scheme_for(sc.driver_f)
     t0, sq, dt = lat.time_at(0), lat.sqrt_dt, lat.dt
     width = q**(leaves // 2)   # candidates below each root child
-    rows = width if "implicit" in (scheme_f, sc.scheme) \
-        else max(1, ORACLE_BLOCK // width)
+    implicit = "implicit" in (scheme_f, sc.scheme)
 
     grids = np.tile(np.linspace(0.0, 1.0, q), (leaves, 1))
     best_y = None
     best_cost = math.inf
-    evaluated = 0
+    evaluated = scored = 0
     half_width = 0.5
     for _ in range(rounds + 1):
         level = solve_on_product_tree(
@@ -675,18 +694,27 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
             scheme=scheme_f, stop_level=1)
         cost = solve_on_product_tree(lat, sc.driver_g, grids,
                                      scheme=sc.scheme, stop_level=1)
+        # first candidate of each child's (f, g) class, in candidate order
+        up, dn = (np.sort(_distinct_rows(np.stack((level[s], cost[s]),
+                                                  axis=1))[0])
+                  for s in (0, 1))
         evaluated += width * width
-        for i in range(0, width, rows):
-            up = slice(i, i + rows)
-            level_b, _, _ = _one_step(sc.driver_f, t0, level[0, up, None],
-                                      level[1, None, :], sq, dt, scheme_f)
-            cost_b, _, _ = _one_step(sc.driver_g, t0, cost[0, up, None],
-                                     cost[1, None, :], sq, dt, sc.scheme)
+        scored += up.size * dn.size
+        level_dn, cost_dn = level[1, dn][None, :], cost[1, dn][None, :]
+        rows = up.size if implicit else max(1, ORACLE_BLOCK // dn.size)
+        for i in range(0, up.size, rows):
+            ui = up[i:i + rows, None]
+            level_b, _, _ = _one_step(sc.driver_f, t0, level[0, ui],
+                                      level_dn, sq, dt, scheme_f)
+            cost_b, _, _ = _one_step(sc.driver_g, t0, cost[0, ui],
+                                     cost_dn, sq, dt, sc.scheme)
             cand = np.where(level_b >= m0 - 1e-12, cost_b, np.inf)
             b = int(np.argmin(cand))
             if cand.flat[b] < best_cost:
                 best_cost = float(cand.flat[b])
-                digits = np.unravel_index(i * width + b, (q,) * leaves)
+                row, col = divmod(b, dn.size)
+                digits = np.unravel_index(ui[row, 0] * width + dn[col],
+                                          (q,) * leaves)
                 best_y = grids[np.arange(leaves), np.asarray(digits)]
         if best_y is None:
             # widen nothing; the shared [0,1] grid must contain a feasible
@@ -698,4 +726,5 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
                         0.0, 1.0)
     step_final = 2.0 * half_width / (q - 1)
     return {"value": best_cost, "leaf_values": best_y,
-            "n_evaluated": int(evaluated), "final_step": float(step_final)}
+            "n_evaluated": int(evaluated), "n_scored": int(scored),
+            "final_step": float(step_final)}

@@ -6,10 +6,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import weakbsde.primal as primal_mod
 from weakbsde.bsde import (_one_step, compute_corridor, exact_scheme_for,
-                           solve_on_path_tree, solve_on_product_tree)
+                           monotone_step_ok, solve_on_path_tree,
+                           solve_on_product_tree)
 from weakbsde.control import _children, _interleave
 from weakbsde.drivers import make_driver, make_loss
 from weakbsde.lattice import LatticeError, build_lattice
@@ -107,6 +109,7 @@ def test_oracle_outputs_match_goldens(name, m):
     assert weak["value"] == weak_value
     assert _sha(weak["leaf_values"]) == leaf_sha
     assert weak["n_evaluated"] == 13 * 5**8
+    assert weak["n_scored"] < weak["n_evaluated"]
     assert weak["final_step"] == 2.0**-15
     assert pol["n_policies"] == 7**7
     assert pol["n_admissible"] == n_adm
@@ -259,10 +262,10 @@ def _envelope_reference(lp, m, step=1e-3):
 @pytest.mark.parametrize("block", [1, None])
 def test_blocked_oracles_equal_the_full_references(monkeypatch, block):
     """Scored one row per block, both oracles still equal their full
-    references bit for bit.  At q = 3 and N = 3 the root step is 81 x 81
-    candidates, one default block, so only block = 1 crosses a boundary
-    there.  tiny_identity at 0.5 has many tied minimisers, spread over
-    many blocks, and the first index must still win."""
+    references bit for bit.  At q = 3 and N = 3 the root step is at most
+    81 x 81 class pairs, one default block, so only block = 1 crosses a
+    boundary there.  tiny_identity at 0.5 has many tied minimisers, spread
+    over many blocks, and the first index must still win."""
     if block is not None:
         monkeypatch.setattr(primal_mod, "ORACLE_BLOCK", block)
     cases = [(_scenario(f, g, loss, steps=steps, n_a=5, scheme=scheme,
@@ -281,6 +284,55 @@ def test_blocked_oracles_equal_the_full_references(monkeypatch, block):
         lp = catalogue_scenario(name).loss
         for m in (0.0, 0.001, 0.5, 0.999, 1.0):
             assert two_point_envelope(lp, m) == _envelope_reference(lp, m)
+
+
+def test_weak_oracle_prices_only_distinct_class_pairs():
+    """tiny_identity at 0.5: each root child's 625 candidates fall into 17
+    (f, g) classes in round 0 and 9 in every later round, and only the
+    class pairs are priced.  Each run is a prefix of the next one, so the
+    counts pin every round."""
+    sc = catalogue_scenario("tiny_identity").primal()
+    scored = [brute_force_weak_formulation(sc, 0.5, rounds=r)["n_scored"]
+              for r in range(13)]
+    assert scored == [17**2 + 9**2 * r for r in range(13)]
+
+
+# every driver and loss of the package's catalogues, with params in range;
+# linear with a != 0 depends on y, so it takes the implicit scheme
+WEAK_DRIVERS = (
+    ("zero", {}), ("abs_z", {"kappa": 0.2}), ("neg_abs_z", {"kappa": 0.3}),
+    ("logcosh_z", {"kappa": 0.3, "sign": -1}), ("softplus_z", {"kappa": 0.2}),
+    ("linear", {"a": 0.4, "b": 0.3}), ("linear", {"a": -0.5, "b": 0.2}),
+)
+WEAK_LOSSES = (("identity", {}), ("power", {"p": 2.0}), ("s_shaped", {}),
+               ("call_spread", {"lo": 0.3, "hi": 0.7}))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(f=st.sampled_from(WEAK_DRIVERS), g=st.sampled_from(WEAK_DRIVERS),
+       loss=st.sampled_from(WEAK_LOSSES), q=st.sampled_from((2, 3)),
+       steps=st.integers(1, 3), rounds=st.integers(0, 3),
+       scheme=st.sampled_from(("explicit", "implicit")),
+       block=st.sampled_from((1, None)), share=st.floats(0.0, 0.99))
+def test_weak_oracle_equals_the_full_reference_property(
+        f, g, loss, q, steps, rounds, scheme, block, share):
+    sc = _scenario(f, g, loss, steps=steps, scheme=scheme)
+    for d in (sc.driver_f, sc.driver_g):
+        assume(monotone_step_ok(sc.lattice, d))
+    # below the root ceiling, which the all-ones leaf vector reaches
+    ceiling = compute_corridor(sc.lattice, sc.driver_f,
+                               scheme=exact_scheme_for(sc.driver_f))
+    m = share * ceiling.bounds_at(0)[1]
+    ref = _weak_reference(sc, m, q=q, rounds=rounds)
+    with pytest.MonkeyPatch.context() as mp:
+        if block is not None:
+            mp.setattr(primal_mod, "ORACLE_BLOCK", block)
+        weak = brute_force_weak_formulation(sc, m, q=q, rounds=rounds)
+    assert weak["value"] == ref["value"]
+    assert weak["leaf_values"].tobytes() == ref["leaf_values"].tobytes()
+    assert (weak["n_evaluated"], weak["final_step"]) == \
+        (ref["n_evaluated"], ref["final_step"])
+    assert weak["n_scored"] <= weak["n_evaluated"]
 
 
 def test_oracles_reject_bad_arguments():

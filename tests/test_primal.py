@@ -329,6 +329,32 @@ def test_greedy_dedup_property_with_injected_duplicates(risk_surface, k, data):
     got, n_rows = _deduped_controls(risk_surface, k, m)
     _assert_same_bits(got, _row_by_row_controls(risk_surface, k, m))
     assert n_rows == len(set(m.view(np.int64).tolist()))
+    # one column: np.unique's rows on the bits, and one (n, 1) column too
+    _, first, inverse = np.unique(m.view(np.int64), return_index=True,
+                                  return_inverse=True)
+    for rows in (m, m[:, None]):
+        got_first, got_inverse = _distinct_rows(rows)
+        assert got_first.tolist() == first.tolist()
+        assert got_inverse.tolist() == inverse.tolist()
+
+
+def test_distinct_rows_keys_every_column_on_its_bits():
+    nan, other_nan = np.array([0x7FF8000000000000, 0x7FF8000000000001],
+                              dtype=np.int64).view(float)
+    m = np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [0.0, 1.0],
+                  [nan, 1.0], [1.0, nan], [nan, 1.0], [-0.0, 1.0],
+                  [other_nan, 1.0], [1.0, nan]])
+    keys = [tuple(row) for row in m.view(np.int64).tolist()]
+    first_of = {}
+    for i, key in enumerate(keys):
+        first_of.setdefault(key, i)
+    first, inverse = _distinct_rows(m)
+    # signed zeros and the two NaN payloads stay apart; duplicates map to
+    # their first occurrence
+    assert first.size == len(first_of) == 6
+    assert first[inverse].tolist() == [first_of[key] for key in keys]
+    # rows run in bit order, the first column most significant
+    assert [keys[i] for i in first] == sorted(first_of)
 
 
 def test_greedy_plan_rejects_an_unplanned_threshold(risk_surface):
