@@ -16,8 +16,8 @@ from .drivers import (DRIVER_BUILDERS, LOSS_BUILDERS, ConjugateDomainError,
                       make_driver, make_loss)
 from .bsde import (BsdeSolution, Corridor, SchemeError, comparison_check,
                    compute_corridor, estimation_gap, exact_scheme_for,
-                   f_expectation, monotone_step_ok, solve_bsde,
-                   solve_on_path_tree, solve_on_product_tree)
+                   monotone_step_ok, solve_bsde, solve_on_path_tree,
+                   solve_on_product_tree)
 from .control import (PolicyError, admissible, representation_roundtrip,
                       simulate_all_prefixes)
 from .primal import (GreedyPlan, PrimalError, PrimalScenario, ValueSurface,
@@ -39,7 +39,7 @@ __all__ = [
     "LossPair", "concave_conjugate", "convex_conjugate", "make_driver",
     "make_loss",
     "BsdeSolution", "Corridor", "SchemeError", "comparison_check",
-    "compute_corridor", "estimation_gap", "exact_scheme_for", "f_expectation",
+    "compute_corridor", "estimation_gap", "exact_scheme_for",
     "monotone_step_ok", "solve_bsde", "solve_on_path_tree",
     "solve_on_product_tree",
     "PolicyError", "admissible", "representation_roundtrip",

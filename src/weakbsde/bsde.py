@@ -47,7 +47,6 @@ class BsdeSolution:
 
     y: AdaptedField
     z: AdaptedField
-    scheme: str
     fixed_point_iters: int
 
     def value_at_root(self) -> float:
@@ -103,33 +102,33 @@ def _one_step(d: Driver, t: float, up: np.ndarray, down: np.ndarray,
 
 def solve_bsde(lattice: Lattice, d: Driver, terminal, *, scheme: str = "explicit",
                terminal_level: int | None = None, stop_level: int = 0) -> BsdeSolution:
-    """Backward induction from a terminal field down to stop_level."""
+    """Backward induction from a terminal array down to stop_level.
+
+    terminal holds the level-terminal_level values (default level N), one
+    per node; the solve takes at least one step, so stop_level must lie
+    below terminal_level.
+    """
     if scheme not in ("explicit", "implicit"):
         raise SchemeError(f"unknown scheme {scheme!r}")
-    if isinstance(terminal, AdaptedField):
-        if not terminal.is_single_level:
-            raise LatticeError("terminal must be a single-level field")
-        term_level = terminal.level_lo
-        term_values = terminal.at(term_level)
-    else:
-        term_values = np.asarray(terminal, dtype=float)
-        term_level = lattice.steps if terminal_level is None else int(terminal_level)
-        if term_values.shape != (term_level + 1,):
-            raise LatticeError(
-                f"terminal has shape {term_values.shape}, expected ({term_level + 1},)"
-            )
+    term_values = np.asarray(terminal)
+    term_level = lattice.steps if terminal_level is None else int(terminal_level)
+    if term_values.shape != (term_level + 1,):
+        raise LatticeError(
+            f"terminal has shape {term_values.shape}, expected ({term_level + 1},)"
+        )
+    term_values = term_values.astype(float, copy=False)
     if not np.all(np.isfinite(term_values)):
         raise LatticeError("terminal field contains non-finite values")
-    if not (0 <= stop_level <= term_level <= lattice.steps):
+    if not (0 <= stop_level < term_level <= lattice.steps):
         raise LatticeError(
-            f"need 0 <= stop_level <= terminal_level <= {lattice.steps}"
+            f"need 0 <= stop_level < terminal_level <= {lattice.steps}"
         )
     _require_step_condition(lattice, d, scheme)
     if scheme == "implicit" and d.lipschitz_y * lattice.dt >= 1.0:
         raise SchemeError("implicit fixed point needs lipschitz_y * dt < 1")
 
     dt, sq = lattice.dt, lattice.sqrt_dt
-    y_slabs = [np.asarray(term_values, float)]
+    y_slabs = [term_values]
     z_slabs = []
     iters = 0
     for k in range(term_level - 1, stop_level - 1, -1):
@@ -139,24 +138,9 @@ def solve_bsde(lattice: Lattice, d: Driver, terminal, *, scheme: str = "explicit
         iters = max(iters, it)
         y_slabs.insert(0, y)
         z_slabs.insert(0, z)
-    y_field = AdaptedField(lattice, stop_level, tuple(y_slabs))
-    if z_slabs:
-        z_field = AdaptedField(lattice, stop_level, tuple(z_slabs))
-    else:  # degenerate solve with terminal at stop_level: no slopes
-        z_field = AdaptedField.single(lattice, 0, np.zeros(1)) \
-            if term_level == 0 else AdaptedField.single(lattice, term_level - 1,
-                                                        np.zeros(term_level))
-    return BsdeSolution(y=y_field, z=z_field, scheme=scheme,
+    return BsdeSolution(y=AdaptedField(lattice, stop_level, tuple(y_slabs)),
+                        z=AdaptedField(lattice, stop_level, tuple(z_slabs)),
                         fixed_point_iters=iters)
-
-
-def f_expectation(lattice: Lattice, d: Driver, terminal, k: int = 0, *,
-                  scheme: str = "explicit",
-                  terminal_level: int | None = None) -> AdaptedField:
-    """Nonlinear conditional expectation at level k of a later terminal field."""
-    sol = solve_bsde(lattice, d, terminal, scheme=scheme,
-                     terminal_level=terminal_level, stop_level=k)
-    return AdaptedField.single(lattice, k, sol.y.at(k))
 
 
 @dataclass(frozen=True)
@@ -227,14 +211,15 @@ def estimation_gap(lattice: Lattice, g: Driver, terminal_values, k: int,
     """Distance between the nonlinear and the plain conditional expectation.
 
     terminal_values live at level k + span; the gap is the max over level-k
-    nodes of |E_g - E| and shrinks linearly in the window span * dt.
+    nodes of |E_g - E|, with E_g the level-k values of one solve_bsde from
+    level k + span, and shrinks linearly in the window span * dt.
     """
     level = k + span
     if not (0 <= k < level <= lattice.steps):
         raise LatticeError("need 0 <= k < k + span <= steps")
     vals = np.asarray(terminal_values, float)
-    nonlinear = f_expectation(lattice, g, vals, k, scheme=scheme,
-                              terminal_level=level).at(k)
+    nonlinear = solve_bsde(lattice, g, vals, scheme=scheme,
+                           terminal_level=level, stop_level=k).y.at(k)
     linear = vals
     for _ in range(span):
         linear = half_sum(linear)
@@ -247,13 +232,12 @@ def estimation_gap(lattice: Lattice, g: Driver, terminal_values, k: int,
 # ---------------------------------------------------------------------------
 
 def solve_on_path_tree(lattice: Lattice, d: Driver, leaf_values: np.ndarray, *,
-                       scheme: str = "explicit", with_slopes: bool = False):
-    """Backward induction over the full binary tree.
+                       scheme: str = "explicit"):
+    """Backward induction over the full binary tree, returning root values.
 
     leaf_values is (..., 2^N): one value per path, extra leading axes are
     carried through (vectorized over candidate batches).  Returns the root
-    values (...,) or, with slopes, (levels, slope_levels) lists of arrays
-    of width 2^k at depth k.
+    values (...,), or a float for a single leaf vector.
     """
     _require_step_condition(lattice, d, scheme)
     n = lattice.steps
@@ -261,17 +245,10 @@ def solve_on_path_tree(lattice: Lattice, d: Driver, leaf_values: np.ndarray, *,
     if vals.shape[-1] != 2**n:
         raise LatticeError(f"expected {2**n} leaf values, got {vals.shape[-1]}")
     dt, sq = lattice.dt, lattice.sqrt_dt
-    levels = [vals] if with_slopes else None
-    slopes = [] if with_slopes else None
     v = vals
     for k in range(n - 1, -1, -1):
         up, down = v[..., 0::2], v[..., 1::2]
-        v, z, _ = _one_step(d, lattice.time_at(k), up, down, sq, dt, scheme)
-        if with_slopes:
-            levels.insert(0, v)
-            slopes.insert(0, z)
-    if with_slopes:
-        return levels, slopes
+        v, _, _ = _one_step(d, lattice.time_at(k), up, down, sq, dt, scheme)
     return v[..., 0] if v.ndim > 1 else float(v[0])
 
 

@@ -24,8 +24,7 @@ import numpy as np
 
 from .bsde import Corridor, exact_scheme_for, solve_bsde
 from .drivers import Driver
-from .lattice import (AdaptedField, Lattice, LatticeError, MAX_PATH_LEVELS,
-                      prefix_up_counts)
+from .lattice import Lattice, LatticeError, MAX_PATH_LEVELS, prefix_up_counts
 
 HIT_TOL = 1e-9
 
@@ -128,9 +127,10 @@ def representation_roundtrip(lattice: Lattice, f: Driver, terminal, *,
                              scheme: str | None = None) -> dict:
     """Solve backward, feed the slopes forward, compare with the terminal.
 
-    With the scheme matched to the driver (implicit when f depends on y)
-    the forward recursion inverts the backward step exactly, so the
-    terminal field is reproduced on every path to machine precision.
+    terminal is the (N + 1,) array of level-N values.  With the scheme
+    matched to the driver (implicit when f depends on y) the forward
+    recursion inverts the backward step exactly, so the terminal field is
+    reproduced on every path to machine precision.
     """
     if scheme is None:
         scheme = exact_scheme_for(f)
@@ -138,9 +138,7 @@ def representation_roundtrip(lattice: Lattice, f: Driver, terminal, *,
     mu0 = sol.value_at_root()
     states = simulate_all_prefixes(lattice, f, mu0, sol.z.slabs)
     n = lattice.steps
-    term = np.asarray(terminal, float) if not isinstance(terminal, AdaptedField) \
-        else terminal.at(n)
-    target = term[prefix_up_counts(n)]
+    target = np.asarray(terminal, float)[prefix_up_counts(n)]
     max_err = float(np.max(np.abs(states[n] - target)))
     # interior check: the simulated state must sit on the backward values
     interior = 0.0

@@ -418,24 +418,22 @@ def make_power_loss(p: float = 2.0) -> LossPair:
         out = np.where(y < 0.0, -np.inf, np.minimum(root, 1.0))
         return out if out.ndim else float(out)
 
+    def stationary(l):
+        # maximiser of l m - m^p over [0, 1]: (l/p)^(1/(p-1)) clipped into
+        # [0, 1] (an overflow clips to 1); for p = 1, 1 where l >= 1 else 0
+        if p == 1.0:
+            return np.where(l >= 1.0, 1.0, 0.0)
+        return np.clip(np.power(np.maximum(l, 0.0) / p, 1.0 / (p - 1.0)),
+                       0.0, 1.0)
+
     def polar(l):
         l = np.asarray(l, float)
-        # stationary point m* = (l/p)^(1/(p-1)) clipped into [0, 1]
-        with np.errstate(invalid="ignore"):
-            mstar = np.power(np.clip(l, 0.0, None) / p, 1.0 / (p - 1.0)) \
-                if p > 1.0 else np.where(l >= 1.0, 1.0, 0.0)
-        mstar = np.clip(np.where(np.isfinite(mstar), mstar, 0.0), 0.0, 1.0)
+        mstar = stationary(l)
         out = np.maximum(np.maximum(l * mstar - mstar**p, 0.0), l - 1.0)
         return out if out.ndim else float(out)
 
     def polar_grad(l):
-        l = np.asarray(l, float)
-        if p > 1.0:
-            mstar = np.clip(np.power(np.clip(l, 0.0, None) / p, 1.0 / (p - 1.0)),
-                            0.0, 1.0)
-        else:
-            mstar = np.where(l >= 1.0, 1.0, 0.0)
-        out = np.where(l <= 0.0, 0.0, mstar)
+        out = stationary(np.asarray(l, float))
         return out if out.ndim else float(out)
 
     return LossPair(

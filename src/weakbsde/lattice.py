@@ -110,20 +110,12 @@ class AdaptedField:
     def level_hi(self) -> int:
         return self.level_lo + len(self.slabs) - 1
 
-    @property
-    def is_single_level(self) -> bool:
-        return len(self.slabs) == 1
-
     def at(self, k: int) -> np.ndarray:
         if not (self.level_lo <= k <= self.level_hi):
             raise LatticeError(
                 f"level {k} outside stored range {self.level_lo}..{self.level_hi}"
             )
         return self.slabs[k - self.level_lo]
-
-    @classmethod
-    def single(cls, lattice: Lattice, k: int, values) -> "AdaptedField":
-        return cls(lattice, k, (np.asarray(values, dtype=float),))
 
 
 def half_sum(next_values: np.ndarray) -> np.ndarray:

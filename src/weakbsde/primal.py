@@ -20,10 +20,11 @@ level.  A node-dependent loss Psi(X_T, y) would bring the axis back.
 
 The control grid always contains 0, the slope of the corridor edges, so a
 feasible control exists at every state; ties are broken toward the
-smallest |a| (then the smallest a) to keep results deterministic.  The DP
-builds each level's (|a|, a)-ordered control set once and keeps the table
-on the surface (ValueSurface.control_sets), where the DPP check and the
-greedy plan read it; the restriction check's sub-tree DP builds its own.
+smallest |a| (then the smallest a) to keep results deterministic.  Every
+level of every node tries the same (|a|, a)-ordered set, so a scenario
+builds it once (PrimalScenario.control_set) and every _backup, whether
+from the DP, the DPP check or the greedy plan, reads it there; the
+restriction check's sub-scenario builds its own from the same base grid.
 
 The attainment check steers the greedy feedback policy (re-optimize the
 backup at the exact current state) from a threshold and prices its
@@ -116,6 +117,13 @@ class PrimalScenario:
     def base_controls(self) -> np.ndarray:
         return np.linspace(-self.slope_bound, self.slope_bound, self.n_a)
 
+    @cached_property
+    def control_set(self) -> np.ndarray:
+        """The slopes every backup tries: the base grid plus 0, the slope
+        of the corridor edges, (|a|, a)-ordered; 0 keeps a feasible control
+        in the set when n_a is even."""
+        return _ordered_controls(self.base_controls(), [0.0])
+
 
 @dataclass(frozen=True)
 class ValueSurface:
@@ -131,13 +139,7 @@ class ValueSurface:
     grids: tuple = field(repr=False)     # grids[k]: ascending m-points
     values: tuple = field(repr=False)    # values[k]: V on that grid
     controls: tuple = field(repr=False)  # controls[k]: argmin slopes
-    # control_sets[k], k < N: the (|a|, a)-ordered slopes level k tries
-    control_sets: tuple = field(repr=False)
     clamp_events: int = 0
-
-    @property
-    def lattice(self) -> Lattice:
-        return self.scenario.lattice
 
     @cached_property
     def grid_slack(self) -> float:
@@ -164,19 +166,12 @@ def _ordered_controls(base: np.ndarray, extra) -> np.ndarray:
     return cand[order]
 
 
-def _control_sets(sc: PrimalScenario) -> tuple:
-    """Per interior level k: the base slope grid plus 0, the slope of the
-    corridor edges, (|a|, a)-ordered; 0 keeps a feasible control in the
-    set when n_a is even."""
-    return (_ordered_controls(sc.base_controls(), [0.0]),) * sc.lattice.steps
-
-
 def _backup(sc: PrimalScenario, corridor: Corridor, k: int,
-            m_grid: np.ndarray, controls: np.ndarray, next_grid: np.ndarray,
+            m_grid: np.ndarray, next_grid: np.ndarray,
             next_values: np.ndarray) -> tuple:
     """One-step backup of level k over the states m_grid.
 
-    controls is the level's (|a|, a)-ordered slope set (_control_sets);
+    It tries the scenario's (|a|, a)-ordered slopes sc.control_set;
     next_grid / next_values are the level-(k+1) slice both children are
     interpolated on.  Returns (values, best_controls, clamp_count).
 
@@ -197,6 +192,7 @@ def _backup(sc: PrimalScenario, corridor: Corridor, k: int,
     """
     lo, hi = corridor.bounds_at(k + 1)
     lat = sc.lattice
+    controls = sc.control_set
     m_up, m_dn = _children(lat, sc.driver_f, k,
                            np.asarray(m_grid, float)[None, :], controls[:, None])
     tol = FEASIBILITY_TOL
@@ -231,7 +227,6 @@ def primal_value_dp(sc: PrimalScenario) -> ValueSurface:
     _require_step_condition(lat, sc.driver_g, sc.scheme)
     n = lat.steps
     corridor = compute_corridor(lat, sc.driver_f, scheme=sc.scheme)
-    control_sets = _control_sets(sc)
     grids = [_level_grid(*corridor.bounds_at(k), sc.grid_size,
                          sc.loss.breakpoints) for k in range(n + 1)]
     values = [None] * n + [np.asarray(sc.loss.phi(grids[n]), dtype=float)]
@@ -239,12 +234,11 @@ def primal_value_dp(sc: PrimalScenario) -> ValueSurface:
     clamp_total = 0
     for k in range(n - 1, -1, -1):
         values[k], controls[k], clamps = _backup(
-            sc, corridor, k, grids[k], control_sets[k], grids[k + 1],
-            values[k + 1])
+            sc, corridor, k, grids[k], grids[k + 1], values[k + 1])
         clamp_total += (k + 1) * clamps  # one count per node of the level
     return ValueSurface(scenario=sc, corridor=corridor, grids=tuple(grids),
                         values=tuple(values), controls=tuple(controls),
-                        control_sets=control_sets, clamp_events=clamp_total)
+                        clamp_events=clamp_total)
 
 
 def value_curve(surface: ValueSurface, m_list) -> np.ndarray:
@@ -352,8 +346,8 @@ def greedy_plan(surface: ValueSurface, m_list) -> GreedyPlan:
     m = thresholds[first]
     states, controls, children = [m], [], []
     for k in range(lat.steps):
-        a = _backup(sc, surface.corridor, k, m, surface.control_sets[k],
-                    surface.grids[k + 1], surface.values[k + 1])[1]
+        a = _backup(sc, surface.corridor, k, m, surface.grids[k + 1],
+                    surface.values[k + 1])[1]
         # the two children of row r sit at 2r (up) and 2r + 1 (down)
         m_next = _interleave(*_children(lat, sc.driver_f, k, m, a))
         first, inverse = _distinct_rows(m_next)
@@ -493,8 +487,7 @@ def dpp_check(surface: ValueSurface, k1: int, k2: int) -> dict:
         mode = "multi_step"
 
     for k in range(k2 - 1, k1 - 1, -1):
-        v = _backup(sc, surface.corridor, k, surface.grids[k],
-                    surface.control_sets[k], g, v)[0]
+        v = _backup(sc, surface.corridor, k, surface.grids[k], g, v)[0]
         g = surface.grids[k]
 
     return {"residual": float(np.max(np.abs(v - surface.values[k1]))),

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from weakbsde.bsde import (SchemeError, comparison_check, compute_corridor,
-                           estimation_gap, exact_scheme_for, f_expectation,
-                           monotone_step_ok, solve_bsde, solve_on_path_tree)
+                           estimation_gap, exact_scheme_for, monotone_step_ok,
+                           solve_bsde, solve_on_path_tree)
 from weakbsde.drivers import make_driver, make_loss
 from weakbsde.lattice import (AdaptedField, LatticeError, build_lattice,
                               half_sum, sign_matrix)
@@ -77,6 +77,27 @@ def test_terminal_validation():
         solve_bsde(lat, d, np.zeros(5), scheme="midpoint")
 
 
+def test_solve_bsde_takes_at_least_one_step():
+    lat = build_lattice(1.0, 4)
+    d = make_driver("zero")
+    with pytest.raises(LatticeError, match="stop_level < terminal_level"):
+        solve_bsde(lat, d, np.zeros(5), stop_level=4)
+    with pytest.raises(LatticeError, match="stop_level < terminal_level"):
+        solve_bsde(lat, d, np.zeros(3), terminal_level=2, stop_level=2)
+    sol = solve_bsde(lat, d, np.arange(3.0), terminal_level=2, stop_level=1)
+    assert (sol.y.level_lo, sol.y.level_hi) == (1, 2)
+    assert (sol.z.level_lo, sol.z.level_hi) == (1, 1)
+
+
+def test_solve_bsde_reads_only_an_array_terminal():
+    # a field is not a terminal format: it fails the terminal's shape check
+    lat = build_lattice(1.0, 4)
+    field = AdaptedField(lat, 4, (np.zeros(5),))
+    with pytest.raises(LatticeError, match=r"terminal has shape \(\), "
+                                           r"expected \(5,\)"):
+        solve_bsde(lat, make_driver("zero"), field)
+
+
 def test_comparison_ordered_pairs_seeded():
     lat = build_lattice(1.0, 8)
     drivers = [make_driver("zero"), make_driver("abs_z", kappa=0.3),
@@ -113,13 +134,6 @@ def test_corridor_constants_survive_z_only_drivers():
     floor_z = solve_bsde(lat, make_driver("neg_abs_z", kappa=0.3),
                          np.zeros(6)).z
     np.testing.assert_allclose(floor_z.at(2), np.zeros(3), atol=1e-15)
-
-
-def test_f_expectation_is_single_level():
-    lat = build_lattice(1.0, 6)
-    field = f_expectation(lat, make_driver("abs_z", kappa=0.2),
-                          np.linspace(0, 1, 7), k=2)
-    assert field.is_single_level and field.level_lo == 2
 
 
 def test_estimation_gap_one_step_is_exact_for_affine_terminal():
@@ -166,10 +180,8 @@ def test_path_tree_batches_and_slopes():
     roots = solve_on_path_tree(lat, d, batch)
     assert roots.shape == (2,)
     np.testing.assert_allclose(roots, batch.mean(axis=1))
-    levels, slopes = solve_on_path_tree(lat, d, np.arange(8.0),
-                                        with_slopes=True)
-    assert [lv.shape[-1] for lv in levels] == [1, 2, 4, 8]
-    assert [s.shape[-1] for s in slopes] == [1, 2, 4]
+    root = solve_on_path_tree(lat, d, np.arange(8.0))
+    assert type(root) is float and root == 3.5
     with pytest.raises(LatticeError):
         solve_on_path_tree(lat, d, np.zeros(7))
 

@@ -138,6 +138,47 @@ def test_power_loss_frozen_values():
     assert lp.phi_convex
 
 
+def _power_polar_reference(p, l):
+    """Reference: the power loss's polar and polar gradient, each with its
+    own guarded stationary point (the gradient None for p = 1)."""
+    with np.errstate(invalid="ignore"):
+        mstar = np.power(np.clip(l, 0.0, None) / p, 1.0 / (p - 1.0)) \
+            if p > 1.0 else np.where(l >= 1.0, 1.0, 0.0)
+    mstar = np.clip(np.where(np.isfinite(mstar), mstar, 0.0), 0.0, 1.0)
+    polar = np.maximum(np.maximum(l * mstar - mstar**p, 0.0), l - 1.0)
+    if p == 1.0:
+        return polar, None
+    grad = np.clip(np.power(np.clip(l, 0.0, None) / p, 1.0 / (p - 1.0)),
+                   0.0, 1.0)
+    return polar, np.where(l <= 0.0, 0.0, grad)
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+def test_power_polar_keeps_the_reference_bits(p):
+    # finite l below, around and far above the kink at l = p, signed zeros,
+    # subnormals, and l large enough that (l/p)^(1/(p-1)) overflows
+    tiny = np.logspace(-320, -1, 2000)
+    huge = np.logspace(1, 308, 2000)
+    ls = np.concatenate([np.linspace(-4.0, 4.0, 100001), tiny, -tiny, huge,
+                         -huge, [0.0, -0.0, 1.0, p, 5e-324, -5e-324,
+                                 np.finfo(float).max]])
+    lp = make_loss("power", p=p)
+    with np.errstate(over="ignore"):
+        ref_polar, ref_grad = _power_polar_reference(p, ls)
+        got_polar = lp.polar(ls)
+        got_grad = None if lp.polar_grad is None else lp.polar_grad(ls)
+        scalars = [(lp.polar(x), float(_power_polar_reference(p, x)[0]))
+                   for x in (-1.0, -0.0, 0.0, 0.5, p, 1e300)]
+    assert np.array_equal(got_polar.view(np.int64), ref_polar.view(np.int64))
+    assert (got_grad is None) == (ref_grad is None) == (p == 1.0)
+    if ref_grad is not None:
+        assert np.array_equal(got_grad.view(np.int64),
+                              ref_grad.view(np.int64))
+    for got, ref in scalars:
+        assert type(got) is float and math.copysign(1.0, got) == \
+            math.copysign(1.0, ref) and got == ref
+
+
 def test_s_shaped_loss_frozen_values():
     lp = make_loss("s_shaped")
     assert not lp.phi_convex

@@ -12,7 +12,7 @@ import weakbsde.dual as dual_mod
 import weakbsde.primal as primal_mod
 import weakbsde.runner as runner_mod
 from weakbsde.acceptance import Workspace
-from weakbsde.bsde import solve_on_path_tree
+from weakbsde.bsde import _one_step
 from weakbsde.control import _children, _interleave
 from weakbsde.drivers import (ConjugateDomainError, Driver, make_driver,
                               make_loss)
@@ -144,6 +144,19 @@ def test_first_order_residuals_report_kinked_polars():
     assert "note" in res
 
 
+def _path_tree_levels(lat, d, leaf_values, scheme):
+    """Reference: the path-tree solve's values and slopes at every depth,
+    (levels, slopes), each depth-k entry of width 2^k in prefix order."""
+    levels, slopes = [np.asarray(leaf_values, dtype=float)], []
+    for k in range(lat.steps - 1, -1, -1):
+        v = levels[0]
+        y, z, _ = _one_step(d, lat.time_at(k), v[..., 0::2], v[..., 1::2],
+                            lat.sqrt_dt, lat.dt, scheme)
+        levels.insert(0, y)
+        slopes.insert(0, z)
+    return levels, slopes
+
+
 def _prefix_residuals(surf, dc, m0):
     """Reference: the four residuals over every path prefix, with the greedy
     policy stepped prefix by prefix (one backup per prefix) and its cost
@@ -154,16 +167,14 @@ def _prefix_residuals(surf, dc, m0):
     for k in range(lat.steps):
         m = states[-1]
         a = np.array([primal_mod._backup(sc, surf.corridor, k, m[i:i + 1],
-                                         surf.control_sets[k],
                                          surf.grids[k + 1],
                                          surf.values[k + 1])[1][0]
                       for i in range(m.size)])
         controls.append(a)
         states.append(_interleave(*_children(lat, sc.driver_f, k, m, a)))
     leaf_cost = np.asarray(sc.loss.phi(states[-1]), dtype=float)
-    y_levels, z_levels = solve_on_path_tree(lat, sc.driver_g,
-                                            leaf_cost[None, :],
-                                            scheme=sc.scheme, with_slopes=True)
+    y_levels, z_levels = _path_tree_levels(lat, sc.driver_g,
+                                           leaf_cost[None, :], sc.scheme)
     inc = dual_mod._Incumbent(lat, [dc], sc.driver_f, sc.driver_g)
     gts, fts = (conj[0] for conj in inc.conj)
     res_f = res_g = 0.0

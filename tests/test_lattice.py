@@ -63,18 +63,18 @@ def test_half_sum_matches_cond_expect_field():
 def test_adapted_field_shape_and_level_errors():
     lat = build_lattice(1.0, 3)
     with pytest.raises(LatticeError):
-        AdaptedField.single(lat, 2, np.zeros(5))  # wrong width for level 2
-    field = AdaptedField.single(lat, 2, np.zeros(3))
+        AdaptedField(lat, 2, (np.zeros(5),))  # wrong width for level 2
+    field = AdaptedField(lat, 2, (np.zeros(3),))
     with pytest.raises(LatticeError):
         field.at(1)  # below the stored range
     with pytest.raises(LatticeError):
         field.at(3)
-    const = AdaptedField.single(lat, 2, np.full(3, 0.5))
+    const = AdaptedField(lat, 2, (np.full(3, 0.5),))
     np.testing.assert_allclose(const.at(2), [0.5, 0.5, 0.5])
-    term = AdaptedField.single(lat, 3, np.arange(4.0))
-    assert term.level_lo == 3 and term.is_single_level
+    term = AdaptedField(lat, 3, (np.arange(4.0),))
+    assert term.level_lo == term.level_hi == 3
     with pytest.raises(LatticeError):
-        AdaptedField.single(lat, 4, np.zeros(5))  # deeper than the lattice
+        AdaptedField(lat, 4, (np.zeros(5),))  # deeper than the lattice
 
 
 def test_sign_matrix_frozen_for_three_levels():

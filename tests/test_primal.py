@@ -18,7 +18,7 @@ from weakbsde.lattice import build_lattice
 from weakbsde.runner import _check_attainment
 from weakbsde.scenario import build_scenario
 from weakbsde.primal import (FEASIBILITY_TOL, PrimalError, PrimalScenario,
-                             _backup, _control_sets, _distinct_rows,
+                             _backup, _distinct_rows,
                              _level_grid, _ordered_controls,
                              attainment_check,
                              brute_force_policy_value,
@@ -200,8 +200,7 @@ def _row_by_row_controls(surf, k, m):
     """Reference: one backup per prefix row, each in a batch of its own."""
     return np.array([
         _backup(surf.scenario, surf.corridor, k, m[i:i + 1],
-                surf.control_sets[k], surf.grids[k + 1],
-                surf.values[k + 1])[1][0]
+                surf.grids[k + 1], surf.values[k + 1])[1][0]
         for i in range(m.size)
     ])
 
@@ -230,8 +229,7 @@ def _deduped_controls(surf, k, m):
     (control of each row, distinct-row count)."""
     first, inverse = _distinct_rows(m)
     best = _backup(surf.scenario, surf.corridor, k, m[first],
-                   surf.control_sets[k], surf.grids[k + 1],
-                   surf.values[k + 1])[1]
+                   surf.grids[k + 1], surf.values[k + 1])[1]
     return best[inverse], first.size
 
 
@@ -559,15 +557,14 @@ def _assert_backup_matches_reference(surf, k, m):
     same PrimalError message."""
     args = (surf.scenario, surf.corridor, k, m)
     data = (surf.grids[k + 1], surf.values[k + 1])
-    controls = surf.control_sets[k]
     try:
         ref = _state_major_backup(*args, *data)
     except PrimalError as exc:
         with pytest.raises(PrimalError) as got:
-            _backup(*args, controls, *data)
+            _backup(*args, *data)
         assert str(got.value) == str(exc)
         return None
-    vals, best, clamps = _backup(*args, controls, *data)
+    vals, best, clamps = _backup(*args, *data)
     _assert_same_bits(vals, ref[0])
     _assert_same_bits(best, ref[1])
     assert clamps == ref[2]
@@ -576,7 +573,7 @@ def _assert_backup_matches_reference(surf, k, m):
 
 def _assert_every_level_matches(surf):
     clamps = 0
-    for k in range(surf.lattice.steps):
+    for k in range(surf.scenario.lattice.steps):
         # a level's clamps count once per node of the level
         clamps += (k + 1) * _assert_backup_matches_reference(surf, k,
                                                              surf.grids[k])
@@ -642,7 +639,7 @@ def test_backup_names_the_first_infeasible_state(risk_surface):
         _state_major_backup(*args, *data)
     # a plain float, not the numpy scalar repr np.float64(-0.25)
     with pytest.raises(PrimalError, match=r"level 3, m = -0\.25; ") as got:
-        _backup(*args, risk_surface.control_sets[3], *data)
+        _backup(*args, *data)
     assert str(got.value) == str(ref.value)
 
 
@@ -715,18 +712,28 @@ def test_feasible_only_dp_matches_full_batch_backups(steps):
 
 def test_control_sets_hold_each_nodes_ordered_controls(risk_surface):
     # each node's set, built from its own corridor-tracking slopes by the
-    # per-node reference, is its level's set
+    # per-node reference, is the scenario's one set
     sc = risk_surface.scenario
     node_sets = _per_node_dp(sc)[4]
-    assert len(risk_surface.control_sets) == sc.lattice.steps
-    for k, controls in enumerate(risk_surface.control_sets):
+    for k in range(sc.lattice.steps):
         assert len(node_sets[k]) == k + 1
         for node_controls in node_sets[k]:
-            _assert_same_bits(controls, node_controls)
+            _assert_same_bits(sc.control_set, node_controls)
     # with an even n_a the base grid misses 0; the set keeps it
     even = dataclasses.replace(sc, n_a=4)
     assert 0.0 not in even.base_controls()
-    assert all(0.0 in controls for controls in _control_sets(even))
+    assert 0.0 in even.control_set
+    _assert_same_bits(even.control_set,
+                      _ordered_controls(even.base_controls(), [0.0]))
+    # _backup tries the scenario's set and no other: the full set picks 0
+    # on these states, a set holding one slope outside it picks that slope
+    args = (risk_surface.corridor, 3, np.array([0.25, 0.5, 0.75]),
+            risk_surface.grids[4], risk_surface.values[4])
+    assert not np.any(_backup(sc, *args)[1])
+    one = dataclasses.replace(sc)
+    one.__dict__["control_set"] = np.array([0.125])
+    assert 0.125 not in sc.control_set
+    assert np.all(_backup(one, *args)[1] == 0.125)
 
 
 # ---------------------------------------------------------------------------
@@ -808,7 +815,7 @@ def _assert_level_dp_matches_the_per_node_dp(sc):
             _assert_same_bits(values[k][j], surf.values[k])
             _assert_same_bits(controls[k][j], surf.controls[k])
             if k < sc.lattice.steps:
-                _assert_same_bits(sets[k][j], surf.control_sets[k])
+                _assert_same_bits(sets[k][j], sc.control_set)
     assert surf.clamp_events == clamps
 
 
