@@ -19,7 +19,7 @@ from .bsde import (BsdeSolution, Corridor, SchemeError, comparison_check,
                    monotone_step_ok, solve_bsde, solve_on_path_tree,
                    solve_on_product_tree)
 from .control import (PolicyError, admissible, representation_roundtrip,
-                      simulate_all_prefixes)
+                      simulate_rows)
 from .primal import (GreedyPlan, PrimalError, PrimalScenario, ValueSurface,
                      attainment_check, brute_force_policy_value,
                      brute_force_weak_formulation, continuity_modulus,
@@ -43,7 +43,7 @@ __all__ = [
     "monotone_step_ok", "solve_bsde", "solve_on_path_tree",
     "solve_on_product_tree",
     "PolicyError", "admissible", "representation_roundtrip",
-    "simulate_all_prefixes",
+    "simulate_rows",
     "GreedyPlan", "PrimalError", "PrimalScenario", "ValueSurface",
     "attainment_check", "brute_force_policy_value",
     "brute_force_weak_formulation", "continuity_modulus", "convexity_check",

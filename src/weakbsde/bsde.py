@@ -117,7 +117,7 @@ def solve_bsde(lattice: Lattice, d: Driver, terminal, *, scheme: str = "explicit
             f"terminal has shape {term_values.shape}, expected ({term_level + 1},)"
         )
     term_values = term_values.astype(float, copy=False)
-    if not np.all(np.isfinite(term_values)):
+    if not np.isfinite(term_values).all():
         raise LatticeError("terminal field contains non-finite values")
     if not (0 <= stop_level < term_level <= lattice.steps):
         raise LatticeError(

@@ -8,14 +8,23 @@ which is the discrete driver-martingale dynamics of the threshold state.
 Admissibility means the state stays inside the corridor spanned by the
 nonlinear expectations of the terminal fields 0 and 1.
 
-simulate_all_prefixes takes one slope per lattice node and steps every
-path prefix of a level at once; given the corridor, it truncates each
-path's slopes to 0 once the path reaches an edge.  admissible measures
-the worst corridor excursion of prefix states.  _children is the one
-forward step: the simulation here and the primal backup, greedy plan and
-policy oracle all call it.  The greedy attainment policy is not simulated
-here: its control depends on the state alone, so primal.greedy_plan steps
-the distinct (level, m) states instead of the 2^k prefixes.
+simulate_rows takes one slope per lattice node and walks the levels
+forward over their distinct rows.  A row is what a path prefix's future
+depends on: its node j, the exact bits of its state m and, given a
+corridor, its latch (whether the path has reached an edge, after which
+_truncate holds its slope at 0).  Prefixes on one row take the same slope
+and step to the same children, bit for bit, so each level keeps every
+row once (_distinct_rows) instead of its 2^k prefixes, and the set of
+(node, state, latch) over a level's prefixes is exactly its set of rows.
+The checks read only maxima: admissible measures the worst corridor
+excursion of the rows' states, and representation_roundtrip compares
+each row with the backward solve at its node.
+
+_children is the one forward step: the walk here and the primal backup,
+greedy plan and policy oracle all call it.  _distinct_rows is the one
+row dedupe: the walk here, primal.greedy_plan (whose greedy control
+depends on the state alone, so its rows are keyed on (level, m)) and the
+weak oracle's root classes all call it.
 """
 
 from __future__ import annotations
@@ -24,9 +33,11 @@ import numpy as np
 
 from .bsde import Corridor, exact_scheme_for, solve_bsde
 from .drivers import Driver
-from .lattice import Lattice, LatticeError, MAX_PATH_LEVELS, prefix_up_counts
+from .lattice import Lattice, LatticeError
 
 HIT_TOL = 1e-9
+# most rows one level of a row walk or greedy plan may hold: 8 MB of states
+MAX_PLAN_ROWS = 2**20
 
 
 class PolicyError(ValueError):
@@ -57,70 +68,115 @@ def _interleave(up: np.ndarray, dn: np.ndarray) -> np.ndarray:
 
 
 def _truncate(lattice: Lattice, f: Driver, corridor: Corridor, k: int,
-              m: np.ndarray, a: np.ndarray, latched: np.ndarray) -> np.ndarray:
-    """The level-k slopes a of prefix states m, truncated at the corridor.
+              m: np.ndarray, a: np.ndarray, latched: np.ndarray) -> tuple:
+    """The level-k slopes a of states m, truncated at the corridor, and the
+    states' updated latches.
 
     A path keeps its slope until it first reaches an edge, and takes slope
     0 from then on, the edges' own slope (a constant terminal has Z = 0):
-    latched holds, per prefix, whether an edge has been reached, and is
-    updated in place.  Reaching is detected two ways: the state sits within
-    HIT_TOL of an edge, or the proposed step would land strictly beyond a
-    next-level edge.  The second (predictive) trigger is the discrete
-    stand-in for continuous paths touching the boundary before crossing:
-    without it a large control could jump straight across the corridor and
-    no truncation could repair the excursion after the fact.
+    latched holds, per state, whether an edge has been reached.  Reaching
+    is detected two ways: the state sits within HIT_TOL of an edge, or the
+    proposed step would land strictly beyond a next-level edge.  The second
+    (predictive) trigger is the discrete stand-in for continuous paths
+    touching the boundary before crossing: without it a large control could
+    jump straight across the corridor and no truncation could repair the
+    excursion after the fact.
     """
     up, dn = _children(lattice, f, k, m, a)
     lo, hi = corridor.bounds_at(k)
     lo_next, hi_next = corridor.bounds_at(k + 1)
-    latched |= ((m <= lo + HIT_TOL) | (m >= hi - HIT_TOL)
-                | (up < lo_next) | (dn < lo_next)
-                | (up > hi_next) | (dn > hi_next))
-    return np.where(latched, 0.0, a)
+    latched = latched | ((m <= lo + HIT_TOL) | (m >= hi - HIT_TOL)
+                         | (up < lo_next) | (dn < lo_next)
+                         | (up > hi_next) | (dn > hi_next))
+    return np.where(latched, 0.0, a), latched
 
 
-def simulate_all_prefixes(lattice: Lattice, f: Driver, mu0: float, controls,
-                          corridor: Corridor | None = None) -> list:
-    """Forward recursion over every path prefix at once.
+def _distinct_rows(*columns) -> np.ndarray:
+    """The distinct rows among n states, given as key columns of n values
+    each: first[r] is the first state holding row r.
 
-    controls[k] is the (k + 1,) array of level-k node slopes, k < N.  With
-    a corridor, every path's slopes are truncated at its edges (_truncate).
-    Returns the states: states[k] has shape (2^k,) in sign-matrix prefix
-    order.
+    A float column is keyed on its exact bits, so -0.0/+0.0 and NaN rows
+    stay apart; an integer or bool column on its values.  Rows are ordered
+    by their keys, the first column most significant: on one float column
+    they run in ascending bit order (ascending m where m >= 0, so a greedy
+    level's batch reaches primal._backup as one ascending run).
+    """
+    keys = [c.view(np.int64) if c.dtype.kind == "f" else c for c in columns]
+    order = np.lexsort(keys[::-1])  # stable: first states lead each row
+    starts = np.empty(order.size, dtype=bool)
+    starts[:1] = True
+    ranked = keys[0][order]
+    np.not_equal(ranked[1:], ranked[:-1], out=starts[1:])
+    for key in keys[1:]:
+        ranked = key[order]
+        starts[1:] |= ranked[1:] != ranked[:-1]
+    return order[starts]
+
+
+def simulate_rows(lattice: Lattice, f: Driver, mu0: float, controls,
+                  corridor: Corridor | None = None) -> tuple:
+    """Forward recursion over the distinct rows of every level.
+
+    controls[k] is the (k + 1,) array of level-k node slopes, k < N.  A
+    level-k row (j, m) takes slope controls[k][j] and steps to the rows
+    (j + 1, up) and (j, down) of level k + 1; rows that repeat the bits of
+    another are dropped.  With a corridor each row also carries its path's
+    latch, and its slope is truncated at the edges (_truncate).  A level
+    of more than MAX_PLAN_ROWS rows raises a LatticeError.
+
+    Returns (nodes, states, latched), each a list over levels 0..N:
+    nodes[k] and states[k] hold the node and state of each level-k row,
+    and latched[k] whether the row's paths reached an edge before level k
+    (latched is None without a corridor).
     """
     n = lattice.steps
-    if n > MAX_PATH_LEVELS:
-        raise LatticeError(f"prefix simulation guarded at N <= {MAX_PATH_LEVELS}")
     if len(controls) != n:
         raise PolicyError(f"need controls for levels 0..{n - 1}, "
                           f"got {len(controls)}")
-    states = [np.array([float(mu0)])]
-    latched = np.zeros(1, dtype=bool)
+    j = np.zeros(1, dtype=np.intp)
+    m = np.array([float(mu0)])
+    latch = None if corridor is None else np.zeros(1, dtype=bool)
+    nodes, states, latched = [j], [m], [latch]
     for k in range(n):
         level = np.asarray(controls[k], dtype=float)
         if level.shape != (k + 1,):
             raise PolicyError(f"level {k} controls have shape {level.shape}, "
                               f"expected ({k + 1},)")
-        m, a = states[k], level[prefix_up_counts(k)]
+        a = level[j]
         if corridor is not None:
-            a = _truncate(lattice, f, corridor, k, m, a, latched)
-            # both children inherit their parent's latch
-            latched = np.repeat(latched, 2)
-        states.append(_interleave(*_children(lattice, f, k, m, a)))
-    return states
+            # both children inherit their parent's updated latch
+            a, latch = _truncate(lattice, f, corridor, k, m, a, latch)
+            latch = np.concatenate((latch, latch))
+        m = np.concatenate(_children(lattice, f, k, m, a))
+        j = np.concatenate((j + 1, j))
+        keys = (m, j) if corridor is None else (m, j, latch)
+        first = _distinct_rows(*keys)
+        if first.size > MAX_PLAN_ROWS:
+            raise LatticeError(
+                f"row walk reaches {first.size} rows at level {k + 1}, "
+                f"over its budget of MAX_PLAN_ROWS = {MAX_PLAN_ROWS}")
+        m, j = m[first], j[first]
+        if corridor is not None:
+            latch = latch[first]
+        nodes.append(j)
+        states.append(m)
+        latched.append(latch)
+    return nodes, states, None if corridor is None else latched
 
 
 def admissible(corridor: Corridor, states) -> dict:
-    """Measure the corridor constraint on prefix states (states[k] in
-    prefix order, as simulate_all_prefixes returns them).
+    """Measure the corridor constraint on level states (states[k] at level
+    k, as simulate_rows returns them).
 
     Returns the worst signed excursion outside [floor, ceiling] (0 when
-    every state stays inside); the caller judges it against a tolerance.
+    every state stays inside), which the caller judges against a
+    tolerance, and n_rows, the number of states measured.
     """
     worst = 0.0
     for k, m in enumerate(states):
         worst = max(worst, float(np.max(_excursion(corridor, k, m))))
-    return {"worst_violation": worst}
+    return {"worst_violation": worst,
+            "n_rows": sum(m.size for m in states)}
 
 
 def representation_roundtrip(lattice: Lattice, f: Driver, terminal, *,
@@ -130,20 +186,23 @@ def representation_roundtrip(lattice: Lattice, f: Driver, terminal, *,
     terminal is the (N + 1,) array of level-N values.  With the scheme
     matched to the driver (implicit when f depends on y) the forward
     recursion inverts the backward step exactly, so the terminal field is
-    reproduced on every path to machine precision.
+    reproduced on every path to machine precision.  n_rows counts the
+    rows simulated (simulate_rows), over all levels.
     """
     if scheme is None:
         scheme = exact_scheme_for(f)
     sol = solve_bsde(lattice, f, terminal, scheme=scheme)
     mu0 = sol.value_at_root()
-    states = simulate_all_prefixes(lattice, f, mu0, sol.z.slabs)
-    n = lattice.steps
-    target = np.asarray(terminal, float)[prefix_up_counts(n)]
-    max_err = float(np.max(np.abs(states[n] - target)))
-    # interior check: the simulated state must sit on the backward values
-    interior = 0.0
-    for k in range(n + 1):
-        nodes = sol.y.at(k)[prefix_up_counts(k)]
-        interior = max(interior, float(np.max(np.abs(states[k] - nodes))))
+    nodes, states, _ = simulate_rows(lattice, f, mu0, sol.z.slabs)
+    # every row against the backward value at its node, the terminal level
+    # (which holds the terminal itself) last: node j of level k is entry
+    # k (k + 1) / 2 + j of the levels laid end to end
+    sizes = [j.size for j in nodes]
+    at = np.concatenate(nodes) + np.repeat(np.cumsum(np.arange(len(nodes))),
+                                           sizes)
+    err = np.abs(np.concatenate(states) - np.concatenate(sol.y.slabs)[at])
+    max_err = float(np.max(err[-sizes[-1]:]))
+    interior = float(np.max(err))
     return {"max_error": max_err, "max_interior_error": interior,
-            "scheme": scheme, "mu0": mu0}
+            "scheme": scheme, "mu0": mu0,
+            "n_rows": len(err)}

@@ -94,7 +94,7 @@ class AdaptedField:
                 raise LatticeError(
                     f"slab for level {k} has shape {arr.shape}, expected ({k + 1},)"
                 )
-            if not np.all(np.isfinite(arr)):
+            if not np.isfinite(arr).all():
                 raise LatticeError(f"non-finite values in slab for level {k}")
             arr = arr.copy()
             arr.flags.writeable = False
@@ -139,23 +139,3 @@ def sign_matrix(n: int) -> np.ndarray:
     out = np.where(bits == 0, 1, -1).astype(np.int8)
     out.flags.writeable = False
     return out
-
-
-@lru_cache(maxsize=64)
-def prefix_up_counts(k: int) -> np.ndarray:
-    """Up-move count j for every length-k path prefix (indexed like sign_matrix).
-
-    Built from level k - 1: prefix h has its up child at 2h (count + 1)
-    and its down child at 2h + 1 (same count).
-    """
-    if k > MAX_PATH_LEVELS:
-        raise LatticeError(f"prefix tables guarded at k <= {MAX_PATH_LEVELS}")
-    if k == 0:
-        counts = np.zeros(1, dtype=np.int64)
-    else:
-        parent = prefix_up_counts(k - 1)
-        counts = np.empty(2 * parent.size, dtype=np.int64)
-        counts[0::2] = parent + 1
-        counts[1::2] = parent
-    counts.flags.writeable = False
-    return counts

@@ -68,7 +68,8 @@ import numpy as np
 from .bsde import (Corridor, apriori_bound_field, compute_corridor,
                    exact_scheme_for, solve_on_path_tree,
                    solve_on_product_tree, _one_step, _require_step_condition)
-from .control import _children, _excursion, _interleave
+from .control import (MAX_PLAN_ROWS, _children, _distinct_rows,
+                      _excursion, _interleave)
 from .drivers import Driver, LossPair
 from .lattice import Lattice, build_lattice
 
@@ -78,8 +79,6 @@ CURVE_TOL = 1e-9
 CONTINUITY_OFFSETS = 2.0 ** -np.arange(3, 10)
 # most candidates an oracle scores in one batch: 128 KB per temporary
 ORACLE_BLOCK = 2**14
-# most rows one level of a greedy plan may hold: 8 MB of states
-MAX_PLAN_ROWS = 2**20
 
 
 class PrimalError(ValueError):
@@ -252,29 +251,6 @@ def value_curve(surface: ValueSurface, m_list) -> np.ndarray:
     return np.interp(np.clip(m, lo, hi), surface.grids[0], surface.values[0])
 
 
-def _distinct_rows(m: np.ndarray) -> tuple:
-    """The distinct rows among the states m, one float per state (shape
-    (n,)) or one row of floats per state (shape (n, c)).
-
-    Rows are keyed on the exact bits of every column, so -0.0/+0.0 and NaN
-    rows stay apart, and ordered by bits, the first column most
-    significant (ascending m where m >= 0, so a level's batch reaches
-    _backup as one ascending run).  Returns (first, inverse): first[r] is
-    the first state holding row r, and inverse[i] the row of state i.
-    """
-    bits = np.ascontiguousarray(m, dtype=float).view(np.int64)
-    if bits.ndim == 1:
-        bits = bits[:, None]
-    order = np.lexsort(bits.T[::-1])  # stable: first states lead each row
-    ranked = bits[order]
-    starts = np.empty(order.size, dtype=bool)
-    starts[:1] = True
-    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
-    inverse = np.empty(order.size, dtype=np.intp)
-    inverse[order] = np.cumsum(starts) - 1
-    return order[starts], inverse
-
-
 @dataclass(frozen=True)
 class GreedyPlan:
     """The greedy feedback policy over the distinct (level, m) states that a
@@ -342,22 +318,24 @@ def greedy_plan(surface: ValueSurface, m_list) -> GreedyPlan:
     sc = surface.scenario
     lat = sc.lattice
     thresholds = np.atleast_1d(np.asarray(m_list, dtype=float))
-    first, roots = _distinct_rows(thresholds)
-    m = thresholds[first]
+    m = thresholds[_distinct_rows(thresholds)]
+    # the rows run in ascending bit order, so a state's row is where its
+    # bits sort among them
+    roots = np.searchsorted(m.view(np.int64), thresholds.view(np.int64))
     states, controls, children = [m], [], []
     for k in range(lat.steps):
         a = _backup(sc, surface.corridor, k, m, surface.grids[k + 1],
                     surface.values[k + 1])[1]
         # the two children of row r sit at 2r (up) and 2r + 1 (down)
         m_next = _interleave(*_children(lat, sc.driver_f, k, m, a))
-        first, inverse = _distinct_rows(m_next)
-        if first.size > MAX_PLAN_ROWS:
+        m = m_next[_distinct_rows(m_next)]
+        if m.size > MAX_PLAN_ROWS:
             raise PrimalError(
-                f"greedy plan reaches {first.size} rows at level {k + 1}, "
+                f"greedy plan reaches {m.size} rows at level {k + 1}, "
                 f"over its budget of MAX_PLAN_ROWS = {MAX_PLAN_ROWS}")
-        m = m_next[first]
         controls.append(a)
-        children.append(inverse.reshape(-1, 2))
+        children.append(np.searchsorted(m.view(np.int64),
+                                        m_next.view(np.int64)).reshape(-1, 2))
         states.append(m)
     return GreedyPlan(thresholds=thresholds, roots=roots, states=tuple(states),
                       controls=tuple(controls), children=tuple(children))
@@ -584,7 +562,10 @@ def brute_force_policy_value(sc: PrimalScenario, m0: float,
     prefixes that are still admissible are extended, each by every
     assignment of the next level in C order.  The rows stay in the
     lexicographic order of the full enumeration (root digit most
-    significant), so the first-index tie rule picks the same policy.
+    significant), so the first-index tie rule picks the same policy.  A
+    level keeps, per admissible row, only its parent row and the index of
+    its own assignment; the winner's full assignment is read back along
+    its parents at the end.
     """
     lat = sc.lattice
     n = lat.steps
@@ -601,28 +582,34 @@ def brute_force_policy_value(sc: PrimalScenario, m0: float,
     if not (lo0 - FEASIBILITY_TOL <= m0 <= hi0 + FEASIBILITY_TOL):
         raise PrimalError("threshold outside the root corridor")
 
-    assign = np.zeros((1, 0), dtype=np.intp)  # admissible prefixes (P, 2^k - 1)
-    m = np.full((1, 1), float(m0))
+    m = np.full((1, 1), float(m0))  # states of the admissible prefixes
+    back = []  # per level: (parent row, assignment index) of each kept row
     for k in range(n):
-        options = np.indices((n_a,) * 2**k).reshape(2**k, -1).T
-        rows = np.repeat(np.arange(assign.shape[0]), options.shape[0])
-        nxt = np.tile(options, (assign.shape[0], 1))
-        assign = np.concatenate([assign[rows], nxt], axis=1)
-        m = _interleave(*_children(lat, sc.driver_f, k, m[rows], grid[nxt]))
-        keep = _excursion(corridor, k + 1, m).max(axis=1) <= FEASIBILITY_TOL
-        assign, m = assign[keep], m[keep]
+        options = grid[np.indices((n_a,) * 2**k).reshape(2**k, -1).T]
+        m = _interleave(*_children(lat, sc.driver_f, k,
+                                   np.repeat(m, options.shape[0], axis=0),
+                                   np.tile(options, (m.shape[0], 1))))
+        keep = np.flatnonzero(
+            _excursion(corridor, k + 1, m).max(axis=1) <= FEASIBILITY_TOL)
+        m = m[keep]
+        back.append(np.divmod(keep, options.shape[0]))
 
     leaf_cost = np.asarray(sc.loss.phi(m), dtype=float)
     cost = np.asarray(solve_on_path_tree(lat, sc.driver_g, leaf_cost,
                                          scheme=sc.scheme), float)
-    if not assign.shape[0]:
+    if not m.shape[0]:
         raise PrimalError("no admissible policy in the enumeration grid")
-    best = int(np.argmin(cost))
+    best = row = int(np.argmin(cost))
+    digits = []
+    for k in range(n - 1, -1, -1):
+        parent, pick = back[k]
+        digits[:0] = np.unravel_index(pick[row], (n_a,) * 2**k)
+        row = parent[row]
     return {
         "value": float(cost[best]),
         "n_policies": int(n_pol),
-        "n_admissible": int(assign.shape[0]),
-        "best_assignment": grid[assign[best]],
+        "n_admissible": int(m.shape[0]),
+        "best_assignment": grid[np.array(digits, dtype=np.intp)],
     }
 
 
@@ -688,9 +675,7 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
         cost = solve_on_product_tree(lat, sc.driver_g, grids,
                                      scheme=sc.scheme, stop_level=1)
         # first candidate of each child's (f, g) class, in candidate order
-        up, dn = (np.sort(_distinct_rows(np.stack((level[s], cost[s]),
-                                                  axis=1))[0])
-                  for s in (0, 1))
+        up, dn = (np.sort(_distinct_rows(level[s], cost[s])) for s in (0, 1))
         evaluated += width * width
         scored += up.size * dn.size
         level_dn, cost_dn = level[1, dn][None, :], cost[1, dn][None, :]

@@ -24,8 +24,7 @@ import numpy as np
 
 from . import __version__
 from .bsde import comparison_check
-from .control import (admissible, representation_roundtrip,
-                      simulate_all_prefixes)
+from .control import admissible, representation_roundtrip, simulate_rows
 from .dual import dual_bound, lockstep_certificates
 from .primal import (apriori_bound_check, attainment_check,
                      brute_force_policy_value, brute_force_weak_formulation,
@@ -176,34 +175,51 @@ def _check_comparison(ctx):
     return _at_most("comparison", worst, sc.tolerances["comparison"])
 
 
-def _check_roundtrip(ctx):
-    sc = ctx["scenario"]
+def _roundtrip_walks(sc) -> tuple:
+    """(worst terminal error, rows simulated) over the roundtrip check's
+    seeded terminals: ten per driver."""
     rng = np.random.default_rng(sc.seed + 1)
     n = sc.lattice.steps
-    worst = 0.0
+    worst, rows = 0.0, 0
     for d in (sc.driver_f, sc.driver_g):
         for _ in range(10):
             xi = rng.uniform(0.0, 1.0, n + 1)
             res = representation_roundtrip(sc.lattice, d, xi)
             worst = max(worst, res["max_error"])
-    return _at_most("roundtrip", worst, sc.tolerances["roundtrip"])
+            rows += res["n_rows"]
+    return worst, rows
+
+
+def _check_roundtrip(ctx):
+    sc = ctx["scenario"]
+    return _at_most("roundtrip", _roundtrip_walks(sc)[0],
+                    sc.tolerances["roundtrip"])
+
+
+def _admissibility_walks(sc, corridor) -> tuple:
+    """(worst excursion, rows simulated) over the admissibility check's ten
+    seeded random node policies, each truncated at the corridor and
+    started mid-corridor."""
+    rng = np.random.default_rng(sc.seed + 2)
+    lat = sc.lattice
+    bound = 1.0 / lat.sqrt_dt
+    lo, hi = corridor.bounds_at(0)
+    mu0 = 0.5 * (lo + hi)
+    worst, rows = 0.0, 0
+    for _ in range(10):
+        controls = [rng.uniform(-bound, bound, k + 1) for k in range(lat.steps)]
+        states = simulate_rows(lat, sc.driver_f, mu0, controls, corridor)[1]
+        res = admissible(corridor, states)
+        worst = max(worst, res["worst_violation"])
+        rows += res["n_rows"]
+    return worst, rows
 
 
 def _check_admissibility(ctx):
-    sc, surface = ctx["scenario"], ctx["surface"]
-    rng = np.random.default_rng(sc.seed + 2)
-    lat = sc.lattice
-    corridor = surface.corridor
-    bound = 1.0 / lat.sqrt_dt
-    lo, hi = surface.root_corridor()
-    mu0 = 0.5 * (lo + hi)
-    worst = 0.0
-    for _ in range(10):
-        controls = [rng.uniform(-bound, bound, k + 1) for k in range(lat.steps)]
-        states = simulate_all_prefixes(lat, sc.driver_f, mu0, controls,
-                                       corridor)
-        worst = max(worst, admissible(corridor, states)["worst_violation"])
-    return _at_most("admissibility", worst, sc.tolerances["admissibility"],
+    sc = ctx["scenario"]
+    return _at_most("admissibility",
+                    _admissibility_walks(sc, ctx["surface"].corridor)[0],
+                    sc.tolerances["admissibility"],
                     note="random policies truncated at both corridor edges")
 
 

@@ -174,11 +174,6 @@ def build_scenario(config: dict) -> Scenario:
     if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
         raise ScenarioError(f"lattice.steps must be a positive integer, "
                             f"got {steps!r}")
-    if steps > MAX_PATH_LEVELS:
-        raise ScenarioError(
-            f"lattice.steps = {steps} exceeds the path enumeration guard "
-            f"(max {MAX_PATH_LEVELS} levels for scenario runs)"
-        )
     lattice = build_lattice(horizon, steps)
 
     def resolve(key: str, make, default: str):
@@ -258,6 +253,18 @@ def build_scenario(config: dict) -> Scenario:
     # a check runs, and is reported, once per time it is named
     if len(set(checks)) != len(checks):
         raise ScenarioError(f"checks repeats a check: {list(checks)!r}")
+
+    # the dual prices its certificates on every path, and weak_duality reads
+    # them; the primal and its checks work on rows and run past the guard
+    if steps > MAX_PATH_LEVELS:
+        for asked, what, fix in (
+                (dual_enabled, "the dual search", "set dual.enabled to false"),
+                ("weak_duality" in checks, "check weak_duality",
+                 "remove it from checks")):
+            if asked:
+                raise ScenarioError(
+                    f"lattice.steps = {steps} exceeds the path enumeration "
+                    f"guard (max {MAX_PATH_LEVELS} levels) of {what}; {fix}")
 
     # the backward steps raise where a driver breaks the step condition under
     # the explicit scheme, or the implicit fixed point's contraction

@@ -1,13 +1,25 @@
-"""Forward threshold dynamics: node controls, truncation, admissibility."""
+"""Forward threshold dynamics: node controls, truncation, admissibility.
+
+The prefix walk of prefix_walk.py is the reference: it steps every path
+prefix, and the row walk (simulate_rows) must reach the same (node, state,
+latch) set at every level and the same check values, bit for bit.
+"""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import weakbsde.control as control_mod
 from weakbsde.bsde import compute_corridor, solve_bsde
 from weakbsde.control import (HIT_TOL, PolicyError, admissible,
-                              representation_roundtrip, simulate_all_prefixes)
+                              representation_roundtrip, simulate_rows)
 from weakbsde.drivers import make_driver
-from weakbsde.lattice import build_lattice, prefix_up_counts, sign_matrix
+from weakbsde.lattice import LatticeError, build_lattice, sign_matrix
+from weakbsde.runner import _admissibility_walks, _roundtrip_walks
+from weakbsde.scenario import build_scenario
+
+from prefix_walk import (prefix_roundtrip, prefix_up_counts,
+                         simulate_all_prefixes)
 
 ADMISSIBLE_TOL = 1e-9
 
@@ -65,6 +77,29 @@ def _constant(lat, a):
     return [np.full(k + 1, float(a)) for k in range(lat.steps)]
 
 
+def _prefix_rows(lat, f, mu0, controls, corridor=None) -> list:
+    """The (node, state bits, latch) set of each level over every prefix."""
+    states, latched = simulate_all_prefixes(lat, f, mu0, controls, corridor)
+    out = []
+    for k, m in enumerate(states):
+        latch = [False] * m.size if latched is None else latched[k].tolist()
+        out.append(set(zip(prefix_up_counts(k).tolist(),
+                           m.view(np.int64).tolist(), latch)))
+    return out
+
+
+def _walk_rows(walk) -> list:
+    """The same sets from a row walk; each row must be distinct."""
+    nodes, states, latched = walk
+    out = []
+    for k, (j, m) in enumerate(zip(nodes, states)):
+        latch = [False] * m.size if latched is None else latched[k].tolist()
+        rows = list(zip(j.tolist(), m.view(np.int64).tolist(), latch))
+        assert len(set(rows)) == len(rows)
+        out.append(set(rows))
+    return out
+
+
 def _walked(states, p, n):
     """The states along path id p: its length-k prefix is its leading bits."""
     return np.array([states[k][p >> (n - k)] for k in range(n + 1)])
@@ -75,18 +110,19 @@ def test_node_controls_are_validated_per_level():
     d = make_driver("zero")
     controls = [np.array([1.0]), np.array([2.0, 3.0]),
                 np.array([4.0, 5.0, 6.0])]
-    states = simulate_all_prefixes(lat, d, 0.5, controls)
+    states, _ = simulate_all_prefixes(lat, d, 0.5, controls)
     # under the zero driver the up child moves by a * sqrt(dt), with a the
     # slope of the parent's node
     for k in range(3):
         np.testing.assert_allclose(
             (states[k + 1][0::2] - states[k]) / lat.sqrt_dt,
             controls[k][prefix_up_counts(k)])
+    assert _walk_rows(simulate_rows(lat, d, 0.5, controls)) \
+        == _prefix_rows(lat, d, 0.5, controls)
     with pytest.raises(PolicyError, match=r"level 1 controls have shape \(3,\)"):
-        simulate_all_prefixes(lat, d, 0.5, [controls[0], controls[2],
-                                            controls[2]])
+        simulate_rows(lat, d, 0.5, [controls[0], controls[2], controls[2]])
     with pytest.raises(PolicyError, match=r"levels 0\.\.2, got 1"):
-        simulate_all_prefixes(lat, d, 0.5, controls[:1])  # one level of three
+        simulate_rows(lat, d, 0.5, controls[:1])  # one level of three
 
 
 def test_simulate_controlled_frozen_path():
@@ -98,8 +134,13 @@ def test_simulate_controlled_frozen_path():
     states, applied = simulate_controlled(lat, d, 0.5, controls, path)
     np.testing.assert_allclose(states, [0.5, 0.7875, 1.075, 0.8625, 0.65])
     np.testing.assert_allclose(applied, [0.5, 0.5, 0.5, 0.5])
-    every = simulate_all_prefixes(lat, d, 0.5, controls)
+    every, _ = simulate_all_prefixes(lat, d, 0.5, controls)
     np.testing.assert_allclose(_walked(every, 3, 4), states)
+    # the path's (node, state) pairs are rows of the row walk
+    nodes, rows, _ = simulate_rows(lat, d, 0.5, controls)
+    walked = _walked(every, 3, 4)
+    for k, j in enumerate(np.concatenate(([0], np.cumsum(path > 0)))):
+        assert walked[k] in rows[k][nodes[k] == j]
 
 
 def test_simulate_all_prefixes_agrees_with_single_paths():
@@ -107,7 +148,7 @@ def test_simulate_all_prefixes_agrees_with_single_paths():
     d = make_driver("abs_z", kappa=0.2)
     rng = np.random.default_rng(9)
     controls = [rng.normal(size=k + 1) for k in range(5)]
-    states = simulate_all_prefixes(lat, d, 0.4, controls)
+    states, _ = simulate_all_prefixes(lat, d, 0.4, controls)
     for p, path in enumerate(sign_matrix(5)):
         single, _ = simulate_controlled(lat, d, 0.4, controls, path)
         np.testing.assert_allclose(_walked(states, p, 5), single, atol=1e-15)
@@ -131,13 +172,15 @@ def test_truncated_simulation_equals_the_scalar_rule_on_every_path(driver):
               for mu0 in (lo + 0.5 * HIT_TOL, hi - 0.5 * HIT_TOL)]
     truncated = 0
     for mu0, controls in draws:
-        states = simulate_all_prefixes(lat, driver, mu0, controls, cor)
-        free = simulate_all_prefixes(lat, driver, mu0, controls)
+        states, _ = simulate_all_prefixes(lat, driver, mu0, controls, cor)
+        free, _ = simulate_all_prefixes(lat, driver, mu0, controls)
         for p, path in enumerate(sign_matrix(5)):
             single, _ = simulate_controlled(lat, driver, mu0, controls, path,
                                             cor)
             np.testing.assert_array_equal(_walked(states, p, 5), single)
         truncated += not np.array_equal(states[5], free[5])
+        assert _walk_rows(simulate_rows(lat, driver, mu0, controls, cor)) \
+            == _prefix_rows(lat, driver, mu0, controls, cor)
     assert truncated > 0  # the rule acted on some draw
 
 
@@ -160,11 +203,11 @@ def test_admissibility_flags_a_corridor_excursion():
     d = make_driver("zero")
     cor = compute_corridor(lat, d)
     wild = _constant(lat, 1.0 / lat.sqrt_dt)  # one step overshoots
-    res = admissible(cor, simulate_all_prefixes(lat, d, 0.5, wild))
+    res = admissible(cor, simulate_rows(lat, d, 0.5, wild)[1])
     assert not res["worst_violation"] <= ADMISSIBLE_TOL
     assert res["worst_violation"] > 0.4
     calm = _constant(lat, 0.0)
-    res_ok = admissible(cor, simulate_all_prefixes(lat, d, 0.5, calm))
+    res_ok = admissible(cor, simulate_rows(lat, d, 0.5, calm)[1])
     assert res_ok["worst_violation"] <= ADMISSIBLE_TOL
     assert res_ok["worst_violation"] == 0.0
 
@@ -179,7 +222,7 @@ def test_truncation_repairs_aggressive_policies():
     rng = np.random.default_rng(101)
     for _ in range(100):
         raw = [rng.uniform(-alpha_max, alpha_max, k + 1) for k in range(6)]
-        res = admissible(cor, simulate_all_prefixes(lat, d, 0.5, raw, cor))
+        res = admissible(cor, simulate_rows(lat, d, 0.5, raw, cor)[1])
         assert res["worst_violation"] <= ADMISSIBLE_TOL, res
 
 
@@ -190,7 +233,7 @@ def test_floor_truncation_latches_and_tracks():
     d = make_driver("zero")
     cor = compute_corridor(lat, d)
     dive = _constant(lat, -2.0)  # dives through the floor fast
-    states = simulate_all_prefixes(lat, d, 0.25, dive, cor)
+    states = simulate_rows(lat, d, 0.25, dive, cor)[1]
     assert np.min(states[6] - cor.floor[6]) >= -1e-12
     _, applied = simulate_controlled(lat, d, 0.25, dive, sign_matrix(6)[-1],
                                      cor)
@@ -204,10 +247,12 @@ def test_truncated_policy_is_inert_inside_the_corridor():
     d = make_driver("zero")
     cor = compute_corridor(lat, d)
     mild = _constant(lat, 0.05)
-    raw_states = simulate_all_prefixes(lat, d, 0.5, mild)
-    safe_states = simulate_all_prefixes(lat, d, 0.5, mild, cor)
-    for raw, kept in zip(raw_states, safe_states):
-        np.testing.assert_array_equal(raw, kept)
+    raw_nodes, raw_states, _ = simulate_rows(lat, d, 0.5, mild)
+    nodes, states, latched = simulate_rows(lat, d, 0.5, mild, cor)
+    for k in range(5):
+        np.testing.assert_array_equal(raw_nodes[k], nodes[k])
+        np.testing.assert_array_equal(raw_states[k], states[k])
+        assert not latched[k].any()
 
 
 def test_roundtrip_martingale_property_interior():
@@ -219,3 +264,115 @@ def test_roundtrip_martingale_property_interior():
     xi = rng.uniform(0.0, 1.0, 7)
     res = representation_roundtrip(lat, d, xi)
     assert res["max_interior_error"] <= 1e-12
+
+
+PROPERTY_DRIVERS = (
+    make_driver("zero"),
+    make_driver("linear", a=0.2, b=0.1),  # y-dependent: implicit roundtrip
+    make_driver("neg_abs_z", kappa=0.3),
+    make_driver("abs_z", kappa=0.2),
+    make_driver("logcosh_z", kappa=0.3, sign=-1),
+    make_driver("softplus_z", kappa=0.2),
+)
+
+
+def _bits(x):
+    return np.float64(x).view(np.int64)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(driver=st.sampled_from(PROPERTY_DRIVERS), n=st.integers(1, 10),
+       seed=st.integers(0, 2**32 - 1), truncate=st.booleans(),
+       style=st.sampled_from(["nodes", "levels", "backward"]))
+def test_row_walk_equals_the_prefix_walk_property(driver, n, seed, truncate,
+                                                  style):
+    lat = build_lattice(1.0, n)
+    rng = np.random.default_rng(seed)
+    cor = compute_corridor(lat, driver) if truncate else None
+    lo, hi = (0.0, 1.0) if cor is None else cor.bounds_at(0)
+    mu0 = rng.uniform(lo, hi)
+    bound = 2.0 / lat.sqrt_dt
+    if style == "nodes":      # a slope per node
+        controls = [rng.uniform(-bound, bound, k + 1) for k in range(n)]
+    elif style == "levels":   # one slope per level: many exact repeats
+        controls = [np.full(k + 1, rng.uniform(-bound, bound))
+                    for k in range(n)]
+    else:                     # the slopes of a backward solve
+        sol = solve_bsde(lat, driver, rng.uniform(0.0, 1.0, n + 1))
+        mu0, controls = sol.value_at_root(), sol.z.slabs
+    walk = simulate_rows(lat, driver, mu0, controls, cor)
+    assert _walk_rows(walk) == _prefix_rows(lat, driver, mu0, controls, cor)
+    if cor is not None:
+        prefix_states, _ = simulate_all_prefixes(lat, driver, mu0, controls,
+                                                 cor)
+        got, want = admissible(cor, walk[1]), admissible(cor, prefix_states)
+        assert _bits(got["worst_violation"]) == \
+            _bits(want["worst_violation"])
+        assert got["n_rows"] == sum(m.size for m in walk[1])
+
+    xi = rng.uniform(0.0, 1.0, n + 1)
+    got, want = representation_roundtrip(lat, driver, xi), \
+        prefix_roundtrip(lat, driver, xi)
+    for key in ("max_error", "max_interior_error"):
+        assert _bits(got[key]) == _bits(want[key]), key
+
+
+def test_row_walk_runs_where_prefixes_cannot():
+    # 2^32 prefixes at N = 32; the rows of each level stay in the hundreds
+    lat = build_lattice(1.0, 32)
+    rng = np.random.default_rng(5)
+    for d in (make_driver("neg_abs_z", kappa=0.3), make_driver("abs_z",
+                                                               kappa=0.2)):
+        res = representation_roundtrip(lat, d, rng.uniform(0.0, 1.0, 33))
+        assert res["max_error"] <= 1e-12
+        assert res["max_interior_error"] <= 1e-12
+        assert res["n_rows"] < 33 * 1000
+    d = make_driver("neg_abs_z", kappa=0.3)
+    cor = compute_corridor(lat, d)
+    bound = 1.0 / lat.sqrt_dt
+    controls = [rng.uniform(-bound, bound, k + 1) for k in range(32)]
+    nodes, states, latched = simulate_rows(lat, d, 0.5, controls, cor)
+    res = admissible(cor, states)
+    assert res["worst_violation"] <= ADMISSIBLE_TOL
+    assert max(m.size for m in states) < 1000
+    assert latched[-1].any()  # the truncation acted
+
+
+def test_row_walk_is_guarded_by_a_row_budget(monkeypatch):
+    lat = build_lattice(1.0, 3)
+    d = make_driver("zero")
+    controls = [np.array([1.0]), np.array([2.0, 3.0]),
+                np.array([4.0, 5.0, 6.0])]
+    # the distinct slopes split every prefix: 2, 4 and 8 rows
+    assert [m.size for m in simulate_rows(lat, d, 0.5, controls)[1]] \
+        == [1, 2, 4, 8]
+    monkeypatch.setattr(control_mod, "MAX_PLAN_ROWS", 4)
+    with pytest.raises(LatticeError, match=r"8 rows at level 3, over its "
+                                           r"budget of MAX_PLAN_ROWS = 4"):
+        simulate_rows(lat, d, 0.5, controls)
+
+
+def test_the_checks_row_counts_are_pinned():
+    # the benchmark's surface scenario at seed 24 (its thresholds do not
+    # reach these checks): a change that stops rows from recombining shows
+    # here, not only as a slower run.  Both counts take every level 0..16:
+    # the 20 roundtrips cover 2,621,420 prefix states and the 10
+    # admissibility walks 1,310,710.
+    sc = build_scenario({
+        "name": "surface_rows",
+        "lattice": {"horizon": 1.0, "steps": 16},
+        "driver_f": {"name": "neg_abs_z", "params": {"kappa": 0.3}},
+        "driver_g": {"name": "abs_z", "params": {"kappa": 0.2}},
+        "loss": {"name": "power", "params": {"p": 2.0}},
+        "primal": {"grid_size": 61, "n_a": 9, "m_list": [0.5]},
+        "dual": {"enabled": False},
+        "checks": ["roundtrip", "admissibility"],
+        "seed": 24,
+    })
+    worst, rows = _roundtrip_walks(sc)
+    assert worst <= sc.tolerances["roundtrip"]
+    assert rows == 15039
+    worst, rows = _admissibility_walks(
+        sc, compute_corridor(sc.lattice, sc.driver_f, scheme=sc.scheme))
+    assert worst <= sc.tolerances["admissibility"]
+    assert rows == 3432

@@ -6,8 +6,9 @@ import pytest
 from weakbsde.bsde import solve_bsde
 from weakbsde.drivers import make_driver
 from weakbsde.lattice import (MAX_LEVELS, AdaptedField, Lattice, LatticeError,
-                              build_lattice, half_sum, prefix_up_counts,
-                              sign_matrix)
+                              build_lattice, half_sum, sign_matrix)
+
+from prefix_walk import prefix_up_counts
 
 
 def _times(lat):

@@ -12,13 +12,13 @@ from hypothesis import assume, given, settings, strategies as st
 import weakbsde.primal as primal_mod
 from weakbsde.bsde import (_one_step, monotone_step_ok, solve_bsde,
                            solve_on_path_tree)
-from weakbsde.control import _children
+from weakbsde.control import _children, _distinct_rows
 from weakbsde.drivers import make_driver, make_loss
 from weakbsde.lattice import build_lattice
 from weakbsde.runner import _check_attainment
 from weakbsde.scenario import build_scenario
 from weakbsde.primal import (FEASIBILITY_TOL, PrimalError, PrimalScenario,
-                             _backup, _distinct_rows,
+                             _backup,
                              _level_grid, _ordered_controls,
                              attainment_check,
                              brute_force_policy_value,
@@ -227,16 +227,17 @@ def _assert_greedy_replay_is_row_exact(surf, m_list):
 def _deduped_controls(surf, k, m):
     """The plan's dedup and level backup on arbitrary level-k rows:
     (control of each row, distinct-row count)."""
-    first, inverse = _distinct_rows(m)
+    first = _distinct_rows(m)
+    rows = np.searchsorted(m[first].view(np.int64), m.view(np.int64))
     best = _backup(surf.scenario, surf.corridor, k, m[first],
                    surf.grids[k + 1], surf.values[k + 1])[1]
-    return best[inverse], first.size
+    return best[rows], first.size
 
 
 def _prefix_arrays(plan, m0):
     """(states, controls) of threshold m0 over every path prefix, in
-    sign-matrix prefix order (as simulate_all_prefixes returns them),
-    expanded from the plan's rows one level at a time."""
+    sign-matrix prefix order (as prefix_walk.simulate_all_prefixes orders
+    them), expanded from the plan's rows one level at a time."""
     own = plan.restrict(m0)
     rows = own.roots
     states, controls = [], []
@@ -327,13 +328,15 @@ def test_greedy_dedup_property_with_injected_duplicates(risk_surface, k, data):
     got, n_rows = _deduped_controls(risk_surface, k, m)
     _assert_same_bits(got, _row_by_row_controls(risk_surface, k, m))
     assert n_rows == len(set(m.view(np.int64).tolist()))
-    # one column: np.unique's rows on the bits, and one (n, 1) column too
+    # one column: np.unique's rows on the bits, as a float column and as
+    # its int64 bits; the rows run in bit order, so the plan finds a
+    # state's row by where its bits sort among them
     _, first, inverse = np.unique(m.view(np.int64), return_index=True,
                                   return_inverse=True)
-    for rows in (m, m[:, None]):
-        got_first, got_inverse = _distinct_rows(rows)
-        assert got_first.tolist() == first.tolist()
-        assert got_inverse.tolist() == inverse.tolist()
+    for rows in (m, m.view(np.int64)):
+        assert _distinct_rows(rows).tolist() == first.tolist()
+    assert np.searchsorted(m[first].view(np.int64),
+                           m.view(np.int64)).tolist() == inverse.tolist()
 
 
 def test_distinct_rows_keys_every_column_on_its_bits():
@@ -346,11 +349,11 @@ def test_distinct_rows_keys_every_column_on_its_bits():
     first_of = {}
     for i, key in enumerate(keys):
         first_of.setdefault(key, i)
-    first, inverse = _distinct_rows(m)
-    # signed zeros and the two NaN payloads stay apart; duplicates map to
-    # their first occurrence
+    first = _distinct_rows(*m.T)
+    # signed zeros and the two NaN payloads stay apart; each row is held by
+    # its first occurrence
     assert first.size == len(first_of) == 6
-    assert first[inverse].tolist() == [first_of[key] for key in keys]
+    assert sorted(first.tolist()) == sorted(first_of.values())
     # rows run in bit order, the first column most significant
     assert [keys[i] for i in first] == sorted(first_of)
 

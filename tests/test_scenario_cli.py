@@ -51,6 +51,49 @@ def test_level_guard_message_names_the_limit():
         build_scenario(_minimal(lattice={"horizon": 1.0, "steps": 30}))
 
 
+# the benchmark's surface check list: every check but the dual's
+SURFACE_CHECKS = ["attainment", "monotonicity", "convexity", "continuity",
+                  "dpp", "value_envelope", "restriction", "comparison",
+                  "roundtrip", "admissibility"]
+
+
+def _risk_pair(steps, **overrides):
+    cfg = {
+        "name": "deep_risk_pair",
+        "lattice": {"horizon": 1.0, "steps": steps},
+        "driver_f": {"name": "neg_abs_z", "params": {"kappa": 0.3}},
+        "driver_g": {"name": "abs_z", "params": {"kappa": 0.2}},
+        "loss": {"name": "power", "params": {"p": 2.0}},
+        "primal": {"grid_size": 41, "n_a": 7, "m_list": [0.25, 0.5, 0.75]},
+        "dual": {"enabled": False},
+        "checks": SURFACE_CHECKS,
+        "seed": 24,
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def test_level_guard_sits_on_the_dual_and_weak_duality():
+    # only the dual search and the check that reads it enumerate paths
+    with pytest.raises(ScenarioError, match=r"max 20 levels\) of the dual "
+                                            r"search; set dual\.enabled"):
+        build_scenario(_risk_pair(24, dual={"enabled": True}))
+    with pytest.raises(ScenarioError, match=r"check weak_duality; remove it "
+                                            r"from checks"):
+        build_scenario(_risk_pair(24, checks=SURFACE_CHECKS
+                                  + ["weak_duality"]))
+    for checks in (SURFACE_CHECKS, SURFACE_CHECKS + ["weak_duality"]):
+        build_scenario(_risk_pair(20, dual={"enabled": True}, checks=checks))
+
+
+def test_a_primal_scenario_runs_past_the_path_guard():
+    # 2^24 paths: attainment, roundtrip and admissibility all walk rows
+    report = execute(build_scenario(_risk_pair(24)), quiet=True)
+    assert [c["check"] for c in report["checks"]] == SURFACE_CHECKS
+    assert report["status"] == "PASS", [
+        (c["check"], c["status"]) for c in report["checks"]]
+
+
 def test_check_names_and_lists_validated():
     with pytest.raises(ScenarioError, match="unknown check"):
         build_scenario(_minimal(checks=["attainment", "smoothness"]))
