@@ -6,10 +6,13 @@ One backward step from level k+1 to level k reads
     Z  = (up - down) / (2 sqrt(dt))         discrete martingale slope
     Y  = E + f(t_k, ystar, Z) * dt
 
-with ystar = E for the explicit scheme and ystar = Y (fixed point, solved
-to 1e-13) for the implicit one.  The Z extraction is the exact discrete
-representation coefficient, which is what makes the forward/backward
-roundtrip in the control module machine-exact.
+with ystar = E for the explicit scheme and ystar = Y for the implicit one,
+a fixed point solved to 1e-13 per element: each value stops at its own
+first iterate that moved by at most that, so every value of either scheme
+depends on its own (up, down) pair only, never on the batch it is priced
+in.  The Z extraction is the exact discrete representation coefficient,
+which is what makes the forward/backward roundtrip in the control module
+machine-exact.
 
 The explicit step is monotone in (up, down) as long as
 
@@ -86,13 +89,17 @@ def _one_step(d: Driver, t: float, up: np.ndarray, down: np.ndarray,
     z = (up - down) / (2.0 * sqrt_dt)
     if scheme == "explicit":
         return e + np.asarray(d.fn(t, e, z), float) * dt, z, 0
-    # implicit: y = e + f(t, y, z) dt, a contraction for Cy*dt < 1
-    y = e.copy()
+    # implicit: y = e + f(t, y, z) dt, a contraction for Cy*dt < 1.  Each
+    # element keeps its own first iterate that moved by at most the
+    # tolerance, so its bits do not depend on the rest of the batch
+    y = e
+    done = np.zeros(e.shape, dtype=bool)
     for it in range(1, MAX_FIXED_POINT_ITERS + 1):
         y_next = e + np.asarray(d.fn(t, y, z), float) * dt
-        delta = float(np.max(np.abs(y_next - y))) if y.size else 0.0
-        y = y_next
-        if delta <= FIXED_POINT_TOL:
+        settled = np.abs(y_next - y) <= FIXED_POINT_TOL
+        y = np.where(done, y, y_next)
+        done |= settled
+        if done.all():
             return y, z, it
     raise SchemeError(
         f"implicit fixed point did not reach {FIXED_POINT_TOL} in "
@@ -266,10 +273,9 @@ def solve_on_product_tree(lattice: Lattice, d: Driver, leaf_sets, *,
     q^(2^N) values; above the root it is (2^stop_level, w), row j holding
     the values of prefix node j (up first), so a caller can run the
     remaining full-size steps itself, a block at a time.  Each level is one
-    _one_step call over all its nodes: the batch holds exactly the distinct
-    (up, down) pairs that solve_on_path_tree would see on the materialised
-    vectors, so the implicit fixed point stops at the same iteration and
-    every value matches it bit for bit.
+    _one_step call over all its nodes, on the distinct (up, down) pairs
+    that solve_on_path_tree would see on the materialised vectors, so every
+    value matches it bit for bit.
     """
     _require_step_condition(lattice, d, scheme)
     n = lattice.steps

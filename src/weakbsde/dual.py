@@ -15,8 +15,15 @@ paths of
 
 where gtil/ftil are the convex/concave conjugates and poltil the polar of
 the loss map.  For every m in the root corridor and every candidate,
-l m - certificate <= primal value: the certificate search can only ever
-tighten a valid lower bound, never break it.  dual_value minimizes the
+l m - certificate <= primal value, provided the constraint driver f does
+not read y.  The forward threshold step m - f dt + a dW inverts the
+implicit f-step, so the A-adjoint's factor 1 + p dt + q dW leaves a
+-p f dt^2 term at every step, and only a z-only f confines p to 0.  With
+a y-dependent f the bound can lie above V (by 5.0e-4 at m = 0.5 for
+linear f with a = 0.1, zero g, power 2 and N = 8), so build_scenario
+refuses the dual and the weak_duality check for such an f.  Under that
+condition the certificate search can only ever tighten a valid lower
+bound, never break it.  dual_value minimizes the
 certificate over the profiles by coordinate descent (an upper bound on
 the true infimum, which keeps the inequality safe), and dual_bound
 maximizes l m - dual_value(l) over l.  Where the loss polar is smooth

@@ -41,11 +41,9 @@ only the work whose result it keeps: it tests every pair for feasibility,
 then clips, interpolates and prices only the feasible pairs.  Compacting
 the control-major mask keeps each control row's feasible states one
 ascending run, which np.interp's guessed search walks instead of bisecting
-the child grid.  Every value is elementwise in its own pair, so the
-results equal those of a full (state, control) batch bit for bit, with one
-exception: the implicit scheme's fixed point stops on the max over its
-batch, so under a y-dependent driver_g a value may move in the last bits
-(the tests allow 1e-12 there, with the same argmin controls).
+the child grid.  Every value is elementwise in its own pair, under both
+schemes, so the results equal those of a full (state, control) batch bit
+for bit.
 
 Two brute-force oracles (exhaustive policy enumeration and a leaf-value
 grid search on the weak formulation) provide independent cross-checks at
@@ -186,8 +184,7 @@ def _backup(sc: PrimalScenario, corridor: Corridor, k: int,
 
     Against a full (state, control) batch no bit changes: each clipped,
     interpolated and priced value depends on its own pair only, and an
-    infeasible pair scored +inf there too.  The exception is the implicit
-    scheme, whose fixed point stops on the max over its batch.
+    infeasible pair scored +inf there too.
     """
     lo, hi = corridor.bounds_at(k + 1)
     lat = sc.lattice
@@ -310,10 +307,7 @@ def greedy_plan(surface: ValueSurface, m_list) -> GreedyPlan:
     rows raises a PrimalError.
 
     Dropping exact duplicates leaves every control and child bit equal to
-    a per-prefix simulation.  Under the implicit scheme a level's batch
-    mixes the thresholds' rows and the fixed point stops on the batch
-    maximum, so a value may move in the last bits (see the module
-    docstring).
+    a per-prefix simulation.
     """
     sc = surface.scenario
     lat = sc.lattice
@@ -346,11 +340,9 @@ def _row_costs(surface: ValueSurface, plan: GreedyPlan) -> tuple:
     on every level-k row of the plan, priced backward from phi at level N
     with one _one_step per level over the level's rows.
 
-    The level-k batch holds the rows' (up, down) pairs.  On a plan of one
-    threshold (GreedyPlan.restrict) those are the distinct pairs that a
-    path-tree solve over its 2^N prefixes sees, so even the implicit fixed
-    point stops where the path tree's does, and every value is its bit for
-    bit.
+    The level-k batch holds the rows' (up, down) pairs.  Each is priced on
+    its own, so a row's value equals, bit for bit, what a path-tree solve
+    over its threshold's 2^N prefixes gives at the row's nodes.
     """
     sc = surface.scenario
     lat = sc.lattice
@@ -642,11 +634,7 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
     classes run in the order of their first candidates and a block's
     minimum replaces the incumbent only if strictly lower, so the first
     flat index i * width + j still wins every tie and the result equals one
-    argmin over all candidates.  If either side takes the implicit scheme,
-    its fixed point stops on the maximum over its batch, so a smaller batch
-    could stop one iteration earlier and move the last bits: the root step
-    is then one block, whose distinct pairs hold every value of the full
-    batch and so stop on the same iteration.
+    argmin over all candidates.
 
     n_evaluated counts the candidates covered, width**2 per round;
     n_scored the root pairs priced.
@@ -661,7 +649,6 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
     scheme_f = exact_scheme_for(sc.driver_f)
     t0, sq, dt = lat.time_at(0), lat.sqrt_dt, lat.dt
     width = q**(leaves // 2)   # candidates below each root child
-    implicit = "implicit" in (scheme_f, sc.scheme)
 
     grids = np.tile(np.linspace(0.0, 1.0, q), (leaves, 1))
     best_y = None
@@ -679,7 +666,7 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
         evaluated += width * width
         scored += up.size * dn.size
         level_dn, cost_dn = level[1, dn][None, :], cost[1, dn][None, :]
-        rows = up.size if implicit else max(1, ORACLE_BLOCK // dn.size)
+        rows = max(1, ORACLE_BLOCK // dn.size)
         for i in range(0, up.size, rows):
             ui = up[i:i + rows, None]
             level_b, _, _ = _one_step(sc.driver_f, t0, level[0, ui],

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .bsde import compute_corridor, monotone_step_ok
 from .drivers import Driver, LossPair, make_driver, make_loss
 from .dual import SLOPE_FLOOR
-from .lattice import MAX_PATH_LEVELS, Lattice, build_lattice
+from .lattice import MAX_LEVELS, MAX_PATH_LEVELS, Lattice, build_lattice
 from .primal import (CONTINUITY_OFFSETS, CURVE_TOL, PrimalScenario,
                      _continuity_base_fits)
 
@@ -171,9 +171,10 @@ def build_scenario(config: dict) -> Scenario:
     _require_keys(lat_cfg, ("horizon", "steps"), "lattice")
     horizon = _as_positive_number(lat_cfg.get("horizon", 1.0), "lattice.horizon")
     steps = lat_cfg.get("steps", 8)
-    if not isinstance(steps, int) or isinstance(steps, bool) or steps < 1:
-        raise ScenarioError(f"lattice.steps must be a positive integer, "
-                            f"got {steps!r}")
+    if not isinstance(steps, int) or isinstance(steps, bool) \
+            or not 1 <= steps <= MAX_LEVELS:
+        raise ScenarioError(f"lattice.steps must be an integer within "
+                            f"1..MAX_LEVELS = {MAX_LEVELS}, got {steps!r}")
     lattice = build_lattice(horizon, steps)
 
     def resolve(key: str, make, default: str):
@@ -302,6 +303,18 @@ def build_scenario(config: dict) -> Scenario:
             f"continuity needs base and base + "
             f"{float(CONTINUITY_OFFSETS.max())!r} inside the root "
             f"corridor [{lo:.6g}, {hi:.6g}]")
+
+    # the dual's threshold adjoint is exact only for a y-independent f; for
+    # one that reads y its certificate may lie above V (see the dual module)
+    if driver_f.depends_on_y:
+        for asked, what, fix in (
+                (dual_enabled, "the dual search", "set dual.enabled to false"),
+                ("weak_duality" in checks, "check weak_duality",
+                 "remove it from checks")):
+            if asked:
+                raise ScenarioError(
+                    f"driver_f: driver {driver_f.name!r} depends on y, where "
+                    f"{what} gives no valid lower bound; {fix}")
 
     tolerances = dict(DEFAULT_TOLERANCES)
     user_tol = _section(config, "tolerances", {})

@@ -4,10 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from weakbsde.bsde import (SchemeError, comparison_check, compute_corridor,
-                           estimation_gap, exact_scheme_for, monotone_step_ok,
-                           solve_bsde, solve_on_path_tree)
+from weakbsde.bsde import (SchemeError, _one_step, comparison_check,
+                           compute_corridor, estimation_gap, exact_scheme_for,
+                           monotone_step_ok, solve_bsde, solve_on_path_tree)
 from weakbsde.drivers import make_driver, make_loss
 from weakbsde.lattice import (AdaptedField, LatticeError, build_lattice,
                               half_sum, sign_matrix)
@@ -52,6 +53,41 @@ def test_schemes_agree_for_z_only_drivers():
         np.testing.assert_allclose(exp.y.at(k), imp.y.at(k), atol=1e-15)
     assert exact_scheme_for(d) == "explicit"
     assert exact_scheme_for(make_driver("linear", a=0.1, b=0.0)) == "implicit"
+
+
+# a y-dependent f and g (the oracles' implicit pair) and a z-only driver
+SPLIT_DRIVERS = (make_driver("linear", a=0.1, b=0.05),
+                 make_driver("linear", a=0.2, b=0.1),
+                 make_driver("softplus_z", kappa=0.2))
+
+
+@settings(max_examples=100)
+@given(d=st.sampled_from(SPLIT_DRIVERS), steps=st.integers(1, 16),
+       data=st.data())
+def test_implicit_step_is_batch_independent_property(d, steps, data):
+    # every value and slope of the implicit step keeps its bits on any split
+    # of its batch, and the batch takes the most iterations of its parts
+    lat = build_lattice(1.0, steps)
+    n = data.draw(st.integers(1, 48))
+    up, down = (np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n,
+                                            max_size=n)))
+                for _ in range(2))
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=4)))
+    t = lat.time_at(data.draw(st.integers(0, steps - 1)))
+
+    def step(part):
+        return _one_step(d, t, up[part], down[part], lat.sqrt_dt, lat.dt,
+                         "implicit")
+
+    y, z, iters = step(slice(None))
+    part_iters = []
+    for lo, hi in zip([0] + cuts, cuts + [n]):
+        y_part, z_part, it = step(slice(lo, hi))
+        assert y_part.tobytes() == y[lo:hi].tobytes()
+        assert z_part.tobytes() == z[lo:hi].tobytes()
+        if hi > lo:
+            part_iters.append(it)
+    assert iters == max(part_iters)
 
 
 def test_monotone_step_condition_enforced():

@@ -280,7 +280,7 @@ def _bits(x):
     return np.float64(x).view(np.int64)
 
 
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(driver=st.sampled_from(PROPERTY_DRIVERS), n=st.integers(1, 10),
        seed=st.integers(0, 2**32 - 1), truncate=st.booleans(),
        style=st.sampled_from(["nodes", "levels", "backward"]))

@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weakbsde.dual as dual_mod
 import weakbsde.primal as primal_mod
@@ -101,6 +102,55 @@ def test_weak_duality_against_dp_values():
             assert l * m - certificate <= primal + 1e-9
         assert res["bound"] <= primal + 1e-9
         assert res["bound"] == pytest.approx(m * m, abs=1e-6)
+
+
+# The catalogue drivers with each one's conjugate domain, the (drift, noise)
+# points where the conjugate is finite: drift is fixed, noise spans
+# [lo, hi].  Only a y-independent f gives a valid bound (the dual module), so
+# f is drawn from those; g may read y.
+WEAK_DUALITY_F = (
+    (("zero", {}), 0.0, 0.0, 0.0),
+    (("linear", {"a": 0.0, "b": 0.2}), 0.0, 0.2, 0.2),
+    (("neg_abs_z", {"kappa": 0.3}), 0.0, -0.3, 0.3),
+    (("logcosh_z", {"kappa": 0.3, "sign": -1}), 0.0, -0.3, 0.3),
+)
+WEAK_DUALITY_G = (
+    (("zero", {}), 0.0, 0.0, 0.0),
+    (("linear", {"a": 0.2, "b": 0.1}), 0.2, 0.1, 0.1),
+    (("abs_z", {"kappa": 0.2}), 0.0, -0.2, 0.2),
+    (("softplus_z", {"kappa": 0.2}), 0.0, 0.0, 0.2),
+    (("logcosh_z", {"kappa": 0.3, "sign": 1}), 0.0, -0.3, 0.3),
+)
+WEAK_DUALITY_LOSSES = (("power", {"p": 2.0}), ("power", {"p": 1.5}),
+                       ("identity", {}),
+                       ("call_spread", {"lo": 0.3, "hi": 0.7}),
+                       ("s_shaped", {}))
+
+
+@settings(max_examples=150)
+@given(f=st.sampled_from(WEAK_DUALITY_F), g=st.sampled_from(WEAK_DUALITY_G),
+       loss=st.sampled_from(WEAK_DUALITY_LOSSES), steps=st.integers(1, 6),
+       scheme=st.sampled_from(("explicit", "implicit")),
+       slope=st.floats(0.05, 4.0), data=st.data())
+def test_weak_duality_property(f, g, loss, steps, scheme, slope, data):
+    # every feasible candidate's line l m - certificate stays below the DP
+    # value at every root-grid m
+    lat = build_lattice(1.0, steps)
+    shares = st.lists(st.floats(0.0, 1.0), min_size=steps, max_size=steps)
+    profiles = []
+    for _, drift, lo, hi in (g, f):
+        profiles += [np.full(steps, drift),
+                     lo + (hi - lo) * np.array(data.draw(shares))]
+    dc = DualControls(slope, *profiles)
+    (f_name, f_params), (g_name, g_params) = f[0], g[0]
+    d_f, d_g = make_driver(f_name, **f_params), make_driver(g_name, **g_params)
+    lp = make_loss(loss[0], **loss[1])
+    surf = primal_value_dp(PrimalScenario(lattice=lat, driver_f=d_f,
+                                          driver_g=d_g, loss=lp,
+                                          scheme=scheme))
+    certificate = dual_objective(lat, dc, d_f, d_g, lp)
+    excess = slope * surf.grids[0] - certificate - surf.values[0]
+    assert float(np.max(excess)) <= 1e-9
 
 
 def test_dual_bound_matches_polar_maximum_for_zero_drivers():

@@ -131,8 +131,9 @@ def test_check_names_and_lists_validated():
                 ["dpp", "attainment", "dpp"]):
         with pytest.raises(ScenarioError, match="checks repeats"):
             build_scenario(_minimal(checks=bad))
-    for bad in (0, -3, True, 4.0):
-        with pytest.raises(ScenarioError, match=r"lattice\.steps"):
+    for bad in (0, -3, True, 4.0, 65):
+        with pytest.raises(ScenarioError, match=r"^lattice\.steps .*"
+                                                r"1\.\.MAX_LEVELS = 64, got"):
             build_scenario(_minimal(lattice={"horizon": 1.0, "steps": bad}))
     # JSON booleans are not numbers, though float(True) == 1.0
     with pytest.raises(ScenarioError, match=r"lattice\.horizon"):
@@ -322,6 +323,24 @@ def test_step_condition_errors_say_when_no_scheme_passes():
                                         "scheme": "implicit"}))
 
 
+def test_a_y_dependent_constraint_driver_refuses_the_dual():
+    # the dual's adjoint misses a p f dt^2 term per step when f reads y, and
+    # its bound lies above V: at a = 0.1 and N = 8 by 5e-4 at m = 0.5
+    lin = {"name": "linear", "params": {"a": 0.1, "b": 0.0}}
+    with pytest.raises(ScenarioError, match=r"^driver_f: driver 'linear' "
+                                            r"depends on y, .*dual search.* "
+                                            r"set dual\.enabled to false"):
+        build_scenario(_minimal(driver_f=lin))
+    with pytest.raises(ScenarioError, match=r"^driver_f: .*check "
+                                            r"weak_duality.* remove it"):
+        build_scenario(_minimal(driver_f=lin, dual={"enabled": False}))
+    build_scenario(_minimal(driver_f=lin, dual={"enabled": False},
+                            checks=["attainment", "monotonicity"]))
+    # a = 0 reads z only, and keeps the dual
+    build_scenario(_minimal(driver_f={"name": "linear",
+                                      "params": {"a": 0.0, "b": 0.1}}))
+
+
 def test_driver_params_pass_through_unchanged():
     # an int param stays an int in the hashed config
     sc = build_scenario(_minimal(
@@ -346,8 +365,10 @@ def test_thresholds_outside_the_root_corridor_fail_at_build():
                                 primal={"grid_size": 81, "m_list": [0.5]},
                                 dual={"m_list": [0.9]}))
     # the curve's own tolerance: CURVE_TOL past the edge is still inside
+    # (without the dual, which this y-dependent f refuses)
     build_scenario(_minimal(driver_f=shrink, primal={
-        "grid_size": 81, "m_list": [0.5, top + 0.5 * CURVE_TOL]}))
+        "grid_size": 81, "m_list": [0.5, top + 0.5 * CURVE_TOL]},
+        dual={"enabled": False}, checks=["attainment", "monotonicity"]))
     with pytest.raises(ScenarioError, match=r"^primal\.m_list"):
         build_scenario(_minimal(driver_f=shrink, primal={
             "grid_size": 81, "m_list": [0.5, top + 2.0 * CURVE_TOL]}))
