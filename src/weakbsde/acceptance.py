@@ -115,11 +115,11 @@ def _c03_representation_roundtrip(ws):
     rng = np.random.default_rng(ws.seed)
     lat = build_lattice(1.0, 8)
     drivers = (make_driver("zero"), make_driver("neg_abs_z", kappa=0.3))
-    worst = 0.0
-    for i in range(100):
-        xi = rng.uniform(0.0, 1.0, 9)
-        res = representation_roundtrip(lat, drivers[i % 2], xi)
-        worst = max(worst, res["max_error"])
+    # trial i draws its terminal in turn and goes to driver i % 2: one
+    # stacked roundtrip per driver
+    xi = np.array([rng.uniform(0.0, 1.0, 9) for _ in range(100)])
+    worst = max(representation_roundtrip(lat, d, xi[r::2])["max_error"]
+                for r, d in enumerate(drivers))
     return worst <= 1e-12, worst, 1e-12, {"trials": 100}
 
 
@@ -134,13 +134,14 @@ def _c04_comparison_order(ws):
         make_driver("logcosh_z", kappa=0.5),
         make_driver("softplus_z", kappa=0.4),
     )
-    worst = -math.inf
-    for i in range(100):
-        a = rng.uniform(0.0, 1.0, 9)
-        b = rng.uniform(0.0, 1.0, 9)
-        res = comparison_check(lat, drivers[i % len(drivers)],
-                               np.minimum(a, b), np.maximum(a, b))
-        worst = max(worst, res["max_violation"])
+    # trial i draws its pair in turn and goes to driver i % 6: one stacked
+    # check per driver
+    pairs = np.array([(rng.uniform(0.0, 1.0, 9), rng.uniform(0.0, 1.0, 9))
+                      for _ in range(100)])
+    lo, hi = pairs.min(axis=1), pairs.max(axis=1)
+    worst = max(comparison_check(lat, d, lo[r::len(drivers)],
+                                 hi[r::len(drivers)])["max_violation"]
+                for r, d in enumerate(drivers))
     return worst <= 1e-14, worst, 1e-14, {"trials": 100,
                                           "drivers": len(drivers)}
 

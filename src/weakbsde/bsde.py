@@ -14,6 +14,12 @@ in.  The Z extraction is the exact discrete representation coefficient,
 which is what makes the forward/backward roundtrip in the control module
 machine-exact.
 
+Because no value depends on its batch, _solve_stack solves a stack of
+terminals, (..., L + 1), in one backward pass and gives each terminal the
+bits it gets alone: solve_bsde is its batch of one, and comparison_check,
+the corridor, the a-priori envelope and control.representation_roundtrip
+solve their terminals as one stack.
+
 The explicit step is monotone in (up, down) as long as
 
     lipschitz_z * sqrt(dt) + lipschitz_y * dt <= 1
@@ -23,7 +29,6 @@ which is the standing step condition for every comparison-based result.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -107,24 +112,26 @@ def _one_step(d: Driver, t: float, up: np.ndarray, down: np.ndarray,
     )
 
 
-def solve_bsde(lattice: Lattice, d: Driver, terminal, *, scheme: str = "explicit",
-               terminal_level: int | None = None, stop_level: int = 0) -> BsdeSolution:
-    """Backward induction from a terminal array down to stop_level.
+def _solve_stack(lattice: Lattice, d: Driver, terminals, scheme: str,
+                 term_level: int, stop_level: int = 0) -> tuple:
+    """Backward induction of a stack of terminals: the one backward pass.
 
-    terminal holds the level-terminal_level values (default level N), one
-    per node; the solve takes at least one step, so stop_level must lie
-    below terminal_level.
+    terminals is (..., term_level + 1), one level-term_level value per node
+    for each terminal of the leading axes.  Returns (y, z, iters): y[i] the
+    (..., k + 1) values of level k = stop_level + i, up to term_level, z[i]
+    the level-k slopes, below term_level, and iters the most fixed-point
+    iterations of any step.  _one_step prices each value on its own
+    (up, down) pair, so every terminal of a stack gets the bits it gets
+    alone.
     """
     if scheme not in ("explicit", "implicit"):
         raise SchemeError(f"unknown scheme {scheme!r}")
-    term_values = np.asarray(terminal)
-    term_level = lattice.steps if terminal_level is None else int(terminal_level)
-    if term_values.shape != (term_level + 1,):
-        raise LatticeError(
-            f"terminal has shape {term_values.shape}, expected ({term_level + 1},)"
-        )
-    term_values = term_values.astype(float, copy=False)
-    if not np.isfinite(term_values).all():
+    vals = np.asarray(terminals)
+    if vals.shape[-1:] != (term_level + 1,):
+        raise LatticeError(f"terminals have shape {vals.shape}, "
+                           f"expected (..., {term_level + 1})")
+    vals = vals.astype(float, copy=False)
+    if not np.isfinite(vals).all():
         raise LatticeError("terminal field contains non-finite values")
     if not (0 <= stop_level < term_level <= lattice.steps):
         raise LatticeError(
@@ -135,18 +142,35 @@ def solve_bsde(lattice: Lattice, d: Driver, terminal, *, scheme: str = "explicit
         raise SchemeError("implicit fixed point needs lipschitz_y * dt < 1")
 
     dt, sq = lattice.dt, lattice.sqrt_dt
-    y_slabs = [term_values]
-    z_slabs = []
+    y_slabs, z_slabs = [vals], []
     iters = 0
     for k in range(term_level - 1, stop_level - 1, -1):
-        t_k = lattice.time_at(k)
-        nxt = y_slabs[0]
-        y, z, it = _one_step(d, t_k, nxt[1:], nxt[:-1], sq, dt, scheme)
+        nxt = y_slabs[-1]
+        y, z, it = _one_step(d, lattice.time_at(k), nxt[..., 1:],
+                             nxt[..., :-1], sq, dt, scheme)
         iters = max(iters, it)
-        y_slabs.insert(0, y)
-        z_slabs.insert(0, z)
-    return BsdeSolution(y=AdaptedField(lattice, stop_level, tuple(y_slabs)),
-                        z=AdaptedField(lattice, stop_level, tuple(z_slabs)),
+        y_slabs.append(y)
+        z_slabs.append(z)
+    return y_slabs[::-1], z_slabs[::-1], iters
+
+
+def solve_bsde(lattice: Lattice, d: Driver, terminal, *, scheme: str = "explicit",
+               terminal_level: int | None = None, stop_level: int = 0) -> BsdeSolution:
+    """Backward induction from a terminal array down to stop_level.
+
+    terminal holds the level-terminal_level values (default level N), one
+    per node; the solve takes at least one step, so stop_level must lie
+    below terminal_level.  This is _solve_stack's batch of one.
+    """
+    term_level = lattice.steps if terminal_level is None else int(terminal_level)
+    if np.shape(terminal) != (term_level + 1,):
+        raise LatticeError(
+            f"terminal has shape {np.shape(terminal)}, expected ({term_level + 1},)"
+        )
+    y, z, iters = _solve_stack(lattice, d, terminal, scheme, term_level,
+                               stop_level)
+    return BsdeSolution(y=AdaptedField(lattice, stop_level, tuple(y)),
+                        z=AdaptedField(lattice, stop_level, tuple(z)),
                         fixed_point_iters=iters)
 
 
@@ -158,7 +182,7 @@ class Corridor:
     A driver reads (t, y, z) only, so every node of a level steps the same
     constant (up = down) through the same arithmetic: the solve is the same
     at each node, bit for bit, and its slope is exactly 0.  floor[k] and
-    ceiling[k] are node 0 of the two solves.
+    ceiling[k] are node 0 of the two solves, priced as one stack.
     """
 
     floor: np.ndarray    # (N + 1,)
@@ -171,18 +195,20 @@ class Corridor:
 def compute_corridor(lattice: Lattice, d: Driver, *,
                      scheme: str = "explicit") -> Corridor:
     n = lattice.steps
-    lo = solve_bsde(lattice, d, np.zeros(n + 1), scheme=scheme)
-    hi = solve_bsde(lattice, d, np.ones(n + 1), scheme=scheme)
-    return Corridor(floor=np.array([y[0] for y in lo.y.slabs]),
-                    ceiling=np.array([y[0] for y in hi.y.slabs]))
+    edges = np.repeat([[0.0], [1.0]], n + 1, axis=1)
+    y = _solve_stack(lattice, d, edges, scheme, n)[0]
+    return Corridor(floor=np.array([v[0, 0] for v in y]),
+                    ceiling=np.array([v[1, 0] for v in y]))
 
 
 def comparison_check(lattice: Lattice, d: Driver, terminal_low, terminal_high, *,
                      scheme: str = "explicit") -> dict:
-    """Solve two ordered terminals and report the worst order violation.
+    """Solve ordered terminal pairs and report the worst order violation.
 
-    Returns max over all nodes of (Y_low - Y_high); nonpositive means the
-    discrete comparison principle held.
+    terminal_low and terminal_high are one (N + 1,) pair or a stack of
+    pairs, (..., N + 1), all solved in one pass.  Returns max over all pairs
+    and nodes of (Y_low - Y_high); nonpositive means the discrete
+    comparison principle held.
     """
     lo = np.asarray(terminal_low, float)
     hi = np.asarray(terminal_high, float)
@@ -190,11 +216,8 @@ def comparison_check(lattice: Lattice, d: Driver, terminal_low, terminal_high, *
         raise LatticeError("terminal fields must share a shape")
     if np.any(lo > hi):
         raise LatticeError("terminal_low must be <= terminal_high nodewise")
-    sol_lo = solve_bsde(lattice, d, lo, scheme=scheme)
-    sol_hi = solve_bsde(lattice, d, hi, scheme=scheme)
-    worst = -math.inf
-    for k in range(lattice.steps + 1):
-        worst = max(worst, float(np.max(sol_lo.y.at(k) - sol_hi.y.at(k))))
+    y = _solve_stack(lattice, d, np.stack((lo, hi)), scheme, lattice.steps)[0]
+    worst = max(float(np.max(v[0] - v[1])) for v in y)
     return {"max_violation": worst}
 
 
@@ -207,10 +230,11 @@ def apriori_bound_field(lattice: Lattice, g: Driver, lp: LossPair, *,
     expectation is monotone under the step condition.
     """
     n = lattice.steps
-    top = solve_bsde(lattice, g, np.full(n + 1, float(lp.phi(1.0))), scheme=scheme)
-    bot = solve_bsde(lattice, g, np.full(n + 1, float(lp.phi(0.0))), scheme=scheme)
-    slabs = tuple(np.abs(top.y.at(k)) + np.abs(bot.y.at(k)) for k in range(n + 1))
-    return AdaptedField(lattice, 0, slabs)
+    edges = np.repeat([[float(lp.phi(1.0))], [float(lp.phi(0.0))]], n + 1,
+                      axis=1)
+    y = _solve_stack(lattice, g, edges, scheme, n)[0]
+    return AdaptedField(lattice, 0, tuple(np.abs(v[0]) + np.abs(v[1])
+                                          for v in y))
 
 
 def estimation_gap(lattice: Lattice, g: Driver, terminal_values, k: int,

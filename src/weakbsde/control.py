@@ -20,6 +20,13 @@ The checks read only maxima: admissible measures the worst corridor
 excursion of the rows' states, and representation_roundtrip compares
 each row with the backward solve at its node.
 
+_row_walk is the one row walk, over a stack of walks at once: each row
+also carries its walk's id as a key, so a stack's walks never merge and
+each keeps the rows it keeps alone.  A one-start simulate_rows and a
+one-terminal representation_roundtrip are its batch of one; the runner's
+roundtrip and admissibility checks walk a stack of terminals or policies
+in one pass.
+
 _children is the one forward step: the walk here and the primal backup,
 greedy plan and policy oracle all call it.  _distinct_rows is the one
 row dedupe: the walk here, primal.greedy_plan (whose greedy control
@@ -31,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bsde import Corridor, exact_scheme_for, solve_bsde
+from .bsde import Corridor, _solve_stack, exact_scheme_for
 from .drivers import Driver
 from .lattice import Lattice, LatticeError
 
@@ -69,8 +76,8 @@ def _interleave(up: np.ndarray, dn: np.ndarray) -> np.ndarray:
 
 def _truncate(lattice: Lattice, f: Driver, corridor: Corridor, k: int,
               m: np.ndarray, a: np.ndarray, latched: np.ndarray) -> tuple:
-    """The level-k slopes a of states m, truncated at the corridor, and the
-    states' updated latches.
+    """The children of level-k states m under slopes a truncated at the
+    corridor, and the states' updated latches.
 
     A path keeps its slope until it first reaches an edge, and takes slope
     0 from then on, the edges' own slope (a constant terminal has Z = 0):
@@ -80,7 +87,9 @@ def _truncate(lattice: Lattice, f: Driver, corridor: Corridor, k: int,
     (predictive) trigger is the discrete stand-in for continuous paths
     touching the boundary before crossing: without it a large control could
     jump straight across the corridor and no truncation could repair the
-    excursion after the fact.
+    excursion after the fact.  The proposed children are kept for the
+    states that stay unlatched; only the latched ones step again, at 0.
+    Returns (up, down, latched).
     """
     up, dn = _children(lattice, f, k, m, a)
     lo, hi = corridor.bounds_at(k)
@@ -88,7 +97,11 @@ def _truncate(lattice: Lattice, f: Driver, corridor: Corridor, k: int,
     latched = latched | ((m <= lo + HIT_TOL) | (m >= hi - HIT_TOL)
                          | (up < lo_next) | (dn < lo_next)
                          | (up > hi_next) | (dn > hi_next))
-    return np.where(latched, 0.0, a), latched
+    if latched.any():
+        m_held = m[latched]
+        up[latched], dn[latched] = _children(lattice, f, k, m_held,
+                                             np.zeros(m_held.size))
+    return up, dn, latched
 
 
 def _distinct_rows(*columns) -> np.ndarray:
@@ -113,55 +126,83 @@ def _distinct_rows(*columns) -> np.ndarray:
     return order[starts]
 
 
-def simulate_rows(lattice: Lattice, f: Driver, mu0: float, controls,
-                  corridor: Corridor | None = None) -> tuple:
-    """Forward recursion over the distinct rows of every level.
+def _row_walk(lattice: Lattice, f: Driver, mu0, controls,
+              corridor: Corridor | None = None) -> tuple:
+    """Forward recursion over the distinct rows of every level, for a stack
+    of walks at once: the one row walk.
 
-    controls[k] is the (k + 1,) array of level-k node slopes, k < N.  A
-    level-k row (j, m) takes slope controls[k][j] and steps to the rows
-    (j + 1, up) and (j, down) of level k + 1; rows that repeat the bits of
-    another are dropped.  With a corridor each row also carries its path's
-    latch, and its slope is truncated at the edges (_truncate).  A level
-    of more than MAX_PLAN_ROWS rows raises a LatticeError.
+    mu0 is one start or a stack of starts; controls[k] holds the
+    level-k node slopes of each walk, shape mu0.shape + (k + 1,), k < N.
+    A level-k row (w, j, m) of walk w takes slope controls[k][w][j] and
+    steps to the rows (w, j + 1, up) and (w, j, down) of level k + 1; rows
+    that repeat the bits of another are dropped.  The walk w is one more
+    key column, so the rows of two walks never merge and each walk keeps
+    the rows it keeps alone.  With a corridor each row also carries its
+    path's latch, and its slope is truncated at the edges (_truncate).  A
+    level on which one walk holds more than MAX_PLAN_ROWS rows raises a
+    LatticeError.
 
-    Returns (nodes, states, latched), each a list over levels 0..N:
-    nodes[k] and states[k] hold the node and state of each level-k row,
-    and latched[k] whether the row's paths reached an edge before level k
-    (latched is None without a corridor).
+    Returns (walks, nodes, states, latched), each a list over levels
+    0..N: walks[k], nodes[k] and states[k] hold the walk, node and state
+    of each level-k row, and latched[k] whether the row's paths reached an
+    edge before level k (latched is None without a corridor).
     """
     n = lattice.steps
     if len(controls) != n:
         raise PolicyError(f"need controls for levels 0..{n - 1}, "
                           f"got {len(controls)}")
-    j = np.zeros(1, dtype=np.intp)
-    m = np.array([float(mu0)])
-    latch = None if corridor is None else np.zeros(1, dtype=bool)
-    nodes, states, latched = [j], [m], [latch]
+    starts = np.array(mu0, dtype=float)
+    w = np.arange(starts.size)
+    j = np.zeros(starts.size, dtype=np.intp)
+    m = starts.reshape(-1)
+    latch = None if corridor is None else np.zeros(starts.size, dtype=bool)
+    walks, nodes, states, latched = [w], [j], [m], [latch]
     for k in range(n):
         level = np.asarray(controls[k], dtype=float)
-        if level.shape != (k + 1,):
+        if level.shape != starts.shape + (k + 1,):
             raise PolicyError(f"level {k} controls have shape {level.shape}, "
-                              f"expected ({k + 1},)")
-        a = level[j]
-        if corridor is not None:
+                              f"expected {starts.shape + (k + 1,)}")
+        a = level.reshape(-1, k + 1)[w, j]
+        if corridor is None:
+            up, dn = _children(lattice, f, k, m, a)
+        else:
             # both children inherit their parent's updated latch
-            a, latch = _truncate(lattice, f, corridor, k, m, a, latch)
+            up, dn, latch = _truncate(lattice, f, corridor, k, m, a, latch)
             latch = np.concatenate((latch, latch))
-        m = np.concatenate(_children(lattice, f, k, m, a))
+        m = np.concatenate((up, dn))
         j = np.concatenate((j + 1, j))
-        keys = (m, j) if corridor is None else (m, j, latch)
+        w = np.concatenate((w, w))
+        keys = (m, j, w) if corridor is None else (m, j, latch, w)
         first = _distinct_rows(*keys)
         if first.size > MAX_PLAN_ROWS:
-            raise LatticeError(
-                f"row walk reaches {first.size} rows at level {k + 1}, "
-                f"over its budget of MAX_PLAN_ROWS = {MAX_PLAN_ROWS}")
-        m, j = m[first], j[first]
+            most = int(np.bincount(w[first]).max())
+            if most > MAX_PLAN_ROWS:
+                raise LatticeError(
+                    f"row walk reaches {most} rows at level {k + 1}, "
+                    f"over its budget of MAX_PLAN_ROWS = {MAX_PLAN_ROWS}")
+        m, j, w = m[first], j[first], w[first]
         if corridor is not None:
             latch = latch[first]
+        walks.append(w)
         nodes.append(j)
         states.append(m)
         latched.append(latch)
-    return nodes, states, None if corridor is None else latched
+    return walks, nodes, states, None if corridor is None else latched
+
+
+def simulate_rows(lattice: Lattice, f: Driver, mu0, controls,
+                  corridor: Corridor | None = None) -> tuple:
+    """The row walk (_row_walk) without its walk column.
+
+    mu0 is one start, with controls[k] the (k + 1,) array of level-k node
+    slopes, or a (B,) stack of starts, with (B, k + 1) slopes, walked in
+    one pass.  Returns (nodes, states, latched), each a list over levels
+    0..N: nodes[k] and states[k] hold the node and state of each level-k
+    row, and latched[k] whether the row's paths reached an edge before
+    level k (latched is None without a corridor).  A stack's rows are
+    those of its B walks together, so a row may repeat another walk's.
+    """
+    return _row_walk(lattice, f, mu0, controls, corridor)[1:]
 
 
 def admissible(corridor: Corridor, states) -> dict:
@@ -183,26 +224,29 @@ def representation_roundtrip(lattice: Lattice, f: Driver, terminal, *,
                              scheme: str | None = None) -> dict:
     """Solve backward, feed the slopes forward, compare with the terminal.
 
-    terminal is the (N + 1,) array of level-N values.  With the scheme
-    matched to the driver (implicit when f depends on y) the forward
-    recursion inverts the backward step exactly, so the terminal field is
-    reproduced on every path to machine precision.  n_rows counts the
-    rows simulated (simulate_rows), over all levels.
+    terminal is the (N + 1,) array of level-N values, or a stack of them,
+    (..., N + 1): one backward pass (_solve_stack) and one row walk
+    (_row_walk) price the whole stack, and the errors are the maxima over
+    its terminals.  With the scheme matched to the driver (implicit when f
+    depends on y) the forward recursion inverts the backward step exactly,
+    so the terminal field is reproduced on every path to machine
+    precision.  mu0 is the root value, an array of them for a stack, and
+    n_rows counts the rows simulated, over all levels and terminals.
     """
     if scheme is None:
         scheme = exact_scheme_for(f)
-    sol = solve_bsde(lattice, f, terminal, scheme=scheme)
-    mu0 = sol.value_at_root()
-    nodes, states, _ = simulate_rows(lattice, f, mu0, sol.z.slabs)
+    y, z, _ = _solve_stack(lattice, f, terminal, scheme, lattice.steps)
+    mu0 = y[0][..., 0]
+    walks, nodes, states, _ = _row_walk(lattice, f, mu0, z)
     # every row against the backward value at its node, the terminal level
-    # (which holds the terminal itself) last: node j of level k is entry
-    # k (k + 1) / 2 + j of the levels laid end to end
-    sizes = [j.size for j in nodes]
-    at = np.concatenate(nodes) + np.repeat(np.cumsum(np.arange(len(nodes))),
-                                           sizes)
-    err = np.abs(np.concatenate(states) - np.concatenate(sol.y.slabs)[at])
-    max_err = float(np.max(err[-sizes[-1]:]))
+    # (which holds the terminal itself) last: node j of walk w at level k
+    # is entry B k (k + 1) / 2 + w (k + 1) + j of the levels laid end to end
+    at = np.concatenate([w * (k + 1) + j + mu0.size * k * (k + 1) // 2
+                         for k, (w, j) in enumerate(zip(walks, nodes))])
+    err = np.abs(np.concatenate(states)
+                 - np.concatenate([v.reshape(-1) for v in y])[at])
+    max_err = float(np.max(err[-nodes[-1].size:]))
     interior = float(np.max(err))
     return {"max_error": max_err, "max_interior_error": interior,
-            "scheme": scheme, "mu0": mu0,
+            "scheme": scheme, "mu0": float(mu0) if mu0.ndim == 0 else mu0,
             "n_rows": len(err)}

@@ -166,27 +166,26 @@ def _check_comparison(ctx):
     n = sc.lattice.steps
     worst = -math.inf
     for d in (sc.driver_f, sc.driver_g):
-        for _ in range(10):
-            a = rng.uniform(0.0, 1.0, n + 1)
-            b = rng.uniform(0.0, 1.0, n + 1)
-            res = comparison_check(sc.lattice, d, np.minimum(a, b),
-                                   np.maximum(a, b), scheme=sc.scheme)
-            worst = max(worst, res["max_violation"])
+        # ten seeded pairs per driver, solved as one stack
+        pairs = np.array([(rng.uniform(0.0, 1.0, n + 1),
+                           rng.uniform(0.0, 1.0, n + 1)) for _ in range(10)])
+        res = comparison_check(sc.lattice, d, pairs.min(axis=1),
+                               pairs.max(axis=1), scheme=sc.scheme)
+        worst = max(worst, res["max_violation"])
     return _at_most("comparison", worst, sc.tolerances["comparison"])
 
 
 def _roundtrip_walks(sc) -> tuple:
     """(worst terminal error, rows simulated) over the roundtrip check's
-    seeded terminals: ten per driver."""
+    seeded terminals: ten per driver, walked as one stack."""
     rng = np.random.default_rng(sc.seed + 1)
     n = sc.lattice.steps
     worst, rows = 0.0, 0
     for d in (sc.driver_f, sc.driver_g):
-        for _ in range(10):
-            xi = rng.uniform(0.0, 1.0, n + 1)
-            res = representation_roundtrip(sc.lattice, d, xi)
-            worst = max(worst, res["max_error"])
-            rows += res["n_rows"]
+        xi = np.array([rng.uniform(0.0, 1.0, n + 1) for _ in range(10)])
+        res = representation_roundtrip(sc.lattice, d, xi)
+        worst = max(worst, res["max_error"])
+        rows += res["n_rows"]
     return worst, rows
 
 
@@ -199,20 +198,18 @@ def _check_roundtrip(ctx):
 def _admissibility_walks(sc, corridor) -> tuple:
     """(worst excursion, rows simulated) over the admissibility check's ten
     seeded random node policies, each truncated at the corridor and
-    started mid-corridor."""
+    started mid-corridor, walked as one stack."""
     rng = np.random.default_rng(sc.seed + 2)
     lat = sc.lattice
     bound = 1.0 / lat.sqrt_dt
     lo, hi = corridor.bounds_at(0)
-    mu0 = 0.5 * (lo + hi)
-    worst, rows = 0.0, 0
-    for _ in range(10):
-        controls = [rng.uniform(-bound, bound, k + 1) for k in range(lat.steps)]
-        states = simulate_rows(lat, sc.driver_f, mu0, controls, corridor)[1]
-        res = admissible(corridor, states)
-        worst = max(worst, res["worst_violation"])
-        rows += res["n_rows"]
-    return worst, rows
+    policies = [[rng.uniform(-bound, bound, k + 1) for k in range(lat.steps)]
+                for _ in range(10)]
+    controls = [np.array(level) for level in zip(*policies)]
+    states = simulate_rows(lat, sc.driver_f, np.full(10, 0.5 * (lo + hi)),
+                           controls, corridor)[1]
+    res = admissible(corridor, states)
+    return res["worst_violation"], res["n_rows"]
 
 
 def _check_admissibility(ctx):

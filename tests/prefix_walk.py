@@ -2,9 +2,9 @@
 
 control.simulate_rows walks the distinct (node, state, latch) rows of each
 level.  The walk here steps all 2^k prefixes of level k at once, in
-sign-matrix prefix order, through the same _truncate and _children
-expressions, so the states it reaches at a level are the rows' states
-with repeats.  It is guarded at MAX_PATH_LEVELS levels.
+sign-matrix prefix order, through the same _truncate latches and
+_children expression, so the states it reaches at a level are the rows'
+states with repeats.  It is guarded at MAX_PATH_LEVELS levels.
 """
 
 from functools import lru_cache
@@ -55,7 +55,11 @@ def simulate_all_prefixes(lattice, f, mu0, controls, corridor=None) -> tuple:
         m = states[k]
         a = np.asarray(controls[k], dtype=float)[prefix_up_counts(k)]
         if corridor is not None:
-            a, latch = _truncate(lattice, f, corridor, k, m, a, latched[k])
+            # _truncate's latches, then one step of every prefix at its
+            # truncated slope: the row walk steps only the latched rows
+            # again, and must reach the same bits
+            latch = _truncate(lattice, f, corridor, k, m, a, latched[k])[2]
+            a = np.where(latch, 0.0, a)
             # both children inherit their parent's updated latch
             latched.append(np.repeat(latch, 2))
         states.append(_interleave(*_children(lattice, f, k, m, a)))

@@ -89,6 +89,18 @@ def test_oracle_criteria_entries_are_pinned():
     ]
 
 
+def test_stacked_criteria_entries_are_pinned():
+    """Criteria 3 and 4 at seed 24, recorded while they still made one
+    roundtrip or comparison call per trial: their stacked calls (one per
+    driver) must keep every reading."""
+    entries = verify_all(only=[3, 4], seed=24, quiet=True)["criteria"]
+    assert [(e["number"], e["status"], e["measured"], e["detail"])
+            for e in entries] == [
+        (3, "PASS", 5.551115123125783e-16, {"trials": 100}),
+        (4, "PASS", -0.0020900289877214817, {"trials": 100, "drivers": 6}),
+    ]
+
+
 def test_criterion_08_dynamic_programming_consistency(workspace):
     _run(8, workspace)
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakbsde.bsde import (SchemeError, _one_step, comparison_check,
+from weakbsde.bsde import (SchemeError, _one_step, _solve_stack,
+                           apriori_bound_field, comparison_check,
                            compute_corridor, estimation_gap, exact_scheme_for,
                            monotone_step_ok, solve_bsde, solve_on_path_tree)
 from weakbsde.drivers import make_driver, make_loss
@@ -88,6 +89,69 @@ def test_implicit_step_is_batch_independent_property(d, steps, data):
         if hi > lo:
             part_iters.append(it)
     assert iters == max(part_iters)
+
+
+# one driver of each catalogue kind, the y-dependent linear f among them
+STACK_DRIVERS = (make_driver("zero"), make_driver("linear", a=0.1, b=0.05),
+                 make_driver("abs_z", kappa=0.3),
+                 make_driver("neg_abs_z", kappa=0.3),
+                 make_driver("logcosh_z", kappa=0.5),
+                 make_driver("logcosh_z", kappa=0.3, sign=-1),
+                 make_driver("softplus_z", kappa=0.4))
+
+
+@settings(max_examples=80)
+@given(d=st.sampled_from(STACK_DRIVERS),
+       scheme=st.sampled_from(["explicit", "implicit"]),
+       steps=st.integers(1, 12), size=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_a_stack_of_terminals_keeps_each_terminals_bits_property(
+        d, scheme, steps, size, seed):
+    lat = build_lattice(1.0, steps)
+    rng = np.random.default_rng(seed)
+    terms = rng.uniform(-1.0, 2.0, (size, steps + 1))
+    y, z, _ = _solve_stack(lat, d, terms, scheme, steps)
+    for b, term in enumerate(terms):
+        alone = solve_bsde(lat, d, term, scheme=scheme)
+        for k in range(steps + 1):
+            assert y[k][b].tobytes() == alone.y.at(k).tobytes()
+        for k in range(steps):
+            assert z[k][b].tobytes() == alone.z.at(k).tobytes()
+
+    # the stacked comparison is the worst of its pairs
+    highs = terms + rng.uniform(0.0, 1.0, terms.shape)
+    got = comparison_check(lat, d, terms, highs, scheme=scheme)
+    want = max(comparison_check(lat, d, lo, hi, scheme=scheme)["max_violation"]
+               for lo, hi in zip(terms, highs))
+    assert np.float64(got["max_violation"]).tobytes() == \
+        np.float64(want).tobytes()
+
+    # the corridor and the envelope price their two constants as one stack
+    ends = {v: solve_bsde(lat, d, np.full(steps + 1, v), scheme=scheme).y
+            for v in (0.0, 1.0)}
+    cor = compute_corridor(lat, d, scheme=scheme)
+    assert cor.floor.tobytes() == np.array(
+        [ends[0.0].at(k)[0] for k in range(steps + 1)]).tobytes()
+    assert cor.ceiling.tobytes() == np.array(
+        [ends[1.0].at(k)[0] for k in range(steps + 1)]).tobytes()
+    envelope = apriori_bound_field(lat, d, make_loss("power", p=2.0),
+                                   scheme=scheme)
+    for k in range(steps + 1):  # phi(1) = 1 and phi(0) = 0
+        assert envelope.at(k).tobytes() == (
+            np.abs(ends[1.0].at(k)) + np.abs(ends[0.0].at(k))).tobytes()
+
+
+def test_solve_stack_validates_the_node_axis():
+    lat = build_lattice(1.0, 4)
+    d = make_driver("zero")
+    with pytest.raises(LatticeError, match=r"terminals have shape \(2, 4\), "
+                                           r"expected \(\.\.\., 5\)"):
+        _solve_stack(lat, d, np.zeros((2, 4)), "explicit", 4)
+    with pytest.raises(LatticeError, match=r"terminal has shape \(2, 5\), "
+                                           r"expected \(5,\)"):
+        solve_bsde(lat, d, np.zeros((2, 5)))
+    with pytest.raises(LatticeError, match="non-finite"):
+        comparison_check(lat, d, np.zeros((2, 5)), np.full((2, 5), np.inf))
 
 
 def test_monotone_step_condition_enforced():
@@ -223,7 +287,6 @@ def test_path_tree_batches_and_slopes():
 
 
 def test_apriori_envelope_for_zero_driver_power_loss():
-    from weakbsde.bsde import apriori_bound_field
     lat = build_lattice(1.0, 4)
     field = apriori_bound_field(lat, make_driver("zero"),
                                 make_loss("power", p=2.0))

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 import weakbsde.control as control_mod
 from weakbsde.bsde import compute_corridor, solve_bsde
-from weakbsde.control import (HIT_TOL, PolicyError, admissible,
+from weakbsde.control import (HIT_TOL, PolicyError, _row_walk, admissible,
                               representation_roundtrip, simulate_rows)
 from weakbsde.drivers import make_driver
 from weakbsde.lattice import LatticeError, build_lattice, sign_matrix
@@ -317,6 +317,60 @@ def test_row_walk_equals_the_prefix_walk_property(driver, n, seed, truncate,
         assert _bits(got[key]) == _bits(want[key]), key
 
 
+@settings(max_examples=60)
+@given(driver=st.sampled_from(PROPERTY_DRIVERS), n=st.integers(1, 8),
+       size=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       twin=st.booleans(), style=st.sampled_from(["nodes", "levels"]))
+def test_a_stack_of_walks_is_its_walks_property(driver, n, size, seed, twin,
+                                                 style):
+    # the stacked roundtrip and admissibility walk read the max (and, for
+    # n_rows, the sum) of their one-terminal calls, and each walk of a
+    # stack keeps the rows it keeps alone, even where two walks are equal
+    lat = build_lattice(1.0, n)
+    rng = np.random.default_rng(seed)
+    xi = rng.uniform(0.0, 1.0, (size, n + 1))
+    if twin:
+        xi[-1] = xi[0]
+    got = representation_roundtrip(lat, driver, xi)
+    alone = [representation_roundtrip(lat, driver, x) for x in xi]
+    for key in ("max_error", "max_interior_error"):
+        assert _bits(got[key]) == _bits(max(a[key] for a in alone)), key
+    assert got["n_rows"] == sum(a["n_rows"] for a in alone)
+    assert got["mu0"].tobytes() == \
+        np.array([a["mu0"] for a in alone]).tobytes()
+
+    cor = compute_corridor(lat, driver)
+    lo, hi = cor.bounds_at(0)
+    starts = rng.uniform(lo, hi, size)
+    bound = 2.0 / lat.sqrt_dt
+    if style == "nodes":      # a slope per node
+        controls = [rng.uniform(-bound, bound, (size, k + 1))
+                    for k in range(n)]
+    else:                     # one slope per level: many exact repeats
+        controls = [np.repeat(rng.uniform(-bound, bound, (size, 1)), k + 1,
+                              axis=1) for k in range(n)]
+    if twin:
+        starts[-1] = starts[0]
+        for level in controls:
+            level[-1] = level[0]
+    walks, nodes, states, latched = _row_walk(lat, driver, starts, controls,
+                                              cor)
+    got = admissible(cor, states)
+    alone = []
+    for b in range(size):
+        walk = simulate_rows(lat, driver, starts[b],
+                             [level[b] for level in controls], cor)
+        alone.append(admissible(cor, walk[1]))
+        mine = [walks[k] == b for k in range(n + 1)]
+        assert _walk_rows(walk) == _walk_rows(
+            ([j[w] for j, w in zip(nodes, mine)],
+             [m[w] for m, w in zip(states, mine)],
+             [h[w] for h, w in zip(latched, mine)]))
+    assert _bits(got["worst_violation"]) == \
+        _bits(max(a["worst_violation"] for a in alone))
+    assert got["n_rows"] == sum(a["n_rows"] for a in alone)
+
+
 def test_row_walk_runs_where_prefixes_cannot():
     # 2^32 prefixes at N = 32; the rows of each level stay in the hundreds
     lat = build_lattice(1.0, 32)
@@ -350,6 +404,25 @@ def test_row_walk_is_guarded_by_a_row_budget(monkeypatch):
     with pytest.raises(LatticeError, match=r"8 rows at level 3, over its "
                                            r"budget of MAX_PLAN_ROWS = 4"):
         simulate_rows(lat, d, 0.5, controls)
+
+
+def test_the_row_budget_holds_per_walk(monkeypatch):
+    # walk 0 splits every prefix (1, 2, 4, 8 rows); walk 1 holds slope 0,
+    # so its rows are the nodes (1, 2, 3, 4 rows)
+    d = make_driver("zero")
+    split = [np.array([1.0]), np.array([2.0, 3.0]),
+             np.array([4.0, 5.0, 6.0])]
+    controls = [np.stack((level, np.zeros(level.size))) for level in split]
+    starts = np.array([0.5, 0.25])
+    monkeypatch.setattr(control_mod, "MAX_PLAN_ROWS", 4)
+    # two levels: 4 + 3 rows on level 2, over the budget together but
+    # within it walk by walk
+    states = simulate_rows(build_lattice(1.0, 2), d, starts, controls[:2])[1]
+    assert [m.size for m in states] == [2, 4, 7]
+    # three levels: walk 0 alone reaches 8 rows
+    with pytest.raises(LatticeError, match=r"8 rows at level 3, over its "
+                                           r"budget of MAX_PLAN_ROWS = 4"):
+        simulate_rows(build_lattice(1.0, 3), d, starts, controls)
 
 
 def test_the_checks_row_counts_are_pinned():
