@@ -69,8 +69,8 @@ class Workspace:
             self._surfaces[key] = primal_value_dp(self.primal(name, grid_size))
         return self._surfaces[key]
 
-    def value(self, name, m, grid_size=None):
-        return float(value_curve(self.surface(name, grid_size), [m])[0])
+    def value(self, name, m):
+        return float(value_curve(self.surface(name), [m])[0])
 
     def dual(self, name, m):
         if name not in self._duals:

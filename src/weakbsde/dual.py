@@ -110,6 +110,12 @@ GOLDEN_STEP = 0.5 * (3.0 - math.sqrt(5.0))
 SQRT_EPS = math.sqrt(np.finfo(float).eps)
 # the smallest slope a search prices: the dual maximizes over l > 0
 SLOPE_FLOOR = 1e-8
+# points of a coordinate window of the descent
+WINDOW_POINTS = 9
+# most certificates one slope's descent scores, its start included
+DESCENT_BUDGET = 200_000
+# bracket width at which a slope search stops (its step tolerance in _brent)
+SLOPE_TOL = 1e-6
 
 
 class DualFeasibilityError(ValueError):
@@ -458,8 +464,7 @@ def _feasible_start(d: Driver, kind: str) -> tuple:
 
 
 def _descend(lattice: Lattice, slopes, d_f: Driver, d_g: Driver,
-             lp: LossPair, rounds: int, grid_points: int,
-             budget: int) -> list:
+             lp: LossPair, rounds: int) -> list:
     """Coordinate descent of a batch of slopes, in lockstep (dual_values)."""
     n = lattice.steps
     u0, v0 = _feasible_start(d_g, "convex")
@@ -482,18 +487,14 @@ def _descend(lattice: Lattice, slopes, d_f: Driver, d_g: Driver,
         raise ConjugateDomainError(infinite)
     evaluations = np.ones(len(slopes), dtype=np.int64)
     accepted = np.zeros(len(slopes), dtype=np.int64)
-    sweep_cost = grid_points * max(1, len(axes))
-    if sweep_cost > budget:
-        raise DualFeasibilityError(
-            f"one sweep needs {sweep_cost} evaluations, budget is {budget}"
-        )
     for rnd in range(rounds):
         for i, k in axes:
             width = widths[i] / 4.0**rnd
             wins = []
-            for c, left in zip(inc.profiles[i][:, k], budget - evaluations):
+            for c, left in zip(inc.profiles[i][:, k],
+                               DESCENT_BUDGET - evaluations):
                 win = np.unique(np.clip(np.linspace(c - width, c + width,
-                                                    grid_points),
+                                                    WINDOW_POINTS),
                                         -widths[i], widths[i]))
                 wins.append(win[win != c][:left])
             counts = np.array([win.size for win in wins])
@@ -529,8 +530,7 @@ def _descend(lattice: Lattice, slopes, d_f: Driver, d_g: Driver,
 
 
 def dual_values(lattice: Lattice, slopes, d_f: Driver, d_g: Driver,
-                lp: LossPair, rounds: int = 3, grid_points: int = 9,
-                budget: int = 200_000) -> list:
+                lp: LossPair, rounds: int = 3) -> list:
     """dual_value of each slope, in order, priced in batches.
 
     A batch holds at most SCAN_PAIRS // 2^N slopes (at least one) and runs
@@ -542,13 +542,12 @@ def dual_values(lattice: Lattice, slopes, d_f: Driver, d_g: Driver,
     out = []
     for start in range(0, len(slopes), per_batch):
         out.extend(_descend(lattice, slopes[start:start + per_batch], d_f,
-                            d_g, lp, rounds, grid_points, budget))
+                            d_g, lp, rounds))
     return out
 
 
 def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
-               lp: LossPair, rounds: int = 3, grid_points: int = 9,
-               budget: int = 200_000) -> dict:
+               lp: LossPair, rounds: int = 3) -> dict:
     """Coordinate descent on the four step profiles at fixed slope.
 
     Starts from the (0,0,0,0) profiles (or the nearest feasible point when
@@ -559,8 +558,7 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
     remain valid.  n_evaluations counts certificates scored, the start
     included; n_accepted counts moves.  The one-slope case of dual_values.
     """
-    return dual_values(lattice, [l], d_f, d_g, lp, rounds=rounds,
-                       grid_points=grid_points, budget=budget)[0]
+    return dual_values(lattice, [l], d_f, d_g, lp, rounds=rounds)[0]
 
 
 def _golden_section(m: float, lo: float, hi: float, tol: float):
@@ -641,7 +639,7 @@ def _brent(m: float, a: float, b: float, tol: float):
                 v, fv = u, fu
 
 
-def _slope_search(m: float, l_max: float, tol: float, lp: LossPair):
+def _slope_search(m: float, l_max: float, lp: LossPair):
     """The stepping routine that maximizes l*m - certificate(l) over
     [SLOPE_FLOOR, l_max]: Brent's method where the loss polar is smooth
     (lp.polar_grad is set), golden section where it is piecewise linear;
@@ -651,7 +649,7 @@ def _slope_search(m: float, l_max: float, tol: float, lp: LossPair):
         raise DualFeasibilityError(
             f"l_max must be finite and above {SLOPE_FLOOR}, got {l_max!r}")
     search = _golden_section if lp.polar_grad is None else _brent
-    return search(m, SLOPE_FLOOR, float(l_max), tol)
+    return search(m, SLOPE_FLOOR, float(l_max), SLOPE_TOL)
 
 
 def _step(search, certificate):
@@ -664,8 +662,7 @@ def _step(search, certificate):
 
 
 def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
-               m: float, l_max: float = 4.0, tol: float = 1e-6,
-               rounds: int = 3, budget: int = 200_000,
+               m: float, l_max: float = 4.0, rounds: int = 3,
                certificates: dict | None = None) -> dict:
     """Maximization of l*m - certificate(l) over l in (0, l_max]: Brent's
     method where the loss polar is smooth, golden section where it is
@@ -676,15 +673,14 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
     the best value ever seen, not just the final bracket midpoint.
 
     certificates is the lockstep_certificates dict of thresholds that
-    include m, on the same lattice, drivers, loss, rounds and budget, and is
+    include m, on the same lattice, drivers, loss, l_max and rounds, and is
     only read; without it m is priced alone, a lockstep of one threshold.
     A slope the search wants and the dict lacks raises DualFeasibilityError.
     """
     if certificates is None:
         certificates = lockstep_certificates(lattice, d_f, d_g, lp, [m],
-                                             l_max=l_max, tol=tol,
-                                             rounds=rounds, budget=budget)
-    search = _slope_search(m, l_max, tol, lp)
+                                             l_max=l_max, rounds=rounds)
+    search = _slope_search(m, l_max, lp)
     trace = []
     l = _step(search, None)
     while l is not None:
@@ -692,7 +688,7 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
             raise DualFeasibilityError(
                 f"certificates has no entry for slope {l!r}: pass the "
                 f"lockstep_certificates dict of thresholds that include "
-                f"m = {m!r}, with the same l_max, tol, rounds and budget")
+                f"m = {m!r}, with the same l_max and rounds")
         trace.append((l, certificates[l]))
         l = _step(search, certificates[l])
     best_idx = max(range(len(trace)), key=lambda i: trace[i][0] * m - trace[i][1])
@@ -708,8 +704,7 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
 
 def lockstep_certificates(lattice: Lattice, d_f: Driver, d_g: Driver,
                           lp: LossPair, thresholds, l_max: float = 4.0,
-                          tol: float = 1e-6, rounds: int = 3,
-                          budget: int = 200_000) -> dict:
+                          rounds: int = 3) -> dict:
     """The slope -> certificate dict of the dual_bound searches for every
     threshold, priced in lockstep.
 
@@ -719,12 +714,12 @@ def lockstep_certificates(lattice: Lattice, d_f: Driver, d_g: Driver,
     what it returns on its own.
     """
     certificates = {}
-    searches = [_slope_search(m, l_max, tol, lp) for m in thresholds]
+    searches = [_slope_search(m, l_max, lp) for m in thresholds]
     wanted = [_step(search, None) for search in searches]
     while searches:
         new = [l for l in dict.fromkeys(wanted) if l not in certificates]
         for l, res in zip(new, dual_values(lattice, new, d_f, d_g, lp,
-                                           rounds=rounds, budget=budget)):
+                                           rounds=rounds)):
             certificates[l] = float(res["value"])
         stepped = [(search, _step(search, certificates[l]))
                    for search, l in zip(searches, wanted)]

@@ -27,14 +27,15 @@ from the DP, the DPP check or the greedy plan, reads it there; the
 restriction check's sub-scenario builds its own from the same base grid.
 
 The attainment check steers the greedy feedback policy (re-optimize the
-backup at the exact current state) from a threshold and prices its
+backup at the exact current state) from each threshold and prices its
 terminal loss.  Its control is a pure function of (k, m), so greedy_plan
 works on the distinct (level, m) rows that a scenario's thresholds reach:
 one _backup per level, over all of that level's rows, and one forward
 step per row.  g reads (t, y, z) only, so two path prefixes that reach
 the same row have the same subtree and the same realized cost, bit for
-bit: attainment_check prices a threshold's rows backward, one _one_step
-per level, instead of its 2^N path prefixes.
+bit, and every _one_step value depends only on its own (up, down) pair:
+attainment_check prices all of the plan's rows backward in one pass, one
+_one_step per level, instead of each threshold's 2^N path prefixes.
 
 The backup (_backup) lays its work out as (control, state) arrays and does
 only the work whose result it keeps: it tests every pair for feasibility,
@@ -50,7 +51,10 @@ grid search on the weak formulation) provide independent cross-checks at
 tiny depth.  The leaf search covers every candidate of its product grid
 but prices a root pair from the (f, g) bits of its two children alone, so
 it collapses each child's candidates onto their distinct (f, g) classes
-and prices only the class pairs, with the same result bit for bit.
+and prices only the class pairs, with the same result bit for bit.  With
+zero drivers V is phi's convex envelope, and two_point_envelope reads it
+off phi's lower convex hull on a fixed grid of [0, 1]: the cheapest
+two-point law with mean m sits on the two hull vertices that bracket m.
 """
 
 from __future__ import annotations
@@ -77,6 +81,8 @@ CURVE_TOL = 1e-9
 CONTINUITY_OFFSETS = 2.0 ** -np.arange(3, 10)
 # most candidates an oracle scores in one batch: 128 KB per temporary
 ORACLE_BLOCK = 2**14
+# spacing of the envelope oracle's grid on [0, 1]
+ENVELOPE_STEP = 1e-3
 
 
 class PrimalError(ValueError):
@@ -241,9 +247,11 @@ def value_curve(surface: ValueSurface, m_list) -> np.ndarray:
     """Root-level value slice; thresholds must lie inside the root corridor."""
     lo, hi = surface.root_corridor()
     m = np.atleast_1d(np.asarray(m_list, dtype=float))
-    if np.any((m < lo - CURVE_TOL) | (m > hi + CURVE_TOL)):
+    inside = (m >= lo - CURVE_TOL) & (m <= hi + CURVE_TOL)  # False for NaN
+    if not np.all(inside):
         raise PrimalError(
-            f"threshold outside the root corridor [{lo:.6g}, {hi:.6g}]"
+            f"threshold {float(m[np.argmin(inside)])!r} outside the root "
+            f"corridor [{lo:.6g}, {hi:.6g}]"
         )
     return np.interp(np.clip(m, lo, hi), surface.grids[0], surface.values[0])
 
@@ -256,10 +264,9 @@ class GreedyPlan:
     states[k] holds the m of each level-k row; controls[k] (k < N) its
     greedy control and children[k] the (up, down) level-(k+1) rows it
     steps to, one (R_k, 2) index array.  roots[i] is the level-0 row of
-    thresholds[i].
+    the i-th threshold planned.
     """
 
-    thresholds: np.ndarray = field(repr=False)
     roots: np.ndarray = field(repr=False)
     states: tuple = field(repr=False)
     controls: tuple = field(repr=False)
@@ -269,28 +276,6 @@ class GreedyPlan:
     def n_backups(self) -> int:
         """Distinct interior (level, m) rows the plan backed up."""
         return sum(a.size for a in self.controls)
-
-    def restrict(self, m0: float) -> "GreedyPlan":
-        """The plan of threshold m0 alone: the rows it reaches, kept in
-        their order, with each row's children indexed among them."""
-        hit = np.flatnonzero(self.thresholds.view(np.int64)
-                             == np.float64(m0).view(np.int64))
-        if not hit.size:
-            raise PrimalError(f"threshold {float(m0)!r} is not in the plan")
-        rows = self.roots[hit[:1]]
-        states, controls, children = [self.states[0][rows]], [], []
-        for m, a, links in zip(self.states[1:], self.controls, self.children):
-            controls.append(a[rows])
-            links = links[rows]
-            reached = np.zeros(m.size, dtype=bool)
-            reached[links] = True
-            children.append((np.cumsum(reached) - 1)[links])
-            rows = np.flatnonzero(reached)
-            states.append(m[rows])
-        return GreedyPlan(thresholds=self.thresholds[hit[:1]],
-                          roots=np.zeros(1, dtype=np.intp),
-                          states=tuple(states), controls=tuple(controls),
-                          children=tuple(children))
 
 
 def greedy_plan(surface: ValueSurface, m_list) -> GreedyPlan:
@@ -331,7 +316,7 @@ def greedy_plan(surface: ValueSurface, m_list) -> GreedyPlan:
         children.append(np.searchsorted(m.view(np.int64),
                                         m_next.view(np.int64)).reshape(-1, 2))
         states.append(m)
-    return GreedyPlan(thresholds=thresholds, roots=roots, states=tuple(states),
+    return GreedyPlan(roots=roots, states=tuple(states),
                       controls=tuple(controls), children=tuple(children))
 
 
@@ -357,29 +342,27 @@ def _row_costs(surface: ValueSurface, plan: GreedyPlan) -> tuple:
     return ys, zs
 
 
-def attainment_check(surface: ValueSurface, m0: float,
-                     plan: Optional[GreedyPlan] = None) -> dict:
-    """Steer the greedy policy from m0 and measure the gap between its
-    realized cost and the surface value.
+def attainment_check(surface: ValueSurface, m_list) -> dict:
+    """Steer the greedy policy from every threshold of m_list and measure
+    the gap between its realized cost and the surface value.
 
-    plan is a greedy_plan holding m0 (built for m0 alone when omitted).
-    The realized cost is priced backward over the rows m0 reaches
-    (GreedyPlan.restrict, _row_costs), which equals pricing its 2^N path
-    prefixes on the path tree bit for bit.  states[k] and controls[k] hold
-    those level-k rows and their greedy controls; n_backups is the plan's
-    count of distinct interior (level, m) rows backed up.
+    The thresholds are checked against the root corridor first (value_curve).
+    One greedy_plan then holds every threshold's rows, and one _row_costs
+    pass prices them all backward; realized[i] is the level-0 cost at
+    the row of m_list[i].  Each row's (up, down) pair is priced on its own,
+    so this equals pricing that threshold's 2^N path prefixes on the path
+    tree bit for bit.  states[k] and controls[k] hold the plan's level-k
+    rows and their greedy controls; n_backups counts them.
     """
-    if plan is None:
-        plan = greedy_plan(surface, [m0])
-    own = plan.restrict(m0)
-    realized = float(_row_costs(surface, own)[0][0][0])
-    surface_value = float(value_curve(surface, m0)[0])
+    surface_value = value_curve(surface, m_list)
+    plan = greedy_plan(surface, m_list)
+    realized = _row_costs(surface, plan)[0][0][plan.roots]
     return {
         "realized": realized,
         "surface_value": surface_value,
-        "gap": abs(realized - surface_value),
-        "states": list(own.states),
-        "controls": list(own.controls),
+        "gap": np.abs(realized - surface_value),
+        "states": list(plan.states),
+        "controls": list(plan.controls),
         "n_backups": plan.n_backups,
     }
 
@@ -505,39 +488,34 @@ def restriction_check(surface: ValueSurface, k: int) -> dict:
 # independent oracles (tiny scale)
 # ---------------------------------------------------------------------------
 
-def two_point_envelope(lp: LossPair, m: float, step: float = 1e-3) -> float:
-    """Convex envelope of phi at m via two-point-law grid search.
+def two_point_envelope(lp: LossPair, m: float) -> float:
+    """Convex envelope of phi at m over the two-point laws with mean m on
+    the ENVELOPE_STEP grid of [0, 1].
 
-    Every pair (l, r) of grid points with l <= m <= r is scored as the
-    two-point law on {l, r} with mean m.  The pairs are scored a block of
-    left points at a time, at most ORACLE_BLOCK of them per block, so no
-    temporary outgrows the cache; the minimum over blocks is exact.
+    The cheapest such law sits on the two vertices of phi's lower convex
+    hull that bracket m.  The hull is pruned from the grid in vectorised
+    passes: each pass drops every interior point on or above the chord of
+    its two kept neighbours, which no hull vertex is, until none is
+    dropped.  The law on the bracketing pair (l, r) is priced as
+    lam phi(l) + (1 - lam) phi(r), lam = (r - m) / (r - l), and a vertex m
+    as phi(m), the degenerate law on {m}.
     """
     if not (0.0 <= m <= 1.0):
         raise PrimalError("envelope oracle expects m in [0, 1]")
-    if not (math.isfinite(step) and step > 0.0):
-        raise PrimalError(f"envelope oracle needs a finite step > 0, "
-                          f"got step = {step!r}")
-    grid = np.arange(0.0, 1.0 + step / 2, step)
-    left = grid[grid <= m]
-    right = grid[grid >= m]
-    if not right.size:
-        raise PrimalError(f"envelope grid with step = {step!r} has no point "
-                          f"at or above m = {m!r}")
-    phi_l = np.asarray(lp.phi(left), float)
-    phi_r = np.asarray(lp.phi(right), float)[None, :]
-    r_row = right[None, :]
-    rows = max(1, ORACLE_BLOCK // right.size)
-    block_min = []
-    for i in range(0, left.size, rows):
-        l_col = left[i:i + rows, None]
-        denom = r_row - l_col
-        with np.errstate(invalid="ignore", divide="ignore"):
-            lam = np.where(denom > 0,
-                           (r_row - m) / np.where(denom > 0, denom, 1.0), 1.0)
-        vals = lam * phi_l[i:i + rows, None] + (1.0 - lam) * phi_r
-        block_min.append(np.min(vals))
-    return float(np.min(block_min))
+    x = np.arange(0.0, 1.0 + ENVELOPE_STEP / 2, ENVELOPE_STEP)
+    y = np.asarray(lp.phi(x), float)
+    while True:
+        dx_l, dy_l = x[1:-1] - x[:-2], y[1:-1] - y[:-2]
+        dx_r, dy_r = x[2:] - x[:-2], y[2:] - y[:-2]
+        keep = np.concatenate([[True], dx_l * dy_r > dx_r * dy_l, [True]])
+        if keep.all():
+            break
+        x, y = x[keep], y[keep]
+    j = int(np.searchsorted(x, m))
+    if x[j] == m:
+        return float(y[j])
+    lam = (x[j] - m) / (x[j] - x[j - 1])
+    return float(lam * y[j - 1] + (1.0 - lam) * y[j])
 
 
 def brute_force_policy_value(sc: PrimalScenario, m0: float,

@@ -855,12 +855,13 @@ def test_batched_descent_equals_each_slope_alone(spec, steps, slopes, budget,
                                                  monkeypatch):
     if scan_pairs is not None:
         monkeypatch.setattr(dual_mod, "SCAN_PAIRS", scan_pairs)
+    monkeypatch.setattr(dual_mod, "DESCENT_BUDGET", budget)
     lat = build_lattice(1.0, steps)
     f, g = _drivers(spec)
     lp = make_loss("power", p=2.0)
     rounds = 3
     seen = _watch_batches(monkeypatch)
-    batched = dual_values(lat, slopes, f, g, lp, rounds=rounds, budget=budget)
+    batched = dual_values(lat, slopes, f, g, lp, rounds=rounds)
     scans = seen["scans"]
     if "ragged" in shows:
         assert any(len(set(c[c > 0].tolist())) > 1 for c in scans)
@@ -874,7 +875,7 @@ def test_batched_descent_equals_each_slope_alone(spec, steps, slopes, budget,
         assert sorted({c.size for c in scans}) == [1, 2]
     assert len(batched) == len(slopes)
     for l, res in zip(slopes, batched):
-        alone = dual_value(lat, l, f, g, lp, rounds=rounds, budget=budget)
+        alone = dual_value(lat, l, f, g, lp, rounds=rounds)
         assert res["value"] == alone["value"]
         assert res["n_evaluations"] == alone["n_evaluations"]
         assert res["n_accepted"] == alone["n_accepted"]
@@ -1212,7 +1213,7 @@ def test_brent_finishes_on_the_upper_end(m, l_max):
     ("call_spread", {}, "_golden_section"),
 ])
 def test_slope_search_follows_the_polar(name, params, routine):
-    search = dual_mod._slope_search(0.5, 4.0, 1e-6, make_loss(name, **params))
+    search = dual_mod._slope_search(0.5, 4.0, make_loss(name, **params))
     assert search.__name__ == routine
 
 

@@ -1,8 +1,10 @@
 """Exhaustive small-tree oracles: goldens, a full-enumeration reference and
 the budget guards."""
 
+import bisect
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -247,6 +249,48 @@ def _envelope_reference(lp, m, step=1e-3):
     return float(np.min(lam * phi_l + (1.0 - lam) * phi_r))
 
 
+def _exact_lower_hull(x, y):
+    """The vertices of the lower convex hull of the points (x, y), x
+    ascending, in exact rational arithmetic (a monotone chain)."""
+    hull = []
+    for p in zip(map(Fraction, x.tolist()), map(Fraction, y.tolist())):
+        while len(hull) >= 2 and (
+                (hull[-1][0] - hull[-2][0]) * (p[1] - hull[-2][1])
+                <= (p[0] - hull[-2][0]) * (hull[-1][1] - hull[-2][1])):
+            hull.pop()
+        hull.append(p)
+    return hull
+
+
+def _exact_envelope(hull, m):
+    """The hull's value at m, exactly: a vertex, or the bracketing chord."""
+    m = Fraction(m)
+    j = bisect.bisect_left([h[0] for h in hull], m)
+    xr, yr = hull[j]
+    if xr == m:
+        return yr
+    xl, yl = hull[j - 1]
+    return yl + (yr - yl) * (m - xl) / (xr - xl)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("identity", {}), ("power", {"p": 2.0}), ("call_spread", {}),
+    ("s_shaped", {})])
+def test_envelope_is_the_exact_hull_envelope_on_the_hundredths(name, params):
+    """On every threshold of the 0.01 grid the hull oracle lies within 2^-52
+    of the exact envelope of its own grid points, and never below the
+    pair scan's minimum, of which its bracketing pair is one candidate."""
+    lp = make_loss(name, **params)
+    x = np.arange(0.0, 1.0 + primal_mod.ENVELOPE_STEP / 2,
+                  primal_mod.ENVELOPE_STEP)
+    hull = _exact_lower_hull(x, np.asarray(lp.phi(x), float))
+    for m in (round(0.01 * i, 10) for i in range(101)):
+        got = two_point_envelope(lp, m)
+        assert abs(Fraction(got) - _exact_envelope(hull, m)) <= \
+            Fraction(1, 2**52), m
+        assert got >= _envelope_reference(lp, m), m
+
+
 @pytest.mark.parametrize("block", [1, None])
 def test_blocked_oracles_equal_the_full_references(monkeypatch, block):
     """Scored one row per block, both oracles still equal their full
@@ -330,13 +374,9 @@ def test_oracles_reject_bad_arguments():
                          ({"rounds": 1.0}, "rounds")):
         with pytest.raises(PrimalError, match=f"{name} must be an integer"):
             brute_force_weak_formulation(sc, 0.5, **kwargs)
-    lp = sc.loss
-    for step in (0.0, -1e-3, math.nan, math.inf):
-        with pytest.raises(PrimalError, match="step"):
-            two_point_envelope(lp, 0.5, step)
-    # 0.3 does not divide [0, 1]: the grid ends at 0.9, below m
-    with pytest.raises(PrimalError, match="no point at or above m"):
-        two_point_envelope(lp, 0.95, 0.3)
+    for m in (-1e-3, 1.001, math.nan):
+        with pytest.raises(PrimalError, match=r"m in \[0, 1\]"):
+            two_point_envelope(sc.loss, m)
 
 
 def test_policy_budget_guard_raises_before_enumerating():

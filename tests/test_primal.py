@@ -63,10 +63,22 @@ def test_curve_rejects_thresholds_outside_corridor(quadratic_surface):
         value_curve(quadratic_surface, [-0.1])
 
 
+def test_curve_rejects_a_nan_threshold_naming_it(quadratic_surface):
+    with pytest.raises(PrimalError,
+                       match=r"threshold nan outside the root corridor"):
+        value_curve(quadratic_surface, [0.5, float("nan")])
+
+
+def test_attainment_checks_the_corridor_before_planning(risk_surface):
+    # the greedy backup at 1.2 would fail first, blaming the zero control
+    with pytest.raises(PrimalError, match=r"threshold 1\.2 outside the "
+                                          r"root corridor \[0, 1\]"):
+        attainment_check(risk_surface, 1.2)
+
+
 def test_attainment_greedy_policy_replays_the_surface(quadratic_surface):
-    for m in (0.1, 0.5, 0.85):
-        res = attainment_check(quadratic_surface, m)
-        assert res["gap"] <= 2.0 * quadratic_surface.grid_slack + 1e-9, res
+    res = attainment_check(quadratic_surface, (0.1, 0.5, 0.85))
+    assert np.all(res["gap"] <= 2.0 * quadratic_surface.grid_slack + 1e-9), res
 
 
 def test_monotonicity_and_convexity_on_quadratic(quadratic_surface):
@@ -189,8 +201,8 @@ def test_implicit_scheme_golden_values():
     assert surf.values[0].tolist() == IMPLICIT_ROOT_VALUES
     assert surf.controls[0].tolist() == IMPLICIT_ROOT_CONTROLS
     res = attainment_check(surf, 0.5)
-    assert res["realized"] == 0.3773768233822561
-    assert res["gap"] <= 2.0 * surf.grid_slack + 1e-9
+    assert res["realized"].tolist() == [0.3773768233822561]
+    assert res["gap"][0] <= 2.0 * surf.grid_slack + 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -213,16 +225,13 @@ def _assert_same_bits(a, b):
 
 
 def _assert_greedy_replay_is_row_exact(surf, m_list):
-    """Run attainment for every threshold of one shared plan and replay
-    each threshold's level rows against the row-by-row reference; returns
-    the plan's results and its distinct-row count."""
-    plan = greedy_plan(surf, m_list)
-    results = [attainment_check(surf, m0, plan=plan) for m0 in m_list]
-    for res in results:
-        for k, (m, applied) in enumerate(zip(res["states"], res["controls"])):
-            _assert_same_bits(applied, _row_by_row_controls(surf, k, m))
-        assert res["n_backups"] == plan.n_backups
-    return results, plan.n_backups
+    """Run attainment for every threshold of m_list on one plan and replay
+    each level's rows against the row-by-row reference; returns the
+    result and the plan's distinct-row count."""
+    res = attainment_check(surf, m_list)
+    for k, (m, applied) in enumerate(zip(res["states"], res["controls"])):
+        _assert_same_bits(applied, _row_by_row_controls(surf, k, m))
+    return res, res["n_backups"]
 
 
 def _deduped_controls(surf, k, m):
@@ -235,26 +244,25 @@ def _deduped_controls(surf, k, m):
     return best[rows], first.size
 
 
-def _prefix_arrays(plan, m0):
-    """(states, controls) of threshold m0 over every path prefix, in
-    sign-matrix prefix order (as prefix_walk.simulate_all_prefixes orders
-    them), expanded from the plan's rows one level at a time."""
-    own = plan.restrict(m0)
-    rows = own.roots
+def _prefix_arrays(plan, i):
+    """(states, controls) of the plan's i-th threshold over every path
+    prefix, in sign-matrix prefix order (as prefix_walk.simulate_all_prefixes
+    orders them), expanded from its root row one level at a time."""
+    rows = plan.roots[i:i + 1]
     states, controls = [], []
-    for m, a, children in zip(own.states, own.controls, own.children):
+    for m, a, children in zip(plan.states, plan.controls, plan.children):
         states.append(m[rows])
         controls.append(a[rows])
         rows = children[rows].ravel()  # up child at 2h, down at 2h + 1
-    states.append(own.states[-1][rows])
+    states.append(plan.states[-1][rows])
     return states, controls
 
 
-def _path_tree_realized(surf, plan, m0):
-    """Reference: m0's terminal loss priced on the path tree over its 2^N
-    prefixes."""
+def _path_tree_realized(surf, plan, i):
+    """Reference: the plan's i-th threshold's terminal loss priced on the
+    path tree over its 2^N prefixes."""
     sc = surf.scenario
-    leaf_cost = np.asarray(sc.loss.phi(_prefix_arrays(plan, m0)[0][-1]),
+    leaf_cost = np.asarray(sc.loss.phi(_prefix_arrays(plan, i)[0][-1]),
                            dtype=float)
     return float(solve_on_path_tree(sc.lattice, sc.driver_g,
                                     leaf_cost[None, :], scheme=sc.scheme)[0])
@@ -306,9 +314,9 @@ def test_greedy_dedup_matches_row_by_row_without_full_recombination():
 def test_greedy_dedup_matches_row_by_row_under_the_implicit_scheme():
     # a level's batch mixes the three thresholds' rows here; the controls
     # must not move
-    results, _ = _assert_greedy_replay_is_row_exact(_implicit_surface(4, 11),
-                                                    [0.25, 0.5, 0.75])
-    assert results[1]["realized"] == 0.3773768233822561
+    res, _ = _assert_greedy_replay_is_row_exact(_implicit_surface(4, 11),
+                                                [0.25, 0.5, 0.75])
+    assert res["realized"][1] == 0.3773768233822561
 
 
 def test_greedy_dedup_keeps_signed_zeros_apart(risk_surface):
@@ -359,20 +367,12 @@ def test_distinct_rows_keys_every_column_on_its_bits():
     assert [keys[i] for i in first] == sorted(first_of)
 
 
-def test_greedy_plan_rejects_an_unplanned_threshold(risk_surface):
-    plan = greedy_plan(risk_surface, [0.25, 0.5])
-    with pytest.raises(PrimalError, match="not in the plan"):
-        attainment_check(risk_surface, 0.75, plan=plan)
-    with pytest.raises(PrimalError, match="not in the plan"):
-        attainment_check(risk_surface, -0.0, plan=greedy_plan(risk_surface,
-                                                              [0.0]))
-
-
 def test_greedy_plan_is_guarded_by_a_row_budget(monkeypatch):
     # past the 20-level path limit the plan still runs: it holds rows, not
     # prefixes
     surf = primal_value_dp(_scenario(steps=21, grid=3, n_a=2))
-    assert attainment_check(surf, 0.5)["gap"] <= 2.0 * surf.grid_slack + 1e-9
+    gap = attainment_check(surf, 0.5)["gap"][0]
+    assert gap <= 2.0 * surf.grid_slack + 1e-9
     # five thresholds held flat make five rows at every level
     monkeypatch.setattr(primal_mod, "MAX_PLAN_ROWS", 4)
     with pytest.raises(PrimalError,
@@ -387,32 +387,58 @@ def test_attainment_runs_on_the_risk_pair_at_thirty_two_levels():
     # holds one row per level and threshold, against 2^32 path prefixes
     surf = primal_value_dp(_scenario(steps=32, f=("neg_abs_z", {"kappa": 0.3}),
                                      g=("abs_z", {"kappa": 0.2})))
-    plan = greedy_plan(surf, NINE_THRESHOLDS)
-    assert plan.n_backups == 9 * 32
-    for m0 in NINE_THRESHOLDS:
-        res = attainment_check(surf, m0, plan=plan)
-        assert res["gap"] <= 2.0 * surf.grid_slack + 1e-9, (m0, res["gap"])
+    res = attainment_check(surf, NINE_THRESHOLDS)
+    assert res["n_backups"] == 9 * 32
+    assert np.all(res["gap"] <= 2.0 * surf.grid_slack + 1e-9), res["gap"]
 
 
 def test_shared_plan_matches_one_threshold_plans_on_the_smooth_pair():
-    # the certify pair at its default-seed thresholds: a threshold's part
-    # of the shared plan is the plan of that threshold alone
+    # the certify pair at its default-seed thresholds: a threshold's
+    # prefixes in the shared plan are those of its plan alone
     surf = _smooth_surface()
     m_list = (0.25, 0.5, 0.75)
     plan = greedy_plan(surf, m_list)
-    for m0 in m_list:
-        own, alone = plan.restrict(m0), greedy_plan(surf, [m0])
-        for key in ("states", "controls", "children"):
-            assert len(getattr(own, key)) == len(getattr(alone, key))
-            for a, b in zip(getattr(own, key), getattr(alone, key)):
-                assert np.array_equal(a, b)
-                if a.dtype == float:
-                    _assert_same_bits(a, b)
-        shared = attainment_check(surf, m0, plan=plan)
-        single = attainment_check(surf, m0)
+    shared = attainment_check(surf, m_list)
+    for i, m0 in enumerate(m_list):
+        alone = greedy_plan(surf, [m0])
+        for own, single in zip(_prefix_arrays(plan, i),
+                               _prefix_arrays(alone, 0)):
+            assert len(own) == len(single)
+            for a, b in zip(own, single):
+                _assert_same_bits(a, b)
+        single = attainment_check(surf, [m0])
         for key in ("realized", "gap"):
-            _assert_same_bits(shared[key], single[key])
+            _assert_same_bits(shared[key][i:i + 1], single[key])
         assert single["n_backups"] == 8  # one row per level
+
+
+@pytest.fixture(scope="module")
+def attainment_surfaces():
+    """A risk-pair (explicit) and a linear-pair (implicit) surface at
+    N = 6, one per scheme."""
+    return {
+        "explicit": primal_value_dp(_scenario(
+            steps=6, grid=61, loss_name="s_shaped",
+            f=("neg_abs_z", {"kappa": 0.3}), g=("abs_z", {"kappa": 0.2}))),
+        "implicit": _implicit_surface(6, 61),
+    }
+
+
+@settings(max_examples=30)
+@given(scheme=st.sampled_from(("explicit", "implicit")),
+       picks=st.lists(st.integers(0, 20), min_size=1, max_size=6),
+       data=st.data())
+def test_planwide_attainment_equals_each_threshold_alone_property(
+        attainment_surfaces, scheme, picks, data):
+    # pricing every threshold's rows in one batch moves no bit of any
+    # threshold's realized cost or gap, under either scheme
+    surf = attainment_surfaces[scheme]
+    m_list = [0.05 * p for p in picks]
+    res = attainment_check(surf, m_list)
+    i = data.draw(st.integers(0, len(m_list) - 1))
+    alone = attainment_check(surf, [m_list[i]])
+    for key in ("realized", "gap"):
+        _assert_same_bits(res[key][i:i + 1], alone[key])
 
 
 def test_attainment_matches_the_path_tree_reference(risk12_surface):
@@ -425,10 +451,10 @@ def test_attainment_matches_the_path_tree_reference(risk12_surface):
              (_implicit_surface(8, 101), NINE_THRESHOLDS))
     for surf, m_list in cases:
         plan = greedy_plan(surf, m_list)
-        for m0 in m_list:
-            res = attainment_check(surf, m0, plan=plan)
-            _assert_same_bits(res["realized"],
-                              _path_tree_realized(surf, plan, m0))
+        res = attainment_check(surf, m_list)
+        _assert_same_bits(res["realized"],
+                          [_path_tree_realized(surf, plan, i)
+                           for i in range(len(m_list))])
 
 
 # sha256 of the attainment states and controls (all levels, thresholds
@@ -462,15 +488,15 @@ def test_attainment_golden_digests_risk_pair_twelve_levels(risk12_surface):
     states, controls = hashlib.sha256(), hashlib.sha256()
     m_list = (0.25, 0.5, 0.75)
     plan = greedy_plan(surf, m_list)
-    for m in m_list:
-        prefix_states, prefix_controls = _prefix_arrays(plan, m)
+    for i in range(len(m_list)):
+        prefix_states, prefix_controls = _prefix_arrays(plan, i)
         for arr in prefix_states:
             states.update(arr.tobytes())
         for arr in prefix_controls:
             controls.update(arr.tobytes())
-        res = attainment_check(surf, m, plan=plan)
-        assert res["n_backups"] == 3 * 12  # one row per level and threshold
-        assert [a.size for a in res["controls"]] == [1] * 12
+    res = attainment_check(surf, m_list)
+    assert res["n_backups"] == 3 * 12  # one row per level and threshold
+    assert [a.size for a in res["controls"]] == [3] * 12
     assert states.hexdigest() == RISK12_STATES_SHA256
     assert controls.hexdigest() == RISK12_CONTROLS_SHA256
     assert attainment_check(surf, 0.5)["n_backups"] == 12  # levels 0..11
@@ -515,8 +541,9 @@ def _traced_peak(fn):
 
 def test_attainment_check_memory_does_not_grow_with_thresholds(
         risk12_surface):
-    # each threshold's rows are restricted from the shared plan, priced and
-    # dropped before the next; holding all nine at once would be ~9x
+    # one plan holds every threshold's rows, one per level on the risk
+    # pair, and one pass prices them: nine thresholds add a few kilobytes
+    # of rows to the peak of one
     one = _risk12_context(risk12_surface, [0.5])
     nine = _risk12_context(risk12_surface, NINE_THRESHOLDS)
     assert _traced_peak(lambda: _check_attainment(nine)) <= \
