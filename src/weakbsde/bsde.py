@@ -238,19 +238,20 @@ def apriori_bound_field(lattice: Lattice, g: Driver, lp: LossPair, *,
 
 
 def estimation_gap(lattice: Lattice, g: Driver, terminal_values, k: int,
-                   span: int, *, scheme: str = "explicit") -> dict:
+                   span: int) -> dict:
     """Distance between the nonlinear and the plain conditional expectation.
 
     terminal_values live at level k + span; the gap is the max over level-k
-    nodes of |E_g - E|, with E_g the level-k values of one solve_bsde from
-    level k + span, and shrinks linearly in the window span * dt.
+    nodes of |E_g - E|, with E_g the level-k values of one explicit
+    solve_bsde from level k + span, and shrinks linearly in the window
+    span * dt.
     """
     level = k + span
     if not (0 <= k < level <= lattice.steps):
         raise LatticeError("need 0 <= k < k + span <= steps")
     vals = np.asarray(terminal_values, float)
-    nonlinear = solve_bsde(lattice, g, vals, scheme=scheme,
-                           terminal_level=level, stop_level=k).y.at(k)
+    nonlinear = solve_bsde(lattice, g, vals, terminal_level=level,
+                           stop_level=k).y.at(k)
     linear = vals
     for _ in range(span):
         linear = half_sum(linear)

@@ -220,21 +220,20 @@ def admissible(corridor: Corridor, states) -> dict:
             "n_rows": sum(m.size for m in states)}
 
 
-def representation_roundtrip(lattice: Lattice, f: Driver, terminal, *,
-                             scheme: str | None = None) -> dict:
+def representation_roundtrip(lattice: Lattice, f: Driver, terminal) -> dict:
     """Solve backward, feed the slopes forward, compare with the terminal.
 
     terminal is the (N + 1,) array of level-N values, or a stack of them,
     (..., N + 1): one backward pass (_solve_stack) and one row walk
     (_row_walk) price the whole stack, and the errors are the maxima over
-    its terminals.  With the scheme matched to the driver (implicit when f
-    depends on y) the forward recursion inverts the backward step exactly,
-    so the terminal field is reproduced on every path to machine
-    precision.  mu0 is the root value, an array of them for a stack, and
-    n_rows counts the rows simulated, over all levels and terminals.
+    its terminals.  Both run the driver's exact scheme (exact_scheme_for:
+    implicit when f depends on y), under which the forward recursion
+    inverts the backward step exactly, so the terminal field is reproduced
+    on every path to machine precision.  mu0 is the root value, an array
+    of them for a stack, and n_rows counts the rows simulated, over all
+    levels and terminals.
     """
-    if scheme is None:
-        scheme = exact_scheme_for(f)
+    scheme = exact_scheme_for(f)
     y, z, _ = _solve_stack(lattice, f, terminal, scheme, lattice.steps)
     mu0 = y[0][..., 0]
     walks, nodes, states, _ = _row_walk(lattice, f, mu0, z)

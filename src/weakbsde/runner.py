@@ -9,8 +9,9 @@ default pipeline reads the clock or draws unseeded randomness, so a rerun
 with the same config produces byte-identical files.
 
 Every float in the CSV files is its repr.  surface.csv renders each
-level's slice once and repeats it for every node of the level
-(_surface_csv).
+level's slice once and repeats it for every node of the level; a level
+equal to the one above, bit for bit, is not rendered again but reuses the
+lines of the level above (_surface_csv).
 """
 
 from __future__ import annotations
@@ -272,19 +273,36 @@ def curve_csv(rows) -> str:
     return buf.getvalue()
 
 
+def _same_bits(cols, above) -> bool:
+    """Whether each column has the shape and the int64 bits of the one
+    above it (so -0.0 and 0.0 differ)."""
+    return above is not None and all(
+        np.array_equal(c.view(np.int64), b.view(np.int64))
+        for c, b in zip(cols, above))
+
+
 def _surface_csv(surface) -> str:
     """One row k,j,m,V,a per (level, node, m) state, each float its repr.
 
     The surface holds one slice per level, the same at every node, so each
     level's m,V,a lines are rendered once and joined under every node's
-    k,j, prefix.  The bytes equal a per-row repr of every cell.
+    k,j, prefix.  A level whose three columns have the bits of the level
+    above (the risk pair's V(m) = m² at every level) reuses that level's
+    lines instead of rendering them again.  The bytes equal a per-row repr
+    of every cell.
     """
     parts = ["level,node,m,value,control\n"]
-    for k, (g, v, a) in enumerate(zip(surface.grids, surface.values,
-                                      surface.controls)):
-        lines = [f"{m!r},{x!r},{c!r}\n"
-                 for m, x, c in zip(g.tolist(), v.tolist(), a.tolist())]
-        parts.extend(f"{k},{j},".join(["", *lines]) for j in range(k + 1))
+    above = lines = None
+    for k, level in enumerate(zip(surface.grids, surface.values,
+                                  surface.controls)):
+        cols = [np.asarray(col, dtype=np.float64) for col in level]
+        if not _same_bits(cols, above):
+            g, v, a = (col.tolist() for col in cols)
+            # the leading "" puts the k,j, prefix before every line
+            lines = ["", *(f"{m!r},{x!r},{c!r}\n"
+                           for m, x, c in zip(g, v, a))]
+        above = cols
+        parts.extend(f"{k},{j},".join(lines) for j in range(k + 1))
     return "".join(parts)
 
 

@@ -321,3 +321,61 @@ def test_surface_csv_writes_extreme_magnitudes():
     for cell in ("1e-05", "1e+16", "5e-324", "9999999999999998.0"):
         assert cell in text
     _assert_writers_agree(surface)
+
+
+# ---------------------------------------------------------------------------
+# surface.csv: a level whose columns have the bits of the level above
+# reuses its lines; these levels must still read as the per-row writer's
+# ---------------------------------------------------------------------------
+
+def _stacked_surface(levels):
+    """A surface from a list of (grid, values, controls) levels."""
+    return SimpleNamespace(**{
+        name: tuple(np.array(level[i], dtype=float) for level in levels)
+        for i, name in enumerate(("grids", "values", "controls"))})
+
+
+def _level(rng, n):
+    return tuple(rng.standard_normal(n) for _ in range(3))
+
+
+def test_surface_csv_repeats_levels_equal_to_the_one_above():
+    rng = np.random.default_rng(3)
+    first, second = _level(rng, 5), _level(rng, 5)
+    surface = _stacked_surface([first, first, first, second, second, first,
+                                first])
+    text = _surface_csv(surface)
+    assert text.count("\n") == 1 + 5 * sum(range(1, 8))
+    _assert_writers_agree(surface)
+
+
+@pytest.mark.parametrize("column", [0, 1, 2])
+def test_surface_csv_renders_a_repeat_with_one_signed_zero_flipped(column):
+    # level 2 has the bits of level 1 but for -0.0 in one cell of a column
+    base = [np.array([0.0, 0.25, 0.5, 0.75]),
+            np.array([0.0, 0.0625, 0.25, 0.5625]),
+            np.zeros(4)]
+    flipped = [col.copy() for col in base]
+    flipped[column][0] = -0.0
+    surface = _stacked_surface([base, base, flipped, flipped, base])
+    text = _surface_csv(surface)
+    lines = text.splitlines()[1:]
+    negative = [line for line in lines if "-0.0" in line.split(",")[2:]]
+    assert {line.split(",")[0] for line in negative} == {"2", "3"}
+    assert len(negative) == 3 + 4
+    _assert_writers_agree(surface)
+
+
+@pytest.mark.parametrize("extra", [-2, -1, 1, 3])
+def test_surface_csv_renders_a_level_that_only_starts_like_the_one_above(
+        extra):
+    # level 1 shares level 0's leading values but is longer or shorter
+    rng = np.random.default_rng(4)
+    head = _level(rng, 6)
+    tail = _level(rng, max(extra, 0))
+    other = tuple(np.concatenate([h, t])[:6 + extra]
+                  for h, t in zip(head, tail))
+    surface = _stacked_surface([head, other, other, head])
+    text = _surface_csv(surface)
+    assert text.count("\n") == 1 + 6 * (1 + 4) + (6 + extra) * (2 + 3)
+    _assert_writers_agree(surface)

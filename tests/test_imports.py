@@ -121,10 +121,6 @@ UNPASSED_KEYWORDS = {
         "the oracle's size guard; tests lower it to reach the raise",
     "dual.dual_value(rounds)":
         "the goldens pin the certificate at several round counts",
-    "bsde.estimation_gap(scheme)":
-        "the solver scheme, as solve_bsde takes it; no caller overrides it",
-    "control.representation_roundtrip(scheme)":
-        "defaults to the driver's exact scheme; no caller overrides it",
 }
 
 
