@@ -9,15 +9,13 @@ answer through Fenchel-type bounds.
 
 __version__ = "0.1.0"
 
-from .lattice import (AdaptedField, Lattice, LatticeError, build_lattice,
-                      half_sum)
+from .lattice import Lattice, LatticeError, build_lattice, half_sum
 from .drivers import (DRIVER_BUILDERS, LOSS_BUILDERS, ConjugateDomainError,
                       Driver, LossPair, concave_conjugate, convex_conjugate,
                       make_driver, make_loss)
-from .bsde import (BsdeSolution, Corridor, SchemeError, comparison_check,
-                   compute_corridor, estimation_gap, exact_scheme_for,
-                   monotone_step_ok, solve_bsde, solve_on_path_tree,
-                   solve_on_product_tree)
+from .bsde import (Corridor, SchemeError, comparison_check, compute_corridor,
+                   estimation_gap, exact_scheme_for, monotone_step_ok,
+                   solve_bsde, solve_on_path_tree, solve_on_product_tree)
 from .control import (PolicyError, admissible, representation_roundtrip,
                       simulate_rows)
 from .primal import (GreedyPlan, PrimalError, PrimalScenario, ValueSurface,
@@ -34,11 +32,11 @@ from .runner import execute
 from .acceptance import CRITERIA, verify_all
 
 __all__ = [
-    "AdaptedField", "Lattice", "LatticeError", "build_lattice", "half_sum",
+    "Lattice", "LatticeError", "build_lattice", "half_sum",
     "DRIVER_BUILDERS", "LOSS_BUILDERS", "ConjugateDomainError", "Driver",
     "LossPair", "concave_conjugate", "convex_conjugate", "make_driver",
     "make_loss",
-    "BsdeSolution", "Corridor", "SchemeError", "comparison_check",
+    "Corridor", "SchemeError", "comparison_check",
     "compute_corridor", "estimation_gap", "exact_scheme_for",
     "monotone_step_ok", "solve_bsde", "solve_on_path_tree",
     "solve_on_product_tree",

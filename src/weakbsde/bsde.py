@@ -14,11 +14,12 @@ in.  The Z extraction is the exact discrete representation coefficient,
 which is what makes the forward/backward roundtrip in the control module
 machine-exact.
 
-Because no value depends on its batch, _solve_stack solves a stack of
-terminals, (..., L + 1), in one backward pass and gives each terminal the
-bits it gets alone: solve_bsde is its batch of one, and comparison_check,
-the corridor, the a-priori envelope and control.representation_roundtrip
-solve their terminals as one stack.
+Because no value depends on its batch, solve_bsde, the one backward
+solve over the recombining lattice, takes a stack of terminals,
+(..., L + 1), in one backward pass and gives each terminal the bits it
+gets alone: comparison_check, the corridor, the a-priori envelope
+(primal.apriori_bound_check) and control.representation_roundtrip solve
+their terminals as one stack.
 
 The explicit step is monotone in (up, down) as long as
 
@@ -34,8 +35,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drivers import Driver, LossPair
-from .lattice import AdaptedField, Lattice, LatticeError, half_sum
+from .drivers import Driver
+from .lattice import Lattice, LatticeError, half_sum
 
 FIXED_POINT_TOL = 1e-13
 MAX_FIXED_POINT_ITERS = 200
@@ -43,22 +44,6 @@ MAX_FIXED_POINT_ITERS = 200
 
 class SchemeError(ValueError):
     """Scheme preconditions violated (step condition, contraction, names)."""
-
-
-@dataclass(frozen=True)
-class BsdeSolution:
-    """Value and slope fields of one backward solve.
-
-    y spans levels stop_level..terminal_level, z one level less (there is
-    no slope at the terminal level).
-    """
-
-    y: AdaptedField
-    z: AdaptedField
-    fixed_point_iters: int
-
-    def value_at_root(self) -> float:
-        return float(self.y.at(self.y.level_lo)[0])
 
 
 def monotone_step_ok(lattice: Lattice, d: Driver) -> bool:
@@ -112,23 +97,27 @@ def _one_step(d: Driver, t: float, up: np.ndarray, down: np.ndarray,
     )
 
 
-def _solve_stack(lattice: Lattice, d: Driver, terminals, scheme: str,
-                 term_level: int, stop_level: int = 0) -> tuple:
-    """Backward induction of a stack of terminals: the one backward pass.
+def solve_bsde(lattice: Lattice, d: Driver, terminal, *, scheme: str = "explicit",
+               terminal_level: int | None = None, stop_level: int = 0) -> tuple:
+    """Backward induction from a terminal, or a stack of them, down to
+    stop_level: the one backward solve over the recombining lattice.
 
-    terminals is (..., term_level + 1), one level-term_level value per node
-    for each terminal of the leading axes.  Returns (y, z, iters): y[i] the
-    (..., k + 1) values of level k = stop_level + i, up to term_level, z[i]
-    the level-k slopes, below term_level, and iters the most fixed-point
+    terminal is (..., L + 1), one level-L value per node for each terminal
+    of the leading axes, with L = terminal_level (default N); the solve
+    takes at least one step, so stop_level must lie below L.  Returns
+    (y, z, fixed_point_iters): y[i] the (..., k + 1) values of level
+    k = stop_level + i, up to L (y[-1] is the terminal itself), z[i] the
+    level-k slopes, below L, and fixed_point_iters the most fixed-point
     iterations of any step.  _one_step prices each value on its own
     (up, down) pair, so every terminal of a stack gets the bits it gets
     alone.
     """
+    term_level = lattice.steps if terminal_level is None else int(terminal_level)
     if scheme not in ("explicit", "implicit"):
         raise SchemeError(f"unknown scheme {scheme!r}")
-    vals = np.asarray(terminals)
+    vals = np.asarray(terminal)
     if vals.shape[-1:] != (term_level + 1,):
-        raise LatticeError(f"terminals have shape {vals.shape}, "
+        raise LatticeError(f"terminal has shape {vals.shape}, "
                            f"expected (..., {term_level + 1})")
     vals = vals.astype(float, copy=False)
     if not np.isfinite(vals).all():
@@ -154,26 +143,6 @@ def _solve_stack(lattice: Lattice, d: Driver, terminals, scheme: str,
     return y_slabs[::-1], z_slabs[::-1], iters
 
 
-def solve_bsde(lattice: Lattice, d: Driver, terminal, *, scheme: str = "explicit",
-               terminal_level: int | None = None, stop_level: int = 0) -> BsdeSolution:
-    """Backward induction from a terminal array down to stop_level.
-
-    terminal holds the level-terminal_level values (default level N), one
-    per node; the solve takes at least one step, so stop_level must lie
-    below terminal_level.  This is _solve_stack's batch of one.
-    """
-    term_level = lattice.steps if terminal_level is None else int(terminal_level)
-    if np.shape(terminal) != (term_level + 1,):
-        raise LatticeError(
-            f"terminal has shape {np.shape(terminal)}, expected ({term_level + 1},)"
-        )
-    y, z, iters = _solve_stack(lattice, d, terminal, scheme, term_level,
-                               stop_level)
-    return BsdeSolution(y=AdaptedField(lattice, stop_level, tuple(y)),
-                        z=AdaptedField(lattice, stop_level, tuple(z)),
-                        fixed_point_iters=iters)
-
-
 @dataclass(frozen=True)
 class Corridor:
     """Admissibility band: the nonlinear expectations of the terminal 0 and
@@ -196,7 +165,7 @@ def compute_corridor(lattice: Lattice, d: Driver, *,
                      scheme: str = "explicit") -> Corridor:
     n = lattice.steps
     edges = np.repeat([[0.0], [1.0]], n + 1, axis=1)
-    y = _solve_stack(lattice, d, edges, scheme, n)[0]
+    y = solve_bsde(lattice, d, edges, scheme=scheme)[0]
     return Corridor(floor=np.array([v[0, 0] for v in y]),
                     ceiling=np.array([v[1, 0] for v in y]))
 
@@ -216,42 +185,26 @@ def comparison_check(lattice: Lattice, d: Driver, terminal_low, terminal_high, *
         raise LatticeError("terminal fields must share a shape")
     if np.any(lo > hi):
         raise LatticeError("terminal_low must be <= terminal_high nodewise")
-    y = _solve_stack(lattice, d, np.stack((lo, hi)), scheme, lattice.steps)[0]
+    y = solve_bsde(lattice, d, np.stack((lo, hi)), scheme=scheme)[0]
     worst = max(float(np.max(v[0] - v[1])) for v in y)
     return {"max_violation": worst}
-
-
-def apriori_bound_field(lattice: Lattice, g: Driver, lp: LossPair, *,
-                        scheme: str = "explicit") -> AdaptedField:
-    """Nodewise a-priori envelope |E_g[phi(1)]| + |E_g[phi(0)]|.
-
-    Every achievable optimal value lies inside this envelope because the
-    terminal loss is squeezed between phi(0) and phi(1) and the nonlinear
-    expectation is monotone under the step condition.
-    """
-    n = lattice.steps
-    edges = np.repeat([[float(lp.phi(1.0))], [float(lp.phi(0.0))]], n + 1,
-                      axis=1)
-    y = _solve_stack(lattice, g, edges, scheme, n)[0]
-    return AdaptedField(lattice, 0, tuple(np.abs(v[0]) + np.abs(v[1])
-                                          for v in y))
 
 
 def estimation_gap(lattice: Lattice, g: Driver, terminal_values, k: int,
                    span: int) -> dict:
     """Distance between the nonlinear and the plain conditional expectation.
 
-    terminal_values live at level k + span; the gap is the max over level-k
-    nodes of |E_g - E|, with E_g the level-k values of one explicit
-    solve_bsde from level k + span, and shrinks linearly in the window
-    span * dt.
+    terminal_values live at level k + span, one (k + span + 1,) array or a
+    stack of them; the gap is the max over level-k nodes (and terminals)
+    of |E_g - E|, with E_g the level-k values of one explicit solve_bsde
+    from level k + span, and shrinks linearly in the window span * dt.
     """
     level = k + span
     if not (0 <= k < level <= lattice.steps):
         raise LatticeError("need 0 <= k < k + span <= steps")
     vals = np.asarray(terminal_values, float)
     nonlinear = solve_bsde(lattice, g, vals, terminal_level=level,
-                           stop_level=k).y.at(k)
+                           stop_level=k)[0][0]
     linear = vals
     for _ in range(span):
         linear = half_sum(linear)

@@ -20,12 +20,11 @@ The checks read only maxima: admissible measures the worst corridor
 excursion of the rows' states, and representation_roundtrip compares
 each row with the backward solve at its node.
 
-_row_walk is the one row walk, over a stack of walks at once: each row
-also carries its walk's id as a key, so a stack's walks never merge and
-each keeps the rows it keeps alone.  A one-start simulate_rows and a
-one-terminal representation_roundtrip are its batch of one; the runner's
-roundtrip and admissibility checks walk a stack of terminals or policies
-in one pass.
+simulate_rows is the one row walk, over a stack of walks at once: each
+row also carries its walk's id as a key, so a stack's walks never merge
+and each keeps the rows it keeps alone.  representation_roundtrip and the
+runner's admissibility check walk a stack of terminals or policies in
+one pass.
 
 _children is the one forward step: the walk here and the primal backup,
 greedy plan and policy oracle all call it.  _distinct_rows is the one
@@ -38,7 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bsde import Corridor, _solve_stack, exact_scheme_for
+from .bsde import Corridor, exact_scheme_for, solve_bsde
 from .drivers import Driver
 from .lattice import Lattice, LatticeError
 
@@ -126,26 +125,27 @@ def _distinct_rows(*columns) -> np.ndarray:
     return order[starts]
 
 
-def _row_walk(lattice: Lattice, f: Driver, mu0, controls,
-              corridor: Corridor | None = None) -> tuple:
+def simulate_rows(lattice: Lattice, f: Driver, mu0, controls,
+                  corridor: Corridor | None = None) -> tuple:
     """Forward recursion over the distinct rows of every level, for a stack
     of walks at once: the one row walk.
 
-    mu0 is one start or a stack of starts; controls[k] holds the
-    level-k node slopes of each walk, shape mu0.shape + (k + 1,), k < N.
-    A level-k row (w, j, m) of walk w takes slope controls[k][w][j] and
-    steps to the rows (w, j + 1, up) and (w, j, down) of level k + 1; rows
-    that repeat the bits of another are dropped.  The walk w is one more
-    key column, so the rows of two walks never merge and each walk keeps
-    the rows it keeps alone.  With a corridor each row also carries its
-    path's latch, and its slope is truncated at the edges (_truncate).  A
-    level on which one walk holds more than MAX_PLAN_ROWS rows raises a
-    LatticeError.
+    mu0 is one start, with controls[k] the (k + 1,) array of level-k node
+    slopes, or a stack of starts, with controls[k] of shape
+    mu0.shape + (k + 1,), k < N.  A level-k row (w, j, m) of walk w takes
+    slope controls[k][w][j] and steps to the rows (w, j + 1, up) and
+    (w, j, down) of level k + 1; rows that repeat the bits of another are
+    dropped.  The walk w is one more key column, so the rows of two walks
+    never merge and each walk keeps the rows it keeps alone.  With a
+    corridor each row also carries its path's latch, and its slope is
+    truncated at the edges (_truncate).  A level on which one walk holds
+    more than MAX_PLAN_ROWS rows raises a LatticeError.
 
     Returns (walks, nodes, states, latched), each a list over levels
-    0..N: walks[k], nodes[k] and states[k] hold the walk, node and state
-    of each level-k row, and latched[k] whether the row's paths reached an
-    edge before level k (latched is None without a corridor).
+    0..N: walks[k], nodes[k] and states[k] hold the walk (its flat index
+    in mu0), node and state of each level-k row, and latched[k] whether
+    the row's paths reached an edge before level k (latched is None
+    without a corridor).
     """
     n = lattice.steps
     if len(controls) != n:
@@ -190,21 +190,6 @@ def _row_walk(lattice: Lattice, f: Driver, mu0, controls,
     return walks, nodes, states, None if corridor is None else latched
 
 
-def simulate_rows(lattice: Lattice, f: Driver, mu0, controls,
-                  corridor: Corridor | None = None) -> tuple:
-    """The row walk (_row_walk) without its walk column.
-
-    mu0 is one start, with controls[k] the (k + 1,) array of level-k node
-    slopes, or a (B,) stack of starts, with (B, k + 1) slopes, walked in
-    one pass.  Returns (nodes, states, latched), each a list over levels
-    0..N: nodes[k] and states[k] hold the node and state of each level-k
-    row, and latched[k] whether the row's paths reached an edge before
-    level k (latched is None without a corridor).  A stack's rows are
-    those of its B walks together, so a row may repeat another walk's.
-    """
-    return _row_walk(lattice, f, mu0, controls, corridor)[1:]
-
-
 def admissible(corridor: Corridor, states) -> dict:
     """Measure the corridor constraint on level states (states[k] at level
     k, as simulate_rows returns them).
@@ -224,9 +209,9 @@ def representation_roundtrip(lattice: Lattice, f: Driver, terminal) -> dict:
     """Solve backward, feed the slopes forward, compare with the terminal.
 
     terminal is the (N + 1,) array of level-N values, or a stack of them,
-    (..., N + 1): one backward pass (_solve_stack) and one row walk
-    (_row_walk) price the whole stack, and the errors are the maxima over
-    its terminals.  Both run the driver's exact scheme (exact_scheme_for:
+    (..., N + 1): one backward pass (solve_bsde) and one row walk
+    (simulate_rows) price the whole stack, and the errors are the maxima
+    over its terminals.  Both run the driver's exact scheme (exact_scheme_for:
     implicit when f depends on y), under which the forward recursion
     inverts the backward step exactly, so the terminal field is reproduced
     on every path to machine precision.  mu0 is the root value, an array
@@ -234,9 +219,9 @@ def representation_roundtrip(lattice: Lattice, f: Driver, terminal) -> dict:
     levels and terminals.
     """
     scheme = exact_scheme_for(f)
-    y, z, _ = _solve_stack(lattice, f, terminal, scheme, lattice.steps)
+    y, z, _ = solve_bsde(lattice, f, terminal, scheme=scheme)
     mu0 = y[0][..., 0]
-    walks, nodes, states, _ = _row_walk(lattice, f, mu0, z)
+    walks, nodes, states, _ = simulate_rows(lattice, f, mu0, z)
     # every row against the backward value at its node, the terminal level
     # (which holds the terminal itself) last: node j of walk w at level k
     # is entry B k (k + 1) / 2 + w (k + 1) + j of the levels laid end to end

@@ -6,12 +6,16 @@ probability 1/2 each, and every conditional expectation is the exact
 half-sum of the two successor values.  Everything downstream (BSDE
 solver, control simulation, dual functional) is built on these exact
 half-sums, so there is no sampling error anywhere in the package.
+
+Values on the lattice are plain level arrays: level k's values are an
+array whose last axis holds its k + 1 nodes, j up-moves at index j, and
+a solve returns one such array per level.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -70,58 +74,11 @@ def build_lattice(horizon: float, steps: int, step_offset: int = 0) -> Lattice:
     return Lattice(float(horizon), int(steps), int(step_offset))
 
 
-@dataclass(frozen=True)
-class AdaptedField:
-    """Real values attached to lattice nodes over a contiguous level range.
-
-    Slab i holds the values of level ``level_lo + i`` as an array of length
-    (level + 1).  Arrays are frozen after construction; fields behave as
-    immutable values once built.
-    """
-
-    lattice: Lattice
-    level_lo: int
-    slabs: tuple = field(repr=False)
-
-    def __post_init__(self):
-        if not self.slabs:
-            raise LatticeError("AdaptedField needs at least one level slab")
-        frozen = []
-        for i, slab in enumerate(self.slabs):
-            k = self.level_lo + i
-            arr = np.asarray(slab, dtype=float)
-            if arr.shape != (k + 1,):
-                raise LatticeError(
-                    f"slab for level {k} has shape {arr.shape}, expected ({k + 1},)"
-                )
-            if not np.isfinite(arr).all():
-                raise LatticeError(f"non-finite values in slab for level {k}")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            frozen.append(arr)
-        if self.level_hi > self.lattice.steps:
-            raise LatticeError(
-                f"levels {self.level_lo}..{self.level_hi} exceed lattice depth "
-                f"{self.lattice.steps}"
-            )
-        object.__setattr__(self, "slabs", tuple(frozen))
-
-    @property
-    def level_hi(self) -> int:
-        return self.level_lo + len(self.slabs) - 1
-
-    def at(self, k: int) -> np.ndarray:
-        if not (self.level_lo <= k <= self.level_hi):
-            raise LatticeError(
-                f"level {k} outside stored range {self.level_lo}..{self.level_hi}"
-            )
-        return self.slabs[k - self.level_lo]
-
-
 def half_sum(next_values: np.ndarray) -> np.ndarray:
-    """One-level conditional expectation on raw arrays (length k+2 -> k+1)."""
+    """One-level conditional expectation on level arrays ((..., k + 2) ->
+    (..., k + 1))."""
     next_values = np.asarray(next_values, dtype=float)
-    return 0.5 * (next_values[1:] + next_values[:-1])
+    return 0.5 * (next_values[..., 1:] + next_values[..., :-1])
 
 
 @lru_cache(maxsize=32)

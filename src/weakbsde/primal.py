@@ -67,9 +67,9 @@ from typing import Optional
 
 import numpy as np
 
-from .bsde import (Corridor, apriori_bound_field, compute_corridor,
-                   exact_scheme_for, solve_on_path_tree,
-                   solve_on_product_tree, _one_step, _require_step_condition)
+from .bsde import (Corridor, compute_corridor, exact_scheme_for, solve_bsde,
+                   solve_on_path_tree, solve_on_product_tree, _one_step,
+                   _require_step_condition)
 from .control import (MAX_PLAN_ROWS, _children, _distinct_rows,
                       _excursion, _interleave)
 from .drivers import Driver, LossPair
@@ -450,13 +450,20 @@ def dpp_check(surface: ValueSurface, k1: int, k2: int) -> dict:
 def apriori_bound_check(surface: ValueSurface) -> dict:
     """Largest excess of |V| over the a-priori envelope at any level.
 
-    The envelope solves constant terminals, so like the corridor it is the
-    same at every node of a level: node 0 stands for the level.
+    The envelope is |E_g[phi(1)]| + |E_g[phi(0)]|: every achievable optimal
+    value lies inside it because the terminal loss is squeezed between
+    phi(0) and phi(1) and the nonlinear expectation is monotone under the
+    step condition.  It solves the two constant terminals as one stack, so
+    like the corridor it is the same at every node of a level: node 0
+    stands for the level.
     """
     sc = surface.scenario
-    eta = apriori_bound_field(sc.lattice, sc.driver_g, sc.loss, scheme=sc.scheme)
-    return {"excess": max(float(np.max(np.abs(v))) - eta.at(k)[0]
-                          for k, v in enumerate(surface.values))}
+    edges = np.repeat([[float(sc.loss.phi(1.0))], [float(sc.loss.phi(0.0))]],
+                      sc.lattice.steps + 1, axis=1)
+    ends = solve_bsde(sc.lattice, sc.driver_g, edges, scheme=sc.scheme)[0]
+    return {"excess": max(float(np.max(np.abs(v)))
+                          - (abs(e[0, 0]) + abs(e[1, 0]))
+                          for v, e in zip(surface.values, ends))}
 
 
 def restriction_check(surface: ValueSurface, k: int) -> dict:

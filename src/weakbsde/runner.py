@@ -46,7 +46,8 @@ def _jsonify(obj):
     if isinstance(obj, np.ndarray):
         return [_jsonify(v) for v in obj.tolist()]
     if isinstance(obj, (np.floating, float)):
-        out = float(obj)
+        # + 0.0 renders a -0.0 reading as 0.0 (the csv files keep the sign)
+        out = float(obj) + 0.0
         return out if math.isfinite(out) else repr(out)
     if isinstance(obj, (np.integer,)):
         return int(obj)
@@ -203,7 +204,7 @@ def _admissibility_walks(sc, corridor) -> tuple:
                 for _ in range(10)]
     controls = [np.array(level) for level in zip(*policies)]
     states = simulate_rows(lat, sc.driver_f, np.full(10, 0.5 * (lo + hi)),
-                           controls, corridor)[1]
+                           controls, corridor)[2]
     res = admissible(corridor, states)
     return res["worst_violation"], res["n_rows"]
 

@@ -116,13 +116,15 @@ def _section(config: dict, key: str, default: dict) -> dict:
 
 
 def _as_number(value, where: str) -> float:
-    # float(True) is 1.0, but a JSON boolean is not a number
-    if isinstance(value, bool):
+    # a JSON boolean is an int to Python, and a string may parse as a float;
+    # neither is a JSON number
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
     try:
         return float(value)
-    except (TypeError, ValueError):
-        raise ScenarioError(f"{where} must be a number, got {value!r}") from None
+    except OverflowError:  # an int beyond the float range
+        raise ScenarioError(f"{where} must be a finite number, "
+                            f"got {value!r}") from None
 
 
 def _as_positive_number(value, where: str) -> float:
@@ -134,14 +136,11 @@ def _as_positive_number(value, where: str) -> float:
 
 def _thresholds(values, where: str) -> tuple:
     """A nonempty threshold list: distinct numbers in [0, 1]."""
-    try:
-        out = tuple(float(m) for m in values)
-    except (TypeError, ValueError):
-        out = None
-    # float(True) is 1.0, but a JSON boolean is not a number
-    if out is None or any(isinstance(m, bool) for m in values):
+    # a JSON object iterates over its keys, a string over its characters
+    if not isinstance(values, (list, tuple)):
         raise ScenarioError(f"{where} must be a list of numbers, "
                             f"got {values!r}")
+    out = tuple(_as_number(m, f"{where} entry") for m in values)
     if not out:
         raise ScenarioError(f"{where} must be nonempty")
     if any(not (0.0 <= m <= 1.0) for m in out):

@@ -70,14 +70,13 @@ def prefix_roundtrip(lattice, f, terminal, scheme=None) -> dict:
     """representation_roundtrip's errors measured on every path prefix."""
     if scheme is None:
         scheme = exact_scheme_for(f)
-    sol = solve_bsde(lattice, f, terminal, scheme=scheme)
-    states, _ = simulate_all_prefixes(lattice, f, sol.value_at_root(),
-                                      sol.z.slabs)
+    y, z, _ = solve_bsde(lattice, f, terminal, scheme=scheme)
+    states, _ = simulate_all_prefixes(lattice, f, y[0][0], z)
     n = lattice.steps
     target = np.asarray(terminal, float)[prefix_up_counts(n)]
     max_err = float(np.max(np.abs(states[n] - target)))
     interior = 0.0
     for k in range(n + 1):
-        nodes = sol.y.at(k)[prefix_up_counts(k)]
+        nodes = y[k][prefix_up_counts(k)]
         interior = max(interior, float(np.max(np.abs(states[k] - nodes))))
     return {"max_error": max_err, "max_interior_error": interior}

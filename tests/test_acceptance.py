@@ -8,6 +8,11 @@ criteria are reused by later ones — same warm-cache order as
 ``weakbsde verify``.
 """
 
+import hashlib
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -15,6 +20,7 @@ import pytest
 from weakbsde.acceptance import CRITERIA, Workspace, run_criterion, verify_all
 
 _BY_NUMBER = {c.number: c for c in CRITERIA}
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -99,6 +105,26 @@ def test_stacked_criteria_entries_are_pinned():
         (3, "PASS", 5.551115123125783e-16, {"trials": 100}),
         (4, "PASS", -0.0020900289877214817, {"trials": 100, "drivers": 6}),
     ]
+
+
+# sha256 of the whole battery's report.json at seed 24, all 16 criteria
+VERIFY_SEED_24_SHA256 = \
+    "05a3dfe4dac71112f055b7934b654334f3d9d6b30e24ca0fbdc4e4668bc0eddf"
+
+
+def test_verify_report_bytes_are_pinned(tmp_path):
+    """`weakbsde verify --seed 24 --out <dir>` in a fresh interpreter writes
+    the same report.json bytes: any moved reading, format or layout of any
+    criterion shows up here."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from weakbsde.cli import main; "
+                    "sys.exit(main())",
+                    "verify", "--seed", "24", "--out", str(tmp_path),
+                    "--quiet"], env=env, check=True)
+    digest = hashlib.sha256((tmp_path / "report.json").read_bytes())
+    assert digest.hexdigest() == VERIFY_SEED_24_SHA256
 
 
 def test_criterion_08_dynamic_programming_consistency(workspace):

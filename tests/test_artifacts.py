@@ -10,13 +10,15 @@ which moves their dual bounds in the last bits.
 
 import hashlib
 import io
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from weakbsde.primal import primal_value_dp
-from weakbsde.runner import _surface_csv, execute
+from weakbsde.runner import (_at_most, _surface_csv, execute,
+                            render_report_json)
 from weakbsde.scenario import build_scenario, catalogue, catalogue_scenario
 
 ARTIFACT_SHA256 = {
@@ -310,6 +312,17 @@ def test_surface_csv_keeps_signed_zeros_apart():
     text = _surface_csv(surface)
     assert ",-0.0," in text and ",0.0," in text
     _assert_writers_agree(surface)
+
+
+def test_report_renders_a_negative_zero_reading_as_zero():
+    # report.json, unlike surface.csv, has one zero: a -0.0 reading, as a
+    # float or inside an array, renders as 0.0
+    entry = _at_most("convexity", -0.0, 1e-9, gaps=np.array([-0.0, 0.5]))
+    text = render_report_json({"checks": [entry]})
+    assert "-0.0" not in text
+    assert json.loads(text)["checks"][0] == {
+        "check": "convexity", "status": "PASS", "measured": 0.0,
+        "threshold": 1e-09, "detail": {"gaps": [0.0, 0.5]}}
 
 
 def test_surface_csv_writes_extreme_magnitudes():

@@ -1,30 +1,30 @@
 """Backward solver: reductions, oracles, ordering, corridor, path tree."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakbsde.bsde import (SchemeError, _one_step, _solve_stack,
-                           apriori_bound_field, comparison_check,
+from weakbsde.bsde import (SchemeError, _one_step, comparison_check,
                            compute_corridor, estimation_gap, exact_scheme_for,
                            monotone_step_ok, solve_bsde, solve_on_path_tree)
 from weakbsde.drivers import make_driver, make_loss
-from weakbsde.lattice import (AdaptedField, LatticeError, build_lattice,
-                              half_sum, sign_matrix)
+from weakbsde.lattice import LatticeError, build_lattice, half_sum, sign_matrix
+from weakbsde.primal import apriori_bound_check
 
 
 def test_zero_driver_reduces_to_iterated_averaging():
     lat = build_lattice(2.0, 6)
     rng = np.random.default_rng(3)
     vals = rng.normal(size=7)
-    sol = solve_bsde(lat, make_driver("zero"), vals)
+    y, z, _ = solve_bsde(lat, make_driver("zero"), vals)
     expected = vals
     for k in range(5, -1, -1):
         expected = half_sum(expected)
-        np.testing.assert_array_equal(sol.y.at(k), expected)
-    np.testing.assert_allclose(sol.z.at(5),
+        np.testing.assert_array_equal(y[k], expected)
+    np.testing.assert_allclose(z[5],
                                (vals[1:] - vals[:-1]) / (2 * lat.sqrt_dt))
 
 
@@ -32,15 +32,13 @@ def test_linear_driver_explicit_closed_form():
     # f = a*y compounds the plain expectation by (1 + a*dt) each step
     d = make_driver("linear", a=0.1, b=0.0)
     lat = build_lattice(1.0, 10)
-    sol = solve_bsde(lat, d, np.ones(11), scheme="explicit")
-    assert sol.value_at_root() == pytest.approx(1.1046221254112045,
-                                                rel=1e-15)
+    root = solve_bsde(lat, d, np.ones(11), scheme="explicit")[0][0][0]
+    assert root == pytest.approx(1.1046221254112045, rel=1e-15)
     # implicit compounds by 1/(1 - a*dt) instead
-    sol_imp = solve_bsde(lat, d, np.ones(11), scheme="implicit")
-    assert sol_imp.value_at_root() == pytest.approx((1 / 0.99) ** 10,
-                                                    rel=1e-12)
+    root_imp = solve_bsde(lat, d, np.ones(11), scheme="implicit")[0][0][0]
+    assert root_imp == pytest.approx((1 / 0.99) ** 10, rel=1e-12)
     # both converge to e^{aT} from opposite sides
-    assert sol.value_at_root() < math.exp(0.1) < sol_imp.value_at_root()
+    assert root < math.exp(0.1) < root_imp
 
 
 def test_schemes_agree_for_z_only_drivers():
@@ -48,10 +46,10 @@ def test_schemes_agree_for_z_only_drivers():
     d = make_driver("abs_z", kappa=0.3)
     rng = np.random.default_rng(5)
     vals = rng.uniform(0.0, 1.0, 7)
-    exp = solve_bsde(lat, d, vals, scheme="explicit")
-    imp = solve_bsde(lat, d, vals, scheme="implicit")
+    exp = solve_bsde(lat, d, vals, scheme="explicit")[0]
+    imp = solve_bsde(lat, d, vals, scheme="implicit")[0]
     for k in range(7):
-        np.testing.assert_allclose(exp.y.at(k), imp.y.at(k), atol=1e-15)
+        np.testing.assert_allclose(exp[k], imp[k], atol=1e-15)
     assert exact_scheme_for(d) == "explicit"
     assert exact_scheme_for(make_driver("linear", a=0.1, b=0.0)) == "implicit"
 
@@ -110,46 +108,50 @@ def test_a_stack_of_terminals_keeps_each_terminals_bits_property(
     lat = build_lattice(1.0, steps)
     rng = np.random.default_rng(seed)
     terms = rng.uniform(-1.0, 2.0, (size, steps + 1))
-    y, z, _ = _solve_stack(lat, d, terms, scheme, steps)
+    y, z, _ = solve_bsde(lat, d, terms, scheme=scheme)
     for b, term in enumerate(terms):
-        alone = solve_bsde(lat, d, term, scheme=scheme)
+        y_alone, z_alone, _ = solve_bsde(lat, d, term, scheme=scheme)
         for k in range(steps + 1):
-            assert y[k][b].tobytes() == alone.y.at(k).tobytes()
+            assert y[k][b].tobytes() == y_alone[k].tobytes()
         for k in range(steps):
-            assert z[k][b].tobytes() == alone.z.at(k).tobytes()
+            assert z[k][b].tobytes() == z_alone[k].tobytes()
 
-    # the stacked comparison is the worst of its pairs
+    # the stacked comparison is the worst of its pairs, and the ordered
+    # pairs stay ordered (every driver here meets the step condition)
     highs = terms + rng.uniform(0.0, 1.0, terms.shape)
     got = comparison_check(lat, d, terms, highs, scheme=scheme)
     want = max(comparison_check(lat, d, lo, hi, scheme=scheme)["max_violation"]
                for lo, hi in zip(terms, highs))
     assert np.float64(got["max_violation"]).tobytes() == \
         np.float64(want).tobytes()
+    assert got["max_violation"] <= 1e-14
 
     # the corridor and the envelope price their two constants as one stack
-    ends = {v: solve_bsde(lat, d, np.full(steps + 1, v), scheme=scheme).y
+    ends = {v: solve_bsde(lat, d, np.full(steps + 1, v), scheme=scheme)[0]
             for v in (0.0, 1.0)}
     cor = compute_corridor(lat, d, scheme=scheme)
     assert cor.floor.tobytes() == np.array(
-        [ends[0.0].at(k)[0] for k in range(steps + 1)]).tobytes()
+        [ends[0.0][k][0] for k in range(steps + 1)]).tobytes()
     assert cor.ceiling.tobytes() == np.array(
-        [ends[1.0].at(k)[0] for k in range(steps + 1)]).tobytes()
-    envelope = apriori_bound_field(lat, d, make_loss("power", p=2.0),
-                                   scheme=scheme)
-    for k in range(steps + 1):  # phi(1) = 1 and phi(0) = 0
-        assert envelope.at(k).tobytes() == (
-            np.abs(ends[1.0].at(k)) + np.abs(ends[0.0].at(k))).tobytes()
+        [ends[1.0][k][0] for k in range(steps + 1)]).tobytes()
+    values = [rng.uniform(-2.0, 2.0, k + 1) for k in range(steps + 1)]
+    got = apriori_bound_check(_surface(lat, d, scheme, values))["excess"]
+    # phi(1) = 1 and phi(0) = 0, each solved alone
+    want = max(float(np.max(np.abs(v))) - (abs(ends[1.0][k][0])
+                                           + abs(ends[0.0][k][0]))
+               for k, v in enumerate(values))
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_solve_stack_validates_the_node_axis():
     lat = build_lattice(1.0, 4)
     d = make_driver("zero")
-    with pytest.raises(LatticeError, match=r"terminals have shape \(2, 4\), "
+    with pytest.raises(LatticeError, match=r"terminal has shape \(2, 4\), "
                                            r"expected \(\.\.\., 5\)"):
-        _solve_stack(lat, d, np.zeros((2, 4)), "explicit", 4)
-    with pytest.raises(LatticeError, match=r"terminal has shape \(2, 5\), "
-                                           r"expected \(5,\)"):
-        solve_bsde(lat, d, np.zeros((2, 5)))
+        solve_bsde(lat, d, np.zeros((2, 4)))
+    y, z, _ = solve_bsde(lat, d, np.zeros((3, 2, 5)))
+    assert [v.shape for v in y] == [(3, 2, k + 1) for k in range(5)]
+    assert [v.shape for v in z] == [(3, 2, k + 1) for k in range(4)]
     with pytest.raises(LatticeError, match="non-finite"):
         comparison_check(lat, d, np.zeros((2, 5)), np.full((2, 5), np.inf))
 
@@ -184,18 +186,19 @@ def test_solve_bsde_takes_at_least_one_step():
         solve_bsde(lat, d, np.zeros(5), stop_level=4)
     with pytest.raises(LatticeError, match="stop_level < terminal_level"):
         solve_bsde(lat, d, np.zeros(3), terminal_level=2, stop_level=2)
-    sol = solve_bsde(lat, d, np.arange(3.0), terminal_level=2, stop_level=1)
-    assert (sol.y.level_lo, sol.y.level_hi) == (1, 2)
-    assert (sol.z.level_lo, sol.z.level_hi) == (1, 1)
+    y, z, _ = solve_bsde(lat, d, np.arange(3.0), terminal_level=2,
+                         stop_level=1)
+    assert [v.shape for v in y] == [(2,), (3,)]  # levels 1 and 2
+    assert [v.shape for v in z] == [(2,)]
 
 
 def test_solve_bsde_reads_only_an_array_terminal():
-    # a field is not a terminal format: it fails the terminal's shape check
+    # a scalar or an object is not a terminal: it fails the shape check
     lat = build_lattice(1.0, 4)
-    field = AdaptedField(lat, 4, (np.zeros(5),))
-    with pytest.raises(LatticeError, match=r"terminal has shape \(\), "
-                                           r"expected \(5,\)"):
-        solve_bsde(lat, make_driver("zero"), field)
+    for terminal in (0.0, SimpleNamespace(values=np.zeros(5))):
+        with pytest.raises(LatticeError, match=r"terminal has shape \(\), "
+                                               r"expected \(\.\.\., 5\)"):
+            solve_bsde(lat, make_driver("zero"), terminal)
 
 
 def test_comparison_ordered_pairs_seeded():
@@ -232,8 +235,8 @@ def test_corridor_constants_survive_z_only_drivers():
     np.testing.assert_allclose(cor.bounds_at(0), [0.0, 1.0], atol=1e-15)
     # the floor solve's slope is 0 at every node, so Corridor stores none
     floor_z = solve_bsde(lat, make_driver("neg_abs_z", kappa=0.3),
-                         np.zeros(6)).z
-    np.testing.assert_allclose(floor_z.at(2), np.zeros(3), atol=1e-15)
+                         np.zeros(6))[1]
+    np.testing.assert_allclose(floor_z[2], np.zeros(3), atol=1e-15)
 
 
 def test_estimation_gap_one_step_is_exact_for_affine_terminal():
@@ -244,6 +247,9 @@ def test_estimation_gap_one_step_is_exact_for_affine_terminal():
     res = estimation_gap(lat, g, xi, 2, 1)
     assert res["gap"] == pytest.approx(0.3 * lat.dt, rel=1e-12)
     assert res["window"] == pytest.approx(lat.dt)
+    # a stack reads its worst terminal: slope 2 doubles the gap
+    stacked = estimation_gap(lat, g, np.stack((xi, 2.0 * xi)), 2, 1)
+    assert stacked["gap"] == pytest.approx(0.6 * lat.dt, rel=1e-12)
     with pytest.raises(LatticeError):
         estimation_gap(lat, g, lat.brownian_values(4), 4, 1)
 
@@ -269,7 +275,7 @@ def test_path_tree_matches_recombining_solver():
             term = coeffs[0] + coeffs[1] * lat.brownian_values(6) \
                 + coeffs[2] * lat.brownian_values(6) ** 2
             root_tree = solve_on_path_tree(lat, d, leaf)
-            root_lattice = solve_bsde(lat, d, term).value_at_root()
+            root_lattice = solve_bsde(lat, d, term)[0][0][0]
             assert abs(root_tree - root_lattice) <= 1e-13
 
 
@@ -286,9 +292,22 @@ def test_path_tree_batches_and_slopes():
         solve_on_path_tree(lat, d, np.zeros(7))
 
 
+def _surface(lat, g, scheme, values):
+    """The parts of a ValueSurface that apriori_bound_check reads, for the
+    power loss p = 2 (phi(0) = 0, phi(1) = 1)."""
+    sc = SimpleNamespace(lattice=lat, driver_g=g, scheme=scheme,
+                         loss=make_loss("power", p=2.0))
+    return SimpleNamespace(scenario=sc, values=values)
+
+
 def test_apriori_envelope_for_zero_driver_power_loss():
+    # the envelope is 1 at every node: |V| = 1 touches it, and a level
+    # with |V| = 1.25 exceeds it by 0.25
     lat = build_lattice(1.0, 4)
-    field = apriori_bound_field(lat, make_driver("zero"),
-                                make_loss("power", p=2.0))
-    for k in range(5):
-        np.testing.assert_array_equal(field.at(k), np.ones(k + 1))
+    g = make_driver("zero")
+    ones = [np.ones(k + 1) for k in range(5)]
+    assert apriori_bound_check(_surface(lat, g, "explicit", ones)) == \
+        {"excess": 0.0}
+    ones[2] = np.array([0.5, -1.25, 1.0])
+    assert apriori_bound_check(_surface(lat, g, "explicit", ones)) == \
+        {"excess": 0.25}

@@ -5,8 +5,8 @@ import pytest
 
 from weakbsde.bsde import solve_bsde
 from weakbsde.drivers import make_driver
-from weakbsde.lattice import (MAX_LEVELS, AdaptedField, Lattice, LatticeError,
-                              build_lattice, half_sum, sign_matrix)
+from weakbsde.lattice import (MAX_LEVELS, Lattice, LatticeError, build_lattice,
+                              half_sum, sign_matrix)
 
 from prefix_walk import prefix_up_counts
 
@@ -56,26 +56,9 @@ def test_half_sum_matches_cond_expect_field():
     lat = build_lattice(1.0, 5)
     rng = np.random.default_rng(7)
     vals = rng.normal(size=6)
-    sol = solve_bsde(lat, make_driver("zero"), vals)
-    np.testing.assert_allclose(sol.y.at(4), half_sum(vals))
+    y = solve_bsde(lat, make_driver("zero"), vals)[0]
+    np.testing.assert_allclose(y[4], half_sum(vals))
     np.testing.assert_allclose(half_sum(vals), 0.5 * (vals[1:] + vals[:-1]))
-
-
-def test_adapted_field_shape_and_level_errors():
-    lat = build_lattice(1.0, 3)
-    with pytest.raises(LatticeError):
-        AdaptedField(lat, 2, (np.zeros(5),))  # wrong width for level 2
-    field = AdaptedField(lat, 2, (np.zeros(3),))
-    with pytest.raises(LatticeError):
-        field.at(1)  # below the stored range
-    with pytest.raises(LatticeError):
-        field.at(3)
-    const = AdaptedField(lat, 2, (np.full(3, 0.5),))
-    np.testing.assert_allclose(const.at(2), [0.5, 0.5, 0.5])
-    term = AdaptedField(lat, 3, (np.arange(4.0),))
-    assert term.level_lo == term.level_hi == 3
-    with pytest.raises(LatticeError):
-        AdaptedField(lat, 4, (np.zeros(5),))  # deeper than the lattice
 
 
 def test_sign_matrix_frozen_for_three_levels():

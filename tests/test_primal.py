@@ -798,15 +798,17 @@ def _per_node_dp(sc):
     corridor bounds, m-grid, control set (the base grid plus the floor and
     ceiling solves' slopes at the node) and children.  Returns (floor,
     ceiling, grids, values, control_sets, controls, clamp_events), the
-    per-node entries indexed [k][j] and floor, ceiling the two solves."""
+    per-node entries indexed [k][j] and floor, ceiling the (y, z) levels
+    of the two solves."""
     lat, n = sc.lattice, sc.lattice.steps
     floor, ceiling = (solve_bsde(lat, sc.driver_f, np.full(n + 1, edge),
-                                 scheme=sc.scheme) for edge in (0.0, 1.0))
+                                 scheme=sc.scheme)[:2] for edge in (0.0, 1.0))
+    (floor_y, floor_z), (ceiling_y, ceiling_z) = floor, ceiling
     base = sc.base_controls()
-    control_sets = [[_ordered_controls(base, [floor.z.at(k)[j],
-                                              ceiling.z.at(k)[j]])
+    control_sets = [[_ordered_controls(base, [floor_z[k][j],
+                                              ceiling_z[k][j]])
                      for j in range(k + 1)] for k in range(n)]
-    grids = [[_level_grid(float(floor.y.at(k)[j]), float(ceiling.y.at(k)[j]),
+    grids = [[_level_grid(float(floor_y[k][j]), float(ceiling_y[k][j]),
                           sc.grid_size, sc.loss.breakpoints)
               for j in range(k + 1)] for k in range(n + 1)]
     values = [None] * n + [[np.asarray(sc.loss.phi(g), float)
@@ -817,7 +819,7 @@ def _per_node_dp(sc):
         values[k], controls[k] = [None] * (k + 1), [None] * (k + 1)
         for j in range(k + 1):
             values[k][j], controls[k][j], c = _node_backup(
-                sc, floor.y.at(k + 1), ceiling.y.at(k + 1), k, j,
+                sc, floor_y[k + 1], ceiling_y[k + 1], k, j,
                 grids[k][j], control_sets[k][j], grids[k + 1], values[k + 1])
             clamps += c
     return floor, ceiling, grids, values, control_sets, controls, clamps
@@ -830,11 +832,11 @@ def _assert_level_dp_matches_the_per_node_dp(sc):
     surf = primal_value_dp(sc)
     floor, ceiling, grids, values, sets, controls, clamps = _per_node_dp(sc)
     for k in range(sc.lattice.steps + 1):
-        for edge, level_edge in ((floor, surf.corridor.floor),
-                                 (ceiling, surf.corridor.ceiling)):
-            _assert_same_bits(edge.y.at(k), np.full(k + 1, level_edge[k]))
+        for (edge_y, edge_z), level_edge in ((floor, surf.corridor.floor),
+                                             (ceiling, surf.corridor.ceiling)):
+            _assert_same_bits(edge_y[k], np.full(k + 1, level_edge[k]))
             if k < sc.lattice.steps:
-                assert not np.any(edge.z.at(k))
+                assert not np.any(edge_z[k])
         for j in range(k + 1):
             _assert_same_bits(grids[k][j], surf.grids[k])
             _assert_same_bits(values[k][j], surf.values[k])

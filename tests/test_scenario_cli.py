@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -153,6 +154,45 @@ def test_check_names_and_lists_validated():
             build_scenario(_minimal(primal={"grid_size": 81, "m_list": bad}))
         with pytest.raises(ScenarioError, match=r"dual\.m_list repeats"):
             build_scenario(_minimal(dual={"m_list": bad}))
+
+
+# a config number must be a JSON number, as a driver param must: each case
+# below used to build (or escape as OverflowError) and now names its key
+@pytest.mark.parametrize("overrides,key", [
+    ({"lattice": {"horizon": "1.0", "steps": 4}}, "lattice.horizon"),
+    ({"primal": {"grid_size": 81, "m_list": ["0.5"]}}, "primal.m_list entry"),
+    ({"primal": {"grid_size": 81, "continuity_base": "0.3"}},
+     "primal.continuity_base"),
+    ({"tolerances": {"monotonicity": "1e-9"}}, "tolerances.monotonicity"),
+    ({"dual": {"l_max": "2"}}, "dual.l_max"),
+])
+def test_a_number_given_as_a_string_names_the_key(overrides, key):
+    with pytest.raises(ScenarioError,
+                       match=f"^{re.escape(key)} must be a number, got '"):
+        build_scenario(_minimal(**overrides))
+
+
+def test_thresholds_given_as_an_object_name_the_key():
+    # an object iterates over its keys, which used to read as thresholds
+    with pytest.raises(ScenarioError, match=r"^primal\.m_list must be a list"):
+        build_scenario(_minimal(primal={"grid_size": 81,
+                                        "m_list": {"0.5": 1}}))
+    with pytest.raises(ScenarioError, match=r"^dual\.m_list must be a list"):
+        build_scenario(_minimal(dual={"m_list": {"0.5": 1}}))
+
+
+@pytest.mark.parametrize("overrides,key", [
+    ({"lattice": {"horizon": 10**400, "steps": 4}}, "lattice.horizon"),
+    ({"dual": {"l_max": 10**400}}, "dual.l_max"),
+    ({"tolerances": {"monotonicity": 10**400}}, "tolerances.monotonicity"),
+    ({"primal": {"grid_size": 81, "m_list": [0.5, 10**400]}},
+     "primal.m_list entry"),
+    ({"dual": {"m_list": [10**400]}}, "dual.m_list entry"),
+])
+def test_an_int_beyond_the_float_range_names_the_key(overrides, key):
+    with pytest.raises(ScenarioError,
+                       match=f"^{re.escape(key)} must be a finite number"):
+        build_scenario(_minimal(**overrides))
 
 
 def test_config_hash_ignores_key_order():
