@@ -259,7 +259,7 @@ def _c13_strong_duality_quadratic(ws):
 
 def _c14_first_order_conditions(ws):
     surface = ws.surface("jensen")
-    controls = DualControls.zeros(surface.scenario.lattice, slope=1.0)
+    controls = DualControls.zeros(slope=1.0)
     res = first_order_residuals(surface, controls, 0.5)
     keys = ("constraint_fenchel", "terminal_gradient", "cost_fenchel",
             "terminal_polar")

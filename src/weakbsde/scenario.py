@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from .bsde import compute_corridor, monotone_step_ok
 from .drivers import Driver, LossPair, make_driver, make_loss
 from .dual import SLOPE_FLOOR
-from .lattice import MAX_LEVELS, MAX_PATH_LEVELS, Lattice, build_lattice
+from .lattice import MAX_LEVELS, Lattice, build_lattice
 from .primal import (CONTINUITY_OFFSETS, CURVE_TOL, PrimalScenario,
                      _continuity_base_fits)
 
@@ -253,18 +253,6 @@ def build_scenario(config: dict) -> Scenario:
     # a check runs, and is reported, once per time it is named
     if len(set(checks)) != len(checks):
         raise ScenarioError(f"checks repeats a check: {list(checks)!r}")
-
-    # the dual prices its certificates on every path, and weak_duality reads
-    # them; the primal and its checks work on rows and run past the guard
-    if steps > MAX_PATH_LEVELS:
-        for asked, what, fix in (
-                (dual_enabled, "the dual search", "set dual.enabled to false"),
-                ("weak_duality" in checks, "check weak_duality",
-                 "remove it from checks")):
-            if asked:
-                raise ScenarioError(
-                    f"lattice.steps = {steps} exceeds the path enumeration "
-                    f"guard (max {MAX_PATH_LEVELS} levels) of {what}; {fix}")
 
     # the backward steps raise where a driver breaks the step condition under
     # the explicit scheme, or the implicit fixed point's contraction

@@ -5,12 +5,20 @@ and dual layers were folded onto shared step kernels; any change to a
 number, its formatting or the report layout shows up here.  The jensen and
 risk_pair curve.csv and report.json values were re-recorded when the
 smooth-polar slope search moved from golden section to Brent's method,
-which moves their dual bounds in the last bits.
+which moves their dual bounds in the last bits.  The curve.csv and
+report.json values of the five dual scenarios (call_spread, envelope,
+identity, jensen, risk_pair) were re-recorded when the dual certificate
+moved from the 2^N path tree to the N + 1 lattice nodes, which moves their
+dual bounds by at most 1e-15; every surface.csv and every tiny_* file kept
+its bytes.
 """
 
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -21,16 +29,18 @@ from weakbsde.runner import (_at_most, _surface_csv, execute,
                             render_report_json)
 from weakbsde.scenario import build_scenario, catalogue, catalogue_scenario
 
+from test_acceptance import SRC, VERIFY_SEED_24_SHA256
+
 ARTIFACT_SHA256 = {
     "call_spread": (
-        "83fc68c781136f6924f2ba1e2293f226c5d3c3a516f8937d34607ee233cb1af6",
+        "d16944ee0b46256984ff4ab0a42eb3b67aab723618278091c6d9976c0bb5952f",
         "28ec3c17e48188fdc44f271afeb158946fa2899b98e07e5bc6774bf0992ace94",
-        "25bc6d7f388ee4d3e5483de0796b7cd0f8d6f73ecb3409dff0b05512cee6e7d6",
+        "b82478f10322a0e50ac75f4068a8bebf2694f7e95a262fd1640a2db5fee7bfdd",
     ),
     "envelope": (
-        "20d7545a39e775dcd1b3447bd48dd8d4857ad7467909bdb9e339c5d77611d986",
+        "cbea9eb345202f9f341e5ec70592cd96f8edebfc4d4c43208749eb3ef0116187",
         "379b0f5d39db55ecc57ddae38a15325e5011c97c6a86db02158dfe066f3e11a2",
-        "958e4f9e6e9e06c065abb02041f5f6eccddc008b41931588703c7269f62b5f62",
+        "b7eaf0a2b367bcb65a826b95249fc7525c4e5933193d3d93db59c0045bc5d500",
     ),
     "identity": (
         "8c829eb326c1563534b972adea2ccc51dd52a86a04d3bfb0e87ca59887146eaf",
@@ -38,14 +48,14 @@ ARTIFACT_SHA256 = {
         "84c5812d14c82d43c28b71daf59740671b197834a93842d83332fdfdc099c288",
     ),
     "jensen": (
-        "c81d13ee13929ec96d4f5d0331a676242ba79ec84220cf715c976a3f5865a65f",
+        "ab694ab1d1651161d8bfd5352e90450c50cb8da4a0751034da9bb7a617c7dce7",
         "d31ef92e2326a4e01f741c1338f5174282bc24767f90ea6da4891dd091d76c6b",
-        "1b413f3a9e86a3ebee7848fa40bd3fc47b2ec1c530659a0e05be26d501b5eabc",
+        "989d6c8f1afc12bef580f9096ab50bd735627ed19a1420a7e200b2ec6e7d082c",
     ),
     "risk_pair": (
-        "7cf4217cfcf8e8ea1bfc0ac63408cd26f2cdbe4d70f7e4310c19993a36ee8a03",
+        "9f8c99c8acbb6b41fcd9584fdd2e7c50bf37d8a8029dd74d55a3071f73f7b1dd",
         "d31ef92e2326a4e01f741c1338f5174282bc24767f90ea6da4891dd091d76c6b",
-        "cc2d33d79144cda41935016eb9606ade84ca78a260aebef783e1db82f9b94d2a",
+        "c8831c3d03862f85dc6c4717a8dcdf7d250a2e29aa5cb82ec10ad386c6398376",
     ),
     "tiny_identity": (
         "936aadeefaf8343ad3a2bd8d8c0e25b7a4f337813a66580f0adbd415182ddb89",
@@ -72,6 +82,48 @@ def test_catalogue_artifacts_are_byte_identical(name, tmp_path):
         hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
         for fname in ("curve.csv", "surface.csv", "report.json"))
     assert measured == ARTIFACT_SHA256[name]
+
+
+# Writes every catalogue scenario's artifacts and the seed-24 verify report
+# under argv[1], after checking that numpy runs with its dispatch groups off.
+DISPATCH_OFF_RUN = """
+import pathlib, sys
+from numpy._core import _multiarray_umath as umath
+from weakbsde.cli import main
+from weakbsde.runner import execute
+from weakbsde.scenario import catalogue, catalogue_scenario
+assert not any(umath.__cpu_features__[g] for g in umath.__cpu_dispatch__)
+out = pathlib.Path(sys.argv[1])
+for name in catalogue():
+    execute(catalogue_scenario(name), out_dir=out / name, quiet=True)
+sys.exit(main(["verify", "--seed", "24", "--out", str(out / "verify"),
+               "--quiet"]))
+"""
+
+
+def test_goldens_do_not_depend_on_numpy_simd_dispatch(tmp_path):
+    """With every CPU dispatch group numpy offers switched off, leaving its
+    baseline loops, a fresh interpreter writes the catalogue artifacts and
+    the verify report with the pinned bytes."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+        groups = list(umath.__cpu_dispatch__)
+    except (ImportError, AttributeError):
+        groups = []
+    if not groups:
+        pytest.skip("numpy exposes no CPU dispatch groups to switch off")
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(groups),
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, "-c", DISPATCH_OFF_RUN, str(tmp_path)],
+                   env=env, check=True)
+    for name, golden in ARTIFACT_SHA256.items():
+        measured = tuple(
+            hashlib.sha256((tmp_path / name / fname).read_bytes()).hexdigest()
+            for fname in ("curve.csv", "surface.csv", "report.json"))
+        assert measured == golden, name
+    report = (tmp_path / "verify" / "report.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == VERIFY_SEED_24_SHA256
 
 
 # A risk pair deeper and with more controls than any catalogue scenario,

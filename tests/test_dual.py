@@ -1,4 +1,4 @@
-"""Dual certificates: adjoint panels, candidate search, duality gaps."""
+"""Dual certificates: node-sum pricing, candidate search, duality gaps."""
 
 import dataclasses
 import math
@@ -12,37 +12,41 @@ from hypothesis import given, settings, strategies as st
 import weakbsde.dual as dual_mod
 import weakbsde.primal as primal_mod
 import weakbsde.runner as runner_mod
+from path_tree import _path_sums, path_tree_adjoints, path_tree_certificate
 from weakbsde.acceptance import Workspace
 from weakbsde.bsde import _one_step
 from weakbsde.control import _children, _interleave
 from weakbsde.drivers import (ConjugateDomainError, Driver, make_driver,
                               make_loss)
 from weakbsde.dual import (DualControls, DualFeasibilityError, dual_bound,
-                           dual_objective, dual_value, dual_values,
-                           first_order_residuals)
-from weakbsde.lattice import build_lattice, sign_matrix
+                           dual_objective, dual_value, first_order_residuals)
+from weakbsde.lattice import build_lattice
 from weakbsde.primal import PrimalScenario, primal_value_dp, value_curve
 from weakbsde.scenario import build_scenario, catalogue_scenario
 
 
 def test_dual_controls_validation():
-    z3 = np.zeros(3)
     with pytest.raises(DualFeasibilityError):
-        DualControls(-1.0, z3, z3, z3, z3)
+        DualControls(-1.0, 0.0, 0.0, 0.0, 0.0)
     with pytest.raises(DualFeasibilityError):
-        DualControls(0.0, z3, z3, z3, z3)
-    with pytest.raises(DualFeasibilityError):
-        DualControls(1.0, z3, np.zeros(2), z3, z3)
-    dc = DualControls(1.5, z3, z3, z3, z3)
-    assert dc.steps == 3
-    with pytest.raises(ValueError):
-        dc.value_noise[0] = 1.0  # profiles are frozen
+        DualControls(0.0, 0.0, 0.0, 0.0, 0.0)
+    with pytest.raises(DualFeasibilityError, match="value_noise"):
+        DualControls(1.0, 0.0, np.zeros(2), 0.0, 0.0)   # not one number
+    with pytest.raises(DualFeasibilityError, match="threshold_drift"):
+        DualControls(1.0, 0.0, 0.0, math.nan, 0.0)
+    dc = DualControls(1.5, 0, np.float32(0.25), 0.0, -0.5)
+    assert [type(getattr(dc, name)) for name in dual_mod.CONSTANTS] \
+        == [float] * 4
+    assert dc.column().tolist() == [[0.0], [0.25], [0.0], [-0.5]]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        dc.value_noise = 1.0  # the candidate is frozen
 
 
 def test_dual_controls_do_not_capture_caller_arrays():
-    mine = np.zeros(4)
-    DualControls(1.0, mine, mine, mine, mine)
-    mine[0] = 7.0  # caller's array must stay writeable
+    mine = np.zeros(())
+    dc = DualControls(1.0, mine, mine, mine, mine)
+    mine[()] = 7.0  # caller's array must stay writeable, dc unchanged
+    assert dc.column().tolist() == [[0.0]] * 4
 
 
 def test_zeros_factory_and_objective_equals_polar():
@@ -50,15 +54,14 @@ def test_zeros_factory_and_objective_equals_polar():
     lp = make_loss("power", p=2.0)
     zero = make_driver("zero")
     for l in (0.5, 1.0, 1.7, 3.0):
-        dc = DualControls.zeros(lat, slope=l)
+        dc = DualControls.zeros(slope=l)
         got = dual_objective(lat, dc, zero, zero, lp)
         assert got == pytest.approx(float(lp.polar(l)), abs=1e-14)
 
 
 def test_excessive_noise_breaks_positivity():
     lat = build_lattice(1.0, 3)
-    dc = DualControls(1.0, np.zeros(3), np.full(3, 5.0), np.zeros(3),
-                      np.zeros(3))
+    dc = DualControls(1.0, 0.0, 5.0, 0.0, 0.0)
     with pytest.raises(DualFeasibilityError, match="margin"):
         dual_objective(lat, dc, make_driver("zero"), make_driver("zero"),
                        make_loss("power", p=2.0))
@@ -80,7 +83,7 @@ def test_dual_value_search_never_goes_above_the_start():
     lp = make_loss("power", p=2.0)
     for l in (0.6, 1.0, 1.4):
         res = dual_value(lat, l, f, g, lp)
-        start = dual_objective(lat, DualControls.zeros(lat, l), f, g, lp)
+        start = dual_objective(lat, DualControls.zeros(l), f, g, lp)
         assert res["value"] <= start + 1e-14
         assert res["n_evaluations"] >= 1
 
@@ -127,28 +130,49 @@ WEAK_DUALITY_LOSSES = (("power", {"p": 2.0}), ("power", {"p": 1.5}),
                        ("s_shaped", {}))
 
 
+def _constant_candidate(f, g, slope, data):
+    """A feasible time-constant candidate of slope and drawn noises, and
+    its drivers: (constants, d_f, d_g)."""
+    constants = []
+    for _, drift, lo, hi in (g, f):
+        constants += [drift, lo + (hi - lo) * data.draw(st.floats(0.0, 1.0))]
+    (f_name, f_params), (g_name, g_params) = f[0], g[0]
+    return (constants, make_driver(f_name, **f_params),
+            make_driver(g_name, **g_params))
+
+
 @settings(max_examples=150)
 @given(f=st.sampled_from(WEAK_DUALITY_F), g=st.sampled_from(WEAK_DUALITY_G),
-       loss=st.sampled_from(WEAK_DUALITY_LOSSES), steps=st.integers(1, 6),
+       loss=st.sampled_from(WEAK_DUALITY_LOSSES), steps=st.integers(1, 10),
+       slope=st.floats(0.05, 4.0), data=st.data())
+def test_certificate_matches_the_path_tree_reference(f, g, loss, steps,
+                                                     slope, data):
+    # the node sum and the 2^N path enumeration sum in different orders,
+    # so they agree to rounding, not to the bit
+    constants, d_f, d_g = _constant_candidate(f, g, slope, data)
+    lat = build_lattice(1.0, steps)
+    lp = make_loss(loss[0], **loss[1])
+    got = dual_objective(lat, DualControls(slope, *constants), d_f, d_g, lp)
+    want = path_tree_certificate(lat, slope, constants, d_f, d_g, lp)
+    assert abs(got - want) <= 1e-14 * abs(want), (got, want)
+
+
+@settings(max_examples=150)
+@given(f=st.sampled_from(WEAK_DUALITY_F), g=st.sampled_from(WEAK_DUALITY_G),
+       loss=st.sampled_from(WEAK_DUALITY_LOSSES), steps=st.integers(1, 10),
        scheme=st.sampled_from(("explicit", "implicit")),
        slope=st.floats(0.05, 4.0), data=st.data())
 def test_weak_duality_property(f, g, loss, steps, scheme, slope, data):
     # every feasible candidate's line l m - certificate stays below the DP
     # value at every root-grid m
+    constants, d_f, d_g = _constant_candidate(f, g, slope, data)
     lat = build_lattice(1.0, steps)
-    shares = st.lists(st.floats(0.0, 1.0), min_size=steps, max_size=steps)
-    profiles = []
-    for _, drift, lo, hi in (g, f):
-        profiles += [np.full(steps, drift),
-                     lo + (hi - lo) * np.array(data.draw(shares))]
-    dc = DualControls(slope, *profiles)
-    (f_name, f_params), (g_name, g_params) = f[0], g[0]
-    d_f, d_g = make_driver(f_name, **f_params), make_driver(g_name, **g_params)
     lp = make_loss(loss[0], **loss[1])
     surf = primal_value_dp(PrimalScenario(lattice=lat, driver_f=d_f,
                                           driver_g=d_g, loss=lp,
                                           scheme=scheme))
-    certificate = dual_objective(lat, dc, d_f, d_g, lp)
+    certificate = dual_objective(lat, DualControls(slope, *constants), d_f,
+                                 d_g, lp)
     excess = slope * surf.grids[0] - certificate - surf.values[0]
     assert float(np.max(excess)) <= 1e-9
 
@@ -173,7 +197,7 @@ def test_first_order_residuals_vanish_at_the_analytic_optimum():
                         loss=make_loss("power", p=2.0),
                         grid_size=201, n_a=21)
     surf = primal_value_dp(sc)
-    dc = DualControls.zeros(sc.lattice, slope=1.0)  # l* = 2m at m = 0.5
+    dc = DualControls.zeros(slope=1.0)  # l* = 2m at m = 0.5
     res = first_order_residuals(surf, dc, 0.5)
     for key in ("constraint_fenchel", "terminal_gradient", "cost_fenchel",
                 "terminal_polar"):
@@ -188,8 +212,7 @@ def test_first_order_residuals_report_kinked_polars():
                         loss=make_loss("identity"),
                         grid_size=101, n_a=11)
     surf = primal_value_dp(sc)
-    res = first_order_residuals(surf, DualControls.zeros(sc.lattice, 1.0),
-                                0.5)
+    res = first_order_residuals(surf, DualControls.zeros(1.0), 0.5)
     assert res["terminal_gradient"] is None
     assert "note" in res
 
@@ -209,8 +232,9 @@ def _path_tree_levels(lat, d, leaf_values, scheme):
 
 def _prefix_residuals(surf, dc, m0):
     """Reference: the four residuals over every path prefix, with the greedy
-    policy stepped prefix by prefix (one backup per prefix) and its cost
-    priced on the path tree."""
+    policy stepped prefix by prefix (one backup per prefix), its cost
+    priced on the path tree and the terminal adjoint ratio of each path
+    taken from the path-tree adjoints."""
     sc = surf.scenario
     lat = sc.lattice
     states, controls = [np.array([m0])], []
@@ -225,21 +249,23 @@ def _prefix_residuals(surf, dc, m0):
     leaf_cost = np.asarray(sc.loss.phi(states[-1]), dtype=float)
     y_levels, z_levels = _path_tree_levels(lat, sc.driver_g,
                                            leaf_cost[None, :], sc.scheme)
-    inc = dual_mod._Incumbent(lat, [dc], sc.driver_f, sc.driver_g)
-    gts, fts = (conj[0] for conj in inc.conj)
+    gt = float(dual_mod.convex_conjugate(sc.driver_g, dc.value_drift,
+                                         dc.value_noise))
+    ft = float(dual_mod.concave_conjugate(sc.driver_f, dc.threshold_drift,
+                                          dc.threshold_noise))
     res_f = res_g = 0.0
     for k in range(lat.steps):
         t = lat.time_at(k)
         lhs_f = sc.driver_f.fn(t, states[k], controls[k])
-        rhs_f = dc.threshold_drift[k] * states[k] \
-            + dc.threshold_noise[k] * controls[k] - fts[k]
+        rhs_f = dc.threshold_drift * states[k] \
+            + dc.threshold_noise * controls[k] - ft
         res_f = max(res_f, float(np.max(np.abs(lhs_f - rhs_f))))
         y_k, z_k = y_levels[k][0], z_levels[k][0]
         lhs_g = sc.driver_g.fn(t, y_k, z_k)
-        rhs_g = dc.value_drift[k] * y_k + dc.value_noise[k] * z_k - gts[k]
+        rhs_g = dc.value_drift * y_k + dc.value_noise * z_k - gt
         res_g = max(res_g, float(np.max(np.abs(lhs_g - rhs_g))))
-    l_end, p_end = (levels[-1][0] for levels in inc.adjoints)
-    ratio = dc.slope * p_end / l_end
+    (l_levels, a_levels), _ = path_tree_adjoints(lat, dc.column()[:, 0])
+    ratio = dc.slope * a_levels[-1][0] / l_levels[-1][0]
     m_term = states[-1]
     out = {
         "constraint_fenchel": res_f,
@@ -249,58 +275,62 @@ def _prefix_residuals(surf, dc, m0):
         "terminal_polar": float(np.max(np.abs(
             sc.loss.phi(m_term) + sc.loss.polar(ratio) - m_term * ratio))),
     }
-    return out, m_term
+    return out, m_term, np.unique(ratio).size
 
 
 @pytest.mark.parametrize("scheme", ["explicit", "implicit"])
 @pytest.mark.parametrize("loss", [("power", {"p": 2.0}), ("s_shaped", {})])
 def test_first_order_residuals_match_the_prefix_reference(scheme, loss):
-    # step-varying noise profiles make the terminal adjoint ratio differ
-    # from path to path, so the terminal residuals pair paths with rows;
-    # under the s_shaped loss the terminal states differ too
+    # unequal noises make the terminal adjoint ratio differ from node to
+    # node, so the terminal residuals pair paths with rows and nodes; under
+    # the s_shaped loss the terminal states differ too.  The Fenchel
+    # residuals repeat the reference's arithmetic; the terminal ratios
+    # come from node powers against the reference's per-path products
     sc = PrimalScenario(lattice=build_lattice(1.0, 8),
                         driver_f=make_driver("neg_abs_z", kappa=0.3),
                         driver_g=make_driver("abs_z", kappa=0.2),
                         loss=make_loss(loss[0], **loss[1]), grid_size=201,
                         n_a=21, scheme=scheme)
     surf = primal_value_dp(sc)
-    k = np.arange(8)
-    dc = DualControls(0.9, np.zeros(8), 0.15 * np.sin(1.0 + k),
-                      np.zeros(8), 0.25 * np.cos(2.0 * k))
+    dc = DualControls(0.9, 0.0, 0.15, 0.0, -0.25)
     spread = []
     for m0 in (0.3, 0.5):
-        ref, m_term = _prefix_residuals(surf, dc, m0)
+        ref, m_term, ratios = _prefix_residuals(surf, dc, m0)
         got = first_order_residuals(surf, dc, m0)
         got.pop("note", None)
-        assert got == ref
+        assert ratios > 1
+        for key in ("constraint_fenchel", "cost_fenchel"):
+            assert got[key] == ref[key], key
+        for key in ("terminal_gradient", "terminal_polar"):
+            assert got[key] == pytest.approx(ref[key], rel=0, abs=1e-14), key
         spread.append(np.unique(m_term).size)
     assert (max(spread) > 1) == (loss[0] == "s_shaped")
 
 
-# Golden values recorded from the one-candidate-per-trial search that the
-# batched coordinate scan replaced; every value must be reproduced to the bit.
+# The search's goldens, recorded from the node-sum window search; each
+# value must be reproduced to the bit.  On the risk pair every candidate
+# with v = q prices polar(l), the minimum, up to rounding, and the search
+# moves along that diagonal on the rounding alone.
 SMOOTH_PAIR = (("logcosh_z", {"kappa": 0.3, "sign": -1}),
                ("softplus_z", {"kappa": 0.2}))
 RISK_PAIR = (("neg_abs_z", {"kappa": 0.3}), ("abs_z", {"kappa": 0.2}))
-V4 = [0.10000000000000003] * 4
-Q4 = [0.018750000000000003] * 4
+V4 = 0.10000000000000003
+Q4 = 0.018750000000000003
+RISK_VQ = (-0.15937500000000004, -0.159375)
 GOLDEN_DUAL_VALUES = [
     # (pair, steps, rounds, slope, value, (u, v, p, q))
-    (SMOOTH_PAIR, 4, 2, 0.5, 0.0631289258670423,
-     ([0.0] * 4, V4, [0.0] * 4, [0.0] * 4)),
-    (SMOOTH_PAIR, 4, 2, 1.0, 0.25224495722955736,
-     ([0.0] * 4, V4, [0.0] * 4, Q4)),
-    (SMOOTH_PAIR, 4, 2, 1.5, 0.5671114140912366,
-     ([0.0] * 4, V4, [0.0] * 4, Q4)),
-    (RISK_PAIR, 6, 3, 0.5, 0.0625, ([0.0] * 6,) * 4),
-    (RISK_PAIR, 6, 3, 1.0, 0.25, ([0.0] * 6,) * 4),
-    (RISK_PAIR, 6, 3, 1.5, 0.5625, ([0.0] * 6,) * 4),
+    (SMOOTH_PAIR, 4, 2, 0.5, 0.0631289258670423, (0.0, V4, 0.0, 0.0)),
+    (SMOOTH_PAIR, 4, 2, 1.0, 0.25224495722955736, (0.0, V4, 0.0, Q4)),
+    (SMOOTH_PAIR, 4, 2, 1.5, 0.5671114140912364, (0.0, V4, 0.0, Q4)),
+    (RISK_PAIR, 6, 3, 0.5, 0.06249999999999995,
+     (0.0, RISK_VQ[0], 0.0, RISK_VQ[1])),
+    (RISK_PAIR, 6, 3, 1.0, 0.2499999999999998,
+     (0.0, RISK_VQ[0], 0.0, RISK_VQ[1])),
+    (RISK_PAIR, 6, 3, 1.5, 0.5624999999999996,
+     (0.0, RISK_VQ[0], 0.0, RISK_VQ[1])),
     (SMOOTH_PAIR, 8, 3, 1.0, 0.2521490389057519,
-     ([0.0] * 8, [0.09687500000000003] * 8, [0.0] * 8,
-      [0.014062500000000006] * 8)),
+     (0.0, 0.09687500000000003, 0.0, 0.014062500000000006)),
 ]
-PROFILE_NAMES = ("value_drift", "value_noise", "threshold_drift",
-                 "threshold_noise")
 
 
 def _pair(spec):
@@ -312,15 +342,17 @@ def _pair(spec):
                          GOLDEN_DUAL_VALUES)
 def test_dual_value_reproduces_golden_bits(spec, steps, rounds, slope, value,
                                            profiles):
+    # profiles holds the four time-constant profiles (u, v, p, q)
     f, g = _pair(spec)
     res = dual_value(build_lattice(1.0, steps), slope, f, g,
                      make_loss("power", p=2.0), rounds=rounds)
     assert res["value"] == value
-    for name, expected in zip(PROFILE_NAMES, profiles):
-        assert getattr(res["controls"], name).tolist() == expected, name
+    assert res["controls"] == DualControls(slope, *profiles)
 
 
-# (slope, value_noise, threshold_noise, certificate or the error it raises);
+# (slope, value_noise, threshold_noise, certificate or the error it raises)
+# of per-step profiles, recorded from the path-prefix dual_objective that
+# the node sum replaced and now held by its reference, path_tree_certificate;
 # drift profiles are zero, the only point of their conjugate domains
 GOLDEN_OBJECTIVES = [
     (0.8408888317372476,
@@ -378,28 +410,61 @@ GOLDEN_OBJECTIVES = [
 def test_dual_objective_reproduces_golden_bits(slope, v, q, expected):
     n = len(v)
     f, g = _pair(SMOOTH_PAIR)
-    dc = DualControls(slope, np.zeros(n), v, np.zeros(n), q)
-    args = (build_lattice(1.0, n), dc, f, g, make_loss("power", p=2.0))
+    args = (build_lattice(1.0, n), slope, (np.zeros(n), v, np.zeros(n), q),
+            f, g, make_loss("power", p=2.0))
     if isinstance(expected, float):
-        assert dual_objective(*args) == expected
+        assert path_tree_certificate(*args) == expected
     else:
         with pytest.raises(expected):
-            dual_objective(*args)
+            path_tree_certificate(*args)
 
 
-def test_dual_value_counts_moves_and_never_rescores_the_old_incumbent():
-    # the one-candidate-per-trial search spent 401 evaluations here, 8 of
-    # them re-scoring a start point an earlier window value had beaten
+def test_dual_value_counts_moves_and_never_rescores_the_old_incumbent(
+        monkeypatch):
+    # three rounds of 9 x 9 windows on (v, q), each without its incumbent;
+    # a window's middle point need not carry the incumbent's bits, so a
+    # round scores 80 or 81 certificates
     f, g = _pair(SMOOTH_PAIR)
-    res = dual_value(build_lattice(1.0, 8), 1.0, f, g,
-                     make_loss("power", p=2.0))
-    assert res["n_evaluations"] == 393
-    assert res["n_accepted"] == 32
+    lat = build_lattice(1.0, 8)
+    lp = make_loss("power", p=2.0)
+    seen = []
+    scores = dual_mod._scores
+
+    def spy(lattice, slope, cand, *args):
+        seen.append(cand.copy())
+        return scores(lattice, slope, cand, *args)
+
+    monkeypatch.setattr(dual_mod, "_scores", spy)
+    res = dual_value(lat, 1.0, f, g, lp)
+    assert res["n_evaluations"] == 242 == sum(c.shape[1] for c in seen)
+    assert res["n_accepted"] == 3
+    # a window never holds the incumbent it was built around
+    incumbent = seen[0][:, 0]
+    for cand in seen[1:]:
+        assert not np.any(np.all(cand == incumbent[:, None], axis=0))
+        values = [_single(lat, 1.0, c, f, g, lp) for c in cand.T]
+        best = int(np.argmin(values))
+        if values[best] < _single(lat, 1.0, incumbent, f, g, lp):
+            incumbent = cand[:, best]
+    assert res["controls"] == DualControls(1.0, *incumbent)
+
+
+
+def test_dual_value_stops_once_its_window_collapses():
+    # after 30 rounds a window around the smooth pair's incumbent holds
+    # only the incumbent's own bits, so a longer search scores nothing more
+    f, g = _pair(SMOOTH_PAIR)
+    lat = build_lattice(1.0, 8)
+    lp = make_loss("power", p=2.0)
+    res = dual_value(lat, 1.0, f, g, lp, rounds=48)
+    assert res == dual_value(lat, 1.0, f, g, lp, rounds=30)
+    assert res["n_evaluations"] < 30 * 81
+    assert res["value"] < dual_value(lat, 1.0, f, g, lp)["value"]
 
 
 def _box_pair():
     """Drivers given only by conjugates finite on a whole box, so that the
-    drift profiles u and p are searched too (every catalogue driver pins
+    drift constants u and p are searched too (every catalogue driver pins
     them to a point).  The g box lets v break the positivity margin."""
     def g_conj(u, v):
         u, v = np.asarray(u, float), np.asarray(v, float)
@@ -420,10 +485,10 @@ def _box_pair():
     return f, g
 
 
-def _box_controls(steps):
+def _box_profiles(steps):
     k = np.arange(steps)
-    return DualControls(1.1, 0.45 * np.sin(1.0 + k), 0.9 * np.cos(2.0 * k),
-                        0.35 * np.sin(3.0 * k + 0.5), 0.25 * np.cos(k + 0.3))
+    return (0.45 * np.sin(1.0 + k), 0.9 * np.cos(2.0 * k),
+            0.35 * np.sin(3.0 * k + 0.5), 0.25 * np.cos(k + 0.3))
 
 
 @pytest.mark.parametrize("loss, steps, expected", [
@@ -435,244 +500,55 @@ def _box_controls(steps):
 def test_dual_objective_with_drift_reproduces_golden_bits(loss, steps,
                                                            expected):
     f, g = _box_pair()
-    got = dual_objective(build_lattice(1.0, steps), _box_controls(steps),
-                         f, g, make_loss(loss))
+    got = path_tree_certificate(build_lattice(1.0, steps), 1.1,
+                                _box_profiles(steps), f, g, make_loss(loss))
     assert got == expected
 
 
-def _single(lat, dc, i, k, val, f, g, lp):
-    """dual_objective of dc with profile i at step k set to val, or +inf."""
-    profiles = [np.array(getattr(dc, name)) for name in PROFILE_NAMES]
-    profiles[i][k] = val
+def _single(lat, slope, constants, f, g, lp):
+    """dual_objective of one candidate, or +inf where it raises."""
     try:
-        return dual_objective(lat, DualControls(dc.slope, *profiles), f, g, lp)
+        return dual_objective(lat, DualControls(slope, *constants), f, g, lp)
     except (DualFeasibilityError, ConjugateDomainError):
         return math.inf
 
 
-def _one_owner(vals):
-    """The owner index of candidates that all belong to slope 0."""
-    return np.zeros(len(vals), dtype=np.intp)
-
-
-@pytest.mark.parametrize("steps, scan_pairs", [
-    (5, 2**16),                  # one pass holds every candidate
-    (14, 2**16),                 # smallest depth where 8 candidates split
-    (11, dual_mod.SCAN_PAIRS),   # the same at the shipped pass size
-    (14, dual_mod.SCAN_PAIRS),   # one candidate split into path ranges
-    (7, 2**5),                   # each candidate split into path ranges
-])
-def test_batched_scan_rows_equal_single_evaluations(steps, scan_pairs,
-                                                    monkeypatch):
-    monkeypatch.setattr(dual_mod, "SCAN_PAIRS", scan_pairs)
+@pytest.mark.parametrize("steps", [1, 5, 14, 64])
+def test_window_scores_equal_single_evaluations(steps):
+    # every drift and noise axis is searched on the box pair, whose g box
+    # reaches past the positivity margin; the rows scored together equal
+    # their single evaluations, +inf for both causes of infeasibility
     lat = build_lattice(1.0, steps)
     f, g = _box_pair()
     lp = make_loss("power", p=2.0)
-    dc = _box_controls(steps)
-    inc = dual_mod._Incumbent(lat, [dc], f, g)
-    assert inc.value(lp)[0] == dual_objective(lat, dc, f, g, lp)
-    seen = []
-    for k in sorted({0, steps // 2, steps - 1}):
-        # a v whose adjoint factor stays positive but inside the margin
-        edge = (1.0 + dc.value_drift[k] * lat.dt - 5e-7) / lat.sqrt_dt
-        windows = {
-            0: [-0.45, 0.5, 0.7, 0.01, -0.2, 0.33, -0.6, 0.25],
-            1: [0.0, 0.3, -2.0, edge, 1.7, 0.9, -edge, 2.2],
-            2: [0.05],
-            3: [0.299, -0.3, 0.45, 0.1, -0.2, 0.0, 0.2, -0.05],
-        }
-        for i, vals in windows.items():
-            scores, _ = inc.scan(i, k, np.array(vals), _one_owner(vals),
-                                 lp)
-            for val, score in zip(vals, scores):
-                assert score == _single(lat, dc, i, k, val, f, g, lp), \
-                    (i, k, val)
-            seen.extend(scores)
-    assert np.isfinite(seen).any() and np.isinf(seen).any()
-    # the +inf rows have both causes: the positivity margin and a domain
-    profiles = [np.array(getattr(dc, n)) for n in PROFILE_NAMES]
-    profiles[1][0] = (1.0 + dc.value_drift[0] * lat.dt - 5e-7) / lat.sqrt_dt
+    # a v whose adjoint factor stays positive but inside the margin
+    edge = (1.0 + 0.2 * lat.dt - 5e-7) / lat.sqrt_dt
+    axes = ([-0.45, 0.2, 0.5], [0.0, -2.0, edge, -edge, 0.9],
+            [0.05, -0.4], [0.299, -0.3, 0.45, 0.0])
+    cand = np.array([x.ravel() for x in np.meshgrid(*axes, indexing="ij")])
+    scores = dual_mod._scores(lat, 1.1, cand, f, g, lp)
+    want = [_single(lat, 1.1, c, f, g, lp) for c in cand.T]
+    assert scores.tolist() == want
+    assert np.isfinite(scores).any() and np.isinf(scores).any()
     with pytest.raises(DualFeasibilityError, match="margin"):
-        dual_objective(lat, DualControls(1.1, *profiles), f, g, lp)
-    profiles = [np.array(getattr(dc, n)) for n in PROFILE_NAMES]
-    profiles[3][0] = 0.45
+        dual_objective(lat, DualControls(1.1, 0.2, edge, 0.05, 0.0), f, g,
+                       lp)
     with pytest.raises(ConjugateDomainError):
-        dual_objective(lat, DualControls(1.1, *profiles), f, g, lp)
-
-
-def _per_path_panels(lat, dc, f, g):
-    """The per-path construction the prefix-tree rebuild replaced, kept as
-    its reference: every column of both adjoint panels over all 2^N rows,
-    a left-to-right product of the step factors, then the running terms."""
-    n = lat.steps
-    signs = sign_matrix(n)
-    ft, gt = dual_mod._conjugate_profiles(lat, dc, f, g)
-    panels = []
-    for drift, noise in ((dc.value_drift, dc.value_noise),
-                         (dc.threshold_drift, dc.threshold_noise)):
-        panel = np.ones((2**n, n + 1))
-        for j in range(n):
-            fac = dual_mod._factors(drift[j], noise[j], signs[:, j], lat.dt,
-                                    lat.sqrt_dt)
-            np.multiply(panel[:, j], fac, out=panel[:, j + 1])
-        panels.append(panel)
-    terms = np.empty((2**n, n))
-    for j in range(n):
-        terms[:, j] = panels[0][:, j] * gt[j] \
-            - dc.slope * panels[1][:, j] * ft[j]
-    return panels + [terms]
-
-
-def _spread(inc):
-    """The incumbent's levels spread to per-path panels, slope-major: L and
-    A / slope, (S, 2^N, N+1), then the running terms, (S, 2^N, N)."""
-    n = inc.lattice.steps
-
-    def panel(levels):
-        return np.stack([np.repeat(level, 2**n // level.shape[-1], axis=-1)
-                         for level in levels], axis=-1)
-
-    return [panel(levels) for levels in inc.adjoints] + [panel(inc.terms)]
-
-
-def test_accepted_move_rebuilds_the_incumbent_exactly():
-    lat = build_lattice(1.0, 6)
-    f, g = _pair(SMOOTH_PAIR)
-    lp = make_loss("power", p=2.0)
-    slopes = (0.9, 0.6, 1.3)
-    inc = dual_mod._Incumbent(lat, [DualControls.zeros(lat, l)
-                                    for l in slopes], f, g)
-    # slope 0 alone first, then batched moves: several slopes at one (i, k),
-    # each to its own value, and slopes that do not move in between
-    moves = ((1, 3, [0], [0.15]), (3, 0, [0], [-0.2]), (3, 5, [0], [0.1]),
-             (1, 0, [0], [0.05]), (3, 2, [0, 1, 2], [0.1, -0.25, 0.2]),
-             (1, 4, [1, 2], [0.17, 0.03]), (3, 0, [2], [-0.1]),
-             (1, 0, [0, 2], [0.12, 0.08]))
-    for i, k, movers, vals in moves:
-        movers, vals = np.array(movers), np.array(vals)
-        scores, conj = inc.scan(i, k, vals, movers, lp)
-        inc.move(i, k, movers, vals, conj)
-        values = inc.value(lp)
-        assert values[movers].tolist() == scores.tolist()
-        for s, l in enumerate(slopes):
-            dc = DualControls(l, *(p[s] for p in inc.profiles))
-            fresh = dual_mod._Incumbent(lat, [dc], f, g)
-            assert values[s] == fresh.value(lp)[0] == dual_objective(
-                lat, dc, f, g, lp)
-            for mine, theirs in zip(inc.adjoints + [inc.terms],
-                                    fresh.adjoints + [fresh.terms]):
-                for level, again in zip(mine, theirs):
-                    assert level[s].tobytes() == again[0].tobytes()
-            reference = _per_path_panels(lat, dc, f, g)
-            for mine, want in zip(_spread(inc), reference):
-                assert mine[s].tobytes() == want.tobytes()
-
-
-def _chain_pass(inc, panels, which, k, owner, drift, noise, conj, rows, lp):
-    """The per-path kernel _pass replaced, kept as its reference: every
-    path carries the moved adjoint from level k as one cumprod chain, the
-    running terms fill a (candidate, path, step) panel, and each path's
-    row of that panel is summed by ndarray.sum.  panels is _spread(inc)."""
-    lat = inc.lattice
-    n = lat.steps
-    signs = sign_matrix(n)[rows]
-    slope = inc.slopes[owner, None]
-    chain = np.empty((owner.size, signs.shape[0], n - k + 1))
-    chain[..., 0] = panels[which][:, rows, k][owner]
-    chain[..., 1] = dual_mod._factors(drift[:, None], noise[:, None],
-                                      signs[:, k], lat.dt, lat.sqrt_dt)
-    chain[..., 2:] = dual_mod._factors(
-        inc.profiles[2 * which][owner, None, k + 1:],
-        inc.profiles[2 * which + 1][owner, None, k + 1:],
-        signs[:, k + 1:], lat.dt, lat.sqrt_dt)
-    np.cumprod(chain, axis=-1, out=chain)
-    moved_conj = np.empty((owner.size, 1, n - k))
-    moved_conj[:, 0, 0] = conj
-    moved_conj[:, 0, 1:] = inc.conj[which][owner, k + 1:]
-    l_pan, p_pan = (panel[:, rows][owner] for panel in panels[:2])
-    gt, ft = (c[owner, None, :] for c in inc.conj)
-    terms = np.empty((owner.size, signs.shape[0], n))
-    terms[..., :k] = panels[2][:, rows, :k][owner]
-    if which == 0:
-        a_ft = slope[..., None] * p_pan[..., k:-1] * ft[..., k:]
-        terms[..., k:] = chain[..., :-1] * moved_conj - a_ft
-        l_end, a_end = chain[..., -1], slope * p_pan[..., -1]
-    else:
-        l_gt = l_pan[..., k:-1] * gt[..., k:]
-        a = slope[..., None] * chain
-        terms[..., k:] = l_gt - a[..., :-1] * moved_conj
-        l_end, a_end = l_pan[..., -1], a[..., -1]
-    ratio = a_end / l_end
-    polar = np.asarray(lp.polar(ratio.ravel()), dtype=float)
-    return terms.sum(axis=-1) * lat.dt + l_end * polar.reshape(ratio.shape)
-
-
-def _moved_smooth_incumbent(steps):
-    """Two-slope smooth-pair incumbent after several accepted moves on both
-    adjoints, each slope to its own values."""
-    lat = build_lattice(1.0, steps)
-    f, g = _pair(SMOOTH_PAIR)
-    inc = dual_mod._Incumbent(lat, [DualControls.zeros(lat, 0.9),
-                                    DualControls.zeros(lat, 1.4)], f, g)
-    both = np.array([0, 1])
-    moves = ((1, steps - 1, [0.15, 0.1]), (3, 0, [-0.2, 0.05]),
-             (3, steps // 2, [0.1, -0.15]), (1, 0, [0.05, 0.18]),
-             (1, steps // 2, [0.12, 0.02]))
-    for i, k, vals in moves:
-        scores, conj = inc.scan(i, k, np.array(vals), both,
-                                make_loss("identity"))
-        assert np.all(np.isfinite(scores))
-        inc.move(i, k, both, np.array(vals), conj)
-    return inc
-
-
-@pytest.mark.parametrize("scan_pairs", [2**16, 2**3])
-@pytest.mark.parametrize("loss", ["power", "s_shaped"])
-def test_prefix_tree_pass_matches_the_chain_reference_bits(scan_pairs, loss,
-                                                           monkeypatch):
-    # with 2**16 (or the shipped 2**13) one block holds every path; with
-    # 2**3 the row blocks are narrower than a level-k subtree for every
-    # k < N - 3, so a block may hold a single prefix for many levels
-    monkeypatch.setattr(dual_mod, "SCAN_PAIRS", scan_pairs)
-    lp = make_loss(loss)
-    windows = {1: np.array([0.0, 0.04, 0.1, 0.13, 0.2]),
-               3: np.array([-0.29, -0.1, 0.0, 0.07, 0.25])}
-    for steps in range(1, 11):
-        inc = _moved_smooth_incumbent(steps)
-        panels = _spread(inc)
-        n_paths = 2**steps
-        block = min(n_paths, dual_mod.SCAN_PAIRS)
-        for i, vals in windows.items():
-            which = i // 2
-            conj_fn = (dual_mod.concave_conjugate if which
-                       else dual_mod.convex_conjugate)
-            owner = np.repeat([0, 1], vals.size)
-            for k in range(steps):
-                drift = inc.profiles[2 * which][owner, k]
-                noise = np.tile(vals, 2)
-                conj = np.asarray(conj_fn(inc.drivers[which], drift, noise),
-                                  dtype=float)
-                assert np.all(np.isfinite(conj))
-                for row in range(0, n_paths, block):
-                    rows = slice(row, row + block)
-                    args = (which, k, owner, drift, noise, conj, rows, lp)
-                    got = inc._pass(*args)
-                    want = _chain_pass(inc, panels, *args)
-                    assert got.shape == want.shape == (owner.size, block)
-                    assert got.tobytes() == want.tobytes(), (steps, i, k, row)
+        dual_objective(lat, DualControls(1.1, 0.2, 0.0, 0.05, 0.45), f, g,
+                       lp)
 
 
 @pytest.mark.parametrize("steps", range(1, 21))
 def test_path_sums_follow_numpy_row_sums(steps):
-    # numpy sums a contiguous row as 0.0 plus its pairwise sum; the prefix
-    # tree must reproduce that order for every depth a lattice may have
+    # numpy sums a contiguous row as 0.0 plus its pairwise sum; the path
+    # tree reference must reproduce that order for every depth it allows
     rng = np.random.default_rng(steps)
     rows = rng.standard_normal((300, steps)) \
         * 10.0 ** rng.integers(-8, 9, (300, steps))
     rows[:3] = -0.0                 # signed zeros: numpy's sum gives +0.0
     rows[3, 0] = -0.0
     cols = [rows[:, j:j + 1] for j in range(steps)]
-    got = dual_mod._path_sums(cols)
+    got = _path_sums(cols)
     assert got.shape == (300, 1)
     assert got[:, 0].tobytes() == rows.sum(axis=-1).tobytes()
     if steps <= 10:
@@ -680,31 +556,27 @@ def test_path_sums_follow_numpy_row_sums(steps):
         levels = [rng.standard_normal((4, 2**j)) for j in range(steps)]
         panel = np.stack([np.repeat(col, 2**(steps - j), axis=-1)
                           for j, col in enumerate(levels)], axis=-1)
-        got = dual_mod._path_sums(levels)
+        got = _path_sums(levels)
         per_path = np.repeat(got, 2**steps // got.shape[-1], axis=-1)
         assert per_path.tobytes() == panel.sum(axis=-1).tobytes()
 
 
 def test_one_scan_stays_under_its_memory_bound():
-    # the per-path chain kernel peaked at 791 KB here, the prefix-tree pass
-    # with its terms panel at 292, and the prefix-tree path sums at 183
-    steps = 8
-    lat = build_lattice(1.0, steps)
+    # one window of the smooth pair at the deepest lattice: 81 candidates
+    # on 65 nodes, a few (candidate, node) arrays of 42 KB each
+    lat = build_lattice(1.0, 64)
     f, g = _pair(SMOOTH_PAIR)
     lp = make_loss("power", p=2.0)
-    inc = dual_mod._Incumbent(lat, [DualControls.zeros(lat, 1.0)], f, g)
-    vals = {1: np.linspace(0.0, 0.2, 8), 3: np.linspace(-0.25, 0.25, 8)}
-    peak = 0
-    for i, k in ((1, 0), (3, 0), (1, steps // 2), (3, steps - 1)):
-        owner = _one_owner(vals[i])
-        inc.scan(i, k, vals[i], owner, lp)   # warm any lazily built tables
-        tracemalloc.start()
-        try:
-            scores, _ = inc.scan(i, k, vals[i], owner, lp)
-            peak = max(peak, tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-        assert np.all(np.isfinite(scores))
+    v, q = np.meshgrid(np.linspace(0.0, 0.2, 9), np.linspace(-0.3, 0.3, 9))
+    cand = np.array([np.zeros(81), v.ravel(), np.zeros(81), q.ravel()])
+    dual_mod._scores(lat, 1.0, cand, f, g, lp)   # warm any lazy tables
+    tracemalloc.start()
+    try:
+        scores = dual_mod._scores(lat, 1.0, cand, f, g, lp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(scores))
     assert peak <= 400_000, peak
 
 
@@ -747,177 +619,51 @@ MMAP_THRESHOLD = 128 * 1024   # glibc's default: larger blocks are mmapped
 
 
 def test_batched_scan_allocates_nothing_above_the_mmap_threshold():
-    # three slopes of 8 candidates on 256 paths: a (candidate, path, step)
-    # terms panel would be 393 KB, the block the per-path kernel allocated
-    assert _largest_block(lambda: np.empty((24, 256, 8)).fill(0.0)) \
-        >= 24 * 256 * 8 * 8
-    lat = build_lattice(1.0, 8)
+    # a whole search of the smooth pair at the deepest lattice scores its
+    # windows without a block above the threshold, so the heap it frees
+    # stays below glibc's trim; a (candidate, node, step) panel of one
+    # window would be 2.7 MB
+    assert _largest_block(lambda: np.empty((81, 65, 64)).fill(0.0)) \
+        >= 81 * 65 * 64 * 8
+    lat = build_lattice(1.0, 64)
     f, g = _pair(SMOOTH_PAIR)
     lp = make_loss("power", p=2.0)
-    inc = dual_mod._Incumbent(lat, [DualControls.zeros(lat, l)
-                                    for l in (0.8, 1.0, 1.2)], f, g)
-    owner = np.repeat(np.arange(3), 8)
-    # every candidate feasible, so that all 24 are scored
-    vals = {1: np.tile(np.linspace(0.0, 0.2, 8), 3),
-            3: np.tile(np.linspace(-0.25, 0.25, 8), 3)}
-    inc.scan(1, 0, vals[1], owner, lp)
-    for i, k in ((1, 0), (3, 0), (1, 4), (3, 7)):
-        scores = []
-        largest = _largest_block(
-            lambda: scores.extend(inc.scan(i, k, vals[i], owner, lp)[0]))
-        assert np.all(np.isfinite(scores)) and len(scores) == 24
-        assert largest < MMAP_THRESHOLD, (i, k, largest)
+    dual_value(lat, 1.0, f, g, lp)
+    out = []
+    largest = _largest_block(lambda: out.append(dual_value(lat, 1.0, f, g,
+                                                           lp)))
+    assert out[0]["n_evaluations"] == 242
+    assert largest < MMAP_THRESHOLD, largest
 
 
-@pytest.mark.parametrize("steps, n_slopes", [
-    (8, 12),     # 96 candidates: 192 KB of (candidate, path) pairs
-    (14, 1),     # one candidate's path totals alone are 128 KB
-])
-def test_large_scans_and_moves_allocate_nothing_above_the_threshold(
-        steps, n_slopes):
-    lat = build_lattice(1.0, steps)
-    f, g = _pair(SMOOTH_PAIR)
-    lp = make_loss("power", p=2.0)
-    slopes = np.linspace(0.6, 1.5, n_slopes)
-    inc = dual_mod._Incumbent(lat, [DualControls.zeros(lat, l)
-                                    for l in slopes], f, g)
-    owner = np.repeat(np.arange(n_slopes), 8)
-    vals = np.tile(np.linspace(0.0, 0.2, 8), n_slopes)
-    assert vals.size * 2**steps * 8 >= MMAP_THRESHOLD
-    inc.scan(1, 0, vals, owner, lp)
-    for k in (0, steps // 2, steps - 1):
-        out = []
-        largest = _largest_block(
-            lambda: out.append(inc.scan(1, k, vals, owner, lp)))
-        scores, conj = out[0]
-        assert np.all(np.isfinite(scores)) and len(scores) == vals.size
-        assert largest < MMAP_THRESHOLD, (k, largest)
-        # every slope moves to its own best candidate
-        won = np.argmin(scores.reshape(n_slopes, 8), axis=-1) \
-            + 8 * np.arange(n_slopes)
-        movers = np.arange(n_slopes)
-        if steps < 14:
-            # from N = 14 on a slope's top levels are 128 KB themselves
-            largest = _largest_block(
-                lambda: inc.move(1, k, movers, vals[won], conj[won]))
-            assert largest < MMAP_THRESHOLD, (k, largest)
-        else:
-            inc.move(1, k, movers, vals[won], conj[won])
-        assert inc.value(lp).tolist() == scores[won].tolist()
-
-
-BOX = "box"
-
-
-def _drivers(spec):
-    return _box_pair() if spec == BOX else _pair(spec)
-
-
-def _watch_batches(monkeypatch):
-    """Per scan, the candidate count of every slope of the incumbent; per
-    move, that count vector and the number of slopes that moved."""
-    seen = {"scans": [], "moves": []}
-    scan, move = dual_mod._Incumbent.scan, dual_mod._Incumbent.move
-
-    def watched_scan(self, i, k, vals, owner, lp):
-        seen["scans"].append(np.bincount(owner, minlength=self.slopes.size))
-        return scan(self, i, k, vals, owner, lp)
-
-    def watched_move(self, i, k, slopes, vals, conj):
-        seen["moves"].append((seen["scans"][-1], slopes.size))
-        return move(self, i, k, slopes, vals, conj)
-
-    monkeypatch.setattr(dual_mod._Incumbent, "scan", watched_scan)
-    monkeypatch.setattr(dual_mod._Incumbent, "move", watched_move)
-    return seen
-
-
-SLOPES = (0.45, 1.1, 1.7)
-EDGE_SLOPES = (0.2, 1.1, 3.5)   # at 3.5 the box pair's windows hit its edge
-
-
-@pytest.mark.parametrize("spec, steps, slopes, budget, scan_pairs, shows", [
-    # ragged windows (clipped at the box edge), drift axes, infeasible
-    # candidates, and slopes that move while another does not
-    (BOX, 3, EDGE_SLOPES, 200_000, None, ("ragged", "split")),
-    (BOX, 5, SLOPES, 200_000, None, ("split",)),
-    # the budget runs out part way through a batch: one slope stops
-    # scanning while the others go on
-    (BOX, 3, EDGE_SLOPES, 240, None, ("ragged", "budget")),
-    (SMOOTH_PAIR, 4, SLOPES, 200_000, None, ()),
-    (SMOOTH_PAIR, 8, SLOPES, 200_000, None, ()),
-    (RISK_PAIR, 6, SLOPES, 200_000, None, ()),
-    # slopes x 2^N crosses SCAN_PAIRS: batches of two, then one
-    (SMOOTH_PAIR, 6, SLOPES, 200_000, 2**7, ("batches",)),
-])
-def test_batched_descent_equals_each_slope_alone(spec, steps, slopes, budget,
-                                                 scan_pairs, shows,
-                                                 monkeypatch):
-    if scan_pairs is not None:
-        monkeypatch.setattr(dual_mod, "SCAN_PAIRS", scan_pairs)
-    monkeypatch.setattr(dual_mod, "DESCENT_BUDGET", budget)
-    lat = build_lattice(1.0, steps)
-    f, g = _drivers(spec)
-    lp = make_loss("power", p=2.0)
-    rounds = 3
-    seen = _watch_batches(monkeypatch)
-    batched = dual_values(lat, slopes, f, g, lp, rounds=rounds)
-    scans = seen["scans"]
-    if "ragged" in shows:
-        assert any(len(set(c[c > 0].tolist())) > 1 for c in scans)
-    if "split" in shows:
-        assert any(0 < moved < np.count_nonzero(c)
-                   for c, moved in seen["moves"])
-    if "budget" in shows:
-        assert any(0 < np.count_nonzero(c) < c.size for c in scans)
-        assert all(res["n_evaluations"] == budget for res in batched)
-    if "batches" in shows:
-        assert sorted({c.size for c in scans}) == [1, 2]
-    assert len(batched) == len(slopes)
-    for l, res in zip(slopes, batched):
-        alone = dual_value(lat, l, f, g, lp, rounds=rounds)
-        assert res["value"] == alone["value"]
-        assert res["n_evaluations"] == alone["n_evaluations"]
-        assert res["n_accepted"] == alone["n_accepted"]
-        assert res["controls"].slope == l
-        for name in PROFILE_NAMES:
-            assert getattr(res["controls"], name).tobytes() == \
-                getattr(alone["controls"], name).tobytes(), name
-
-
-def _in_order_descent(lat, l, f, g, lp, rounds, grid_points=9,
-                      budget=200_000):
-    """The one-candidate-per-trial coordinate descent the batched scan
-    replaced, kept as its reference: each window value in order, scored by
-    its own dual_objective call, and every strict improvement kept;
-    n_accepted counts the coordinates that moved.  Both conjugate domains
-    hold the origin here, so the start is all zeros."""
-    n = lat.steps
+def _in_order_search(lat, l, f, g, lp, rounds):
+    """The window search one candidate at a time, as a reference: each
+    round's window in order, scored by its own dual_objective call, and
+    every strict improvement kept; n_accepted counts the rounds that
+    moved.  Both conjugate domains hold the origin here, so the start is
+    all zeros."""
     widths = [g.conjugate_box().half_width_y, g.conjugate_box().half_width_z,
               f.conjugate_box().half_width_y, f.conjugate_box().half_width_z]
-    dc = DualControls.zeros(lat, l)
-    best = dual_objective(lat, dc, f, g, lp)
+    centre = np.zeros(4)
+    best = _single(lat, l, centre, f, g, lp)
     evaluations, accepted = 1, 0
     for rnd in range(rounds):
-        for i, k in [(i, k) for i, w in enumerate(widths) if w > 0.0
-                     for k in range(n)]:
-            center = getattr(dc, PROFILE_NAMES[i])[k]
-            cand = np.unique(np.clip(np.linspace(
-                center - widths[i] / 4.0**rnd, center + widths[i] / 4.0**rnd,
-                grid_points), -widths[i], widths[i]))
-            start = dc
-            for val in cand[cand != center][:max(0, budget - evaluations)]:
-                score = _single(lat, dc, i, k, val, f, g, lp)
-                evaluations += 1
-                if score < best:
-                    best = score
-                    profiles = [np.array(getattr(dc, name))
-                                for name in PROFILE_NAMES]
-                    profiles[i][k] = val
-                    dc = DualControls(l, *profiles)
-            accepted += dc is not start
-    return {"value": best, "controls": dc, "n_evaluations": evaluations,
-            "n_accepted": accepted}
+        axes = [np.unique(np.clip(np.linspace(c - w / 4.0**rnd,
+                                              c + w / 4.0**rnd, 9), -w, w))
+                if w > 0.0 else np.array([c])
+                for c, w in zip(centre, widths)]
+        start = centre
+        for point in zip(*(x.ravel() for x in np.meshgrid(*axes,
+                                                          indexing="ij"))):
+            if np.array_equal(point, start):
+                continue
+            score = _single(lat, l, point, f, g, lp)
+            evaluations += 1
+            if score < best:
+                best, centre = score, np.array(point)
+        accepted += centre is not start
+    return {"value": best, "controls": DualControls(l, *centre),
+            "n_evaluations": evaluations, "n_accepted": accepted}
 
 
 def _flat_pair():
@@ -943,7 +689,7 @@ def _flat_pair():
 
 def _nan_edged_power():
     """The power-2 loss with a polar that is NaN wherever A_N / L_N leaves
-    [0.9, 1.1]: the window ends of a scan score NaN, and an interior value
+    [0.9, 1.1]: the window's far corners score NaN, and an interior point
     still improves on the incumbent."""
     base = make_loss("power", p=2.0)
 
@@ -961,39 +707,33 @@ def test_descent_keeps_the_in_order_strict_improvements(case):
     elif case == "nans":
         (f, g), lp, slopes = _pair(SMOOTH_PAIR), _nan_edged_power(), (1.0,)
     else:
-        (f, g), lp, slopes = _pair(SMOOTH_PAIR), make_loss("power"), SLOPES
-    batched = dual_values(lat, slopes, f, g, lp, rounds=2)
-    for l, res in zip(slopes, batched):
-        want = _in_order_descent(lat, l, f, g, lp, rounds=2)
-        assert res["value"] == want["value"]
-        assert res["n_evaluations"] == want["n_evaluations"]
-        assert res["n_accepted"] == want["n_accepted"]
-        for name in PROFILE_NAMES:
-            assert getattr(res["controls"], name).tobytes() == \
-                getattr(want["controls"], name).tobytes(), name
-    if case == "ties":
-        assert all(res["value"] == 0.0 and res["n_accepted"] == 0
-                   for res in batched)
+        (f, g), lp, slopes = _pair(SMOOTH_PAIR), make_loss("power"), \
+            (0.45, 1.1, 1.7)
+    for l in slopes:
+        res = dual_value(lat, l, f, g, lp, rounds=2)
+        want = _in_order_search(lat, l, f, g, lp, rounds=2)
+        assert res == want
+        if case == "ties":
+            assert res["value"] == 0.0 and res["n_accepted"] == 0
     if case == "nans":
-        inc = dual_mod._Incumbent(lat, [DualControls.zeros(lat, 1.0)], f, g)
-        vals = np.linspace(-0.3, 0.3, 9)
-        scores, _ = inc.scan(3, 0, vals, _one_owner(vals), lp)
-        assert np.isnan(scores[0]) and batched[0]["n_accepted"] > 0
+        v, q = np.meshgrid(np.linspace(0.0, 0.2, 9),
+                           np.linspace(-0.3, 0.3, 9))
+        cand = np.array([np.zeros(81), v.ravel(), np.zeros(81), q.ravel()])
+        scores = dual_mod._scores(lat, 1.0, cand, f, g, lp)
+        assert np.isnan(scores).any() and res["n_accepted"] > 0
 
 
 def _count_priced_slopes(monkeypatch):
-    """Every slope priced, wherever it is priced: dual_value prices its one
-    slope through dual_values, and the lockstep searches price theirs there
-    in batches."""
+    """Every slope priced: the lockstep searches price each one with
+    dual_value."""
     calls = []
-    original = dual_mod.dual_values
+    original = dual_mod.dual_value
 
-    def counted(lattice, slopes, *args, **kwargs):
-        slopes = list(slopes)
-        calls.extend(slopes)
-        return original(lattice, slopes, *args, **kwargs)
+    def counted(lattice, l, *args, **kwargs):
+        calls.append(l)
+        return original(lattice, l, *args, **kwargs)
 
-    monkeypatch.setattr(dual_mod, "dual_values", counted)
+    monkeypatch.setattr(dual_mod, "dual_value", counted)
     return calls
 
 
@@ -1002,25 +742,19 @@ def test_shared_certificates_price_each_slope_once(monkeypatch):
     f, g = _pair(SMOOTH_PAIR)
     lp = make_loss("power", p=2.0)
     thresholds = (0.25, 0.5, 0.75)
-    locksteps, batches = [], []
-    lockstep, values = dual_mod.lockstep_certificates, dual_mod.dual_values
+    locksteps = []
+    lockstep = dual_mod.lockstep_certificates
 
     def lockstep_spy(*args, **kwargs):
         out = lockstep(*args, **kwargs)
         locksteps.append((list(args[4]), dict(out)))
         return out
 
-    def values_spy(lattice, slopes, *args, **kwargs):
-        batches.append(list(slopes))
-        return values(lattice, slopes, *args, **kwargs)
-
     monkeypatch.setattr(dual_mod, "lockstep_certificates", lockstep_spy)
-    monkeypatch.setattr(dual_mod, "dual_values", values_spy)
+    priced = _count_priced_slopes(monkeypatch)
     alone = [dual_bound(lat, f, g, lp, m, rounds=1) for m in thresholds]
-    # each call priced its own m alone, one slope per batch, and read its
-    # trace from that dict
+    # each call priced its own m alone, and read its trace from that dict
     assert [ms for ms, _ in locksteps] == [[m] for m in thresholds]
-    assert all(len(batch) == 1 for batch in batches)
     for res, (_, certificates) in zip(alone, locksteps):
         assert dict(res["trace"]) == certificates
     # a priced slope has the bits of dual_value on its own
@@ -1028,16 +762,15 @@ def test_shared_certificates_price_each_slope_once(monkeypatch):
         assert cert == dual_value(lat, l, f, g, lp, rounds=1)["value"]
     # the searches of several thresholds share one dict, which prices each
     # of their slopes once, and dual_bound on it returns what it returns alone
-    batches.clear()
+    priced.clear()
     certificates = lockstep(lat, f, g, lp, thresholds, rounds=1)
-    priced = [l for batch in batches for l in batch]
     assert len(priced) == len(set(priced)) == len(certificates)
     assert certificates == {l: c for res in alone for l, c in res["trace"]}
     assert len(priced) < sum(res["n_slope_evaluations"] for res in alone)
-    batches.clear()
+    priced.clear()
     assert [dual_bound(lat, f, g, lp, m, rounds=1, certificates=certificates)
             for m in thresholds] == alone
-    assert batches == []
+    assert priced == []
     # a dict that lacks a slope of the search, empty or priced for another
     # l_max, is named as the fault instead of raising a bare KeyError
     for stale, l_max in (({}, 4.0), (certificates, 2.0)):
@@ -1066,22 +799,13 @@ def test_runner_dual_bounds_equal_independent_searches(monkeypatch):
     alone = [(m, dual_bound(sc.lattice, sc.driver_f, sc.driver_g, sc.loss, m,
                             l_max=sc.l_max, rounds=sc.dual_rounds))
              for m in sc.dual_m_list]
-    batches = []
-    original = dual_mod.dual_values
-
-    def spy(lattice, slopes, *args, **kwargs):
-        batches.append(list(slopes))
-        return original(lattice, slopes, *args, **kwargs)
-
-    monkeypatch.setattr(dual_mod, "dual_values", spy)
+    priced = _count_priced_slopes(monkeypatch)
     assert runner_mod.dual_bounds(sc) == alone
-    # the lockstep driver priced every distinct slope once, in batches of
-    # the new slopes of one step, and the dual_bound calls priced none
-    priced = [l for batch in batches for l in batch]
+    # the lockstep driver priced every distinct slope once, fewer than the
+    # searches' slopes together, and the dual_bound calls priced none
     slopes = {l for _, res in alone for l, _ in res["trace"]}
     assert sorted(priced) == sorted(slopes)
-    assert max(len(batch) for batch in batches) > 1
-    assert len(batches) == max(res["n_slope_evaluations"] for _, res in alone)
+    assert len(priced) < sum(res["n_slope_evaluations"] for _, res in alone)
 
 
 def test_each_execute_starts_a_fresh_certificate_dict(monkeypatch):
@@ -1138,6 +862,7 @@ def test_workspace_prices_a_scenario_dual_list_in_lockstep(monkeypatch):
     assert [ws.dual("risk_pair", m) for m in sc.dual_m_list] == \
         list(want.values())
     assert len(calls) == priced       # the rest of the list is cached
+
 
 
 # ---------------------------------------------------------------------------
@@ -1240,18 +965,11 @@ def test_lockstep_pricing_counts_per_polar(loss, most, least, monkeypatch):
     piecewise-linear one still takes golden section's 34."""
     config = _scenario_config("guard", 4, 1, [0.25, 0.5, 0.75])
     sc = build_scenario(dict(config, loss=loss))
-    batches = []
-    original = dual_mod.dual_values
-
-    def spy(lattice, slopes, *args, **kwargs):
-        batches.append(list(slopes))
-        return original(lattice, slopes, *args, **kwargs)
-
-    monkeypatch.setattr(dual_mod, "dual_values", spy)
-    results = runner_mod.dual_bounds(sc)
-    assert least <= len(batches) <= most
+    priced = _count_priced_slopes(monkeypatch)
+    results = [res for _, res in runner_mod.dual_bounds(sc)]
+    assert len(priced) == len({l for res in results for l, _ in res["trace"]})
     assert all(least <= res["n_slope_evaluations"] <= most
-               for _, res in results)
+               for res in results)
 
 
 # the bounds of the golden-section search over every slope, recorded before

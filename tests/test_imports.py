@@ -19,8 +19,8 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "weakbsde"
 # public definitions that no pipeline path calls, kept on purpose
 ENTRY_POINTS = {
-    # the single-candidate certificate; the batched dual scan is held to
-    # it bit for bit
+    # the one-candidate certificate; the tests hold it to the path-tree
+    # reference
     "dual.dual_objective",
 }
 
@@ -119,8 +119,6 @@ UNPASSED_KEYWORDS = {
         "the oracle's refinements; tests pin each round's counts",
     "primal.brute_force_weak_formulation(budget)":
         "the oracle's size guard; tests lower it to reach the raise",
-    "dual.dual_value(rounds)":
-        "the goldens pin the certificate at several round counts",
 }
 
 

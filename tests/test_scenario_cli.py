@@ -48,8 +48,8 @@ def test_unknown_keys_rejected_at_every_level():
 
 
 def test_level_guard_message_names_the_limit():
-    with pytest.raises(ScenarioError, match="path enumeration guard"):
-        build_scenario(_minimal(lattice={"horizon": 1.0, "steps": 30}))
+    with pytest.raises(ScenarioError, match="MAX_LEVELS = 64"):
+        build_scenario(_minimal(lattice={"horizon": 1.0, "steps": 65}))
 
 
 # the benchmark's surface check list: every check but the dual's
@@ -74,17 +74,16 @@ def _risk_pair(steps, **overrides):
     return cfg
 
 
-def test_level_guard_sits_on_the_dual_and_weak_duality():
-    # only the dual search and the check that reads it enumerate paths
-    with pytest.raises(ScenarioError, match=r"max 20 levels\) of the dual "
-                                            r"search; set dual\.enabled"):
-        build_scenario(_risk_pair(24, dual={"enabled": True}))
-    with pytest.raises(ScenarioError, match=r"check weak_duality; remove it "
-                                            r"from checks"):
-        build_scenario(_risk_pair(24, checks=SURFACE_CHECKS
-                                  + ["weak_duality"]))
-    for checks in (SURFACE_CHECKS, SURFACE_CHECKS + ["weak_duality"]):
-        build_scenario(_risk_pair(20, dual={"enabled": True}, checks=checks))
+def test_a_dual_scenario_runs_at_the_deepest_lattice():
+    # the dual prices its certificates on the N + 1 nodes, so the dual
+    # search and the check that reads it run at MAX_LEVELS levels
+    report = execute(build_scenario(_risk_pair(
+        64, driver_f={"name": "logcosh_z",
+                      "params": {"kappa": 0.3, "sign": -1}},
+        driver_g={"name": "softplus_z", "params": {"kappa": 0.2}},
+        dual={"enabled": True}, checks=["weak_duality"])), quiet=True)
+    assert list(report["dual"]) == ["0.25", "0.5", "0.75"]
+    assert report["status"] == "PASS", report["checks"]
 
 
 def test_a_primal_scenario_runs_past_the_path_guard():
