@@ -48,13 +48,19 @@ for bit.
 
 Two brute-force oracles (exhaustive policy enumeration and a leaf-value
 grid search on the weak formulation) provide independent cross-checks at
-tiny depth.  The leaf search covers every candidate of its product grid
-but prices a root pair from the (f, g) bits of its two children alone, so
-it collapses each child's candidates onto their distinct (f, g) classes
-and prices only the class pairs, with the same result bit for bit.  With
-zero drivers V is phi's convex envelope, and two_point_envelope reads it
-off phi's lower convex hull on a fixed grid of [0, 1]: the cheapest
-two-point law with mean m sits on the two hull vertices that bracket m.
+tiny depth.  The policy enumeration builds its admissible prefixes one
+node at a time: a node's two children read only that node's state and
+slope, so a prefix is admissible exactly when every node's pick keeps both
+children inside the corridor, and extending the surviving rows node by
+node in C order lists them in the full enumeration's order, so its
+first-index tie rule picks the same policy.  The leaf search covers every
+candidate of its product grid but prices a root pair from the (f, g) bits
+of its two children alone, so it collapses each child's candidates onto
+their distinct (f, g) classes and prices only the class pairs, with the
+same result bit for bit.  With zero drivers V is phi's convex envelope,
+and two_point_envelope reads it off phi's lower convex hull on a fixed
+grid of [0, 1]: the cheapest two-point law with mean m sits on the two
+hull vertices that bracket m.
 """
 
 from __future__ import annotations
@@ -534,14 +540,22 @@ def brute_force_policy_value(sc: PrimalScenario, m0: float,
     along every path, and the cost of a policy is the nonlinear expectation
     of the terminal loss over the full path tree.
 
-    The enumeration runs level by level.  The corridor excursion at level
-    k + 1 depends only on the decisions at levels <= k, so only the
-    prefixes that are still admissible are extended, each by every
-    assignment of the next level in C order.  The rows stay in the
-    lexicographic order of the full enumeration (root digit most
-    significant), so the first-index tie rule picks the same policy.  A
-    level keeps, per admissible row, only its parent row and the index of
-    its own assignment; the winner's full assignment is read back along
+    The enumeration runs level by level and, within a level, node by node.
+    At level k every admissible row's 2^k nodes step once under each base
+    slope (_children), and a (row, node, slope) entry is kept when both of
+    its children lie within FEASIBILITY_TOL of the level-(k + 1) corridor.
+    This is exact: the two children of a node read only its own state and
+    slope, and a row's worst excursion is within tolerance exactly when
+    every node's is, so a row extends by an assignment exactly when every
+    node's pick is kept.  The rows extend one node at a time, each over its
+    kept slopes in ascending order (np.nonzero), so the surviving
+    assignments come out in C order with the root digit most significant:
+    the order of the full enumeration, whose first-index tie rule thus
+    picks the same policy, with the same count and value bits.  Only the
+    children of kept entries are gathered into the next level's states; a
+    level that keeps no row raises at once, before any leaf is priced.  A
+    level keeps, per admissible row, only its parent row and the flat index
+    of its own assignment; the winner's full assignment is read back along
     its parents at the end.
     """
     lat = sc.lattice
@@ -562,20 +576,26 @@ def brute_force_policy_value(sc: PrimalScenario, m0: float,
     m = np.full((1, 1), float(m0))  # states of the admissible prefixes
     back = []  # per level: (parent row, assignment index) of each kept row
     for k in range(n):
-        options = grid[np.indices((n_a,) * 2**k).reshape(2**k, -1).T]
-        m = _interleave(*_children(lat, sc.driver_f, k,
-                                   np.repeat(m, options.shape[0], axis=0),
-                                   np.tile(options, (m.shape[0], 1))))
-        keep = np.flatnonzero(
-            _excursion(corridor, k + 1, m).max(axis=1) <= FEASIBILITY_TOL)
-        m = m[keep]
-        back.append(np.divmod(keep, options.shape[0]))
+        # (row, node, slope): a node's two children read its state and
+        # slope alone
+        up, dn = _children(lat, sc.driver_f, k, m[:, :, None], grid)
+        ok = np.maximum(_excursion(corridor, k + 1, up),
+                        _excursion(corridor, k + 1, dn)) <= FEASIBILITY_TOL
+        parent = np.arange(m.shape[0])
+        pick = np.zeros_like(parent)
+        for j in range(2**k):
+            row, option = np.nonzero(ok[parent, j])
+            parent, pick = parent[row], pick[row] * n_a + option
+        if not parent.size:
+            raise PrimalError("no admissible policy in the enumeration grid")
+        at = (parent[:, None], np.arange(2**k),
+              np.stack(np.unravel_index(pick, (n_a,) * 2**k), axis=1))
+        m = _interleave(up[at], dn[at])
+        back.append((parent, pick))
 
     leaf_cost = np.asarray(sc.loss.phi(m), dtype=float)
     cost = np.asarray(solve_on_path_tree(lat, sc.driver_g, leaf_cost,
                                          scheme=sc.scheme), float)
-    if not m.shape[0]:
-        raise PrimalError("no admissible policy in the enumeration grid")
     best = row = int(np.argmin(cost))
     digits = []
     for k in range(n - 1, -1, -1):

@@ -4,11 +4,12 @@ the budget guards."""
 import bisect
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import weakbsde.primal as primal_mod
 from weakbsde.bsde import (_one_step, compute_corridor, exact_scheme_for,
@@ -367,6 +368,46 @@ def test_weak_oracle_equals_the_full_reference_property(
     assert weak["n_scored"] <= weak["n_evaluated"]
 
 
+@settings(max_examples=150)
+@given(f=st.sampled_from(WEAK_DRIVERS), g=st.sampled_from(WEAK_DRIVERS),
+       loss=st.sampled_from(WEAK_LOSSES), steps=st.integers(1, 3),
+       n_a=st.integers(2, 7),
+       alpha_max=st.one_of(st.floats(0.01, 0.5), st.none()),
+       scheme=st.sampled_from(("explicit", "implicit")),
+       where=st.sampled_from(("inside", "floor", "ceiling")),
+       share=st.floats(0.02, 0.98), gap=st.floats(0.0, 1e-3))
+# full depth on an even grid, without the zero slope: 1536 of the 4^7
+# policies are admissible
+@example(f=("zero", {}), g=("abs_z", {"kappa": 0.2}), loss=("s_shaped", {}),
+         steps=3, n_a=4, alpha_max=0.4, scheme="explicit", where="inside",
+         share=0.3, gap=0.0)
+def test_policy_oracle_equals_the_full_reference_property(
+        f, g, loss, steps, n_a, alpha_max, scheme, where, share, gap):
+    """The node-by-node build equals the full enumeration bit for bit, and
+    raises the same error where no policy is admissible.  An even n_a has
+    no zero slope, so a row can die at a single node; thresholds within
+    1e-3 of the corridor edges leave few slopes admissible there."""
+    assume(n_a**(2**steps - 1) <= 5**7)
+    sc = _scenario(f, g, loss, steps=steps, n_a=n_a, scheme=scheme,
+                   alpha_max=alpha_max)
+    for d in (sc.driver_f, sc.driver_g):
+        assume(monotone_step_ok(sc.lattice, d))
+    lo, hi = compute_corridor(sc.lattice, sc.driver_f,
+                              scheme=sc.scheme).bounds_at(0)
+    m = {"inside": lo + share * (hi - lo), "floor": lo + gap,
+         "ceiling": hi - gap}[where]
+    ref = _policy_reference(sc, m)
+    if not ref["n_admissible"]:
+        with pytest.raises(PrimalError, match="no admissible policy"):
+            brute_force_policy_value(sc, m)
+        return
+    pol = brute_force_policy_value(sc, m)
+    assert (pol["value"], pol["n_policies"], pol["n_admissible"]) == \
+        (ref["value"], ref["n_policies"], ref["n_admissible"])
+    assert pol["best_assignment"].tobytes() == \
+        ref["best_assignment"].tobytes()
+
+
 def test_oracles_reject_bad_arguments():
     sc = catalogue_scenario("tiny_power").primal()
     for kwargs, name in (({"q": 1}, "q"), ({"q": 2.5}, "q"),
@@ -383,6 +424,47 @@ def test_policy_budget_guard_raises_before_enumerating():
     sc = _scenario(("zero", {}), ("zero", {}), ("identity", {}), steps=4)
     with pytest.raises(PrimalError, match="budget"):
         brute_force_policy_value(sc, 0.5)  # 7^15 policies
+
+
+def test_policy_oracle_builds_each_admissible_node_once(monkeypatch):
+    """tiny_risk at 0.5 keeps 3, 11 and 123 rows at levels 1 to 3, and one
+    call builds the two children of each (kept row, node, slope): 714
+    states, where every level's full assignment product built 211,890.
+    Its tracemalloc peak stays below 0.5 MB (6.8 MB for the product)."""
+    sc = catalogue_scenario("tiny_risk").primal()
+    kept, built = [], []
+
+    def counting_children(lat, f, k, m, a):
+        kept.append(m.shape[0])
+        up, dn = _children(lat, f, k, m, a)
+        built.append(up.size + dn.size)
+        return up, dn
+
+    with monkeypatch.context() as mp:
+        mp.setattr(primal_mod, "_children", counting_children)
+        assert brute_force_policy_value(sc, 0.5)["n_admissible"] == 123
+    assert kept == [1, 3, 11] and sum(built) == 714
+    tracemalloc.start()
+    try:
+        brute_force_policy_value(sc, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5e6
+
+
+def test_policy_oracle_stops_at_the_first_empty_level(monkeypatch):
+    """With no zero slope and the threshold on the corridor floor, every
+    root slope steps a child below it: the oracle raises at level 0,
+    before any leaf is priced."""
+    sc = _scenario(("zero", {}), ("zero", {}), ("identity", {}), n_a=2)
+
+    def no_pricing(*args, **kwargs):
+        raise AssertionError("priced an empty leaf matrix")
+
+    monkeypatch.setattr(primal_mod, "solve_on_path_tree", no_pricing)
+    with pytest.raises(PrimalError, match="no admissible policy"):
+        brute_force_policy_value(sc, 0.0)
 
 
 def test_weak_budget_guard_raises_before_enumerating():
