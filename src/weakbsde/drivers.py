@@ -272,17 +272,22 @@ DRIVER_BUILDERS = {
 }
 
 
-def make_driver(name: str, **params) -> Driver:
-    """Catalogue factory; rejects unknown names and unknown parameters."""
-    if name not in DRIVER_BUILDERS:
-        raise ValueError(
-            f"unknown driver {name!r}; known: {sorted(DRIVER_BUILDERS)}"
-        )
-    builder, allowed = DRIVER_BUILDERS[name]
+def _from_catalogue(kind: str, builders: dict, name: str, params: dict):
+    """builders[name] built from params; rejects unknown names and unknown
+    parameters, naming the kind of entry."""
+    if name not in builders:
+        raise ValueError(f"unknown {kind} {name!r}; known: {sorted(builders)}")
+    builder, allowed = builders[name]
     extra = set(params) - set(allowed)
     if extra:
-        raise ValueError(f"driver {name!r} got unknown parameters {sorted(extra)}")
+        raise ValueError(f"{kind} {name!r} got unknown parameters "
+                         f"{sorted(extra)}")
     return builder(**params)
+
+
+def make_driver(name: str, **params) -> Driver:
+    """Catalogue factory; rejects unknown names and unknown parameters."""
+    return _from_catalogue("driver", DRIVER_BUILDERS, name, params)
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +343,10 @@ def _sup_inverse(knots_m: np.ndarray, knots_v: np.ndarray, y):
     return out if y_arr.ndim else float(out[0])
 
 
-def make_piecewise_loss(name: str, knots, convex: bool) -> LossPair:
-    """Loss pair from piecewise-linear phi knots ((m_i, v_i), nondecreasing)."""
+def make_piecewise_loss(name: str, knots, convex: bool,
+                        params: dict) -> LossPair:
+    """Loss pair from piecewise-linear phi knots ((m_i, v_i), nondecreasing),
+    recording params, the config params make_loss builds it from."""
     km = np.array([k[0] for k in knots], dtype=float)
     kv = np.array([k[1] for k in knots], dtype=float)
     if km[0] != 0.0 or km[-1] != 1.0:
@@ -374,12 +381,13 @@ def make_piecewise_loss(name: str, knots, convex: bool) -> LossPair:
         phi_convex=convex,
         polar_grad=None,  # piecewise-linear polar is kinked
         breakpoints=tuple(float(m) for m in km[1:-1]),
-        params={"knots": tuple((float(a), float(b)) for a, b in knots)},
+        params=params,
     )
 
 
 def make_identity_loss() -> LossPair:
-    return make_piecewise_loss("identity", [(0.0, 0.0), (1.0, 1.0)], convex=True)
+    return make_piecewise_loss("identity", [(0.0, 0.0), (1.0, 1.0)],
+                               convex=True, params={})
 
 
 def make_call_spread_loss(lo: float = 0.3, hi: float = 0.7) -> LossPair:
@@ -390,6 +398,7 @@ def make_call_spread_loss(lo: float = 0.3, hi: float = 0.7) -> LossPair:
         "call_spread",
         [(0.0, 0.0), (lo, 0.0), (hi, 1.0), (1.0, 1.0)],
         convex=False,  # flat tail after the upper kink breaks convexity
+        params={"lo": lo, "hi": hi},
     )
 
 
@@ -399,6 +408,7 @@ def make_s_shaped_loss() -> LossPair:
         "s_shaped",
         [(0.0, 0.0), (0.4, 0.1), (0.6, 0.9), (1.0, 1.0)],
         convex=False,
+        params={},
     )
 
 
@@ -458,11 +468,5 @@ LOSS_BUILDERS = {
 
 
 def make_loss(name: str, **params) -> LossPair:
-    if name not in LOSS_BUILDERS:
-        raise ValueError(f"unknown loss {name!r}; known: {sorted(LOSS_BUILDERS)}")
-    builder, allowed = LOSS_BUILDERS[name]
-    extra = set(params) - set(allowed)
-    if extra:
-        raise ValueError(f"loss {name!r} got unknown parameters {sorted(extra)}")
-    return builder(**params)
+    return _from_catalogue("loss", LOSS_BUILDERS, name, params)
 

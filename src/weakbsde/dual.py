@@ -72,7 +72,7 @@ import numpy as np
 
 from .drivers import (ConjugateDomainError, Driver, LossPair,
                       concave_conjugate, convex_conjugate)
-from .lattice import Lattice, sign_matrix
+from .lattice import Lattice
 from .primal import ValueSurface, _row_costs, greedy_plan
 
 POSITIVITY_MARGIN = 1e-6
@@ -466,7 +466,8 @@ def first_order_residuals(surface: ValueSurface, dc: DualControls,
     slope at a level are functions of the level's row, so (1) and (3) are
     maxima over the distinct rows, equal to the maxima over the path
     prefixes.  The terminal adjoint ratio is a function of the terminal
-    node, so (2) and (4) pair each path's terminal row with its node j.
+    node, so (2) and (4) are maxima over the (terminal row, node) pairs
+    the 2^N paths end on, carried down the plan as a reach mask.
     """
     sc = surface.scenario
     lat = sc.lattice
@@ -475,12 +476,10 @@ def first_order_residuals(surface: ValueSurface, dc: DualControls,
     cand, gt, ft = _checked(lat, dc, sc.driver_f, sc.driver_g)
     u, v, p, q = cand
 
-    res_f = 0.0
-    res_g = 0.0
+    res_f = res_g = 0.0
     for k in range(lat.steps):
         t = lat.time_at(k)
-        m_k = plan.states[k]
-        a_k = plan.controls[k]
+        m_k, a_k = plan.states[k], plan.controls[k]
         lhs_f = np.asarray(sc.driver_f.fn(t, m_k, a_k), dtype=float)
         rhs_f = dc.threshold_drift * m_k + dc.threshold_noise * a_k - ft[0]
         res_f = max(res_f, float(np.max(np.abs(lhs_f - rhs_f))))
@@ -491,13 +490,16 @@ def first_order_residuals(surface: ValueSurface, dc: DualControls,
 
     node_ratio = (dc.slope * _node_adjoint(lat, p, q)
                   / _node_adjoint(lat, u, v))[0]
-    # each path's terminal row and node, in sign_matrix order (up child
-    # first); the node is the path's count of up-moves
-    leaf = plan.roots
-    for children in plan.children:
-        leaf = children[leaf].ravel()
-    m_term = plan.states[-1][leaf]
-    ratio = node_ratio[np.count_nonzero(sign_matrix(lat.steps) > 0, axis=1)]
+    # the (row, node j) pairs some path reaches, level by level: the root
+    # row at node 0, a row's up child at j + 1 and its down child at j
+    row, j = plan.roots, np.zeros_like(plan.roots)
+    for k, children in enumerate(plan.children):
+        reach = np.zeros((plan.states[k + 1].size, k + 2), dtype=bool)
+        reach[children[row, 0], j + 1] = True
+        reach[children[row, 1], j] = True
+        row, j = np.nonzero(reach)
+    m_term = plan.states[-1][row]
+    ratio = node_ratio[j]
     res_terminal = None if sc.loss.polar_grad is None else float(np.max(
         np.abs(m_term - np.asarray(sc.loss.polar_grad(ratio), dtype=float))))
     polar_vals = np.asarray(sc.loss.polar(ratio), dtype=float)

@@ -16,14 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
-# Node-indexed fields stay cheap up to fairly deep lattices; anything that
-# enumerates the 2^N paths explicitly is guarded much earlier.
+# Node-indexed fields stay cheap up to fairly deep lattices.
 MAX_LEVELS = 64
-MAX_PATH_LEVELS = 20
 
 
 class LatticeError(ValueError):
@@ -80,19 +77,3 @@ def half_sum(next_values: np.ndarray) -> np.ndarray:
     next_values = np.asarray(next_values, dtype=float)
     return 0.5 * (next_values[..., 1:] + next_values[..., :-1])
 
-
-@lru_cache(maxsize=32)
-def sign_matrix(n: int) -> np.ndarray:
-    """(2^n, n) matrix of path signs, one row per path p = 0..2^n - 1.
-
-    Bit (n-1-k) of p encodes step k: 0 -> +1 (up), 1 -> -1 (down).  Step 0
-    is the top bit, so row 0 is the all-up path, row 2^n - 1 the all-down
-    one, and the length-k prefix of path p is p >> (n - k).
-    """
-    if n > MAX_PATH_LEVELS:
-        raise LatticeError(f"sign_matrix guarded at n <= {MAX_PATH_LEVELS}")
-    p = np.arange(2**n, dtype=np.int64)[:, None]
-    bits = (p >> (n - 1 - np.arange(n))[None, :]) & 1
-    out = np.where(bits == 0, 1, -1).astype(np.int8)
-    out.flags.writeable = False
-    return out

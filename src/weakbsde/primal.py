@@ -89,6 +89,10 @@ CONTINUITY_OFFSETS = 2.0 ** -np.arange(3, 10)
 ORACLE_BLOCK = 2**14
 # spacing of the envelope oracle's grid on [0, 1]
 ENVELOPE_STEP = 1e-3
+# most policies or leaf vectors an exhaustive oracle enumerates
+ORACLE_BUDGET = 1_000_000
+# deepest lattice the equivalence check runs the exhaustive oracles on
+ORACLE_MAX_LEVELS = 3
 
 
 class PrimalError(ValueError):
@@ -532,7 +536,7 @@ def two_point_envelope(lp: LossPair, m: float) -> float:
 
 
 def brute_force_policy_value(sc: PrimalScenario, m0: float,
-                             budget: int = 1_000_000) -> dict:
+                             budget: int = ORACLE_BUDGET) -> dict:
     """Exhaustive minimum over every open-loop path-indexed policy.
 
     Each policy assigns one slope from the scenario's base grid to each of
@@ -619,7 +623,7 @@ def _require_count(name: str, value, least: int) -> None:
 
 def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
                                  rounds: int = 12,
-                                 budget: int = 1_000_000) -> dict:
+                                 budget: int = ORACLE_BUDGET) -> dict:
     """Leaf-value grid search on the weak formulation.
 
     Minimizes the nonlinear g-expectation of a path-indexed terminal vector

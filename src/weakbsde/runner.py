@@ -27,7 +27,7 @@ from . import __version__
 from .bsde import comparison_check
 from .control import admissible, representation_roundtrip, simulate_rows
 from .dual import dual_bound, lockstep_certificates
-from .primal import (apriori_bound_check, attainment_check,
+from .primal import (ORACLE_MAX_LEVELS, apriori_bound_check, attainment_check,
                      brute_force_policy_value, brute_force_weak_formulation,
                      continuity_modulus, convexity_check, dpp_check,
                      monotonicity_violation, primal_value_dp,
@@ -220,9 +220,9 @@ def _check_admissibility(ctx):
 def _check_equivalence(ctx):
     sc, surface = ctx["scenario"], ctx["surface"]
     tol = sc.tolerances["equivalence"]
-    if sc.lattice.steps > 3:
-        return _skipped("equivalence", tol,
-                        "exhaustive oracles capped at 3 levels")
+    if sc.lattice.steps > ORACLE_MAX_LEVELS:
+        return _skipped("equivalence", tol, f"exhaustive oracles capped at "
+                        f"{ORACLE_MAX_LEVELS} levels")
     prim = ctx["primal_scenario"]
     worst = 0.0
     for m in sc.m_list:

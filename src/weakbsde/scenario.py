@@ -18,8 +18,8 @@ from .bsde import compute_corridor, monotone_step_ok
 from .drivers import Driver, LossPair, make_driver, make_loss
 from .dual import SLOPE_FLOOR
 from .lattice import MAX_LEVELS, Lattice, build_lattice
-from .primal import (CONTINUITY_OFFSETS, CURVE_TOL, PrimalScenario,
-                     _continuity_base_fits)
+from .primal import (CONTINUITY_OFFSETS, CURVE_TOL, ORACLE_BUDGET,
+                     ORACLE_MAX_LEVELS, PrimalScenario, _continuity_base_fits)
 
 SCHEMA_VERSION = 1
 DEFAULT_SEED = 90210
@@ -253,6 +253,14 @@ def build_scenario(config: dict) -> Scenario:
     # a check runs, and is reported, once per time it is named
     if len(set(checks)) != len(checks):
         raise ScenarioError(f"checks repeats a check: {list(checks)!r}")
+    # check equivalence runs the policy oracle, one of n_a slopes at each
+    # of 2^steps - 1 nodes, on up to ORACLE_MAX_LEVELS levels
+    if "equivalence" in checks and steps <= ORACLE_MAX_LEVELS \
+            and n_a**(2**steps - 1) > ORACLE_BUDGET:
+        raise ScenarioError(
+            f"check equivalence: primal.n_a = {n_a} on lattice.steps = "
+            f"{steps} gives {n_a}^{2**steps - 1} policies, over the policy "
+            f"oracle's budget, ORACLE_BUDGET = {ORACLE_BUDGET}")
 
     # the backward steps raise where a driver breaks the step condition under
     # the explicit scheme, or the implicit fixed point's contraction

@@ -10,14 +10,40 @@ left-to-right product of its step factors, each path sums its running
 terms in the order ndarray.sum takes over a contiguous row of N
 (_path_sums), and the 2^N path totals are averaged in one mean.  Guarded
 at MAX_PATH_LEVELS levels.
+
+sign_matrix, the path-prefix indexing that the references here and in
+prefix_walk.py share, is defined here: no package code indexes paths by
+their signs.
 """
+
+from functools import lru_cache
 
 import numpy as np
 
 from weakbsde.drivers import (ConjugateDomainError, concave_conjugate,
                               convex_conjugate)
 from weakbsde.dual import POSITIVITY_MARGIN, DualFeasibilityError
-from weakbsde.lattice import MAX_PATH_LEVELS, LatticeError, sign_matrix
+from weakbsde.lattice import LatticeError
+
+# the references enumerate all 2^N paths, so they stop at this depth
+MAX_PATH_LEVELS = 20
+
+
+@lru_cache(maxsize=32)
+def sign_matrix(n: int) -> np.ndarray:
+    """(2^n, n) matrix of path signs, one row per path p = 0..2^n - 1.
+
+    Bit (n-1-k) of p encodes step k: 0 -> +1 (up), 1 -> -1 (down).  Step 0
+    is the top bit, so row 0 is the all-up path, row 2^n - 1 the all-down
+    one, and the length-k prefix of path p is p >> (n - k).
+    """
+    if n > MAX_PATH_LEVELS:
+        raise LatticeError(f"sign_matrix guarded at n <= {MAX_PATH_LEVELS}")
+    p = np.arange(2**n, dtype=np.int64)[:, None]
+    bits = (p >> (n - 1 - np.arange(n))[None, :]) & 1
+    out = np.where(bits == 0, 1, -1).astype(np.int8)
+    out.flags.writeable = False
+    return out
 
 # the two step signs in sign_matrix order: an up step, then a down step
 UP_DOWN = sign_matrix(1)[:, 0]

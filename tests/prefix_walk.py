@@ -13,7 +13,9 @@ import numpy as np
 
 from weakbsde.bsde import exact_scheme_for, solve_bsde
 from weakbsde.control import _children, _interleave, _truncate
-from weakbsde.lattice import MAX_PATH_LEVELS, LatticeError
+from weakbsde.lattice import LatticeError
+
+from path_tree import MAX_PATH_LEVELS
 
 
 @lru_cache(maxsize=64)

@@ -10,7 +10,10 @@ report.json values of the five dual scenarios (call_spread, envelope,
 identity, jensen, risk_pair) were re-recorded when the dual certificate
 moved from the 2^N path tree to the N + 1 lattice nodes, which moves their
 dual bounds by at most 1e-15; every surface.csv and every tiny_* file kept
-its bytes.
+its bytes.  The report.json values of the four piecewise-loss scenarios
+(call_spread, envelope, identity, tiny_identity) were re-recorded when a
+loss's normalised config began to hold the loss's own params instead of
+its phi knots, which moves only their scenario block and config_sha256.
 """
 
 import hashlib
@@ -35,17 +38,17 @@ ARTIFACT_SHA256 = {
     "call_spread": (
         "d16944ee0b46256984ff4ab0a42eb3b67aab723618278091c6d9976c0bb5952f",
         "28ec3c17e48188fdc44f271afeb158946fa2899b98e07e5bc6774bf0992ace94",
-        "b82478f10322a0e50ac75f4068a8bebf2694f7e95a262fd1640a2db5fee7bfdd",
+        "9f49de303d75561649652e6cf7fb00e8f35267d11e02ea9d1e0a293b1244d09f",
     ),
     "envelope": (
         "cbea9eb345202f9f341e5ec70592cd96f8edebfc4d4c43208749eb3ef0116187",
         "379b0f5d39db55ecc57ddae38a15325e5011c97c6a86db02158dfe066f3e11a2",
-        "b7eaf0a2b367bcb65a826b95249fc7525c4e5933193d3d93db59c0045bc5d500",
+        "fd512bde6fa26d55fb0a77aeab775f65890492d9380fbe5467f11f183ef10edb",
     ),
     "identity": (
         "8c829eb326c1563534b972adea2ccc51dd52a86a04d3bfb0e87ca59887146eaf",
         "877d0822f5ca120424929f1166c9cd906d6017ce45d2c2e9539606393d5729b8",
-        "84c5812d14c82d43c28b71daf59740671b197834a93842d83332fdfdc099c288",
+        "c73057d70217fa6248fbbe5e2e982f406d1537b4c379c65c051f56f42acd83fb",
     ),
     "jensen": (
         "ab694ab1d1651161d8bfd5352e90450c50cb8da4a0751034da9bb7a617c7dce7",
@@ -60,7 +63,7 @@ ARTIFACT_SHA256 = {
     "tiny_identity": (
         "936aadeefaf8343ad3a2bd8d8c0e25b7a4f337813a66580f0adbd415182ddb89",
         "5aecea02ec499e0945e120bd620f847de3bc5def560400764379e60c1ce82f19",
-        "850b163c3b86ba6f7e4fcc508392a671ab54f259e5f2d01a9483a78f8172aa75",
+        "71f89695bf4348e9f32115d97943aeebd1b3e066ca49ea2039584bb831cb4db1",
     ),
     "tiny_power": (
         "85ab60ec78cd2d2060ee41e351a38908c572d38f4f74ac460393c049dc4fb16a",
@@ -82,6 +85,17 @@ def test_catalogue_artifacts_are_byte_identical(name, tmp_path):
         hashlib.sha256((tmp_path / fname).read_bytes()).hexdigest()
         for fname in ("curve.csv", "surface.csv", "report.json"))
     assert measured == ARTIFACT_SHA256[name]
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_SHA256))
+def test_a_catalogue_report_reruns_from_its_scenario_block(name, tmp_path):
+    sc = catalogue_scenario(name)
+    execute(sc, out_dir=tmp_path / "first", quiet=True)
+    first = (tmp_path / "first" / "report.json").read_bytes()
+    again = build_scenario(json.loads(first)["scenario"])
+    assert again.config_sha256 == sc.config_sha256
+    execute(again, out_dir=tmp_path / "again", quiet=True)
+    assert (tmp_path / "again" / "report.json").read_bytes() == first
 
 
 # Writes every catalogue scenario's artifacts and the seed-24 verify report

@@ -11,8 +11,10 @@ from weakbsde.bsde import (SchemeError, _one_step, comparison_check,
                            compute_corridor, estimation_gap, exact_scheme_for,
                            monotone_step_ok, solve_bsde, solve_on_path_tree)
 from weakbsde.drivers import make_driver, make_loss
-from weakbsde.lattice import LatticeError, build_lattice, half_sum, sign_matrix
+from weakbsde.lattice import LatticeError, build_lattice, half_sum
 from weakbsde.primal import apriori_bound_check
+
+from path_tree import sign_matrix
 
 
 def test_zero_driver_reduces_to_iterated_averaging():

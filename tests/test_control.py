@@ -14,10 +14,11 @@ from weakbsde.bsde import compute_corridor, solve_bsde
 from weakbsde.control import (HIT_TOL, PolicyError, admissible,
                               representation_roundtrip, simulate_rows)
 from weakbsde.drivers import make_driver
-from weakbsde.lattice import LatticeError, build_lattice, sign_matrix
+from weakbsde.lattice import LatticeError, build_lattice
 from weakbsde.runner import _admissibility_walks, _roundtrip_walks
 from weakbsde.scenario import build_scenario
 
+from path_tree import sign_matrix
 from prefix_walk import (prefix_roundtrip, prefix_up_counts,
                          simulate_all_prefixes)
 

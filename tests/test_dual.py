@@ -205,6 +205,20 @@ def test_first_order_residuals_vanish_at_the_analytic_optimum():
         assert abs(res[key]) <= 1e-2, (key, res[key])
 
 
+def test_first_order_residuals_run_on_the_deepest_lattice():
+    # c14's call on jensen at N = 64: the terminal residuals read the greedy
+    # plan's (row, node) pairs, where the 2^64 paths could not be listed
+    sc = PrimalScenario(lattice=build_lattice(1.0, 64),
+                        driver_f=make_driver("zero"),
+                        driver_g=make_driver("zero"),
+                        loss=make_loss("power", p=2.0),
+                        grid_size=201, n_a=21)
+    res = first_order_residuals(primal_value_dp(sc), DualControls.zeros(1.0),
+                                0.5)
+    assert res == {"constraint_fenchel": 0.0, "terminal_gradient": 0.0,
+                   "cost_fenchel": 0.0, "terminal_polar": 0.0}
+
+
 def test_first_order_residuals_report_kinked_polars():
     sc = PrimalScenario(lattice=build_lattice(1.0, 6),
                         driver_f=make_driver("zero"),

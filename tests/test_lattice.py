@@ -1,4 +1,5 @@
-"""Grid, adapted-field, and path-prefix plumbing."""
+"""Grid and adapted-field plumbing, and the path-prefix indexing of the
+reference walks (path_tree.sign_matrix, prefix_walk.prefix_up_counts)."""
 
 import numpy as np
 import pytest
@@ -6,8 +7,9 @@ import pytest
 from weakbsde.bsde import solve_bsde
 from weakbsde.drivers import make_driver
 from weakbsde.lattice import (MAX_LEVELS, Lattice, LatticeError, build_lattice,
-                              half_sum, sign_matrix)
+                              half_sum)
 
+from path_tree import sign_matrix
 from prefix_walk import prefix_up_counts
 
 

@@ -6,6 +6,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weakbsde.bsde import compute_corridor
 from weakbsde.cli import main
@@ -386,6 +387,71 @@ def test_driver_params_pass_through_unchanged():
         driver_f={"name": "logcosh_z", "params": {"kappa": 0.3, "sign": -1}},
         checks=["monotonicity"]))
     assert type(sc.config["driver_f"]["params"]["sign"]) is int
+
+
+def _block(name, **params):
+    """A driver or loss config block: a param drawn as None is left out,
+    so its builder's default fills it in."""
+    params = {key: val for key, val in params.items() if val is not None}
+    return {"name": name, "params": params} if params else {"name": name}
+
+
+def _maybe(values):
+    return st.none() | values
+
+
+_KAPPA = st.floats(0.01, 1.0)
+# every driver and loss of the catalogues, with valid params: small enough
+# for the explicit step on four steps, and a root corridor that holds 0.5
+_DRIVER_BLOCKS = st.one_of(
+    st.builds(_block, st.just("zero")),
+    st.builds(_block, st.just("linear"), a=st.floats(-0.1, 0.1),
+              b=st.floats(-0.5, 0.5)),
+    st.builds(_block, st.just("abs_z"), kappa=_KAPPA),
+    st.builds(_block, st.just("neg_abs_z"), kappa=_KAPPA),
+    st.builds(_block, st.just("logcosh_z"), kappa=_KAPPA,
+              sign=_maybe(st.sampled_from([-1, 1]))),
+    st.builds(_block, st.just("softplus_z"), kappa=_KAPPA),
+)
+_LOSS_BLOCKS = st.one_of(
+    st.builds(_block, st.just("identity")),
+    st.builds(_block, st.just("s_shaped")),
+    st.builds(_block, st.just("power"), p=_maybe(st.floats(1.0, 4.0))),
+    st.builds(_block, st.just("call_spread"),
+              lo=_maybe(st.floats(0.05, 0.29)),
+              hi=_maybe(st.floats(0.71, 0.95))),
+)
+
+
+@settings(max_examples=80)
+@given(driver_f=_DRIVER_BLOCKS, driver_g=_DRIVER_BLOCKS, loss=_LOSS_BLOCKS)
+def test_a_normalised_config_rebuilds_to_itself_property(driver_f, driver_g,
+                                                         loss):
+    # a report's scenario block is the normalised config, through JSON
+    sc = build_scenario(_minimal(driver_f=driver_f, driver_g=driver_g,
+                                 loss=loss, dual={"enabled": False},
+                                 checks=["monotonicity"]))
+    again = build_scenario(json.loads(json.dumps(sc.config)))
+    assert again.config == sc.config
+    assert again.config_sha256 == sc.config_sha256
+
+
+@pytest.mark.parametrize("n_a", [8, 9])
+def test_an_equivalence_check_over_the_policy_budget_fails_at_build(n_a):
+    # tiny_risk runs equivalence on three levels with n_a 7: its 7^7
+    # policies fit the budget, and test_artifacts pins its passing run;
+    # 8^7 and 9^7 do not fit
+    cfg = catalogue()["tiny_risk"]
+    assert cfg["primal"]["n_a"] == 7
+    build_scenario(cfg)
+    cfg["primal"]["n_a"] = n_a
+    with pytest.raises(ScenarioError, match=rf"primal\.n_a = {n_a} on "
+                       r"lattice\.steps = 3 .* over the policy oracle's "
+                       r"budget"):
+        build_scenario(cfg)
+    # on four levels the check is skipped, so nothing is refused
+    cfg["lattice"]["steps"] = 4
+    build_scenario(cfg)
 
 
 def test_thresholds_outside_the_root_corridor_fail_at_build():
