@@ -54,14 +54,14 @@ bounded method (_brent) reaches a bound at least as high as golden
 section's in 7-10 pricings instead of 34.  Where the polar is piecewise
 linear the certificate is kinked and Brent's bound can come out up to
 about 1e-7 lower, so golden-section search (_golden_section) stays there;
-_slope_search picks one of the two.
+dual_bound picks one of the two.
 
-A slope's certificate does not depend on the threshold m, so each slope
-search is written once, as a routine that yields the next slope it wants
-priced and is sent its certificate.  lockstep_certificates, the one
-pricing path, drives one search per threshold in lockstep and prices each
-distinct new slope once, with dual_value; dual_bound replays one search
-on the slope -> certificate dict it returns.
+A slope's certificate does not depend on the threshold m, so the slope
+searches of several thresholds can share one slope -> certificate dict.
+Each search is a plain optimiser that calls a price(l) function:
+dual_bound prices a slope the dict lacks with dual_value, stores it there
+and records it in the trace, so runner.dual_bounds runs each threshold's
+search once over one shared dict and prices each distinct slope once.
 """
 from __future__ import annotations
 
@@ -285,29 +285,27 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
     }
 
 
-def _golden_section(m: float, lo: float, hi: float, tol: float):
-    """Golden-section maximization of l*m - certificate(l) over [lo, hi],
-    as a stepping routine: it yields each slope it evaluates and is sent
-    that slope's certificate back."""
+def _golden_section(price, m: float, lo: float, hi: float, tol: float):
+    """Golden-section maximization of l*m - price(l) over [lo, hi]."""
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
-    f1 = x1 * m - (yield x1)
-    f2 = x2 * m - (yield x2)
+    f1 = x1 * m - price(x1)
+    f2 = x2 * m - price(x2)
     while hi - lo > tol:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + GOLDEN * (hi - lo)
-            f2 = x2 * m - (yield x2)
+            f2 = x2 * m - price(x2)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN * (hi - lo)
-            f1 = x1 * m - (yield x1)
+            f1 = x1 * m - price(x1)
 
 
-def _brent(m: float, a: float, b: float, tol: float):
-    """Brent's bounded minimization of certificate(l) - l*m over [a, b]
+def _brent(price, m: float, a: float, b: float, tol: float):
+    """Brent's bounded minimization of price(l) - l*m over [a, b]
     (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 5), a stepping routine like _golden_section.
+    ch. 5).
 
     x is the best slope so far, w the second best and v the one before w.
     A step goes to the vertex of the parabola through the three when it
@@ -317,7 +315,7 @@ def _brent(m: float, a: float, b: float, tol: float):
     search stops once the bracket lies within 2 tol1 of x.
     """
     x = w = v = a + GOLDEN_STEP * (b - a)
-    fx = fw = fv = (yield x) - x * m
+    fx = fw = fv = price(x) - x * m
     d = e = 0.0
     while True:
         mid = 0.5 * (a + b)
@@ -345,7 +343,7 @@ def _brent(m: float, a: float, b: float, tol: float):
             e = (a if x >= mid else b) - x
             d = GOLDEN_STEP * e
         u = x - max(-d, tol1) if d < 0.0 else x + max(d, tol1)
-        fu = (yield u) - u * m
+        fu = price(u) - u * m
         if fu <= fx:
             if u >= x:
                 a = x
@@ -363,58 +361,39 @@ def _brent(m: float, a: float, b: float, tol: float):
                 v, fv = u, fu
 
 
-def _slope_search(m: float, l_max: float, lp: LossPair):
-    """The stepping routine that maximizes l*m - certificate(l) over
-    [SLOPE_FLOOR, l_max]: Brent's method where the loss polar is smooth
-    (lp.polar_grad is set), golden section where it is piecewise linear;
-    the module docstring says why both stay.
-    """
-    if not SLOPE_FLOOR < l_max < math.inf:
-        raise DualFeasibilityError(
-            f"l_max must be finite and above {SLOPE_FLOOR}, got {l_max!r}")
-    search = _golden_section if lp.polar_grad is None else _brent
-    return search(m, SLOPE_FLOOR, float(l_max), SLOPE_TOL)
-
-
-def _step(search, certificate):
-    """Send a search the certificate of its last slope (None to start it):
-    the next slope it wants, or None once it has finished."""
-    try:
-        return search.send(certificate)
-    except StopIteration:
-        return None
-
-
 def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
                m: float, l_max: float = 4.0, rounds: int = 3,
                certificates: dict | None = None) -> dict:
-    """Maximization of l*m - certificate(l) over l in (0, l_max]: Brent's
-    method where the loss polar is smooth, golden section where it is
-    piecewise linear (_slope_search).
+    """Maximization of l*m - certificate(l) over l in [SLOPE_FLOOR, l_max]:
+    Brent's method where the loss polar is smooth (lp.polar_grad is set),
+    golden section where it is piecewise linear; the module docstring says
+    why both stay.
 
     The trace records every (l, certificate) pair the search evaluated;
     each one is a standalone valid lower bound, so the reported bound is
     the best value ever seen, not just the final bracket midpoint.
 
-    certificates is the lockstep_certificates dict of thresholds that
-    include m, on the same lattice, drivers, loss, l_max and rounds, and is
-    only read; without it m is priced alone, a lockstep of one threshold.
-    A slope the search wants and the dict lacks raises DualFeasibilityError.
+    certificates is a slope -> certificate dict shared by searches on the
+    same lattice, drivers, loss and rounds; a slope it lacks is priced with
+    dual_value and added to it in place.  Without it the search starts an
+    empty one of its own.
     """
+    if not SLOPE_FLOOR < l_max < math.inf:
+        raise DualFeasibilityError(
+            f"l_max must be finite and above {SLOPE_FLOOR}, got {l_max!r}")
     if certificates is None:
-        certificates = lockstep_certificates(lattice, d_f, d_g, lp, [m],
-                                             l_max=l_max, rounds=rounds)
-    search = _slope_search(m, l_max, lp)
+        certificates = {}
     trace = []
-    l = _step(search, None)
-    while l is not None:
+
+    def price(l):
         if l not in certificates:
-            raise DualFeasibilityError(
-                f"certificates has no entry for slope {l!r}: pass the "
-                f"lockstep_certificates dict of thresholds that include "
-                f"m = {m!r}, with the same l_max and rounds")
+            certificates[l] = dual_value(lattice, l, d_f, d_g, lp,
+                                         rounds=rounds)["value"]
         trace.append((l, certificates[l]))
-        l = _step(search, certificates[l])
+        return certificates[l]
+
+    search = _golden_section if lp.polar_grad is None else _brent
+    search(price, m, SLOPE_FLOOR, float(l_max), SLOPE_TOL)
     best_idx = max(range(len(trace)), key=lambda i: trace[i][0] * m - trace[i][1])
     l_star, cert = trace[best_idx]
     return {
@@ -424,32 +403,6 @@ def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
         "trace": trace,
         "n_slope_evaluations": len(trace),
     }
-
-
-def lockstep_certificates(lattice: Lattice, d_f: Driver, d_g: Driver,
-                          lp: LossPair, thresholds, l_max: float = 4.0,
-                          rounds: int = 3) -> dict:
-    """The slope -> certificate dict of the dual_bound searches for every
-    threshold, priced in lockstep.
-
-    Each step advances every unfinished search by one slope and prices the
-    step's distinct new slopes with dual_value, so dual_bound on the
-    returned dict, for any of the thresholds, only reads it and returns
-    what it returns on its own.
-    """
-    certificates = {}
-    searches = [_slope_search(m, l_max, lp) for m in thresholds]
-    wanted = [_step(search, None) for search in searches]
-    while searches:
-        for l in dict.fromkeys(wanted):
-            if l not in certificates:
-                certificates[l] = dual_value(lattice, l, d_f, d_g, lp,
-                                             rounds=rounds)["value"]
-        stepped = [(search, _step(search, certificates[l]))
-                   for search, l in zip(searches, wanted)]
-        searches = [search for search, l in stepped if l is not None]
-        wanted = [l for _, l in stepped if l is not None]
-    return certificates
 
 
 def first_order_residuals(surface: ValueSurface, dc: DualControls,

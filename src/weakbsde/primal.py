@@ -535,8 +535,7 @@ def two_point_envelope(lp: LossPair, m: float) -> float:
     return float(lam * y[j - 1] + (1.0 - lam) * y[j])
 
 
-def brute_force_policy_value(sc: PrimalScenario, m0: float,
-                             budget: int = ORACLE_BUDGET) -> dict:
+def brute_force_policy_value(sc: PrimalScenario, m0: float) -> dict:
     """Exhaustive minimum over every open-loop path-indexed policy.
 
     Each policy assigns one slope from the scenario's base grid to each of
@@ -568,10 +567,9 @@ def brute_force_policy_value(sc: PrimalScenario, m0: float,
     n_a = grid.size
     decisions = 2**n - 1
     n_pol = n_a**decisions
-    if n_pol > budget:
-        raise PrimalError(
-            f"{n_a}^{decisions} = {n_pol} policies exceed the {budget} budget"
-        )
+    if n_pol > ORACLE_BUDGET:
+        raise PrimalError(f"{n_a}^{decisions} = {n_pol} policies exceed the "
+                          f"{ORACLE_BUDGET} budget")
     corridor = compute_corridor(lat, sc.driver_f, scheme=sc.scheme)
     lo0, hi0 = corridor.bounds_at(0)
     if not (lo0 - FEASIBILITY_TOL <= m0 <= hi0 + FEASIBILITY_TOL):
@@ -622,8 +620,7 @@ def _require_count(name: str, value, least: int) -> None:
 
 
 def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
-                                 rounds: int = 12,
-                                 budget: int = ORACLE_BUDGET) -> dict:
+                                 rounds: int = 12) -> dict:
     """Leaf-value grid search on the weak formulation.
 
     Minimizes the nonlinear g-expectation of a path-indexed terminal vector
@@ -653,8 +650,9 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
     lat = sc.lattice
     n = lat.steps
     leaves = 2**n
-    if int(q)**leaves > budget:
-        raise PrimalError(f"{q}^{leaves} candidates exceed the {budget} budget")
+    if int(q)**leaves > ORACLE_BUDGET:
+        raise PrimalError(f"{q}^{leaves} candidates exceed the "
+                          f"{ORACLE_BUDGET} budget")
     scheme_f = exact_scheme_for(sc.driver_f)
     t0, sq, dt = lat.time_at(0), lat.sqrt_dt, lat.dt
     width = q**(leaves // 2)   # candidates below each root child

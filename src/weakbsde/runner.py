@@ -26,7 +26,7 @@ import numpy as np
 from . import __version__
 from .bsde import comparison_check
 from .control import admissible, representation_roundtrip, simulate_rows
-from .dual import dual_bound, lockstep_certificates
+from .dual import dual_bound
 from .primal import (ORACLE_MAX_LEVELS, apriori_bound_check, attainment_check,
                      brute_force_policy_value, brute_force_weak_formulation,
                      continuity_modulus, convexity_check, dpp_check,
@@ -332,16 +332,15 @@ def _in_stage(stage: str, exc: Exception) -> Exception:
 def dual_bounds(sc: Scenario) -> list:
     """(m, dual_bound result) for each threshold of sc.dual_m_list, in order.
 
-    The searches share one slope -> certificate dict, which lives only as
-    long as this call: a certificate does not depend on the threshold, but
-    it does on the lattice, drivers, loss and rounds of the scenario.  The
-    searches run in lockstep first, pricing each step's new slopes
-    together; each dual_bound call then only reads the dict.
+    Each threshold's slope search runs once, and the searches share one
+    slope -> certificate dict, which lives only as long as this call: a
+    certificate does not depend on the threshold, but it does on the
+    lattice, drivers, loss and rounds of the scenario.  A search prices
+    only the slopes that the searches before it left out of the dict.
     """
-    args = (sc.lattice, sc.driver_f, sc.driver_g, sc.loss)
-    certificates = lockstep_certificates(*args, sc.dual_m_list,
-                                         l_max=sc.l_max, rounds=sc.dual_rounds)
-    return [(m, dual_bound(*args, m, l_max=sc.l_max, rounds=sc.dual_rounds,
+    certificates = {}
+    return [(m, dual_bound(sc.lattice, sc.driver_f, sc.driver_g, sc.loss, m,
+                           l_max=sc.l_max, rounds=sc.dual_rounds,
                            certificates=certificates))
             for m in sc.dual_m_list]
 

@@ -254,13 +254,20 @@ def build_scenario(config: dict) -> Scenario:
     if len(set(checks)) != len(checks):
         raise ScenarioError(f"checks repeats a check: {list(checks)!r}")
     # check equivalence runs the policy oracle, one of n_a slopes at each
-    # of 2^steps - 1 nodes, on up to ORACLE_MAX_LEVELS levels
-    if "equivalence" in checks and steps <= ORACLE_MAX_LEVELS \
-            and n_a**(2**steps - 1) > ORACLE_BUDGET:
-        raise ScenarioError(
-            f"check equivalence: primal.n_a = {n_a} on lattice.steps = "
-            f"{steps} gives {n_a}^{2**steps - 1} policies, over the policy "
-            f"oracle's budget, ORACLE_BUDGET = {ORACLE_BUDGET}")
+    # of 2^steps - 1 nodes, on up to ORACLE_MAX_LEVELS levels.  Its slopes
+    # are the base grid linspace(-b, b, n_a) alone, which holds the zero
+    # slope of the DP's control set only for an odd n_a.
+    if "equivalence" in checks and steps <= ORACLE_MAX_LEVELS:
+        if n_a**(2**steps - 1) > ORACLE_BUDGET:
+            raise ScenarioError(
+                f"check equivalence: primal.n_a = {n_a} on lattice.steps = "
+                f"{steps} gives {n_a}^{2**steps - 1} policies, over the "
+                f"policy oracle's budget, ORACLE_BUDGET = {ORACLE_BUDGET}")
+        if n_a % 2 == 0:
+            raise ScenarioError(
+                f"check equivalence: primal.n_a = {n_a} is even, so the "
+                f"policy oracle's slope grid holds no zero slope; use an "
+                f"odd primal.n_a")
 
     # the backward steps raise where a driver breaks the step condition under
     # the explicit scheme, or the implicit fixed point's contraction

@@ -738,8 +738,7 @@ def test_descent_keeps_the_in_order_strict_improvements(case):
 
 
 def _count_priced_slopes(monkeypatch):
-    """Every slope priced: the lockstep searches price each one with
-    dual_value."""
+    """Every slope priced: dual_bound prices each one with dual_value."""
     calls = []
     original = dual_mod.dual_value
 
@@ -756,28 +755,23 @@ def test_shared_certificates_price_each_slope_once(monkeypatch):
     f, g = _pair(SMOOTH_PAIR)
     lp = make_loss("power", p=2.0)
     thresholds = (0.25, 0.5, 0.75)
-    locksteps = []
-    lockstep = dual_mod.lockstep_certificates
-
-    def lockstep_spy(*args, **kwargs):
-        out = lockstep(*args, **kwargs)
-        locksteps.append((list(args[4]), dict(out)))
-        return out
-
-    monkeypatch.setattr(dual_mod, "lockstep_certificates", lockstep_spy)
-    priced = _count_priced_slopes(monkeypatch)
     alone = [dual_bound(lat, f, g, lp, m, rounds=1) for m in thresholds]
-    # each call priced its own m alone, and read its trace from that dict
-    assert [ms for ms, _ in locksteps] == [[m] for m in thresholds]
-    for res, (_, certificates) in zip(alone, locksteps):
-        assert dict(res["trace"]) == certificates
     # a priced slope has the bits of dual_value on its own
     for l, cert in alone[1]["trace"][:3]:
         assert cert == dual_value(lat, l, f, g, lp, rounds=1)["value"]
-    # the searches of several thresholds share one dict, which prices each
-    # of their slopes once, and dual_bound on it returns what it returns alone
-    priced.clear()
-    certificates = lockstep(lat, f, g, lp, thresholds, rounds=1)
+    # the searches of several thresholds share one dict: each extends the
+    # dict passed in, in place, by the slopes it priced, and returns what
+    # it returns alone
+    priced = _count_priced_slopes(monkeypatch)
+    certificates = {}
+    for m, want in zip(thresholds, alone):
+        before = dict(certificates)
+        assert dual_bound(lat, f, g, lp, m, rounds=1,
+                          certificates=certificates) == want
+        assert certificates == {**before, **dict(want["trace"])}
+        assert priced[len(before):] == \
+            [l for l in dict(want["trace"]) if l not in before]
+    # across thresholds each distinct slope reached dual_value once
     assert len(priced) == len(set(priced)) == len(certificates)
     assert certificates == {l: c for res in alone for l, c in res["trace"]}
     assert len(priced) < sum(res["n_slope_evaluations"] for res in alone)
@@ -785,12 +779,13 @@ def test_shared_certificates_price_each_slope_once(monkeypatch):
     assert [dual_bound(lat, f, g, lp, m, rounds=1, certificates=certificates)
             for m in thresholds] == alone
     assert priced == []
-    # a dict that lacks a slope of the search, empty or priced for another
-    # l_max, is named as the fault instead of raising a bare KeyError
-    for stale, l_max in (({}, 4.0), (certificates, 2.0)):
-        with pytest.raises(DualFeasibilityError, match="no entry for slope"):
-            dual_bound(lat, f, g, lp, thresholds[0], l_max=l_max, rounds=1,
-                       certificates=stale)
+    # a certificate does not depend on l_max, so a search over another
+    # bracket reads the dict and prices only its new slopes
+    other = dual_bound(lat, f, g, lp, thresholds[0], l_max=2.0, rounds=1,
+                       certificates=dict(certificates))
+    assert priced == [l for l in dict(other["trace"]) if l not in certificates]
+    assert other == dual_bound(lat, f, g, lp, thresholds[0], l_max=2.0,
+                               rounds=1)
 
 
 def _scenario_config(name, steps, rounds, dual_m_list):
@@ -808,15 +803,15 @@ def _scenario_config(name, steps, rounds, dual_m_list):
 
 
 def test_runner_dual_bounds_equal_independent_searches(monkeypatch):
-    sc = build_scenario(_scenario_config("lockstep", 4, 2,
+    sc = build_scenario(_scenario_config("shared", 4, 2,
                                          [0.25, 0.5, 0.6, 0.75]))
     alone = [(m, dual_bound(sc.lattice, sc.driver_f, sc.driver_g, sc.loss, m,
                             l_max=sc.l_max, rounds=sc.dual_rounds))
              for m in sc.dual_m_list]
     priced = _count_priced_slopes(monkeypatch)
     assert runner_mod.dual_bounds(sc) == alone
-    # the lockstep driver priced every distinct slope once, fewer than the
-    # searches' slopes together, and the dual_bound calls priced none
+    # the shared dict priced every distinct slope once, fewer than the
+    # searches' slopes together
     slopes = {l for _, res in alone for l, _ in res["trace"]}
     assert sorted(priced) == sorted(slopes)
     assert len(priced) < sum(res["n_slope_evaluations"] for _, res in alone)
@@ -865,7 +860,7 @@ def test_workspace_shares_certificates_within_a_scenario_only(monkeypatch):
     assert sorted(calls[before:]) == sorted({l for l, _ in other})
 
 
-def test_workspace_prices_a_scenario_dual_list_in_lockstep(monkeypatch):
+def test_workspace_prices_a_scenario_dual_list_on_first_request(monkeypatch):
     ws = Workspace()
     sc = ws.scenario("risk_pair")
     want = dict(runner_mod.dual_bounds(sc))
@@ -884,19 +879,17 @@ def test_workspace_prices_a_scenario_dual_list_in_lockstep(monkeypatch):
 # section where it is piecewise linear
 # ---------------------------------------------------------------------------
 
-def _drive(search, certificate):
+def _drive(search, m, certificate, l_max=4.0):
     """Run a slope search on an analytic certificate; the slopes it priced,
     in order."""
     slopes = []
-    l = dual_mod._step(search, None)
-    while l is not None:
+
+    def price(l):
         slopes.append(l)
-        l = dual_mod._step(search, certificate(l))
+        return certificate(l)
+
+    search(price, m, dual_mod.SLOPE_FLOOR, l_max, 1e-6)
     return slopes
-
-
-def _brent(m, l_max=4.0):
-    return dual_mod._brent(m, dual_mod.SLOPE_FLOOR, l_max, 1e-6)
 
 
 def _quadratic(l):
@@ -906,7 +899,7 @@ def _quadratic(l):
 
 @pytest.mark.parametrize("m", [0.1, 0.25, 0.5, 0.7, 0.75, 0.9])
 def test_brent_finds_the_quadratic_supremum_in_few_steps(m):
-    slopes = _drive(_brent(m), _quadratic)
+    slopes = _drive(dual_mod._brent, m, _quadratic)
     assert len(slopes) <= 12
     assert max(l * m - _quadratic(l) for l in slopes) == \
         pytest.approx(m * m, abs=1e-12)
@@ -929,14 +922,14 @@ BRENT_CASES = [
 @pytest.mark.parametrize("m, l_max, certificate", BRENT_CASES)
 def test_brent_stays_in_the_bracket_and_never_repeats_a_slope(m, l_max,
                                                               certificate):
-    slopes = _drive(_brent(m, l_max), certificate)
+    slopes = _drive(dual_mod._brent, m, certificate, l_max)
     assert all(dual_mod.SLOPE_FLOOR <= l <= l_max for l in slopes)
     assert all(a != b for a, b in zip(slopes, slopes[1:]))
 
 
 @pytest.mark.parametrize("m, l_max", [(2.5, 4.0), (0.75, 1.0)])
 def test_brent_finishes_on_the_upper_end(m, l_max):
-    slopes = _drive(_brent(m, l_max), _quadratic)
+    slopes = _drive(dual_mod._brent, m, _quadratic, l_max)
     best = max(slopes, key=lambda l: l * m - _quadratic(l))
     assert best == pytest.approx(l_max, abs=1e-6)
     assert best * m - _quadratic(best) == \
@@ -951,9 +944,18 @@ def test_brent_finishes_on_the_upper_end(m, l_max):
     ("s_shaped", {}, "_golden_section"),
     ("call_spread", {}, "_golden_section"),
 ])
-def test_slope_search_follows_the_polar(name, params, routine):
-    search = dual_mod._slope_search(0.5, 4.0, make_loss(name, **params))
-    assert search.__name__ == routine
+def test_slope_search_follows_the_polar(name, params, routine, monkeypatch):
+    ran = []
+    for search in ("_brent", "_golden_section"):
+        def spy(*args, search=search, original=getattr(dual_mod, search)):
+            ran.append(search)
+            return original(*args)
+
+        monkeypatch.setattr(dual_mod, search, spy)
+    zero = make_driver("zero")
+    dual_bound(build_lattice(1.0, 3), zero, zero, make_loss(name, **params),
+               0.5)
+    assert ran == [routine]
 
 
 @pytest.mark.parametrize("l_max", [0.0, -1.0, 1e-9, math.inf, math.nan])
@@ -961,10 +963,11 @@ def test_slope_search_rejects_a_bad_l_max_before_pricing(l_max, monkeypatch):
     calls = _count_priced_slopes(monkeypatch)
     lat = build_lattice(1.0, 3)
     zero = make_driver("zero")
+    sc = build_scenario(_scenario_config("bad_l_max", 3, 1, [0.25, 0.5]))
     for lp in (make_loss("power"), make_loss("identity")):
         with pytest.raises(DualFeasibilityError, match="l_max"):
-            dual_mod.lockstep_certificates(lat, zero, zero, lp, [0.5],
-                                           l_max=l_max)
+            runner_mod.dual_bounds(dataclasses.replace(sc, loss=lp,
+                                                       l_max=l_max))
         with pytest.raises(DualFeasibilityError, match="l_max"):
             dual_bound(lat, zero, zero, lp, 0.5, l_max=l_max)
     assert calls == []
@@ -974,7 +977,7 @@ def test_slope_search_rejects_a_bad_l_max_before_pricing(l_max, monkeypatch):
     ({"name": "power", "params": {"p": 2.0}}, 12, 1),
     ({"name": "identity"}, 34, 34),
 ])
-def test_lockstep_pricing_counts_per_polar(loss, most, least, monkeypatch):
+def test_shared_pricing_counts_per_polar(loss, most, least, monkeypatch):
     """A smooth polar takes Brent's method, at most 12 pricing steps; a
     piecewise-linear one still takes golden section's 34."""
     config = _scenario_config("guard", 4, 1, [0.25, 0.5, 0.75])

@@ -111,14 +111,10 @@ UNPASSED_KEYWORDS = {
     "drivers.make_call_spread_loss(hi)": "set through a loss config's params",
     "drivers.make_power_loss(p)": "set through a loss config's params",
     "cli.main(argv)": "the console entry reads sys.argv; tests pass argv",
-    "primal.brute_force_policy_value(budget)":
-        "the oracle's size guard; tests lower it to reach the raise",
     "primal.brute_force_weak_formulation(q)":
         "the oracle's grid size; tests run it coarser",
     "primal.brute_force_weak_formulation(rounds)":
         "the oracle's refinements; tests pin each round's counts",
-    "primal.brute_force_weak_formulation(budget)":
-        "the oracle's size guard; tests lower it to reach the raise",
 }
 
 

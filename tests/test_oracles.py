@@ -467,9 +467,12 @@ def test_policy_oracle_stops_at_the_first_empty_level(monkeypatch):
         brute_force_policy_value(sc, 0.0)
 
 
-def test_weak_budget_guard_raises_before_enumerating():
+def test_weak_budget_guard_raises_before_enumerating(monkeypatch):
     sc = _scenario(("zero", {}), ("zero", {}), ("identity", {}))
     with pytest.raises(PrimalError, match="budget"):
         brute_force_weak_formulation(sc, 0.5, q=6)  # 6^8 > 10^6
-    with pytest.raises(PrimalError, match="budget"):
-        brute_force_weak_formulation(sc, 0.5, budget=5**8 - 1)
+    # the guard reads ORACLE_BUDGET at call time
+    monkeypatch.setattr(primal_mod, "ORACLE_BUDGET", 5**8 - 1)
+    with pytest.raises(PrimalError, match=r"5\^8 candidates exceed the "
+                       r"390624 budget"):
+        brute_force_weak_formulation(sc, 0.5)

@@ -454,6 +454,24 @@ def test_an_equivalence_check_over_the_policy_budget_fails_at_build(n_a):
     build_scenario(cfg)
 
 
+@pytest.mark.parametrize("steps", [2, 3])
+@pytest.mark.parametrize("n_a", [2, 4, 6])
+def test_an_equivalence_check_with_an_even_n_a_fails_at_build(n_a, steps):
+    # the policy oracle's slopes linspace(-b, b, n_a) hold no zero slope
+    # for an even n_a: the check used to raise "no admissible policy" after
+    # the DP, or to fail on a gap
+    cfg = catalogue()["tiny_power"]
+    assert "equivalence" in cfg["checks"]
+    cfg["primal"]["n_a"] = n_a
+    cfg["lattice"]["steps"] = steps
+    with pytest.raises(ScenarioError, match=rf"^check equivalence: "
+                       rf"primal\.n_a = {n_a} is even"):
+        build_scenario(cfg)
+    # on four levels the check is skipped, so nothing is refused
+    cfg["lattice"]["steps"] = 4
+    build_scenario(cfg)
+
+
 def test_thresholds_outside_the_root_corridor_fail_at_build():
     # f = -y/2 on four steps: the root corridor is [0, E^f[1]] = [0, 0.586]
     shrink = {"name": "linear", "params": {"a": -0.5, "b": 0}}
@@ -536,6 +554,22 @@ def test_cli_curve_prints_schema_header(capsys):
 def test_cli_dual_requires_enabled_search(capsys):
     assert main(["dual", "tiny_power"]) == 2
     assert "dual search disabled" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["risk_pair", "jensen"])
+def test_cli_dual_writes_the_dual_block_of_the_run_report(name, tmp_path,
+                                                          capsys):
+    assert main(["dual", name, "--out", str(tmp_path / "dual")]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert main(["run", name, "--out", str(tmp_path / "run"),
+                 "--quiet"]) == 0
+    with open(tmp_path / "dual" / "dual.json", encoding="utf-8") as fh:
+        dual = json.load(fh)
+    with open(tmp_path / "run" / "report.json", encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert dual["name"] == name
+    assert dual["dual"] == report["dual"]
+    assert len(printed) == len(dual["dual"]) > 0
 
 
 def test_cli_verify_subset(capsys):
