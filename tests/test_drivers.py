@@ -1,5 +1,6 @@
 """Driver catalogue, Fenchel conjugates, and loss pairs."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -238,3 +239,134 @@ def test_polar_matches_grid_oracle():
                        - np.asarray(lp.phi(m), float)[None, :]
                        - exact[:, None])
         assert worst <= 1e-12
+
+
+def _edges(*pivots):
+    """Each pivot with both signs and its nextafter neighbours on both
+    sides, half and twice it, then +-0.0, +-5e-324, +-inf and NaN."""
+    out = []
+    for x in pivots:
+        for s in (x, -x):
+            out += [s, np.nextafter(s, -np.inf), np.nextafter(s, np.inf),
+                    0.5 * s, 2.0 * s]
+    return np.array(out + [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf,
+                           np.nan])
+
+
+def _edge_cases():
+    """(label, function, argument arrays) for each catalogue conjugate, on
+    the (n, n) product of its edge values, and each loss transform."""
+    cases = []
+    drivers = [("zero", {}, ()), ("linear", {"a": 0.1, "b": 0.2}, (0.1, 0.2))]
+    for kappa in (0.3, 4.0):
+        drivers += [(name, {"kappa": kappa, **extra}, (kappa,))
+                    for name, extra in (("abs_z", {}), ("neg_abs_z", {}),
+                                        ("logcosh_z", {"sign": 1}),
+                                        ("logcosh_z", {"sign": -1}),
+                                        ("softplus_z", {}))]
+    for name, params, pivots in drivers:
+        d = make_driver(name, **params)
+        grid = np.meshgrid(_edges(*pivots), _edges(*pivots), indexing="ij")
+        label = "/".join([name, *map(str, params.values())])
+        for conj, kind in ((concave_conjugate, d.concave_in_yz),
+                           (convex_conjugate, d.convex_in_yz)):
+            if kind:
+                cases.append((f"{label}/{conj.__name__}",
+                              lambda x, y, d=d, conj=conj: conj(d, x, y),
+                              grid))
+    for name in sorted(LOSS_BUILDERS):
+        lp = make_loss(name)
+        pivots = (1.0, 0.5, *lp.breakpoints, *lp.params.values())
+        edges = _edges(*pivots)
+        grid = [np.stack([edges, edges[::-1]], axis=1)]
+        for fn in ("phi", "psi", "polar", "polar_grad"):
+            if getattr(lp, fn) is not None:
+                cases.append((f"{name}/{fn}", getattr(lp, fn), grid))
+    return cases
+
+
+def _bits_digest(out):
+    """sha256 prefix of the int64 bits of out, NaN entries as a mask."""
+    out = np.asarray(out, float)
+    nan = np.isnan(out)
+    bits = np.where(nan, 0, out.view(np.int64))
+    return hashlib.sha256(bits.tobytes() + nan.tobytes()).hexdigest()[:32]
+
+
+# bits of every catalogue conjugate and loss transform on _edges grids:
+# the domain tests at +-kappa and its neighbours, signed zeros, subnormals
+# (for softplus_z, v / kappa rounds -5e-324 to -0.0 at kappa 4 but not at
+# kappa 0.3), infinities and NaN
+EDGE_BITS = {
+    "zero/concave_conjugate":
+        "54e0b715c3d8e5cb26c3dcf7b854728a",
+    "zero/convex_conjugate":
+        "409c7a96d6e087eb3ec4d14456f06e36",
+    "linear/0.1/0.2/concave_conjugate":
+        "169f225c5d0208b9994bfaabfc96e7cb",
+    "linear/0.1/0.2/convex_conjugate":
+        "89ea36157a4f83adb76314438806b34e",
+    "abs_z/0.3/convex_conjugate":
+        "2f0dbcdbc7f3e7d7d32542f9ae41986c",
+    "neg_abs_z/0.3/concave_conjugate":
+        "9b3d118f3d449fefa834e1a8d48763ff",
+    "logcosh_z/0.3/1/convex_conjugate":
+        "e920de52a5998ec851ffd64a2212ad47",
+    "logcosh_z/0.3/-1/concave_conjugate":
+        "3f0847b18bee5898e81f783ccb5f8cea",
+    "softplus_z/0.3/convex_conjugate":
+        "edb2c73155437a3dfbc240c77ebb1ddc",
+    "abs_z/4.0/convex_conjugate":
+        "2f0dbcdbc7f3e7d7d32542f9ae41986c",
+    "neg_abs_z/4.0/concave_conjugate":
+        "9b3d118f3d449fefa834e1a8d48763ff",
+    "logcosh_z/4.0/1/convex_conjugate":
+        "a5bae6dded9fc39064f6ae9355f59a81",
+    "logcosh_z/4.0/-1/concave_conjugate":
+        "e510b13ffebf2457d92a64fec73d9a4e",
+    "softplus_z/4.0/convex_conjugate":
+        "e8330528a9c4f638e09954ea5481c1ad",
+    "call_spread/phi":
+        "2bb85f62c5d7f324714009f6d1773715",
+    "call_spread/psi":
+        "a5fa49a30161fcb32d71ed168efe9b70",
+    "call_spread/polar":
+        "4db7a650143556b49a60b7a41d9a0756",
+    "identity/phi":
+        "7941c8e0c609614c274f98eac9fe6c46",
+    "identity/psi":
+        "e906d47bfedef3b2674a0e74539c90fe",
+    "identity/polar":
+        "1eb3fa33b0ff28745b6535ed6efa4bc1",
+    "power/phi":
+        "66e753c7ac622893ff8168ac1667169d",
+    "power/psi":
+        "f8405f1b7fe4d7c926f0fd0e0f42689e",
+    "power/polar":
+        "1363917b6c9835404452b59a1a33b852",
+    "power/polar_grad":
+        "483fbaee8de6fdbbb47c4fea811d5d97",
+    "s_shaped/phi":
+        "8a809ba98d48f2b4d1f39228bd7ecb4d",
+    "s_shaped/psi":
+        "617d9f85828992afea9307644bacee73",
+    "s_shaped/polar":
+        "309637c5250acc5ddbab453b20e97a7d",
+}
+
+
+def test_transforms_keep_their_edge_bits_and_scalar_rule():
+    cases = _edge_cases()
+    assert [label for label, _, _ in cases] == list(EDGE_BITS)
+    with np.errstate(all="ignore"):
+        for label, fn, args in cases:
+            out = fn(*args)
+            assert isinstance(out, np.ndarray), label
+            assert out.shape == args[0].shape, label
+            assert _bits_digest(out) == EDGE_BITS[label], label
+            # a scalar argument gives a Python float with the same bits
+            for idx in np.ndindex(args[0].shape):
+                one = fn(*(float(a[idx]) for a in args))
+                assert type(one) is float, label
+                assert _bits_digest(one) == _bits_digest(out[idx]), \
+                    (label, idx)
