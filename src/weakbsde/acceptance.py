@@ -250,7 +250,7 @@ def _c13_strong_duality_quadratic(ws):
         res = ws.dual("jensen", m)
         worst_gap = max(worst_gap, abs(ws.value("jensen", m) - res["bound"]))
         at_opt = dual_value(sc.lattice, 2.0 * m, sc.driver_f, sc.driver_g,
-                            sc.loss)
+                            sc.loss, rounds=sc.dual_rounds)
         cross = abs(2.0 * m * m - at_opt["value"] - m * m)
         worst_cross = max(worst_cross, cross)
     passed = worst_gap <= 2e-2 and worst_cross <= 1e-9

@@ -14,8 +14,19 @@ Conventions for the transforms:
   equal to +inf outside its effective domain;
 * polar of a loss map phi:           sup_{m in [0,1]} (m*l - phi(m)).
 
+Every catalogue driver reads z alone or is affine, so each of its
+conjugates is one segment form (_segment): finite only where the first
+argument equals the drift coefficient and the second, in units of a scale
+(kappa for the z-only drivers), lies in [lo, hi], with a value function of
+that unit coordinate there (0 for zero, linear, abs_z and neg_abs_z).
 Effective domains are always contained in the box with per-axis
 half-widths equal to the driver's Lipschitz constants.
+
+Every transform takes numbers or arrays of any shape.  Its entry point
+(concave_conjugate, convex_conjugate, LossPair.phi, .psi and .polar, and
+the power loss's polar_grad) applies the one scalar rule, _shaped: an
+array argument keeps its shape, and a scalar argument gives a Python
+float.
 """
 
 from __future__ import annotations
@@ -85,13 +96,19 @@ class Driver:
 # transforms
 # ---------------------------------------------------------------------------
 
+def _shaped(out):
+    """The scalar rule of every transform: out as an array, or as a Python
+    float when it is 0-d."""
+    out = np.asarray(out)
+    return out if out.ndim else float(out)
+
 def concave_conjugate(d: Driver, p, q):
     """inf_(x,pi) (x p + pi q - d); -inf outside the effective domain."""
     if d.concave_conjugate_fn is None:
         raise DriverShapeError(
             f"driver {d.name!r} has no closed-form concave conjugate"
         )
-    return d.concave_conjugate_fn(p, q)
+    return _shaped(d.concave_conjugate_fn(p, q))
 
 
 def convex_conjugate(d: Driver, u, v):
@@ -100,33 +117,35 @@ def convex_conjugate(d: Driver, u, v):
         raise DriverShapeError(
             f"driver {d.name!r} has no closed-form convex conjugate"
         )
-    return d.convex_conjugate_fn(u, v)
+    return _shaped(d.convex_conjugate_fn(u, v))
 
 
 # ---------------------------------------------------------------------------
 # driver catalogue
 # ---------------------------------------------------------------------------
 
-def _point_domain(a: float, b: float, fill: float):
-    """Conjugate of an affine driver: 0 at the coefficient pair, infinite away."""
+def _segment(fill: float, lo: float, hi: float, value=None,
+             drift: float = 0.0, scale: float = 1.0):
+    """Conjugate (p, q) -> value(q / scale) where p == drift and q / scale
+    lies in [lo, hi] (0 there without a value function), fill elsewhere.
+    Every domain test is taken on the quotient: |q| <= kappa holds exactly
+    where q / kappa lies in [-1, 1], and softplus_z's v / kappa >= 0 also
+    holds at a negative v whose quotient rounds to -0.0."""
     def conj(p, q):
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
-        hit = (p == a) & (q == b)
-        out = np.where(hit, 0.0, fill)
-        return out if out.ndim else float(out)
+        s = np.asarray(q, float) / scale
+        inside = (np.asarray(p, float) == drift) & (s >= lo) & (s <= hi)
+        return np.where(inside, 0.0 if value is None else value(s), fill)
     return conj
 
 
-def _segment_domain(kappa: float, fill: float):
-    """Conjugate of +/- kappa*|z|: 0 on {0} x [-kappa, kappa], infinite away."""
-    def conj(p, q):
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
-        inside = (p == 0.0) & (np.abs(q) <= kappa)
-        out = np.where(inside, 0.0, fill)
-        return out if out.ndim else float(out)
-    return conj
+def _z_only(kappa, **params) -> tuple:
+    """kappa as a float, checked positive, and the Driver fields of a
+    driver that reads z alone with Lipschitz constant kappa."""
+    kappa = float(kappa)
+    if kappa <= 0:
+        raise ValueError("kappa must be positive")
+    return kappa, {"lipschitz_y": 0.0, "lipschitz_z": kappa,
+                   "params": {"kappa": kappa, **params}}
 
 
 def make_zero() -> Driver:
@@ -135,8 +154,8 @@ def make_zero() -> Driver:
         fn=lambda t, y, z: 0.0 * (np.asarray(y, float) + np.asarray(z, float)),
         lipschitz_y=0.0,
         lipschitz_z=0.0,
-        concave_conjugate_fn=_point_domain(0.0, 0.0, -math.inf),
-        convex_conjugate_fn=_point_domain(0.0, 0.0, math.inf),
+        concave_conjugate_fn=_segment(-math.inf, 0.0, 0.0),
+        convex_conjugate_fn=_segment(math.inf, 0.0, 0.0),
     )
 
 
@@ -147,39 +166,31 @@ def make_linear(a: float, b: float) -> Driver:
         fn=lambda t, y, z: a * np.asarray(y, float) + b * np.asarray(z, float),
         lipschitz_y=abs(a),
         lipschitz_z=abs(b),
-        concave_conjugate_fn=_point_domain(a, b, -math.inf),
-        convex_conjugate_fn=_point_domain(a, b, math.inf),
+        concave_conjugate_fn=_segment(-math.inf, b, b, drift=a),
+        convex_conjugate_fn=_segment(math.inf, b, b, drift=a),
         params={"a": a, "b": b},
     )
 
 
 def make_abs_z(kappa: float) -> Driver:
     """Convex kink driver +kappa*|z|."""
-    kappa = float(kappa)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    kappa, fields = _z_only(kappa)
     return Driver(
         name="abs_z",
         fn=lambda t, y, z: kappa * np.abs(np.asarray(z, float)),
-        lipschitz_y=0.0,
-        lipschitz_z=kappa,
-        convex_conjugate_fn=_segment_domain(kappa, math.inf),
-        params={"kappa": kappa},
+        convex_conjugate_fn=_segment(math.inf, -1.0, 1.0, scale=kappa),
+        **fields,
     )
 
 
 def make_neg_abs_z(kappa: float) -> Driver:
     """Concave kink driver -kappa*|z|."""
-    kappa = float(kappa)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    kappa, fields = _z_only(kappa)
     return Driver(
         name="neg_abs_z",
         fn=lambda t, y, z: -kappa * np.abs(np.asarray(z, float)),
-        lipschitz_y=0.0,
-        lipschitz_z=kappa,
-        concave_conjugate_fn=_segment_domain(kappa, -math.inf),
-        params={"kappa": kappa},
+        concave_conjugate_fn=_segment(-math.inf, -1.0, 1.0, scale=kappa),
+        **fields,
     )
 
 
@@ -190,75 +201,46 @@ def _logcosh(z):
 
 def _atanh_entropy(u):
     """H(u) = u*atanh(u) + log(1 - u^2)/2, extended by ln 2 at |u| = 1."""
-    u = np.asarray(u, float)
     inner = np.clip(u, -1.0 + 1e-15, 1.0 - 1e-15)
     h = inner * np.arctanh(inner) + 0.5 * np.log1p(-inner * inner)
     return np.where(np.abs(u) >= 1.0 - 1e-12, LN2, h)
 
 
+def _binary_entropy(s):
+    """s ln s + (1 - s) ln(1 - s), extended by 0 at s <= 0 and s >= 1."""
+    sc = np.clip(s, 1e-15, 1.0 - 1e-15)
+    ent = sc * np.log(sc) + (1.0 - sc) * np.log1p(-sc)
+    return np.where((s <= 0.0) | (s >= 1.0), 0.0, ent)
+
+
 def make_logcosh_z(kappa: float, sign: int = 1) -> Driver:
-    """Smooth soft-|z| driver sign * kappa * log cosh(z) (Lipschitz kappa)."""
-    kappa = float(kappa)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
+    """Smooth soft-|z| driver sign * kappa * log cosh(z) (Lipschitz kappa);
+    concave with sign -1, convex with sign +1."""
+    kappa, fields = _z_only(kappa, sign=sign)
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
-
-    def fn(t, y, z):
-        return sign * kappa * _logcosh(z)
-
-    def concave_conj(p, q):  # only valid for sign = -1
-        p = np.asarray(p, float)
-        q = np.asarray(q, float)
-        inside = (p == 0.0) & (np.abs(q) <= kappa)
-        out = np.where(inside, -kappa * _atanh_entropy(q / kappa), -math.inf)
-        return out if out.ndim else float(out)
-
-    def convex_conj(u, v):  # only valid for sign = +1
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        inside = (u == 0.0) & (np.abs(v) <= kappa)
-        out = np.where(inside, kappa * _atanh_entropy(v / kappa), math.inf)
-        return out if out.ndim else float(out)
-
+    conj = _segment(sign * math.inf, -1.0, 1.0, scale=kappa,
+                    value=lambda s: sign * kappa * _atanh_entropy(s))
     return Driver(
         name="logcosh_z",
-        fn=fn,
-        lipschitz_y=0.0,
-        lipschitz_z=kappa,
-        concave_conjugate_fn=concave_conj if sign == -1 else None,
-        convex_conjugate_fn=convex_conj if sign == 1 else None,
-        params={"kappa": kappa, "sign": sign},
+        fn=lambda t, y, z: sign * kappa * _logcosh(z),
+        concave_conjugate_fn=conj if sign == -1 else None,
+        convex_conjugate_fn=conj if sign == 1 else None,
+        **fields,
     )
 
 
 def make_softplus_z(kappa: float) -> Driver:
     """Convex smooth driver kappa * (softplus(z) - ln 2); slope in (0, kappa)."""
-    kappa = float(kappa)
-    if kappa <= 0:
-        raise ValueError("kappa must be positive")
-
-    def fn(t, y, z):
-        return kappa * (np.logaddexp(0.0, np.asarray(z, float)) - LN2)
-
-    def convex_conj(u, v):
-        u = np.asarray(u, float)
-        v = np.asarray(v, float)
-        s = v / kappa
-        inside = (u == 0.0) & (s >= 0.0) & (s <= 1.0)
-        sc = np.clip(s, 1e-15, 1.0 - 1e-15)
-        ent = sc * np.log(sc) + (1.0 - sc) * np.log1p(-sc)
-        ent = np.where((s <= 0.0) | (s >= 1.0), 0.0, ent)
-        out = np.where(inside, kappa * (ent + LN2), math.inf)
-        return out if out.ndim else float(out)
-
+    kappa, fields = _z_only(kappa)
     return Driver(
         name="softplus_z",
-        fn=fn,
-        lipschitz_y=0.0,
-        lipschitz_z=kappa,
-        convex_conjugate_fn=convex_conj,
-        params={"kappa": kappa},
+        fn=lambda t, y, z: kappa * (np.logaddexp(0.0, np.asarray(z, float))
+                                    - LN2),
+        convex_conjugate_fn=_segment(
+            math.inf, 0.0, 1.0, scale=kappa,
+            value=lambda s: kappa * (_binary_entropy(s) + LN2)),
+        **fields,
     )
 
 
@@ -301,6 +283,8 @@ class LossPair:
 
     polar_fn is the exact polar transform of phi; polar_grad is its
     derivative when the polar is continuously differentiable, else None.
+    phi_fn, psi_fn and polar_fn take a float array; the methods phi, psi
+    and polar take anything and keep the scalar rule (_shaped).
     """
 
     name: str
@@ -314,33 +298,30 @@ class LossPair:
     params: dict = field(default_factory=dict)
 
     def phi(self, m):
-        return self.phi_fn(np.asarray(m, float))
+        return _shaped(self.phi_fn(np.asarray(m, float)))
 
     def psi(self, y):
-        return self.psi_fn(np.asarray(y, float))
+        return _shaped(self.psi_fn(np.asarray(y, float)))
 
     def polar(self, l):
-        return self.polar_fn(np.asarray(l, float))
+        return _shaped(self.polar_fn(np.asarray(l, float)))
 
 
 def _sup_inverse(knots_m: np.ndarray, knots_v: np.ndarray, y):
-    """sup{m : phi(m) <= y} for a piecewise-linear nondecreasing phi."""
-    y_arr = np.asarray(y, float)
-    flat = np.atleast_1d(y_arr).ravel()
-    idx = np.searchsorted(knots_v, flat, side="right") - 1
+    """sup{m : phi(m) <= y} for a piecewise-linear nondecreasing phi, at
+    each entry of a float array y of any shape."""
+    idx = np.searchsorted(knots_v, y, side="right") - 1
     # idx = largest knot index with value <= y; segment idx holds the crossing
     # because y < v[idx+1] forces that segment to rise
     i = np.clip(idx, 0, len(knots_m) - 2)
     rise = knots_v[i + 1] - knots_v[i]
     run = knots_m[i + 1] - knots_m[i]
-    frac = np.clip((flat - knots_v[i]) / np.where(rise > 0.0, rise, 1.0), 0.0, 1.0)
+    frac = np.clip((y - knots_v[i]) / np.where(rise > 0.0, rise, 1.0), 0.0, 1.0)
     out = np.where(rise > 0.0, knots_m[i] + frac * run, knots_m[i])
-    out = np.where((idx >= len(knots_m) - 1) | (flat >= knots_v[-1]),
+    out = np.where((idx >= len(knots_m) - 1) | (y >= knots_v[-1]),
                    knots_m[-1], out)
     # below phi(0) (in particular any y < 0) no threshold is attainable
-    out = np.where(idx < 0, -np.inf, out)
-    out = out.reshape(y_arr.shape) if y_arr.ndim else out
-    return out if y_arr.ndim else float(out[0])
+    return np.where(idx < 0, -np.inf, out)
 
 
 def make_piecewise_loss(name: str, knots, convex: bool,
@@ -358,24 +339,14 @@ def make_piecewise_loss(name: str, knots, convex: bool,
     slopes = np.diff(kv) / np.diff(km)
     lip = float(np.max(np.abs(slopes)))
 
-    def phi(m):
-        m = np.asarray(m, float)
-        out = np.interp(m, km, kv)
-        return out if out.ndim else float(out)
-
-    def psi(y):
-        return _sup_inverse(km, kv, y)
-
     def polar(l):
-        l = np.asarray(l, float)
         # sup over [0,1] of a piecewise-linear function is attained at a knot
-        out = np.max(l[..., None] * km - kv, axis=-1)
-        return out if out.ndim else float(out)
+        return np.max(l[..., None] * km - kv, axis=-1)
 
     return LossPair(
         name=name,
-        phi_fn=phi,
-        psi_fn=psi,
+        phi_fn=lambda m: np.interp(m, km, kv),
+        psi_fn=lambda y: _sup_inverse(km, kv, y),
         polar_fn=polar,
         phi_lipschitz=lip,
         phi_convex=convex,
@@ -417,16 +388,9 @@ def make_power_loss(p: float = 2.0) -> LossPair:
     if p < 1.0:
         raise ValueError("power loss needs p >= 1")
 
-    def phi(m):
-        m = np.asarray(m, float)
-        out = np.power(np.clip(m, 0.0, 1.0), p)
-        return out if out.ndim else float(out)
-
     def psi(y):
-        y = np.asarray(y, float)
         root = np.power(np.clip(y, 0.0, None), 1.0 / p)
-        out = np.where(y < 0.0, -np.inf, np.minimum(root, 1.0))
-        return out if out.ndim else float(out)
+        return np.where(y < 0.0, -np.inf, np.minimum(root, 1.0))
 
     def stationary(l):
         # maximiser of l m - m^p over [0, 1]: (l/p)^(1/(p-1)) clipped into
@@ -437,18 +401,15 @@ def make_power_loss(p: float = 2.0) -> LossPair:
                        0.0, 1.0)
 
     def polar(l):
-        l = np.asarray(l, float)
         mstar = stationary(l)
-        out = np.maximum(np.maximum(l * mstar - mstar**p, 0.0), l - 1.0)
-        return out if out.ndim else float(out)
+        return np.maximum(np.maximum(l * mstar - mstar**p, 0.0), l - 1.0)
 
     def polar_grad(l):
-        out = stationary(np.asarray(l, float))
-        return out if out.ndim else float(out)
+        return _shaped(stationary(np.asarray(l, float)))
 
     return LossPair(
         name="power",
-        phi_fn=phi,
+        phi_fn=lambda m: np.power(np.clip(m, 0.0, 1.0), p),
         psi_fn=psi,
         polar_fn=polar,
         phi_lipschitz=p,

@@ -286,6 +286,17 @@ def build_scenario(config: dict) -> Scenario:
                 f"the implicit scheme, got {d.lipschitz_y * lattice.dt:.3g}; "
                 "refine lattice.steps")
 
+    # the dual search prices the concave conjugate of f and the convex
+    # conjugate of g, which only a concave f and a convex g carry
+    for key, d, shape, has in (
+            ("driver_f", driver_f, "concave", driver_f.concave_in_yz),
+            ("driver_g", driver_g, "convex", driver_g.convex_in_yz)):
+        if dual_enabled and not has:
+            raise ScenarioError(
+                f"{key}: driver {d.name!r} has no closed-form {shape} "
+                "conjugate, which the dual search needs; set dual.enabled "
+                "to false")
+
     # every threshold must lie in the root corridor (within the CURVE_TOL of
     # value_curve), and the continuity check fits V on [base, base + largest
     # offset]; only the corridor knows, and it is cheap to solve here

@@ -17,7 +17,9 @@ import time
 
 import pytest
 
+from weakbsde import acceptance
 from weakbsde.acceptance import CRITERIA, Workspace, run_criterion, verify_all
+from weakbsde.scenario import build_scenario, catalogue
 
 _BY_NUMBER = {c.number: c for c in CRITERIA}
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
@@ -149,6 +151,25 @@ def test_criterion_12_weak_duality(workspace):
 
 def test_criterion_13_strong_duality_quadratic(workspace):
     _run(13, workspace)
+
+
+def test_criterion_13_searches_with_the_scenarios_own_rounds(monkeypatch):
+    # jensen runs 3 rounds, so a workspace whose jensen runs 1 tells the
+    # scenario's own setting apart from dual_value's default
+    cfg = catalogue()["jensen"]
+    cfg["dual"] = {"rounds": 1}
+    ws = Workspace()
+    ws._scenarios["jensen"] = build_scenario(cfg)
+    seen = []
+    original = acceptance.dual_value
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("rounds"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(acceptance, "dual_value", spy)
+    assert run_criterion(_BY_NUMBER[13], ws)["status"] == "PASS"
+    assert seen == [1] * 9
 
 
 def test_criterion_14_first_order_conditions(workspace):

@@ -14,8 +14,9 @@ from weakbsde.drivers import make_driver
 from weakbsde.lattice import build_lattice
 from weakbsde.primal import CURVE_TOL
 from weakbsde.runner import CHECK_HANDLERS, execute
-from weakbsde.scenario import (ScenarioError, build_scenario, catalogue,
-                               catalogue_scenario, config_sha256, load_config)
+from weakbsde.scenario import (KNOWN_CHECKS, ScenarioError, build_scenario,
+                               catalogue, catalogue_scenario, config_sha256,
+                               load_config)
 
 _NOT_A_NUMBER = r"params\.\w+ must be a finite number"
 
@@ -355,9 +356,10 @@ def test_step_condition_errors_say_when_no_scheme_passes():
                                  r"the implicit scheme, got 1\.25"):
             build_scenario(_minimal(**{key: steep}, primal={
                 "grid_size": 81, "scheme": "implicit"}))
-    # under the implicit scheme a broken step condition only warns
+    # under the implicit scheme a broken step condition only warns (a
+    # concave driver_f, which the dual on by default needs)
     with pytest.warns(RuntimeWarning, match="monotone step condition"):
-        build_scenario(_minimal(driver_f={"name": "abs_z",
+        build_scenario(_minimal(driver_f={"name": "neg_abs_z",
                                           "params": {"kappa": 3}},
                                 primal={"grid_size": 81,
                                         "scheme": "implicit"}))
@@ -379,6 +381,34 @@ def test_a_y_dependent_constraint_driver_refuses_the_dual():
     # a = 0 reads z only, and keeps the dual
     build_scenario(_minimal(driver_f={"name": "linear",
                                       "params": {"a": 0.0, "b": 0.1}}))
+
+
+@pytest.mark.parametrize("key,block,shape", [
+    ("driver_f", {"name": "abs_z", "params": {"kappa": 0.3}}, "concave"),
+    ("driver_f", {"name": "softplus_z", "params": {"kappa": 0.3}},
+     "concave"),
+    ("driver_f", {"name": "logcosh_z", "params": {"kappa": 0.3, "sign": 1}},
+     "concave"),
+    ("driver_g", {"name": "neg_abs_z", "params": {"kappa": 0.3}}, "convex"),
+    ("driver_g", {"name": "logcosh_z", "params": {"kappa": 0.3, "sign": -1}},
+     "convex"),
+])
+def test_a_driver_without_the_duals_conjugate_refuses_the_dual(
+        key, block, shape, tmp_path, capsys):
+    # the dual prices f's concave and g's convex conjugate, so a driver
+    # without the one it needs fails at build, before any primal work
+    with pytest.raises(ScenarioError,
+                       match=rf"^{key}: driver '{block['name']}' has no "
+                             rf"closed-form {shape} conjugate, .* set "
+                             r"dual\.enabled to false"):
+        build_scenario(_minimal(**{key: block}))
+    build_scenario(_minimal(**{key: block}, dual={"enabled": False}))
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(_minimal(**{key: block})))
+    out = tmp_path / "out"
+    assert main(["run", str(path), "--out", str(out), "--quiet"]) == 2
+    assert f"error: {key}:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_driver_params_pass_through_unchanged():
@@ -434,6 +464,30 @@ def test_a_normalised_config_rebuilds_to_itself_property(driver_f, driver_g,
     again = build_scenario(json.loads(json.dumps(sc.config)))
     assert again.config == sc.config
     assert again.config_sha256 == sc.config_sha256
+
+
+@settings(max_examples=60)
+@given(driver_f=_DRIVER_BLOCKS, driver_g=_DRIVER_BLOCKS, loss=_LOSS_BLOCKS,
+       steps=st.integers(1, 4), scheme=st.sampled_from(["explicit",
+                                                        "implicit"]),
+       n_a=st.sampled_from([3, 5, 7]), dual=st.booleans(),
+       checks=st.lists(st.sampled_from(KNOWN_CHECKS), unique=True),
+       m_list=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2,
+                       unique=True))
+def test_a_config_that_builds_runs_to_a_verdict_property(
+        driver_f, driver_g, loss, steps, scheme, n_a, dual, checks, m_list):
+    # a bad config fails at build, naming its key; one that builds never
+    # fails mid-run
+    try:
+        sc = build_scenario(_minimal(
+            driver_f=driver_f, driver_g=driver_g, loss=loss,
+            lattice={"horizon": 1.0, "steps": steps},
+            primal={"grid_size": 21, "n_a": n_a, "m_list": m_list,
+                    "scheme": scheme},
+            dual={"enabled": dual, "rounds": 1}, checks=checks))
+    except ScenarioError:
+        return
+    assert execute(sc, quiet=True)["status"] in ("PASS", "FAIL")
 
 
 @pytest.mark.parametrize("n_a", [8, 9])
