@@ -26,7 +26,7 @@ from .primal import (brute_force_policy_value,
                      brute_force_weak_formulation, continuity_modulus,
                      convexity_check, dpp_check, monotonicity_violation,
                      primal_value_dp, two_point_envelope, value_curve)
-from .runner import dual_bounds, render_report_json
+from .runner import dual_bounds, render_report_json, write_artifact
 from .scenario import DEFAULT_SEED, catalogue_scenario
 
 _DECIMALS = tuple(round(0.1 * i, 10) for i in range(1, 10))
@@ -413,8 +413,5 @@ def verify_all(only=None, out_dir=None, seed: int = DEFAULT_SEED,
         "status": status,
     }
     if out_dir is not None:
-        os.makedirs(out_dir, exist_ok=True)
-        path = os.path.join(out_dir, "report.json")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(render_report_json(summary))
+        write_artifact(out_dir, "report.json", [render_report_json(summary)])
     return summary

@@ -77,7 +77,7 @@ def _cmd_curve(args) -> int:
     print(text, end="")
     out = _out_dir(args, None)
     if out is not None:
-        write_artifact(out, "curve.csv", text)
+        write_artifact(out, "curve.csv", [text])
     return 0
 
 
@@ -97,7 +97,8 @@ def _cmd_dual(args) -> int:
     out = _out_dir(args, None)
     if out is not None:
         write_artifact(out, "dual.json",
-                       render_report_json({"name": sc.name, "dual": results}))
+                       [render_report_json({"name": sc.name,
+                                            "dual": results})])
     return 0
 
 

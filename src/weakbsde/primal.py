@@ -44,7 +44,11 @@ the control-major mask keeps each control row's feasible states one
 ascending run, which np.interp's guessed search walks instead of bisecting
 the child grid.  Every value is elementwise in its own pair, under both
 schemes, so the results equal those of a full (state, control) batch bit
-for bit.
+for bit, and so does a backup run over blocks of states.  It runs in
+blocks of at most _PAIR_BLOCK pairs, as convexity_check does: a temporary
+under glibc's 128 KB mmap threshold comes from the heap, while a larger
+one is mapped, and faulted in page by page, afresh on every call unless
+an earlier, larger allocation has raised the threshold.
 
 Two brute-force oracles (exhaustive policy enumeration and a leaf-value
 grid search on the weak formulation) provide independent cross-checks at
@@ -87,6 +91,10 @@ CURVE_TOL = 1e-9
 CONTINUITY_OFFSETS = 2.0 ** -np.arange(3, 10)
 # most candidates an oracle scores in one batch: 128 KB per temporary
 ORACLE_BLOCK = 2**14
+# most pairs a blocked pass holds at once, the backup's (control, state)
+# and convexity_check's (m1, m2): 64 KB per float64 temporary, under
+# glibc's default 128 KB mmap threshold
+_PAIR_BLOCK = 2**13
 # spacing of the envelope oracle's grid on [0, 1]
 ENVELOPE_STEP = 1e-3
 # most policies or leaf vectors an exhaustive oracle enumerates
@@ -188,6 +196,26 @@ def _backup(sc: PrimalScenario, corridor: Corridor, k: int,
     next_grid / next_values are the level-(k+1) slice both children are
     interpolated on.  Returns (values, best_controls, clamp_count).
 
+    The states run in blocks of at most _PAIR_BLOCK (control, state) pairs
+    (_backup_block), so every temporary comes from the heap, under glibc's
+    mmap threshold, instead of being mapped afresh on every call.
+    Every value and control depends on its own state only, so the blocks
+    join to the bits of one pass, and the first infeasible state raises.
+    """
+    m_grid = np.asarray(m_grid, float)
+    step = max(1, _PAIR_BLOCK // len(sc.control_set))
+    values, best, clamps = zip(*(
+        _backup_block(sc, corridor, k, m_grid[s:s + step], next_grid,
+                      next_values)
+        for s in range(0, m_grid.size, step)))
+    return np.concatenate(values), np.concatenate(best), sum(clamps)
+
+
+def _backup_block(sc: PrimalScenario, corridor: Corridor, k: int,
+                  m_grid: np.ndarray, next_grid: np.ndarray,
+                  next_values: np.ndarray) -> tuple:
+    """_backup over one block of states.
+
     The work is laid out control-major, (control, state).  Every pair is
     tested for feasibility, and a state with no feasible control raises
     at once; only the feasible pairs are then clipped, clamp-counted,
@@ -205,8 +233,8 @@ def _backup(sc: PrimalScenario, corridor: Corridor, k: int,
     lo, hi = corridor.bounds_at(k + 1)
     lat = sc.lattice
     controls = sc.control_set
-    m_up, m_dn = _children(lat, sc.driver_f, k,
-                           np.asarray(m_grid, float)[None, :], controls[:, None])
+    m_up, m_dn = _children(lat, sc.driver_f, k, m_grid[None, :],
+                           controls[:, None])
     tol = FEASIBILITY_TOL
     feasible = ((m_up >= lo - tol) & (m_up <= hi + tol)
                 & (m_dn >= lo - tol) & (m_dn <= hi + tol))
@@ -385,7 +413,19 @@ def monotonicity_violation(surface: ValueSurface) -> float:
 
 def convexity_check(surface: ValueSurface) -> dict:
     """Worst midpoint-convexity violation of the root slice (needs the shape
-    flags)."""
+    flags): the max over grid pairs (m1, m2) of
+    V(0.5 * (m1 + m2)) - 0.5 * (V(m1) + V(m2)), V interpolated.
+
+    The pair matrix is symmetric bit for bit: a sum of two floats does not
+    depend on their order, and np.interp is elementwise in its point.  So
+    the max is taken over the upper triangle alone, diagonal included, in
+    row blocks [s, e) x [s, n) of at most _PAIR_BLOCK pairs (one row
+    where a row holds more), and the block maxima are reduced with np.max,
+    which keeps a NaN.  The reading is the full matrix's number.  Only the
+    sign of a 0.0 reading can differ from the full matrix's, when some
+    cell reads -0.0: np.max picks among tied zeros by its reduction order
+    (report.json writes either zero as 0.0).
+    """
     sc = surface.scenario
     if not (sc.driver_f.concave_in_yz and sc.driver_g.convex_in_yz
             and sc.loss.phi_convex):
@@ -393,12 +433,16 @@ def convexity_check(surface: ValueSurface) -> dict:
                 "reason": "needs concave f, convex g and convex phi"}
     g0 = surface.grids[0]
     v0 = surface.values[0]
-    m1 = g0[:, None]
-    m2 = g0[None, :]
-    mid = 0.5 * (m1 + m2)
-    v_mid = np.interp(mid.ravel(), g0, v0).reshape(mid.shape)
-    violation = float(np.max(v_mid - 0.5 * (v0[:, None] + v0[None, :])))
-    return {"status": "checked", "violation": violation}
+    n = g0.size
+    maxima = []
+    s = 0
+    while s < n:
+        e = min(n, s + max(1, _PAIR_BLOCK // (n - s)))
+        mid = 0.5 * (g0[s:e, None] + g0[None, s:])
+        v_mid = np.interp(mid.ravel(), g0, v0).reshape(mid.shape)
+        maxima.append(np.max(v_mid - 0.5 * (v0[s:e, None] + v0[None, s:])))
+        s = e
+    return {"status": "checked", "violation": float(np.max(maxima))}
 
 
 def _continuity_base_fits(lo: float, hi: float, base_m: float) -> bool:

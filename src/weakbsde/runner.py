@@ -12,6 +12,16 @@ Every float in the CSV files is its repr.  surface.csv renders each
 level's slice once and repeats it for every node of the level; a level
 equal to the one above, bit for bit, is not rendered again but reuses the
 lines of the level above (_surface_csv).
+
+write_artifact writes every artifact from an iterable of text chunks; a
+whole text is a one-chunk list.  _surface_csv yields one chunk per (level,
+node), so surface.csv is written as it is rendered, a few tens of KB at a
+time, and never held whole, joined or encoded at once (4.06 MB each on a
+601-point, 16-step surface).  The chunks are the pieces the whole text
+was joined from, in the same order, so the bytes are the same.  The
+convexity check likewise scores its pair matrix on a bounded half band
+(primal.convexity_check) and reads the full matrix's number: the matrix
+is symmetric bit for bit, so the half band holds every value it holds.
 """
 
 from __future__ import annotations
@@ -282,17 +292,18 @@ def _same_bits(cols, above) -> bool:
         for c, b in zip(cols, above))
 
 
-def _surface_csv(surface) -> str:
-    """One row k,j,m,V,a per (level, node, m) state, each float its repr.
+def _surface_csv(surface):
+    """surface.csv as text chunks: the header, then one chunk per (level,
+    node) of rows k,j,m,V,a, one per m of the level, each float its repr.
 
     The surface holds one slice per level, the same at every node, so each
     level's m,V,a lines are rendered once and joined under every node's
     k,j, prefix.  A level whose three columns have the bits of the level
     above (the risk pair's V(m) = m² at every level) reuses that level's
-    lines instead of rendering them again.  The bytes equal a per-row repr
-    of every cell.
+    lines instead of rendering them again.  The chunks join to the bytes
+    of a per-row repr of every cell.
     """
-    parts = ["level,node,m,value,control\n"]
+    yield "level,node,m,value,control\n"
     above = lines = None
     for k, level in enumerate(zip(surface.grids, surface.values,
                                   surface.controls)):
@@ -303,15 +314,17 @@ def _surface_csv(surface) -> str:
             lines = ["", *(f"{m!r},{x!r},{c!r}\n"
                            for m, x, c in zip(g, v, a))]
         above = cols
-        parts.extend(f"{k},{j},".join(lines) for j in range(k + 1))
-    return "".join(parts)
+        for j in range(k + 1):
+            yield f"{k},{j},".join(lines)
 
 
-def write_artifact(out_dir, name: str, text: str) -> None:
-    """Write text to out_dir/name as UTF-8, creating out_dir if needed."""
+def write_artifact(out_dir, name: str, chunks) -> None:
+    """Write an iterable of text chunks to out_dir/name as UTF-8, in
+    order, creating out_dir if needed.  A whole text is a one-chunk
+    list: a bare str would be written one character at a time."""
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, name), "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _in_stage(stage: str, exc: Exception) -> Exception:
@@ -398,9 +411,9 @@ def execute(sc: Scenario, out_dir=None, quiet: bool = False) -> dict:
     }
 
     if out_dir is not None:
-        write_artifact(out_dir, "curve.csv", curve_csv(rows))
+        write_artifact(out_dir, "curve.csv", [curve_csv(rows)])
         write_artifact(out_dir, "surface.csv", _surface_csv(surface))
-        write_artifact(out_dir, "report.json", render_report_json(report))
+        write_artifact(out_dir, "report.json", [render_report_json(report)])
 
     if not quiet:
         for chk in checks:

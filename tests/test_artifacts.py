@@ -22,17 +22,22 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import weakbsde.acceptance
+import weakbsde.cli
+import weakbsde.runner
 from weakbsde.primal import primal_value_dp
 from weakbsde.runner import (_at_most, _surface_csv, execute,
-                            render_report_json)
+                            render_report_json, write_artifact)
 from weakbsde.scenario import build_scenario, catalogue, catalogue_scenario
 
 from test_acceptance import SRC, VERIFY_SEED_24_SHA256
+from test_convexity_band import bench_surface_config
 
 ARTIFACT_SHA256 = {
     "call_spread": (
@@ -352,7 +357,7 @@ def _fake_surface(draw, levels=7, seed=0):
 
 
 def _assert_writers_agree(surface):
-    assert _surface_csv(surface) == _per_row_surface_csv(surface)
+    assert "".join(_surface_csv(surface)) == _per_row_surface_csv(surface)
 
 
 def test_surface_csv_matches_the_per_row_writer_on_the_risk_pair():
@@ -375,7 +380,7 @@ def test_surface_csv_keeps_signed_zeros_apart():
     # -0.0 at one level and 0.0 at the next
     pool = np.array([0.0, -0.0, 0.5, -0.5, 1.0 / 3.0, 0.1 + 0.2, 0.3])
     surface = _fake_surface(lambda rng, n: rng.choice(pool, n), seed=1)
-    text = _surface_csv(surface)
+    text = "".join(_surface_csv(surface))
     assert ",-0.0," in text and ",0.0," in text
     _assert_writers_agree(surface)
 
@@ -396,7 +401,7 @@ def test_surface_csv_writes_extreme_magnitudes():
                      5e-324, -5e-324, 1.7976931348623157e+308, np.inf,
                      -np.inf, np.nan, 2.2250738585072014e-308])
     surface = _fake_surface(lambda rng, n: rng.choice(pool, n), seed=2)
-    text = _surface_csv(surface)
+    text = "".join(_surface_csv(surface))
     for cell in ("1e-05", "1e+16", "5e-324", "9999999999999998.0"):
         assert cell in text
     _assert_writers_agree(surface)
@@ -423,7 +428,7 @@ def test_surface_csv_repeats_levels_equal_to_the_one_above():
     first, second = _level(rng, 5), _level(rng, 5)
     surface = _stacked_surface([first, first, first, second, second, first,
                                 first])
-    text = _surface_csv(surface)
+    text = "".join(_surface_csv(surface))
     assert text.count("\n") == 1 + 5 * sum(range(1, 8))
     _assert_writers_agree(surface)
 
@@ -437,7 +442,7 @@ def test_surface_csv_renders_a_repeat_with_one_signed_zero_flipped(column):
     flipped = [col.copy() for col in base]
     flipped[column][0] = -0.0
     surface = _stacked_surface([base, base, flipped, flipped, base])
-    text = _surface_csv(surface)
+    text = "".join(_surface_csv(surface))
     lines = text.splitlines()[1:]
     negative = [line for line in lines if "-0.0" in line.split(",")[2:]]
     assert {line.split(",")[0] for line in negative} == {"2", "3"}
@@ -455,6 +460,55 @@ def test_surface_csv_renders_a_level_that_only_starts_like_the_one_above(
     other = tuple(np.concatenate([h, t])[:6 + extra]
                   for h, t in zip(head, tail))
     surface = _stacked_surface([head, other, other, head])
-    text = _surface_csv(surface)
+    text = "".join(_surface_csv(surface))
     assert text.count("\n") == 1 + 6 * (1 + 4) + (6 + extra) * (2 + 3)
     _assert_writers_agree(surface)
+
+
+# ---------------------------------------------------------------------------
+# surface.csv is written as it is rendered, one chunk per (level, node), and
+# every artifact goes through the one chunked writer
+# ---------------------------------------------------------------------------
+
+def test_surface_csv_write_peak_stays_under_a_megabyte(tmp_path):
+    # the 4.06 MB text of the benchmark's surface shape was held whole,
+    # joined and encoded: 7.8 MB to render and 3.9 MB more to write
+    surface = primal_value_dp(build_scenario(bench_surface_config()).primal())
+    chunks = list(_surface_csv(surface))
+    assert len(chunks) == 1 + sum(k + 1 for k in range(17))
+    write_artifact(tmp_path, "warm.csv", _surface_csv(surface))
+    tracemalloc.start()
+    try:
+        write_artifact(tmp_path, "surface.csv", _surface_csv(surface))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (tmp_path / "surface.csv").read_text(encoding="utf-8") == \
+        "".join(chunks)
+
+
+def test_every_artifact_goes_through_the_one_chunked_writer(
+        tmp_path, monkeypatch, capsys):
+    written = []
+
+    def record(out_dir, name, chunks):
+        # a bare str would be written one character at a time
+        assert not isinstance(chunks, str), name
+        written.append(os.path.relpath(os.path.join(out_dir, name), tmp_path))
+        write_artifact(out_dir, name, chunks)
+
+    for module in (weakbsde.runner, weakbsde.cli, weakbsde.acceptance):
+        monkeypatch.setattr(module, "write_artifact", record)
+    for argv in (["run", "jensen"], ["curve", "jensen"], ["dual", "jensen"],
+                 ["verify", "--only", "1"]):
+        weakbsde.cli.main([*argv, "--out", str(tmp_path / argv[0]),
+                           "--quiet"])
+    capsys.readouterr()
+    on_disk = [os.path.relpath(os.path.join(root, name), tmp_path)
+               for root, _, names in os.walk(tmp_path) for name in names]
+    assert sorted(written) == sorted(on_disk) == [
+        os.path.join("curve", "curve.csv"), os.path.join("dual", "dual.json"),
+        os.path.join("run", "curve.csv"), os.path.join("run", "report.json"),
+        os.path.join("run", "surface.csv"),
+        os.path.join("verify", "report.json")]

@@ -662,7 +662,7 @@ def test_control_major_backup_matches_on_an_unsorted_greedy_batch(
         _assert_backup_matches_reference(risk_surface, k, m)
 
 
-def test_backup_names_the_first_infeasible_state(risk_surface):
+def _assert_backup_names_the_first_infeasible_state(risk_surface):
     m = np.array([0.5, 0.2, -0.25, 0.75, 1.5, -0.5])
     args = (risk_surface.scenario, risk_surface.corridor, 3, m)
     data = (risk_surface.grids[4], risk_surface.values[4])
@@ -672,6 +672,21 @@ def test_backup_names_the_first_infeasible_state(risk_surface):
     with pytest.raises(PrimalError, match=r"level 3, m = -0\.25; ") as got:
         _backup(*args, *data)
     assert str(got.value) == str(ref.value)
+
+
+def test_backup_names_the_first_infeasible_state(risk_surface):
+    _assert_backup_names_the_first_infeasible_state(risk_surface)
+
+
+@pytest.mark.parametrize("block", [1, 21, 100])
+def test_backup_matches_in_blocks_of_any_size(risk_surface, monkeypatch,
+                                              block):
+    # one state per block (a block smaller than the 21 controls, or just
+    # their size) and blocks that leave a remainder; the first infeasible
+    # state sits in the third block of one state each
+    monkeypatch.setattr(primal_mod, "_PAIR_BLOCK", block)
+    _assert_every_level_matches(risk_surface)
+    _assert_backup_names_the_first_infeasible_state(risk_surface)
 
 
 @settings(max_examples=60)
