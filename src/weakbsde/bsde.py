@@ -186,7 +186,7 @@ def comparison_check(lattice: Lattice, d: Driver, terminal_low, terminal_high, *
     if np.any(lo > hi):
         raise LatticeError("terminal_low must be <= terminal_high nodewise")
     y = solve_bsde(lattice, d, np.stack((lo, hi)), scheme=scheme)[0]
-    worst = max(float(np.max(v[0] - v[1])) for v in y)
+    worst = float(np.max([np.max(v[0] - v[1]) for v in y]))
     return {"max_violation": worst}
 
 

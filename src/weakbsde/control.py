@@ -195,12 +195,11 @@ def admissible(corridor: Corridor, states) -> dict:
     k, as simulate_rows returns them).
 
     Returns the worst signed excursion outside [floor, ceiling] (0 when
-    every state stays inside), which the caller judges against a
-    tolerance, and n_rows, the number of states measured.
+    every state stays inside, NaN when a state is NaN), which the caller
+    judges against a tolerance, and n_rows, the number of states measured.
     """
-    worst = 0.0
-    for k, m in enumerate(states):
-        worst = max(worst, float(np.max(_excursion(corridor, k, m))))
+    worst = float(np.max([0.0] + [np.max(_excursion(corridor, k, m))
+                                  for k, m in enumerate(states)]))
     return {"worst_violation": worst,
             "n_rows": sum(m.size for m in states)}
 

@@ -19,8 +19,9 @@ conjugates is one segment form (_segment): finite only where the first
 argument equals the drift coefficient and the second, in units of a scale
 (kappa for the z-only drivers), lies in [lo, hi], with a value function of
 that unit coordinate there (0 for zero, linear, abs_z and neg_abs_z).
-Effective domains are always contained in the box with per-axis
-half-widths equal to the driver's Lipschitz constants.
+Effective domains always lie in the box |first| <= lipschitz_y,
+|second| <= lipschitz_z of the driver's Lipschitz constants, and the dual
+search reads its windows off those two fields.
 
 Every transform takes numbers or arrays of any shape.  Its entry point
 (concave_conjugate, convex_conjugate, LossPair.phi, .psi and .polar, and
@@ -46,17 +47,6 @@ class DriverShapeError(ValueError):
 
 class ConjugateDomainError(ValueError):
     """A dual candidate stepped outside the effective conjugate domain."""
-
-
-@dataclass(frozen=True)
-class ConjugateBox:
-    """Outer bound for a conjugate's effective domain: |first| <= half_width_y,
-    |second| <= half_width_z.  Half-widths equal the driver's Lipschitz
-    constants; the actual domain may be a strict subset (decided by the
-    conjugate value being finite)."""
-
-    half_width_y: float
-    half_width_z: float
 
 
 @dataclass(frozen=True)
@@ -87,9 +77,6 @@ class Driver:
     @property
     def depends_on_y(self) -> bool:
         return self.lipschitz_y > 0.0
-
-    def conjugate_box(self) -> ConjugateBox:
-        return ConjugateBox(self.lipschitz_y, self.lipschitz_z)
 
 
 # ---------------------------------------------------------------------------

@@ -43,10 +43,11 @@ A candidate that leaves a conjugate domain, or whose lower step factor
 
 dual_value minimizes the certificate over the constants at a fixed
 slope: from _feasible_start, each of `rounds` rounds scores the whole
-product window over the axes whose conjugate box has a nonzero width
-(WINDOW_POINTS points per axis, half-width the box's / 4^r, clipped to
-the box) in one _scores call, and moves to the window's first strict
-minimum; NaN never wins.  The result is an upper bound on the true
+product window over the axes on which the driver has a nonzero
+Lipschitz constant w, which bounds that axis of the conjugate domain
+(WINDOW_POINTS points per axis, half-width w / 4^r, clipped to [-w, w])
+in one _scores call, and moves to the window's first strict minimum;
+NaN never wins.  The result is an upper bound on the true
 infimum, which keeps the inequality safe.  dual_bound maximizes
 l m - dual_value(l) over l.  Where the loss polar is smooth
 (LossPair.polar_grad is set) the certificate is smooth in l, and Brent's
@@ -222,11 +223,10 @@ def dual_objective(lattice: Lattice, dc: DualControls, d_f: Driver,
 def _feasible_start(d: Driver, kind: str) -> tuple:
     """A point in the conjugate domain (drift, noise), preferring (0, 0)."""
     conj = convex_conjugate if kind == "convex" else concave_conjugate
-    box = d.conjugate_box()
     if np.isfinite(float(conj(d, 0.0, 0.0))):
         return 0.0, 0.0
-    for drift in np.linspace(-box.half_width_y, box.half_width_y, 9):
-        for noise in np.linspace(-box.half_width_z, box.half_width_z, 9):
+    for drift in np.linspace(-d.lipschitz_y, d.lipschitz_y, 9):
+        for noise in np.linspace(-d.lipschitz_z, d.lipschitz_z, 9):
             if np.isfinite(float(conj(d, drift, noise))):
                 return float(drift), float(noise)
     raise ConjugateDomainError(
@@ -239,21 +239,20 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
     """Window search over the four constants at fixed slope.
 
     Starts from _feasible_start on both conjugate domains.  Round r scores
-    the product of one window per axis whose conjugate box has a nonzero
-    half-width w (WINDOW_POINTS points on [c - w / 4^r, c + w / 4^r]
-    around the incumbent's c, clipped to [-w, w]), leaving out the
-    incumbent itself, and moves to the first window point of least score
-    when that score is strictly below the incumbent's; a NaN score never
-    wins.  The search stops early once a window holds nothing but the
+    the product of one window per axis whose driver has a nonzero
+    Lipschitz constant w on it (WINDOW_POINTS points on [c - w / 4^r,
+    c + w / 4^r] around the incumbent's c, clipped to [-w, w]), leaving
+    out the incumbent itself, and moves to the first window point of least
+    score when that score is strictly below the incumbent's; a NaN score
+    never wins.  The search stops early once a window holds nothing but the
     incumbent.  The result is an upper bound on the true infimum, so lower
     bounds built from it remain valid.  n_evaluations counts certificates
     scored, the start included; n_accepted counts moves.
     """
     best_at = np.array([*_feasible_start(d_g, "convex"),
                         *_feasible_start(d_f, "concave")])
-    g_box, f_box = d_g.conjugate_box(), d_f.conjugate_box()
-    widths = np.array([g_box.half_width_y, g_box.half_width_z,
-                       f_box.half_width_y, f_box.half_width_z])
+    widths = np.array([d_g.lipschitz_y, d_g.lipschitz_z,
+                       d_f.lipschitz_y, d_f.lipschitz_z])
     axes = np.flatnonzero(widths > 0.0)
     best = _scores(lattice, l, best_at[:, None], d_f, d_g, lp)[0]
     if not np.isfinite(best):
@@ -429,17 +428,17 @@ def first_order_residuals(surface: ValueSurface, dc: DualControls,
     cand, gt, ft = _checked(lat, dc, sc.driver_f, sc.driver_g)
     u, v, p, q = cand
 
-    res_f = res_g = 0.0
+    res_f, res_g = [0.0], [0.0]
     for k in range(lat.steps):
         t = lat.time_at(k)
         m_k, a_k = plan.states[k], plan.controls[k]
         lhs_f = np.asarray(sc.driver_f.fn(t, m_k, a_k), dtype=float)
         rhs_f = dc.threshold_drift * m_k + dc.threshold_noise * a_k - ft[0]
-        res_f = max(res_f, float(np.max(np.abs(lhs_f - rhs_f))))
+        res_f.append(np.max(np.abs(lhs_f - rhs_f)))
         y_k, z_k = y_levels[k], z_levels[k]
         lhs_g = np.asarray(sc.driver_g.fn(t, y_k, z_k), dtype=float)
         rhs_g = dc.value_drift * y_k + dc.value_noise * z_k - gt[0]
-        res_g = max(res_g, float(np.max(np.abs(lhs_g - rhs_g))))
+        res_g.append(np.max(np.abs(lhs_g - rhs_g)))
 
     node_ratio = (dc.slope * _node_adjoint(lat, p, q)
                   / _node_adjoint(lat, u, v))[0]
@@ -459,9 +458,9 @@ def first_order_residuals(surface: ValueSurface, dc: DualControls,
     phi_vals = np.asarray(sc.loss.phi(m_term), dtype=float)
     res_polar = float(np.max(np.abs(phi_vals + polar_vals - m_term * ratio)))
     out = {
-        "constraint_fenchel": res_f,
+        "constraint_fenchel": float(np.max(res_f)),
         "terminal_gradient": res_terminal,
-        "cost_fenchel": res_g,
+        "cost_fenchel": float(np.max(res_g)),
         "terminal_polar": res_polar,
     }
     if res_terminal is None:

@@ -45,10 +45,11 @@ ascending run, which np.interp's guessed search walks instead of bisecting
 the child grid.  Every value is elementwise in its own pair, under both
 schemes, so the results equal those of a full (state, control) batch bit
 for bit, and so does a backup run over blocks of states.  It runs in
-blocks of at most _PAIR_BLOCK pairs, as convexity_check does: a temporary
-under glibc's 128 KB mmap threshold comes from the heap, while a larger
-one is mapped, and faulted in page by page, afresh on every call unless
-an earlier, larger allocation has raised the threshold.
+blocks of at most _PAIR_BLOCK pairs, as convexity_check and the leaf
+search's root step do: a temporary under glibc's 128 KB mmap threshold
+comes from the heap, while a larger one is mapped, and faulted in page by
+page, afresh on every call unless an earlier, larger allocation has
+raised the threshold.
 
 Two brute-force oracles (exhaustive policy enumeration and a leaf-value
 grid search on the weak formulation) provide independent cross-checks at
@@ -89,11 +90,10 @@ FEASIBILITY_TOL = 1e-9
 CURVE_TOL = 1e-9
 # dyadic offsets h of the continuity fit |V(m + h) - V(m)|
 CONTINUITY_OFFSETS = 2.0 ** -np.arange(3, 10)
-# most candidates an oracle scores in one batch: 128 KB per temporary
-ORACLE_BLOCK = 2**14
-# most pairs a blocked pass holds at once, the backup's (control, state)
-# and convexity_check's (m1, m2): 64 KB per float64 temporary, under
-# glibc's default 128 KB mmap threshold
+# most pairs a blocked pass holds at once, the backup's (control, state),
+# convexity_check's (m1, m2) and the leaf search's root (up, down) class
+# pairs: 64 KB per float64 temporary, under glibc's default 128 KB mmap
+# threshold
 _PAIR_BLOCK = 2**13
 # spacing of the envelope oracle's grid on [0, 1]
 ENVELOPE_STEP = 1e-3
@@ -406,9 +406,10 @@ def attainment_check(surface: ValueSurface, m_list) -> dict:
 
 
 def monotonicity_violation(surface: ValueSurface) -> float:
-    """Worst decrease of V along increasing m, over every level."""
-    return max([0.0] + [float(np.max(v[:-1] - v[1:])) for v in surface.values
-                        if v.size > 1])
+    """Worst decrease of V along increasing m, over every level, and at
+    least 0.0; a NaN is kept."""
+    return float(np.max([0.0] + [np.max(v[:-1] - v[1:]) for v in surface.values
+                                 if v.size > 1]))
 
 
 def convexity_check(surface: ValueSurface) -> dict:
@@ -515,9 +516,9 @@ def apriori_bound_check(surface: ValueSurface) -> dict:
     edges = np.repeat([[float(sc.loss.phi(1.0))], [float(sc.loss.phi(0.0))]],
                       sc.lattice.steps + 1, axis=1)
     ends = solve_bsde(sc.lattice, sc.driver_g, edges, scheme=sc.scheme)[0]
-    return {"excess": max(float(np.max(np.abs(v)))
-                          - (abs(e[0, 0]) + abs(e[1, 0]))
-                          for v, e in zip(surface.values, ends))}
+    return {"excess": float(np.max([np.max(np.abs(v))
+                                    - (abs(e[0, 0]) + abs(e[1, 0]))
+                                    for v, e in zip(surface.values, ends)]))}
 
 
 def restriction_check(surface: ValueSurface, k: int) -> dict:
@@ -538,11 +539,11 @@ def restriction_check(surface: ValueSurface, k: int) -> dict:
     # the parent's slope bound, not the default 1/sqrt(dt) of the sub-lattice
     sub = primal_value_dp(dataclasses.replace(sc, lattice=sub_lat,
                                               alpha_max=sc.slope_bound))
-    worst = 0.0
+    gaps = [0.0]
     for i, (g_sub, v_sub) in enumerate(zip(sub.grids, sub.values)):
         v_glob = np.interp(g_sub, surface.grids[k + i], surface.values[k + i])
-        worst = max(worst, float(np.max(np.abs(v_sub - v_glob))))
-    return {"max_diff": worst}
+        gaps.append(np.max(np.abs(v_sub - v_glob)))
+    return {"max_diff": float(np.max(gaps))}
 
 
 # ---------------------------------------------------------------------------
@@ -679,7 +680,7 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
     of (f, g) at up-candidate i and down-candidate j alone, so each child's
     candidates collapse onto their distinct (f, g) classes (_distinct_rows),
     each stood for by its first candidate, and the root step prices only
-    the class pairs: a block of up classes at a time (at most ORACLE_BLOCK
+    the class pairs: a block of up classes at a time (at most _PAIR_BLOCK
     pairs), each with the feasibility mask and argmin of its block.  The
     classes run in the order of their first candidates and a block's
     minimum replaces the incumbent only if strictly lower, so the first
@@ -717,7 +718,7 @@ def brute_force_weak_formulation(sc: PrimalScenario, m0: float, q: int = 5,
         evaluated += width * width
         scored += up.size * dn.size
         level_dn, cost_dn = level[1, dn][None, :], cost[1, dn][None, :]
-        rows = max(1, ORACLE_BLOCK // dn.size)
+        rows = max(1, _PAIR_BLOCK // dn.size)
         for i in range(0, up.size, rows):
             ui = up[i:i + rows, None]
             level_b, _, _ = _one_step(sc.driver_f, t0, level[0, ui],

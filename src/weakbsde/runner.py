@@ -101,10 +101,9 @@ def _check_attainment(ctx):
 
 def _check_monotonicity(ctx):
     sc, surface = ctx["scenario"], ctx["surface"]
-    worst = monotonicity_violation(surface)
     sorted_vals = np.asarray(ctx["curve"])[np.argsort(sc.m_list)]
-    if sorted_vals.size > 1:
-        worst = max(worst, float(np.max(sorted_vals[:-1] - sorted_vals[1:])))
+    worst = float(np.max([monotonicity_violation(surface),
+                          *(sorted_vals[:-1] - sorted_vals[1:])]))
     return _at_most("monotonicity", worst, sc.tolerances["monotonicity"])
 
 
@@ -143,12 +142,11 @@ def _check_weak_duality(ctx):
     if not ctx["duals"]:
         return _skipped("weak_duality", tol,
                         "dual search disabled for this scenario")
-    worst = -math.inf
+    excess = []
     for m, res in ctx["duals"].items():
         primal = float(value_curve(surface, m)[0])
-        for l, cert in res["trace"]:
-            worst = max(worst, l * m - cert - primal)
-    return _at_most("weak_duality", worst, tol,
+        excess += [l * m - cert - primal for l, cert in res["trace"]]
+    return _at_most("weak_duality", float(np.max(excess)), tol,
                     meaning="max over trace of bound minus primal")
 
 
@@ -171,15 +169,16 @@ def _check_comparison(ctx):
     sc = ctx["scenario"]
     rng = np.random.default_rng(sc.seed)
     n = sc.lattice.steps
-    worst = -math.inf
+    violations = []
     for d in (sc.driver_f, sc.driver_g):
         # ten seeded pairs per driver, solved as one stack
         pairs = np.array([(rng.uniform(0.0, 1.0, n + 1),
                            rng.uniform(0.0, 1.0, n + 1)) for _ in range(10)])
         res = comparison_check(sc.lattice, d, pairs.min(axis=1),
                                pairs.max(axis=1), scheme=sc.scheme)
-        worst = max(worst, res["max_violation"])
-    return _at_most("comparison", worst, sc.tolerances["comparison"])
+        violations.append(res["max_violation"])
+    return _at_most("comparison", float(np.max(violations)),
+                    sc.tolerances["comparison"])
 
 
 def _roundtrip_walks(sc) -> tuple:
@@ -187,13 +186,13 @@ def _roundtrip_walks(sc) -> tuple:
     seeded terminals: ten per driver, walked as one stack."""
     rng = np.random.default_rng(sc.seed + 1)
     n = sc.lattice.steps
-    worst, rows = 0.0, 0
+    errors, rows = [0.0], 0
     for d in (sc.driver_f, sc.driver_g):
         xi = np.array([rng.uniform(0.0, 1.0, n + 1) for _ in range(10)])
         res = representation_roundtrip(sc.lattice, d, xi)
-        worst = max(worst, res["max_error"])
+        errors.append(res["max_error"])
         rows += res["n_rows"]
-    return worst, rows
+    return float(np.max(errors)), rows
 
 
 def _check_roundtrip(ctx):
@@ -234,13 +233,13 @@ def _check_equivalence(ctx):
         return _skipped("equivalence", tol, f"exhaustive oracles capped at "
                         f"{ORACLE_MAX_LEVELS} levels")
     prim = ctx["primal_scenario"]
-    worst = 0.0
+    gaps = [0.0]
     for m in sc.m_list:
         dp = float(value_curve(surface, m)[0])
         pol = brute_force_policy_value(prim, m)["value"]
         weak = brute_force_weak_formulation(prim, m)["value"]
-        worst = max(worst, abs(dp - pol), abs(dp - weak), abs(pol - weak))
-    return _at_most("equivalence", worst, tol,
+        gaps += [abs(dp - pol), abs(dp - weak), abs(pol - weak)]
+    return _at_most("equivalence", float(np.max(gaps)), tol,
                     meaning="max pairwise gap dp/policy-enum/leaf-search")
 
 

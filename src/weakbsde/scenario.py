@@ -39,6 +39,12 @@ KNOWN_CHECKS = (
     "equivalence",
 )
 
+# primal.m_list's default, the threshold grid of the catalogue scenarios
+_DECIMALS = tuple(round(0.1 * i, 10) for i in range(1, 10))
+# checks' default; the catalogue's standard checks add restriction
+_DEFAULT_CHECKS = ("attainment", "monotonicity", "convexity", "continuity",
+                   "dpp", "weak_duality", "value_envelope")
+
 DEFAULT_TOLERANCES = {
     "attainment_extra": 1e-9,      # added to twice the grid slack
     "monotonicity": 1e-10,
@@ -212,8 +218,7 @@ def build_scenario(config: dict) -> Scenario:
     scheme = primal_cfg.get("scheme", "explicit")
     if scheme not in ("explicit", "implicit"):
         raise ScenarioError(f"primal.scheme must be explicit/implicit, got {scheme!r}")
-    m_list = _thresholds(primal_cfg.get(
-        "m_list", [round(0.1 * i, 10) for i in range(1, 10)]), "primal.m_list")
+    m_list = _thresholds(primal_cfg.get("m_list", _DECIMALS), "primal.m_list")
     continuity_base = _as_number(primal_cfg.get("continuity_base", 0.3),
                                  "primal.continuity_base")
     if not 0.0 <= continuity_base <= 1.0:
@@ -236,10 +241,7 @@ def build_scenario(config: dict) -> Scenario:
         raise ScenarioError("dual.rounds must be a positive integer")
     dual_m_list = _thresholds(dual_cfg.get("m_list", m_list), "dual.m_list")
 
-    checks = config.get("checks", (
-        "attainment", "monotonicity", "convexity", "continuity", "dpp",
-        "weak_duality", "value_envelope",
-    ))
+    checks = config.get("checks", _DEFAULT_CHECKS)
     if not isinstance(checks, (list, tuple)) \
             or not all(isinstance(chk, str) for chk in checks):
         raise ScenarioError(f"checks must be a JSON array of strings, "
@@ -386,14 +388,9 @@ def load_config(path) -> dict:
 # built-in catalogue
 # ---------------------------------------------------------------------------
 
-def _decimals():
-    return [round(0.1 * i, 10) for i in range(1, 10)]
-
-
 def catalogue() -> dict:
     """Named ready-to-run configs; values are plain config dicts."""
-    standard_checks = ["attainment", "monotonicity", "convexity", "continuity",
-                       "dpp", "weak_duality", "value_envelope", "restriction"]
+    standard_checks = [*_DEFAULT_CHECKS, "restriction"]
     tiny = {
         "lattice": {"horizon": 1.0, "steps": 3},
         "primal": {"grid_size": 161, "n_a": 7, "m_list": [0.5]},
@@ -407,7 +404,7 @@ def catalogue() -> dict:
             "driver_f": {"name": "zero"},
             "driver_g": {"name": "zero"},
             "loss": {"name": "power", "params": {"p": 2.0}},
-            "primal": {"grid_size": 201, "n_a": 21, "m_list": _decimals()},
+            "primal": {"grid_size": 201, "n_a": 21, "m_list": _DECIMALS},
             "checks": standard_checks,
         },
         "identity": {
@@ -416,7 +413,7 @@ def catalogue() -> dict:
             "driver_f": {"name": "zero"},
             "driver_g": {"name": "zero"},
             "loss": {"name": "identity"},
-            "primal": {"grid_size": 201, "n_a": 21, "m_list": _decimals()},
+            "primal": {"grid_size": 201, "n_a": 21, "m_list": _DECIMALS},
             "checks": standard_checks,
         },
         "envelope": {
@@ -425,7 +422,7 @@ def catalogue() -> dict:
             "driver_f": {"name": "zero"},
             "driver_g": {"name": "zero"},
             "loss": {"name": "s_shaped"},
-            "primal": {"grid_size": 201, "n_a": 21, "m_list": _decimals()},
+            "primal": {"grid_size": 201, "n_a": 21, "m_list": _DECIMALS},
             "checks": standard_checks,
         },
         "call_spread": {
@@ -434,7 +431,7 @@ def catalogue() -> dict:
             "driver_f": {"name": "zero"},
             "driver_g": {"name": "zero"},
             "loss": {"name": "call_spread", "params": {"lo": 0.3, "hi": 0.7}},
-            "primal": {"grid_size": 201, "n_a": 21, "m_list": _decimals()},
+            "primal": {"grid_size": 201, "n_a": 21, "m_list": _DECIMALS},
             "checks": standard_checks,
         },
         "risk_pair": {
@@ -443,7 +440,7 @@ def catalogue() -> dict:
             "driver_f": {"name": "neg_abs_z", "params": {"kappa": 0.3}},
             "driver_g": {"name": "abs_z", "params": {"kappa": 0.2}},
             "loss": {"name": "power", "params": {"p": 2.0}},
-            "primal": {"grid_size": 201, "n_a": 21, "m_list": _decimals()},
+            "primal": {"grid_size": 201, "n_a": 21, "m_list": _DECIMALS},
             "dual": {"enabled": True, "m_list": [0.25, 0.5, 0.75]},
             "checks": standard_checks + ["comparison", "roundtrip",
                                          "admissibility"],

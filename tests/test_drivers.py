@@ -14,7 +14,7 @@ from weakbsde.drivers import (DRIVER_BUILDERS, LOSS_BUILDERS, LossPair,
 def fenchel_recover(d, z, step=1e-3):
     """Reference biconjugate of a convex z-only driver: d(t, 0, z) rebuilt
     as the max over a step grid of |v| <= kappa of z v - conjugate(0, v)."""
-    kappa = d.conjugate_box().half_width_z
+    kappa = d.lipschitz_z
     v = np.linspace(-kappa, kappa, 2 * max(1, math.ceil(kappa / step)) + 1)
     return np.max(z[:, None] * v - convex_conjugate(d, 0.0, v), axis=1)
 
@@ -69,9 +69,7 @@ def test_abs_z_conjugate_segment():
     assert convex_conjugate(d, 0.0, -0.3) == 0.0
     assert convex_conjugate(d, 0.0, 0.31) == math.inf
     assert convex_conjugate(d, 0.05, 0.0) == math.inf
-    box = d.conjugate_box()
-    assert box.half_width_y == 0.0
-    assert box.half_width_z == 0.3
+    assert (d.lipschitz_y, d.lipschitz_z) == (0.0, 0.3)
 
 
 def test_neg_abs_z_concave_conjugate_segment():
@@ -86,8 +84,7 @@ def test_linear_driver_conjugate_is_a_point():
     assert concave_conjugate(d, 0.1, 0.2) == 0.0
     assert concave_conjugate(d, 0.1, 0.25) == -math.inf
     assert convex_conjugate(d, 0.1, 0.2) == 0.0
-    box = d.conjugate_box()
-    assert (box.half_width_y, box.half_width_z) == (0.1, 0.2)
+    assert (d.lipschitz_y, d.lipschitz_z) == (0.1, 0.2)
 
 
 def test_softplus_conjugate_value_at_origin():

@@ -656,8 +656,7 @@ def _in_order_search(lat, l, f, g, lp, rounds):
     every strict improvement kept; n_accepted counts the rounds that
     moved.  Both conjugate domains hold the origin here, so the start is
     all zeros."""
-    widths = [g.conjugate_box().half_width_y, g.conjugate_box().half_width_z,
-              f.conjugate_box().half_width_y, f.conjugate_box().half_width_z]
+    widths = [g.lipschitz_y, g.lipschitz_z, f.lipschitz_y, f.lipschitz_z]
     centre = np.zeros(4)
     best = _single(lat, l, centre, f, g, lp)
     evaluations, accepted = 1, 0

@@ -207,3 +207,22 @@ def test_readme_api_table_lists_the_exports():
     listed = [name for row in rows for name in re.findall(r"`([^`]+)`", row)]
     assert len(listed) == len(set(listed))
     assert set(listed) == set(weakbsde.__all__) - {"__version__"}
+
+
+# backticked capitals in README.md that name no constant: the status words
+# and the output-directory environment variable
+README_CAPITALS = {"PASS", "FAIL", "SKIPPED", "WEAKBSDE_OUT"}
+
+
+def test_readme_constants_are_package_names():
+    """Every backticked ALL_CAPS name of two or more characters in
+    README.md (a single capital, such as `N`, is a symbol) is a
+    module-level name of a package module, so a deleted constant cannot
+    stay in the docs."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    named = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", text))
+    defined = {name for p in PACKAGE.glob("*.py")
+               for name, _ in _definitions(ast.parse(p.read_text(
+                   encoding="utf-8")))}
+    assert named
+    assert sorted(named - README_CAPITALS - defined) == []

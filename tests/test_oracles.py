@@ -300,7 +300,7 @@ def test_blocked_oracles_equal_the_full_references(monkeypatch, block):
     boundary there.  tiny_identity at 0.5 has many tied minimisers, spread
     over many blocks, and the first index must still win."""
     if block is not None:
-        monkeypatch.setattr(primal_mod, "ORACLE_BLOCK", block)
+        monkeypatch.setattr(primal_mod, "_PAIR_BLOCK", block)
     cases = [(_scenario(f, g, loss, steps=steps, n_a=5, scheme=scheme,
                         alpha_max=0.6), m)
              for f, g, loss, steps, scheme in REFERENCE_CASES.values()
@@ -317,6 +317,24 @@ def test_blocked_oracles_equal_the_full_references(monkeypatch, block):
         lp = catalogue_scenario(name).loss
         for m in (0.0, 0.001, 0.5, 0.999, 1.0):
             assert two_point_envelope(lp, m) == _envelope_reference(lp, m)
+
+
+def test_weak_oracle_root_blocks_follow_the_one_pair_block(monkeypatch):
+    """c07's three weak-oracle calls price no root-step batch of more than
+    _PAIR_BLOCK (up, down) class pairs, the block of the DP backup and of
+    convexity_check, whose float64 temporaries stay under glibc's default
+    128 KB mmap threshold."""
+    assert primal_mod._PAIR_BLOCK * 8 < 128 * 1024
+    batches = []
+
+    def spy(d, t, up, down, *args):
+        batches.append(np.broadcast(up, down).size)
+        return _one_step(d, t, up, down, *args)
+    monkeypatch.setattr(primal_mod, "_one_step", spy)
+    for name in ("tiny_identity", "tiny_power", "tiny_risk"):
+        brute_force_weak_formulation(catalogue_scenario(name).primal(), 0.5)
+    assert batches
+    assert max(batches) <= primal_mod._PAIR_BLOCK
 
 
 def test_weak_oracle_prices_only_distinct_class_pairs():
@@ -359,7 +377,7 @@ def test_weak_oracle_equals_the_full_reference_property(
     ref = _weak_reference(sc, m, q=q, rounds=rounds)
     with pytest.MonkeyPatch.context() as mp:
         if block is not None:
-            mp.setattr(primal_mod, "ORACLE_BLOCK", block)
+            mp.setattr(primal_mod, "_PAIR_BLOCK", block)
         weak = brute_force_weak_formulation(sc, m, q=q, rounds=rounds)
     assert weak["value"] == ref["value"]
     assert weak["leaf_values"].tobytes() == ref["leaf_values"].tobytes()
