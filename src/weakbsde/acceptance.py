@@ -209,7 +209,7 @@ def _c10_curve_continuity(ws):
         exponents[name] = res["exponent"]
     if not exponents:
         return False, None, 0.20, {"error": "no scenario produced a fit"}
-    measured = min(exponents.values())
+    measured = float(np.min(list(exponents.values())))  # keeps a NaN
     return measured >= 0.20, measured, 0.20, exponents
 
 

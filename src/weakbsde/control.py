@@ -26,11 +26,13 @@ and each keeps the rows it keeps alone.  representation_roundtrip and the
 runner's admissibility check walk a stack of terminals or policies in
 one pass.
 
-_children is the one forward step: the walk here and the primal backup,
-greedy plan and policy oracle all call it.  _distinct_rows is the one
-row dedupe: the walk here, primal.greedy_plan (whose greedy control
-depends on the state alone, so its rows are keyed on (level, m)) and the
-weak oracle's root classes all call it.
+_children is the one forward step: the walk here, the primal greedy plan
+and the policy oracle all call it, and the primal backup's geometry
+steps through its second half, _successors, on the f values it has
+already evaluated for its key.  _distinct_rows is the one row dedupe:
+the walk here, primal.greedy_plan (whose greedy control depends on the
+state alone, so its rows are keyed on (level, m)) and the weak oracle's
+root classes all call it.
 """
 
 from __future__ import annotations
@@ -53,7 +55,13 @@ class PolicyError(ValueError):
 def _children(lattice: Lattice, f: Driver, k: int, m, a) -> tuple:
     """Up and down successors m - f(t_k, m, a) dt +/- a sqrt(dt) of states m
     under controls a (broadcast together)."""
-    base = m - np.asarray(f.fn(lattice.time_at(k), m, a), float) * lattice.dt
+    return _successors(lattice, m, a, f.fn(lattice.time_at(k), m, a))
+
+
+def _successors(lattice: Lattice, m, a, f_values) -> tuple:
+    """_children's step from f's values f_values = f(t_k, m, a), already
+    evaluated."""
+    base = m - np.asarray(f_values, float) * lattice.dt
     return base + a * lattice.sqrt_dt, base - a * lattice.sqrt_dt
 
 

@@ -22,7 +22,7 @@ The control grid always contains 0, the slope of the corridor edges, so a
 feasible control exists at every state; ties are broken toward the
 smallest |a| (then the smallest a) to keep results deterministic.  Every
 level of every node tries the same (|a|, a)-ordered set, so a scenario
-builds it once (PrimalScenario.control_set) and every _backup, whether
+builds it once (PrimalScenario.control_set) and every backup, whether
 from the DP, the DPP check or the greedy plan, reads it there; the
 restriction check's sub-scenario builds its own from the same base grid.
 
@@ -37,19 +37,28 @@ bit, and every _one_step value depends only on its own (up, down) pair:
 attainment_check prices all of the plan's rows backward in one pass, one
 _one_step per level, instead of each threshold's 2^N path prefixes.
 
-The backup (_backup) lays its work out as (control, state) arrays and does
-only the work whose result it keeps: it tests every pair for feasibility,
-then clips, interpolates and prices only the feasible pairs.  Compacting
-the control-major mask keeps each control row's feasible states one
-ascending run, which np.interp's guessed search walks instead of bisecting
-the child grid.  Every value is elementwise in its own pair, under both
-schemes, so the results equal those of a full (state, control) batch bit
-for bit, and so does a backup run over blocks of states.  It runs in
-blocks of at most _PAIR_BLOCK pairs, as convexity_check and the leaf
-search's root step do: a temporary under glibc's 128 KB mmap threshold
-comes from the heap, while a larger one is mapped, and faulted in page by
-page, afresh on every call unless an earlier, larger allocation has
-raised the threshold.
+A backup has two steps.  The geometry step (_geometry) tests a level's
+(control, state) pairs for feasibility, laid out control-major, and keeps
+only the feasible pairs' clipped children and the clamp count; each
+control row's feasible states stay one ascending run, which np.interp's
+guessed search walks instead of bisecting the child grid.  It reads only
+the level's m-grid, the level-(k+1) corridor bounds, f(t_k, m, a) on the
+control set, dt, sqrt(dt) and the control set.  The pricing step (_price)
+interpolates and prices the kept children on the next level's slice and
+takes the first-index argmin along the rows of a state-major (state,
+control) array.  Where f reads z alone and f(t, y, 0) = 0, those inputs
+are the same at every level, so primal_value_dp and dpp_check keep the
+last level's geometry, keyed on their bytes, and build a new one only
+when the key changes.  Nothing outlives a sweep call: the restriction
+check's sub-DP and each dpp sweep build their own.  Every value is
+elementwise in its own pair, under both schemes, so the results equal
+those of a full (state, control) batch bit for bit, whatever the blocks:
+the geometry is built over blocks of states of at most _PAIR_BLOCK pairs
+and the pricing runs over at most _PAIR_BLOCK kept pairs at a time, as
+convexity_check and the leaf search's root step do.  A temporary under
+glibc's 128 KB mmap threshold comes from the heap, while a larger one is
+mapped, and faulted in page by page, afresh on every call unless an
+earlier, larger allocation has raised the threshold.
 
 Two brute-force oracles (exhaustive policy enumeration and a leaf-value
 grid search on the weak formulation) provide independent cross-checks at
@@ -74,7 +83,7 @@ import math
 import dataclasses
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -82,7 +91,7 @@ from .bsde import (Corridor, compute_corridor, exact_scheme_for, solve_bsde,
                    solve_on_path_tree, solve_on_product_tree, _one_step,
                    _require_step_condition)
 from .control import (MAX_PLAN_ROWS, _children, _distinct_rows,
-                      _excursion, _interleave)
+                      _excursion, _interleave, _successors)
 from .drivers import Driver, LossPair
 from .lattice import Lattice, build_lattice
 
@@ -90,10 +99,10 @@ FEASIBILITY_TOL = 1e-9
 CURVE_TOL = 1e-9
 # dyadic offsets h of the continuity fit |V(m + h) - V(m)|
 CONTINUITY_OFFSETS = 2.0 ** -np.arange(3, 10)
-# most pairs a blocked pass holds at once, the backup's (control, state),
-# convexity_check's (m1, m2) and the leaf search's root (up, down) class
-# pairs: 64 KB per float64 temporary, under glibc's default 128 KB mmap
-# threshold
+# most pairs a blocked pass holds at once, the DP geometry's (control,
+# state) and its pricing's kept pairs, convexity_check's (m1, m2) and the
+# leaf search's root (up, down) class pairs: 64 KB per float64 temporary,
+# under glibc's default 128 KB mmap threshold
 _PAIR_BLOCK = 2**13
 # spacing of the envelope oracle's grid on [0, 1]
 ENVELOPE_STEP = 1e-3
@@ -187,81 +196,138 @@ def _ordered_controls(base: np.ndarray, extra) -> np.ndarray:
     return cand[order]
 
 
+class _Geometry(NamedTuple):
+    """What a level's backup keeps of its (control, state) pairs before it
+    reads the next level's slice (_geometry).  A sweep holds one at a
+    time; its arrays are allocated once per build, not once per level."""
+
+    key: tuple            # the bytes of the inputs it was built from
+    kept: np.ndarray      # state-major index s * n_controls + c of each
+                          # feasible pair, control-major within a block
+    up: np.ndarray        # the kept pairs' children, clipped to the corridor
+    down: np.ndarray
+    clamps: int           # kept pairs with a clipped child
+    prices: np.ndarray    # (state, control), +inf off the kept pairs
+
+
+def _level_geometry(sc: PrimalScenario, corridor: Corridor, k: int,
+                    m_grid: np.ndarray, last: Optional[_Geometry] = None
+                    ) -> _Geometry:
+    """Level k's geometry over the states m_grid: last itself when level k
+    has last's key, else a new _geometry.
+
+    The key is the bytes of everything the geometry reads that can change
+    between the levels of a sweep: corridor.bounds_at(k + 1), the states
+    and f(t_k, m, a) on sc.control_set, the last two per block of at most
+    _PAIR_BLOCK (control, state) pairs.  dt, sqrt(dt) and the control set
+    are the scenario's.
+    """
+    m_grid = np.asarray(m_grid, float)
+    t = sc.lattice.time_at(k)
+    controls = sc.control_set[:, None]
+    step = max(1, _PAIR_BLOCK // controls.size)
+    blocks = [(m, np.asarray(sc.driver_f.fn(t, m, controls), float))
+              for m in (m_grid[None, s:s + step]
+                        for s in range(0, m_grid.size, step))]
+    bounds = corridor.bounds_at(k + 1)
+    key = (np.array(bounds).tobytes(), m_grid.tobytes(),
+           *((f.shape, f.tobytes()) for _, f in blocks))
+    if last is not None and last.key == key:
+        return last
+    return _geometry(sc, k, bounds, blocks, key)
+
+
+def _geometry(sc: PrimalScenario, k: int, bounds: tuple, blocks: list,
+              key: tuple) -> _Geometry:
+    """The feasible pairs of level k and their clipped children, one block
+    of states at a time.
+
+    Each block is (states, f on the control set there), at most
+    _PAIR_BLOCK (control, state) pairs, so every temporary comes from the
+    heap, under glibc's mmap threshold.  Every pair is tested against the
+    level-(k+1) corridor bounds, and a state with no feasible control
+    raises at once; only the feasible pairs are clipped and clamp-counted.
+    np.flatnonzero on a block's control-major mask keeps, for a fixed a,
+    its states' children (monotone in m under the step condition) one
+    ascending run when m ascends, so np.interp's guessed search walks a
+    few knots per child instead of bisecting the child grid.
+    """
+    lo, hi = bounds
+    controls = sc.control_set
+    tol = FEASIBILITY_TOL
+    kept, ups, downs = [], [], []
+    clamps = start = 0
+    for m, f_values in blocks:
+        m_up, m_dn = _successors(sc.lattice, m, controls[:, None], f_values)
+        feasible = ((m_up >= lo - tol) & (m_up <= hi + tol)
+                    & (m_dn >= lo - tol) & (m_dn <= hi + tol))
+        any_feasible = np.any(feasible, axis=0)
+        if not np.all(any_feasible):
+            bad = int(np.argmin(any_feasible))
+            raise PrimalError(
+                f"no feasible control at level {k}, m = {float(m[0, bad])!r}; "
+                "the zero control should prevent this"
+            )
+        flat = np.flatnonzero(feasible)
+        m_up, m_dn = m_up.take(flat), m_dn.take(flat)  # the feasible pairs only
+        up_c = np.clip(m_up, lo, hi)
+        dn_c = np.clip(m_dn, lo, hi)
+        clamps += int(np.count_nonzero((m_up != up_c) | (m_dn != dn_c)))
+        control, state = np.divmod(flat, m.shape[1])
+        kept.append((start + state) * controls.size + control)
+        ups.append(up_c)
+        downs.append(dn_c)
+        start += m.shape[1]
+    return _Geometry(key=key, kept=np.concatenate(kept),
+                     up=np.concatenate(ups), down=np.concatenate(downs),
+                     clamps=clamps,
+                     prices=np.full((start, controls.size), np.inf))
+
+
+def _price(sc: PrimalScenario, k: int, geo: _Geometry,
+           next_grid: np.ndarray, next_values: np.ndarray) -> tuple:
+    """(values, best_controls) of level k from its geometry and the
+    level-(k+1) slice next_grid / next_values.
+
+    Both clipped children of every kept pair are interpolated on the slice
+    and priced by _one_step, in runs of at most _PAIR_BLOCK kept pairs.
+    The prices are scattered into geo.prices, whose entries off the kept
+    pairs stay +inf and whose kept entries every pricing overwrites, and
+    its first-index argmin runs along contiguous (state) rows; the
+    controls are (|a|, a)-ordered, so ties resolve toward the smallest |a|.
+    """
+    lat = sc.lattice
+    t = lat.time_at(k)
+    for s in range(0, geo.kept.size, _PAIR_BLOCK):
+        run = slice(s, s + _PAIR_BLOCK)
+        v_up = np.interp(geo.up[run], next_grid, next_values)
+        v_dn = np.interp(geo.down[run], next_grid, next_values)
+        priced, _, _ = _one_step(sc.driver_g, t, v_up, v_dn, lat.sqrt_dt,
+                                 lat.dt, sc.scheme)
+        geo.prices.put(geo.kept[run], priced)
+    idx = geo.prices.argmin(axis=1)
+    return geo.prices[np.arange(idx.size), idx], sc.control_set[idx]
+
+
 def _backup(sc: PrimalScenario, corridor: Corridor, k: int,
             m_grid: np.ndarray, next_grid: np.ndarray,
             next_values: np.ndarray) -> tuple:
-    """One-step backup of level k over the states m_grid.
+    """One-step backup of level k over the states m_grid: its geometry
+    (_level_geometry), then its prices (_price).
 
     It tries the scenario's (|a|, a)-ordered slopes sc.control_set;
     next_grid / next_values are the level-(k+1) slice both children are
     interpolated on.  Returns (values, best_controls, clamp_count).
-
-    The states run in blocks of at most _PAIR_BLOCK (control, state) pairs
-    (_backup_block), so every temporary comes from the heap, under glibc's
-    mmap threshold, instead of being mapped afresh on every call.
-    Every value and control depends on its own state only, so the blocks
-    join to the bits of one pass, and the first infeasible state raises.
+    Every value and control depends on its own state only, and the first
+    infeasible state raises.
     """
-    m_grid = np.asarray(m_grid, float)
-    step = max(1, _PAIR_BLOCK // len(sc.control_set))
-    values, best, clamps = zip(*(
-        _backup_block(sc, corridor, k, m_grid[s:s + step], next_grid,
-                      next_values)
-        for s in range(0, m_grid.size, step)))
-    return np.concatenate(values), np.concatenate(best), sum(clamps)
-
-
-def _backup_block(sc: PrimalScenario, corridor: Corridor, k: int,
-                  m_grid: np.ndarray, next_grid: np.ndarray,
-                  next_values: np.ndarray) -> tuple:
-    """_backup over one block of states.
-
-    The work is laid out control-major, (control, state).  Every pair is
-    tested for feasibility, and a state with no feasible control raises
-    at once; only the feasible pairs are then clipped, clamp-counted,
-    interpolated and priced.  np.flatnonzero on the control-major mask
-    keeps them in row order, so for a fixed a the children (monotone in m
-    under the step condition) reach np.interp as one ascending run when
-    m_grid ascends, and its guessed search walks a few knots instead of
-    bisecting the child grid.  The prices are scattered into a +inf array
-    and the first-index argmin is taken along the control axis.
-
-    Against a full (state, control) batch no bit changes: each clipped,
-    interpolated and priced value depends on its own pair only, and an
-    infeasible pair scored +inf there too.
-    """
-    lo, hi = corridor.bounds_at(k + 1)
-    lat = sc.lattice
-    controls = sc.control_set
-    m_up, m_dn = _children(lat, sc.driver_f, k, m_grid[None, :],
-                           controls[:, None])
-    tol = FEASIBILITY_TOL
-    feasible = ((m_up >= lo - tol) & (m_up <= hi + tol)
-                & (m_dn >= lo - tol) & (m_dn <= hi + tol))
-    any_feasible = np.any(feasible, axis=0)
-    if not np.all(any_feasible):
-        bad = int(np.argmin(any_feasible))
-        raise PrimalError(
-            f"no feasible control at level {k}, m = {float(m_grid[bad])!r}; "
-            "the zero control should prevent this"
-        )
-    kept = np.flatnonzero(feasible)
-    m_up, m_dn = m_up.take(kept), m_dn.take(kept)  # the feasible pairs only
-    up_c = np.clip(m_up, lo, hi)
-    dn_c = np.clip(m_dn, lo, hi)
-    clamps = int(np.count_nonzero((m_up != up_c) | (m_dn != dn_c)))
-    v_up = np.interp(up_c, next_grid, next_values)
-    v_dn = np.interp(dn_c, next_grid, next_values)
-    priced, _, _ = _one_step(sc.driver_g, lat.time_at(k), v_up, v_dn,
-                             lat.sqrt_dt, lat.dt, sc.scheme)
-    vals = np.full(feasible.shape, np.inf)
-    vals.put(kept, priced)
-    idx = np.argmin(vals, axis=0)  # controls are (|a|, a)-ordered: ties resolve small
-    return vals[idx, np.arange(vals.shape[1])], controls[idx], clamps
+    geo = _level_geometry(sc, corridor, k, m_grid)
+    return (*_price(sc, k, geo, next_grid, next_values), geo.clamps)
 
 
 def primal_value_dp(sc: PrimalScenario) -> ValueSurface:
-    """Backward sweep over the (level, m) states: one _backup per level."""
+    """Backward sweep over the (level, m) states: one _price per level, on
+    a geometry built again only when its key changes (_level_geometry)."""
     lat = sc.lattice
     _require_step_condition(lat, sc.driver_f, sc.scheme)
     _require_step_condition(lat, sc.driver_g, sc.scheme)
@@ -272,10 +338,12 @@ def primal_value_dp(sc: PrimalScenario) -> ValueSurface:
     values = [None] * n + [np.asarray(sc.loss.phi(grids[n]), dtype=float)]
     controls = [None] * n + [np.zeros_like(grids[n])]
     clamp_total = 0
+    geo = None
     for k in range(n - 1, -1, -1):
-        values[k], controls[k], clamps = _backup(
-            sc, corridor, k, grids[k], grids[k + 1], values[k + 1])
-        clamp_total += (k + 1) * clamps  # one count per node of the level
+        geo = _level_geometry(sc, corridor, k, grids[k], geo)
+        values[k], controls[k] = _price(sc, k, geo, grids[k + 1],
+                                        values[k + 1])
+        clamp_total += (k + 1) * geo.clamps  # one count per node of the level
     return ValueSurface(scenario=sc, corridor=corridor, grids=tuple(grids),
                         values=tuple(values), controls=tuple(controls),
                         clamp_events=clamp_total)
@@ -454,7 +522,11 @@ def _continuity_base_fits(lo: float, hi: float, base_m: float) -> bool:
 
 
 def continuity_modulus(surface: ValueSurface, base_m: float) -> dict:
-    """Fitted growth exponent of |V(m + h) - V(m)| over dyadic offsets."""
+    """Fitted growth exponent of |V(m + h) - V(m)| over dyadic offsets.
+
+    A NaN difference (every one when V(base_m) is NaN) is a failed fit,
+    status "fitted" with exponent NaN, never noise dropped from the fit.
+    """
     if surface.scenario.loss.phi_lipschitz is None:
         raise PrimalError("continuity check needs a Lipschitz loss map")
     offsets = CONTINUITY_OFFSETS
@@ -463,6 +535,9 @@ def continuity_modulus(surface: ValueSurface, base_m: float) -> dict:
         raise PrimalError("base point (plus largest offset) must stay in corridor")
     v0 = float(value_curve(surface, base_m)[0])
     diffs = np.abs(value_curve(surface, base_m + offsets) - v0)
+    if np.isnan(diffs).any():
+        return {"status": "fitted", "exponent": math.nan, "scale": math.nan,
+                "diffs": diffs}
     keep = diffs > 1e-9
     if int(np.count_nonzero(keep)) < 2:
         return {"status": "vacuous", "exponent": None, "diffs": diffs,
@@ -479,7 +554,10 @@ def dpp_check(surface: ValueSurface, k1: int, k2: int) -> dict:
     reproduce the surface exactly.  Multi-step re-samples the level-k2
     slice onto a half-spacing-shifted grid first, so the residual measures
     how much the dynamic-programming composition distorts an interpolated
-    intermediate surface (it shrinks with the grid spacing).
+    intermediate surface (it shrinks with the grid spacing).  Like
+    primal_value_dp, it builds a level's geometry only when the key
+    changes, and it builds its own: the residual is an independent
+    recomputation.
     """
     sc = surface.scenario
     n = sc.lattice.steps
@@ -494,8 +572,10 @@ def dpp_check(surface: ValueSurface, k1: int, k2: int) -> dict:
         v = np.interp(g, surface.grids[k2], v)
         mode = "multi_step"
 
+    geo = None
     for k in range(k2 - 1, k1 - 1, -1):
-        v = _backup(sc, surface.corridor, k, surface.grids[k], g, v)[0]
+        geo = _level_geometry(sc, surface.corridor, k, surface.grids[k], geo)
+        v = _price(sc, k, geo, g, v)[0]
         g = surface.grids[k]
 
     return {"residual": float(np.max(np.abs(v - surface.values[k1]))),

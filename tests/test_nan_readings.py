@@ -174,3 +174,34 @@ def test_a_nan_violation_fails_criterion_09(workspace, monkeypatch):
         lambda surface: NAN if surface.scenario.loss.name == "identity"
         else 0.0)
     _assert_fails(_criterion(9, workspace))
+
+
+def _nan_at_root_knot(surface, m):
+    """surface with a NaN value at its root grid point m."""
+    values = surface.values[0].copy()
+    assert np.count_nonzero(surface.grids[0] == m) == 1
+    values[surface.grids[0] == m] = NAN
+    return dataclasses.replace(surface, values=(values, *surface.values[1:]))
+
+
+# jensen's base point 0.3 is a root knot: a NaN there makes every
+# difference NaN.  0.305 is the knot above it, which only the fitted
+# offsets below the grid spacing read (0.3 + 2^-9 and its neighbours)
+@pytest.mark.parametrize("m", [0.3, 0.305])
+def test_a_nan_on_the_root_fails_continuity(workspace, m):
+    sc = workspace.scenario("jensen")
+    assert sc.continuity_base == 0.3
+    surface = _nan_at_root_knot(workspace.surface("jensen"), m)
+    _assert_fails(runner_mod._check_continuity({"scenario": sc,
+                                                "surface": surface}))
+
+
+@pytest.mark.parametrize("m", [0.3, 0.305])
+def test_a_nan_on_the_root_fails_criterion_10(workspace, monkeypatch, m):
+    surface = Workspace.surface
+
+    def nan_surface(self, name, grid_size=None):
+        out = surface(self, name, grid_size)
+        return _nan_at_root_knot(out, m) if name == "jensen" else out
+    monkeypatch.setattr(Workspace, "surface", nan_surface)
+    _assert_fails(_criterion(10, workspace))

@@ -321,9 +321,10 @@ def test_blocked_oracles_equal_the_full_references(monkeypatch, block):
 
 def test_weak_oracle_root_blocks_follow_the_one_pair_block(monkeypatch):
     """c07's three weak-oracle calls price no root-step batch of more than
-    _PAIR_BLOCK (up, down) class pairs, the block of the DP backup and of
-    convexity_check, whose float64 temporaries stay under glibc's default
-    128 KB mmap threshold."""
+    _PAIR_BLOCK (up, down) class pairs, the block of the DP geometry
+    build's (control, state) pairs, of the DP pricing's runs of kept pairs
+    and of convexity_check, whose float64 temporaries stay under glibc's
+    default 128 KB mmap threshold."""
     assert primal_mod._PAIR_BLOCK * 8 < 128 * 1024
     batches = []
 

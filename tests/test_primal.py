@@ -13,9 +13,9 @@ import weakbsde.primal as primal_mod
 from weakbsde.bsde import (_one_step, monotone_step_ok, solve_bsde,
                            solve_on_path_tree)
 from weakbsde.control import _children, _distinct_rows
-from weakbsde.drivers import make_driver, make_loss
+from weakbsde.drivers import Driver, make_driver, make_loss
 from weakbsde.lattice import build_lattice
-from weakbsde.runner import _check_attainment
+from weakbsde.runner import _check_attainment, execute
 from weakbsde.scenario import build_scenario
 from weakbsde.primal import (FEASIBILITY_TOL, PrimalError, PrimalScenario,
                              _backup,
@@ -681,12 +681,18 @@ def test_backup_names_the_first_infeasible_state(risk_surface):
 @pytest.mark.parametrize("block", [1, 21, 100])
 def test_backup_matches_in_blocks_of_any_size(risk_surface, monkeypatch,
                                               block):
-    # one state per block (a block smaller than the 21 controls, or just
-    # their size) and blocks that leave a remainder; the first infeasible
-    # state sits in the third block of one state each
+    # the geometry build runs one state per block (a block smaller than
+    # the 21 controls, or just their size) and blocks that leave a
+    # remainder, and the pricing runs of `block` kept pairs; the first
+    # infeasible state sits in the third block of one state each
+    residual = dpp_check(risk_surface, 0, 8)["residual"]
     monkeypatch.setattr(primal_mod, "_PAIR_BLOCK", block)
     _assert_every_level_matches(risk_surface)
     _assert_backup_names_the_first_infeasible_state(risk_surface)
+    # a sweep reuses one geometry built in these blocks
+    again = primal_value_dp(risk_surface.scenario)
+    _assert_same_surface(again, risk_surface)
+    _assert_same_bits(dpp_check(again, 0, 8)["residual"], residual)
 
 
 @settings(max_examples=60)
@@ -706,6 +712,12 @@ def test_control_major_backup_property(risk_surface, k, data):
 # the feasible-only DP against a DP of full-batch backups
 # ---------------------------------------------------------------------------
 
+def _assert_same_surface(a, b):
+    for level_a, level_b in zip(a.values + a.controls, b.values + b.controls):
+        _assert_same_bits(level_a, level_b)
+    assert a.clamp_events == b.clamp_events
+
+
 def _full_batch_dp(sc, surf):
     """Reference: the DP sweep over surf's grids with every level backed up
     by the full-batch state-major kernel; returns (values, controls,
@@ -720,26 +732,62 @@ def _full_batch_dp(sc, surf):
     return values, controls, clamps
 
 
+def _full_batch_dpp(surf, k1, k2):
+    """Reference: dpp_check's residual with every level backed up by the
+    full-batch state-major kernel."""
+    g, v = surf.grids[k2], surf.values[k2]
+    if k2 > k1 + 1:
+        g = np.unique(np.concatenate([g[:1], 0.5 * (g[:-1] + g[1:]), g[-1:]]))
+        v = np.interp(g, surf.grids[k2], v)
+    for k in range(k2 - 1, k1 - 1, -1):
+        v = _state_major_backup(surf.scenario, surf.corridor, k,
+                                surf.grids[k], g, v)[0]
+        g = surf.grids[k]
+    return float(np.max(np.abs(v - surf.values[k1])))
+
+
+def _t_scaled_neg_abs_z():
+    """-0.15 (1 + t) |z|: f(t, y, 0) = 0, so the corridor and the m-grids
+    are the same at every level, but f reads t, so f on the control set,
+    and with it the geometry's key, changes at every level."""
+    return Driver(name="t_scaled_neg_abs_z",
+                  fn=lambda t, y, z: -0.15 * (1.0 + t)
+                  * np.abs(np.asarray(z, float)),
+                  lipschitz_y=0.0, lipschitz_z=0.3)
+
+
 # (driver_f, driver_g): y-dependent f and g; y-dependent f only; y-dependent
-# g only
+# g only; then pairs whose f reads z alone with f(t, y, 0) = 0, so a sweep
+# reuses one geometry at every level; and the t-reading f, whose key
+# changes at every level
 SWEEP_DRIVERS = (
     (("linear", {"a": 0.1, "b": 0.05}), ("linear", {"a": 0.2, "b": 0.1})),
     (("linear", {"a": -0.3, "b": 0.1}), ("linear", {"a": 0.0, "b": -0.2})),
     (("linear", {"a": 0.0, "b": 0.1}), ("linear", {"a": -0.25, "b": 0.15})),
+    (("neg_abs_z", {"kappa": 0.3}), ("abs_z", {"kappa": 0.2})),
+    (("logcosh_z", {"kappa": 0.3, "sign": -1}), ("softplus_z", {"kappa": 0.2})),
+    (("zero", {}), ("zero", {})),
+    (_t_scaled_neg_abs_z, ("abs_z", {"kappa": 0.2})),
 )
 SWEEP_LOSSES = (("s_shaped", {}), ("power", {"p": 2.0}), ("identity", {}))
 
 
+def _sweep_driver(spec):
+    return spec() if callable(spec) else make_driver(spec[0], **spec[1])
+
+
 @pytest.mark.parametrize("steps", [3, 4, 6, 8])
 def test_feasible_only_dp_matches_full_batch_backups(steps):
-    # the backup prices only the feasible pairs, the reference every pair;
-    # every value, argmin control and clamp count must keep its bits
+    # the sweeps build a level's geometry once and price only its feasible
+    # pairs, the reference backs up every pair of every level afresh;
+    # every value, argmin control, clamp count and dpp residual must keep
+    # its bits
     for scheme, grid, (loss, params), (f, g) in itertools.product(
             ("explicit", "implicit"), (11, 41, 101), SWEEP_LOSSES,
             SWEEP_DRIVERS):
         sc = PrimalScenario(lattice=build_lattice(1.0, steps),
-                            driver_f=make_driver(f[0], **f[1]),
-                            driver_g=make_driver(g[0], **g[1]),
+                            driver_f=_sweep_driver(f),
+                            driver_g=_sweep_driver(g),
                             loss=make_loss(loss, **params), grid_size=grid,
                             n_a=9, scheme=scheme)
         surf = primal_value_dp(sc)
@@ -748,6 +796,95 @@ def test_feasible_only_dp_matches_full_batch_backups(steps):
         for k in range(steps):
             _assert_same_bits(surf.controls[k], controls[k])
             _assert_same_bits(surf.values[k], values[k])
+        for k2 in (1, steps):
+            _assert_same_bits(dpp_check(surf, 0, k2)["residual"],
+                              _full_batch_dpp(surf, 0, k2))
+
+
+def _geometry_builds(monkeypatch) -> list:
+    """The states of every _geometry build from now on, one list each."""
+    builds = []
+    build = primal_mod._geometry
+
+    def spy(sc, k, bounds, blocks, key):
+        builds.append(np.concatenate([m[0] for m, _ in blocks]))
+        return build(sc, k, bounds, blocks, key)
+    monkeypatch.setattr(primal_mod, "_geometry", spy)
+    return builds
+
+
+def test_a_sweep_builds_a_level_constant_geometry_once(monkeypatch):
+    # the benchmark surface pair: f reads z alone with f(t, y, 0) = 0, so
+    # the corridor bounds, the m-grid and f on the control set are the
+    # same at every level, and each sweep builds the geometry once; the
+    # restriction check's sub-DP builds its own
+    surf = primal_value_dp(_scenario(steps=16, grid=601, n_a=41,
+                                     f=("neg_abs_z", {"kappa": 0.3}),
+                                     g=("abs_z", {"kappa": 0.2})))
+    builds = _geometry_builds(monkeypatch)
+    again = primal_value_dp(surf.scenario)
+    assert len(builds) == 1
+    _assert_same_bits(builds[0], surf.grids[0])
+    _assert_same_surface(again, surf)
+    for check in (lambda: dpp_check(surf, 0, 1), lambda: dpp_check(surf, 0, 16),
+                  lambda: restriction_check(surf, 1)):
+        builds.clear()
+        check()
+        assert len(builds) == 1
+    # the greedy plan's rows change at every level: one build per level
+    builds.clear()
+    attainment_check(surf, [0.25, 0.5, 0.75])
+    assert [b.size for b in builds] == [3] * 16
+
+
+def test_a_sweep_rebuilds_the_geometry_when_its_key_changes(monkeypatch):
+    # linear f with a != 0 moves the corridor at every level, and the
+    # t-reading f changes f on the control set: one build per level
+    builds = _geometry_builds(monkeypatch)
+    for f in (make_driver("linear", a=0.1, b=0.05), _t_scaled_neg_abs_z()):
+        sc = PrimalScenario(lattice=build_lattice(1.0, 6), driver_f=f,
+                            driver_g=make_driver("abs_z", kappa=0.2),
+                            loss=make_loss("power", p=2.0), grid_size=41,
+                            n_a=9)
+        builds.clear()
+        surf = primal_value_dp(sc)
+        assert len(builds) == 6
+        builds.clear()
+        dpp_check(surf, 0, 6)
+        assert len(builds) == 6
+
+
+def test_the_geometry_key_holds_the_next_levels_bounds(risk_surface):
+    # level 3's geometry reads the level-4 corridor: the same states and
+    # f values under a wider level-4 ceiling keep more pairs
+    sc, corridor = risk_surface.scenario, risk_surface.corridor
+    m = risk_surface.grids[3]
+    geo = primal_mod._level_geometry(sc, corridor, 3, m)
+    assert primal_mod._level_geometry(sc, corridor, 3, m, geo) is geo
+    ceiling = corridor.ceiling.copy()
+    ceiling[4] += 1e-3
+    wider = dataclasses.replace(corridor, ceiling=ceiling)
+    other = primal_mod._level_geometry(sc, wider, 3, m, geo)
+    assert other.kept.size > geo.kept.size
+
+
+def test_surface_execute_builds_four_full_geometries(monkeypatch, tmp_path):
+    # the DP, the two dpp sweeps and the restriction sub-DP, once each; the
+    # greedy plan's sixteen small builds hold the thresholds' rows
+    sc = build_scenario({
+        "name": "surface_shaped",
+        "lattice": {"horizon": 1.0, "steps": 16},
+        "driver_f": {"name": "neg_abs_z", "params": {"kappa": 0.3}},
+        "driver_g": {"name": "abs_z", "params": {"kappa": 0.2}},
+        "loss": {"name": "power", "params": {"p": 2.0}},
+        "primal": {"grid_size": 601, "n_a": 41,
+                   "m_list": [0.1, 0.3, 0.5, 0.7, 0.9]},
+        "dual": {"enabled": False},
+        "checks": ["attainment", "dpp", "restriction"],
+    })
+    builds = _geometry_builds(monkeypatch)
+    execute(sc, str(tmp_path), quiet=True)
+    assert sorted(b.size for b in builds) == [5] * 16 + [601] * 4
 
 
 def test_control_sets_hold_each_nodes_ordered_controls(risk_surface):
