@@ -25,7 +25,8 @@ from .primal import (GreedyPlan, PrimalError, PrimalScenario, ValueSurface,
                      monotonicity_violation, primal_value_dp,
                      restriction_check, two_point_envelope, value_curve)
 from .dual import (DualControls, DualFeasibilityError, dual_bound,
-                   dual_objective, dual_value, first_order_residuals)
+                   dual_objective, dual_value, first_order_residuals,
+                   slope_searches, window_search)
 from .scenario import (Scenario, ScenarioError, build_scenario, catalogue,
                        catalogue_scenario)
 from .runner import execute
@@ -48,7 +49,7 @@ __all__ = [
     "dpp_check", "greedy_plan", "monotonicity_violation", "primal_value_dp",
     "restriction_check", "two_point_envelope", "value_curve",
     "DualControls", "DualFeasibilityError", "dual_bound", "dual_objective",
-    "dual_value", "first_order_residuals",
+    "dual_value", "first_order_residuals", "slope_searches", "window_search",
     "Scenario", "ScenarioError", "build_scenario", "catalogue",
     "catalogue_scenario",
     "execute",

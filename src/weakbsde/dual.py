@@ -41,28 +41,34 @@ A candidate that leaves a conjugate domain, or whose lower step factor
 1 + drift dt - |noise| sqrt(dt) drops below POSITIVITY_MARGIN, scores
 +inf in a search and raises in dual_objective.
 
-dual_value minimizes the certificate over the constants at a fixed
-slope: from _feasible_start, each of `rounds` rounds scores the whole
+window_search minimizes the certificate over the constants at each slope
+of a list: from _feasible_start, each of `rounds` rounds scores the whole
 product window over the axes on which the driver has a nonzero
 Lipschitz constant w, which bounds that axis of the conjugate domain
-(WINDOW_POINTS points per axis, half-width w / 4^r, clipped to [-w, w])
-in one _scores call, and moves to the window's first strict minimum;
-NaN never wins.  The result is an upper bound on the true
-infimum, which keeps the inequality safe.  dual_bound maximizes
+(WINDOW_POINTS points per axis, half-width w / 4^r, clipped to [-w, w]),
+and moves to the window's first strict minimum; NaN never wins.  A round
+scores the windows of all its slopes in one _scores call with a slope per
+column, round 0 the start as well, and each slope keeps its own incumbent
+and counters, so a slope's result has the bits of a search at it alone;
+dual_value is the one-slope case.  The result is an upper bound on the
+true infimum, which keeps the inequality safe.  dual_bound maximizes
 l m - dual_value(l) over l.  Where the loss polar is smooth
 (LossPair.polar_grad is set) the certificate is smooth in l, and Brent's
 bounded method (_brent) reaches a bound at least as high as golden
 section's in 7-10 pricings instead of 34.  Where the polar is piecewise
 linear the certificate is kinked and Brent's bound can come out up to
-about 1e-7 lower, so golden-section search (_golden_section) stays there;
-dual_bound picks one of the two.
+about 1e-7 lower, so golden-section search (_golden_section) stays there.
 
 A slope's certificate does not depend on the threshold m, so the slope
-searches of several thresholds can share one slope -> certificate dict.
-Each search is a plain optimiser that calls a price(l) function:
-dual_bound prices a slope the dict lacks with dual_value, stores it there
-and records it in the trace, so runner.dual_bounds runs each threshold's
-search once over one shared dict and prices each distinct slope once.
+searches of several thresholds share one slope -> certificate dict.  Each
+search is a generator that yields a slope and is sent its certificate.
+slope_searches runs the searches of a list of thresholds in lockstep:
+each step answers every search from the dict until it asks for a slope
+the dict lacks, then prices all those slopes in one window_search.
+dual_bound is slope_searches on one threshold.  runner.dual_bounds runs
+the lockstep over a scenario's thresholds and then calls dual_bound per
+threshold over the filled dict, which prices nothing more and returns the
+threshold's trace.
 """
 from __future__ import annotations
 
@@ -74,7 +80,7 @@ import numpy as np
 from .drivers import (ConjugateDomainError, Driver, LossPair,
                       concave_conjugate, convex_conjugate)
 from .lattice import Lattice
-from .primal import ValueSurface, _row_costs, greedy_plan
+from .primal import _PAIR_BLOCK, ValueSurface, _row_costs, greedy_plan
 
 POSITIVITY_MARGIN = 1e-6
 GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -163,35 +169,47 @@ def _node_adjoint(lattice: Lattice, drift, noise) -> np.ndarray:
     return _powers(base + jump, n) * _powers(base - jump, n)[:, ::-1]
 
 
-def _certificates(lattice: Lattice, slope: float, cand: np.ndarray, gt,
+def _certificates(lattice: Lattice, slope: np.ndarray, cand: np.ndarray, gt,
                   ft, lp: LossPair) -> np.ndarray:
-    """The certificate of each candidate column (u, v, p, q) of cand, whose
-    conjugates are gt and ft, as the sum over the N + 1 nodes of the
-    module docstring.  Every candidate is priced on its own row with
-    elementwise products and row sums, so a candidate's bits do not
-    depend on the others scored with it."""
+    """The certificate of each candidate column (u, v, p, q) of cand at its
+    own slope (one per column), whose conjugates are gt and ft, as the sum
+    over the N + 1 nodes of the module docstring.  One power table holds
+    the six bases of a column: the growth bases 1 + u dt and 1 + p dt, and
+    the up and down factors of L and A.  Every candidate is priced on its
+    own row with elementwise products and row sums, so a candidate's bits
+    do not depend on the others scored with it."""
     n, dt = lattice.steps, lattice.dt
     u, v, p, q = cand
-    growth = [np.sum(_powers(1.0 + drift * dt, n - 1), axis=-1)
-              for drift in (u, p)]
-    running = growth[0] * gt - slope * growth[1] * ft
-    l_end = _node_adjoint(lattice, u, v)
-    ratio = slope * _node_adjoint(lattice, p, q) / l_end
+    growth = 1.0 + np.array([u, p]) * dt
+    jump = np.array([v, q]) * lattice.sqrt_dt
+    table = _powers(np.concatenate([growth, growth + jump, growth - jump])
+                    .ravel(), n).reshape(6, u.size, n + 1)
+    grown = np.sum(table[:2, :, :n], axis=-1)
+    running = grown[0] * gt - slope * grown[1] * ft
+    l_end = table[2] * table[4][:, ::-1]
+    ratio = slope[:, None] * (table[3] * table[5][:, ::-1]) / l_end
     polar = np.asarray(lp.polar(ratio.ravel()), dtype=float)
     weights = np.array([math.comb(n, j) for j in range(n + 1)]) / 2.0**n
     terminal = l_end * polar.reshape(ratio.shape) * weights
     return dt * running + np.sum(terminal, axis=-1)
 
 
-def _scores(lattice: Lattice, slope: float, cand: np.ndarray, d_f: Driver,
+def _scores(lattice: Lattice, slope, cand: np.ndarray, d_f: Driver,
             d_g: Driver, lp: LossPair) -> np.ndarray:
-    """_certificates of the candidate columns of cand, +inf for a column
-    that leaves a conjugate domain or the positivity margin."""
+    """_certificates of the candidate columns of cand at slope, one number
+    or one per column; +inf for a column that leaves a conjugate domain or
+    the positivity margin.  The feasible columns are priced in blocks whose
+    power table holds at most _PAIR_BLOCK entries."""
     gt, ft = _conjugates(cand, d_f, d_g)
     ok = _margin_ok(lattice, cand) & np.isfinite(gt) & np.isfinite(ft)
+    slope = np.broadcast_to(slope, ok.shape)
     scores = np.full(ok.shape, math.inf)
-    scores[ok] = _certificates(lattice, slope, cand[:, ok], gt[ok], ft[ok],
-                               lp)
+    cols = np.flatnonzero(ok)
+    block = max(1, _PAIR_BLOCK // (6 * (lattice.steps + 1)))
+    for s in range(0, cols.size, block):
+        c = cols[s:s + block]
+        scores[c] = _certificates(lattice, slope[c], cand[:, c], gt[c], ft[c],
+                                  lp)
     return scores
 
 
@@ -217,7 +235,8 @@ def dual_objective(lattice: Lattice, dc: DualControls, d_f: Driver,
                    d_g: Driver, lp: LossPair) -> float:
     """Exact certificate value of one candidate, on the N + 1 nodes."""
     cand, gt, ft = _checked(lattice, dc, d_f, d_g)
-    return float(_certificates(lattice, dc.slope, cand, gt, ft, lp)[0])
+    return float(_certificates(lattice, np.array([dc.slope]), cand, gt, ft,
+                               lp)[0])
 
 
 def _feasible_start(d: Driver, kind: str) -> tuple:
@@ -234,9 +253,9 @@ def _feasible_start(d: Driver, kind: str) -> tuple:
     )
 
 
-def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
-               lp: LossPair, rounds: int = 3) -> dict:
-    """Window search over the four constants at fixed slope.
+def window_search(lattice: Lattice, slopes, d_f: Driver, d_g: Driver,
+                  lp: LossPair, rounds: int) -> list:
+    """Window search over the four constants at each slope of slopes.
 
     Starts from _feasible_start on both conjugate domains.  Round r scores
     the product of one window per axis whose driver has a nonzero
@@ -244,67 +263,104 @@ def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
     c + w / 4^r] around the incumbent's c, clipped to [-w, w]), leaving
     out the incumbent itself, and moves to the first window point of least
     score when that score is strictly below the incumbent's; a NaN score
-    never wins.  The search stops early once a window holds nothing but the
-    incumbent.  The result is an upper bound on the true infimum, so lower
-    bounds built from it remain valid.  n_evaluations counts certificates
-    scored, the start included; n_accepted counts moves.
+    never wins.  A slope's search stops early once its window holds
+    nothing but the incumbent.  Each result is an upper bound on the true
+    infimum, so lower bounds built from it remain valid.  n_evaluations
+    counts certificates scored, the start included; n_accepted counts
+    moves.
+
+    A round scores the windows of every slope still searching in one
+    _scores call, round 0 the start too.  One linspace gives each window
+    the points of a linspace of its own (its step (hi - lo) / 8 is exact
+    wherever it is normal), so each result has the bits of a search at its
+    slope alone.
     """
-    best_at = np.array([*_feasible_start(d_g, "convex"),
-                        *_feasible_start(d_f, "concave")])
+    ls = np.asarray(slopes, dtype=float)
+    best_at = np.repeat([[*_feasible_start(d_g, "convex"),
+                          *_feasible_start(d_f, "concave")]], ls.size, axis=0).T
     widths = np.array([d_g.lipschitz_y, d_g.lipschitz_z,
                        d_f.lipschitz_y, d_f.lipschitz_z])
     axes = np.flatnonzero(widths > 0.0)
-    best = _scores(lattice, l, best_at[:, None], d_f, d_g, lp)[0]
-    if not np.isfinite(best):
-        raise ConjugateDomainError("certificate infinite at the starting "
-                                   "constants")
-    evaluations, accepted = 1, 0
-    for rnd in range(rounds if axes.size else 0):
-        half = widths[axes] / 4.0**rnd
-        windows = [np.unique(np.clip(np.linspace(c - h, c + h, WINDOW_POINTS),
-                                     -w, w))
-                   for c, h, w in zip(best_at[axes], half, widths[axes])]
-        cand = np.repeat(best_at[:, None], math.prod(map(len, windows)),
-                         axis=1)
-        cand[axes] = [x.ravel() for x in np.meshgrid(*windows, indexing="ij")]
-        cand = cand[:, np.any(cand != best_at[:, None], axis=0)]
-        if not cand.size:
-            break   # the window has shrunk onto the incumbent's bits
-        scores = _scores(lattice, l, cand, d_f, d_g, lp)
-        evaluations += scores.size
-        won = int(np.argmin(np.where(np.isnan(scores), math.inf, scores)))
-        if scores[won] < best:
-            best, best_at = scores[won], cand[:, won]
-            accepted += 1
-    return {
-        "value": float(best),
-        "controls": DualControls(l, *best_at),
-        "n_evaluations": evaluations,
-        "n_accepted": accepted,
-    }
+    w = widths[axes, None]
+    n_rounds = rounds if axes.size else 0
+    # each window point's index along the open axes, the first axis slowest
+    grid = np.indices((WINDOW_POINTS,) * axes.size).reshape(
+        axes.size, WINDOW_POINTS**axes.size)
+    evaluations, accepted = np.zeros((2, ls.size), dtype=int)
+    live = np.arange(ls.size)
+    for rnd in range(max(n_rounds, 1)):
+        centre = best_at[:, live]
+        cand = np.repeat(centre[:, :, None], grid.shape[1], axis=2)
+        keep = np.full(cand.shape[1:], rnd < n_rounds)
+        if rnd < n_rounds:
+            pts = np.clip(np.linspace(centre[axes] - w / 4.0**rnd,
+                                      centre[axes] + w / 4.0**rnd,
+                                      WINDOW_POINTS, axis=-1),
+                          -w[..., None], w[..., None])
+            fresh = np.ones(pts.shape, dtype=bool)
+            fresh[..., 1:] = pts[..., 1:] != pts[..., :-1]
+            for i, (axis, idx) in enumerate(zip(axes, grid)):
+                cand[axis] = pts[i][:, idx]
+                keep &= fresh[i][:, idx]
+            keep &= np.any(cand != centre[:, :, None], axis=0)
+        cols = cand.reshape(4, -1)[:, keep.ravel()]
+        col_slopes = np.repeat(ls[live], keep.sum(axis=1))
+        if rnd == 0:
+            cols = np.hstack([best_at, cols])
+            col_slopes = np.concatenate([ls, col_slopes])
+        scores = _scores(lattice, col_slopes, cols, d_f, d_g, lp)
+        if rnd == 0:
+            best, scores = scores[:ls.size], scores[ls.size:]
+            if not np.all(np.isfinite(best)):
+                raise ConjugateDomainError("certificate infinite at the "
+                                           "starting constants")
+            evaluations += 1
+        evaluations[live] += keep.sum(axis=1)
+        window = np.full(keep.shape, math.inf)
+        window[keep] = np.where(np.isnan(scores), math.inf, scores)
+        rows, won = np.arange(live.size), np.argmin(window, axis=1)
+        moved = window[rows, won] < best[live]
+        best[live[moved]] = window[rows, won][moved]
+        best_at[:, live[moved]] = cand[:, rows[moved], won[moved]]
+        accepted[live[moved]] += 1
+        live = live[keep.any(axis=1)]   # a collapsed window ends its search
+        if not live.size:
+            break
+    return [{"value": float(best[i]),
+             "controls": DualControls(l, *best_at[:, i]),
+             "n_evaluations": int(evaluations[i]),
+             "n_accepted": int(accepted[i])} for i, l in enumerate(slopes)]
 
 
-def _golden_section(price, m: float, lo: float, hi: float, tol: float):
-    """Golden-section maximization of l*m - price(l) over [lo, hi]."""
+def dual_value(lattice: Lattice, l: float, d_f: Driver, d_g: Driver,
+               lp: LossPair, rounds: int = 3) -> dict:
+    """window_search at the one slope l."""
+    return window_search(lattice, [l], d_f, d_g, lp, rounds)[0]
+
+
+def _golden_section(m: float, lo: float, hi: float, tol: float):
+    """Golden-section maximization of l*m - certificate(l) over [lo, hi]:
+    a generator that yields each slope to price and is sent back its
+    certificate."""
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
-    f1 = x1 * m - price(x1)
-    f2 = x2 * m - price(x2)
+    f1 = x1 * m - (yield x1)
+    f2 = x2 * m - (yield x2)
     while hi - lo > tol:
         if f1 < f2:
             lo, x1, f1 = x1, x2, f2
             x2 = lo + GOLDEN * (hi - lo)
-            f2 = x2 * m - price(x2)
+            f2 = x2 * m - (yield x2)
         else:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN * (hi - lo)
-            f1 = x1 * m - price(x1)
+            f1 = x1 * m - (yield x1)
 
 
-def _brent(price, m: float, a: float, b: float, tol: float):
-    """Brent's bounded minimization of price(l) - l*m over [a, b]
+def _brent(m: float, a: float, b: float, tol: float):
+    """Brent's bounded minimization of certificate(l) - l*m over [a, b]
     (R. P. Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 5).
+    ch. 5), a generator like _golden_section.
 
     x is the best slope so far, w the second best and v the one before w.
     A step goes to the vertex of the parabola through the three when it
@@ -314,7 +370,7 @@ def _brent(price, m: float, a: float, b: float, tol: float):
     search stops once the bracket lies within 2 tol1 of x.
     """
     x = w = v = a + GOLDEN_STEP * (b - a)
-    fx = fw = fv = price(x) - x * m
+    fx = fw = fv = (yield x) - x * m
     d = e = 0.0
     while True:
         mid = 0.5 * (a + b)
@@ -342,7 +398,7 @@ def _brent(price, m: float, a: float, b: float, tol: float):
             e = (a if x >= mid else b) - x
             d = GOLDEN_STEP * e
         u = x - max(-d, tol1) if d < 0.0 else x + max(d, tol1)
-        fu = price(u) - u * m
+        fu = (yield u) - u * m
         if fu <= fx:
             if u >= x:
                 a = x
@@ -360,39 +416,61 @@ def _brent(price, m: float, a: float, b: float, tol: float):
                 v, fv = u, fu
 
 
+def slope_searches(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
+                   m_list, l_max: float, rounds: int,
+                   certificates: dict) -> list:
+    """The slope trace of each threshold of m_list, its searches run in
+    lockstep over the slope -> certificate dict certificates, which gains
+    the slopes priced in place: Brent's method where the loss polar is
+    smooth (lp.polar_grad is set), golden section where it is piecewise
+    linear.  Each step answers every search from the dict until it asks
+    for a slope the dict lacks, then prices those in one window_search.
+    """
+    if not SLOPE_FLOOR < l_max < math.inf:
+        raise DualFeasibilityError(
+            f"l_max must be finite and above {SLOPE_FLOOR}, got {l_max!r}")
+    search = _golden_section if lp.polar_grad is None else _brent
+    traces = [[] for _ in m_list]
+    pending = []
+    for m, trace in zip(m_list, traces):
+        gen = search(m, SLOPE_FLOOR, float(l_max), SLOPE_TOL)
+        pending.append((gen, trace, next(gen)))
+    while True:
+        waiting = []
+        for gen, trace, l in pending:
+            try:
+                while l in certificates:
+                    trace.append((l, certificates[l]))
+                    l = gen.send(certificates[l])
+            except StopIteration:
+                continue
+            waiting.append((gen, trace, l))
+        if not waiting:
+            return traces
+        new = list(dict.fromkeys(l for _, _, l in waiting))
+        for l, res in zip(new, window_search(lattice, new, d_f, d_g, lp,
+                                             rounds)):
+            certificates[l] = res["value"]
+        pending = waiting
+
+
 def dual_bound(lattice: Lattice, d_f: Driver, d_g: Driver, lp: LossPair,
                m: float, l_max: float = 4.0, rounds: int = 3,
                certificates: dict | None = None) -> dict:
     """Maximization of l*m - certificate(l) over l in [SLOPE_FLOOR, l_max]:
-    Brent's method where the loss polar is smooth (lp.polar_grad is set),
-    golden section where it is piecewise linear; the module docstring says
-    why both stay.
+    slope_searches run on the one threshold m.
 
     The trace records every (l, certificate) pair the search evaluated;
     each one is a standalone valid lower bound, so the reported bound is
     the best value ever seen, not just the final bracket midpoint.
 
     certificates is a slope -> certificate dict shared by searches on the
-    same lattice, drivers, loss and rounds; a slope it lacks is priced with
-    dual_value and added to it in place.  Without it the search starts an
-    empty one of its own.
+    same lattice, drivers, loss and rounds; a slope it lacks is priced and
+    added to it in place.  Without it the search starts an empty one of its
+    own.
     """
-    if not SLOPE_FLOOR < l_max < math.inf:
-        raise DualFeasibilityError(
-            f"l_max must be finite and above {SLOPE_FLOOR}, got {l_max!r}")
-    if certificates is None:
-        certificates = {}
-    trace = []
-
-    def price(l):
-        if l not in certificates:
-            certificates[l] = dual_value(lattice, l, d_f, d_g, lp,
-                                         rounds=rounds)["value"]
-        trace.append((l, certificates[l]))
-        return certificates[l]
-
-    search = _golden_section if lp.polar_grad is None else _brent
-    search(price, m, SLOPE_FLOOR, float(l_max), SLOPE_TOL)
+    (trace,) = slope_searches(lattice, d_f, d_g, lp, [m], l_max, rounds,
+                              {} if certificates is None else certificates)
     best_idx = max(range(len(trace)), key=lambda i: trace[i][0] * m - trace[i][1])
     l_star, cert = trace[best_idx]
     return {

@@ -100,9 +100,10 @@ CURVE_TOL = 1e-9
 # dyadic offsets h of the continuity fit |V(m + h) - V(m)|
 CONTINUITY_OFFSETS = 2.0 ** -np.arange(3, 10)
 # most pairs a blocked pass holds at once, the DP geometry's (control,
-# state) and its pricing's kept pairs, convexity_check's (m1, m2) and the
-# leaf search's root (up, down) class pairs: 64 KB per float64 temporary,
-# under glibc's default 128 KB mmap threshold
+# state) and its pricing's kept pairs, convexity_check's (m1, m2), the
+# leaf search's root (up, down) class pairs and the entries of the dual
+# kernel's power table: 64 KB per float64 temporary, under glibc's default
+# 128 KB mmap threshold
 _PAIR_BLOCK = 2**13
 # spacing of the envelope oracle's grid on [0, 1]
 ENVELOPE_STEP = 1e-3

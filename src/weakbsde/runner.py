@@ -36,7 +36,7 @@ import numpy as np
 from . import __version__
 from .bsde import comparison_check
 from .control import admissible, representation_roundtrip, simulate_rows
-from .dual import dual_bound
+from .dual import dual_bound, slope_searches
 from .primal import (ORACLE_MAX_LEVELS, apriori_bound_check, attainment_check,
                      brute_force_policy_value, brute_force_weak_formulation,
                      continuity_modulus, convexity_check, dpp_check,
@@ -344,13 +344,16 @@ def _in_stage(stage: str, exc: Exception) -> Exception:
 def dual_bounds(sc: Scenario) -> list:
     """(m, dual_bound result) for each threshold of sc.dual_m_list, in order.
 
-    Each threshold's slope search runs once, and the searches share one
-    slope -> certificate dict, which lives only as long as this call: a
-    certificate does not depend on the threshold, but it does on the
-    lattice, drivers, loss and rounds of the scenario.  A search prices
-    only the slopes that the searches before it left out of the dict.
+    The thresholds' slope searches run in lockstep over one slope ->
+    certificate dict, which lives only as long as this call: a certificate
+    does not depend on the threshold, but it does on the lattice, drivers,
+    loss and rounds of the scenario.  Each distinct slope is priced once,
+    and each lockstep step prices its new slopes in one batch; the
+    dual_bound call per threshold then only reads the dict.
     """
     certificates = {}
+    slope_searches(sc.lattice, sc.driver_f, sc.driver_g, sc.loss,
+                   sc.dual_m_list, sc.l_max, sc.dual_rounds, certificates)
     return [(m, dual_bound(sc.lattice, sc.driver_f, sc.driver_g, sc.loss, m,
                            l_max=sc.l_max, rounds=sc.dual_rounds,
                            certificates=certificates))

@@ -437,7 +437,8 @@ def test_dual_value_counts_moves_and_never_rescores_the_old_incumbent(
         monkeypatch):
     # three rounds of 9 x 9 windows on (v, q), each without its incumbent;
     # a window's middle point need not carry the incumbent's bits, so a
-    # round scores 80 or 81 certificates
+    # round scores 80 or 81 certificates; round 0's call also scores the
+    # start, its first column
     f, g = _pair(SMOOTH_PAIR)
     lat = build_lattice(1.0, 8)
     lp = make_loss("power", p=2.0)
@@ -452,16 +453,17 @@ def test_dual_value_counts_moves_and_never_rescores_the_old_incumbent(
     res = dual_value(lat, 1.0, f, g, lp)
     assert res["n_evaluations"] == 242 == sum(c.shape[1] for c in seen)
     assert res["n_accepted"] == 3
+    assert len(seen) == 3
     # a window never holds the incumbent it was built around
     incumbent = seen[0][:, 0]
-    for cand in seen[1:]:
+    assert incumbent.tolist() == [0.0] * 4
+    for cand in [seen[0][:, 1:], *seen[1:]]:
         assert not np.any(np.all(cand == incumbent[:, None], axis=0))
         values = [_single(lat, 1.0, c, f, g, lp) for c in cand.T]
         best = int(np.argmin(values))
         if values[best] < _single(lat, 1.0, incumbent, f, g, lp):
             incumbent = cand[:, best]
     assert res["controls"] == DualControls(1.0, *incumbent)
-
 
 
 def test_dual_value_stops_once_its_window_collapses():
@@ -474,6 +476,72 @@ def test_dual_value_stops_once_its_window_collapses():
     assert res == dual_value(lat, 1.0, f, g, lp, rounds=30)
     assert res["n_evaluations"] < 30 * 81
     assert res["value"] < dual_value(lat, 1.0, f, g, lp)["value"]
+
+
+# (drivers, steps, rounds, slopes): the smooth pair, the kinked risk pair,
+# point domains, the box pair's four open axes and infeasible candidates,
+# windows that collapse in rounds 30, 29, 33 and 40, and open axes with no
+# round
+BATCHES = {
+    "smooth": (lambda: _pair(SMOOTH_PAIR), 8, 3, (0.3, 1.0, 1.7, 3.2)),
+    "kinked": (lambda: _pair(RISK_PAIR), 6, 3, (0.5, 1.0, 1.5)),
+    "point_domains": (lambda: (make_driver("zero"), make_driver("zero")), 8,
+                      3, (0.5, 1.0, 2.0)),
+    "box": (lambda: _box_pair(), 4, 2, (0.6, 1.1)),
+    "collapse": (lambda: _pair(SMOOTH_PAIR), 8, 48, (1.0, 1.3, 2.5, 3.6)),
+    "no_rounds": (lambda: _pair(SMOOTH_PAIR), 8, 0, (0.5, 1.0)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BATCHES))
+def test_window_search_keeps_each_slopes_bits(case):
+    drivers, steps, rounds, slopes = BATCHES[case]
+    f, g = drivers()
+    lat = build_lattice(1.0, steps)
+    lp = make_loss("power", p=2.0)
+    batched = dual_mod.window_search(lat, slopes, f, g, lp, rounds)
+    alone = [dual_value(lat, l, f, g, lp, rounds=rounds) for l in slopes]
+    assert batched == alone
+    evaluations = [res["n_evaluations"] for res in batched]
+    if case in ("point_domains", "no_rounds"):
+        assert evaluations == [1] * len(slopes)
+    if case == "collapse":
+        # each window shrank onto its incumbent in a round of its own
+        assert len(set(evaluations)) == len(slopes)
+        assert alone == [dual_value(lat, l, f, g, lp, rounds=41)
+                         for l in slopes]
+
+
+@pytest.mark.parametrize("spec, steps, rounds", [(SMOOTH_PAIR, 4, 2),
+                                                 (RISK_PAIR, 6, 3)])
+def test_window_search_reproduces_golden_bits_in_one_batch(spec, steps,
+                                                           rounds):
+    rows = [row for row in GOLDEN_DUAL_VALUES
+            if row[:3] == (spec, steps, rounds)]
+    f, g = _pair(spec)
+    got = dual_mod.window_search(build_lattice(1.0, steps),
+                                 [row[3] for row in rows], f, g,
+                                 make_loss("power", p=2.0), rounds)
+    assert [(res["value"], res["controls"]) for res in got] == \
+        [(value, DualControls(slope, *profiles))
+         for _, _, _, slope, value, profiles in rows]
+
+
+def test_window_search_raises_on_an_infinite_start_as_a_lone_slope():
+    # a polar that is +inf above 1.5: at the start both adjoints are 1, so
+    # slope 2's start certificate is infinite and slope 0.5's is not
+    base = make_loss("power", p=2.0)
+    lp = dataclasses.replace(base, polar_fn=lambda r: np.where(
+        r > 1.5, np.inf, base.polar_fn(r)))
+    f, g = _pair(SMOOTH_PAIR)
+    lat = build_lattice(1.0, 4)
+    assert math.isfinite(dual_value(lat, 0.5, f, g, lp)["value"])
+    with pytest.raises(ConjugateDomainError) as alone:
+        dual_value(lat, 2.0, f, g, lp)
+    with pytest.raises(ConjugateDomainError) as batched:
+        dual_mod.window_search(lat, [0.5, 2.0], f, g, lp, 3)
+    assert str(batched.value) == str(alone.value)
+    assert "starting constants" in str(alone.value)
 
 
 def _box_pair():
@@ -712,11 +780,16 @@ def _nan_edged_power():
     return dataclasses.replace(base, polar_fn=polar)
 
 
-@pytest.mark.parametrize("case", ["ties", "nans", "smooth"])
+@pytest.mark.parametrize("case", ["ties", "nans", "smooth", "clipped"])
 def test_descent_keeps_the_in_order_strict_improvements(case):
     lat = build_lattice(1.0, 4)
     if case == "ties":
         (f, g), lp, slopes = _flat_pair(), make_loss("identity"), (0.1, 0.15)
+    elif case == "clipped":
+        # round 0 moves v or q to the edge of its domain, so round 1's
+        # window is clipped there and holds repeated points
+        (f, g), lp, slopes = _pair(RISK_PAIR), make_loss("identity"), \
+            (1.1, 1.7)
     elif case == "nans":
         (f, g), lp, slopes = _pair(SMOOTH_PAIR), _nan_edged_power(), (1.0,)
     else:
@@ -737,15 +810,16 @@ def test_descent_keeps_the_in_order_strict_improvements(case):
 
 
 def _count_priced_slopes(monkeypatch):
-    """Every slope priced: dual_bound prices each one with dual_value."""
+    """Every slope priced: the searches price each one through the batched
+    window_search."""
     calls = []
-    original = dual_mod.dual_value
+    original = dual_mod.window_search
 
-    def counted(lattice, l, *args, **kwargs):
-        calls.append(l)
-        return original(lattice, l, *args, **kwargs)
+    def counted(lattice, slopes, *args, **kwargs):
+        calls.extend(slopes)
+        return original(lattice, slopes, *args, **kwargs)
 
-    monkeypatch.setattr(dual_mod, "dual_value", counted)
+    monkeypatch.setattr(dual_mod, "window_search", counted)
     return calls
 
 
@@ -770,7 +844,7 @@ def test_shared_certificates_price_each_slope_once(monkeypatch):
         assert certificates == {**before, **dict(want["trace"])}
         assert priced[len(before):] == \
             [l for l in dict(want["trace"]) if l not in before]
-    # across thresholds each distinct slope reached dual_value once
+    # across thresholds each distinct slope was priced once
     assert len(priced) == len(set(priced)) == len(certificates)
     assert certificates == {l: c for res in alone for l, c in res["trace"]}
     assert len(priced) < sum(res["n_slope_evaluations"] for res in alone)
@@ -859,6 +933,39 @@ def test_workspace_shares_certificates_within_a_scenario_only(monkeypatch):
     assert sorted(calls[before:]) == sorted({l for l, _ in other})
 
 
+def test_lockstep_prices_the_certify_searches_in_nine_batches(monkeypatch):
+    # the benchmark's certify shape at seed 24: Brent's first three slopes
+    # are the same for every threshold, then each step prices one new slope
+    # per running search
+    batches = []
+    original = dual_mod.window_search
+
+    def spy(lattice, slopes, *args):
+        batches.append(list(slopes))
+        return original(lattice, slopes, *args)
+
+    reads = []
+    bound = runner_mod.dual_bound
+
+    def reading(*args, **kwargs):
+        before = len(batches)
+        out = bound(*args, **kwargs)
+        reads.append(len(batches) - before)
+        return out
+
+    monkeypatch.setattr(dual_mod, "window_search", spy)
+    monkeypatch.setattr(runner_mod, "dual_bound", reading)
+    sc = build_scenario(_scenario_config("certify", 8, 3, [0.25, 0.5, 0.75]))
+    results = runner_mod.dual_bounds(sc)
+    assert [len(b) for b in batches] == [1, 1, 1, 3, 3, 3, 3, 3, 1]
+    priced = [l for b in batches for l in b]
+    assert len(priced) == len(set(priced)) == 19
+    assert set(priced) == {l for _, res in results for l, _ in res["trace"]}
+    assert [res["n_slope_evaluations"] for _, res in results] == [9, 8, 8]
+    # the dual_bound call per threshold only reads the dict
+    assert reads == [0, 0, 0]
+
+
 def test_workspace_prices_a_scenario_dual_list_on_first_request(monkeypatch):
     ws = Workspace()
     sc = ws.scenario("risk_pair")
@@ -882,13 +989,14 @@ def _drive(search, m, certificate, l_max=4.0):
     """Run a slope search on an analytic certificate; the slopes it priced,
     in order."""
     slopes = []
-
-    def price(l):
-        slopes.append(l)
-        return certificate(l)
-
-    search(price, m, dual_mod.SLOPE_FLOOR, l_max, 1e-6)
-    return slopes
+    gen = search(m, dual_mod.SLOPE_FLOOR, l_max, 1e-6)
+    try:
+        l = next(gen)
+        while True:
+            slopes.append(l)
+            l = gen.send(certificate(l))
+    except StopIteration:
+        return slopes
 
 
 def _quadratic(l):

@@ -49,11 +49,12 @@ def _flipped_f_conjugate(lattice, slope, cand, gt, ft, lp):
 
 def _polar_without_l(lattice, slope, cand, gt, ft, lp):
     """The certificate with sum_j w_j poltil(r_j) as its terminal term in
-    place of sum_j w_j L_N(j) poltil(r_j)."""
+    place of sum_j w_j L_N(j) poltil(r_j); slope holds one slope per
+    candidate column."""
     u, v, p, q = cand
     n = lattice.steps
     l_end = dual_mod._node_adjoint(lattice, u, v)
-    ratio = slope * dual_mod._node_adjoint(lattice, p, q) / l_end
+    ratio = slope[:, None] * dual_mod._node_adjoint(lattice, p, q) / l_end
     polar = np.asarray(lp.polar(ratio.ravel()), dtype=float)
     polar = polar.reshape(ratio.shape)
     weights = np.array([math.comb(n, j) for j in range(n + 1)]) / 2.0**n
